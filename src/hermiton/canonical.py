@@ -334,17 +334,6 @@ def legendre_inverse(p: PhasePoint, params: ModelParams) -> tuple[np.ndarray, np
     return psid, hermitian_part(gamma_dot)
 
 
-def _potential_value_ext(spec: PotentialSpec, x):
-    """Potential profile on the analytic extension (complex argument)."""
-    if spec.kind == "none":
-        return 0.0
-    if spec.kind == "quartic_pure":
-        return spec.kappa * x * x
-    if spec.kind == "quartic_shifted":
-        return spec.kappa * (x - spec.shift) ** 2
-    return spec.f(x)
-
-
 def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParams,
                      chi_matrix, t: float) -> complex:
     """Hamiltonian on the analytic extension: psi/pi and their bars are
@@ -362,7 +351,7 @@ def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParam
     val = (pi @ ginv @ pibar) / a2
     val += (a1 / a2) * 1j * (pi @ psi - psibar @ pibar)
     val -= (params.alpha4 - a1 * a1 / a2) * theta1c + params.alpha5 * (psibar @ chi_matrix @ psi)
-    val += _potential_value_ext(params.effective_potential, theta1c)
+    val += params.effective_potential.value(theta1c)
     if params.forcing is not None:
         f = np.asarray(params.forcing(t), dtype=complex)
         val -= f @ psi + np.conj(f) @ psibar

@@ -2,8 +2,8 @@
 
 Commands: ``simulate``, ``check``, ``reduce``, ``oracle``, ``charges``.
 Common flags: ``--scenario <path>`` (repeatable for simulate), ``--out <dir>``,
-``--jobs <k>`` (simulate only), ``--seed <n>``.  Verbosity is controlled by
-the ``HERMITON_LOG`` environment variable (error, info, debug).
+``--seed <n>``.  Verbosity is controlled by the ``HERMITON_LOG`` environment
+variable (error, info, debug).
 
 Exit codes: 0 success, 2 validation failure (bad scenario, non-Hermitian
 matrices, degenerate kinetic operators, missing oracle), 3 step failure
@@ -13,7 +13,6 @@ mid-run, 1 for a completed check run with failing verdicts.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -349,10 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
 
-    p_sim = sub.add_parser("simulate", help="integrate a scenario and write outputs")
-    common(p_sim, multi_scenario=True)
-    p_sim.add_argument("--jobs", type=int, default=1,
-                       help="run independent scenarios concurrently")
+    common(sub.add_parser("simulate", help="integrate a scenario and write outputs"),
+           multi_scenario=True)
     common(sub.add_parser("check", help="run the invariant suite on a scenario"))
     common(sub.add_parser("reduce", help="Darboux/Dirac reduction report"))
     common(sub.add_parser("oracle", help="compare against the exact solution"))
@@ -369,10 +366,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             scenarios = [load_scenario(p) for p in args.scenario]
-            if args.jobs > 1 and len(scenarios) > 1:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    codes = list(pool.map(lambda s: cmd_simulate(s, out_dir), scenarios))
-                return max(codes)
             for s in scenarios:
                 cmd_simulate(s, out_dir)
             return 0

@@ -74,22 +74,33 @@ def noether_tensors(state: FullState, params: ModelParams,
     return v, w
 
 
+def _is_hermitian(a: np.ndarray, label: str = "generator") -> bool | None:
+    """Symmetry class of a charge generator: True when Hermitian, False when
+    antihermitian, None when zero; WrongSymmetryClass when it is neither."""
+    norm = np.linalg.norm(a)
+    if norm == 0.0:
+        return None
+    if np.linalg.norm(a - a.conj().T) <= GENERATOR_TOL * norm:
+        return True
+    if np.linalg.norm(a + a.conj().T) <= GENERATOR_TOL * norm:
+        return False
+    raise WrongSymmetryClass(f"{label} is neither Hermitian nor antihermitian")
+
+
+def _charge(v: np.ndarray, w: np.ndarray, a: np.ndarray, hermitian: bool) -> float:
+    return float((np.trace(v @ a) if hermitian else np.trace(1j * (w @ a))).real)
+
+
 def noether_charge(state: FullState, params: ModelParams, gamma0,
                    a_tilde) -> float:
     """Charge of one generator: Tr(V A~) for Hermitian A~, Tr(i W A~) for
     antihermitian A~."""
     a = np.asarray(a_tilde, dtype=complex)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    hermitian = _is_hermitian(a)
+    if hermitian is None:
         return 0.0
     v, w = noether_tensors(state, params, gamma0)
-    if np.linalg.norm(a - a.conj().T) <= GENERATOR_TOL * norm:
-        charge = np.trace(v @ a)
-    elif np.linalg.norm(a + a.conj().T) <= GENERATOR_TOL * norm:
-        charge = np.trace(1j * (w @ a))
-    else:
-        raise WrongSymmetryClass("generator is neither Hermitian nor antihermitian")
-    return float(charge.real)
+    return _charge(v, w, a, hermitian)
 
 
 def gl_transform(state: FullState, l_matrix) -> FullState:
@@ -131,28 +142,21 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
         gamma0 = states[0].gamma
     items = []
     for idx, gen in enumerate(generators or []):
-        if isinstance(gen, tuple):
-            items.append((gen[0], np.asarray(gen[1], dtype=complex)))
-        else:
-            items.append((f"gen{idx}", np.asarray(gen, dtype=complex)))
+        label, a = gen if isinstance(gen, tuple) else (f"gen{idx}", gen)
+        a = np.asarray(a, dtype=complex)
+        hermitian = _is_hermitian(a, f"generator {label}")
+        if hermitian is None:
+            raise WrongSymmetryClass(f"generator {label} is zero")
+        items.append((label, a, hermitian))
 
     reports = []
     for state, diag in zip(states, trajectory.diagnostics):
         v, w = noether_tensors(state, params, gamma0)
-        charges = []
-        for label, a in items:
-            norm = np.linalg.norm(a)
-            if norm and np.linalg.norm(a - a.conj().T) <= GENERATOR_TOL * norm:
-                value = float(np.trace(v @ a).real)
-            elif norm and np.linalg.norm(a + a.conj().T) <= GENERATOR_TOL * norm:
-                value = float(np.trace(1j * (w @ a)).real)
-            else:
-                raise WrongSymmetryClass(f"generator {label} has no definite symmetry")
-            charges.append((label, value))
         reports.append(ChargeReport(
-            t=state.t, V=v, W=w, charges=charges,
-            energy=diag.get("energy", energy(state, params, chi)),
-            theta1=diag.get("theta1", theta1(state.psi, state.gamma)),
+            t=state.t, V=v, W=w,
+            charges=[(label, _charge(v, w, a, hermitian)) for label, a, hermitian in items],
+            energy=diag["energy"] if "energy" in diag else energy(state, params, chi),
+            theta1=diag["theta1"] if "theta1" in diag else theta1(state.psi, state.gamma),
             hermiticity_drift=diag.get("herm_drift", 0.0)))
     return reports
 

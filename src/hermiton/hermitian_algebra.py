@@ -21,6 +21,8 @@ hermiticity for all three kinds of object.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NonFinite, NotHermitian, SingularForm
@@ -255,37 +257,48 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
+_SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _codec_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of the Hermitian codec for n x n matrices.
+
+    ``hermitian_to_real(x) == x.ravel().view(float)[to_real] * scale``, and
+    ``to_matrix`` gives, for each entry of a flattened matrix, its position
+    in the concatenation of the diagonal, the entries (a, b) and the entries
+    (b, a), a < b, both in ``hermitian_basis`` order.
+    """
+    rows, cols = np.triu_indices(n, k=1)
+    diag, upper, lower = np.arange(n) * (n + 1), rows * n + cols, cols * n + rows
+    to_real = np.concatenate([2 * diag, np.column_stack([2 * upper, 2 * upper + 1]).ravel()])
+    scale = np.concatenate([np.ones(n), np.tile([_SQRT2, -_SQRT2], upper.size)])
+    to_matrix = np.empty(n * n, dtype=np.intp)
+    to_matrix[np.concatenate([diag, upper, lower])] = np.arange(n * n)
+    for table in (to_real, scale, to_matrix):
+        table.setflags(write=False)
+    return to_real, scale, to_matrix
+
+
 def hermitian_to_real(x) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in the ``hermitian_basis`` order."""
+    """Real coordinates c of a Hermitian matrix x, in the ``hermitian_basis``
+    order: x == sum_k c[k] * conj(hermitian_basis(n)[k]).  That is the
+    diagonal, then sqrt(2) * Re and -sqrt(2) * Im of each upper entry."""
     x = _as_complex_matrix(x)
-    n = x.shape[0]
-    coords = [x[a, a].real for a in range(n)]
-    sqrt2 = np.sqrt(2.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            coords.append(sqrt2 * x[a, b].real)
-            coords.append(-sqrt2 * x[a, b].imag)
-    return np.array(coords)
+    to_real, scale, _ = _codec_tables(x.shape[0])
+    return x.ravel().view(float)[to_real] * scale
 
 
 def real_to_hermitian(coords, n: int) -> np.ndarray:
     """Inverse of :func:`hermitian_to_real`."""
     coords = np.asarray(coords, dtype=float)
-    if coords.size != n * n:
-        raise ValueError(f"expected {n * n} coordinates, got {coords.size}")
-    x = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        x[a, a] = coords[a]
-    k = n
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            re = coords[k] * inv_sqrt2
-            im = -coords[k + 1] * inv_sqrt2
-            x[a, b] = re + 1j * im
-            x[b, a] = re - 1j * im
-            k += 2
-    return x
+    if coords.shape != (n * n,):
+        raise ValueError(f"expected {n * n} coordinates, got shape {coords.shape}")
+    re = coords[n::2] * _INV_SQRT2
+    i_im = 1j * (-coords[n + 1::2] * _INV_SQRT2)
+    entries = np.concatenate((coords[:n], re + i_im, re - i_im))
+    return entries[_codec_tables(n)[2]].reshape(n, n)
 
 
 def tensor4_pair_defect(omega) -> float:

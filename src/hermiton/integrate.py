@@ -1,7 +1,15 @@
 """Time-stepping engines and trajectory recording for all model tiers.
 
-States are flattened to real vectors for stepping.  The psi sector always
-uses a real/imaginary split.  The gamma sector has two layouts:
+Every tier steps a subset of the same blocks psi, psi_dot, gamma and
+gamma_dot (psi and pi for ``canonical_frozen``), listed in
+``STEPPED_BLOCKS`` in storage order.  The stepped blocks are flattened into
+one real vector; the others stay frozen (gamma at its initial value, the
+rest at zero).  One ``deriv`` unpacks the vector, evaluates the tier's
+right-hand side through ``_rates`` and packs the rates back; one ``record``
+builds the sampled state and its diagnostics.
+
+Vector blocks are stored as real parts followed by imaginary parts.  The
+gamma blocks have two layouts:
 
 * ``resymmetrize_gamma=True``: gamma and gamma_dot are stored in the
   n^2-real Hermitian parametrization (diagonal reals plus off-diagonal
@@ -39,15 +47,19 @@ from .models import FullState, ModelParams, energy, resolve_chi, theta1
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate", "convergence_order"]
 
-MODEL_TIERS = (
-    "schrodinger",
-    "second_order",
-    "direct_nonlinear",
-    "gamma_geodesic",
-    "full",
-    "modified_first_order",
-    "canonical_frozen",
-)
+#: blocks each tier steps, in storage order.  The others are frozen: gamma
+#: at its initial value, every other block at zero, except that psi_dot of a
+#: first-order tier is recomputed from psi at each recorded sample.
+STEPPED_BLOCKS = {
+    "schrodinger": ("psi",),
+    "second_order": ("psi", "psi_dot"),
+    "direct_nonlinear": ("psi",),
+    "gamma_geodesic": ("gamma", "gamma_dot"),
+    "full": ("psi", "psi_dot", "gamma", "gamma_dot"),
+    "modified_first_order": ("psi", "gamma", "gamma_dot"),
+    "canonical_frozen": ("psi", "pi"),
+}
+MODEL_TIERS = tuple(STEPPED_BLOCKS)
 
 
 @dataclass(frozen=True)
@@ -102,28 +114,58 @@ def _c2r(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
 
-def _r2c(x: np.ndarray, shape) -> np.ndarray:
-    half = x.size // 2
-    return (x[:half] + 1j * x[half:]).reshape(shape)
+def _codec(block: str, n: int, start: int, structural: bool):
+    """(stop, pack, unpack) of one block stored at ``y[start:stop]`` of the
+    flat real state vector ``y``.
+
+    ``pack`` returns the block's real parts in storage order and ``unpack``
+    reads the block back from ``y``.  Vectors, and matrices in the complex
+    layout, are stored as real parts followed by imaginary parts; in the
+    structural layout a Hermitian matrix is stored as ``hermitian_to_real``
+    coordinates.
+    """
+    matrix = block in ("gamma", "gamma_dot")
+    if matrix and structural:
+        coords = slice(start, start + n * n)
+        return (coords.stop, lambda m: (hermitian_to_real(hermitian_part(m)),),
+                lambda y: real_to_hermitian(y[coords], n))
+    shape = (n, n) if matrix else (n,)
+    size = n ** len(shape)
+    re, im = slice(start, start + size), slice(start + size, start + 2 * size)
+    return im.stop, lambda z: (z.real, z.imag), lambda y: (y[re] + 1j * y[im]).reshape(shape)
 
 
-class _GammaCodec:
-    """Pack/unpack a Hermitian matrix block per the configured layout."""
+def _full_state(t, b) -> FullState:
+    return FullState(psi=b["psi"], psi_dot=b["psi_dot"], gamma=hermitian_part(b["gamma"]),
+                     gamma_dot=hermitian_part(b["gamma_dot"]), t=t)
 
-    def __init__(self, n: int, structural: bool):
-        self.n = n
-        self.structural = structural
-        self.size = n * n if structural else 2 * n * n
 
-    def pack(self, m: np.ndarray) -> np.ndarray:
-        if self.structural:
-            return hermitian_to_real(hermitian_part(m))
-        return _c2r(m)
-
-    def unpack(self, x: np.ndarray) -> np.ndarray:
-        if self.structural:
-            return real_to_hermitian(x, self.n)
-        return _r2c(x, (self.n, self.n))
+def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
+           ginv) -> dict:
+    """Time derivative of each block the tier steps (and psi's rate on the
+    first-order tiers), from the blocks ``b`` by name, via the tier's RHS."""
+    if tier in ("schrodinger", "direct_nonlinear"):
+        return {"psi": rhs_direct_nonlinear_raw(b["psi"], b["gamma"], params,
+                                                resolve_chi(chi, t), t)}
+    if tier == "second_order":
+        acc = rhs_second_order(_full_state(t, b), resolve_chi(chi, t), params, gamma_tilde)
+        return {"psi": b["psi_dot"], "psi_dot": acc}
+    if tier == "gamma_geodesic":
+        acc_g = rhs_gamma_geodesic(b["gamma"], b["gamma_dot"], params.big_a, params.big_b)
+        return {"gamma": b["gamma_dot"], "gamma_dot": acc_g}
+    if tier == "full":
+        acc_psi, acc_g = _full_accelerations_raw(b["psi"], b["psi_dot"], b["gamma"],
+                                                 b["gamma_dot"], params,
+                                                 resolve_chi(chi, t), t)
+        return {"psi": b["psi_dot"], "psi_dot": acc_psi,
+                "gamma": b["gamma_dot"], "gamma_dot": acc_g}
+    if tier == "modified_first_order":
+        psid, acc_g = _modified_first_order_raw(b["psi"], b["gamma"], b["gamma_dot"],
+                                                params, resolve_chi(chi, t), t)
+        return {"psi": psid, "gamma": b["gamma_dot"], "gamma_dot": acc_g}
+    psid, pid = canonical_frozen_flow(b["psi"], b["pi"], b["gamma"], params,
+                                      resolve_chi(chi, t), t, ginv=ginv)
+    return {"psi": psid, "pi": pid}
 
 
 @dataclass
@@ -140,162 +182,59 @@ def _build_system(initial, tier: str, cfg: IntegratorConfig, params: ModelParams
                   chi, gamma_tilde=None) -> _System:
     if tier not in MODEL_TIERS:
         raise ValueError(f"unknown model tier {tier!r}; choose from {MODEL_TIERS}")
+    n = initial.n
+    stepped = STEPPED_BLOCKS[tier]
+    structural = cfg.resymmetrize_gamma
+    layout, start = [], 0
+    for block in stepped:
+        start, pack, unpack = _codec(block, n, start, structural)
+        layout.append((block, pack, unpack))
+    zero_v = np.zeros(n, dtype=complex)
+    zero_v.setflags(write=False)         # shared by every recorded state
+    frozen = {"psi": zero_v, "psi_dot": zero_v, "gamma": initial.gamma,
+              "gamma_dot": np.zeros((n, n), dtype=complex)}
+    ginv = np.linalg.inv(initial.gamma) if tier == "canonical_frozen" else None
+    first_order = "psi" in stepped and "psi_dot" not in stepped
+    steps_gamma = "gamma" in stepped
 
-    if tier == "canonical_frozen":
-        p0: PhasePoint = initial
-        n = p0.n
-        gamma0 = p0.gamma
-        ginv0 = np.linalg.inv(gamma0)
+    def blocks(y) -> dict:
+        b = dict(frozen)
+        for block, _, unpack in layout:
+            b[block] = unpack(y)
+        return b
 
-        def deriv(t, y):
-            psi = _r2c(y[:2 * n], (n,))
-            pi = _r2c(y[2 * n:], (n,))
-            psid, pid = canonical_frozen_flow(psi, pi, gamma0, params,
-                                              resolve_chi(chi, t), t, ginv=ginv0)
-            return np.concatenate([_c2r(psid), _c2r(pid)])
-
-        def record(t, y):
-            psi = _r2c(y[:2 * n], (n,))
-            pi = _r2c(y[2 * n:], (n,))
-            point = PhasePoint(psi=psi, pi=pi, gamma=gamma0, t=t)
-            diag = {
-                "t": t,
-                "energy": hamiltonian(point, params, chi),
-                "theta1": theta1(psi, gamma0),
-                "herm_drift": 0.0,
-            }
-            return point, diag
-
-        y0 = np.concatenate([_c2r(p0.psi), _c2r(p0.pi)])
-        return _System(y0=y0, deriv=deriv, record=record, t0=p0.t)
-
-    state0: FullState = initial
-    n = state0.n
-    codec = _GammaCodec(n, cfg.resymmetrize_gamma)
-    gamma0, gamma_dot0 = state0.gamma, state0.gamma_dot
-
-    def _full_state(t, psi, psid, g, gd) -> FullState:
-        return FullState(psi=psi, psi_dot=psid, gamma=hermitian_part(g),
-                         gamma_dot=hermitian_part(gd), t=t)
-
-    if tier in ("schrodinger", "direct_nonlinear"):
-        def deriv(t, y):
-            psi = _r2c(y, (n,))
-            return _c2r(rhs_direct_nonlinear_raw(psi, gamma0, params,
-                                                 resolve_chi(chi, t), t))
-
-        def record(t, y):
-            psi = _r2c(y, (n,))
-            psid = rhs_direct_nonlinear_raw(psi, gamma0, params, resolve_chi(chi, t), t)
-            state = _full_state(t, psi, psid, gamma0, np.zeros((n, n)))
-            diag = {"t": t, "energy": energy(state, params, chi),
-                    "theta1": theta1(psi, gamma0), "herm_drift": 0.0}
-            return state, diag
-
-        return _System(y0=_c2r(state0.psi), deriv=deriv, record=record, t0=state0.t)
-
-    if tier == "second_order":
-        kin = gamma_tilde
-
-        def deriv(t, y):
-            psi = _r2c(y[:2 * n], (n,))
-            psid = _r2c(y[2 * n:], (n,))
-            state = _full_state(t, psi, psid, gamma0, np.zeros((n, n)))
-            acc = rhs_second_order(state, resolve_chi(chi, t), params, kin)
-            return np.concatenate([_c2r(psid), _c2r(acc)])
-
-        def record(t, y):
-            psi = _r2c(y[:2 * n], (n,))
-            psid = _r2c(y[2 * n:], (n,))
-            state = _full_state(t, psi, psid, gamma0, np.zeros((n, n)))
-            diag = {"t": t, "energy": energy(state, params, chi),
-                    "theta1": theta1(psi, gamma0), "herm_drift": 0.0}
-            return state, diag
-
-        y0 = np.concatenate([_c2r(state0.psi), _c2r(state0.psi_dot)])
-        return _System(y0=y0, deriv=deriv, record=record, t0=state0.t)
-
-    if tier == "gamma_geodesic":
-        big_a, big_b = params.big_a, params.big_b
-
-        def raw_rhs(g, gd):
-            return rhs_gamma_geodesic(g, gd, big_a, big_b)
-
-        def deriv(t, y):
-            g = codec.unpack(y[:codec.size])
-            gd = codec.unpack(y[codec.size:])
-            return np.concatenate([codec.pack(gd), codec.pack(raw_rhs(g, gd))])
-
-        def record(t, y):
-            g = codec.unpack(y[:codec.size])
-            gd = codec.unpack(y[codec.size:])
-            if cfg.resymmetrize_gamma:
-                drift = hermiticity_drift(raw_rhs(g, gd))
-            else:
-                drift = hermiticity_drift(g)
-            psi0 = np.zeros(n, dtype=complex)
-            state = _full_state(t, psi0, psi0, g, gd)
-            diag = {"t": t, "energy": energy(state, params, chi),
-                    "theta1": 0.0, "herm_drift": drift}
-            return state, diag
-
-        y0 = np.concatenate([codec.pack(gamma0), codec.pack(gamma_dot0)])
-        return _System(y0=y0, deriv=deriv, record=record, t0=state0.t)
-
-    if tier == "full":
-        def deriv(t, y):
-            psi = _r2c(y[:2 * n], (n,))
-            psid = _r2c(y[2 * n:4 * n], (n,))
-            g = codec.unpack(y[4 * n:4 * n + codec.size])
-            gd = codec.unpack(y[4 * n + codec.size:])
-            acc_psi, acc_g = _full_accelerations_raw(psi, psid, g, gd, params,
-                                                     resolve_chi(chi, t), t)
-            return np.concatenate([_c2r(psid), _c2r(acc_psi),
-                                   codec.pack(gd), codec.pack(acc_g)])
-
-        def record(t, y):
-            psi = _r2c(y[:2 * n], (n,))
-            psid = _r2c(y[2 * n:4 * n], (n,))
-            g = codec.unpack(y[4 * n:4 * n + codec.size])
-            gd = codec.unpack(y[4 * n + codec.size:])
-            if cfg.resymmetrize_gamma:
-                _, acc_g = _full_accelerations_raw(psi, psid, g, gd, params,
-                                                   resolve_chi(chi, t), t)
-                drift = hermiticity_drift(acc_g)
-            else:
-                drift = hermiticity_drift(g)
-            state = _full_state(t, psi, psid, g, gd)
-            diag = {"t": t, "energy": energy(state, params, chi),
-                    "theta1": theta1(psi, state.gamma), "herm_drift": drift}
-            return state, diag
-
-        y0 = np.concatenate([_c2r(state0.psi), _c2r(state0.psi_dot),
-                             codec.pack(gamma0), codec.pack(gamma_dot0)])
-        return _System(y0=y0, deriv=deriv, record=record, t0=state0.t)
-
-    # modified_first_order
     def deriv(t, y):
-        psi = _r2c(y[:2 * n], (n,))
-        g = codec.unpack(y[2 * n:2 * n + codec.size])
-        gd = codec.unpack(y[2 * n + codec.size:])
-        psid, acc_g = _modified_first_order_raw(psi, g, gd, params,
-                                                resolve_chi(chi, t), t)
-        return np.concatenate([_c2r(psid), codec.pack(gd), codec.pack(acc_g)])
+        rates = _rates(tier, t, blocks(y), params, chi, gamma_tilde, ginv)
+        return np.concatenate([part for block, pack, _ in layout
+                               for part in pack(rates[block])], axis=None)
 
     def record(t, y):
-        psi = _r2c(y[:2 * n], (n,))
-        g = codec.unpack(y[2 * n:2 * n + codec.size])
-        gd = codec.unpack(y[2 * n + codec.size:])
-        psid, acc_g = _modified_first_order_raw(psi, g, gd, params,
-                                                resolve_chi(chi, t), t)
-        drift = hermiticity_drift(acc_g) if cfg.resymmetrize_gamma else hermiticity_drift(g)
-        state = _full_state(t, psi, psid, g, gd)
-        diag = {"t": t, "energy": energy(state, params, chi),
-                "theta1": theta1(psi, state.gamma), "herm_drift": drift}
+        b = blocks(y)
+        if tier == "canonical_frozen":
+            point = PhasePoint(psi=b["psi"], pi=b["pi"], gamma=b["gamma"], t=t)
+            return point, {"t": t, "energy": hamiltonian(point, params, chi),
+                           "theta1": theta1(b["psi"], b["gamma"]), "herm_drift": 0.0}
+        rates = None
+        if first_order or (steps_gamma and structural):
+            rates = _rates(tier, t, b, params, chi, gamma_tilde, ginv)
+        if first_order:
+            b["psi_dot"] = rates["psi"]
+        if not steps_gamma:
+            drift = 0.0
+        elif structural:
+            drift = hermiticity_drift(rates["gamma_dot"])
+        else:
+            drift = hermiticity_drift(b["gamma"])
+        state = _full_state(t, b)
+        # theta1 stays the literal 0.0 without psi: theta1(0, gamma) may be -0.0
+        theta = theta1(b["psi"], state.gamma) if "psi" in stepped else 0.0
+        diag = {"t": t, "energy": energy(state, params, chi), "theta1": theta,
+                "herm_drift": drift}
         return state, diag
 
-    y0 = np.concatenate([_c2r(state0.psi), codec.pack(gamma0), codec.pack(gamma_dot0)])
-    return _System(y0=y0, deriv=deriv, record=record, t0=state0.t)
+    y0 = np.concatenate([part for block, pack, _ in layout
+                         for part in pack(getattr(initial, block))], axis=None)
+    return _System(y0=y0, deriv=deriv, record=record, t0=initial.t)
 
 
 def _rk4_step(f, t, y, dt):

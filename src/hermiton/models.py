@@ -29,7 +29,6 @@ from .errors import DegenerateKinetic
 from .hermitian_algebra import (
     complex_vector,
     hermitian_form,
-    hermitian_part,
     invert_form,
 )
 
@@ -80,14 +79,15 @@ class PotentialSpec:
         if self.kind == "custom" and self.f is None:
             raise ValueError("custom potential needs f")
 
-    def value(self, x: float) -> float:
+    def value(self, x):
+        """f(x); a complex x evaluates the analytic extension."""
         if self.kind == "none":
             return 0.0
         if self.kind == "quartic_pure":
             return self.kappa * x * x
         if self.kind == "quartic_shifted":
             return self.kappa * (x - self.shift) ** 2
-        return float(self.f(x))
+        return self.f(x)
 
     def derivative(self, x: float) -> float:
         if self.kind == "none":
@@ -470,20 +470,3 @@ def effective_hamiltonian(state: FullState, params: ModelParams, chi) -> np.ndar
         raise ValueError("effective_hamiltonian applies to the alpha2 == 0 model")
     return _heff_raw(state.psi, state.gamma, state.gamma_dot, params,
                      resolve_chi(chi, state.t))
-
-
-def gl_invariant_lagrangian(params: ModelParams) -> bool:
-    """True when the Lagrangian is invariant under the full linear group
-    (no fixed Hamiltonian form and no external forcing)."""
-    return params.alpha5 == 0.0 and params.forcing is None
-
-
-def _hermitize_state(state: FullState) -> FullState:
-    """Re-symmetrized copy (used by integrators after full-matrix steps)."""
-    return FullState(
-        psi=state.psi,
-        psi_dot=state.psi_dot,
-        gamma=hermitian_part(state.gamma),
-        gamma_dot=hermitian_part(state.gamma_dot),
-        t=state.t,
-    )

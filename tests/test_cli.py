@@ -113,14 +113,18 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         assert "NotHermitian" in capsys.readouterr().err
 
-    def test_jobs_flag_runs_all(self, tmp_path):
+    def test_multiple_scenarios_run_serially(self, tmp_path):
         p1 = write(tmp_path, "one", schrodinger_scenario())
         p2 = write(tmp_path, "two", geodesic_scenario())
         code = main(["simulate", "--scenario", str(p1), "--scenario", str(p2),
-                     "--jobs", "2", "--out", str(tmp_path)])
+                     "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "one_trajectory.csv").exists()
         assert (tmp_path / "two_trajectory.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", str(p1), "--jobs", "2",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_killing_geodesic_is_degenerate(self, tmp_path, capsys):
         # preset killing has A + n B = 0: the geodesic tier refuses to run

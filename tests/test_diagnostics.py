@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermiton import diagnostics
 from hermiton.diagnostics import (
     drift_summary,
     gl_transform,
@@ -201,6 +202,26 @@ class TestMonitor:
                 ("iD", 1j * np.diag([0.0, 1.0]).astype(complex))]
         summary = drift_summary(monitor(traj, params, chi, generators=gens))
         assert max(summary["charges"].values()) < 1e-9
+
+    def test_generators_classified_once_and_checked_up_front(self, rng, monkeypatch):
+        n = 2
+        params = ModelParams(alpha1=0.5, alpha5=-1.0)
+        state = FullState(psi=rand_vec(rng, n), psi_dot=np.zeros(n),
+                          gamma=rand_pd(rng, n), gamma_dot=np.zeros((n, n)))
+        traj = integrate(state, "schrodinger", IntegratorConfig(dt=1e-2, t_end=0.1),
+                         params, rand_herm(rng, n))
+        for bad in (np.zeros((n, n)), np.array([[0.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(WrongSymmetryClass):
+                monitor(traj, params, np.eye(n), generators=[("bad", bad)])
+
+        # recorded energy and theta1 are reused, never recomputed
+        def fail(*args):
+            raise AssertionError("recomputed a recorded diagnostic")
+
+        monkeypatch.setattr(diagnostics, "energy", fail)
+        monkeypatch.setattr(diagnostics, "theta1", fail)
+        reports = monitor(traj, params, np.eye(n), generators=[("H", np.eye(n))])
+        assert [r.energy for r in reports] == list(traj.series("energy"))
 
     def test_empty_trajectory_rejected(self):
         class Fake:

@@ -233,11 +233,56 @@ class TestHermitianPacking:
                 assert abs(np.trace(p @ q).real - (1.0 if i == j else 0.0)) < 1e-14
 
     def test_round_trip(self, rng):
-        for n in (1, 2, 4):
+        for n in (1, 2, 3, 4, 8, 16):
             x = rand_herm(rng, n)
             coords = hermitian_to_real(x)
             assert coords.shape == (n * n,)
             assert np.allclose(real_to_hermitian(coords, n), x, atol=1e-14)
+
+    def test_coordinates_follow_basis_order(self, rng):
+        # x = sum_k coords[k] * conj(B_k): the imaginary coordinates carry the
+        # opposite sign of the ones hermitian_basis itself would give
+        for n in (1, 2, 3, 8, 16):
+            x = rand_herm(rng, n)
+            expected = [np.trace(b.conj() @ x).real for b in hermitian_basis(n)]
+            assert np.max(np.abs(hermitian_to_real(x) - expected)) <= 1e-14
+
+
+def _loop_hermitian_to_real(x):
+    n = x.shape[0]
+    coords = [x[a, a].real for a in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords += [np.sqrt(2.0) * x[a, b].real, -np.sqrt(2.0) * x[a, b].imag]
+    return np.array(coords)
+
+
+def _loop_real_to_hermitian(coords, n):
+    x = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        x[a, a] = coords[a]
+    k = n
+    for a in range(n):
+        for b in range(a + 1, n):
+            re = coords[k] * (1.0 / np.sqrt(2.0))
+            im = -coords[k + 1] * (1.0 / np.sqrt(2.0))
+            x[a, b] = re + 1j * im
+            x[b, a] = re - 1j * im
+            k += 2
+    return x
+
+
+def test_codec_bit_identical_to_loop_reference(rng):
+    # same arithmetic as the entry-by-entry loops, signed zeros included
+    for n in (1, 2, 3, 5, 8):
+        x = rand_herm(rng, n)
+        x[rng.random((n, n)) < 0.3] = -0.0
+        coords = rng.normal(size=n * n)
+        coords[rng.random(n * n) < 0.3] = -0.0
+        assert hermitian_to_real(x).tobytes() == _loop_hermitian_to_real(x).tobytes()
+        assert hermitian_to_real(x.T).tobytes() == _loop_hermitian_to_real(x.T).tobytes()
+        assert (real_to_hermitian(coords, n).tobytes()
+                == _loop_real_to_hermitian(coords, n).tobytes())
 
 
 def test_tensor4_defect_helpers(rng):

@@ -89,19 +89,26 @@ class TestAdaptive:
 
 class TestResymmetrize:
     def test_structural_and_full_agree(self, rng):
-        n = 2
-        g = rand_pd(rng, n)
-        e = np.linalg.solve(g, rand_herm(rng, n, 0.5))
-        params = ModelParams.from_legacy(A=2.0, B=0.4)
-        state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
-                          gamma=g, gamma_dot=g @ e)
+        coupled = ModelParams(alpha1=0.5, alpha2=0.4, alpha5=-1.0, alpha6=1.0,
+                              alpha7=0.1, alpha9=0.05)
+        cases = (("gamma_geodesic", ModelParams.from_legacy(A=2.0, B=0.4)),
+                 ("full", coupled),
+                 ("modified_first_order", coupled.with_(alpha2=0.0)))
         base = dict(dt=1e-3, t_end=0.5, sample_stride=100)
-        t_full = integrate(state, "gamma_geodesic",
-                           IntegratorConfig(**base), params)
-        t_struct = integrate(state, "gamma_geodesic",
-                             IntegratorConfig(**base, resymmetrize_gamma=True), params)
-        assert np.max(np.abs(t_full.final_state.gamma
-                             - t_struct.final_state.gamma)) < 1e-12
+        for tier, params in cases:
+            for n in (2, 5):        # odd n exercises the off-diagonal coordinate order
+                g = rand_pd(rng, n)
+                e = np.linalg.solve(g, rand_herm(rng, n, 0.5))
+                state = FullState(psi=rand_vec(rng, n, 0.5), psi_dot=rand_vec(rng, n, 0.5),
+                                  gamma=g, gamma_dot=g @ e)
+                chi = rand_herm(rng, n)
+                t_full = integrate(state, tier, IntegratorConfig(**base), params, chi)
+                t_struct = integrate(state, tier,
+                                     IntegratorConfig(**base, resymmetrize_gamma=True),
+                                     params, chi)
+                gap = max(np.max(np.abs(t_full.final_state.gamma - t_struct.final_state.gamma)),
+                          np.max(np.abs(t_full.final_state.psi - t_struct.final_state.psi)))
+                assert gap < 1e-12, (tier, n, gap)
 
     def test_drift_recorded_both_modes(self, rng):
         n = 2
