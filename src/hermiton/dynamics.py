@@ -111,11 +111,13 @@ def _apply_omega_dot(psi, psid, gamma, gamma_dot, params: ModelParams, x) -> np.
 
 
 def _residuals_raw(psi, psid, gamma, gamma_dot, psi_ddot, gamma_ddot,
-                   params: ModelParams, chi, t: float):
+                   params: ModelParams, chi, t: float, ginv=None):
     """Residual pair on raw arrays (no validation, no re-symmetrization).
 
-    Everything is expressed through a single inverse of gamma; near-singular
-    forms surface as LinAlgError/NonFinite in the callers.
+    An acceleration given as None counts as zero and its terms are skipped.
+    Everything is expressed through a single inverse of gamma, ``ginv`` when
+    the caller has one (an unguarded ``inv`` otherwise); near-singular forms
+    surface as LinAlgError/NonFinite in the callers.
     """
     psi = np.asarray(psi, dtype=complex)
     psid = np.asarray(psid, dtype=complex)
@@ -128,14 +130,17 @@ def _residuals_raw(psi, psid, gamma, gamma_dot, psi_ddot, gamma_ddot,
     psidbar = np.conj(psid)
     fprime = params.effective_potential.derivative(float((psibar @ g @ psi).real))
 
-    ginv = np.linalg.inv(g)
+    if ginv is None:
+        ginv = np.linalg.inv(g)
     proj = np.outer(psi, psibar)
     p = ginv + a9 * proj
     pgd = p @ gd
     tr_pgd = np.trace(pgd)
 
     # psi sector: d/dt dL/d(conj psid) - dL/d(conj psi)
-    r_psi = a2 * (g @ psi_ddot) + (a2 * gd - 2.0j * a1 * g) @ psid
+    r_psi = (a2 * gd - 2.0j * a1 * g) @ psid
+    if psi_ddot is not None:
+        r_psi += a2 * (g @ psi_ddot)
     r_psi += ((fprime - params.alpha4) * g - params.alpha5 * chi
               - (a3 * a9 + 1.0j * a1) * gd) @ psi
     if a8 != 0.0:
@@ -146,17 +151,18 @@ def _residuals_raw(psi, psid, gamma, gamma_dot, psi_ddot, gamma_ddot,
         r_psi -= np.conj(np.asarray(params.forcing(t), dtype=complex))
 
     # gamma sector: d/dt dL/d(gamma_dot) - dL/d(gamma), contravariant
-    r_gamma = 2.0 * (a6 * (p @ gamma_ddot @ p) + a7 * np.trace(p @ gamma_ddot) * p)
-    if a8 != 0.0:
-        r_gamma += 2.0 * a8 * (psibar @ gamma_ddot @ psi) * proj
-
     proj_dot = np.outer(psid, psibar) + np.outer(psi, psidbar)
     ginv_gd = ginv @ gd
     gg = ginv_gd @ ginv
     pdot = -gg + a9 * proj_dot
     pdot_gd = pdot @ gd
-    r_gamma += 2.0 * (a6 * (pdot_gd @ p + pgd @ pdot)
-                      + a7 * (np.trace(pdot_gd) * p + tr_pgd * pdot))
+    r_gamma = 2.0 * (a6 * (pdot_gd @ p + pgd @ pdot)
+                     + a7 * (np.trace(pdot_gd) * p + tr_pgd * pdot))
+    if gamma_ddot is not None:
+        acc = 2.0 * (a6 * (p @ gamma_ddot @ p) + a7 * np.trace(p @ gamma_ddot) * p)
+        if a8 != 0.0:
+            acc += 2.0 * a8 * (psibar @ gamma_ddot @ psi) * proj
+        r_gamma += acc
     if a8 != 0.0:
         quad = psibar @ gd @ psi
         quad_dot = psidbar @ gd @ psi + psibar @ gd @ psid
@@ -192,20 +198,18 @@ def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
                             chi, t: float):
     if params.alpha2 == 0.0:
         raise ZeroAlpha2("alpha2 == 0: use rhs_modified_first_order")
-    n = np.asarray(psi).shape[0]
-    zero_v = np.zeros(n, dtype=complex)
-    zero_m = np.zeros((n, n), dtype=complex)
-    rest_psi, rest_gamma = _residuals_raw(psi, psid, gamma, gamma_dot,
-                                          zero_v, zero_m, params, chi, t)
-    psi_ddot = -np.linalg.solve(np.asarray(gamma, dtype=complex), rest_psi) / params.alpha2
+    ginv = np.linalg.inv(np.asarray(gamma, dtype=complex))
+    rest_psi, rest_gamma = _residuals_raw(psi, psid, gamma, gamma_dot, None, None,
+                                          params, chi, t, ginv)
+    psi_ddot = -(ginv @ rest_psi) / params.alpha2
     gamma_ddot = 0.5 * apply_omega_inverse(psi, gamma, params, -rest_gamma)
     return psi_ddot, gamma_ddot
 
 
 def rhs_full(state: FullState, params: ModelParams, chi):
     """Accelerations (psi_ddot, gamma_ddot) of the full coupled model,
-    obtained by the explicit linear solves (gamma^{-1} for the psi sector,
-    the closed-form kinetic inverse for the gamma sector)."""
+    obtained from one inverse of gamma (shared by the residuals and the psi
+    sector) and the closed-form kinetic inverse for the gamma sector."""
     psi_ddot, gamma_ddot = _full_accelerations_raw(
         state.psi, state.psi_dot, state.gamma, state.gamma_dot, params, chi, state.t)
     return psi_ddot, hermitian_part(gamma_ddot)
@@ -221,19 +225,17 @@ def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
     g = np.asarray(gamma, dtype=complex)
     gd = np.asarray(gamma_dot, dtype=complex)
     chi_m = resolve_chi(chi, t)
-    n = psi.size
+    ginv = invert_form(g)
 
     # psi equation solved for psid: 2i*alpha1 * psid = H_eff psi - gamma^{-1} conj(F)
-    heff = _heff_raw(psi, g, gd, params, chi_m)
+    heff = _heff_raw(psi, g, gd, params, chi_m, ginv)
     rhs = heff @ psi
     if params.forcing is not None:
-        rhs -= invert_form(g) @ np.conj(np.asarray(params.forcing(t), dtype=complex))
+        rhs -= ginv @ np.conj(np.asarray(params.forcing(t), dtype=complex))
     psid = rhs / (2.0j * params.alpha1)
 
     # gamma equation solved for gamma_ddot with the psid just obtained
-    zero_m = np.zeros((n, n), dtype=complex)
-    _, rest_gamma = _residuals_raw(psi, psid, g, gd, np.zeros(n, dtype=complex),
-                                   zero_m, params, chi, t)
+    _, rest_gamma = _residuals_raw(psi, psid, g, gd, None, None, params, chi, t, ginv)
     gamma_ddot = 0.5 * apply_omega_inverse(psi, g, params, -rest_gamma)
     return psid, gamma_ddot
 

@@ -19,11 +19,28 @@ gamma blocks have two layouts:
 * ``resymmetrize_gamma=False``: the full complex matrices are stepped
   (2 n^2 reals each) and the hermiticity drift of the state itself is
   recorded, unprojected.
+
+Stepping methods (``IntegratorConfig.method``):
+
+* ``rk4``: classical Runge-Kutta, 4 RHS evaluations per step.
+* ``rk45_adaptive``: Dormand-Prince 5(4) with a PI step-size controller.
+  The last stage of an accepted step is the first stage of the next one
+  ("first same as last") and a rejected step keeps its first stage, so a
+  run makes 6 RHS evaluations per attempted step, plus one.  Every
+  attempted step counts toward ``max_steps``, and a step size below 4 ulps
+  of max(|t|, |t_end|) raises StepFailure instead of creeping on.
+* ``implicit_midpoint``: fixed-point iteration on the midpoint slope,
+  started from the slopes of the last three steps extrapolated to the new
+  midpoint, with one sweep beyond the convergence test (see
+  ``_implicit_midpoint_step`` for why).
+
+A fixed-step run whose step count exceeds ``max_steps`` fails before it
+takes a step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -261,31 +278,70 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _dp_step(f, t, y, dt):
-    k = [f(t, y)]
+def _dp_step(f, t, y, dt, k1=None):
+    """One Dormand-Prince 5(4) step: ``(y5, y5 - y4, k1, k7)``.
+
+    ``k1`` is f(t, y) when the caller has it (computed here otherwise) and
+    is returned for a retry after a rejection.  The last stage is evaluated
+    at (t + dt, y5), so ``k7`` is the next step's ``k1`` once this step is
+    accepted ("first same as last"): a step costs 6 RHS evaluations, and the
+    first one 7.
+    """
+    k = [f(t, y) if k1 is None else k1]
     for i in range(1, 7):
         yi = y + dt * sum(a * kk for a, kk in zip(_DP_A[i], k))
         k.append(f(t + _DP_C[i] * dt, yi))
     y5 = y + dt * sum(b * kk for b, kk in zip(_DP_B5, k))
     y4 = y + dt * sum(b * kk for b, kk in zip(_DP_B4, k))
-    return y5, y5 - y4
+    return y5, y5 - y4, k[0], k[6]
 
 
-def _implicit_midpoint_step(f, t, y, dt, tol=1e-12, max_iter=50):
+def _implicit_midpoint_step(f, t, y, dt, k_guess=None, tol=1e-12, max_iter=50):
+    """One implicit midpoint step: ``(y_next, k)`` with y_next = y + dt*k and
+    k = f(t + dt/2, (y + y_next)/2), solved by fixed-point iteration on k.
+
+    The iteration starts from ``k_guess`` (explicit Euler, f(t, y), when it
+    is None).  Once successive iterates agree to ``tol`` one more sweep is
+    taken and returned: stopping right at the tolerance leaves a stage error
+    of about ``tol`` in every step, which adds up to a secular drift of the
+    quadratic invariants the rule otherwise conserves.
+    """
     t_mid = t + dt / 2.0
-    y_next = y + dt * f(t, y)
+    y_next = y + dt * (f(t, y) if k_guess is None else k_guess)
     prev_res = np.inf
     damping = 1.0
     for _ in range(max_iter):
         target = y + dt * f(t_mid, 0.5 * (y + y_next))
         res = float(np.max(np.abs(target - y_next)))
         if res <= tol * (1.0 + float(np.max(np.abs(y)))):
-            return target
+            k = f(t_mid, 0.5 * (y + target))
+            return y + dt * k, k
         if res > prev_res:
             damping = 0.5        # damped iteration once the map stops contracting
         y_next = damping * target + (1.0 - damping) * y_next
         prev_res = res
     raise NonFinite("implicit midpoint stage iteration did not converge")
+
+
+def _warm_started_midpoint():
+    """Implicit midpoint stepper that starts each stage iteration from the
+    slopes of the steps before it, extrapolated to the new midpoint
+    (quadratic from three slopes, linear from two, constant from one)."""
+    slopes = []
+
+    def step(f, t, y, dt):
+        if len(slopes) == 3:
+            guess = 3.0 * (slopes[2] - slopes[1]) + slopes[0]
+        elif len(slopes) == 2:
+            guess = 2.0 * slopes[1] - slopes[0]
+        else:
+            guess = slopes[0] if slopes else None
+        y_next, k = _implicit_midpoint_step(f, t, y, dt, guess)
+        del slopes[:-2]
+        slopes.append(k)
+        return y_next
+
+    return step
 
 
 def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -317,8 +373,11 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
     if cfg.method in ("rk4", "implicit_midpoint"):
         n_steps = int(round((cfg.t_end - system.t0) / cfg.dt))
         n_steps = max(n_steps, 1)
+        if n_steps > cfg.max_steps:
+            raise StepFailure(f"[{tier}] exceeded max_steps: {n_steps} fixed steps > "
+                              f"{cfg.max_steps}", last_good_t=t)
         dt = (cfg.t_end - system.t0) / n_steps
-        stepper = _rk4_step if cfg.method == "rk4" else _implicit_midpoint_step
+        stepper = _rk4_step if cfg.method == "rk4" else _warm_started_midpoint()
         for k in range(n_steps):
             try:
                 y = stepper(system.deriv, t, y, dt)
@@ -331,14 +390,23 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
                 sample(t, y)
         return Trajectory(times=np.array(times), states=states, diagnostics=diags)
 
-    # adaptive Dormand-Prince with PI step limiting
+    # adaptive Dormand-Prince with PI step limiting; k1 is f(t, y): the last
+    # stage of an accepted step, the first stage again after a rejection
     dt = cfg.dt
     err_prev = 1.0
-    accepted = 0
+    accepted = attempted = 0
+    k1 = None
     while t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
+        if attempted == cfg.max_steps:
+            raise StepFailure(f"[{tier}] exceeded max_steps: {attempted} steps attempted",
+                              last_good_t=t)
         dt = min(dt, cfg.t_end - t)
+        if dt < 4.0 * np.spacing(max(abs(t), abs(cfg.t_end))):
+            raise StepFailure(f"[{tier}] step size underflow: dt = {dt:.3e} at t = {t:.6g} "
+                              "is below 4 ulps of max(|t|, |t_end|)", last_good_t=t)
+        attempted += 1
         try:
-            y_new, err_vec = _dp_step(system.deriv, t, y, dt)
+            y_new, err_vec, k1, k_last = _dp_step(system.deriv, t, y, dt, k1)
         except (HermitonError, np.linalg.LinAlgError, FloatingPointError) as exc:
             raise StepFailure(f"[{tier}] step failed: {exc}", last_good_t=t) from exc
         if not np.all(np.isfinite(y_new)):
@@ -348,6 +416,7 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
         if err <= 1.0:
             t = t + dt
             y = y_new
+            k1 = k_last
             accepted += 1
             if accepted % cfg.sample_stride == 0 or t >= cfg.t_end - 1e-14:
                 sample(t, y)
@@ -357,8 +426,6 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
         else:
             fac = max(0.2, 0.9 * (err + 1e-16) ** (-1.0 / 5.0))
         dt *= min(5.0, max(0.2, fac))
-        if len(times) + accepted > cfg.max_steps:
-            raise StepFailure("exceeded max_steps", last_good_t=t)
     return Trajectory(times=np.array(times), states=states, diagnostics=diags)
 
 
@@ -379,11 +446,7 @@ def convergence_order(initial, tier: str, cfg: IntegratorConfig,
 
     finals = []
     for dt in dt_list:
-        run_cfg = IntegratorConfig(
-            dt=dt, t_end=cfg.t_end, t_start=cfg.t_start, method=cfg.method,
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            resymmetrize_gamma=cfg.resymmetrize_gamma,
-            sample_stride=10 ** 9, max_steps=cfg.max_steps)
+        run_cfg = replace(cfg, dt=dt, sample_stride=10 ** 9)
         traj = integrate(initial, tier, run_cfg, params, chi, gamma_tilde)
         finals.append(_final_vector(traj))
 

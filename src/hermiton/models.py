@@ -239,10 +239,15 @@ def theta1(psi, gamma) -> float:
     return float(val.real)
 
 
-def p_tensor(psi, gamma, alpha9: float) -> np.ndarray:
-    """P = gamma^{-1} + alpha9 * psi psi^ (contravariant Hermitian)."""
+def p_tensor(psi, gamma, alpha9: float, ginv=None) -> np.ndarray:
+    """P = gamma^{-1} + alpha9 * psi psi^ (contravariant Hermitian).
+
+    ``ginv``, when given, is ``invert_form(gamma)`` computed by the caller.
+    """
     psi = np.asarray(psi, dtype=complex)
-    return invert_form(gamma) + alpha9 * np.outer(psi, np.conj(psi))
+    if ginv is None:
+        ginv = invert_form(gamma)
+    return ginv + alpha9 * np.outer(psi, np.conj(psi))
 
 
 def _forcing_term(params: ModelParams, psi: np.ndarray, t: float) -> float:
@@ -439,14 +444,16 @@ def energy(state: FullState, params: ModelParams, chi) -> float:
     return val.real
 
 
-def _heff_raw(psi, g, gd, params: ModelParams, chi_matrix) -> np.ndarray:
-    """Effective Hamilton operator on raw arrays (chi already resolved)."""
+def _heff_raw(psi, g, gd, params: ModelParams, chi_matrix, ginv=None) -> np.ndarray:
+    """Effective Hamilton operator on raw arrays (chi already resolved);
+    ``ginv``, when given, is ``invert_form(g)`` computed by the caller."""
     psi = np.asarray(psi, dtype=complex)
     n = psi.size
-    ginv = invert_form(g)
+    if ginv is None:
+        ginv = invert_form(g)
     h = ginv @ np.asarray(chi_matrix, dtype=complex)
     gigd = ginv @ np.asarray(gd, dtype=complex)
-    p = p_tensor(psi, g, params.alpha9)
+    p = p_tensor(psi, g, params.alpha9, ginv)
     fprime = params.effective_potential.derivative(theta1(psi, g))
 
     heff = -params.alpha5 * h

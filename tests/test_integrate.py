@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import hermiton.integrate as integrate_module
+from hermiton.canonical import PhasePoint
 from hermiton.errors import StepFailure
 from hermiton.integrate import IntegratorConfig, Trajectory, convergence_order, integrate
 from hermiton.models import FullState, ModelParams
@@ -145,6 +149,155 @@ class TestFailures:
                       ModelParams())
 
 
+class TestStepLimits:
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_fixed_step_count_above_max_steps_fails_before_stepping(self, rng, monkeypatch,
+                                                                    method):
+        params, gamma, chi, psi0, state = schrodinger_setup(rng)
+        calls = count_rates(monkeypatch)
+        cfg = IntegratorConfig(dt=0.01, t_end=1.0, method=method, max_steps=10)
+        with pytest.raises(StepFailure, match="exceeded max_steps") as err:
+            integrate(state, "schrodinger", cfg, params, chi)
+        assert err.value.last_good_t == 0.0
+        assert calls[0] <= 1              # at most the initial sample's rates
+        at_limit = IntegratorConfig(dt=0.01, t_end=1.0, method=method, max_steps=100)
+        assert integrate(state, "schrodinger", at_limit, params, chi).times.size == 101
+
+    def test_adaptive_counts_rejected_steps_toward_max_steps(self, rng, monkeypatch):
+        params, gamma, chi, psi0, state = schrodinger_setup(rng)
+        cfg = IntegratorConfig(dt=0.5, t_end=1.0, method="rk45_adaptive",
+                               rel_tol=1e-10, abs_tol=1e-12, sample_stride=1)
+        attempts = count_dp_attempts(monkeypatch)
+        traj = integrate(state, "schrodinger", cfg, params, chi)
+        n_attempts = len(attempts)
+        n_accepted = len({t for t, _ in attempts})
+        assert n_attempts > n_accepted    # the first step from dt = 0.5 is rejected
+        assert traj.times.size == n_accepted + 1
+        # exactly n_attempts steps fit: rejected steps count, samples do not
+        assert integrate(state, "schrodinger",
+                         dataclasses.replace(cfg, max_steps=n_attempts),
+                         params, chi).times[-1] == pytest.approx(1.0)
+        with pytest.raises(StepFailure, match="exceeded max_steps"):
+            integrate(state, "schrodinger",
+                      dataclasses.replace(cfg, max_steps=n_attempts - 1), params, chi)
+
+    def test_step_size_underflow_fails_fast(self, rng, monkeypatch):
+        # tolerances below round-off: the error estimate of the zero
+        # components of psi is measured against abs_tol alone, so steps are
+        # rejected until dt underflows (without the guard the run crawls from
+        # t ~ 1e-270 up through every exponent, with dt ~ 1e-2 t: 39 175
+        # attempted steps before it reaches t_end)
+        params = ModelParams(alpha1=0.5, alpha5=-1.0)
+        chi = np.diag([1.0, -1.0])
+        state = FullState(psi=np.array([1.0, 0.0]), psi_dot=np.zeros(2),
+                          gamma=rand_pd(rng, 2), gamma_dot=np.zeros((2, 2)))
+        cfg = IntegratorConfig(dt=0.01, t_end=1.0, method="rk45_adaptive",
+                               rel_tol=1e-300, abs_tol=1e-300)
+        attempts = count_dp_attempts(monkeypatch)
+        with np.errstate(over="ignore"), pytest.raises(StepFailure,
+                                                       match="step size underflow"):
+            integrate(state, "schrodinger", cfg, params, chi)
+        assert len(attempts) < 100
+
+
+def count_rates(monkeypatch) -> list:
+    """Count the RHS evaluations of every tier (calls of ``_rates``)."""
+    calls = [0]
+    rates = integrate_module._rates
+
+    def counted(*args):
+        calls[0] += 1
+        return rates(*args)
+
+    monkeypatch.setattr(integrate_module, "_rates", counted)
+    return calls
+
+
+def count_dp_attempts(monkeypatch) -> list:
+    """Record (t, dt) of every attempted Dormand-Prince step."""
+    attempts = []
+    dp_step = integrate_module._dp_step
+
+    def recorded(f, t, y, dt, *args):
+        attempts.append((t, dt))
+        return dp_step(f, t, y, dt, *args)
+
+    monkeypatch.setattr(integrate_module, "_dp_step", recorded)
+    return attempts
+
+
+def reference_dp(system, cfg):
+    """Adaptive Dormand-Prince without first-same-as-last: every attempted
+    step evaluates its first stage afresh.  Same controller as ``integrate``;
+    returns every accepted (t, y)."""
+    t, y = system.t0, system.y0.copy()
+    out = [(t, y)]
+    dt, err_prev = cfg.dt, 1.0
+    while t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
+        dt = min(dt, cfg.t_end - t)
+        y_new, err_vec, _, _ = integrate_module._dp_step(system.deriv, t, y, dt)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if err <= 1.0:
+            t, y = t + dt, y_new
+            out.append((t, y))
+            fac = 0.9 * (err + 1e-16) ** (-0.7 / 5.0) * (err_prev + 1e-16) ** (0.4 / 5.0)
+            err_prev = err
+        else:
+            fac = max(0.2, 0.9 * (err + 1e-16) ** (-1.0 / 5.0))
+        dt *= min(5.0, max(0.2, fac))
+    return out
+
+
+class TestRhsCounts:
+    # second_order and canonical_frozen record without evaluating the RHS,
+    # so every counted call belongs to a step
+    @staticmethod
+    def second_order_setup(rng, n=3):
+        params = ModelParams.from_legacy(alpha=0.7, beta=0.5, gamma=2.0)
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n, 0.3),
+                          gamma=rand_pd(rng, n), gamma_dot=np.zeros((n, n)))
+        return params, state, rand_herm(rng, n)
+
+    def test_rk4_four_per_step(self, rng, monkeypatch):
+        params, state, chi = self.second_order_setup(rng)
+        calls = count_rates(monkeypatch)
+        integrate(state, "second_order", IntegratorConfig(dt=0.02, t_end=1.0),
+                  params, chi)
+        assert calls[0] == 4 * 50
+
+    def test_dp_six_per_attempted_step_plus_one(self, rng, monkeypatch):
+        params, state, chi = self.second_order_setup(rng)
+        cfg = IntegratorConfig(dt=0.5, t_end=2.0, method="rk45_adaptive",
+                               rel_tol=1e-9, abs_tol=1e-11, sample_stride=1)
+        reference = reference_dp(
+            integrate_module._build_system(state, "second_order", cfg, params, chi), cfg)
+        calls = count_rates(monkeypatch)
+        attempts = count_dp_attempts(monkeypatch)
+        traj = integrate(state, "second_order", cfg, params, chi)
+        assert len(attempts) > len(traj.times) - 1      # the case has rejections
+        assert calls[0] == 6 * len(attempts) + 1
+        assert np.array_equal(traj.times, [t for t, _ in reference])
+        n = state.n
+        for got, (_, y) in zip(traj.states, reference):
+            assert np.array_equal(got.psi, y[:n] + 1j * y[n:2 * n])
+            assert np.array_equal(got.psi_dot, y[2 * n:3 * n] + 1j * y[3 * n:])
+
+    def test_implicit_midpoint_at_most_five_per_step(self, monkeypatch):
+        # the problem of test_canonical::test_implicit_midpoint_symplectic_smoke
+        params = ModelParams.from_legacy(alpha=0.5, beta=0.8, gamma=2.0)
+        point = PhasePoint(psi=np.array([0.9 + 0.3j]), pi=np.array([0.2 - 0.4j]),
+                           gamma=np.eye(1))
+        n_steps = 2 * 10 ** 4
+        cfg = IntegratorConfig(dt=0.01, t_end=n_steps * 0.01, method="implicit_midpoint",
+                               sample_stride=500)
+        calls = count_rates(monkeypatch)
+        integrate(point, "canonical_frozen", cfg, params, np.array([[1.3]]))
+        # 5 per step once three earlier slopes feed the predictor; the first
+        # three steps may take up to 3 more each
+        assert calls[0] <= 5 * n_steps + 9
+
+
 class TestConvergenceOrder:
     def test_rk4_is_fourth_order(self, rng):
         params, gamma, chi, psi0, state = schrodinger_setup(rng, n=3)
@@ -170,6 +323,14 @@ class TestConvergenceOrder:
                                   np.zeros((n, n)),
                                   dt_list=[2e-2, 1e-2, 5e-3])
         assert np.isnan(order)
+
+    def test_runs_keep_every_config_field(self, rng):
+        # only dt and the sample stride change between the runs
+        params, gamma, chi, psi0, state = schrodinger_setup(rng)
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.5, max_steps=30)
+        with pytest.raises(StepFailure, match="exceeded max_steps"):
+            convergence_order(state, "schrodinger", cfg, params, chi,
+                              dt_list=[2e-2, 1e-2, 5e-3])
 
     def test_needs_geometric_progression(self, rng):
         params, gamma, chi, psi0, state = schrodinger_setup(rng)
