@@ -44,34 +44,55 @@ class ChargeReport:
     hermiticity_drift: float
 
 
+def _noether_stack(states, params: ModelParams,
+                   g0_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and W of every state, stacked (S, n, n), from one set of stacked
+    numpy calls; ``g0_inv`` is ``invert_form(gamma0)``."""
+    psi = np.stack([s.psi for s in states])
+    psid = np.stack([s.psi_dot for s in states])
+    g = np.stack([s.gamma for s in states])
+    omega = apply_omega(psi, g, params, np.stack([s.gamma_dot for s in states]))
+    col, row = psi[:, :, None], np.conj(psi)[:, None, :]
+    c_minus = 1j * params.alpha1 - params.alpha3 * params.alpha9
+    c_plus = 1j * params.alpha1 + params.alpha3 * params.alpha9
+
+    # V and iW = i W accumulate the same products, each formed once, with
+    # the association and the term order of the per-state formulas
+    #   V  = a2 (M G G0^-1 + G0^-1 G M~) + c- P G G0^-1 - 2 a3 G0^-1
+    #        - c+ G0^-1 G P - 2 (G0^-1 G O + O G G0^-1)
+    #   iW = a2 (M G G0^-1 - G0^-1 G M~) + c- P G G0^-1 + c+ G0^-1 G P
+    #        + 2 (G0^-1 G O - O G G0^-1)
+    # with M = psi psid^, M~ = psid psi^, P = psi psi^ and O = Omega(gamma_dot)
+    g0_inv_g = g0_inv @ g
+    right = (col * np.conj(psid)[:, None, :]) @ g @ g0_inv
+    left = g0_inv_g @ (psid[:, :, None] * row)
+    v = params.alpha2 * (right + left)
+    iw = params.alpha2 * (right - left)
+    proj = col * row
+    term = c_minus * (proj @ g @ g0_inv)
+    v += term
+    iw += term
+    v -= 2.0 * params.alpha3 * g0_inv
+    term = c_plus * (g0_inv_g @ proj)
+    v -= term
+    iw += term
+    right, left = omega @ g @ g0_inv, g0_inv_g @ omega
+    v -= 2.0 * (left + right)
+    iw += 2.0 * (left - right)
+    return v, -1j * iw
+
+
 def noether_tensors(state: FullState, params: ModelParams,
                     gamma0) -> tuple[np.ndarray, np.ndarray]:
     """Conserved Hermitian tensors (V, W) relative to the reference product
     gamma0; V pairs with gamma0-Hermitian generators, W with antihermitian
-    ones."""
-    psi, psid = state.psi, state.psi_dot
-    g, gd = state.gamma, state.gamma_dot
-    g0_inv = invert_form(gamma0)
-    omega = apply_omega(psi, g, params, gd)
+    ones.
 
-    proj = np.outer(psi, np.conj(psi))          # psi psi^
-    mixed = np.outer(psi, np.conj(psid))        # psi psid^
-    mixed_rev = np.outer(psid, np.conj(psi))    # psid psi^
-    c_minus = 1j * params.alpha1 - params.alpha3 * params.alpha9
-    c_plus = 1j * params.alpha1 + params.alpha3 * params.alpha9
-
-    v = params.alpha2 * (mixed @ g @ g0_inv + g0_inv @ g @ mixed_rev)
-    v += c_minus * (proj @ g @ g0_inv)
-    v -= 2.0 * params.alpha3 * g0_inv
-    v -= c_plus * (g0_inv @ g @ proj)
-    v -= 2.0 * (g0_inv @ g @ omega + omega @ g @ g0_inv)
-
-    iw = params.alpha2 * (mixed @ g @ g0_inv - g0_inv @ g @ mixed_rev)
-    iw += c_minus * (proj @ g @ g0_inv)
-    iw += c_plus * (g0_inv @ g @ proj)
-    iw += 2.0 * (g0_inv @ g @ omega - omega @ g @ g0_inv)
-    w = -1j * iw
-    return v, w
+    One state; :func:`monitor` evaluates the same kernel over a trajectory's
+    leading sample axis, and each of its rows has the bits of this call.
+    """
+    v, w = _noether_stack([state], params, invert_form(gamma0))
+    return v[0], w[0]
 
 
 def _is_hermitian(a: np.ndarray, label: str = "generator") -> bool | None:
@@ -87,8 +108,10 @@ def _is_hermitian(a: np.ndarray, label: str = "generator") -> bool | None:
     raise WrongSymmetryClass(f"{label} is neither Hermitian nor antihermitian")
 
 
-def _charge(v: np.ndarray, w: np.ndarray, a: np.ndarray, hermitian: bool) -> float:
-    return float((np.trace(v @ a) if hermitian else np.trace(1j * (w @ a))).real)
+def _charges(v: np.ndarray, w: np.ndarray, a: np.ndarray, hermitian: bool) -> np.ndarray:
+    """One generator's charge for each member of the stacks v, w (S, n, n)."""
+    product = v @ a if hermitian else 1j * (w @ a)
+    return np.trace(product, axis1=-2, axis2=-1).real
 
 
 def noether_charge(state: FullState, params: ModelParams, gamma0,
@@ -99,8 +122,8 @@ def noether_charge(state: FullState, params: ModelParams, gamma0,
     hermitian = _is_hermitian(a)
     if hermitian is None:
         return 0.0
-    v, w = noether_tensors(state, params, gamma0)
-    return _charge(v, w, a, hermitian)
+    v, w = _noether_stack([state], params, invert_form(gamma0))
+    return float(_charges(v, w, a, hermitian)[0])
 
 
 def gl_transform(state: FullState, l_matrix) -> FullState:
@@ -133,11 +156,19 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
     """Charge reports along a trajectory of FullStates.
 
     gamma0 defaults to the initial scalar product; ``generators`` is a list
-    of (label, matrix) pairs or bare matrices.
+    of (label, matrix) pairs or bare matrices.  The samples are stacked on a
+    leading axis (S, n, n): gamma0 is inverted once, V and W of every sample
+    come from one set of stacked calls, and each generator's charge series
+    from one stacked trace.  Each report's V, W and charges have the bits of
+    :func:`noether_tensors` and :func:`noether_charge` on its sample.
     """
     states = trajectory.states
     if not states:
         raise ValueError("trajectory is empty")
+    if not all(isinstance(state, FullState) for state in states):
+        raise ValueError(
+            "the charge monitor needs FullState samples (psi, psi_dot, gamma,"
+            f" gamma_dot), got {type(states[0]).__name__}")
     if gamma0 is None:
         gamma0 = states[0].gamma
     items = []
@@ -149,16 +180,18 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
             raise WrongSymmetryClass(f"generator {label} is zero")
         items.append((label, a, hermitian))
 
-    reports = []
-    for state, diag in zip(states, trajectory.diagnostics):
-        v, w = noether_tensors(state, params, gamma0)
-        reports.append(ChargeReport(
-            t=state.t, V=v, W=w,
-            charges=[(label, _charge(v, w, a, hermitian)) for label, a, hermitian in items],
-            energy=diag["energy"] if "energy" in diag else energy(state, params, chi),
-            theta1=diag["theta1"] if "theta1" in diag else theta1(state.psi, state.gamma),
-            hermiticity_drift=diag.get("herm_drift", 0.0)))
-    return reports
+    v, w = _noether_stack(states, params, invert_form(gamma0))
+    labels = [label for label, _, _ in items]
+    # one generator at a time: an (S, G, n, n) product would cost memory
+    charges = np.array([_charges(v, w, a, hermitian) for _, a, hermitian in items])
+    per_sample = charges.reshape(len(items), len(states)).T.tolist()
+    return [ChargeReport(
+        t=state.t, V=v_k, W=w_k, charges=list(zip(labels, values)),
+        energy=diag["energy"] if "energy" in diag else energy(state, params, chi),
+        theta1=diag["theta1"] if "theta1" in diag else theta1(state.psi, state.gamma),
+        hermiticity_drift=diag.get("herm_drift", 0.0))
+        for state, diag, v_k, w_k, values
+        in zip(states, trajectory.diagnostics, v, w, per_sample)]
 
 
 def drift_summary(reports: list[ChargeReport]) -> dict:
@@ -176,10 +209,10 @@ def drift_summary(reports: list[ChargeReport]) -> dict:
         "energy": rel_drift([r.energy for r in reports]),
         "theta1": rel_drift([r.theta1 for r in reports]),
         "max_herm_drift": float(max(r.hermiticity_drift for r in reports)),
+        # one stacked call per tensor; a zero tensor has defect 0.0
         "max_vw_defect": float(max(
-            max(hermiticity_drift(r.V) if np.linalg.norm(r.V) else 0.0,
-                hermiticity_drift(r.W) if np.linalg.norm(r.W) else 0.0)
-            for r in reports)),
+            np.max(hermiticity_drift(np.stack([r.V for r in reports]))),
+            np.max(hermiticity_drift(np.stack([r.W for r in reports]))))),
         "charges": {},
     }
     if reports and reports[0].charges:

@@ -45,7 +45,9 @@ class SingularOperator(HermitonError):
 
 
 class NotPositiveDefinite(HermitonError):
-    """A canonical (Darboux) chart was requested for an indefinite form."""
+    """A Hermitian form required to be positive definite is indefinite, e.g.
+    in ``hermitian_form(require_positive=True)`` or when a canonical
+    (Darboux) chart is requested for it."""
 
 
 class WrongSymmetryClass(HermitonError):

@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, SingularForm
+from .errors import NonFinite, NotHermitian, NotPositiveDefinite, SingularForm
 
 __all__ = [
     "check_hermitian",
@@ -59,6 +59,31 @@ def _as_complex_matrix(f) -> np.ndarray:
     return f
 
 
+def _as_complex_stack(f) -> np.ndarray:
+    """A square matrix (n, n) or a stack of them (..., n, n)."""
+    f = np.asarray(f, dtype=complex)
+    if f.ndim < 2 or f.shape[-2] != f.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {f.shape}")
+    return f
+
+
+def _dagger(f: np.ndarray) -> np.ndarray:
+    return f.conj().swapaxes(-1, -2)
+
+
+def _frobenius(f: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack (..., n, n).
+
+    A stack sums the squares in the order ``np.linalg.norm`` uses for a
+    C-ordered matrix, so each value has the bits of that 2-D call.
+    """
+    if f.ndim == 2:
+        return np.linalg.norm(f)   # faster for one matrix, in any memory layout
+    x = f.reshape(*f.shape[:-2], -1)
+    re, im = x.real, x.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def check_hermitian(f, tol: float) -> bool:
     """True iff max |F - F^dag| <= tol (entrywise)."""
     f = _as_complex_matrix(f)
@@ -66,16 +91,20 @@ def check_hermitian(f, tol: float) -> bool:
 
 
 def hermitian_part(f) -> np.ndarray:
-    """(F + F^dag) / 2."""
-    f = _as_complex_matrix(f)
-    return (f + f.conj().T) / 2.0
+    """(F + F^dag) / 2, of each matrix of a stack (..., n, n)."""
+    f = _as_complex_stack(f)
+    return (f + _dagger(f)) / 2.0
 
 
-def hermiticity_drift(f) -> float:
-    """Relative hermiticity defect ||F - F^dag|| / max(||F||, tiny)."""
-    f = _as_complex_matrix(f)
-    norm = np.linalg.norm(f)
-    return float(np.linalg.norm(f - f.conj().T) / max(norm, 1e-300))
+def hermiticity_drift(f):
+    """Relative hermiticity defect ||F - F^dag|| / max(||F||, tiny).
+
+    A float for one matrix; for a stack (..., n, n), the array of each
+    matrix's defect.
+    """
+    f = _as_complex_stack(f)
+    drift = _frobenius(f - _dagger(f)) / np.maximum(_frobenius(f), 1e-300)
+    return float(drift) if f.ndim == 2 else drift
 
 
 def complex_vector(entries) -> np.ndarray:
@@ -99,9 +128,11 @@ def hermitian_form(
 
     The matrix is accepted if ||F - F^dag|| <= herm_tol (default
     1e-9 * ||F||) and, when ``require_invertible``, |det F| > det_tol
-    (default 1e-12 * ||F||**n).  The returned matrix is the Hermitian part
-    of the input, so integrator round-off cannot silently break the type
-    invariant while the drift stays measurable beforehand.
+    (default 1e-12 * ||F||**n) and, when ``require_positive``, its smallest
+    eigenvalue is positive (NotPositiveDefinite otherwise).  The returned
+    matrix is the Hermitian part of the input, so integrator round-off
+    cannot silently break the type invariant while the drift stays
+    measurable beforehand.
     """
     f = _as_complex_matrix(entries)
     if not np.all(np.isfinite(f)):
@@ -125,24 +156,39 @@ def hermitian_form(
     if require_positive:
         eigs = np.linalg.eigvalsh(f)
         if np.min(eigs) <= 0.0:
-            raise NotHermitian(f"form is not positive definite (min eig {np.min(eigs):.3e})")
+            raise NotPositiveDefinite(
+                f"form is not positive definite (min eig {np.min(eigs):.3e})")
     return f
 
 
 def invert_form(gamma, det_tol: float | None = None) -> np.ndarray:
     """Contravariant inverse of a nondegenerate Hermitian form.
 
-    Satisfies inverse @ gamma == identity and is itself Hermitian.
+    Satisfies inverse @ gamma == identity and is itself Hermitian.  A stack
+    of forms (..., n, n) gives the stack of their inverses, from one ``det``
+    and one ``inv`` call; each member has the bits of the 2-D call and must
+    pass the determinant guard on its own, |det| > det_tol (default
+    1e-12 * ||F||**n of that member).
     """
-    g = _as_complex_matrix(gamma)
-    n = g.shape[0]
+    g = _as_complex_stack(gamma)
+    n = g.shape[-1]
+    dets, norms = abs(np.linalg.det(g)), _frobenius(g)
+    if g.ndim == 2:
+        _require_nondegenerate(float(dets), float(norms), n, det_tol)
+    else:
+        for k, (det, norm) in enumerate(zip(dets.ravel().tolist(), norms.ravel().tolist())):
+            _require_nondegenerate(det, norm, n, det_tol, f"form {k} of {dets.size}: ")
+    return hermitian_part(np.linalg.inv(g))
+
+
+def _require_nondegenerate(det: float, norm: float, n: int, det_tol: float | None,
+                           member: str = "") -> None:
+    """The determinant guard of :func:`invert_form` for one form, on Python
+    floats: their power rounds differently from numpy's array power."""
     if det_tol is None:
-        det_tol = DET_TOL_FACTOR * max(float(np.linalg.norm(g)), 1e-300) ** n
-    det = np.linalg.det(g)
-    if abs(det) <= det_tol:
-        raise SingularForm(f"|det| = {abs(det):.3e} <= {det_tol:.3e}")
-    inv = np.linalg.inv(g)
-    return hermitian_part(inv)
+        det_tol = DET_TOL_FACTOR * max(norm, 1e-300) ** n
+    if det <= det_tol:
+        raise SingularForm(f"{member}|det| = {det:.3e} <= {det_tol:.3e}")
 
 
 def raise_first_index(gamma, chi) -> np.ndarray:

@@ -242,12 +242,14 @@ def theta1(psi, gamma) -> float:
 def p_tensor(psi, gamma, alpha9: float, ginv=None) -> np.ndarray:
     """P = gamma^{-1} + alpha9 * psi psi^ (contravariant Hermitian).
 
-    ``ginv``, when given, is ``invert_form(gamma)`` computed by the caller.
+    psi (..., n) and gamma (..., n, n) may carry leading stack axes, which
+    broadcast and give a stack of P.  ``ginv``, when given, is
+    ``invert_form(gamma)`` computed by the caller.
     """
     psi = np.asarray(psi, dtype=complex)
     if ginv is None:
         ginv = invert_form(gamma)
-    return ginv + alpha9 * np.outer(psi, np.conj(psi))
+    return ginv + alpha9 * (psi[..., :, None] * np.conj(psi)[..., None, :])
 
 
 def _forcing_term(params: ModelParams, psi: np.ndarray, t: float) -> float:
@@ -304,13 +306,19 @@ def omega_tensor(psi, gamma, params: ModelParams) -> np.ndarray:
 
 def apply_omega(psi, gamma, params: ModelParams, x) -> np.ndarray:
     """Contract the kinetic tensor with a covariant Hermitian matrix x,
-    returning the contravariant Hermitian result."""
+    returning the contravariant Hermitian result.
+
+    psi (..., n), gamma and x (..., n, n) may carry leading stack axes,
+    which broadcast; each member has the bits of the unstacked call.
+    """
     psi = np.asarray(psi, dtype=complex)
     x = np.asarray(x, dtype=complex)
+    col, row = psi[..., :, None], np.conj(psi)[..., None, :]
     p = p_tensor(psi, gamma, params.alpha9)
-    out = params.alpha6 * (p @ x @ p)
-    out += params.alpha7 * np.trace(p @ x) * p
-    out += params.alpha8 * (np.conj(psi) @ x @ psi) * np.outer(psi, np.conj(psi))
+    px = p @ x
+    out = params.alpha6 * (px @ p)
+    out += (params.alpha7 * np.trace(px, axis1=-2, axis2=-1))[..., None, None] * p
+    out += (params.alpha8 * ((row @ x) @ col)) * (col * row)
     return out
 
 
@@ -371,12 +379,8 @@ def apply_omega_inverse(psi, gamma, params: ModelParams, y, fallback: bool = Tru
     try:
         lam, c7, u, s8 = _ladder_pieces(psi, gamma, params)
     except DegenerateKinetic:
-        if not fallback:
-            raise
-        from .oracles import omega_inverse_numeric
-
-        oi = omega_inverse_numeric(psi, gamma, params)
-        return np.einsum("abcd,dc->ab", oi, y)
+        # omega_inverse raises again or applies the fallback
+        return np.einsum("abcd,dc->ab", omega_inverse(psi, gamma, params, fallback), y)
     a6 = params.alpha6
     out = (1.0 / a6) * (lam @ y @ lam) - c7 * np.trace(lam @ y) * lam
     out -= s8 * np.trace(u @ y) * u

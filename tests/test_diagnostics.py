@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hermiton import diagnostics
+from hermiton.canonical import PhasePoint
 from hermiton.diagnostics import (
     drift_summary,
     gl_transform,
@@ -10,11 +11,50 @@ from hermiton.diagnostics import (
     noether_tensors,
 )
 from hermiton.errors import SingularTransform, WrongSymmetryClass
-from hermiton.hermitian_algebra import hermiticity_drift
+from hermiton.hermitian_algebra import hermitian_basis, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, integrate
 from hermiton.models import FullState, ModelParams, theta1
 
 from conftest import rand_herm, rand_pd, rand_vec
+
+
+def reference_noether_tensors(state, params, gamma0):
+    """Per-sample V and W from 2-D calls only, in the association order the
+    stacked kernel must reproduce bit for bit."""
+    psi, psid = state.psi, state.psi_dot
+    g, gd = state.gamma, state.gamma_dot
+
+    def inverse(form):
+        inv = np.linalg.inv(form)
+        return (inv + inv.conj().T) / 2.0
+
+    g0_inv = inverse(np.asarray(gamma0, dtype=complex))
+    p = inverse(g) + params.alpha9 * np.outer(psi, np.conj(psi))
+    omega = params.alpha6 * (p @ gd @ p)
+    omega += params.alpha7 * np.trace(p @ gd) * p
+    omega += params.alpha8 * (np.conj(psi) @ gd @ psi) * np.outer(psi, np.conj(psi))
+
+    proj = np.outer(psi, np.conj(psi))
+    mixed = np.outer(psi, np.conj(psid))
+    mixed_rev = np.outer(psid, np.conj(psi))
+    c_minus = 1j * params.alpha1 - params.alpha3 * params.alpha9
+    c_plus = 1j * params.alpha1 + params.alpha3 * params.alpha9
+
+    v = params.alpha2 * (mixed @ g @ g0_inv + g0_inv @ g @ mixed_rev)
+    v += c_minus * (proj @ g @ g0_inv)
+    v -= 2.0 * params.alpha3 * g0_inv
+    v -= c_plus * (g0_inv @ g @ proj)
+    v -= 2.0 * (g0_inv @ g @ omega + omega @ g @ g0_inv)
+
+    iw = params.alpha2 * (mixed @ g @ g0_inv - g0_inv @ g @ mixed_rev)
+    iw += c_minus * (proj @ g @ g0_inv)
+    iw += c_plus * (g0_inv @ g @ proj)
+    iw += 2.0 * (g0_inv @ g @ omega - omega @ g @ g0_inv)
+    return v, -1j * iw
+
+
+def reference_charge(v, w, a, hermitian):
+    return float((np.trace(v @ a) if hermitian else np.trace(1j * (w @ a))).real)
 
 
 def full_params(**overrides):
@@ -230,3 +270,65 @@ class TestMonitor:
 
         with pytest.raises(ValueError):
             monitor(Fake(), ModelParams(), np.eye(1))
+
+    def test_canonical_trajectory_rejected_up_front(self):
+        params = ModelParams.from_legacy(alpha=0.5, beta=1.0, gamma=2.0)
+        point = PhasePoint(psi=np.array([0.9 + 0.3j]), pi=np.array([0.2 - 0.4j]),
+                           gamma=np.eye(1))
+        traj = integrate(point, "canonical_frozen", IntegratorConfig(dt=1e-2, t_end=0.05),
+                         params, np.array([[1.3]]))
+        with pytest.raises(ValueError, match="FullState"):
+            monitor(traj, params, np.array([[1.3]]), generators=[("H", np.eye(1))])
+
+
+class TestStackedMonitor:
+    @staticmethod
+    def trajectory(rng, n, stride=2):
+        params = full_params(alpha5=0.0, alpha8=0.35, alpha9=-0.2)
+        state = FullState(psi=rand_vec(rng, n, 0.7), psi_dot=rand_vec(rng, n, 0.3),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.1))
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_stride=stride)
+        return params, integrate(state, "full", cfg, params, np.zeros((n, n)))
+
+    def test_matches_per_sample_reference_bitwise(self, rng):
+        for n in (1, 2, 3, 5):
+            params, traj = self.trajectory(rng, n)
+            gamma0 = rand_pd(rng, n)
+            gens = ([(f"H{k}", b) for k, b in enumerate(hermitian_basis(n))]
+                    + [(f"A{k}", 1j * b) for k, b in enumerate(hermitian_basis(n))]
+                    + [("R", rand_herm(rng, n)), ("iR", 1j * rand_herm(rng, n))])
+            reports = monitor(traj, params, np.zeros((n, n)), gamma0=gamma0,
+                              generators=gens)
+            assert len(reports) == len(traj.states) == 11
+            for state, rep in zip(traj.states, reports):
+                v, w = reference_noether_tensors(state, params, gamma0)
+                assert rep.V.tobytes() == v.tobytes()
+                assert rep.W.tobytes() == w.tobytes()
+                expected = [(label, reference_charge(v, w, a, label.startswith(("H", "R"))))
+                            for label, a in gens]
+                assert rep.charges == expected
+                one_v, one_w = noether_tensors(state, params, gamma0)
+                assert one_v.tobytes() == rep.V.tobytes()
+                assert one_w.tobytes() == rep.W.tobytes()
+                for label, a in gens[:3]:
+                    assert noether_charge(state, params, gamma0, a) == dict(rep.charges)[label]
+            summary = drift_summary(reports)
+            assert summary["max_vw_defect"] == max(
+                max(hermiticity_drift(r.V), hermiticity_drift(r.W)) for r in reports)
+
+    def test_inversions_independent_of_sample_count(self, rng, monkeypatch):
+        counts = []
+        for stride in (4, 1):
+            params, traj = self.trajectory(rng, 3, stride)
+            calls = []
+            inv = np.linalg.inv
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return inv(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "inv", counted)
+            monitor(traj, params, np.zeros((3, 3)), generators=[("H", np.eye(3))])
+            monkeypatch.setattr(np.linalg, "inv", inv)
+            counts.append((len(traj.states), len(calls)))
+        assert counts == [(6, 2), (21, 2)]     # gamma0 once, the stack once

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hermiton.errors import NotHermitian, SingularForm
+from hermiton.errors import NotHermitian, NotPositiveDefinite, SingularForm
 from hermiton.hermitian_algebra import (
     check_hermitian,
     gamma_velocity,
     hermitian_basis,
     hermitian_form,
     hermitian_to_real,
+    hermiticity_drift,
     invert_form,
     matrix_exp,
     raise_first_index,
@@ -48,8 +49,20 @@ class TestHermitianForm:
             hermitian_form(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_positivity_flag(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(NotPositiveDefinite):
             hermitian_form(np.diag([1.0, -2.0]), require_positive=True)
+
+
+class TestHermiticityDrift:
+    def test_stack_matches_each_matrix_bitwise(self, rng):
+        for n in range(1, 9):
+            stack = np.array([rand_herm(rng, n) + 1e-9 * rng.normal(size=(n, n))
+                              for _ in range(5)] + [np.zeros((n, n))])
+            drifts = hermiticity_drift(stack)
+            assert drifts.shape == (6,)
+            for member, drift in zip(stack, drifts):
+                assert np.float64(hermiticity_drift(member)).tobytes() == drift.tobytes()
+            assert drifts[-1] == 0.0
 
 
 class TestInvertForm:
@@ -74,6 +87,28 @@ class TestInvertForm:
             cond = np.linalg.cond(g)
             defect = np.max(np.abs(invert_form(g) @ g - np.eye(n)))
             assert defect <= 1e-12 * cond
+
+    def test_stack_members_bit_identical_to_2d_call(self, rng):
+        for n in range(1, 9):
+            stack = np.array([rand_pd(rng, n) * 10.0 ** k for k in range(-3, 4)]
+                             + [rand_herm(rng, n) for _ in range(3)])
+            inverses = invert_form(stack)
+            assert inverses.shape == stack.shape
+            for member, inverse in zip(stack, inverses):
+                assert invert_form(member).tobytes() == inverse.tobytes()
+            nested = invert_form(stack[:6].reshape(2, 3, n, n))
+            assert nested.tobytes() == inverses[:6].tobytes()
+
+    def test_stack_with_one_singular_member_raises(self, rng):
+        stack = np.array([rand_pd(rng, 2), np.array([[1.0, 1.0], [1.0, 1.0]]),
+                          rand_pd(rng, 2)])
+        with pytest.raises(SingularForm, match="form 1 of 3"):
+            invert_form(stack)
+
+    def test_non_square_input_rejected(self):
+        for bad in (np.ones((2, 3)), np.ones(3), np.ones((4, 2, 3))):
+            with pytest.raises(ValueError):
+                invert_form(bad)
 
     def test_double_inversion(self, rng):
         for n in range(1, 7):
