@@ -481,9 +481,10 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
         psi_ddot, gamma_ddot = rhs_full(state, params, chi_m)
         pi_dot = params.alpha2 * (np.conj(psi_ddot) @ g + np.conj(psid) @ gd) \
             + 1j * params.alpha1 * (np.conj(psid) @ g + np.conj(psi) @ gd)
-        pdot = _p_dot(psi, psid, g, gd, params.alpha9)
+        ginv = invert_form(g)
+        pdot = _p_dot(psi, psid, ginv, gd, params.alpha9)
         pi_gamma_dot = params.alpha3 * pdot \
-            + 2.0 * _apply_omega_dot(psi, psid, g, gd, params, gd) \
+            + 2.0 * _apply_omega_dot(psi, psid, ginv, gd, params, gd) \
             + 2.0 * apply_omega(psi, g, params, gamma_ddot)
         return CanonicalFlow(psi_dot=psid, pi_dot=pi_dot, gamma_dot=gd,
                              pi_gamma_dot=pi_gamma_dot)

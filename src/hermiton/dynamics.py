@@ -7,6 +7,18 @@ giving a contravariant Hermitian matrix).  This is the convention under
 which the finite-difference action-gradient oracle and the analytic
 residuals agree without sign flips; equations of motion are r = 0 either
 way.
+
+The residual has one implementation, split by sector.  ``_ResidualPieces``
+computes once per configuration what both sectors use: theta1 and
+f'(theta1), gamma psi, gamma_dot psi, gamma^{-1} gamma_dot,
+P = gamma^{-1} + alpha9 psi psi^, P gamma_dot and its trace.  Its
+``psi_residual`` builds r_psi from matrix-vector products; its
+``gamma_residual`` builds r_gamma, with all of its outer products of psi and
+psid as one (n x 2)(2 x 2)(2 x n) product.  :func:`el_residual` and the
+``full`` kernel evaluate both parts; the ``modified_first_order`` kernel
+solves the psi part, affine in psid when alpha2 == 0, for psid and then
+evaluates the gamma part at that psid.  The
+kernels hand gamma psi and theta1 on to the closed-form kinetic inverse.
 """
 
 from __future__ import annotations
@@ -20,8 +32,7 @@ from .hermitian_algebra import hermitian_part, hermiticity_drift, invert_form
 from .models import (
     FullState,
     ModelParams,
-    _heff_raw,
-    apply_omega_inverse,
+    _apply_omega_inverse,
     p_tensor,
     potential_gradient,
     resolve_chi,
@@ -70,7 +81,10 @@ def rhs_second_order(state: FullState, chi, params: ModelParams,
 
     Solves  2i*alpha*Gamma psid - beta*K psi_ddot = gamma*chi psi + f' Gamma psi
     with K = Gamma when ``gamma_tilde`` is None, K = gamma_tilde otherwise
-    (the two-metric variant); beta = alpha2 must not vanish.
+    (the two-metric variant); beta = alpha2 must not vanish.  Only the
+    state's psi, psi_dot, gamma and t are read, and they are not validated
+    again: the integrator passes its stages as a lighter object with those
+    attributes.
     """
     beta = params.alpha2
     if beta == 0.0:
@@ -84,21 +98,23 @@ def rhs_second_order(state: FullState, chi, params: ModelParams,
     return np.linalg.solve(kinetic, rhs) / beta
 
 
-def _p_dot(psi, psid, gamma, gamma_dot, alpha9: float) -> np.ndarray:
-    ginv = invert_form(gamma)
+def _p_dot(psi, psid, ginv, gamma_dot, alpha9: float) -> np.ndarray:
+    """dP/dt = -gamma^{-1} gamma_dot gamma^{-1} + alpha9 (psid psi^ + psi psid^),
+    with ``ginv`` = ``invert_form(gamma)`` computed by the caller."""
     out = -(ginv @ gamma_dot @ ginv)
     if alpha9 != 0.0:
         out = out + alpha9 * (np.outer(psid, np.conj(psi)) + np.outer(psi, np.conj(psid)))
     return out
 
 
-def _apply_omega_dot(psi, psid, gamma, gamma_dot, params: ModelParams, x) -> np.ndarray:
-    """Contract d(Omega)/dt with a covariant Hermitian matrix x."""
+def _apply_omega_dot(psi, psid, ginv, gamma_dot, params: ModelParams, x) -> np.ndarray:
+    """Contract d(Omega)/dt with a covariant Hermitian matrix x; ``ginv`` is
+    ``invert_form(gamma)``, which P and dP/dt share."""
     psi = np.asarray(psi, dtype=complex)
     psid = np.asarray(psid, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    p = p_tensor(psi, gamma, params.alpha9)
-    pdot = _p_dot(psi, psid, gamma, gamma_dot, params.alpha9)
+    p = p_tensor(psi, None, params.alpha9, ginv)
+    pdot = _p_dot(psi, psid, ginv, gamma_dot, params.alpha9)
     out = params.alpha6 * (pdot @ x @ p + p @ x @ pdot)
     out += params.alpha7 * (np.trace(pdot @ x) * p + np.trace(p @ x) * pdot)
     if params.alpha8 != 0.0:
@@ -110,87 +126,127 @@ def _apply_omega_dot(psi, psid, gamma, gamma_dot, params: ModelParams, x) -> np.
     return out
 
 
-def _residuals_raw(psi, psid, gamma, gamma_dot, psi_ddot, gamma_ddot,
-                   params: ModelParams, chi, t: float, ginv=None):
-    """Residual pair on raw arrays (no validation, no re-symmetrization).
+class _ResidualPieces:
+    """The only home of the Euler-Lagrange residual, on raw arrays (no
+    validation, no re-symmetrization).
 
-    An acceleration given as None counts as zero and its terms are skipped.
-    Everything is expressed through a single inverse of gamma, ``ginv`` when
-    the caller has one (an unguarded ``inv`` otherwise); near-singular forms
-    surface as LinAlgError/NonFinite in the callers.
+    Built once per configuration (psi, gamma, gamma_dot) with the caller's
+    ``ginv`` = gamma^{-1}, it holds what the two sectors share: theta1 and
+    f'(theta1), gamma psi, gamma_dot psi, psi^ gamma_dot psi,
+    gamma^{-1} gamma_dot, P = gamma^{-1} + alpha9 psi psi^, P gamma_dot and
+    its trace.  ``psi_residual`` is the psi part and ``gamma_residual`` the
+    gamma part; ``residuals`` evaluates both, which also share
+    gamma_dot psid.  None of the pieces depends on psid, so the modified
+    first-order tier can solve the psi residual for psid before it forms the
+    gamma one.  An acceleration given as None counts as zero and its terms
+    are skipped.
     """
-    psi = np.asarray(psi, dtype=complex)
-    psid = np.asarray(psid, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    gd = np.asarray(gamma_dot, dtype=complex)
-    chi = resolve_chi(chi, t)
-    a1, a2, a3 = params.alpha1, params.alpha2, params.alpha3
-    a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
-    psibar = np.conj(psi)
-    psidbar = np.conj(psid)
-    fprime = params.effective_potential.derivative(float((psibar @ g @ psi).real))
 
-    if ginv is None:
-        ginv = np.linalg.inv(g)
-    proj = np.outer(psi, psibar)
-    p = ginv + a9 * proj
-    pgd = p @ gd
-    tr_pgd = np.trace(pgd)
+    __slots__ = ("params", "psi", "psibar", "g", "gd", "ginv", "gpsi", "th1",
+                 "fprime", "gdpsi", "quad", "ginv_gd", "p", "pgd", "tr_pgd")
 
-    # psi sector: d/dt dL/d(conj psid) - dL/d(conj psi)
-    r_psi = (a2 * gd - 2.0j * a1 * g) @ psid
-    if psi_ddot is not None:
-        r_psi += a2 * (g @ psi_ddot)
-    r_psi += ((fprime - params.alpha4) * g - params.alpha5 * chi
-              - (a3 * a9 + 1.0j * a1) * gd) @ psi
-    if a8 != 0.0:
-        r_psi -= 2.0 * a8 * (psibar @ gd @ psi) * (gd @ psi)
-    if a9 != 0.0:
-        r_psi -= 2.0 * a9 * (a6 * (gd @ pgd) + a7 * tr_pgd * gd) @ psi
-    if params.forcing is not None:
-        r_psi -= np.conj(np.asarray(params.forcing(t), dtype=complex))
+    def __init__(self, psi, gamma, gamma_dot, params: ModelParams, ginv):
+        self.params = params
+        self.psi = psi = np.asarray(psi, dtype=complex)
+        self.psibar = psibar = psi.conj()
+        self.g = g = np.asarray(gamma, dtype=complex)
+        self.gd = gd = np.asarray(gamma_dot, dtype=complex)
+        self.ginv = ginv
+        self.gpsi = gpsi = g @ psi
+        self.th1 = th1 = psibar @ gpsi
+        self.fprime = params.effective_potential.derivative(float(th1.real))
+        self.gdpsi = gdpsi = gd @ psi
+        self.quad = psibar @ gdpsi
+        self.ginv_gd = ginv @ gd
+        self.p = p = ginv + (params.alpha9 * psi)[:, None] * psibar
+        self.pgd = pgd = p @ gd
+        self.tr_pgd = pgd.trace()
 
-    # gamma sector: d/dt dL/d(gamma_dot) - dL/d(gamma), contravariant
-    proj_dot = np.outer(psid, psibar) + np.outer(psi, psidbar)
-    ginv_gd = ginv @ gd
-    gg = ginv_gd @ ginv
-    pdot = -gg + a9 * proj_dot
-    pdot_gd = pdot @ gd
-    r_gamma = 2.0 * (a6 * (pdot_gd @ p + pgd @ pdot)
-                     + a7 * (np.trace(pdot_gd) * p + tr_pgd * pdot))
-    if gamma_ddot is not None:
-        acc = 2.0 * (a6 * (p @ gamma_ddot @ p) + a7 * np.trace(p @ gamma_ddot) * p)
+    def residuals(self, psid, chi, t: float, psi_ddot=None, gamma_ddot=None):
+        """(r_psi, r_gamma) at velocity psid; both parts share gamma_dot psid."""
+        psid = np.asarray(psid, dtype=complex)
+        gdpsid = self.gd @ psid
+        return (self.psi_residual(resolve_chi(chi, t), t, psid, gdpsid, psi_ddot),
+                self.gamma_residual(psid, gdpsid, gamma_ddot))
+
+    def psi_residual(self, chi, t: float, psid=None, gdpsid=None, psi_ddot=None):
+        """r_psi = d/dt dL/d(conj psid) - dL/d(conj psi); a psid given as
+        None (with its gamma_dot psid) counts as zero, and so does a
+        psi_ddot given as None."""
+        prm = self.params
+        a1, a2, a9 = prm.alpha1, prm.alpha2, prm.alpha9
+        c_gd = (-(prm.alpha3 * a9 + 1.0j * a1) - 2.0 * prm.alpha8 * self.quad
+                - 2.0 * a9 * prm.alpha7 * self.tr_pgd)
+        r = (self.fprime - prm.alpha4) * self.gpsi + c_gd * self.gdpsi
+        if prm.alpha5 != 0.0:
+            r -= prm.alpha5 * (chi @ self.psi)
+        if a9 != 0.0:
+            r -= (2.0 * a9 * prm.alpha6) * (self.gd @ (self.pgd @ self.psi))
+        if psid is not None:
+            r += a2 * gdpsid - (2.0j * a1) * (self.g @ psid)
+        if psi_ddot is not None:
+            r += a2 * (self.g @ psi_ddot)
+        if prm.forcing is not None:
+            r -= np.conj(np.asarray(prm.forcing(t), dtype=complex))
+        return r
+
+    def gamma_residual(self, psid, gdpsid, gamma_ddot=None):
+        """r_gamma = d/dt dL/d(gamma_dot) - dL/d(gamma) (contravariant) at
+        velocity psid, with gdpsid = gamma_dot psid; a gamma_ddot given as
+        None counts as zero.
+
+        Every term that is an outer product of psi and psid (the f' - alpha4,
+        alpha8, alpha2 and alpha3*alpha9 +- i*alpha1 terms, and the alpha7
+        term's alpha9 part) is one product V^T C conj(V), with V the rows
+        psi and psid and C the 2x2 matrix of their coefficients.
+        """
+        prm = self.params
+        a6, a7, a8, a9 = prm.alpha6, prm.alpha7, prm.alpha8, prm.alpha9
+        psibar, ginv, gd, p = self.psibar, self.ginv, self.gd, self.p
+        v = np.array([self.psi, psid])
+        vbar = v.conj()
+
+        # dP/dt = -gamma^{-1} gamma_dot gamma^{-1} + alpha9 (psid psi^ + psi psid^)
+        gg = self.ginv_gd @ ginv
+        pdot = a9 * (v.T @ vbar[::-1]) - gg
+        pdot_gd = pdot @ gd
+        r = (2.0 * a6) * (pdot_gd @ p + self.pgd @ pdot + self.ginv_gd @ self.pgd @ ginv)
+        if a7 != 0.0:
+            r += (2.0 * a7 * pdot_gd.trace()) * p
+
+        c_pp = self.fprime - prm.alpha4
         if a8 != 0.0:
-            acc += 2.0 * a8 * (psibar @ gamma_ddot @ psi) * proj
-        r_gamma += acc
-    if a8 != 0.0:
-        quad = psibar @ gd @ psi
-        quad_dot = psidbar @ gd @ psi + psibar @ gd @ psid
-        r_gamma += 2.0 * a8 * (quad_dot * proj + quad * proj_dot)
-
-    r_gamma += (fprime - params.alpha4) * proj
-    r_gamma += 2.0 * (a6 * (ginv_gd @ pgd @ ginv) + a7 * tr_pgd * gg)
-    if a2 != 0.0:
-        r_gamma -= a2 * np.outer(psid, psidbar)
-    c = a3 * a9
-    r_gamma += (c + 1.0j * a1) * np.outer(psi, psidbar)
-    r_gamma += (c - 1.0j * a1) * np.outer(psid, psibar)
-    return r_psi, r_gamma
+            c_pp += 2.0 * a8 * (vbar[1] @ self.gdpsi + psibar @ gdpsid)
+        if gamma_ddot is not None:
+            pgdd = p @ gamma_ddot
+            r += (2.0 * a6) * (pgdd @ p) + (2.0 * a7 * pgdd.trace()) * p
+            if a8 != 0.0:
+                c_pp += 2.0 * a8 * (psibar @ gamma_ddot @ self.psi)
+        c_mix = prm.alpha3 * a9 + 2.0 * a8 * self.quad + 2.0 * a7 * a9 * self.tr_pgd
+        coeffs = np.array([[c_pp, c_mix + 1.0j * prm.alpha1],
+                           [c_mix - 1.0j * prm.alpha1, -prm.alpha2]])
+        r += v.T @ (coeffs @ vbar)
+        return r
 
 
 def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
     """Euler-Lagrange residual of the total model at a state with given
-    accelerations ``accel = (psi_ddot, gamma_ddot)`` (None means zero)."""
+    accelerations ``accel = (psi_ddot, gamma_ddot)`` (None means zero).
+
+    Evaluated by ``_ResidualPieces`` through one unguarded inverse of gamma;
+    a near-singular form surfaces as LinAlgError/NonFinite in the caller.
+    """
     psi_ddot, gamma_ddot = accel if accel is not None else (None, None)
     n = state.n
     if psi_ddot is None:
         psi_ddot = np.zeros(n, dtype=complex)
     if gamma_ddot is None:
         gamma_ddot = np.zeros((n, n), dtype=complex)
-    r_psi, r_gamma = _residuals_raw(
-        state.psi, state.psi_dot, state.gamma, state.gamma_dot,
-        np.asarray(psi_ddot, dtype=complex), np.asarray(gamma_ddot, dtype=complex),
-        params, chi, state.t)
+    ginv = np.linalg.inv(np.asarray(state.gamma, dtype=complex))
+    pieces = _ResidualPieces(state.psi, state.gamma, state.gamma_dot, params, ginv)
+    r_psi, r_gamma = pieces.residuals(
+        state.psi_dot, chi, state.t,
+        np.asarray(psi_ddot, dtype=complex), np.asarray(gamma_ddot, dtype=complex))
     return Residual(r_psi=r_psi, r_gamma=r_gamma)
 
 
@@ -199,10 +255,10 @@ def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
     if params.alpha2 == 0.0:
         raise ZeroAlpha2("alpha2 == 0: use rhs_modified_first_order")
     ginv = np.linalg.inv(np.asarray(gamma, dtype=complex))
-    rest_psi, rest_gamma = _residuals_raw(psi, psid, gamma, gamma_dot, None, None,
-                                          params, chi, t, ginv)
-    psi_ddot = -(ginv @ rest_psi) / params.alpha2
-    gamma_ddot = 0.5 * apply_omega_inverse(psi, gamma, params, -rest_gamma)
+    s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
+    rest_psi, rest_gamma = s.residuals(psid, chi, t)
+    psi_ddot = (ginv @ rest_psi) / -params.alpha2
+    gamma_ddot = _apply_omega_inverse(s.psi, s.g, params, rest_gamma, s.gpsi, s.th1, -0.5)
     return psi_ddot, gamma_ddot
 
 
@@ -221,22 +277,17 @@ def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
         raise ValueError("modified first-order system requires alpha2 == 0")
     if params.alpha1 == 0.0:
         raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics")
-    psi = np.asarray(psi, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    gd = np.asarray(gamma_dot, dtype=complex)
-    chi_m = resolve_chi(chi, t)
-    ginv = invert_form(g)
+    ginv = invert_form(gamma)
+    s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
 
-    # psi equation solved for psid: 2i*alpha1 * psid = H_eff psi - gamma^{-1} conj(F)
-    heff = _heff_raw(psi, g, gd, params, chi_m, ginv)
-    rhs = heff @ psi
-    if params.forcing is not None:
-        rhs -= ginv @ np.conj(np.asarray(params.forcing(t), dtype=complex))
-    psid = rhs / (2.0j * params.alpha1)
+    # with alpha2 == 0 the psi residual is -2i*alpha1 * gamma psid + R, R its
+    # value at psid = 0: solved for psid, psid = gamma^{-1} R / (2i*alpha1)
+    rest_psi = s.psi_residual(resolve_chi(chi, t), t)
+    psid = (ginv @ rest_psi) / (2.0j * params.alpha1)
 
     # gamma equation solved for gamma_ddot with the psid just obtained
-    _, rest_gamma = _residuals_raw(psi, psid, g, gd, None, None, params, chi, t, ginv)
-    gamma_ddot = 0.5 * apply_omega_inverse(psi, g, params, -rest_gamma)
+    rest_gamma = s.gamma_residual(psid, s.gd @ psid)
+    gamma_ddot = _apply_omega_inverse(s.psi, s.g, params, rest_gamma, s.gpsi, s.th1, -0.5)
     return psid, gamma_ddot
 
 
@@ -244,8 +295,10 @@ def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
                              t: float = 0.0):
     """(psid, gamma_ddot) for the alpha2 == 0 modified first-order system.
 
-    psid comes from the effective Hamilton operator, gamma_ddot from the
-    kinetic inverse applied to the rearranged gamma-sector equation.
+    psid solves the psi-sector equation, which is affine in psid when
+    alpha2 == 0 (equivalently 2i*alpha1 psid = H_eff psi - gamma^{-1} conj(F),
+    see :func:`~hermiton.models.effective_hamiltonian`); gamma_ddot comes
+    from the kinetic inverse applied to the rearranged gamma-sector equation.
     """
     psid, gamma_ddot = _modified_first_order_raw(psi, gamma, gamma_dot, params, chi, t)
     return psid, hermitian_part(gamma_ddot)

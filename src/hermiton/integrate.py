@@ -40,8 +40,9 @@ takes a step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,6 +158,16 @@ def _full_state(t, b) -> FullState:
                      gamma_dot=hermitian_part(b["gamma_dot"]), t=t)
 
 
+class _Stage(NamedTuple):
+    """The blocks ``rhs_second_order`` reads, unvalidated: a stage of the
+    frozen-gamma tier, whose gamma is the initial state's validated form."""
+
+    psi: np.ndarray
+    psi_dot: np.ndarray
+    gamma: np.ndarray
+    t: float
+
+
 def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
            ginv) -> dict:
     """Time derivative of each block the tier steps (and psi's rate on the
@@ -165,7 +176,8 @@ def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
         return {"psi": rhs_direct_nonlinear_raw(b["psi"], b["gamma"], params,
                                                 resolve_chi(chi, t), t)}
     if tier == "second_order":
-        acc = rhs_second_order(_full_state(t, b), resolve_chi(chi, t), params, gamma_tilde)
+        acc = rhs_second_order(_Stage(b["psi"], b["psi_dot"], b["gamma"], t),
+                               resolve_chi(chi, t), params, gamma_tilde)
         return {"psi": b["psi_dot"], "psi_dot": acc}
     if tier == "gamma_geodesic":
         acc_g = rhs_gamma_geodesic(b["gamma"], b["gamma_dot"], params.big_a, params.big_b)
@@ -304,7 +316,8 @@ def _implicit_midpoint_step(f, t, y, dt, k_guess=None, tol=1e-12, max_iter=50):
     is None).  Once successive iterates agree to ``tol`` one more sweep is
     taken and returned: stopping right at the tolerance leaves a stage error
     of about ``tol`` in every step, which adds up to a secular drift of the
-    quadratic invariants the rule otherwise conserves.
+    quadratic invariants the rule otherwise conserves.  A non-finite stage
+    raises NonFinite at once rather than after ``max_iter`` sweeps.
     """
     t_mid = t + dt / 2.0
     y_next = y + dt * (f(t, y) if k_guess is None else k_guess)
@@ -313,6 +326,8 @@ def _implicit_midpoint_step(f, t, y, dt, k_guess=None, tol=1e-12, max_iter=50):
     for _ in range(max_iter):
         target = y + dt * f(t_mid, 0.5 * (y + y_next))
         res = float(np.max(np.abs(target - y_next)))
+        if not math.isfinite(res):
+            raise NonFinite("implicit midpoint stage became non-finite")
         if res <= tol * (1.0 + float(np.max(np.abs(y)))):
             k = f(t_mid, 0.5 * (y + target))
             return y + dt * k, k

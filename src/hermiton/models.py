@@ -322,42 +322,33 @@ def apply_omega(psi, gamma, params: ModelParams, x) -> np.ndarray:
     return out
 
 
-def _lambda_inverse(psi, gamma, params: ModelParams) -> np.ndarray:
-    """Closed-form inverse of P (covariant), via the rank-one update rule."""
-    psi = np.asarray(psi, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    th1 = np.conj(psi) @ g @ psi
-    den = 1.0 + params.alpha9 * th1
-    if abs(den) <= DENOM_GUARD:
-        raise DegenerateKinetic(f"1 + alpha9*theta1 = {den:.3e} vanished")
-    gpsi = g @ psi
-    return g - (params.alpha9 / den) * np.outer(gpsi, np.conj(gpsi))
-
-
-def _ladder_pieces(psi, gamma, params: ModelParams):
+def _ladder_pieces(psi, gamma, params: ModelParams, gpsi, th1):
     """Shared pieces of the closed-form kinetic inverse.
 
-    Returns (lam, c7, u, s8) so that the inverse acts on a contravariant
-    Hermitian Y as
+    ``gpsi`` is gamma psi and ``th1`` the complex psi^ gamma psi, as the
+    caller has them.  Returns (lam, c7, lam_psi, q, s8) so that the inverse
+    acts on a contravariant Hermitian Y as
 
         (1/alpha6) lam Y lam - c7 Tr(lam Y) lam - s8 Tr(u Y) u
 
-    with lam the inverse of P, u the image of psi psi^ under the alpha6/7
-    block inverse, and s8 the rank-one correction weight of the alpha8 term.
+    with lam the inverse of P (gamma minus a rank-one update), lam_psi =
+    lam psi, q = psi^ lam psi, u = (1/alpha6) lam_psi lam_psi^ - c7 q lam the
+    image of psi psi^ under the alpha6/7 block inverse, and s8 the rank-one
+    correction weight of the alpha8 term.
     """
-    psi = np.asarray(psi, dtype=complex)
     n = psi.size
-    a6, a7, a8 = params.alpha6, params.alpha7, params.alpha8
+    a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
     if abs(a6) <= DENOM_GUARD:
         raise DegenerateKinetic(f"alpha6 = {a6:.3e} vanished")
     if abs(a6 + n * a7) <= DENOM_GUARD:
         raise DegenerateKinetic(f"alpha6 + n*alpha7 = {a6 + n * a7:.3e} vanished")
-    lam = _lambda_inverse(psi, gamma, params)
+    den = 1.0 + a9 * th1
+    if abs(den) <= DENOM_GUARD:
+        raise DegenerateKinetic(f"1 + alpha9*theta1 = {den:.3e} vanished")
+    lam = gamma - (a9 / den * gpsi)[:, None] * gpsi.conj()
     c7 = a7 / (a6 * (a6 + n * a7))
 
-    g = np.asarray(gamma, dtype=complex)
-    th1 = np.conj(psi) @ g @ psi
-    ratio = th1 / (1.0 + params.alpha9 * th1)
+    ratio = th1 / den
     theta2 = (a6 + (n - 1) * a7) / (a6 * (a6 + n * a7)) * ratio ** 2
     den8 = 1.0 + a8 * theta2
     if abs(den8) <= DENOM_GUARD:
@@ -365,8 +356,38 @@ def _ladder_pieces(psi, gamma, params: ModelParams):
     s8 = a8 / den8
 
     lam_psi = lam @ psi
-    u = (1.0 / a6) * np.outer(lam_psi, np.conj(lam_psi)) - c7 * (np.conj(psi) @ lam @ psi) * lam
-    return lam, c7, u, s8
+    return lam, c7, lam_psi, psi.conj() @ lam_psi, s8
+
+
+def _gamma_psi(psi, gamma):
+    """(psi, gamma, gamma psi, psi^ gamma psi) as complex arrays."""
+    psi = np.asarray(psi, dtype=complex)
+    g = np.asarray(gamma, dtype=complex)
+    gpsi = g @ psi
+    return psi, g, gpsi, psi.conj() @ gpsi
+
+
+def _apply_omega_inverse(psi, gamma, params: ModelParams, y, gpsi, th1,
+                         scale: float = 1.0, fallback: bool = True) -> np.ndarray:
+    """``scale * apply_omega_inverse(psi, gamma, params, y)`` on complex
+    arrays, with gamma psi and theta1 supplied by the caller; ``scale`` is
+    folded into the scalar coefficients.  u is not formed: Tr(u Y) comes
+    from Tr(lam Y) and lam_psi^ Y lam_psi, and s8 Tr(u Y) u is split into its
+    lam and lam_psi lam_psi^ parts."""
+    y = np.asarray(y, dtype=complex)
+    try:
+        lam, c7, lam_psi, q, s8 = _ladder_pieces(psi, gamma, params, gpsi, th1)
+    except DegenerateKinetic:
+        # omega_inverse raises again or applies the fallback
+        oi = omega_inverse(psi, gamma, params, fallback)
+        return scale * np.einsum("abcd,dc->ab", oi, y)
+    a6 = params.alpha6
+    ly = lam @ y
+    tr_ly = ly.trace()
+    tr_uy = (lam_psi.conj() @ y @ lam_psi) / a6 - c7 * q * tr_ly
+    out = (scale / a6) * (ly @ lam) - (scale * c7 * (tr_ly - s8 * q * tr_uy)) * lam
+    out -= (scale * s8 * tr_uy / a6 * lam_psi)[:, None] * lam_psi.conj()
+    return out
 
 
 def apply_omega_inverse(psi, gamma, params: ModelParams, y, fallback: bool = True) -> np.ndarray:
@@ -375,16 +396,8 @@ def apply_omega_inverse(psi, gamma, params: ModelParams, y, fallback: bool = Tru
     Uses the closed-form ladder; if a denominator vanishes and ``fallback``
     is set, delegates to the brute-force vectorized solve.
     """
-    y = np.asarray(y, dtype=complex)
-    try:
-        lam, c7, u, s8 = _ladder_pieces(psi, gamma, params)
-    except DegenerateKinetic:
-        # omega_inverse raises again or applies the fallback
-        return np.einsum("abcd,dc->ab", omega_inverse(psi, gamma, params, fallback), y)
-    a6 = params.alpha6
-    out = (1.0 / a6) * (lam @ y @ lam) - c7 * np.trace(lam @ y) * lam
-    out -= s8 * np.trace(u @ y) * u
-    return out
+    psi, g, gpsi, th1 = _gamma_psi(psi, gamma)
+    return _apply_omega_inverse(psi, g, params, y, gpsi, th1, fallback=fallback)
 
 
 def omega_inverse(psi, gamma, params: ModelParams, fallback: bool = True) -> np.ndarray:
@@ -397,8 +410,9 @@ def omega_inverse(psi, gamma, params: ModelParams, fallback: bool = True) -> np.
     vectorized solve is attempted first (and may still raise
     SingularOperator for genuinely degenerate couplings).
     """
+    psi_c, g, gpsi, th1 = _gamma_psi(psi, gamma)
     try:
-        lam, c7, u, s8 = _ladder_pieces(psi, gamma, params)
+        lam, c7, lam_psi, q, s8 = _ladder_pieces(psi_c, g, params, gpsi, th1)
     except DegenerateKinetic:
         if not fallback:
             raise
@@ -406,6 +420,7 @@ def omega_inverse(psi, gamma, params: ModelParams, fallback: bool = True) -> np.
 
         return omega_inverse_numeric(psi, gamma, params)
     a6 = params.alpha6
+    u = (lam_psi / a6)[:, None] * lam_psi.conj() - (c7 * q) * lam
     oi = (1.0 / a6) * np.einsum("ad,cb->abcd", lam, lam)
     oi -= c7 * np.einsum("ab,cd->abcd", lam, lam)
     oi -= s8 * np.einsum("ab,cd->abcd", u, u)

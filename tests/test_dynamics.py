@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermiton import dynamics
 from hermiton.dynamics import (
     el_residual,
     rhs_direct_nonlinear_raw,
@@ -11,8 +12,8 @@ from hermiton.dynamics import (
     rhs_second_order,
 )
 from hermiton.errors import DegenerateKinetic, ZeroAlpha2, ZeroBeta
-from hermiton.hermitian_algebra import matrix_exp
-from hermiton.models import FullState, ModelParams, PotentialSpec
+from hermiton.hermitian_algebra import hermitian_part, invert_form, matrix_exp
+from hermiton.models import FullState, ModelParams, PotentialSpec, resolve_chi, theta1
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
 from conftest import rand_herm, rand_pd, rand_vec
@@ -300,3 +301,212 @@ def test_direct_nonlinear_includes_potential(rng):
     expected = (np.linalg.inv(gamma) @ (2.0 * chi @ psi
                 + potential_gradient(psi, gamma, spec))) / (2.0j * 1.0)
     assert np.allclose(psid, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the residual, the H_eff-based modified first-order path
+# and the kinetic-inverse ladder as they were before the gamma-sector
+# kernels shared their pieces.  The parity tests below hold today's kernels
+# to them.
+
+def ref_residuals(psi, psid, gamma, gamma_dot, psi_ddot, gamma_ddot, params, chi, t,
+                  ginv=None):
+    psi = np.asarray(psi, dtype=complex)
+    psid = np.asarray(psid, dtype=complex)
+    g = np.asarray(gamma, dtype=complex)
+    gd = np.asarray(gamma_dot, dtype=complex)
+    chi = resolve_chi(chi, t)
+    a1, a2, a3 = params.alpha1, params.alpha2, params.alpha3
+    a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
+    psibar = np.conj(psi)
+    psidbar = np.conj(psid)
+    fprime = params.effective_potential.derivative(float((psibar @ g @ psi).real))
+
+    if ginv is None:
+        ginv = np.linalg.inv(g)
+    proj = np.outer(psi, psibar)
+    p = ginv + a9 * proj
+    pgd = p @ gd
+    tr_pgd = np.trace(pgd)
+
+    r_psi = (a2 * gd - 2.0j * a1 * g) @ psid
+    if psi_ddot is not None:
+        r_psi += a2 * (g @ psi_ddot)
+    r_psi += ((fprime - params.alpha4) * g - params.alpha5 * chi
+              - (a3 * a9 + 1.0j * a1) * gd) @ psi
+    if a8 != 0.0:
+        r_psi -= 2.0 * a8 * (psibar @ gd @ psi) * (gd @ psi)
+    if a9 != 0.0:
+        r_psi -= 2.0 * a9 * (a6 * (gd @ pgd) + a7 * tr_pgd * gd) @ psi
+    if params.forcing is not None:
+        r_psi -= np.conj(np.asarray(params.forcing(t), dtype=complex))
+
+    proj_dot = np.outer(psid, psibar) + np.outer(psi, psidbar)
+    ginv_gd = ginv @ gd
+    gg = ginv_gd @ ginv
+    pdot = -gg + a9 * proj_dot
+    pdot_gd = pdot @ gd
+    r_gamma = 2.0 * (a6 * (pdot_gd @ p + pgd @ pdot)
+                     + a7 * (np.trace(pdot_gd) * p + tr_pgd * pdot))
+    if gamma_ddot is not None:
+        acc = 2.0 * (a6 * (p @ gamma_ddot @ p) + a7 * np.trace(p @ gamma_ddot) * p)
+        if a8 != 0.0:
+            acc += 2.0 * a8 * (psibar @ gamma_ddot @ psi) * proj
+        r_gamma += acc
+    if a8 != 0.0:
+        quad = psibar @ gd @ psi
+        quad_dot = psidbar @ gd @ psi + psibar @ gd @ psid
+        r_gamma += 2.0 * a8 * (quad_dot * proj + quad * proj_dot)
+
+    r_gamma += (fprime - params.alpha4) * proj
+    r_gamma += 2.0 * (a6 * (ginv_gd @ pgd @ ginv) + a7 * tr_pgd * gg)
+    if a2 != 0.0:
+        r_gamma -= a2 * np.outer(psid, psidbar)
+    c = a3 * a9
+    r_gamma += (c + 1.0j * a1) * np.outer(psi, psidbar)
+    r_gamma += (c - 1.0j * a1) * np.outer(psid, psibar)
+    return r_psi, r_gamma
+
+
+def ref_apply_omega_inverse(psi, gamma, params, y):
+    psi = np.asarray(psi, dtype=complex)
+    g = np.asarray(gamma, dtype=complex)
+    n = psi.size
+    a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
+    th1 = np.conj(psi) @ g @ psi
+    gpsi = g @ psi
+    lam = g - (a9 / (1.0 + a9 * th1)) * np.outer(gpsi, np.conj(gpsi))
+    c7 = a7 / (a6 * (a6 + n * a7))
+    ratio = th1 / (1.0 + a9 * th1)
+    theta2 = (a6 + (n - 1) * a7) / (a6 * (a6 + n * a7)) * ratio ** 2
+    s8 = a8 / (1.0 + a8 * theta2)
+    lam_psi = lam @ psi
+    u = (1.0 / a6) * np.outer(lam_psi, np.conj(lam_psi)) - c7 * (np.conj(psi) @ lam @ psi) * lam
+    out = (1.0 / a6) * (lam @ y @ lam) - c7 * np.trace(lam @ y) * lam
+    out -= s8 * np.trace(u @ y) * u
+    return out
+
+
+def ref_rhs_full(state, params, chi):
+    ginv = np.linalg.inv(state.gamma)
+    rest_psi, rest_gamma = ref_residuals(state.psi, state.psi_dot, state.gamma,
+                                         state.gamma_dot, None, None, params, chi,
+                                         state.t, ginv)
+    psi_ddot = -(ginv @ rest_psi) / params.alpha2
+    gamma_ddot = 0.5 * ref_apply_omega_inverse(state.psi, state.gamma, params, -rest_gamma)
+    return psi_ddot, hermitian_part(gamma_ddot)
+
+
+def ref_rhs_modified(psi, gamma, gamma_dot, params, chi, t=0.0):
+    psi = np.asarray(psi, dtype=complex)
+    chi_m = resolve_chi(chi, t)
+    ginv = invert_form(gamma)
+    h = ginv @ chi_m
+    gigd = ginv @ gamma_dot
+    p = ginv + params.alpha9 * np.outer(psi, np.conj(psi))
+    fprime = params.effective_potential.derivative(theta1(psi, gamma))
+    heff = -params.alpha5 * h
+    heff += (fprime - params.alpha4) * np.eye(psi.size, dtype=complex)
+    heff -= (1j * params.alpha1 + params.alpha3 * params.alpha9) * gigd
+    heff -= 2.0 * params.alpha8 * (np.conj(psi) @ gamma_dot @ psi) * gigd
+    heff -= 2.0 * params.alpha9 * (
+        params.alpha6 * (gigd @ p @ gamma_dot) + params.alpha7 * np.trace(p @ gamma_dot) * gigd)
+    rhs = heff @ psi
+    if params.forcing is not None:
+        rhs -= ginv @ np.conj(np.asarray(params.forcing(t), dtype=complex))
+    psid = rhs / (2.0j * params.alpha1)
+    _, rest_gamma = ref_residuals(psi, psid, gamma, gamma_dot, None, None, params, chi, t,
+                                  ginv)
+    gamma_ddot = 0.5 * ref_apply_omega_inverse(psi, gamma, params, -rest_gamma)
+    return psid, hermitian_part(gamma_ddot)
+
+
+POTENTIALS = {
+    "none": PotentialSpec(),
+    "quartic": PotentialSpec(kind="quartic_shifted", kappa=0.3, shift=0.7),
+    "custom": PotentialSpec(kind="custom", f=lambda x: 0.2 * np.sin(x),
+                            f_prime=lambda x: 0.2 * np.cos(x)),
+}
+
+
+def coupling_cases():
+    """alpha2, alpha3, alpha8 and alpha9 each zero and nonzero."""
+    for a2 in (0.0, 0.3):
+        for a3 in (0.0, 0.15):
+            for a8 in (0.0, 0.2):
+                for a9 in (0.0, 0.15):
+                    yield dict(alpha2=a2, alpha3=a3, alpha8=a8, alpha9=a9)
+
+
+def assert_close(got, ref):
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize("potential", sorted(POTENTIALS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_matches_reference_kernels(self, rng, n, potential):
+        force = rand_vec(rng, n, 0.3)
+        for couplings in coupling_cases():
+            for forcing in (None, lambda t: (1.0 + t) * force):
+                params = full_params(kappa=0.0, alpha4=0.25, potential=POTENTIALS[potential],
+                                     forcing=forcing, **couplings)
+                chi = rand_herm(rng, n)
+                state = FullState(psi=rand_vec(rng, n, 0.6), psi_dot=rand_vec(rng, n, 0.3),
+                                  gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.3),
+                                  t=0.4)
+                accel = (rand_vec(rng, n), rand_herm(rng, n))
+                res = el_residual(state, accel, params, chi)
+                assert_close((res.r_psi, res.r_gamma),
+                             ref_residuals(state.psi, state.psi_dot, state.gamma,
+                                           state.gamma_dot, *accel, params, chi, state.t))
+                if params.alpha2 != 0.0:
+                    assert_close(rhs_full(state, params, chi),
+                                 ref_rhs_full(state, params, chi))
+                else:
+                    args = (state.psi, state.gamma, state.gamma_dot, params, chi, state.t)
+                    assert_close(rhs_modified_first_order(*args), ref_rhs_modified(*args))
+
+
+def count_linalg(monkeypatch) -> dict:
+    """Count the calls of numpy's inv, det and solve."""
+    counts = dict.fromkeys(("inv", "det", "solve"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestFactorizations:
+    def test_one_inverse_per_full_rhs(self, rng, monkeypatch):
+        n = 4
+        args = (rand_vec(rng, n), rand_vec(rng, n), rand_pd(rng, n), rand_herm(rng, n),
+                full_params(), rand_herm(rng, n), 0.0)
+        counts = count_linalg(monkeypatch)
+        dynamics._full_accelerations_raw(*args)
+        assert counts == {"inv": 1, "det": 0, "solve": 0}
+
+    def test_one_guarded_inverse_per_modified_rhs(self, rng, monkeypatch):
+        n = 4
+        args = (rand_vec(rng, n), rand_pd(rng, n), rand_herm(rng, n),
+                full_params(alpha2=0.0), rand_herm(rng, n), 0.0)
+        counts = count_linalg(monkeypatch)
+        dynamics._modified_first_order_raw(*args)
+        assert counts == {"inv": 1, "det": 1, "solve": 0}     # invert_form: det + inv
+
+    def test_omega_dot_inverts_gamma_once(self, rng, monkeypatch):
+        """The canonical flow's d(Omega)/dt: one invert_form, shared by P and dP/dt."""
+        n = 3
+        psi, psid = rand_vec(rng, n), rand_vec(rng, n)
+        gamma, gamma_dot, x = rand_pd(rng, n), rand_herm(rng, n), rand_herm(rng, n)
+        params = full_params()
+        counts = count_linalg(monkeypatch)
+        ginv = invert_form(gamma)
+        dynamics._apply_omega_dot(psi, psid, ginv, gamma_dot, params, x)
+        assert counts == {"inv": 1, "det": 1, "solve": 0}     # invert_form: det + inv

@@ -141,6 +141,20 @@ class TestFailures:
         assert err.value.last_good_t == pytest.approx(0.0)
         assert "full" in str(err.value)
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive", "implicit_midpoint"])
+    def test_non_finite_second_order_stage(self, method):
+        # the stages of the frozen-gamma tier are not validated: a stage that
+        # overflows must still end the run with a StepFailure
+        n = 2
+        params = ModelParams.from_legacy(alpha=0.7, beta=0.5, gamma=2.0)
+        state = FullState(psi=np.ones(n), psi_dot=np.zeros(n), gamma=np.eye(n),
+                          gamma_dot=np.zeros((n, n)))
+        cfg = IntegratorConfig(dt=0.1, t_end=1.0, method=method)
+        with np.errstate(all="ignore"), pytest.raises(StepFailure,
+                                                      match="non-finite") as err:
+            integrate(state, "second_order", cfg, params, np.diag([1e300, -1e300]))
+        assert err.value.last_good_t == 0.0
+
     def test_unknown_tier(self, rng):
         state = FullState(psi=np.ones(1), psi_dot=np.zeros(1),
                           gamma=np.eye(1), gamma_dot=np.zeros((1, 1)))
