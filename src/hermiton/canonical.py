@@ -19,12 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _apply_omega_dot, _p_dot, rhs_full, rhs_second_order
-from .errors import (
-    DegenerateKinetic,
-    NotPositiveDefinite,
-    ZeroAlpha2,
-)
+from .errors import NotPositiveDefinite, ZeroAlpha2
 from .hermitian_algebra import (
+    _checked_inverse,
     complex_vector,
     hermitian_form,
     hermitian_part,
@@ -36,6 +33,8 @@ from .models import (
     FullState,
     ModelParams,
     PotentialSpec,
+    _ladder_apply,
+    _ladder_pieces,
     apply_omega,
     apply_omega_inverse,
     p_tensor,
@@ -329,7 +328,7 @@ def legendre_inverse(p: PhasePoint, params: ModelParams) -> tuple[np.ndarray, np
     ginv = invert_form(p.gamma)
     psid = (ginv @ np.conj(p.pi)) / params.alpha2 \
         + (1j * params.alpha1 / params.alpha2) * p.psi
-    y = p.pi_gamma - params.alpha3 * p_tensor(p.psi, p.gamma, params.alpha9)
+    y = p.pi_gamma - params.alpha3 * p_tensor(p.psi, p.gamma, params.alpha9, ginv)
     gamma_dot = 0.5 * apply_omega_inverse(p.psi, p.gamma, params, y)
     return psid, hermitian_part(gamma_dot)
 
@@ -345,7 +344,7 @@ def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParam
     if a2 == 0.0:
         raise ZeroAlpha2("the regular Hamiltonian needs alpha2 != 0")
     g = np.asarray(gamma, dtype=complex)
-    ginv = np.linalg.inv(g)
+    ginv = _checked_inverse(g)
     theta1c = psibar @ g @ psi
 
     val = (pi @ ginv @ pibar) / a2
@@ -357,26 +356,10 @@ def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParam
         val -= f @ psi + np.conj(f) @ psibar
 
     if pi_gamma is not None:
-        n = psi.size
-        a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
-        if abs(a6) <= 1e-10 or abs(a6 + n * a7) <= 1e-10:
-            raise DegenerateKinetic("kinetic inverse denominators vanish")
-        den9 = 1.0 + a9 * theta1c
-        if abs(den9) <= 1e-10:
-            raise DegenerateKinetic("1 + alpha9*theta1 vanished")
-        lam = g - (a9 / den9) * np.outer(g @ psi, psibar @ g)
-        c7 = a7 / (a6 * (a6 + n * a7))
-        ratio = theta1c / den9
-        theta2c = (a6 + (n - 1) * a7) / (a6 * (a6 + n * a7)) * ratio ** 2
-        den8 = 1.0 + a8 * theta2c
-        if abs(den8) <= 1e-10:
-            raise DegenerateKinetic("1 + alpha8*theta2 vanished")
-        s8 = a8 / den8
-        u = (1.0 / a6) * np.outer(lam @ psi, psibar @ lam) - c7 * (psibar @ lam @ psi) * lam
-
-        p_full = ginv + a9 * np.outer(psi, psibar)
+        p_full = ginv + params.alpha9 * np.outer(psi, psibar)
         y = np.asarray(pi_gamma, dtype=complex) - params.alpha3 * p_full
-        x = (1.0 / a6) * (lam @ y @ lam) - c7 * np.trace(lam @ y) * lam - s8 * np.trace(u @ y) * u
+        pieces = _ladder_pieces(psi, psibar, g, params, g @ psi, psibar @ g, theta1c)
+        x = _ladder_apply(pieces, params.alpha6, y, psibar @ pieces[0], 1.0)
         val += 0.25 * np.trace(y @ x)
     return complex(val)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateKinetic, ZeroAlpha2, ZeroBeta
-from .hermitian_algebra import hermitian_part, hermiticity_drift, invert_form
+from .hermitian_algebra import _checked_inverse, hermitian_part, hermiticity_drift, invert_form
 from .models import (
     FullState,
     ModelParams,
@@ -233,8 +233,8 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
     """Euler-Lagrange residual of the total model at a state with given
     accelerations ``accel = (psi_ddot, gamma_ddot)`` (None means zero).
 
-    Evaluated by ``_ResidualPieces`` through one unguarded inverse of gamma;
-    a near-singular form surfaces as LinAlgError/NonFinite in the caller.
+    Evaluated by ``_ResidualPieces`` through one inverse of gamma, which
+    refuses a near-singular form with SingularForm.
     """
     psi_ddot, gamma_ddot = accel if accel is not None else (None, None)
     n = state.n
@@ -242,7 +242,7 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
         psi_ddot = np.zeros(n, dtype=complex)
     if gamma_ddot is None:
         gamma_ddot = np.zeros((n, n), dtype=complex)
-    ginv = np.linalg.inv(np.asarray(state.gamma, dtype=complex))
+    ginv = _checked_inverse(state.gamma)
     pieces = _ResidualPieces(state.psi, state.gamma, state.gamma_dot, params, ginv)
     r_psi, r_gamma = pieces.residuals(
         state.psi_dot, chi, state.t,
@@ -254,7 +254,7 @@ def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
                             chi, t: float):
     if params.alpha2 == 0.0:
         raise ZeroAlpha2("alpha2 == 0: use rhs_modified_first_order")
-    ginv = np.linalg.inv(np.asarray(gamma, dtype=complex))
+    ginv = _checked_inverse(np.asarray(gamma, dtype=complex))
     s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
     rest_psi, rest_gamma = s.residuals(psid, chi, t)
     psi_ddot = (ginv @ rest_psi) / -params.alpha2

@@ -14,7 +14,9 @@ class NotHermitian(HermitonError):
 
 
 class SingularForm(HermitonError):
-    """A Hermitian form required to be invertible is (numerically) singular."""
+    """A form required to be invertible is exactly singular, or its
+    reciprocal condition estimate 1 / (n max|F_ij| max|(F^-1)_ij|) is not
+    above ``hermitian_algebra.COND_TOL``."""
 
 
 class NonFinite(HermitonError):
@@ -46,8 +48,7 @@ class SingularOperator(HermitonError):
 
 class NotPositiveDefinite(HermitonError):
     """A Hermitian form required to be positive definite is indefinite, e.g.
-    in ``hermitian_form(require_positive=True)`` or when a canonical
-    (Darboux) chart is requested for it."""
+    when a canonical (Darboux) chart is requested for it."""
 
 
 class WrongSymmetryClass(HermitonError):

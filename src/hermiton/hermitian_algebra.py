@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, NotPositiveDefinite, SingularForm
+from .errors import NonFinite, NotHermitian, SingularForm
 
 __all__ = [
     "check_hermitian",
@@ -48,8 +48,8 @@ __all__ = [
 
 #: default relative tolerance for hermiticity validation
 HERM_TOL_FACTOR = 1e-9
-#: default relative tolerance for the nondegeneracy check, scaled by norm**n
-DET_TOL_FACTOR = 1e-12
+#: a form is refused when its reciprocal condition estimate is not above this
+COND_TOL = 1e-12
 
 
 def _as_complex_matrix(f) -> np.ndarray:
@@ -117,30 +117,19 @@ def complex_vector(entries) -> np.ndarray:
     return v
 
 
-def hermitian_form(
-    entries,
-    herm_tol: float | None = None,
-    det_tol: float | None = None,
-    require_invertible: bool = True,
-    require_positive: bool = False,
-) -> np.ndarray:
+def hermitian_form(entries, require_invertible: bool = True) -> np.ndarray:
     """Validate and re-symmetrize a Hermitian form.
 
-    The matrix is accepted if ||F - F^dag|| <= herm_tol (default
-    1e-9 * ||F||) and, when ``require_invertible``, |det F| > det_tol
-    (default 1e-12 * ||F||**n) and, when ``require_positive``, its smallest
-    eigenvalue is positive (NotPositiveDefinite otherwise).  The returned
-    matrix is the Hermitian part of the input, so integrator round-off
-    cannot silently break the type invariant while the drift stays
-    measurable beforehand.
+    The matrix is accepted if ||F - F^dag|| <= 1e-9 * ||F|| and, when
+    ``require_invertible``, if it passes the condition test of
+    :func:`invert_form` (SingularForm otherwise).  The returned matrix is the
+    Hermitian part of the input, so integrator round-off cannot silently
+    break the type invariant while the drift stays measurable beforehand.
     """
     f = _as_complex_matrix(entries)
     if not np.all(np.isfinite(f)):
         raise NonFinite("form has non-finite entries")
-    n = f.shape[0]
-    norm = float(np.linalg.norm(f))
-    if herm_tol is None:
-        herm_tol = HERM_TOL_FACTOR * max(norm, 1e-300)
+    herm_tol = HERM_TOL_FACTOR * max(float(np.linalg.norm(f)), 1e-300)
     if np.linalg.norm(f - f.conj().T) > herm_tol:
         raise NotHermitian(
             f"form deviates from hermiticity by {np.linalg.norm(f - f.conj().T):.3e}"
@@ -148,47 +137,55 @@ def hermitian_form(
         )
     f = hermitian_part(f)
     if require_invertible:
-        if det_tol is None:
-            det_tol = DET_TOL_FACTOR * max(norm, 1e-300) ** n
-        det = np.linalg.det(f)
-        if abs(det) <= det_tol:
-            raise SingularForm(f"|det| = {abs(det):.3e} <= {det_tol:.3e}")
-    if require_positive:
-        eigs = np.linalg.eigvalsh(f)
-        if np.min(eigs) <= 0.0:
-            raise NotPositiveDefinite(
-                f"form is not positive definite (min eig {np.min(eigs):.3e})")
+        _checked_inverse(f)
     return f
 
 
-def invert_form(gamma, det_tol: float | None = None) -> np.ndarray:
+def invert_form(gamma) -> np.ndarray:
     """Contravariant inverse of a nondegenerate Hermitian form.
 
-    Satisfies inverse @ gamma == identity and is itself Hermitian.  A stack
-    of forms (..., n, n) gives the stack of their inverses, from one ``det``
-    and one ``inv`` call; each member has the bits of the 2-D call and must
-    pass the determinant guard on its own, |det| > det_tol (default
-    1e-12 * ||F||**n of that member).
+    Satisfies inverse @ gamma == identity and is itself Hermitian.  The form
+    is refused with SingularForm when its reciprocal condition estimate
+    1 / (n max|F_ij| max|(F^-1)_ij|) is not above ``COND_TOL``; the test
+    squares nothing, so it gives the same verdict for s * F at any scale s.
+    A stack of forms (..., n, n) gives the stack of their inverses, from one
+    ``inv`` call; each member has the bits of the 2-D call and is tested on
+    its own.
     """
-    g = _as_complex_stack(gamma)
-    n = g.shape[-1]
-    dets, norms = abs(np.linalg.det(g)), _frobenius(g)
-    if g.ndim == 2:
-        _require_nondegenerate(float(dets), float(norms), n, det_tol)
-    else:
-        for k, (det, norm) in enumerate(zip(dets.ravel().tolist(), norms.ravel().tolist())):
-            _require_nondegenerate(det, norm, n, det_tol, f"form {k} of {dets.size}: ")
-    return hermitian_part(np.linalg.inv(g))
+    return hermitian_part(_checked_inverse(_as_complex_stack(gamma)))
 
 
-def _require_nondegenerate(det: float, norm: float, n: int, det_tol: float | None,
-                           member: str = "") -> None:
-    """The determinant guard of :func:`invert_form` for one form, on Python
-    floats: their power rounds differently from numpy's array power."""
-    if det_tol is None:
-        det_tol = DET_TOL_FACTOR * max(norm, 1e-300) ** n
-    if det <= det_tol:
-        raise SingularForm(f"{member}|det| = {det:.3e} <= {det_tol:.3e}")
+def _checked_inverse(f: np.ndarray) -> np.ndarray:
+    """Raw inverse of the complex square matrix f, or of each matrix of a
+    stack (..., n, n), under the condition test of :func:`invert_form`.
+
+    n max|F_ij| max|(F^-1)_ij| lies within a factor n of the spectral
+    condition number.  A refused stack member is named by its index in the
+    flattened stack.
+    """
+    try:
+        inv = np.linalg.inv(f)
+    except np.linalg.LinAlgError:
+        members = f.reshape(-1, *f.shape[-2:])
+        for k, member in enumerate(members):
+            try:
+                np.linalg.inv(member)
+            except np.linalg.LinAlgError:
+                raise SingularForm(f"{_member(f, k)}zero pivot: the form is singular") from None
+        raise
+    n = f.shape[-1]
+    rc = 1.0 / (n * np.abs(f).max(axis=(-2, -1)) * np.abs(inv).max(axis=(-2, -1)))
+    accepted = rc > COND_TOL
+    if not accepted.all():
+        k = int(np.argmin(accepted))
+        raise SingularForm(f"{_member(f, k)}reciprocal condition estimate "
+                           f"{rc.flat[k]:.3e} <= {COND_TOL:.0e}")
+    return inv
+
+
+def _member(f: np.ndarray, k: int) -> str:
+    """'form k of S: ' for a stack of S forms, '' for one matrix."""
+    return "" if f.ndim == 2 else f"form {k} of {f.size // f.shape[-1] ** 2}: "
 
 
 def raise_first_index(gamma, chi) -> np.ndarray:
@@ -270,12 +267,12 @@ def trace_invariants(m, pmax: int) -> list[complex]:
     return out
 
 
-def real_decompose(gamma, herm_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def real_decompose(gamma) -> tuple[np.ndarray, np.ndarray]:
     """Split a Hermitian form into real symmetric + i * real antisymmetric.
 
     Returns (S, A) with gamma == S + i A exactly (after re-symmetrization).
     """
-    g = hermitian_form(gamma, herm_tol=herm_tol, require_invertible=False)
+    g = hermitian_form(gamma, require_invertible=False)
     s = g.real.copy()
     a = g.imag.copy()
     return s, a

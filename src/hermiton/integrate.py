@@ -317,7 +317,8 @@ def _implicit_midpoint_step(f, t, y, dt, k_guess=None, tol=1e-12, max_iter=50):
     taken and returned: stopping right at the tolerance leaves a stage error
     of about ``tol`` in every step, which adds up to a secular drift of the
     quadratic invariants the rule otherwise conserves.  A non-finite stage
-    raises NonFinite at once rather than after ``max_iter`` sweeps.
+    raises NonFinite at once; a stage that has not converged after
+    ``max_iter`` sweeps raises StepFailure with the last residual.
     """
     t_mid = t + dt / 2.0
     y_next = y + dt * (f(t, y) if k_guess is None else k_guess)
@@ -335,7 +336,8 @@ def _implicit_midpoint_step(f, t, y, dt, k_guess=None, tol=1e-12, max_iter=50):
             damping = 0.5        # damped iteration once the map stops contracting
         y_next = damping * target + (1.0 - damping) * y_next
         prev_res = res
-    raise NonFinite("implicit midpoint stage iteration did not converge")
+    raise StepFailure(f"implicit midpoint stage iteration did not converge in {max_iter} "
+                      f"sweeps (last residual {res:.3e})", last_good_t=t)
 
 
 def _warm_started_midpoint():

@@ -322,19 +322,22 @@ def apply_omega(psi, gamma, params: ModelParams, x) -> np.ndarray:
     return out
 
 
-def _ladder_pieces(psi, gamma, params: ModelParams, gpsi, th1):
+def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1):
     """Shared pieces of the closed-form kinetic inverse.
 
-    ``gpsi`` is gamma psi and ``th1`` the complex psi^ gamma psi, as the
-    caller has them.  Returns (lam, c7, lam_psi, q, s8) so that the inverse
-    acts on a contravariant Hermitian Y as
+    ``gpsi`` is gamma psi, ``psibar_g`` is psibar gamma and ``th1`` the
+    complex psibar gamma psi, as the caller has them.  On the diagonal
+    psibar and psibar_g are conj(psi) and conj(gamma psi); the analytic
+    extension of the Hamiltonian passes them as independent arguments.
+    Returns (lam, c7, lam_psi, q, s8) so that the inverse acts on a
+    contravariant Y as
 
         (1/alpha6) lam Y lam - c7 Tr(lam Y) lam - s8 Tr(u Y) u
 
     with lam the inverse of P (gamma minus a rank-one update), lam_psi =
-    lam psi, q = psi^ lam psi, u = (1/alpha6) lam_psi lam_psi^ - c7 q lam the
-    image of psi psi^ under the alpha6/7 block inverse, and s8 the rank-one
-    correction weight of the alpha8 term.
+    lam psi, q = psibar lam psi, u = (1/alpha6) lam_psi psibar lam - c7 q lam
+    the image of psi psibar under the alpha6/7 block inverse, and s8 the
+    rank-one correction weight of the alpha8 term.
     """
     n = psi.size
     a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
@@ -345,7 +348,7 @@ def _ladder_pieces(psi, gamma, params: ModelParams, gpsi, th1):
     den = 1.0 + a9 * th1
     if abs(den) <= DENOM_GUARD:
         raise DegenerateKinetic(f"1 + alpha9*theta1 = {den:.3e} vanished")
-    lam = gamma - (a9 / den * gpsi)[:, None] * gpsi.conj()
+    lam = gamma - (a9 / den * gpsi)[:, None] * psibar_g
     c7 = a7 / (a6 * (a6 + n * a7))
 
     ratio = th1 / den
@@ -356,7 +359,22 @@ def _ladder_pieces(psi, gamma, params: ModelParams, gpsi, th1):
     s8 = a8 / den8
 
     lam_psi = lam @ psi
-    return lam, c7, lam_psi, psi.conj() @ lam_psi, s8
+    return lam, c7, lam_psi, psibar @ lam_psi, s8
+
+
+def _ladder_apply(pieces, a6: float, y, psibar_lam, scale: float) -> np.ndarray:
+    """``scale`` times the kinetic inverse of :func:`_ladder_pieces` applied
+    to Y, with ``psibar_lam`` = psibar lam (conj(lam_psi) on the diagonal);
+    ``scale`` is folded into the scalar coefficients.  u is not formed:
+    Tr(u Y) comes from Tr(lam Y) and psibar lam Y lam_psi, and s8 Tr(u Y) u is
+    split into its lam and lam_psi psibar lam parts."""
+    lam, c7, lam_psi, q, s8 = pieces
+    ly = lam @ y
+    tr_ly = ly.trace()
+    tr_uy = (psibar_lam @ y @ lam_psi) / a6 - c7 * q * tr_ly
+    out = (scale / a6) * (ly @ lam) - (scale * c7 * (tr_ly - s8 * q * tr_uy)) * lam
+    out -= (scale * s8 * tr_uy / a6 * lam_psi)[:, None] * psibar_lam
+    return out
 
 
 def _gamma_psi(psi, gamma):
@@ -370,24 +388,15 @@ def _gamma_psi(psi, gamma):
 def _apply_omega_inverse(psi, gamma, params: ModelParams, y, gpsi, th1,
                          scale: float = 1.0, fallback: bool = True) -> np.ndarray:
     """``scale * apply_omega_inverse(psi, gamma, params, y)`` on complex
-    arrays, with gamma psi and theta1 supplied by the caller; ``scale`` is
-    folded into the scalar coefficients.  u is not formed: Tr(u Y) comes
-    from Tr(lam Y) and lam_psi^ Y lam_psi, and s8 Tr(u Y) u is split into its
-    lam and lam_psi lam_psi^ parts."""
+    arrays, with gamma psi and theta1 supplied by the caller."""
     y = np.asarray(y, dtype=complex)
     try:
-        lam, c7, lam_psi, q, s8 = _ladder_pieces(psi, gamma, params, gpsi, th1)
+        pieces = _ladder_pieces(psi, psi.conj(), gamma, params, gpsi, gpsi.conj(), th1)
     except DegenerateKinetic:
         # omega_inverse raises again or applies the fallback
         oi = omega_inverse(psi, gamma, params, fallback)
         return scale * np.einsum("abcd,dc->ab", oi, y)
-    a6 = params.alpha6
-    ly = lam @ y
-    tr_ly = ly.trace()
-    tr_uy = (lam_psi.conj() @ y @ lam_psi) / a6 - c7 * q * tr_ly
-    out = (scale / a6) * (ly @ lam) - (scale * c7 * (tr_ly - s8 * q * tr_uy)) * lam
-    out -= (scale * s8 * tr_uy / a6 * lam_psi)[:, None] * lam_psi.conj()
-    return out
+    return _ladder_apply(pieces, params.alpha6, y, pieces[2].conj(), scale)
 
 
 def apply_omega_inverse(psi, gamma, params: ModelParams, y, fallback: bool = True) -> np.ndarray:
@@ -412,7 +421,8 @@ def omega_inverse(psi, gamma, params: ModelParams, fallback: bool = True) -> np.
     """
     psi_c, g, gpsi, th1 = _gamma_psi(psi, gamma)
     try:
-        lam, c7, lam_psi, q, s8 = _ladder_pieces(psi_c, g, params, gpsi, th1)
+        lam, c7, lam_psi, q, s8 = _ladder_pieces(psi_c, psi_c.conj(), g, params, gpsi,
+                                                 gpsi.conj(), th1)
     except DegenerateKinetic:
         if not fallback:
             raise

@@ -11,7 +11,7 @@ from hermiton.dynamics import (
     rhs_schrodinger,
     rhs_second_order,
 )
-from hermiton.errors import DegenerateKinetic, ZeroAlpha2, ZeroBeta
+from hermiton.errors import DegenerateKinetic, SingularForm, ZeroAlpha2, ZeroBeta
 from hermiton.hermitian_algebra import hermitian_part, invert_form, matrix_exp
 from hermiton.models import FullState, ModelParams, PotentialSpec, resolve_chi, theta1
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
@@ -469,6 +469,18 @@ class TestKernelParity:
                     assert_close(rhs_modified_first_order(*args), ref_rhs_modified(*args))
 
 
+def test_near_singular_gamma_refused_in_both_tiers(rng):
+    n = 3
+    gamma = np.diag([1.0, 1.0, 1e-14]).astype(complex)
+    psi, psid, gamma_dot, chi = (rand_vec(rng, n), rand_vec(rng, n), rand_herm(rng, n),
+                                 rand_herm(rng, n))
+    with pytest.raises(SingularForm):
+        dynamics._full_accelerations_raw(psi, psid, gamma, gamma_dot, full_params(), chi, 0.0)
+    with pytest.raises(SingularForm):
+        dynamics._modified_first_order_raw(psi, gamma, gamma_dot, full_params(alpha2=0.0),
+                                           chi, 0.0)
+
+
 def count_linalg(monkeypatch) -> dict:
     """Count the calls of numpy's inv, det and solve."""
     counts = dict.fromkeys(("inv", "det", "solve"), 0)
@@ -498,7 +510,7 @@ class TestFactorizations:
                 full_params(alpha2=0.0), rand_herm(rng, n), 0.0)
         counts = count_linalg(monkeypatch)
         dynamics._modified_first_order_raw(*args)
-        assert counts == {"inv": 1, "det": 1, "solve": 0}     # invert_form: det + inv
+        assert counts == {"inv": 1, "det": 0, "solve": 0}
 
     def test_omega_dot_inverts_gamma_once(self, rng, monkeypatch):
         """The canonical flow's d(Omega)/dt: one invert_form, shared by P and dP/dt."""
@@ -509,4 +521,4 @@ class TestFactorizations:
         counts = count_linalg(monkeypatch)
         ginv = invert_form(gamma)
         dynamics._apply_omega_dot(psi, psid, ginv, gamma_dot, params, x)
-        assert counts == {"inv": 1, "det": 1, "solve": 0}     # invert_form: det + inv
+        assert counts == {"inv": 1, "det": 0, "solve": 0}

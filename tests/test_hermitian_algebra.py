@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hermiton.errors import NotHermitian, NotPositiveDefinite, SingularForm
+from hermiton.errors import NotHermitian, SingularForm
 from hermiton.hermitian_algebra import (
     check_hermitian,
     gamma_velocity,
     hermitian_basis,
     hermitian_form,
+    hermitian_part,
     hermitian_to_real,
     hermiticity_drift,
     invert_form,
@@ -47,10 +48,6 @@ class TestHermitianForm:
     def test_rejects_singular(self):
         with pytest.raises(SingularForm):
             hermitian_form(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_positivity_flag(self):
-        with pytest.raises(NotPositiveDefinite):
-            hermitian_form(np.diag([1.0, -2.0]), require_positive=True)
 
 
 class TestHermiticityDrift:
@@ -100,10 +97,12 @@ class TestInvertForm:
             assert nested.tobytes() == inverses[:6].tobytes()
 
     def test_stack_with_one_singular_member_raises(self, rng):
-        stack = np.array([rand_pd(rng, 2), np.array([[1.0, 1.0], [1.0, 1.0]]),
-                          rand_pd(rng, 2)])
-        with pytest.raises(SingularForm, match="form 1 of 3"):
-            invert_form(stack)
+        # an exactly singular member makes inv raise; a near-singular one fails
+        # the condition test
+        for singular in (np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 1e-14])):
+            stack = np.array([rand_pd(rng, 2), singular, rand_pd(rng, 2)])
+            with pytest.raises(SingularForm, match="form 1 of 3"):
+                invert_form(stack)
 
     def test_non_square_input_rejected(self):
         for bad in (np.ones((2, 3)), np.ones(3), np.ones((4, 2, 3))):
@@ -117,6 +116,38 @@ class TestInvertForm:
                 if np.linalg.cond(g) >= 1e3:
                     continue
                 assert np.max(np.abs(invert_form(invert_form(g)) - g)) < 1e-10
+
+
+def form_with_condition(rng, n, cond):
+    """Random positive definite Hermitian form with spectral condition number cond."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return hermitian_part((q * np.geomspace(1.0, 1.0 / cond, n)) @ q.conj().T)
+
+
+def accepted(validate, form) -> bool:
+    try:
+        validate(form)
+    except SingularForm:
+        return False
+    return True
+
+
+class TestConditionPolicy:
+    @pytest.mark.parametrize("n", [19, 20, 32])
+    def test_well_conditioned_forms_accepted_at_large_n(self, rng, n):
+        for form in (np.eye(n), form_with_condition(rng, n, 10.0)):
+            assert np.array_equal(hermitian_form(form), form)
+            assert np.max(np.abs(invert_form(form) @ form - np.eye(n))) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 32])
+    @pytest.mark.parametrize("cond, verdict", [(1e4, True), (1e14, False)])
+    def test_verdict_is_scale_invariant(self, rng, n, cond, verdict):
+        """kappa_2 = 1e14 is refused with SingularForm at every scale, kappa_2 = 1e4
+        accepted at every scale."""
+        form = form_with_condition(rng, n, cond)
+        for scale in (1e-150, 1.0, 1e150):
+            assert accepted(hermitian_form, scale * form) == verdict
+            assert accepted(invert_form, scale * form) == verdict
 
 
 class TestRaiseFirstIndex:

@@ -312,6 +312,13 @@ class TestRhsCounts:
         assert calls[0] <= 5 * n_steps + 9
 
 
+def test_implicit_midpoint_non_convergence_is_step_failure():
+    # y' = 100 y at dt = 1: the stage map expands by 50 per sweep, stays finite
+    with pytest.raises(StepFailure, match=r"did not converge in 3 sweeps \(last residual "):
+        integrate_module._implicit_midpoint_step(lambda t, y: 100.0 * y, 0.0, np.ones(2),
+                                                 1.0, max_iter=3)
+
+
 class TestConvergenceOrder:
     def test_rk4_is_fourth_order(self, rng):
         params, gamma, chi, psi0, state = schrodinger_setup(rng, n=3)
@@ -365,6 +372,24 @@ def test_modified_first_order_tier_runs(rng):
     traj = integrate(state, "modified_first_order", cfg, params, chi)
     energies = traj.series("energy")
     assert (energies.max() - energies.min()) < 1e-8 * max(1.0, abs(energies[0]))
+
+
+@pytest.mark.parametrize("tier, params", [
+    ("schrodinger", ModelParams(alpha1=0.5, alpha5=-1.0)),
+    ("gamma_geodesic", ModelParams.from_legacy(A=2.0, B=0.4)),
+    ("full", ModelParams(alpha1=0.4, alpha2=0.3, alpha3=0.1, alpha6=0.9, alpha7=0.1,
+                         alpha8=0.05, alpha9=0.05)),
+    ("modified_first_order", ModelParams(alpha1=0.5, alpha3=0.1, alpha5=-1.0, alpha6=1.0,
+                                         alpha7=0.2, alpha8=0.05, alpha9=0.05)),
+])
+def test_gamma_tiers_step_at_n32(rng, tier, params):
+    n = 32
+    state = FullState(psi=rand_vec(rng, n, 0.2), psi_dot=np.zeros(n), gamma=rand_pd(rng, n),
+                      gamma_dot=rand_herm(rng, n, 0.05))
+    traj = integrate(state, tier, IntegratorConfig(dt=1e-3, t_end=3e-3), params,
+                     rand_herm(rng, n))
+    assert np.allclose(traj.times, [0.0, 1e-3, 2e-3, 3e-3], rtol=0, atol=1e-15)
+    assert np.all(np.isfinite(traj.final_state.gamma))
 
 
 def test_second_order_tier_with_gamma_tilde(rng):
