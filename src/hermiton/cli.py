@@ -24,13 +24,15 @@ import numpy as np
 from . import canonical, diagnostics, dynamics, oracles
 from .errors import HermitonError, NoOracleForTier, ScenarioError, StepFailure
 from .hermitian_algebra import hermitian_basis, hermiticity_drift
-from .integrate import Trajectory, integrate
+from .integrate import STEPPED_BLOCKS, Trajectory, integrate
 from .models import FullState
 from .scenario import Scenario, load_scenario
 
 log = logging.getLogger("hermiton")
 
 _FLOAT_FMT = "%.17g"
+#: the velocity-linear tiers on a frozen Gamma, the ones ``reduce`` applies to
+_PSI_ONLY_TIERS = tuple(t for t, blocks in STEPPED_BLOCKS.items() if blocks == ("psi",))
 
 
 def _fmt(x: float) -> str:
@@ -126,22 +128,21 @@ def _check_verdicts(s: Scenario, rng: np.random.Generator) -> list[dict]:
     traj = _run_trajectory(s)
     energies = traj.series("energy")
     scale = max(float(np.max(np.abs(energies))), 1e-6)
-    frozen_gamma = s.model_tier in ("schrodinger", "direct_nonlinear", "second_order")
+    steps_gamma = "gamma" in STEPPED_BLOCKS[s.model_tier]
     conserving = s.params.forcing is None and not callable(s.chi)
     if conserving:
         add("energy_drift", float(energies.max() - energies.min()) / scale, 1e-6)
     thetas = traj.series("theta1")
     theta_scale = max(float(np.max(np.abs(thetas))), 1e-6)
     theta_drift = float(thetas.max() - thetas.min()) / theta_scale
-    if frozen_gamma and s.params.potential.kind == "none" and s.params.kappa == 0.0:
+    if not steps_gamma and s.params.effective_potential.kind == "none":
         add("theta1_drift", theta_drift, 1e-9)
     else:
         verdicts.append({"check": "theta1_drift", "value": theta_drift,
                          "tol": None, "passed": None})  # recorded, not asserted
     add("hermiticity_drift", float(max(d["herm_drift"] for d in traj.diagnostics)), 1e-8)
 
-    if s.params.alpha5 == 0.0 and s.model_tier in ("full", "modified_first_order",
-                                                   "gamma_geodesic"):
+    if s.params.alpha5 == 0.0 and steps_gamma:
         gens = list(s.generators) if s.generators else _default_generators(s.n)
         summary = diagnostics.drift_summary(
             diagnostics.monitor(traj, s.params, s.chi, s.gamma0, gens))
@@ -224,9 +225,9 @@ def cmd_check(s: Scenario, out_dir: Path, seed: int | None) -> int:
 
 
 def cmd_reduce(s: Scenario, out_dir: Path) -> int:
-    if s.model_tier not in ("schrodinger", "direct_nonlinear"):
-        raise ScenarioError(
-            f"reduce applies to the schrodinger/direct_nonlinear tiers, not {s.model_tier}")
+    if s.model_tier not in _PSI_ONLY_TIERS:
+        raise ScenarioError(f"reduce applies to the {'/'.join(_PSI_ONLY_TIERS)} tiers, "
+                            f"not {s.model_tier}")
     alpha = s.params.alpha1
     chart = canonical.darboux_reduce(s.gamma0, s.chi, alpha,
                                      require_chart=s.request_chart)

@@ -33,6 +33,7 @@ from .models import (
     FullState,
     ModelParams,
     _apply_omega_inverse,
+    _kinetic_denominator,
     p_tensor,
     potential_gradient,
     resolve_chi,
@@ -324,15 +325,15 @@ def rhs_direct_nonlinear_raw(psi, gamma, params: ModelParams, chi_matrix,
 def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:
     """gamma_ddot = gamma_dot gamma^{-1} gamma_dot, the unique solution of
     A*Y + B*Tr(gamma^{-1} Y)*gamma = 0 about Y = gamma_ddot - that product
-    whenever A != 0 and A + n*B != 0."""
+    whenever A != 0 and A + n*B != 0.
+
+    A and A + n*B are refused by the kinetic inverse's own rule, so with
+    A = 2 alpha6 and B = 2 alpha7 this tier refuses exactly the couplings
+    the closed-form ladder refuses (A + n*B = 0 makes the kinetic metric
+    degenerate along dilatations)."""
     g = np.asarray(gamma, dtype=complex)
     gd = np.asarray(gamma_dot, dtype=complex)
-    n = g.shape[0]
-    scale = max(abs(A), abs(B), 1e-300)
-    if abs(A) <= 1e-12 * scale:
-        raise DegenerateKinetic("geodesic kinetic term needs A != 0")
-    if abs(A + n * B) <= 1e-12 * scale:
-        raise DegenerateKinetic(
-            f"A + n*B = {A + n * B:.3e} vanishes: kinetic metric degenerate along dilatations")
+    _kinetic_denominator(A, 0.0, "A")
+    _kinetic_denominator(A, g.shape[0] * B, "A + n*B")
     ginv = invert_form(g)
     return hermitian_part(gd @ ginv @ gd)

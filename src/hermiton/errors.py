@@ -24,8 +24,11 @@ class NonFinite(HermitonError):
 
 
 class DegenerateKinetic(HermitonError):
-    """The quadratic kinetic operator on Hermitian matrices is degenerate
-    (a denominator of the closed-form inverse vanishes)."""
+    """The quadratic kinetic operator on Hermitian matrices is degenerate:
+    a denominator a + b of its closed-form inverse (alpha6, alpha6 + n alpha7,
+    1 + alpha9 theta1, 1 + alpha8 theta2; A and A + n B on the geodesic tier)
+    cancels, |a + b| <= ``hermitian_algebra.COND_TOL`` (|a| + |b|).  The rule
+    is relative, so scaling every coupling gives the same verdict."""
 
 
 class ZeroBeta(HermitonError):
@@ -60,10 +63,12 @@ class SingularTransform(HermitonError):
 
 
 class StepFailure(HermitonError):
-    """Time stepping failed mid-run.  Carries the last good time."""
+    """Time stepping failed mid-run.  Carries the reason (the message without
+    its time suffix) and the last good time."""
 
     def __init__(self, message: str, last_good_t: float):
         super().__init__(f"{message} (last good t = {last_good_t:.6g})")
+        self.reason = message
         self.last_good_t = last_good_t
 
 

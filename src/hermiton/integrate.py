@@ -361,6 +361,14 @@ def _warm_started_midpoint():
     return step
 
 
+def _step_failed(tier: str, exc: Exception, t: float) -> StepFailure:
+    """The StepFailure that ends a run whose step from t raised ``exc``; a
+    StepFailure raised inside the step gives its reason, so the time suffix
+    appears once."""
+    reason = exc.reason if isinstance(exc, StepFailure) else exc
+    return StepFailure(f"[{tier}] step failed: {reason}", last_good_t=t)
+
+
 def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
               chi=None, gamma_tilde=None) -> Trajectory:
     """Integrate one model tier and record a sampled trajectory.
@@ -399,7 +407,7 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
             try:
                 y = stepper(system.deriv, t, y, dt)
             except (HermitonError, np.linalg.LinAlgError, FloatingPointError) as exc:
-                raise StepFailure(f"[{tier}] step failed: {exc}", last_good_t=t) from exc
+                raise _step_failed(tier, exc, t) from exc
             if not np.all(np.isfinite(y)):
                 raise StepFailure(f"[{tier}] state became non-finite", last_good_t=t)
             t = system.t0 + (k + 1) * dt
@@ -425,7 +433,7 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
         try:
             y_new, err_vec, k1, k_last = _dp_step(system.deriv, t, y, dt, k1)
         except (HermitonError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            raise StepFailure(f"[{tier}] step failed: {exc}", last_good_t=t) from exc
+            raise _step_failed(tier, exc, t) from exc
         if not np.all(np.isfinite(y_new)):
             raise StepFailure(f"[{tier}] state became non-finite", last_good_t=t)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))

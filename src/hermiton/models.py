@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateKinetic
 from .hermitian_algebra import (
+    COND_TOL,
     complex_vector,
     hermitian_form,
     invert_form,
@@ -49,11 +50,6 @@ __all__ = [
     "energy",
     "effective_hamiltonian",
 ]
-
-#: guard below which a denominator of the closed-form kinetic inverse is
-#: treated as vanished
-DENOM_GUARD = 1e-10
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -322,6 +318,21 @@ def apply_omega(psi, gamma, params: ModelParams, x) -> np.ndarray:
     return out
 
 
+def _kinetic_denominator(a, b, label: str):
+    """a + b, a denominator of the kinetic inverse, refused with
+    DegenerateKinetic when the two terms cancel: |a + b| <= COND_TOL (|a| + |b|).
+
+    The test is relative, so scaling both terms by any s != 0 keeps the
+    verdict (the Lagrangians L and sL share their equations of motion); a
+    single term (b = 0) is refused only when it is exactly zero.
+    """
+    total = a + b
+    if abs(total) <= COND_TOL * (abs(a) + abs(b)):
+        raise DegenerateKinetic(f"{label} = {total:.3e} vanishes relative to its terms: "
+                                "the kinetic operator is degenerate")
+    return total
+
+
 def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1):
     """Shared pieces of the closed-form kinetic inverse.
 
@@ -341,22 +352,15 @@ def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1)
     """
     n = psi.size
     a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
-    if abs(a6) <= DENOM_GUARD:
-        raise DegenerateKinetic(f"alpha6 = {a6:.3e} vanished")
-    if abs(a6 + n * a7) <= DENOM_GUARD:
-        raise DegenerateKinetic(f"alpha6 + n*alpha7 = {a6 + n * a7:.3e} vanished")
-    den = 1.0 + a9 * th1
-    if abs(den) <= DENOM_GUARD:
-        raise DegenerateKinetic(f"1 + alpha9*theta1 = {den:.3e} vanished")
+    _kinetic_denominator(a6, 0.0, "alpha6")
+    d67 = _kinetic_denominator(a6, n * a7, "alpha6 + n*alpha7")
+    den = _kinetic_denominator(1.0, a9 * th1, "1 + alpha9*theta1")
     lam = gamma - (a9 / den * gpsi)[:, None] * psibar_g
-    c7 = a7 / (a6 * (a6 + n * a7))
+    c7 = a7 / (a6 * d67)
 
     ratio = th1 / den
-    theta2 = (a6 + (n - 1) * a7) / (a6 * (a6 + n * a7)) * ratio ** 2
-    den8 = 1.0 + a8 * theta2
-    if abs(den8) <= DENOM_GUARD:
-        raise DegenerateKinetic(f"1 + alpha8*theta2 = {den8:.3e} vanished")
-    s8 = a8 / den8
+    theta2 = (a6 + (n - 1) * a7) / (a6 * d67) * ratio ** 2
+    s8 = a8 / _kinetic_denominator(1.0, a8 * theta2, "1 + alpha8*theta2")
 
     lam_psi = lam @ psi
     return lam, c7, lam_psi, psibar @ lam_psi, s8

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import HermitonError, ScenarioError
 from .hermitian_algebra import hermitian_form
-from .integrate import MODEL_TIERS, IntegratorConfig
+from .integrate import MODEL_TIERS, STEPPED_BLOCKS, IntegratorConfig
 from .models import ModelParams, PotentialSpec, preset
 
 __all__ = ["Scenario", "load_scenario", "scenario_to_dict", "dump_scenario"]
@@ -53,18 +53,33 @@ def decode_matrix(data) -> np.ndarray:
     return np.array([[decode_complex(p) for p in row] for row in data], dtype=complex)
 
 
+def _square_matrix(data, n: int, name: str) -> np.ndarray:
+    """Decode the n x n matrix literal of field ``name``; any other shape,
+    or entries that are not [re, im] pairs, raise ScenarioError."""
+    try:
+        m = decode_matrix(data)
+    except (HermitonError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+    if m.shape != (n, n):
+        raise ScenarioError(f"{name} must be a {n} x {n} matrix, got shape {m.shape}")
+    return m
+
+
 def _decode_chi(spec, n: int) -> np.ndarray:
     """chi is a matrix literal or a named generator like "diag:[1,2]"."""
     if spec is None:
         return np.zeros((n, n), dtype=complex)
     if isinstance(spec, str):
         if spec.startswith("diag:"):
-            diag = json.loads(spec[len("diag:"):])
-            if len(diag) != n:
-                raise ScenarioError(f"diag generator needs {n} entries, got {len(diag)}")
-            return np.diag(np.asarray(diag, dtype=float)).astype(complex)
+            try:
+                diag = np.asarray(json.loads(spec[len("diag:"):]), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"chi: bad diag generator {spec!r}: {exc}") from exc
+            if diag.shape != (n,):
+                raise ScenarioError(f"chi: diag generator needs {n} entries, got {spec!r}")
+            return np.diag(diag).astype(complex)
         raise ScenarioError(f"unknown chi generator {spec!r}")
-    return decode_matrix(spec)
+    return _square_matrix(spec, n, "chi")
 
 
 def _decode_params(data, n: int) -> ModelParams:
@@ -151,6 +166,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("scenario needs model_tier") from exc
     if tier not in MODEL_TIERS:
         raise ScenarioError(f"unknown model tier {tier!r}")
+    if "pi" in STEPPED_BLOCKS[tier]:
+        raise ScenarioError(f"model tier {tier!r} steps the momentum pi, "
+                            "which a scenario file has no field for")
 
     initial = raw.get("initial", {})
     if "psi0" in initial:
@@ -163,20 +181,20 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("initial data needs psi0 or gamma0")
     psi_dot0 = (decode_vector(initial["psi_dot0"])
                 if "psi_dot0" in initial else np.zeros(n, dtype=complex))
-    gamma0_raw = (decode_matrix(initial["gamma0"])
+    if psi_dot0.size != n:
+        raise ScenarioError(f"psi_dot0 needs {n} entries, got {psi_dot0.size}")
+    gamma0_raw = (_square_matrix(initial["gamma0"], n, "gamma0")
                   if "gamma0" in initial else np.eye(n, dtype=complex))
-    gamma_dot0_raw = (decode_matrix(initial["gamma_dot0"])
+    gamma_dot0_raw = (_square_matrix(initial["gamma_dot0"], n, "gamma_dot0")
                       if "gamma_dot0" in initial else np.zeros((n, n), dtype=complex))
+    chi = _decode_chi(raw.get("chi"), n)
     try:
         gamma0 = hermitian_form(gamma0_raw)
         gamma_dot0 = hermitian_form(gamma_dot0_raw, require_invertible=False)
-        chi = _decode_chi(raw.get("chi"), n)
         if np.linalg.norm(chi):
             chi = hermitian_form(chi, require_invertible=False)
     except HermitonError as exc:
         raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
-    if psi_dot0.size != n or gamma0.shape != (n, n):
-        raise ScenarioError("inconsistent dimensions in initial data")
 
     params = _decode_params(raw.get("params"), n)
 
@@ -202,14 +220,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     gamma_tilde = None
     if raw.get("gamma_tilde") is not None:
+        gamma_tilde_raw = _square_matrix(raw["gamma_tilde"], n, "gamma_tilde")
         try:
-            gamma_tilde = hermitian_form(decode_matrix(raw["gamma_tilde"]))
+            gamma_tilde = hermitian_form(gamma_tilde_raw)
         except HermitonError as exc:
             raise ScenarioError(f"gamma_tilde: {exc}") from exc
 
     generators = tuple(
-        (g.get("label", f"gen{i}"), decode_matrix(g["matrix"]))
-        if isinstance(g, dict) else (f"gen{i}", decode_matrix(g))
+        (g.get("label", f"gen{i}"), _square_matrix(g.get("matrix"), n, f"generators[{i}]"))
+        if isinstance(g, dict) else (f"gen{i}", _square_matrix(g, n, f"generators[{i}]"))
         for i, g in enumerate(raw.get("generators", [])))
 
     return Scenario(

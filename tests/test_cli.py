@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hermiton.cli import main
+from hermiton.integrate import STEPPED_BLOCKS
 from hermiton.scenario import (
     dump_scenario,
     load_scenario,
@@ -135,6 +136,38 @@ class TestSimulate:
         assert "gamma_geodesic" in err and "degenerate" in err.lower()
 
 
+def _malformed(case: str, field: str, edit):
+    sc = schrodinger_scenario()
+    edit(sc)
+    return pytest.param(sc, field, id=case)
+
+
+@pytest.mark.parametrize("scenario, field", [
+    _malformed("chi-size", "chi", lambda sc: sc.update(chi=mat(np.eye(3)))),
+    _malformed("chi-nonsquare", "chi", lambda sc: sc.update(
+        chi=[[pair(1.0), pair(0.0), pair(0.0)]] * 2)),
+    _malformed("chi-diag-size", "chi", lambda sc: sc.update(chi="diag:[1, 2, 3]")),
+    _malformed("gamma0-ragged", "gamma0", lambda sc: sc["initial"].update(
+        gamma0=[[pair(1.0), pair(0.0)], [pair(1.0)]])),
+    _malformed("gamma_dot0-size", "gamma_dot0", lambda sc: sc["initial"].update(
+        gamma_dot0=mat(np.eye(3)))),
+    _malformed("gamma_tilde-size", "gamma_tilde", lambda sc: sc.update(
+        gamma_tilde=mat(np.eye(3)))),
+    _malformed("generator-size", "generators[1]", lambda sc: sc.update(
+        generators=[mat(np.eye(2)), mat(np.eye(3))])),
+    _malformed("canonical_frozen", "canonical_frozen", lambda sc: sc.update(
+        model_tier="canonical_frozen")),
+])
+def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
+    # refused at load time with a ScenarioError that names the field
+    path = write(tmp_path, "malformed", scenario)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ScenarioError: ") and field in err
+    assert err.count("ScenarioError") == 1
+    assert not (tmp_path / "malformed_trajectory.csv").exists()
+
+
 class TestCheck:
     def test_pass_case(self, tmp_path, capsys):
         path = write(tmp_path, "ok", schrodinger_scenario())
@@ -185,6 +218,32 @@ class TestCheck:
         report = json.loads((tmp_path / "full_check.json").read_text())
         names = {v["check"] for v in report["verdicts"]}
         assert {"energy_drift", "charge_drift", "legendre_round_trip"} <= names
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.05])
+@pytest.mark.parametrize("tier", [t for t, blocks in STEPPED_BLOCKS.items()
+                                  if "pi" not in blocks])
+def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path, tier,
+                                                                        kappa):
+    # alpha5 = 0 everywhere, so only the tier decides whether charges are
+    # asserted; theta1 is asserted only on a frozen gamma without a potential
+    alpha2 = 0.3 if tier in ("second_order", "full") else 0.0
+    sc = {
+        "model_tier": tier,
+        "params": {"alpha1": 0.4, "alpha2": alpha2, "alpha4": 0.2, "alpha6": 0.9,
+                   "alpha7": 0.25, "kappa": kappa},
+        "initial": {"psi0": vec([0.5, 0.3j]), "gamma0": mat(np.eye(2)),
+                    "gamma_dot0": mat(np.array([[0.05, 0.01], [0.01, -0.02]]))},
+        "integrator": {"dt": 1e-2, "t_end": 0.05},
+        "seed": 5,
+    }
+    path = write(tmp_path, "split", sc)
+    main(["check", "--scenario", str(path), "--out", str(tmp_path)])
+    verdicts = {v["check"]: v for v in
+                json.loads((tmp_path / "split_check.json").read_text())["verdicts"]}
+    steps_gamma = tier in ("gamma_geodesic", "full", "modified_first_order")
+    assert ("charge_drift" in verdicts) == steps_gamma
+    assert (verdicts["theta1_drift"]["tol"] is not None) == (not steps_gamma and kappa == 0.0)
 
 
 class TestReduce:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermiton import dynamics
+from hermiton import dynamics, oracles
 from hermiton.dynamics import (
     el_residual,
     rhs_direct_nonlinear_raw,
@@ -13,10 +13,18 @@ from hermiton.dynamics import (
 )
 from hermiton.errors import DegenerateKinetic, SingularForm, ZeroAlpha2, ZeroBeta
 from hermiton.hermitian_algebra import hermitian_part, invert_form, matrix_exp
-from hermiton.models import FullState, ModelParams, PotentialSpec, resolve_chi, theta1
+from hermiton.models import (
+    FullState,
+    ModelParams,
+    PotentialSpec,
+    energy,
+    omega_inverse,
+    resolve_chi,
+    theta1,
+)
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
-from conftest import rand_herm, rand_pd, rand_vec
+from conftest import rand_herm, rand_pd, rand_vec, scale_couplings
 
 
 def full_params(**overrides):
@@ -522,3 +530,73 @@ class TestFactorizations:
         ginv = invert_form(gamma)
         dynamics._apply_omega_dot(psi, psid, ginv, gamma_dot, params, x)
         assert counts == {"inv": 1, "det": 0, "solve": 0}
+
+
+SCALES = [pytest.param(2.0 ** e, id=f"s=2^{e}") for e in (-300, -40, 40, 300)]
+
+
+def count_numeric_inverse(monkeypatch) -> list:
+    calls = []
+    real = oracles.omega_inverse_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "omega_inverse_numeric", counted)
+    return calls
+
+
+class TestCouplingScaling:
+    """L and s L share their equations of motion: for a power of two s the
+    accelerations keep their bits and the energy scales by exactly s."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("s", SCALES)
+    def test_bitwise_invariant(self, rng, monkeypatch, n, s):
+        numeric = count_numeric_inverse(monkeypatch)
+        params = full_params()
+        state = FullState(psi=rand_vec(rng, n, 0.5), psi_dot=rand_vec(rng, n, 0.3),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.2))
+        chi = rand_herm(rng, n)
+        mfo = params.with_(alpha2=0.0)
+        g, gd = state.gamma, state.gamma_dot
+        for got, ref in [
+            (rhs_full(state, scale_couplings(params, s), chi), rhs_full(state, params, chi)),
+            (rhs_modified_first_order(state.psi, g, gd, scale_couplings(mfo, s), chi),
+             rhs_modified_first_order(state.psi, g, gd, mfo, chi)),
+            ((rhs_gamma_geodesic(g, gd, s * params.big_a, s * params.big_b),),
+             (rhs_gamma_geodesic(g, gd, params.big_a, params.big_b),)),
+        ]:
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+        assert energy(state, scale_couplings(params, s), chi) == s * energy(state, params, chi)
+        assert numeric == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("a6, a7_of, degenerate", [
+    pytest.param(0.0, lambda n: 1.0, True, id="alpha6=0"),
+    pytest.param(1.3, lambda n: -1.3 / n, True, id="cancel"),
+    pytest.param(1.3, lambda n: -1.3 * (1.0 - 1e-13) / n, True, id="cancel-1e-13"),
+    pytest.param(-0.7, lambda n: 0.7 * (1.0 + 1e-13) / n, True, id="negative-cancel-1e-13"),
+    pytest.param(1.3, lambda n: -1.3 * (1.0 - 1e-11) / n, False, id="cancel-1e-11"),
+    pytest.param(1.3, lambda n: 0.4, False, id="generic"),
+])
+def test_ladder_and_geodesic_refuse_the_same_couplings(rng, n, a6, a7_of, degenerate):
+    # with alpha8 = alpha9 = 0 the ladder's denominators are those of the
+    # geodesic tier at A = 2 alpha6, B = 2 alpha7
+    params = ModelParams(alpha6=a6, alpha7=a7_of(n))
+    g, gd = rand_pd(rng, n), rand_herm(rng, n)
+
+    def refused(call) -> bool:
+        try:
+            call()
+        except DegenerateKinetic:
+            return True
+        return False
+
+    assert refused(lambda: omega_inverse(rand_vec(rng, n), g, params,
+                                         fallback=False)) is degenerate
+    assert refused(lambda: rhs_gamma_geodesic(g, gd, params.big_a,
+                                              params.big_b)) is degenerate

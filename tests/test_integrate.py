@@ -10,7 +10,7 @@ from hermiton.integrate import IntegratorConfig, Trajectory, convergence_order, 
 from hermiton.models import FullState, ModelParams
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
-from conftest import rand_herm, rand_pd, rand_vec
+from conftest import rand_herm, rand_pd, rand_vec, scale_couplings
 
 
 def schrodinger_setup(rng, n=2):
@@ -319,6 +319,21 @@ def test_implicit_midpoint_non_convergence_is_step_failure():
                                                  1.0, max_iter=3)
 
 
+def test_stage_failure_names_tier_and_last_good_time_once(rng, monkeypatch):
+    # a StepFailure raised inside the step is wrapped with the tier prefix,
+    # and its "(last good t = ...)" suffix is not repeated
+    params, _, chi, _, state = schrodinger_setup(rng)
+    stage = integrate_module._implicit_midpoint_step
+    monkeypatch.setattr(integrate_module, "_implicit_midpoint_step",
+                        lambda *args: stage(*args, max_iter=1))
+    cfg = IntegratorConfig(dt=0.1, t_end=1.0, method="implicit_midpoint")
+    with pytest.raises(StepFailure, match=r"^\[schrodinger\] step failed: implicit midpoint "
+                                          r"stage iteration did not converge") as err:
+        integrate(state, "schrodinger", cfg, params, chi)
+    assert str(err.value).count("(last good t = ") == 1
+    assert str(err.value).endswith("(last good t = 0)")
+
+
 class TestConvergenceOrder:
     def test_rk4_is_fourth_order(self, rng):
         params, gamma, chi, psi0, state = schrodinger_setup(rng, n=3)
@@ -390,6 +405,28 @@ def test_gamma_tiers_step_at_n32(rng, tier, params):
                      rand_herm(rng, n))
     assert np.allclose(traj.times, [0.0, 1e-3, 2e-3, 3e-3], rtol=0, atol=1e-15)
     assert np.all(np.isfinite(traj.final_state.gamma))
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45_adaptive", "implicit_midpoint"])
+@pytest.mark.parametrize("structural", [False, True])
+def test_full_tier_invariant_under_coupling_scaling(rng, method, structural):
+    # s L has the equations of motion of L: at s = 2**-40 every recorded
+    # state keeps its bits and every energy is exactly s times
+    n, s = 3, 2.0 ** -40
+    params = ModelParams(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
+                         alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
+    state = FullState(psi=rand_vec(rng, n, 0.5), psi_dot=rand_vec(rng, n, 0.3),
+                      gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.2))
+    chi = rand_herm(rng, n)
+    cfg = IntegratorConfig(dt=2e-2, t_end=0.2, method=method, sample_stride=2,
+                           resymmetrize_gamma=structural)
+    ref = integrate(state, "full", cfg, params, chi)
+    got = integrate(state, "full", cfg, scale_couplings(params, s), chi)
+    assert np.array_equal(got.times, ref.times)
+    for a, b in zip(got.states, ref.states):
+        for block in ("psi", "psi_dot", "gamma", "gamma_dot"):
+            assert np.array_equal(getattr(a, block), getattr(b, block))
+    assert np.array_equal(got.series("energy"), s * ref.series("energy"))
 
 
 def test_second_order_tier_with_gamma_tilde(rng):
