@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _apply_omega_dot, _p_dot, rhs_full, rhs_second_order
+from .dynamics import _apply_omega_dot, _full_accelerations_raw, _p_dot, rhs_second_order
 from .errors import NotPositiveDefinite, ZeroAlpha2
 from .hermitian_algebra import (
     _checked_inverse,
@@ -82,7 +82,8 @@ class PhasePoint:
         psi = complex_vector(self.psi)
         pi = complex_vector(self.pi)
         gamma = hermitian_form(self.gamma)
-        if psi.size != pi.size or gamma.shape != (psi.size, psi.size):
+        n = psi.size
+        if psi.shape != (n,) or pi.shape != (n,) or gamma.shape != (n, n):
             raise ValueError("inconsistent dimensions in PhasePoint")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "pi", pi)
@@ -318,14 +319,17 @@ def legendre_regular(state: FullState, params: ModelParams) -> PhasePoint:
                       pi_gamma=hermitian_part(pi_gamma), t=state.t)
 
 
-def legendre_inverse(p: PhasePoint, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def legendre_inverse(p: PhasePoint, params: ModelParams,
+                     ginv=None) -> tuple[np.ndarray, np.ndarray]:
     """Velocities (psid, gamma_dot) from a phase point; exact inverse of
-    :func:`legendre_regular`."""
+    :func:`legendre_regular`.  ``ginv``, when given, is
+    ``invert_form(p.gamma)`` computed by the caller."""
     if params.alpha2 == 0.0:
         raise ZeroAlpha2("the psi-sector Legendre map is singular for alpha2 == 0")
     if p.pi_gamma is None:
         raise ValueError("phase point has no gamma-sector momentum")
-    ginv = invert_form(p.gamma)
+    if ginv is None:
+        ginv = invert_form(p.gamma)
     psid = (ginv @ np.conj(p.pi)) / params.alpha2 \
         + (1j * params.alpha1 / params.alpha2) * p.psi
     y = p.pi_gamma - params.alpha3 * p_tensor(p.psi, p.gamma, params.alpha9, ginv)
@@ -454,21 +458,24 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
 
     Velocities come from the inverse Legendre map, accelerations from the
     explicit equations of motion, and the momentum rates from
-    differentiating the forward map in time.
+    differentiating the forward map in time.  With a dynamical gamma every
+    step shares one raw inverse of gamma and its Hermitian part.
     """
     chi_m = resolve_chi(chi, p.t)
     psi, g = p.psi, p.gamma
     if p.pi_gamma is not None:
-        psid, gd = legendre_inverse(p, params)
-        state = FullState(psi=psi, psi_dot=psid, gamma=g, gamma_dot=gd, t=p.t)
-        psi_ddot, gamma_ddot = rhs_full(state, params, chi_m)
+        raw_inv = _checked_inverse(g)
+        ginv = hermitian_part(raw_inv)
+        psid, gd = legendre_inverse(p, params, ginv)
+        psi_ddot, gamma_ddot = _full_accelerations_raw(psi, psid, g, gd, params, chi_m, p.t,
+                                                       ginv=raw_inv)
+        gamma_ddot = hermitian_part(gamma_ddot)
         pi_dot = params.alpha2 * (np.conj(psi_ddot) @ g + np.conj(psid) @ gd) \
             + 1j * params.alpha1 * (np.conj(psid) @ g + np.conj(psi) @ gd)
-        ginv = invert_form(g)
         pdot = _p_dot(psi, psid, ginv, gd, params.alpha9)
         pi_gamma_dot = params.alpha3 * pdot \
             + 2.0 * _apply_omega_dot(psi, psid, ginv, gd, params, gd) \
-            + 2.0 * apply_omega(psi, g, params, gamma_ddot)
+            + 2.0 * apply_omega(psi, g, params, gamma_ddot, ginv)
         return CanonicalFlow(psi_dot=psid, pi_dot=pi_dot, gamma_dot=gd,
                              pi_gamma_dot=pi_gamma_dot)
 

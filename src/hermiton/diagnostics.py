@@ -11,6 +11,7 @@ Hermitian tensors V and W assembled below from the canonical momenta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +34,9 @@ GENERATOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ChargeReport:
-    """Per-sample conserved-quantity snapshot."""
+    """Per-sample conserved-quantity snapshot.  ``vw_defect`` is the larger
+    hermiticity drift of V and W; :func:`monitor` passes it from one stacked
+    call per tensor, and it is computed here when it is not given."""
 
     t: float
     V: np.ndarray
@@ -42,6 +45,12 @@ class ChargeReport:
     energy: float
     theta1: float
     hermiticity_drift: float
+    vw_defect: Optional[float] = None
+
+    def __post_init__(self):
+        if self.vw_defect is None:
+            object.__setattr__(self, "vw_defect", max(hermiticity_drift(self.V),
+                                                      hermiticity_drift(self.W)))
 
 
 def _noether_stack(states, params: ModelParams,
@@ -181,6 +190,7 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
         items.append((label, a, hermitian))
 
     v, w = _noether_stack(states, params, invert_form(gamma0))
+    vw_defect = np.maximum(hermiticity_drift(v), hermiticity_drift(w)).tolist()
     labels = [label for label, _, _ in items]
     # one generator at a time: an (S, G, n, n) product would cost memory
     charges = np.array([_charges(v, w, a, hermitian) for _, a, hermitian in items])
@@ -189,9 +199,9 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
         t=state.t, V=v_k, W=w_k, charges=list(zip(labels, values)),
         energy=diag["energy"] if "energy" in diag else energy(state, params, chi),
         theta1=diag["theta1"] if "theta1" in diag else theta1(state.psi, state.gamma),
-        hermiticity_drift=diag.get("herm_drift", 0.0))
-        for state, diag, v_k, w_k, values
-        in zip(states, trajectory.diagnostics, v, w, per_sample)]
+        hermiticity_drift=diag.get("herm_drift", 0.0), vw_defect=defect)
+        for state, diag, v_k, w_k, values, defect
+        in zip(states, trajectory.diagnostics, v, w, per_sample, vw_defect)]
 
 
 def drift_summary(reports: list[ChargeReport]) -> dict:
@@ -209,10 +219,8 @@ def drift_summary(reports: list[ChargeReport]) -> dict:
         "energy": rel_drift([r.energy for r in reports]),
         "theta1": rel_drift([r.theta1 for r in reports]),
         "max_herm_drift": float(max(r.hermiticity_drift for r in reports)),
-        # one stacked call per tensor; a zero tensor has defect 0.0
-        "max_vw_defect": float(max(
-            np.max(hermiticity_drift(np.stack([r.V for r in reports]))),
-            np.max(hermiticity_drift(np.stack([r.W for r in reports]))))),
+        # a zero tensor has defect 0.0
+        "max_vw_defect": float(np.max([r.vw_defect for r in reports])),
         "charges": {},
     }
     if reports and reports[0].charges:

@@ -252,10 +252,13 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
 
 
 def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
-                            chi, t: float):
+                            chi, t: float, ginv=None):
+    """(psi_ddot, gamma_ddot) of the full model on raw arrays; ``ginv``,
+    when given, is ``_checked_inverse(gamma)`` computed by the caller."""
     if params.alpha2 == 0.0:
         raise ZeroAlpha2("alpha2 == 0: use rhs_modified_first_order")
-    ginv = _checked_inverse(np.asarray(gamma, dtype=complex))
+    if ginv is None:
+        ginv = _checked_inverse(np.asarray(gamma, dtype=complex))
     s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
     rest_psi, rest_gamma = s.residuals(psid, chi, t)
     psi_ddot = (ginv @ rest_psi) / -params.alpha2

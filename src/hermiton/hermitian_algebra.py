@@ -108,12 +108,15 @@ def hermiticity_drift(f):
 
 
 def complex_vector(entries) -> np.ndarray:
-    """Validate a state vector: 1-D, n >= 1, finite entries."""
+    """Validate a state vector: n >= 1 finite entries.
+
+    A stack of vectors (..., n) is validated member by member; a member with
+    a non-finite entry is named by its index in the flattened stack.
+    """
     v = np.asarray(entries, dtype=complex)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector of length >= 1, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite("state vector has non-finite entries")
+    if v.ndim < 1 or v.shape[-1] < 1:
+        raise ValueError(f"expected a vector of length >= 1, got shape {v.shape}")
+    _require_finite(v, 1, "state vector")
     return v
 
 
@@ -125,16 +128,18 @@ def hermitian_form(entries, require_invertible: bool = True) -> np.ndarray:
     :func:`invert_form` (SingularForm otherwise).  The returned matrix is the
     Hermitian part of the input, so integrator round-off cannot silently
     break the type invariant while the drift stays measurable beforehand.
+    A stack of forms (..., n, n) is validated member by member, each with
+    the verdict of the 2-D call, and a refused member is named.
     """
-    f = _as_complex_matrix(entries)
-    if not np.all(np.isfinite(f)):
-        raise NonFinite("form has non-finite entries")
-    herm_tol = HERM_TOL_FACTOR * max(float(np.linalg.norm(f)), 1e-300)
-    if np.linalg.norm(f - f.conj().T) > herm_tol:
-        raise NotHermitian(
-            f"form deviates from hermiticity by {np.linalg.norm(f - f.conj().T):.3e}"
-            f" (tolerance {herm_tol:.3e})"
-        )
+    f = _as_complex_stack(entries)
+    _require_finite(f, 2, "form")
+    defect = _frobenius(f - _dagger(f))
+    herm_tol = HERM_TOL_FACTOR * np.maximum(_frobenius(f), 1e-300)
+    refused = defect > herm_tol
+    if np.any(refused):
+        k = int(np.argmax(refused))
+        raise NotHermitian(f"{_member(f, k)}form deviates from hermiticity by "
+                           f"{np.ravel(defect)[k]:.3e} (tolerance {np.ravel(herm_tol)[k]:.3e})")
     f = hermitian_part(f)
     if require_invertible:
         _checked_inverse(f)
@@ -183,9 +188,23 @@ def _checked_inverse(f: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _member(f: np.ndarray, k: int) -> str:
-    """'form k of S: ' for a stack of S forms, '' for one matrix."""
-    return "" if f.ndim == 2 else f"form {k} of {f.size // f.shape[-1] ** 2}: "
+def _member(f: np.ndarray, k: int, core: int = 2) -> str:
+    """'form k of S: ' for a stack of S forms, '' for one matrix; with
+    ``core`` = 1, 'vector k of S: ' for a stack of vectors."""
+    if f.ndim == core:
+        return ""
+    return f"{'form' if core == 2 else 'vector'} {k} of {f.size // f.shape[-1] ** core}: "
+
+
+def _require_finite(x: np.ndarray, core: int, what: str) -> None:
+    """NonFinite unless every entry of x is finite; in a stack whose members
+    have ``core`` trailing axes the first refused member is named."""
+    finite = np.isfinite(x)
+    if finite.all():
+        return
+    member_ok = finite.reshape(*x.shape[:x.ndim - core], -1).all(axis=-1)
+    k = int(np.argmin(member_ok))
+    raise NonFinite(f"{_member(x, k, core)}{what} has non-finite entries")
 
 
 def raise_first_index(gamma, chi) -> np.ndarray:
@@ -334,14 +353,15 @@ def hermitian_to_real(x) -> np.ndarray:
 
 
 def real_to_hermitian(coords, n: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_real`."""
+    """Inverse of :func:`hermitian_to_real`; coordinates (..., n^2) with
+    leading stack axes give the stack of matrices (..., n, n)."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (n * n,):
+    if coords.shape[-1:] != (n * n,):
         raise ValueError(f"expected {n * n} coordinates, got shape {coords.shape}")
-    re = coords[n::2] * _INV_SQRT2
-    i_im = 1j * (-coords[n + 1::2] * _INV_SQRT2)
-    entries = np.concatenate((coords[:n], re + i_im, re - i_im))
-    return entries[_codec_tables(n)[2]].reshape(n, n)
+    re = coords[..., n::2] * _INV_SQRT2
+    i_im = 1j * (-coords[..., n + 1::2] * _INV_SQRT2)
+    entries = np.concatenate((coords[..., :n], re + i_im, re - i_im), axis=-1)
+    return entries.take(_codec_tables(n)[2], axis=-1).reshape(*coords.shape[:-1], n, n)
 
 
 def tensor4_pair_defect(omega) -> float:

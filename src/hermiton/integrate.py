@@ -4,9 +4,21 @@ Every tier steps a subset of the same blocks psi, psi_dot, gamma and
 gamma_dot (psi and pi for ``canonical_frozen``), listed in
 ``STEPPED_BLOCKS`` in storage order.  The stepped blocks are flattened into
 one real vector; the others stay frozen (gamma at its initial value, the
-rest at zero).  One ``deriv`` unpacks the vector, evaluates the tier's
-right-hand side through ``_rates`` and packs the rates back; one ``record``
-builds the sampled state and its diagnostics.
+rest at zero).  One ``deriv`` unpacks the vector with one gather, evaluates
+the tier's right-hand side through ``_rates`` and packs the rates back with
+one scatter.
+
+Recording is stacked.  ``record`` only buffers a sample's (t, y).  When the
+run ends, the same index tables unpack the (S, N) stack of samples, and one
+set of stacked calls runs the FullState checks on every sample (finite
+entries, hermiticity, one stacked checked inverse of gamma) and computes
+energy from that inverse, theta1 and the hermiticity drift.  Each sample's
+state and diagnostics have the bits of the one-state calls.  A sample that
+needs the rates f(t, y) takes them from the stepper's evaluation at the
+same (t, y) when there is one: the next RK4 step's first stage, or the
+accepted Dormand-Prince step's last stage.  An invalid sample raises its
+own error, naming it, ahead of any later step failure.  ``canonical_frozen``
+records its PhasePoints one at a time.
 
 Vector blocks are stored as real parts followed by imaginary parts.  The
 gamma blocks have two layouts:
@@ -42,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +73,7 @@ from .hermitian_algebra import (
     hermiticity_drift,
     real_to_hermitian,
 )
-from .models import FullState, ModelParams, energy, resolve_chi, theta1
+from .models import FullState, ModelParams, _validated_blocks, energy, resolve_chi, theta1
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate", "convergence_order"]
 
@@ -132,40 +144,75 @@ def _c2r(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
 
-def _codec(block: str, n: int, start: int, structural: bool):
-    """(stop, pack, unpack) of one block stored at ``y[start:stop]`` of the
-    flat real state vector ``y``.
+class _Codec:
+    """Index tables of the flat real state vector y of one tier.
 
-    ``pack`` returns the block's real parts in storage order and ``unpack``
-    reads the block back from ``y``.  Vectors, and matrices in the complex
-    layout, are stored as real parts followed by imaginary parts; in the
-    structural layout a Hermitian matrix is stored as ``hermitian_to_real``
-    coordinates.
+    Vector blocks, and matrix blocks in the complex layout, are stored as
+    real parts followed by imaginary parts; in the structural layout a
+    Hermitian matrix is stored as ``hermitian_to_real`` coordinates.  The
+    same tables read one vector in ``deriv`` and the stack of recorded
+    vectors (S, N) when a run is recorded.
     """
-    matrix = block in ("gamma", "gamma_dot")
-    if matrix and structural:
-        coords = slice(start, start + n * n)
-        return (coords.stop, lambda m: (hermitian_to_real(hermitian_part(m)),),
-                lambda y: real_to_hermitian(y[coords], n))
-    shape = (n, n) if matrix else (n,)
-    size = n ** len(shape)
-    re, im = slice(start, start + size), slice(start + size, start + 2 * size)
-    return im.stop, lambda z: (z.real, z.imag), lambda y: (y[re] + 1j * y[im]).reshape(shape)
+
+    def __init__(self, stepped, n: int, structural: bool):
+        self.n = n
+        self.views = []          # (block, span in the gathered complex vector, shape)
+        self.hermitian = []      # (block, coordinates in y)
+        re, im = [], []
+        start = offset = 0
+        for block in stepped:
+            matrix = block in ("gamma", "gamma_dot")
+            if matrix and structural:
+                self.hermitian.append((block, slice(start, start + n * n)))
+                start += n * n
+                continue
+            shape = (n, n) if matrix else (n,)
+            size = n ** len(shape)
+            re += range(start, start + size)
+            im += range(start + size, start + 2 * size)
+            self.views.append((block, slice(offset, offset + size), shape))
+            start += 2 * size
+            offset += size
+        self.size = start
+        self.re, self.im = np.array(re, dtype=np.intp), np.array(im, dtype=np.intp)
+        self.re_im = np.column_stack([self.re, self.im]).ravel()
+
+    def unpack(self, y) -> dict:
+        """The stepped blocks stored in y (..., N), by name, with y's leading
+        axes: one gather of every complex block, then views of it."""
+        blocks = {}
+        if self.views:
+            z = y.take(self.re, axis=-1) + 1j * y.take(self.im, axis=-1)
+            for block, span, shape in self.views:
+                blocks[block] = z[..., span].reshape(*y.shape[:-1], *shape)
+        for block, coords in self.hermitian:
+            blocks[block] = real_to_hermitian(y[..., coords], self.n)
+        return blocks
+
+    def pack(self, blocks: dict) -> np.ndarray:
+        """A new vector y holding the stepped blocks given by name; the
+        complex blocks' real and imaginary parts reach their places in y with
+        one scatter."""
+        y = np.empty(self.size)
+        if self.views:
+            z = np.concatenate([blocks[block] for block, _, _ in self.views], axis=None,
+                               dtype=complex)
+            y[self.re_im] = z.view(float)
+        for block, coords in self.hermitian:
+            y[coords] = hermitian_to_real(hermitian_part(blocks[block]))
+        return y
 
 
-def _full_state(t, b) -> FullState:
-    return FullState(psi=b["psi"], psi_dot=b["psi_dot"], gamma=hermitian_part(b["gamma"]),
-                     gamma_dot=hermitian_part(b["gamma_dot"]), t=t)
-
-
-class _Stage(NamedTuple):
-    """The blocks ``rhs_second_order`` reads, unvalidated: a stage of the
-    frozen-gamma tier, whose gamma is the initial state's validated form."""
+class _Blocks(NamedTuple):
+    """A state's blocks by name, unvalidated: a stage of the frozen-gamma
+    tier, which ``rhs_second_order`` reads, or the recorded samples stacked
+    on a leading axis, which ``energy`` reads."""
 
     psi: np.ndarray
     psi_dot: np.ndarray
     gamma: np.ndarray
-    t: float
+    gamma_dot: np.ndarray
+    t: object
 
 
 def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
@@ -176,7 +223,7 @@ def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
         return {"psi": rhs_direct_nonlinear_raw(b["psi"], b["gamma"], params,
                                                 resolve_chi(chi, t), t)}
     if tier == "second_order":
-        acc = rhs_second_order(_Stage(b["psi"], b["psi_dot"], b["gamma"], t),
+        acc = rhs_second_order(_Blocks(b["psi"], b["psi_dot"], b["gamma"], b["gamma_dot"], t),
                                resolve_chi(chi, t), params, gamma_tilde)
         return {"psi": b["psi_dot"], "psi_dot": acc}
     if tier == "gamma_geodesic":
@@ -197,73 +244,164 @@ def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
     return {"psi": psid, "pi": pid}
 
 
-@dataclass
-class _System:
-    """Flattened-vector view of one model tier."""
+def _sample_error(tier: str, k: int, t: float, exc: Exception) -> Exception:
+    """``exc``, raised while recording sample k at time t, as an error of the
+    same class whose message names the sample."""
+    try:
+        return type(exc)(f"[{tier}] sample {k} at t = {t:.6g}: {exc}")
+    except TypeError:            # a class that takes other arguments
+        return exc
 
-    y0: np.ndarray
-    deriv: Callable[[float, np.ndarray], np.ndarray]
-    record: Callable[[float, np.ndarray], tuple]
-    t0: float
+
+class _System:
+    """Flattened-vector view of one model tier, and the recorder of its
+    samples.
+
+    ``record`` only buffers a sample's (t, y).  ``finish`` turns the buffer
+    into (times, states, diagnostics) with one set of stacked calls and
+    empties it.  A sample that needs the rates f(t, y) (psi_dot of a
+    first-order tier, the pre-projection drift of a structural gamma) takes
+    them from a ``deriv`` call at bitwise the same (t, y) when the stepper
+    makes one (the next RK4 step's first stage, an accepted Dormand-Prince
+    step's last stage); ``finish`` evaluates the others.
+    """
+
+    def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
+                 chi, gamma_tilde):
+        n = initial.n
+        self.tier, self.params, self.chi, self.gamma_tilde = tier, params, chi, gamma_tilde
+        self.stepped = stepped = STEPPED_BLOCKS[tier]
+        self.codec = _Codec(stepped, n, cfg.resymmetrize_gamma)
+        zero_v = np.zeros(n, dtype=complex)
+        zero_v.setflags(write=False)         # shared by every recorded state
+        self.frozen = {"psi": zero_v, "psi_dot": zero_v, "gamma": initial.gamma,
+                       "gamma_dot": np.zeros((n, n), dtype=complex)}
+        self.ginv = np.linalg.inv(initial.gamma) if tier == "canonical_frozen" else None
+        self.first_order = "psi" in stepped and "psi_dot" not in stepped
+        self.structural = cfg.resymmetrize_gamma
+        self.needs_rates = tier != "canonical_frozen" and (
+            self.first_order or ("gamma" in stepped and self.structural))
+        self.stage = dict(self.frozen)       # the blocks deriv hands to _rates
+        self.latest = (None, None, None)     # (t, y, rates) of the latest deriv call
+        self.times, self.ys, self.rates = [], [], []
+        self.t0 = initial.t
+        self.y0 = self.codec.pack({block: getattr(initial, block) for block in stepped})
+
+    def blocks(self, y) -> dict:
+        """Every block of y (..., N) by name, the frozen ones broadcast to
+        y's leading axes."""
+        lead = y.shape[:-1]
+        b = {name: np.broadcast_to(block, (*lead, *block.shape))
+             for name, block in self.frozen.items()}
+        b.update(self.codec.unpack(y))
+        return b
+
+    def deriv(self, t, y):
+        self.stage.update(self.codec.unpack(y))
+        rates = _rates(self.tier, t, self.stage, self.params, self.chi, self.gamma_tilde,
+                       self.ginv)
+        if self.needs_rates:
+            self.latest = (t, y, rates)
+            self._take_rates(t, y, rates)
+        return self.codec.pack(rates)
+
+    def record(self, t, y):
+        self.times.append(t)
+        self.ys.append(y)
+        if self.needs_rates:
+            self.rates.append(None)
+            self._take_rates(*self.latest)
+
+    def _take_rates(self, t, y, rates):
+        # the waiting sample takes rates evaluated at bitwise its (t, y)
+        if (self.rates and self.rates[-1] is None and t == self.times[-1]
+                and (y is self.ys[-1] or np.array_equal(y, self.ys[-1]))):
+            self.rates[-1] = rates
+
+    def finish(self) -> tuple:
+        """(times, states, diagnostics) of the buffered samples.  An error
+        names its sample, and comes after the samples before it are
+        recorded, as if each had been recorded when it was taken."""
+        times, ys, rates = self.times, self.ys, self.rates
+        self.times, self.ys, self.rates = [], [], []
+        failure = None
+        for k in range(len(times) if self.needs_rates else 0):
+            if rates[k] is None:
+                try:
+                    rates[k] = _rates(self.tier, times[k], self.blocks(ys[k]), self.params,
+                                      self.chi, self.gamma_tilde, self.ginv)
+                except Exception as exc:
+                    failure = _sample_error(self.tier, k, times[k], exc)
+                    times, ys = times[:k], ys[:k]
+                    break
+        if not times:
+            states, diags = [], []
+        elif self.tier == "canonical_frozen":
+            states, diags = self._phase_points(times, ys)
+        else:
+            states, diags = self._states(times, np.array(ys), rates)
+        if failure is not None:
+            raise failure
+        return times, states, diags
+
+    def _states(self, times, y, rates) -> tuple:
+        """Validated FullStates and diagnostics of the samples y (S, N)."""
+        b = self.blocks(y)
+        count = len(times)
+        if self.first_order:
+            b["psi_dot"] = np.array([r["psi"] for r in rates[:count]])
+        if "gamma" not in self.stepped:
+            drift = [0.0] * count
+        elif self.structural:
+            drift = hermiticity_drift(np.array([r["gamma_dot"] for r in rates[:count]]))
+        else:
+            drift = hermiticity_drift(b["gamma"])
+        gamma, gamma_dot = hermitian_part(b["gamma"]), hermitian_part(b["gamma_dot"])
+        try:
+            psi, psi_dot, gamma, gamma_dot, inv = _validated_blocks(b["psi"], b["psi_dot"],
+                                                                    gamma, gamma_dot)
+            energies = energy(_Blocks(psi, psi_dot, gamma, gamma_dot, np.array(times)),
+                              self.params, self.chi, ginv=hermitian_part(inv))
+        except (HermitonError, ValueError):
+            # the first sample that fails, with the error its own state gives
+            for k, t in enumerate(times):
+                try:
+                    energy(FullState(psi=b["psi"][k], psi_dot=b["psi_dot"][k],
+                                     gamma=gamma[k], gamma_dot=gamma_dot[k], t=t),
+                           self.params, self.chi)
+                except (HermitonError, ValueError) as exc:
+                    raise _sample_error(self.tier, k, t, exc) from exc
+            raise
+        # theta1 stays the literal 0.0 without psi: theta1(0, gamma) may be -0.0
+        theta = theta1(b["psi"], gamma) if "psi" in self.stepped else [0.0] * count
+        states = [FullState._from_validated(*blocks, t) for *blocks, t
+                  in zip(psi, psi_dot, gamma, gamma_dot, times)]
+        diags = [{"t": t, "energy": e, "theta1": th, "herm_drift": d} for t, e, th, d
+                 in zip(times, np.asarray(energies).tolist(), np.asarray(theta).tolist(),
+                        np.asarray(drift).tolist())]
+        return states, diags
+
+    def _phase_points(self, times, ys) -> tuple:
+        """PhasePoints and diagnostics of the canonical tier, one sample at a
+        time."""
+        states, diags = [], []
+        for k, (t, y) in enumerate(zip(times, ys)):
+            b = self.blocks(y)
+            try:
+                point = PhasePoint(psi=b["psi"], pi=b["pi"], gamma=b["gamma"], t=t)
+                diags.append({"t": t, "energy": hamiltonian(point, self.params, self.chi),
+                              "theta1": theta1(b["psi"], b["gamma"]), "herm_drift": 0.0})
+            except (HermitonError, ValueError) as exc:
+                raise _sample_error(self.tier, k, t, exc) from exc
+            states.append(point)
+        return states, diags
 
 
 def _build_system(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
                   chi, gamma_tilde=None) -> _System:
     if tier not in MODEL_TIERS:
         raise ValueError(f"unknown model tier {tier!r}; choose from {MODEL_TIERS}")
-    n = initial.n
-    stepped = STEPPED_BLOCKS[tier]
-    structural = cfg.resymmetrize_gamma
-    layout, start = [], 0
-    for block in stepped:
-        start, pack, unpack = _codec(block, n, start, structural)
-        layout.append((block, pack, unpack))
-    zero_v = np.zeros(n, dtype=complex)
-    zero_v.setflags(write=False)         # shared by every recorded state
-    frozen = {"psi": zero_v, "psi_dot": zero_v, "gamma": initial.gamma,
-              "gamma_dot": np.zeros((n, n), dtype=complex)}
-    ginv = np.linalg.inv(initial.gamma) if tier == "canonical_frozen" else None
-    first_order = "psi" in stepped and "psi_dot" not in stepped
-    steps_gamma = "gamma" in stepped
-
-    def blocks(y) -> dict:
-        b = dict(frozen)
-        for block, _, unpack in layout:
-            b[block] = unpack(y)
-        return b
-
-    def deriv(t, y):
-        rates = _rates(tier, t, blocks(y), params, chi, gamma_tilde, ginv)
-        return np.concatenate([part for block, pack, _ in layout
-                               for part in pack(rates[block])], axis=None)
-
-    def record(t, y):
-        b = blocks(y)
-        if tier == "canonical_frozen":
-            point = PhasePoint(psi=b["psi"], pi=b["pi"], gamma=b["gamma"], t=t)
-            return point, {"t": t, "energy": hamiltonian(point, params, chi),
-                           "theta1": theta1(b["psi"], b["gamma"]), "herm_drift": 0.0}
-        rates = None
-        if first_order or (steps_gamma and structural):
-            rates = _rates(tier, t, b, params, chi, gamma_tilde, ginv)
-        if first_order:
-            b["psi_dot"] = rates["psi"]
-        if not steps_gamma:
-            drift = 0.0
-        elif structural:
-            drift = hermiticity_drift(rates["gamma_dot"])
-        else:
-            drift = hermiticity_drift(b["gamma"])
-        state = _full_state(t, b)
-        # theta1 stays the literal 0.0 without psi: theta1(0, gamma) may be -0.0
-        theta = theta1(b["psi"], state.gamma) if "psi" in stepped else 0.0
-        diag = {"t": t, "energy": energy(state, params, chi), "theta1": theta,
-                "herm_drift": drift}
-        return state, diag
-
-    y0 = np.concatenate([part for block, pack, _ in layout
-                         for part in pack(getattr(initial, block))], axis=None)
-    return _System(y0=y0, deriv=deriv, record=record, t0=initial.t)
+    return _System(initial, tier, cfg, params, chi, gamma_tilde)
 
 
 def _rk4_step(f, t, y, dt):
@@ -376,24 +514,27 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
     ``initial`` is a FullState (or a PhasePoint for the canonical tier);
     ``chi`` may be a Hermitian matrix or a callable t -> matrix.  Errors
     raised by the right-hand side mid-run surface as StepFailure with the
-    last good time attached.
+    last good time attached; an invalid sample raises its own error first.
     """
     if chi is None:
         n = initial.n
         chi = np.zeros((n, n), dtype=complex)
     system = _build_system(initial, tier, cfg, params, chi, gamma_tilde)
+    try:
+        _advance(system, tier, cfg)
+    except Exception:
+        system.finish()          # the samples taken before the failure come first
+        raise
+    times, states, diags = system.finish()
+    return Trajectory(times=np.array(times), states=states, diagnostics=diags)
 
-    times, states, diags = [], [], []
 
-    def sample(t, y):
-        state, diag = system.record(t, y)
-        times.append(t)
-        states.append(state)
-        diags.append(diag)
-
+def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
+    """Step from t0 to t_end with ``cfg.method``, recording the initial
+    sample, every ``sample_stride``-th step and the last one."""
     t = system.t0
     y = system.y0.copy()
-    sample(t, y)
+    system.record(t, y)
 
     if cfg.method in ("rk4", "implicit_midpoint"):
         n_steps = int(round((cfg.t_end - system.t0) / cfg.dt))
@@ -412,8 +553,8 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
                 raise StepFailure(f"[{tier}] state became non-finite", last_good_t=t)
             t = system.t0 + (k + 1) * dt
             if (k + 1) % cfg.sample_stride == 0 or k == n_steps - 1:
-                sample(t, y)
-        return Trajectory(times=np.array(times), states=states, diagnostics=diags)
+                system.record(t, y)
+        return
 
     # adaptive Dormand-Prince with PI step limiting; k1 is f(t, y): the last
     # stage of an accepted step, the first stage again after a rejection
@@ -444,14 +585,13 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
             k1 = k_last
             accepted += 1
             if accepted % cfg.sample_stride == 0 or t >= cfg.t_end - 1e-14:
-                sample(t, y)
+                system.record(t, y)
             # PI controller (orders 5/4)
             fac = 0.9 * (err + 1e-16) ** (-0.7 / 5.0) * (err_prev + 1e-16) ** (0.4 / 5.0)
             err_prev = err
         else:
             fac = max(0.2, 0.9 * (err + 1e-16) ** (-1.0 / 5.0))
         dt *= min(5.0, max(0.2, fac))
-    return Trajectory(times=np.array(times), states=states, diagnostics=diags)
 
 
 def convergence_order(initial, tier: str, cfg: IntegratorConfig,

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DegenerateKinetic
 from .hermitian_algebra import (
     COND_TOL,
+    _checked_inverse,
     complex_vector,
     hermitian_form,
     invert_form,
@@ -193,11 +194,22 @@ def preset(name: str, n: int | None = None, hbar: float = 1.0, tau: float = 1.0)
     raise ValueError(f"unknown preset {name!r}")
 
 
-def resolve_chi(chi, t: float) -> np.ndarray:
-    """Evaluate a possibly time-dependent Hamiltonian form at time t."""
+def resolve_chi(chi, t) -> np.ndarray:
+    """Evaluate a possibly time-dependent Hamiltonian form at time t; at an
+    array of times a callable chi gives the stack of its values."""
     if callable(chi):
-        chi = chi(t)
+        return _at_times(chi, t)
     return np.asarray(chi, dtype=complex)
+
+
+def _at_times(fn, t) -> np.ndarray:
+    """fn(t) as a complex array; at an array of times, the stack of fn at
+    each of them, called with Python floats as for one time."""
+    if np.ndim(t) == 0:
+        return np.asarray(fn(t), dtype=complex)
+    t = np.asarray(t)
+    values = [np.asarray(fn(tk), dtype=complex) for tk in t.ravel().tolist()]
+    return np.array(values).reshape(*t.shape, *values[0].shape)
 
 
 @dataclass(frozen=True)
@@ -211,28 +223,104 @@ class FullState:
     t: float = 0.0
 
     def __post_init__(self):
-        psi = complex_vector(self.psi)
-        psi_dot = complex_vector(self.psi_dot)
-        gamma = hermitian_form(self.gamma)
-        gamma_dot = hermitian_form(self.gamma_dot, require_invertible=False)
-        n = psi.size
-        if psi_dot.size != n or gamma.shape != (n, n) or gamma_dot.shape != (n, n):
-            raise ValueError("inconsistent dimensions in FullState")
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "psi_dot", psi_dot)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "gamma_dot", gamma_dot)
+        if np.ndim(self.psi) != 1:
+            raise ValueError(f"psi must be a vector, got shape {np.shape(self.psi)}")
+        psi, psi_dot, gamma, gamma_dot, _ = _validated_blocks(
+            self.psi, self.psi_dot, self.gamma, self.gamma_dot)
+        self.__dict__.update(psi=psi, psi_dot=psi_dot, gamma=gamma, gamma_dot=gamma_dot)
+
+    @classmethod
+    def _from_validated(cls, psi, psi_dot, gamma, gamma_dot, t) -> "FullState":
+        """A state of blocks that :func:`_validated_blocks` returned, built
+        without checking them again."""
+        state = object.__new__(cls)
+        state.__dict__.update(psi=psi, psi_dot=psi_dot, gamma=gamma, gamma_dot=gamma_dot, t=t)
+        return state
 
     @property
     def n(self) -> int:
         return self.psi.size
 
 
-def theta1(psi, gamma) -> float:
-    """The basic invariant psi^ Gamma psi (real for Hermitian gamma)."""
+def _validated_blocks(psi, psi_dot, gamma, gamma_dot) -> tuple:
+    """The checks of a FullState, on blocks that may carry leading stack
+    axes (psi (..., n), gamma (..., n, n)): finite vectors, finite
+    Hermitian forms, an invertible gamma and consistent shapes.
+
+    Returns (psi, psi_dot, gamma, gamma_dot, raw inverse of gamma), the
+    forms as their Hermitian parts and the inverse from one stacked call.
+    """
+    psi = complex_vector(psi)
+    psi_dot = complex_vector(psi_dot)
+    gamma = hermitian_form(gamma, require_invertible=False)
+    ginv = _checked_inverse(gamma)
+    gamma_dot = hermitian_form(gamma_dot, require_invertible=False)
+    square = psi.shape + psi.shape[-1:]
+    if psi_dot.shape != psi.shape or gamma.shape != square or gamma_dot.shape != square:
+        raise ValueError("inconsistent dimensions in FullState")
+    return psi, psi_dot, gamma, gamma_dot, ginv
+
+
+def theta1(psi, gamma):
+    """The basic invariant psi^ Gamma psi (real for Hermitian gamma).
+
+    A float; psi (..., n) and gamma (..., n, n) with leading stack axes give
+    the array of each member's value, with the bits of the one-state call.
+    """
     psi = np.asarray(psi, dtype=complex)
-    val = np.conj(psi) @ np.asarray(gamma, dtype=complex) @ psi
-    return float(val.real)
+    val = _quad(np.conj(psi), np.asarray(gamma, dtype=complex), psi).real
+    return float(val) if val.ndim == 0 else val
+
+
+def _quad(x, m, y):
+    """x m y for vectors x, y (..., n) and matrices m (..., n, n), leading
+    axes broadcast: a row-vector product, then a dot product, so that each
+    member has the bits of ``x @ m @ y`` on one vector."""
+    if x.ndim == 1 and y.ndim == 1 and m.ndim == 2:
+        return x @ m @ y
+    return ((x[..., None, :] @ m) @ y[..., :, None])[..., 0, 0]
+
+
+def _scalar_mul(a, z) -> np.ndarray:
+    """a * z for complex scalars or arrays of them, by the formula of a
+    complex scalar product: (ar zr - ai zi) + i (ar zi + ai zr), each part
+    rounded after every operation.  An array multiply may fuse these into
+    multiply-adds, so this is what gives each stack member the bits of the
+    one-state scalar arithmetic; a real a counts as a + 0i, as it does there.
+    Two scalars are multiplied as numpy scalars, which use this formula.
+    """
+    if not (isinstance(a, np.ndarray) or isinstance(z, np.ndarray)):
+        return a * z
+    a = np.asarray(a, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, z.shape), dtype=complex)
+    out.real = a.real * z.real - a.imag * z.imag
+    out.imag = a.real * z.imag + a.imag * z.real
+    return out
+
+
+def _real_value(val, magnitude, tol: float, what: str):
+    """The real part of val, a sum of terms; ValueError when
+    |Im val| > tol * (the summed magnitudes of the terms).
+
+    The test is relative with no absolute floor: scaling every term by any
+    s != 0 keeps the verdict.  ``magnitude()`` bounds the summed magnitudes
+    from above, and so |val| from above too: it is called only for a value
+    with |Im val| > tol * |val|.  A float for one value, an array for a stack.
+    """
+    if isinstance(val, np.ndarray):
+        suspect = bool(np.any(np.abs(val.imag) > tol * np.abs(val)))
+    else:
+        val = complex(val)
+        suspect = abs(val.imag) > tol * abs(val)
+    if suspect:
+        scale = magnitude()
+        refused = abs(val.imag) > tol * scale
+        if np.any(refused):
+            k = int(np.argmax(refused))
+            raise ValueError(f"{what} acquired an imaginary part {np.ravel(val.imag)[k]:.3e} "
+                             f"(terms of magnitude {np.ravel(scale)[k]:.3e})")
+    return val.real
 
 
 def p_tensor(psi, gamma, alpha9: float, ginv=None) -> np.ndarray:
@@ -248,40 +336,86 @@ def p_tensor(psi, gamma, alpha9: float, ginv=None) -> np.ndarray:
     return ginv + alpha9 * (psi[..., :, None] * np.conj(psi)[..., None, :])
 
 
-def _forcing_term(params: ModelParams, psi: np.ndarray, t: float) -> float:
+def _forcing_term(params: ModelParams, psi: np.ndarray, t):
+    """2 Re(F(t) psi), per member for stacks psi (..., n) and times t (...)."""
     if params.forcing is None:
         return 0.0
-    f = np.asarray(params.forcing(t), dtype=complex)
-    return float(2.0 * np.real(f @ psi))
+    f = _at_times(params.forcing, t)
+    val = 2.0 * np.real((f[..., None, :] @ psi[..., :, None])[..., 0, 0])
+    return float(val) if val.ndim == 0 else val
+
+
+def _potential_value(spec: "PotentialSpec", x):
+    """f(x) at theta1 x, or at each member of an array of them.  The
+    quartic profile takes the array (the same float operations); another
+    profile is called once per member, with a Python float."""
+    if not isinstance(x, np.ndarray) or spec.kind in ("none", "quartic_pure"):
+        return spec.value(x)
+    return np.array([spec.value(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _gamma_kinetic(psi, g, gd, params: ModelParams, ginv=None):
+    """The gamma-sector kinetic pieces shared by the Lagrangian and the
+    energy, for one state or a stack: (P, Tr(P gd), [alpha6 Tr((P gd)^2),
+    alpha7 Tr(P gd)^2, alpha8 (psi^ gd psi)^2]).  ``ginv`` is
+    ``invert_form(g)`` when the caller has it."""
+    p = p_tensor(psi, g, params.alpha9, ginv)
+    pgd = p @ gd
+    tr = pgd.trace(axis1=-2, axis2=-1)
+    quad = _quad(np.conj(psi), gd, psi)
+    return p, tr, [_scalar_mul(params.alpha6, (pgd @ pgd).trace(axis1=-2, axis2=-1)),
+                   _scalar_mul(params.alpha7, _scalar_mul(tr, tr)),
+                   _scalar_mul(params.alpha8, _scalar_mul(quad, quad))]
+
+
+def _term_magnitude(params: ModelParams, psi, psid, g, gd, p, potential_form, potential,
+                    forcing, linear: bool):
+    """A bound on the summed magnitudes of the terms of the energy, or with
+    ``linear`` of the Lagrangian (which adds the velocity-linear alpha1 and
+    alpha3 terms): each product evaluated on entrywise absolute values.
+    ``p`` is P, or None when the gamma-sector kinetic terms are absent."""
+    apsi, apsid, ag = np.abs(psi), np.abs(psid), np.abs(g)
+    total = (abs(params.alpha2) * _quad(apsid, ag, apsid)
+             + _quad(apsi, np.abs(potential_form), apsi) + np.abs(potential) + np.abs(forcing))
+    if linear:
+        total = total + 2.0 * abs(params.alpha1) * _quad(apsi, ag, apsid)
+    if p is not None:
+        apgd = np.abs(p) @ np.abs(gd)
+        tr = apgd.trace(axis1=-2, axis2=-1)
+        total = total + (abs(params.alpha6) * (apgd @ apgd).trace(axis1=-2, axis2=-1)
+                         + abs(params.alpha7) * tr ** 2
+                         + abs(params.alpha8) * _quad(apsi, np.abs(gd), apsi) ** 2)
+        if linear:
+            total = total + abs(params.alpha3) * tr
+    return total
 
 
 def lagrangian_value(state: FullState, params: ModelParams, chi) -> float:
-    """Evaluate the total Lagrangian; enforces reality on the diagonal."""
+    """Evaluate the total Lagrangian; enforces reality on the diagonal: an
+    imaginary part beyond 1e-10 of the terms' magnitudes raises ValueError."""
     psi, psid = state.psi, state.psi_dot
     g, gd = state.gamma, state.gamma_dot
     chi = resolve_chi(chi, state.t)
     psibar = np.conj(psi)
     psidbar = np.conj(psid)
+    potential_form = params.alpha4 * g + params.alpha5 * chi
 
     val = params.alpha1 * 1j * (psibar @ g @ psid - psidbar @ g @ psi)
     val += params.alpha2 * (psidbar @ g @ psid)
-    val += psibar @ (params.alpha4 * g + params.alpha5 * chi) @ psi
-
+    val += psibar @ potential_form @ psi
+    p = None
     if any((params.alpha3, params.alpha6, params.alpha7, params.alpha8)):
-        p = p_tensor(psi, g, params.alpha9)
-        pgd = p @ gd
-        val += params.alpha3 * np.trace(pgd)
-        val += params.alpha6 * np.trace(pgd @ pgd)
-        val += params.alpha7 * np.trace(pgd) ** 2
-        val += params.alpha8 * (psibar @ gd @ psi) ** 2
-
-    val -= params.effective_potential.value(theta1(psi, g))
-    val += _forcing_term(params, psi, state.t)
-
-    val = complex(val)
-    if abs(val.imag) > 1e-10 * max(abs(val), 1.0):
-        raise ValueError(f"Lagrangian acquired an imaginary part {val.imag:.3e}")
-    return val.real
+        p, tr, terms = _gamma_kinetic(psi, g, gd, params)
+        val += params.alpha3 * tr
+        for term in terms:
+            val += term
+    potential = params.effective_potential.value(theta1(psi, g))
+    forcing = _forcing_term(params, psi, state.t)
+    val -= potential
+    val += forcing
+    return _real_value(val, lambda: _term_magnitude(params, psi, psid, g, gd, p, potential_form,
+                                                    potential, forcing, linear=True),
+                       1e-10, "Lagrangian")
 
 
 def omega_tensor(psi, gamma, params: ModelParams) -> np.ndarray:
@@ -300,17 +434,18 @@ def omega_tensor(psi, gamma, params: ModelParams) -> np.ndarray:
     return o
 
 
-def apply_omega(psi, gamma, params: ModelParams, x) -> np.ndarray:
+def apply_omega(psi, gamma, params: ModelParams, x, ginv=None) -> np.ndarray:
     """Contract the kinetic tensor with a covariant Hermitian matrix x,
     returning the contravariant Hermitian result.
 
     psi (..., n), gamma and x (..., n, n) may carry leading stack axes,
     which broadcast; each member has the bits of the unstacked call.
+    ``ginv``, when given, is ``invert_form(gamma)`` computed by the caller.
     """
     psi = np.asarray(psi, dtype=complex)
     x = np.asarray(x, dtype=complex)
     col, row = psi[..., :, None], np.conj(psi)[..., None, :]
-    p = p_tensor(psi, gamma, params.alpha9)
+    p = p_tensor(psi, gamma, params.alpha9, ginv)
     px = p @ x
     out = params.alpha6 * (px @ p)
     out += (params.alpha7 * np.trace(px, axis1=-2, axis2=-1))[..., None, None] * p
@@ -453,28 +588,38 @@ def potential_gradient(psi, gamma, spec: PotentialSpec) -> np.ndarray:
     return spec.derivative(theta1(psi, g)) * (g @ psi)
 
 
-def energy(state: FullState, params: ModelParams, chi) -> float:
-    """Energy function of the total model (velocity Legendre contraction minus L)."""
-    psi, psid = state.psi, state.psi_dot
-    g, gd = state.gamma, state.gamma_dot
+def energy(state, params: ModelParams, chi, ginv=None):
+    """Energy function of the total model (velocity Legendre contraction minus L).
+
+    ``state`` is a FullState, or an object with the same attributes whose
+    blocks carry leading stack axes (psi (..., n), gamma (..., n, n), times
+    t (...)); a stack gives the array of its members' energies, each with
+    the bits of the one-state call.  ``ginv``, when given, is
+    ``invert_form(state.gamma)`` computed by the caller.  An imaginary part
+    beyond 1e-9 of the terms' magnitudes raises ValueError.
+    """
+    psi, psid = np.asarray(state.psi, dtype=complex), np.asarray(state.psi_dot, dtype=complex)
+    g, gd = np.asarray(state.gamma, dtype=complex), np.asarray(state.gamma_dot, dtype=complex)
     chi = resolve_chi(chi, state.t)
     psibar = np.conj(psi)
+    potential_form = params.alpha4 * g + params.alpha5 * chi
 
-    val = params.alpha2 * (np.conj(psid) @ g @ psid)
-    val -= psibar @ (params.alpha4 * g + params.alpha5 * chi) @ psi
+    # the terms are added in the order, and with the scalar arithmetic, of
+    # the one-state formula
+    val = _scalar_mul(params.alpha2, _quad(np.conj(psid), g, psid))
+    val = val - _quad(psibar, potential_form, psi)
+    p = None
     if any((params.alpha6, params.alpha7, params.alpha8)):
-        p = p_tensor(psi, g, params.alpha9)
-        pgd = p @ gd
-        val += params.alpha6 * np.trace(pgd @ pgd)
-        val += params.alpha7 * np.trace(pgd) ** 2
-        val += params.alpha8 * (psibar @ gd @ psi) ** 2
-    val += params.effective_potential.value(theta1(psi, g))
-    val -= _forcing_term(params, psi, state.t)
-
-    val = complex(val)
-    if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
-        raise ValueError(f"energy acquired an imaginary part {val.imag:.3e}")
-    return val.real
+        p, _, terms = _gamma_kinetic(psi, g, gd, params, ginv)
+        for term in terms:
+            val = val + term
+    potential = _potential_value(params.effective_potential, theta1(psi, g))
+    forcing = _forcing_term(params, psi, state.t)
+    val = val + potential
+    val = val - forcing
+    return _real_value(val, lambda: _term_magnitude(params, psi, psid, g, gd, p, potential_form,
+                                                    potential, forcing, linear=False),
+                       1e-9, "energy")
 
 
 def _heff_raw(psi, g, gd, params: ModelParams, chi_matrix, ginv=None) -> np.ndarray:

@@ -17,12 +17,14 @@ from hermiton.canonical import (
     primary_constraints,
     reduced_bracket_flow,
 )
-from hermiton.dynamics import rhs_schrodinger
+from hermiton.dynamics import _apply_omega_dot, _p_dot, rhs_full, rhs_schrodinger
+from hermiton.hermitian_algebra import invert_form
 from hermiton.errors import NotPositiveDefinite, ZeroAlpha2
 from hermiton.models import (
     FullState,
     ModelParams,
     PotentialSpec,
+    apply_omega,
     apply_omega_inverse,
     energy,
     p_tensor,
@@ -404,6 +406,37 @@ class TestHamiltonFlow:
             assert np.max(np.abs(flow_fd.gamma_dot - flow_lag.gamma_dot)) < 1e-5 * scale
             assert np.max(np.abs(flow_fd.pi_gamma_dot - flow_lag.pi_gamma_dot)) \
                 < 1e-5 * scale
+
+    def test_full_model_flow_inverts_gamma_once(self, rng, monkeypatch):
+        # one raw inverse of gamma serves the Legendre inverse, the
+        # accelerations, dP/dt and the kinetic tensor; the flow keeps the
+        # bits of composing those steps, each with its own inverse
+        params, chi = full_params(), rand_herm(rng, 3)
+        point = legendre_regular(random_state(rng, 3), params)
+        psid, gd = legendre_inverse(point, params)
+        psi_ddot, gamma_ddot = rhs_full(FullState(psi=point.psi, psi_dot=psid, gamma=point.gamma,
+                                                  gamma_dot=gd, t=point.t), params, chi)
+        ginv = invert_form(point.gamma)
+        expected = {
+            "psi_dot": psid, "gamma_dot": gd,
+            "pi_dot": params.alpha2 * (np.conj(psi_ddot) @ point.gamma + np.conj(psid) @ gd)
+            + 1j * params.alpha1 * (np.conj(psid) @ point.gamma + np.conj(point.psi) @ gd),
+            "pi_gamma_dot": params.alpha3 * _p_dot(point.psi, psid, ginv, gd, params.alpha9)
+            + 2.0 * _apply_omega_dot(point.psi, psid, ginv, gd, params, gd)
+            + 2.0 * apply_omega(point.psi, point.gamma, params, gamma_ddot)}
+
+        calls = []
+        inv = np.linalg.inv
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        flow = lagrangian_flow_through_legendre(point, params, chi)
+        assert len(calls) == 1
+        for name, value in expected.items():
+            assert getattr(flow, name).tobytes() == value.tobytes()
 
 
 def test_hamiltonian_conserved_along_fd_flow(rng):

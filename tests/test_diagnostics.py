@@ -316,6 +316,19 @@ class TestStackedMonitor:
             assert summary["max_vw_defect"] == max(
                 max(hermiticity_drift(r.V), hermiticity_drift(r.W)) for r in reports)
 
+    def test_summary_takes_the_defects_the_monitor_computed(self, rng, monkeypatch):
+        params, traj = self.trajectory(rng, 3)
+        reports = monitor(traj, params, np.zeros((3, 3)), generators=[("H", np.eye(3))])
+        for rep in reports:
+            assert rep.vw_defect == max(hermiticity_drift(rep.V), hermiticity_drift(rep.W))
+
+        def fail(*args):
+            raise AssertionError("drift_summary recomputed a V/W defect")
+
+        monkeypatch.setattr(diagnostics, "hermiticity_drift", fail)
+        summary = drift_summary(reports)
+        assert summary["max_vw_defect"] == max(rep.vw_defect for rep in reports)
+
     def test_inversions_independent_of_sample_count(self, rng, monkeypatch):
         counts = []
         for stride in (4, 1):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hermiton.errors import NotHermitian, SingularForm
+from hermiton.errors import NonFinite, NotHermitian, SingularForm
 from hermiton.hermitian_algebra import (
     check_hermitian,
+    complex_vector,
     gamma_velocity,
     hermitian_basis,
     hermitian_form,
@@ -48,6 +49,41 @@ class TestHermitianForm:
     def test_rejects_singular(self):
         with pytest.raises(SingularForm):
             hermitian_form(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_stack_gives_each_member_the_verdict_and_bits_of_the_2d_call(self, rng):
+        for n in (1, 2, 4, 8):
+            stack = np.array([rand_herm(rng, n) + 1e-12 * rng.normal(size=(n, n))
+                              for _ in range(4)])
+            forms = hermitian_form(stack, require_invertible=False)
+            for member, form in zip(stack, forms):
+                assert form.tobytes() == hermitian_form(member, False).tobytes()
+            assert hermitian_form(stack[:2].reshape(1, 2, n, n), False).tobytes() \
+                == forms[:2].tobytes()
+
+    def test_stack_names_the_refused_member(self, rng):
+        good = rand_pd(rng, 2)
+        cases = [(np.array([[0, 1j], [1j, 0]]), NotHermitian, "form deviates"),
+                 (np.array([[1.0, np.inf], [np.inf, 1.0]]), NonFinite, "form has non-finite"),
+                 (np.array([[1.0, 1.0], [1.0, 1.0]]), SingularForm, "zero pivot")]
+        for bad, error, message in cases:
+            with pytest.raises(error, match=f"^form 2 of 3: {message}"):
+                hermitian_form(np.array([good, good, bad]))
+
+
+class TestComplexVector:
+    def test_stack_names_the_refused_member(self):
+        stack = np.ones((2, 3, 4), dtype=complex)
+        assert complex_vector(stack) is stack
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(NonFinite, match="^vector 3 of 6: state vector has non-finite"):
+            complex_vector(stack)
+        with pytest.raises(NonFinite, match="^state vector has non-finite"):
+            complex_vector(stack[1, 0])
+
+    def test_empty_or_scalar_rejected(self):
+        for bad in (np.zeros(0), np.zeros((3, 0)), 1.0):
+            with pytest.raises(ValueError):
+                complex_vector(bad)
 
 
 class TestHermiticityDrift:
@@ -349,6 +385,19 @@ def test_codec_bit_identical_to_loop_reference(rng):
         assert hermitian_to_real(x.T).tobytes() == _loop_hermitian_to_real(x.T).tobytes()
         assert (real_to_hermitian(coords, n).tobytes()
                 == _loop_real_to_hermitian(coords, n).tobytes())
+
+
+def test_real_to_hermitian_stack_matches_each_row_bitwise(rng):
+    for n in (1, 2, 3, 8):
+        coords = rng.normal(size=(5, n * n))
+        coords[rng.random(coords.shape) < 0.3] = -0.0
+        matrices = real_to_hermitian(coords, n)
+        assert matrices.shape == (5, n, n) and matrices.flags.c_contiguous
+        for row, matrix in zip(coords, matrices):
+            assert real_to_hermitian(row, n).tobytes() == matrix.tobytes()
+        assert real_to_hermitian(coords.reshape(5, 1, n * n), n).tobytes() == matrices.tobytes()
+        with pytest.raises(ValueError):
+            real_to_hermitian(coords[:, 1:], n)
 
 
 def test_tensor4_defect_helpers(rng):

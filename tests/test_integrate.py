@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import hermiton.integrate as integrate_module
-from hermiton.canonical import PhasePoint
-from hermiton.errors import StepFailure
+from hermiton.canonical import PhasePoint, hamiltonian
+from hermiton.errors import HermitonError, NonFinite, StepFailure
+from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, Trajectory, convergence_order, integrate
-from hermiton.models import FullState, ModelParams
+from hermiton.models import FullState, ModelParams, PotentialSpec, energy, theta1
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
 from conftest import rand_herm, rand_pd, rand_vec, scale_couplings
@@ -458,3 +459,188 @@ def test_time_dependent_chi_callback(rng):
     traj = integrate(state, "schrodinger", cfg, params, chi)
     th = traj.series("theta1")
     assert (th.max() - th.min()) < 1e-10  # hermitian generator keeps the norm
+
+
+def reference_record(system, tier, cfg, params, chi, t, y):
+    """A sample recorded one at a time, as before samples were stacked: its
+    own rates, FullState (or PhasePoint), energy, theta1 and drift."""
+    stepped = integrate_module.STEPPED_BLOCKS[tier]
+    b = system.blocks(y)
+    if tier == "canonical_frozen":
+        point = PhasePoint(psi=b["psi"], pi=b["pi"], gamma=b["gamma"], t=t)
+        return point, {"t": t, "energy": hamiltonian(point, params, chi),
+                       "theta1": theta1(b["psi"], b["gamma"]), "herm_drift": 0.0}
+    first_order = "psi" in stepped and "psi_dot" not in stepped
+    steps_gamma = "gamma" in stepped
+    rates = None
+    if first_order or (steps_gamma and cfg.resymmetrize_gamma):
+        rates = integrate_module._rates(tier, t, b, params, chi, None, None)
+    if first_order:
+        b["psi_dot"] = rates["psi"]
+    if not steps_gamma:
+        drift = 0.0
+    elif cfg.resymmetrize_gamma:
+        drift = hermiticity_drift(rates["gamma_dot"])
+    else:
+        drift = hermiticity_drift(b["gamma"])
+    state = FullState(psi=b["psi"], psi_dot=b["psi_dot"], gamma=hermitian_part(b["gamma"]),
+                      gamma_dot=hermitian_part(b["gamma_dot"]), t=t)
+    theta = theta1(b["psi"], state.gamma) if "psi" in stepped else 0.0
+    return state, {"t": t, "energy": energy(state, params, chi), "theta1": theta,
+                   "herm_drift": drift}
+
+
+def recorded_samples(monkeypatch) -> list:
+    """(system, t, copy of y) of every sample the runs record."""
+    samples = []
+    build = integrate_module._build_system
+
+    def spied(*args, **kwargs):
+        system = build(*args, **kwargs)
+        record = system.record
+
+        def spy(t, y):
+            samples.append((system, t, y.copy()))
+            record(t, y)
+
+        system.record = spy
+        return system
+
+    monkeypatch.setattr(integrate_module, "_build_system", spied)
+    return samples
+
+
+def tier_case(tier, n, rng):
+    """(initial state, params, chi) of a short run of ``tier`` at dimension
+    n; the first-order tiers carry a time-dependent chi, forcing and a
+    potential evaluated per sample."""
+    gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
+    psi, psid, gd = rand_vec(rng, n, 0.6), rand_vec(rng, n, 0.3), rand_herm(rng, n, 0.2)
+    drive = rand_herm(rng, n, 0.3)
+    if tier == "canonical_frozen":
+        return (PhasePoint(psi=psi, pi=rand_vec(rng, n, 0.4), gamma=gamma),
+                ModelParams.from_legacy(alpha=0.5, beta=0.8, gamma=2.0), chi)
+    params = {
+        "schrodinger": ModelParams(alpha1=0.5, alpha5=-1.0),
+        "direct_nonlinear": ModelParams(
+            alpha1=0.5, alpha5=-1.0,
+            potential=PotentialSpec(kind="quartic_shifted", kappa=0.3, shift=0.5),
+            forcing=lambda t: 0.1 * np.cos(t) * np.ones(n)),
+        "second_order": ModelParams.from_legacy(
+            alpha=0.7, beta=0.5, gamma=2.0,
+            potential=PotentialSpec(kind="custom", f=lambda x: 0.1 * x ** 3,
+                                    f_prime=lambda x: 0.3 * x ** 2)),
+        "gamma_geodesic": ModelParams.from_legacy(A=2.0, B=0.4),
+        "full": ModelParams(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2,
+                            alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1),
+        "modified_first_order": ModelParams(alpha1=0.5, alpha3=0.1, alpha5=-1.0, alpha6=1.0,
+                                            alpha7=0.2, alpha8=0.1, alpha9=0.1, kappa=0.05),
+    }[tier]
+    if tier in ("schrodinger", "direct_nonlinear"):
+        base = chi
+        chi = lambda t: base + np.sin(t) * drive           # noqa: E731
+    if tier == "gamma_geodesic":
+        psi = psid = np.zeros(n)
+    elif tier in ("schrodinger", "direct_nonlinear", "second_order"):
+        gd = np.zeros((n, n))
+    return FullState(psi=psi, psi_dot=psid, gamma=gamma, gamma_dot=gd), params, chi
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45_adaptive", "implicit_midpoint"])
+@pytest.mark.parametrize("structural", [False, True])
+@pytest.mark.parametrize("tier", integrate_module.MODEL_TIERS)
+def test_stacked_record_matches_per_sample_record_bitwise(rng, monkeypatch, tier,
+                                                          structural, method):
+    samples = recorded_samples(monkeypatch)
+    for n in (1, 2, 4, 8):
+        initial, params, chi = tier_case(tier, n, rng)
+        cfg = IntegratorConfig(dt=0.02, t_end=0.1, method=method, rel_tol=1e-6,
+                               abs_tol=1e-8, resymmetrize_gamma=structural)
+        del samples[:]
+        traj = integrate(initial, tier, cfg, params, chi)
+        assert traj.times.tobytes() == np.array([t for _, t, _ in samples]).tobytes()
+        assert len(traj.states) == len(samples) > 2
+        for state, diag, (system, t, y) in zip(traj.states, traj.diagnostics, samples):
+            ref_state, ref_diag = reference_record(system, tier, cfg, params, chi, t, y)
+            assert type(state) is type(ref_state) and state.t == ref_state.t
+            for block in ("psi", "psi_dot", "pi", "gamma", "gamma_dot"):
+                if hasattr(ref_state, block):
+                    got, want = getattr(state, block), getattr(ref_state, block)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert diag.keys() == ref_diag.keys()
+            for key, value in ref_diag.items():
+                assert type(diag[key]) is float
+                assert np.float64(diag[key]).tobytes() == np.float64(value).tobytes()
+
+
+class TestStackedRecord:
+    def test_first_order_samples_take_the_stepper_stages(self, rng, monkeypatch):
+        # a sample takes the next RK4 step's first stage or the accepted
+        # Dormand-Prince step's last one; only the final RK4 sample pays
+        params, _, chi, _, state = schrodinger_setup(rng)
+        calls = count_rates(monkeypatch)
+        traj = integrate(state, "schrodinger", IntegratorConfig(dt=0.02, t_end=1.0),
+                         params, chi)
+        assert traj.times.size == 51 and calls[0] == 4 * 50 + 1
+        calls[0] = 0
+        attempts = count_dp_attempts(monkeypatch)
+        cfg = IntegratorConfig(dt=0.5, t_end=2.0, method="rk45_adaptive", rel_tol=1e-9,
+                               abs_tol=1e-11)
+        traj = integrate(state, "schrodinger", cfg, params, chi)
+        assert len(attempts) > traj.times.size - 1          # the case has rejections
+        assert calls[0] == 6 * len(attempts) + 1
+
+    def test_structural_gamma_samples_take_the_stepper_stages(self, rng, monkeypatch):
+        n = 2
+        state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n), gamma=rand_pd(rng, n),
+                          gamma_dot=rand_herm(rng, n, 0.3))
+        calls = count_rates(monkeypatch)
+        integrate(state, "gamma_geodesic",
+                  IntegratorConfig(dt=0.02, t_end=0.4, resymmetrize_gamma=True),
+                  ModelParams.from_legacy(A=2.0, B=0.4))
+        assert calls[0] == 4 * 20 + 1
+
+    @pytest.mark.parametrize("block, index", [("psi", 1), ("gamma", 5)])
+    def test_non_finite_sample_names_the_sample(self, rng, block, index):
+        n = 2
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n))
+        params = ModelParams(alpha1=0.4, alpha2=0.3, alpha6=0.9, alpha7=0.1)
+        system = integrate_module._build_system(
+            state, "full", IntegratorConfig(dt=0.1, t_end=1.0), params, np.zeros((n, n)))
+        bad = system.y0.copy()
+        bad[n * {"psi": 0, "gamma": 4}[block] + index] = np.nan
+        for t, y in ((0.0, system.y0), (0.1, system.y0), (0.2, bad), (0.3, bad)):
+            system.record(t, y)
+        what = "state vector" if block == "psi" else "form"
+        with pytest.raises(NonFinite, match=rf"^\[full\] sample 2 at t = 0.2: {what} has "
+                                            "non-finite entries$"):
+            system.finish()
+
+    def test_sample_error_comes_before_a_later_step_failure(self, rng, monkeypatch):
+        # the samples are recorded when the run ends, but an invalid sample
+        # still raises its own error ahead of a step that fails after it
+        n = 2
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.1))
+        params = ModelParams(alpha1=0.4, alpha2=0.3, alpha6=0.9, alpha7=0.1)
+        real_energy, real_step = integrate_module.energy, integrate_module._rk4_step
+
+        def energy_failing_at_sample_2(state, *args, **kwargs):
+            if np.any(np.asarray(state.t) == 0.02):
+                raise ValueError("energy refused")
+            return real_energy(state, *args, **kwargs)
+
+        def step_failing_late(f, t, y, dt):
+            if t > 0.035:
+                raise HermitonError("stage refused")
+            return real_step(f, t, y, dt)
+
+        monkeypatch.setattr(integrate_module, "energy", energy_failing_at_sample_2)
+        monkeypatch.setattr(integrate_module, "_rk4_step", step_failing_late)
+        cfg = IntegratorConfig(dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match=r"^\[full\] sample 2 at t = 0.02: energy refused$"):
+            integrate(state, "full", cfg, params, np.zeros((n, n)))
+        monkeypatch.setattr(integrate_module, "energy", real_energy)
+        with pytest.raises(StepFailure, match="stage refused"):
+            integrate(state, "full", cfg, params, np.zeros((n, n)))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from hermiton.models import (
     lagrangian_value,
     omega_inverse,
     omega_tensor,
+    p_tensor,
     potential_gradient,
     preset,
     theta1,
@@ -357,3 +360,114 @@ def test_full_state_validation(rng):
     with pytest.raises(NonFinite):
         FullState(psi=np.array([np.nan + 0j]), psi_dot=np.array([0j]),
                   gamma=np.eye(1), gamma_dot=np.zeros((1, 1)))
+
+
+def scalar_energy(state, params, chi):
+    """The one-state energy formula in numpy scalar arithmetic, without the
+    reality check: the reference that keeps energies' bits fixed."""
+    psi, psid = state.psi, state.psi_dot
+    g, gd = state.gamma, state.gamma_dot
+    chi = chi(state.t) if callable(chi) else np.asarray(chi, dtype=complex)
+    psibar = np.conj(psi)
+    val = params.alpha2 * (np.conj(psid) @ g @ psid)
+    val -= psibar @ (params.alpha4 * g + params.alpha5 * chi) @ psi
+    if any((params.alpha6, params.alpha7, params.alpha8)):
+        pgd = p_tensor(psi, g, params.alpha9) @ gd
+        val += params.alpha6 * np.trace(pgd @ pgd)
+        val += params.alpha7 * np.trace(pgd) ** 2
+        val += params.alpha8 * (psibar @ gd @ psi) ** 2
+    val += params.effective_potential.value(float((psibar @ g @ psi).real))
+    if params.forcing is not None:
+        val -= float(2.0 * np.real(np.asarray(params.forcing(state.t), dtype=complex) @ psi))
+    return complex(val).real
+
+
+POTENTIALS = {
+    "none": PotentialSpec(),
+    "quartic_pure": PotentialSpec(kind="quartic_pure", kappa=0.3),
+    "quartic_shifted": PotentialSpec(kind="quartic_shifted", kappa=0.3, shift=0.7),
+    "custom": PotentialSpec(kind="custom", f=lambda x: 0.1 * x ** 3),
+}
+
+
+class TestStackedEnergy:
+    @staticmethod
+    def states(rng, n, count=7):
+        return [FullState(psi=rand_vec(rng, n, 0.8), psi_dot=rand_vec(rng, n, 0.5),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.3), t=0.1 * k)
+                for k in range(count)]
+
+    @staticmethod
+    def stack(states):
+        return SimpleNamespace(**{block: np.array([getattr(s, block) for s in states])
+                                  for block in ("psi", "psi_dot", "gamma", "gamma_dot", "t")})
+
+    @pytest.mark.parametrize("potential", POTENTIALS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    def test_members_have_the_bits_of_the_scalar_formula(self, rng, n, potential):
+        base, drive = rand_herm(rng, n), rand_herm(rng, n, 0.2)
+        forcing = rand_vec(rng, n, 0.1)
+        params = full_params(potential=POTENTIALS[potential], kappa=0.0,
+                             forcing=lambda t: np.cos(t) * forcing)
+        for chi in (base, lambda t: base + np.sin(t) * drive):
+            states = self.states(rng, n)
+            stacked = energy(self.stack(states), params, chi)
+            thetas = theta1(self.stack(states).psi, self.stack(states).gamma)
+            assert stacked.shape == thetas.shape == (len(states),)
+            for state, e, th in zip(states, stacked, thetas):
+                one = energy(state, params, chi)
+                assert type(one) is float
+                assert np.float64(one).tobytes() == e.tobytes()
+                assert one == scalar_energy(state, params, chi) or (one != one)
+                assert np.float64(theta1(state.psi, state.gamma)).tobytes() == th.tobytes()
+
+    def test_caller_inverse_gives_the_same_bits(self, rng):
+        from hermiton.hermitian_algebra import invert_form
+        states = self.states(rng, 4)
+        stack = self.stack(states)
+        params, chi = full_params(), rand_herm(rng, 4)
+        assert (energy(stack, params, chi, ginv=invert_form(stack.gamma)).tobytes()
+                == energy(stack, params, chi).tobytes())
+
+
+class TestImaginaryPartGuard:
+    STATE = dict(psi=np.array([1.0, 0.5]), psi_dot=np.zeros(2), gamma=np.eye(2),
+                 gamma_dot=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_complex_coupling_refused_at_every_scale(self, s):
+        state, chi = FullState(**self.STATE), np.zeros((2, 2))
+        for fn, sign in ((energy, -1.0), (lagrangian_value, 1.0)):
+            with pytest.raises(ValueError, match="imaginary part"):
+                fn(state, ModelParams(alpha4=(0.5 + 0.5j) * s), chi)
+            assert fn(state, ModelParams(alpha4=0.5 * s), chi) == sign * 0.625 * s
+
+    def test_round_off_of_a_cancelling_sum_passes(self, rng):
+        # <chi> = 0 up to round-off: the value is tiny and its imaginary
+        # round-off is not small against it, but it is against the terms
+        n = 4
+        psi, h = rand_vec(rng, n), rand_herm(rng, n)
+        chi = h - (np.conj(psi) @ h @ psi).real / np.vdot(psi, psi).real * np.eye(n)
+        state = FullState(psi=psi, psi_dot=np.zeros(n), gamma=np.eye(n),
+                          gamma_dot=np.zeros((n, n)))
+        value = complex(np.conj(psi) @ chi @ psi)
+        assert abs(value.imag) > 1e-9 * abs(value)
+        assert abs(energy(state, ModelParams(alpha5=-1.0), chi)) < 1e-12
+
+    @pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_real_couplings_pass_at_every_scale(self, rng, s):
+        # round-off imaginary parts are measured against the terms that
+        # produce them, not against the (possibly cancelling) sum
+        n = 3
+        chi = rand_herm(rng, n)
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n), gamma=rand_pd(rng, n),
+                          gamma_dot=rand_herm(rng, n, 0.3))
+        real = FullState(psi=state.psi.real, psi_dot=state.psi.real, gamma=np.eye(n),
+                         gamma_dot=np.zeros((n, n)))
+        params = full_params()
+        scaled = params.with_(**{k: s * getattr(params, k) for k in (
+            "alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "alpha7", "alpha8",
+            "kappa")})
+        for st in (state, real):
+            assert energy(st, scaled, chi) == s * energy(st, params, chi)
+            assert lagrangian_value(st, scaled, chi) == s * lagrangian_value(st, params, chi)
