@@ -35,6 +35,7 @@ from .models import (
     PotentialSpec,
     _ladder_apply,
     _ladder_pieces,
+    _real_value,
     apply_omega,
     apply_omega_inverse,
     p_tensor,
@@ -319,6 +320,12 @@ def legendre_regular(state: FullState, params: ModelParams) -> PhasePoint:
                       pi_gamma=hermitian_part(pi_gamma), t=state.t)
 
 
+def _psi_velocity(psi, pi, ginv, params: ModelParams) -> np.ndarray:
+    """psid = gamma^{-1} conj(pi) / alpha2 + (i alpha1 / alpha2) psi, the
+    psi sector of the inverse Legendre map, with ``ginv`` = gamma^{-1}."""
+    return (ginv @ np.conj(pi)) / params.alpha2 + (1j * params.alpha1 / params.alpha2) * psi
+
+
 def legendre_inverse(p: PhasePoint, params: ModelParams,
                      ginv=None) -> tuple[np.ndarray, np.ndarray]:
     """Velocities (psid, gamma_dot) from a phase point; exact inverse of
@@ -330,42 +337,61 @@ def legendre_inverse(p: PhasePoint, params: ModelParams,
         raise ValueError("phase point has no gamma-sector momentum")
     if ginv is None:
         ginv = invert_form(p.gamma)
-    psid = (ginv @ np.conj(p.pi)) / params.alpha2 \
-        + (1j * params.alpha1 / params.alpha2) * p.psi
+    psid = _psi_velocity(p.psi, p.pi, ginv, params)
     y = p.pi_gamma - params.alpha3 * p_tensor(p.psi, p.gamma, params.alpha9, ginv)
     gamma_dot = 0.5 * apply_omega_inverse(p.psi, p.gamma, params, y)
     return psid, hermitian_part(gamma_dot)
 
 
 def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParams,
-                     chi_matrix, t: float) -> complex:
+                     chi_matrix, t: float):
     """Hamiltonian on the analytic extension: psi/pi and their bars are
     treated as independent arguments and no entry of gamma or pi_gamma is
     conjugated, so the value is analytic in every variable separately.
     Restricted to the diagonal (bars equal to conjugates, Hermitian
-    matrices) it is real."""
+    matrices) it is real.
+
+    Returns the complex value and a lazy bound on the summed magnitudes of
+    its terms, each evaluated on entrywise absolute values."""
     a1, a2 = params.alpha1, params.alpha2
     if a2 == 0.0:
         raise ZeroAlpha2("the regular Hamiltonian needs alpha2 != 0")
     g = np.asarray(gamma, dtype=complex)
     ginv = _checked_inverse(g)
     theta1c = psibar @ g @ psi
+    c4 = params.alpha4 - a1 * a1 / a2
+    potential = params.effective_potential.value(theta1c)
 
     val = (pi @ ginv @ pibar) / a2
     val += (a1 / a2) * 1j * (pi @ psi - psibar @ pibar)
-    val -= (params.alpha4 - a1 * a1 / a2) * theta1c + params.alpha5 * (psibar @ chi_matrix @ psi)
-    val += params.effective_potential.value(theta1c)
+    val -= c4 * theta1c + params.alpha5 * (psibar @ chi_matrix @ psi)
+    val += potential
+    f = None
     if params.forcing is not None:
         f = np.asarray(params.forcing(t), dtype=complex)
         val -= f @ psi + np.conj(f) @ psibar
 
+    y = x = None
     if pi_gamma is not None:
         p_full = ginv + params.alpha9 * np.outer(psi, psibar)
         y = np.asarray(pi_gamma, dtype=complex) - params.alpha3 * p_full
         pieces = _ladder_pieces(psi, psibar, g, params, g @ psi, psibar @ g, theta1c)
         x = _ladder_apply(pieces, params.alpha6, y, psibar @ pieces[0], 1.0)
         val += 0.25 * np.trace(y @ x)
-    return complex(val)
+
+    def magnitude() -> float:
+        apsi, apsibar, api, apibar = (np.abs(v) for v in (psi, psibar, pi, pibar))
+        total = (api @ np.abs(ginv) @ apibar / abs(a2)
+                 + abs(a1 / a2) * (api @ apsi + apsibar @ apibar)
+                 + apsibar @ (abs(c4) * np.abs(g) + abs(params.alpha5) * np.abs(chi_matrix)) @ apsi
+                 + abs(potential))
+        if f is not None:
+            total += np.abs(f) @ (apsi + apsibar)
+        if x is not None:
+            total += 0.25 * np.trace(np.abs(y) @ np.abs(x))
+        return float(total)
+
+    return complex(val), magnitude
 
 
 def hamiltonian(p: PhasePoint, params: ModelParams, chi) -> float:
@@ -373,14 +399,13 @@ def hamiltonian(p: PhasePoint, params: ModelParams, chi) -> float:
 
     For frozen-gamma phase points (pi_gamma None) the gamma-sector terms
     are absent.  Equals the energy pulled back through the inverse
-    Legendre map.
+    Legendre map.  An imaginary part beyond 1e-9 of the terms' magnitudes
+    raises ValueError, at any common scale of the terms.
     """
     chi_m = resolve_chi(chi, p.t)
-    val = _hamiltonian_ext(p.psi, np.conj(p.psi), p.pi, np.conj(p.pi),
-                           p.gamma, p.pi_gamma, params, chi_m, p.t)
-    if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
-        raise ValueError(f"Hamiltonian acquired an imaginary part {val.imag:.3e}")
-    return val.real
+    val, magnitude = _hamiltonian_ext(p.psi, np.conj(p.psi), p.pi, np.conj(p.pi),
+                                      p.gamma, p.pi_gamma, params, chi_m, p.t)
+    return _real_value(val, magnitude, 1e-9, "Hamiltonian")
 
 
 @dataclass(frozen=True)
@@ -412,7 +437,7 @@ def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi,
             pibar if pibar_ is None else pibar_,
             p.gamma if g_ is None else g_,
             p.pi_gamma if pg_ is None else pg_,
-            params, chi_m, p.t)
+            params, chi_m, p.t)[0]
 
     def diff(setter, base_abs: float) -> complex:
         h = fd_step * max(1.0, base_abs)
@@ -482,9 +507,7 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
     # frozen-gamma second-order sector
     if params.alpha2 == 0.0:
         raise ZeroAlpha2("the psi-sector Legendre map is singular for alpha2 == 0")
-    ginv = invert_form(g)
-    psid = (ginv @ np.conj(p.pi)) / params.alpha2 \
-        + (1j * params.alpha1 / params.alpha2) * psi
+    psid = _psi_velocity(psi, p.pi, invert_form(g), params)
     zero = np.zeros_like(g)
     state = FullState(psi=psi, psi_dot=psid, gamma=g, gamma_dot=zero, t=p.t)
     psi_ddot = rhs_second_order(state, chi_m, params)
@@ -508,7 +531,7 @@ def canonical_frozen_flow(psi, pi, gamma, params: ModelParams, chi_matrix,
         ginv = invert_form(g)
     psibar = np.conj(psi)
 
-    psi_dot = (ginv @ np.conj(pi)) / a2 + (1j * a1 / a2) * psi
+    psi_dot = _psi_velocity(psi, pi, ginv, params)
     pi_dot = -(1j * a1 / a2) * pi \
         + psibar @ ((params.alpha4 - a1 * a1 / a2) * g + params.alpha5 * chi_m)
     fprime = params.effective_potential.derivative(float((psibar @ g @ psi).real))

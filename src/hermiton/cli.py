@@ -1,9 +1,10 @@
 """Batch command-line front-end.
 
 Commands: ``simulate``, ``check``, ``reduce``, ``oracle``, ``charges``.
-Common flags: ``--scenario <path>`` (repeatable for simulate), ``--out <dir>``,
-``--seed <n>``.  Verbosity is controlled by the ``HERMITON_LOG`` environment
-variable (error, info, debug).
+Common flags: ``--scenario <path>`` (repeatable for simulate) and
+``--out <dir>``; ``check`` also takes ``--seed <n>``, which overrides the
+scenario seed of its randomized checks.  Verbosity is controlled by the
+``HERMITON_LOG`` environment variable (error, info, debug).
 
 Exit codes: 0 success, 2 validation failure (bad scenario, non-Hermitian
 matrices, degenerate kinetic operators, missing oracle), 3 step failure
@@ -267,49 +268,50 @@ def cmd_reduce(s: Scenario, out_dir: Path) -> int:
     return 0
 
 
-def cmd_oracle(s: Scenario, out_dir: Path) -> int:
-    traj = _run_trajectory(s)
-    rows = []
+def _exact_solution(s: Scenario):
+    """(labels, the compared block of a state, the exact block at elapsed
+    time t) of the scenario's exact solution; NoOracleForTier when it has
+    none.  The Schrodinger solution covers only the plain flow
+    2i alpha1 Gamma psid = -alpha5 chi psi: alpha1 and alpha5 nonzero, no
+    alpha4, potential or forcing."""
+    n = s.n
     if s.model_tier == "gamma_geodesic":
         sol = oracles.GammaExponentialSolution(
             G=s.gamma0, E=np.linalg.solve(s.gamma0, s.gamma_dot0), side="right")
-        header = ["t"]
-        n = s.n
-        for a in range(n):
-            for b in range(n):
-                header += [f"num_G_{a + 1}{b + 1}", f"exact_G_{a + 1}{b + 1}"]
-        header += ["deviation"]
-        max_dev = 0.0
-        for t, state in zip(traj.times, traj.states):
-            exact = oracles.exact_gamma(sol, float(t) - float(traj.times[0]))
-            dev = float(np.max(np.abs(state.gamma - exact)))
-            max_dev = max(max_dev, dev)
-            row = [_fmt(t)]
-            for a in range(n):
-                for b in range(n):
-                    row += [_fmt(abs(state.gamma[a, b])), _fmt(abs(exact[a, b]))]
-            row += [_fmt(dev)]
-            rows.append(row)
-    elif s.model_tier == "schrodinger":
+        labels = [f"G_{a + 1}{b + 1}" for a in range(n) for b in range(n)]
+        return labels, lambda state: state.gamma, lambda t: oracles.exact_gamma(sol, t)
+    if s.model_tier == "schrodinger":
+        p = s.params
+        uncovered = [name for name, present in (
+            ("alpha1 = 0", p.alpha1 == 0.0),
+            ("alpha5 = 0", p.alpha5 == 0.0),
+            ("alpha4 != 0", p.alpha4 != 0.0),
+            ("a potential", p.effective_potential.kind != "none"),
+            ("forcing", p.forcing is not None)) if present]
+        if uncovered:
+            raise NoOracleForTier("the exact Schrodinger solution does not cover "
+                                  f"{', '.join(uncovered)}")
         h = np.linalg.solve(s.gamma0, np.asarray(s.chi, dtype=complex))
-        hbar_eff = 2.0 * s.params.alpha1 / s.params.gamma_coeff
-        header = ["t"]
-        for a in range(s.n):
-            header += [f"num_abs_psi_{a + 1}", f"exact_abs_psi_{a + 1}"]
-        header += ["deviation"]
-        max_dev = 0.0
-        for t, state in zip(traj.times, traj.states):
-            exact = oracles.exact_schrodinger(s.psi0, h, hbar_eff,
-                                              float(t) - float(traj.times[0]))
-            dev = float(np.max(np.abs(state.psi - exact)))
-            max_dev = max(max_dev, dev)
-            row = [_fmt(t)]
-            for a in range(s.n):
-                row += [_fmt(abs(state.psi[a])), _fmt(abs(exact[a]))]
-            row += [_fmt(dev)]
-            rows.append(row)
-    else:
-        raise NoOracleForTier(f"no exact solution for tier {s.model_tier!r}")
+        hbar_eff = 2.0 * p.alpha1 / p.gamma_coeff
+        return ([f"abs_psi_{a + 1}" for a in range(n)], lambda state: state.psi,
+                lambda t: oracles.exact_schrodinger(s.psi0, h, hbar_eff, t))
+    raise NoOracleForTier(f"no exact solution for tier {s.model_tier!r}")
+
+
+def cmd_oracle(s: Scenario, out_dir: Path) -> int:
+    labels, numerical, exact_at = _exact_solution(s)
+    traj = _run_trajectory(s)
+    header = ["t", *(f"{kind}_{label}" for label in labels for kind in ("num", "exact")),
+              "deviation"]
+    rows = []
+    max_dev = 0.0
+    for t, state in zip(traj.times, traj.states):
+        num = numerical(state)
+        exact = exact_at(float(t) - float(traj.times[0]))
+        dev = float(np.max(np.abs(num - exact)))
+        max_dev = max(max_dev, dev)
+        rows.append([_fmt(t)] + [_fmt(abs(z)) for pair in zip(num.ravel(), exact.ravel())
+                                 for z in pair] + [_fmt(dev)])
 
     path = out_dir / f"{s.name}_oracle.csv"
     path.write_text("\n".join([", ".join(header)] + [", ".join(r) for r in rows]) + "\n")
@@ -347,11 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
 
     common(sub.add_parser("simulate", help="integrate a scenario and write outputs"),
            multi_scenario=True)
-    common(sub.add_parser("check", help="run the invariant suite on a scenario"))
+    check = sub.add_parser("check", help="run the invariant suite on a scenario")
+    common(check)
+    check.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed of the randomized checks")
     common(sub.add_parser("reduce", help="Darboux/Dirac reduction report"))
     common(sub.add_parser("oracle", help="compare against the exact solution"))
     common(sub.add_parser("charges", help="conserved-charge time series"))

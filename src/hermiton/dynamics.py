@@ -134,17 +134,18 @@ class _ResidualPieces:
     Built once per configuration (psi, gamma, gamma_dot) with the caller's
     ``ginv`` = gamma^{-1}, it holds what the two sectors share: theta1 and
     f'(theta1), gamma psi, gamma_dot psi, psi^ gamma_dot psi,
-    gamma^{-1} gamma_dot, P = gamma^{-1} + alpha9 psi psi^, P gamma_dot and
-    its trace.  ``psi_residual`` is the psi part and ``gamma_residual`` the
-    gamma part; ``residuals`` evaluates both, which also share
-    gamma_dot psid.  None of the pieces depends on psid, so the modified
-    first-order tier can solve the psi residual for psid before it forms the
-    gamma one.  An acceleration given as None counts as zero and its terms
+    gamma^{-1} gamma_dot, P = gamma^{-1} + alpha9 psi psi^, P gamma_dot, its
+    trace and c_gd, the coefficient of gamma_dot psi in r_psi.
+    ``psi_residual`` is the psi part and ``gamma_residual`` the gamma part;
+    ``residuals`` evaluates both, which also share gamma_dot psid, and
+    ``effective_hamiltonian`` is the psi part as an operator on psi.  None of
+    the pieces depends on psid, so the modified first-order tier can solve
+    the psi residual for psid before it forms the gamma one.  An acceleration given as None counts as zero and its terms
     are skipped.
     """
 
     __slots__ = ("params", "psi", "psibar", "g", "gd", "ginv", "gpsi", "th1",
-                 "fprime", "gdpsi", "quad", "ginv_gd", "p", "pgd", "tr_pgd")
+                 "fprime", "gdpsi", "quad", "ginv_gd", "p", "pgd", "tr_pgd", "c_gd")
 
     def __init__(self, psi, gamma, gamma_dot, params: ModelParams, ginv):
         self.params = params
@@ -161,7 +162,9 @@ class _ResidualPieces:
         self.ginv_gd = ginv @ gd
         self.p = p = ginv + (params.alpha9 * psi)[:, None] * psibar
         self.pgd = pgd = p @ gd
-        self.tr_pgd = pgd.trace()
+        self.tr_pgd = tr = pgd.trace()
+        self.c_gd = (-(params.alpha3 * params.alpha9 + 1.0j * params.alpha1)
+                     - 2.0 * params.alpha8 * self.quad - 2.0 * params.alpha9 * params.alpha7 * tr)
 
     def residuals(self, psid, chi, t: float, psi_ddot=None, gamma_ddot=None):
         """(r_psi, r_gamma) at velocity psid; both parts share gamma_dot psid."""
@@ -176,9 +179,7 @@ class _ResidualPieces:
         psi_ddot given as None."""
         prm = self.params
         a1, a2, a9 = prm.alpha1, prm.alpha2, prm.alpha9
-        c_gd = (-(prm.alpha3 * a9 + 1.0j * a1) - 2.0 * prm.alpha8 * self.quad
-                - 2.0 * a9 * prm.alpha7 * self.tr_pgd)
-        r = (self.fprime - prm.alpha4) * self.gpsi + c_gd * self.gdpsi
+        r = (self.fprime - prm.alpha4) * self.gpsi + self.c_gd * self.gdpsi
         if prm.alpha5 != 0.0:
             r -= prm.alpha5 * (chi @ self.psi)
         if a9 != 0.0:
@@ -190,6 +191,16 @@ class _ResidualPieces:
         if prm.forcing is not None:
             r -= np.conj(np.asarray(prm.forcing(t), dtype=complex))
         return r
+
+    def effective_hamiltonian(self, chi):
+        """H_eff with 2i*alpha1 psid = H_eff psi - gamma^{-1} conj(F) when
+        alpha2 == 0: gamma^{-1} times r_psi at psid = 0, forcing aside."""
+        prm = self.params
+        heff = (self.fprime - prm.alpha4) * np.eye(self.psi.size, dtype=complex) \
+            + self.c_gd * self.ginv_gd
+        heff -= prm.alpha5 * (self.ginv @ chi)
+        heff -= (2.0 * prm.alpha9 * prm.alpha6) * (self.ginv_gd @ self.pgd)
+        return heff
 
     def gamma_residual(self, psid, gdpsid, gamma_ddot=None):
         """r_gamma = d/dt dL/d(gamma_dot) - dL/d(gamma) (contravariant) at

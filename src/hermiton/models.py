@@ -19,8 +19,9 @@ alpha6=A/2, alpha7=B/2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -390,32 +391,43 @@ def _term_magnitude(params: ModelParams, psi, psid, g, gd, p, potential_form, po
     return total
 
 
+def _lagrangian_terms(state, params: ModelParams, chi, ginv=None, linear: bool = True):
+    """L's terms in L's order of summation, as (velocity degree, value)
+    pairs, and the lazy bound of :func:`_term_magnitude`; without ``linear``
+    the alpha1 and alpha3 terms are left out of both.  ``state`` and
+    ``ginv`` are as in :func:`energy`, whose stacks give each term per member.
+    """
+    psi, psid = np.asarray(state.psi, dtype=complex), np.asarray(state.psi_dot, dtype=complex)
+    g, gd = np.asarray(state.gamma, dtype=complex), np.asarray(state.gamma_dot, dtype=complex)
+    chi = resolve_chi(chi, state.t)
+    psibar, psidbar = np.conj(psi), np.conj(psid)
+    potential_form = params.alpha4 * g + params.alpha5 * chi
+
+    terms = []
+    if linear:
+        terms.append((1, _scalar_mul(params.alpha1 * 1j,
+                                     _quad(psibar, g, psid) - _quad(psidbar, g, psi))))
+    terms.append((2, _scalar_mul(params.alpha2, _quad(psidbar, g, psid))))
+    terms.append((0, _quad(psibar, potential_form, psi)))
+    p = None
+    if any((linear and params.alpha3, params.alpha6, params.alpha7, params.alpha8)):
+        p, tr, kinetic = _gamma_kinetic(psi, g, gd, params, ginv)
+        if linear:
+            terms.append((1, _scalar_mul(params.alpha3, tr)))
+        terms += [(2, term) for term in kinetic]
+    potential = _potential_value(params.effective_potential, theta1(psi, g))
+    forcing = _forcing_term(params, psi, state.t)
+    terms += [(0, -potential), (0, forcing)]
+    return terms, lambda: _term_magnitude(params, psi, psid, g, gd, p, potential_form,
+                                          potential, forcing, linear)
+
+
 def lagrangian_value(state: FullState, params: ModelParams, chi) -> float:
     """Evaluate the total Lagrangian; enforces reality on the diagonal: an
     imaginary part beyond 1e-10 of the terms' magnitudes raises ValueError."""
-    psi, psid = state.psi, state.psi_dot
-    g, gd = state.gamma, state.gamma_dot
-    chi = resolve_chi(chi, state.t)
-    psibar = np.conj(psi)
-    psidbar = np.conj(psid)
-    potential_form = params.alpha4 * g + params.alpha5 * chi
-
-    val = params.alpha1 * 1j * (psibar @ g @ psid - psidbar @ g @ psi)
-    val += params.alpha2 * (psidbar @ g @ psid)
-    val += psibar @ potential_form @ psi
-    p = None
-    if any((params.alpha3, params.alpha6, params.alpha7, params.alpha8)):
-        p, tr, terms = _gamma_kinetic(psi, g, gd, params)
-        val += params.alpha3 * tr
-        for term in terms:
-            val += term
-    potential = params.effective_potential.value(theta1(psi, g))
-    forcing = _forcing_term(params, psi, state.t)
-    val -= potential
-    val += forcing
-    return _real_value(val, lambda: _term_magnitude(params, psi, psid, g, gd, p, potential_form,
-                                                    potential, forcing, linear=True),
-                       1e-10, "Lagrangian")
+    terms, magnitude = _lagrangian_terms(state, params, chi)
+    val = reduce(operator.add, [term for _, term in terms])
+    return _real_value(val, magnitude, 1e-10, "Lagrangian")
 
 
 def omega_tensor(psi, gamma, params: ModelParams) -> np.ndarray:
@@ -532,9 +544,11 @@ def _apply_omega_inverse(psi, gamma, params: ModelParams, y, gpsi, th1,
     try:
         pieces = _ladder_pieces(psi, psi.conj(), gamma, params, gpsi, gpsi.conj(), th1)
     except DegenerateKinetic:
-        # omega_inverse raises again or applies the fallback
-        oi = omega_inverse(psi, gamma, params, fallback)
-        return scale * np.einsum("abcd,dc->ab", oi, y)
+        if not fallback:
+            raise
+        from .oracles import omega_inverse_numeric
+
+        return scale * np.einsum("abcd,dc->ab", omega_inverse_numeric(psi, gamma, params), y)
     return _ladder_apply(pieces, params.alpha6, y, pieces[2].conj(), scale)
 
 
@@ -552,27 +566,27 @@ def omega_inverse(psi, gamma, params: ModelParams, fallback: bool = True) -> np.
     """Rank-4 inverse kinetic tensor Oi[a, b, c, d].
 
     Contracting against a contravariant Hermitian Y (stored Y[d, c]) as
-    einsum('abcd,dc->ab') undoes :func:`apply_omega`.  Raises
+    einsum('abcd,dc->ab') undoes :func:`apply_omega`; column (c, d) is the
+    ladder applied to the unit Y[d, c] = 1.  Raises
     DegenerateKinetic when a denominator of the closed form vanishes and
     ``fallback`` is disabled; with the fallback enabled the brute-force
-    vectorized solve is attempted first (and may still raise
+    vectorized solve is used instead (and may still raise
     SingularOperator for genuinely degenerate couplings).
     """
     psi_c, g, gpsi, th1 = _gamma_psi(psi, gamma)
     try:
-        lam, c7, lam_psi, q, s8 = _ladder_pieces(psi_c, psi_c.conj(), g, params, gpsi,
-                                                 gpsi.conj(), th1)
+        pieces = _ladder_pieces(psi_c, psi_c.conj(), g, params, gpsi, gpsi.conj(), th1)
     except DegenerateKinetic:
         if not fallback:
             raise
         from .oracles import omega_inverse_numeric
 
         return omega_inverse_numeric(psi, gamma, params)
-    a6 = params.alpha6
-    u = (lam_psi / a6)[:, None] * lam_psi.conj() - (c7 * q) * lam
-    oi = (1.0 / a6) * np.einsum("ad,cb->abcd", lam, lam)
-    oi -= c7 * np.einsum("ab,cd->abcd", lam, lam)
-    oi -= s8 * np.einsum("ab,cd->abcd", u, u)
+    n = psi_c.size
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)    # units[d, c]: Y[d, c] = 1
+    oi = np.empty((n, n, n, n), dtype=complex)
+    for c, d in np.ndindex(n, n):
+        oi[:, :, c, d] = _ladder_apply(pieces, params.alpha6, units[d, c], pieces[2].conj(), 1.0)
     return oi
 
 
@@ -589,7 +603,8 @@ def potential_gradient(psi, gamma, spec: PotentialSpec) -> np.ndarray:
 
 
 def energy(state, params: ModelParams, chi, ginv=None):
-    """Energy function of the total model (velocity Legendre contraction minus L).
+    """Energy function of the total model: the Legendre contraction
+    E = sum_k (d_k - 1) L_k over L's terms L_k of velocity degree d_k.
 
     ``state`` is a FullState, or an object with the same attributes whose
     blocks carry leading stack axes (psi (..., n), gamma (..., n, n), times
@@ -598,50 +613,9 @@ def energy(state, params: ModelParams, chi, ginv=None):
     ``invert_form(state.gamma)`` computed by the caller.  An imaginary part
     beyond 1e-9 of the terms' magnitudes raises ValueError.
     """
-    psi, psid = np.asarray(state.psi, dtype=complex), np.asarray(state.psi_dot, dtype=complex)
-    g, gd = np.asarray(state.gamma, dtype=complex), np.asarray(state.gamma_dot, dtype=complex)
-    chi = resolve_chi(chi, state.t)
-    psibar = np.conj(psi)
-    potential_form = params.alpha4 * g + params.alpha5 * chi
-
-    # the terms are added in the order, and with the scalar arithmetic, of
-    # the one-state formula
-    val = _scalar_mul(params.alpha2, _quad(np.conj(psid), g, psid))
-    val = val - _quad(psibar, potential_form, psi)
-    p = None
-    if any((params.alpha6, params.alpha7, params.alpha8)):
-        p, _, terms = _gamma_kinetic(psi, g, gd, params, ginv)
-        for term in terms:
-            val = val + term
-    potential = _potential_value(params.effective_potential, theta1(psi, g))
-    forcing = _forcing_term(params, psi, state.t)
-    val = val + potential
-    val = val - forcing
-    return _real_value(val, lambda: _term_magnitude(params, psi, psid, g, gd, p, potential_form,
-                                                    potential, forcing, linear=False),
-                       1e-9, "energy")
-
-
-def _heff_raw(psi, g, gd, params: ModelParams, chi_matrix, ginv=None) -> np.ndarray:
-    """Effective Hamilton operator on raw arrays (chi already resolved);
-    ``ginv``, when given, is ``invert_form(g)`` computed by the caller."""
-    psi = np.asarray(psi, dtype=complex)
-    n = psi.size
-    if ginv is None:
-        ginv = invert_form(g)
-    h = ginv @ np.asarray(chi_matrix, dtype=complex)
-    gigd = ginv @ np.asarray(gd, dtype=complex)
-    p = p_tensor(psi, g, params.alpha9, ginv)
-    fprime = params.effective_potential.derivative(theta1(psi, g))
-
-    heff = -params.alpha5 * h
-    heff += (fprime - params.alpha4) * np.eye(n, dtype=complex)
-    heff -= (1j * params.alpha1 + params.alpha3 * params.alpha9) * gigd
-    heff -= 2.0 * params.alpha8 * (np.conj(psi) @ gd @ psi) * gigd
-    heff -= 2.0 * params.alpha9 * (
-        params.alpha6 * (gigd @ p @ gd) + params.alpha7 * np.trace(p @ gd) * gigd
-    )
-    return heff
+    terms, magnitude = _lagrangian_terms(state, params, chi, ginv, linear=False)
+    val = reduce(operator.add, [term if degree == 2 else -term for degree, term in terms])
+    return _real_value(val, magnitude, 1e-9, "energy")
 
 
 def effective_hamiltonian(state: FullState, params: ModelParams, chi) -> np.ndarray:
@@ -653,5 +627,8 @@ def effective_hamiltonian(state: FullState, params: ModelParams, chi) -> np.ndar
     """
     if params.alpha2 != 0.0:
         raise ValueError("effective_hamiltonian applies to the alpha2 == 0 model")
-    return _heff_raw(state.psi, state.gamma, state.gamma_dot, params,
-                     resolve_chi(chi, state.t))
+    from .dynamics import _ResidualPieces
+
+    pieces = _ResidualPieces(state.psi, state.gamma, state.gamma_dot, params,
+                             invert_form(state.gamma))
+    return pieces.effective_hamiltonian(resolve_chi(chi, state.t))

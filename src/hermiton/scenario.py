@@ -25,6 +25,25 @@ __all__ = ["Scenario", "load_scenario", "scenario_to_dict", "dump_scenario"]
 _PARAM_KEYS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5",
                "alpha6", "alpha7", "alpha8", "alpha9", "kappa", "hbar")
 _OUTPUT_KINDS = ("trajectory", "diagnostics", "charges")
+_TOP_KEYS = ("model_tier", "params", "chi", "initial", "integrator", "outputs", "seed",
+             "gamma_tilde", "generators", "request_chart", "inject_sign_error")
+_INITIAL_KEYS = ("psi0", "psi_dot0", "gamma0", "gamma_dot0")
+_INTEGRATOR_KEYS = ("dt", "t_end", "t_start", "method", "rel_tol", "abs_tol",
+                    "resymmetrize_gamma", "sample_stride")
+_POTENTIAL_KEYS = ("kind", "kappa", "shift")
+_FORCING_KEYS = {"constant": ("kind", "vector"), "harmonic": ("kind", "vector", "omega")}
+_GENERATOR_KEYS = ("label", "matrix")
+
+
+def _known_keys(block, allowed, where: str) -> dict:
+    """``block``, a JSON object whose keys all lie in ``allowed``; anything
+    else raises ScenarioError naming the first unknown key."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {block!r}")
+    unknown = [key for key in block if key not in allowed]
+    if unknown:
+        raise ScenarioError(f"unknown {where} key {unknown[0]!r}")
+    return block
 
 
 def encode_complex(z: complex) -> list:
@@ -99,7 +118,7 @@ def _decode_params(data, n: int) -> ModelParams:
         base[key] = float(data.pop(key))
 
     if potential_spec is not None:
-        kind = potential_spec.get("kind", "none")
+        kind = _known_keys(potential_spec, _POTENTIAL_KEYS, "potential").get("kind", "none")
         if kind == "custom":
             raise ScenarioError("custom potentials are not expressible in scenarios")
         base["potential"] = PotentialSpec(
@@ -108,17 +127,19 @@ def _decode_params(data, n: int) -> ModelParams:
             shift=float(potential_spec.get("shift", 0.0)))
 
     if forcing_spec is not None:
+        kind = _known_keys(forcing_spec, ("kind", "vector", "omega"),
+                           "forcing").get("kind", "constant")
+        if kind not in _FORCING_KEYS:
+            raise ScenarioError(f"unknown forcing kind {kind!r}")
+        _known_keys(forcing_spec, _FORCING_KEYS[kind], f"{kind} forcing")
         vector = decode_vector(forcing_spec.get("vector", []))
         if vector.size != n:
             raise ScenarioError("forcing vector has wrong length")
-        kind = forcing_spec.get("kind", "constant")
         if kind == "constant":
             base["forcing"] = lambda t, v=vector: v
         elif kind == "harmonic":
             omega = float(forcing_spec.get("omega", 1.0))
             base["forcing"] = lambda t, v=vector, w=omega: v * np.cos(w * t)
-        else:
-            raise ScenarioError(f"unknown forcing kind {kind!r}")
 
     try:
         return ModelParams(**base)
@@ -160,6 +181,7 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
+    _known_keys(raw, _TOP_KEYS, "scenario")
     try:
         tier = raw["model_tier"]
     except KeyError as exc:
@@ -170,7 +192,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"model tier {tier!r} steps the momentum pi, "
                             "which a scenario file has no field for")
 
-    initial = raw.get("initial", {})
+    initial = _known_keys(raw.get("initial", {}), _INITIAL_KEYS, "initial")
     if "psi0" in initial:
         psi0 = decode_vector(initial["psi0"])
         n = psi0.size
@@ -191,14 +213,13 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     try:
         gamma0 = hermitian_form(gamma0_raw)
         gamma_dot0 = hermitian_form(gamma_dot0_raw, require_invertible=False)
-        if np.linalg.norm(chi):
-            chi = hermitian_form(chi, require_invertible=False)
+        chi = hermitian_form(chi, require_invertible=False)
     except HermitonError as exc:
         raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
 
     params = _decode_params(raw.get("params"), n)
 
-    integ = dict(raw.get("integrator", {}))
+    integ = _known_keys(raw.get("integrator", {}), _INTEGRATOR_KEYS, "integrator")
     try:
         cfg = IntegratorConfig(
             dt=float(integ.get("dt", 1e-3)),
@@ -227,7 +248,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"gamma_tilde: {exc}") from exc
 
     generators = tuple(
-        (g.get("label", f"gen{i}"), _square_matrix(g.get("matrix"), n, f"generators[{i}]"))
+        (_known_keys(g, _GENERATOR_KEYS, f"generators[{i}]").get("label", f"gen{i}"),
+         _square_matrix(g.get("matrix"), n, f"generators[{i}]"))
         if isinstance(g, dict) else (f"gen{i}", _square_matrix(g, n, f"generators[{i}]"))
         for i, g in enumerate(raw.get("generators", [])))
 

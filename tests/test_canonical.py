@@ -31,7 +31,7 @@ from hermiton.models import (
     theta1,
 )
 
-from conftest import rand_herm, rand_pd, rand_vec
+from conftest import rand_herm, rand_pd, rand_vec, scale_couplings
 
 
 def full_params(**overrides):
@@ -358,6 +358,29 @@ class TestRegularSector:
         th = theta1(state.psi, state.gamma)
         assert hamiltonian(point_k, params_k, chi) - hamiltonian(point, params, chi) \
             == pytest.approx(0.7 * th * th, rel=1e-10)
+
+
+class TestHamiltonianRealityGuard:
+    POINT = dict(psi=np.array([1.0, 0.5]), pi=np.zeros(2), gamma=np.eye(2))
+
+    @pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_complex_coupling_refused_at_every_scale(self, s):
+        point, chi = PhasePoint(**self.POINT), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="imaginary part"):
+            hamiltonian(point, ModelParams(alpha2=s, alpha4=(0.5 + 0.5j) * s), chi)
+        ref = hamiltonian(point, ModelParams(alpha2=1.0, alpha4=0.5), chi)
+        assert hamiltonian(point, ModelParams(alpha2=s, alpha4=0.5 * s), chi) == s * ref
+
+    @pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_real_couplings_pass_at_every_scale(self, rng, s):
+        n = 3
+        params, chi = full_params(), rand_herm(rng, n)
+        point = legendre_regular(random_state(rng, n), params)
+        scaled = scale_couplings(params, s)
+        scaled_point = PhasePoint(psi=point.psi, pi=s * point.pi, gamma=point.gamma,
+                                  pi_gamma=s * point.pi_gamma)
+        assert hamiltonian(scaled_point, scaled, chi) == pytest.approx(
+            s * hamiltonian(point, params, chi), rel=1e-13)
 
 
 class TestHamiltonFlow:

@@ -142,6 +142,11 @@ def _malformed(case: str, field: str, edit):
     return pytest.param(sc, field, id=case)
 
 
+def _with_forcing(kind, **extra):
+    return lambda sc: sc["params"].update(
+        forcing={"kind": kind, "vector": vec([0.1, 0.0]), **extra})
+
+
 @pytest.mark.parametrize("scenario, field", [
     _malformed("chi-size", "chi", lambda sc: sc.update(chi=mat(np.eye(3)))),
     _malformed("chi-nonsquare", "chi", lambda sc: sc.update(
@@ -157,6 +162,21 @@ def _malformed(case: str, field: str, edit):
         generators=[mat(np.eye(2)), mat(np.eye(3))])),
     _malformed("canonical_frozen", "canonical_frozen", lambda sc: sc.update(
         model_tier="canonical_frozen")),
+    # every key a scenario may carry is read; any other one is refused
+    _malformed("top-level", "'t_end'", lambda sc: sc.update(t_end=2.0)),
+    _malformed("initial", "'psi_dot'", lambda sc: sc["initial"].update(psi_dot=vec([0, 0]))),
+    _malformed("integrator-typo", "'sample_strid'",
+               lambda sc: sc["integrator"].update(sample_strid=5)),
+    _malformed("integrator-max_steps", "'max_steps'",
+               lambda sc: sc["integrator"].update(max_steps=10)),
+    _malformed("potential", "'kapa'", lambda sc: sc["params"].update(
+        potential={"kind": "quartic_pure", "kapa": 0.1})),
+    _malformed("forcing", "'vec'", lambda sc: sc["params"].update(
+        forcing={"kind": "constant", "vec": vec([0.1, 0.0])})),
+    _malformed("constant-forcing-omega", "'omega'", _with_forcing("constant", omega=2.0)),
+    _malformed("generator", "'matrx'", lambda sc: sc.update(
+        generators=[{"label": "H", "matrx": mat(np.eye(2))}])),
+    _malformed("initial-not-object", "initial", lambda sc: sc.update(initial=[1.0])),
 ])
 def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     # refused at load time with a ScenarioError that names the field
@@ -166,6 +186,27 @@ def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     assert err.startswith("ScenarioError: ") and field in err
     assert err.count("ScenarioError") == 1
     assert not (tmp_path / "malformed_trajectory.csv").exists()
+
+
+def test_harmonic_forcing_takes_omega(tmp_path):
+    sc = schrodinger_scenario()
+    _with_forcing("harmonic", omega=2.0)(sc)
+    forcing = load_scenario(write(tmp_path, "harmonic", sc)).params.forcing
+    assert np.array_equal(forcing(0.5), np.array([0.1 * np.cos(1.0), 0.0]))
+
+
+@pytest.mark.parametrize("command", ["simulate", "reduce", "oracle", "charges"])
+def test_seed_only_on_check(tmp_path, capsys, command):
+    path = write(tmp_path, "sch", schrodinger_scenario())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(path), "--out", str(tmp_path), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_check_takes_seed(tmp_path):
+    path = write(tmp_path, "sch", schrodinger_scenario())
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path), "--seed", "5"]) == 0
 
 
 class TestCheck:
@@ -302,6 +343,23 @@ class TestOracle:
         path = write(tmp_path, "sch", schrodinger_scenario())
         assert main(["oracle", "--scenario", str(path), "--out", str(tmp_path)]) == 0
         assert float(capsys.readouterr().out.strip().split()[-1]) < 1e-9
+
+    @pytest.mark.parametrize("params, named", [
+        ({"alpha1": 0.5}, "alpha5 = 0"),
+        ({"preset": "schrodinger", "alpha4": 0.3}, "alpha4"),
+        ({"preset": "schrodinger", "kappa": 0.5}, "a potential"),
+        ({"preset": "schrodinger",
+          "potential": {"kind": "quartic_shifted", "kappa": 0.1, "shift": 1.0}}, "a potential"),
+        ({"preset": "schrodinger",
+          "forcing": {"kind": "constant", "vector": vec([0.1, 0.0])}}, "forcing"),
+    ])
+    def test_schrodinger_solution_refuses_what_it_does_not_cover(self, tmp_path, capsys,
+                                                               params, named):
+        path = write(tmp_path, "sch", schrodinger_scenario(params=params))
+        assert main(["oracle", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("NoOracleForTier: ") and named in err
+        assert not (tmp_path / "sch_oracle.csv").exists()
 
     def test_no_oracle_for_full_tier(self, tmp_path, capsys):
         sc = {

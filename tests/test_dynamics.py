@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermiton import dynamics, oracles
+from hermiton import dynamics, models, oracles
 from hermiton.dynamics import (
     el_residual,
     rhs_direct_nonlinear_raw,
@@ -17,6 +17,7 @@ from hermiton.models import (
     FullState,
     ModelParams,
     PotentialSpec,
+    effective_hamiltonian,
     energy,
     omega_inverse,
     resolve_chi,
@@ -245,6 +246,22 @@ class TestRhsModifiedFirstOrder:
             res = el_residual(state, (np.zeros(n), acc_gamma), params, chi)
             assert np.max(np.abs(res.r_psi)) < 1e-10
             assert np.max(np.abs(res.r_gamma)) < 1e-10
+
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_effective_hamiltonian_generates_psid(self, rng, n):
+        # 2i alpha1 psid = H_eff psi - gamma^{-1} conj(F), every coupling on
+        drive = rand_vec(rng, n, 0.3)
+        params = full_params(alpha2=0.0, forcing=lambda t: np.cos(t) * drive)
+        chi, t = rand_herm(rng, n), 0.7
+        state = FullState(psi=rand_vec(rng, n), psi_dot=np.zeros(n), gamma=rand_pd(rng, n),
+                          gamma_dot=rand_herm(rng, n, 0.5), t=t)
+        psid, _ = rhs_modified_first_order(state.psi, state.gamma, state.gamma_dot,
+                                           params, chi, t)
+        heff = effective_hamiltonian(state, params, chi)
+        expected = heff @ state.psi - np.linalg.solve(state.gamma, np.conj(params.forcing(t)))
+        got = 2.0j * params.alpha1 * psid
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestRhsGammaGeodesic:
@@ -572,6 +589,34 @@ class TestCouplingScaling:
                 assert np.array_equal(a, b)
         assert energy(state, scale_couplings(params, s), chi) == s * energy(state, params, chi)
         assert numeric == []
+
+
+def count_ladder_pieces(monkeypatch) -> list:
+    calls = []
+    real = models._ladder_pieces
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, "_ladder_pieces", counted)
+    return calls
+
+
+def test_degenerate_kinetic_inverse_tries_the_ladder_once(rng, monkeypatch):
+    # alpha6 + n alpha7 = 0: one attempt at the closed form, then the
+    # numeric inverse, or the DegenerateKinetic when the fallback is off
+    n = 2
+    params = ModelParams(alpha6=2.0, alpha7=-1.0, alpha8=0.3, alpha9=0.2)
+    psi, g, gpsi, th1 = models._gamma_psi(rand_vec(rng, n), rand_pd(rng, n))
+    y = rand_herm(rng, n)
+    ladder, numeric = count_ladder_pieces(monkeypatch), count_numeric_inverse(monkeypatch)
+    x = models._apply_omega_inverse(psi, g, params, y, gpsi, th1, 0.5)
+    assert (len(ladder), len(numeric)) == (1, 1)
+    assert np.allclose(models.apply_omega(psi, g, params, x), 0.5 * y, atol=1e-10)
+    with pytest.raises(DegenerateKinetic):
+        models._apply_omega_inverse(psi, g, params, y, gpsi, th1, fallback=False)
+    assert (len(ladder), len(numeric)) == (2, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

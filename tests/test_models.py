@@ -3,7 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hermiton import models
 from hermiton.errors import DegenerateKinetic, SingularOperator
+from hermiton.hermitian_algebra import invert_form
 from hermiton.hermitian_algebra import (
     tensor4_hermiticity_defect,
     tensor4_pair_defect,
@@ -390,6 +392,90 @@ POTENTIALS = {
 }
 
 
+def reference_lagrangian_value(state, params, chi):
+    """The Lagrangian as summed before L and E shared one term list: the
+    bitwise reference of ``lagrangian_value`` (without its reality check)."""
+    psi, psid = state.psi, state.psi_dot
+    g, gd = state.gamma, state.gamma_dot
+    chi = models.resolve_chi(chi, state.t)
+    psibar, psidbar = np.conj(psi), np.conj(psid)
+    val = params.alpha1 * 1j * (psibar @ g @ psid - psidbar @ g @ psi)
+    val += params.alpha2 * (psidbar @ g @ psid)
+    val += psibar @ (params.alpha4 * g + params.alpha5 * chi) @ psi
+    if any((params.alpha3, params.alpha6, params.alpha7, params.alpha8)):
+        _, tr, terms = models._gamma_kinetic(psi, g, gd, params)
+        val += params.alpha3 * tr
+        for term in terms:
+            val += term
+    val -= params.effective_potential.value(theta1(psi, g))
+    val += models._forcing_term(params, psi, state.t)
+    return val.real
+
+
+def reference_energy(state, params, chi, ginv=None):
+    """The energy as summed before L and E shared one term list, for one
+    state or a stack: the bitwise reference of ``energy``."""
+    psi, psid = np.asarray(state.psi, dtype=complex), np.asarray(state.psi_dot, dtype=complex)
+    g, gd = np.asarray(state.gamma, dtype=complex), np.asarray(state.gamma_dot, dtype=complex)
+    chi = models.resolve_chi(chi, state.t)
+    psibar = np.conj(psi)
+    val = models._scalar_mul(params.alpha2, models._quad(np.conj(psid), g, psid))
+    val = val - models._quad(psibar, params.alpha4 * g + params.alpha5 * chi, psi)
+    if any((params.alpha6, params.alpha7, params.alpha8)):
+        for term in models._gamma_kinetic(psi, g, gd, params, ginv)[2]:
+            val = val + term
+    val = val + models._potential_value(params.effective_potential, theta1(psi, g))
+    val = val - models._forcing_term(params, psi, state.t)
+    return val.real
+
+
+COUPLINGS = {
+    "all": {},
+    "alpha3-only": dict(alpha1=0.0, alpha2=0.0, alpha4=0.0, alpha5=0.0, alpha6=0.0,
+                        alpha7=0.0, alpha8=0.0, alpha9=0.0, kappa=0.0),
+    "frozen-second-order": dict(alpha3=0.0, alpha6=0.0, alpha7=0.0, alpha8=0.0, alpha9=0.0),
+    "gamma-kinetic": dict(alpha1=0.0, alpha2=0.0, alpha3=0.0, alpha4=0.0, alpha5=0.0),
+    "modified-first-order": dict(alpha2=0.0, alpha4=0.0),
+}
+
+
+class TestLagrangianTermList:
+    """L and E are summed from one term list; every value keeps the bits of
+    the formulas they replaced."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("couplings", COUPLINGS)
+    @pytest.mark.parametrize("potential", ["none", "quartic_pure", "quartic_shifted", "custom"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_bits_of_the_reference_sums(self, rng, n, potential, couplings, forced):
+        drive = rand_vec(rng, n, 0.1)
+        params = full_params(kappa=0.0, potential=POTENTIALS[potential],
+                             forcing=(lambda t: np.cos(t) * drive) if forced else None)
+        params = params.with_(**COUPLINGS[couplings])
+        chi = rand_herm(rng, n)
+        states = TestStackedEnergy.states(rng, n, count=3)
+        for state in states:
+            for got, ref in ((lagrangian_value(state, params, chi),
+                              reference_lagrangian_value(state, params, chi)),
+                             (energy(state, params, chi), reference_energy(state, params, chi))):
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+        stack = TestStackedEnergy.stack(states)
+        for ginv in (None, invert_form(stack.gamma)):
+            assert (energy(stack, params, chi, ginv).tobytes()
+                    == reference_energy(stack, params, chi, ginv).tobytes())
+
+    def test_energy_is_the_legendre_contraction_of_the_terms(self, rng):
+        n = 3
+        state = TestStackedEnergy.states(rng, n, count=1)[0]
+        params, chi = full_params(), rand_herm(rng, n)
+        terms, _ = models._lagrangian_terms(state, params, chi)
+        assert sorted({degree for degree, _ in terms}) == [0, 1, 2]
+        contraction = sum((degree - 1) * term for degree, term in terms)
+        assert energy(state, params, chi) == pytest.approx(contraction.real, rel=1e-14)
+        assert lagrangian_value(state, params, chi) == pytest.approx(
+            sum(term for _, term in terms).real, rel=1e-14)
+
+
 class TestStackedEnergy:
     @staticmethod
     def states(rng, n, count=7):
@@ -422,7 +508,6 @@ class TestStackedEnergy:
                 assert np.float64(theta1(state.psi, state.gamma)).tobytes() == th.tobytes()
 
     def test_caller_inverse_gives_the_same_bits(self, rng):
-        from hermiton.hermitian_algebra import invert_form
         states = self.states(rng, 4)
         stack = self.stack(states)
         params, chi = full_params(), rand_herm(rng, 4)
