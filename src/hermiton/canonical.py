@@ -25,6 +25,7 @@ from .hermitian_algebra import (
     complex_vector,
     hermitian_form,
     hermitian_part,
+    hermiticity_drift,
     invert_form,
     raise_first_index,
     real_decompose,
@@ -254,7 +255,9 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
     gamma_coeff = 2 normalisation) and the real Legendre maps.  A canonical
     chart (basis change making the form exactly dy ^ dx) is attempted via a
     Cholesky factor; if gamma is not positive definite the chart is refused
-    (silently unless ``require_chart``).
+    (silently unless ``require_chart``).  Each ``tol`` test is relative:
+    ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
+    hermiticity drift and S == g / (2 alpha) to ||S||.
     """
     gamma = hermitian_form(gamma)
     chi = hermitian_form(np.asarray(chi, dtype=complex), require_invertible=False)
@@ -274,8 +277,8 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
     legendre_vx = -alpha * s
     legendre_vy = alpha * a
 
-    canonical = bool(np.max(np.abs(a)) <= tol
-                     and np.max(np.abs(s - np.eye(n) / (2.0 * alpha))) <= tol)
+    canonical = bool(np.max(np.abs((a, s - np.eye(n) / (2.0 * alpha))))
+                     <= tol / (2.0 * abs(alpha)))
 
     chart = None
     try:
@@ -289,9 +292,9 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
     g_arr = g_a_raised = ham_g_pp = ham_g_xp = None
     if g is not None:
         g_arr = np.asarray(g, dtype=float)
-        if np.max(np.abs(g_arr - g_arr.T)) > tol * max(np.linalg.norm(g_arr), 1.0):
+        if hermiticity_drift(g_arr) > tol:
             raise ValueError("g must be real symmetric")
-        if np.max(np.abs(s - g_arr / (2.0 * alpha))) > tol * max(np.linalg.norm(s), 1.0):
+        if np.linalg.norm(s - g_arr / (2.0 * alpha)) > tol * np.linalg.norm(s):
             raise ValueError("g is inconsistent with gamma: need S == g / (2 alpha)")
         g_inv = np.linalg.inv(g_arr)
         g_a_raised = g_inv @ a @ g_inv

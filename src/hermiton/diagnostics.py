@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SingularTransform, WrongSymmetryClass
 from .hermitian_algebra import hermiticity_drift, invert_form
+from .integrate import STEPPED_BLOCKS
 from .models import FullState, ModelParams, apply_omega, energy, theta1
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
     "gl_transform",
     "monitor",
     "drift_summary",
+    "rel_drift",
+    "conserved_quantities",
 ]
 
 #: symmetry classification tolerance for charge generators
@@ -107,12 +110,11 @@ def noether_tensors(state: FullState, params: ModelParams,
 def _is_hermitian(a: np.ndarray, label: str = "generator") -> bool | None:
     """Symmetry class of a charge generator: True when Hermitian, False when
     antihermitian, None when zero; WrongSymmetryClass when it is neither."""
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    if not a.any():
         return None
-    if np.linalg.norm(a - a.conj().T) <= GENERATOR_TOL * norm:
+    if hermiticity_drift(a) <= GENERATOR_TOL:
         return True
-    if np.linalg.norm(a + a.conj().T) <= GENERATOR_TOL * norm:
+    if hermiticity_drift(1j * a) <= GENERATOR_TOL:
         return False
     raise WrongSymmetryClass(f"{label} is neither Hermitian nor antihermitian")
 
@@ -204,17 +206,29 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
         in zip(states, trajectory.diagnostics, v, w, per_sample, vw_defect)]
 
 
+def rel_drift(series) -> float:
+    """Drift of a sampled quantity: (max - min) / max(max |x|, 1e-6), the
+    floor keeping near-zero quantities from blowing up the ratio."""
+    series = np.asarray(series, dtype=float)
+    scale = max(float(np.max(np.abs(series))), 1e-6)
+    return float((series.max() - series.min()) / scale)
+
+
+def conserved_quantities(tier: str, params: ModelParams, chi,
+                         gamma_tilde=None) -> dict:
+    """{quantity: drift tolerance} of what a run of ``tier`` conserves; a
+    second-order psi flow conserves the U(1) charge, not theta1, and the
+    recorded energy is that of the one-metric L (no ``gamma_tilde``)."""
+    holds = {"energy": (1e-6, not callable(chi) and gamma_tilde is None),
+             "theta1": (1e-9, tier in ("schrodinger", "direct_nonlinear")
+                        and params.effective_potential.kind == "none"),
+             "charges": (1e-6, params.alpha5 == 0.0 and "gamma" in STEPPED_BLOCKS[tier])}
+    return {name: tol for name, (tol, held) in holds.items()
+            if held and params.forcing is None}
+
+
 def drift_summary(reports: list[ChargeReport]) -> dict:
-    """Max relative drift per monitored quantity over a report sequence.
-
-    Drift is measured against max(|quantity|, 1e-6) so that near-zero
-    charges do not blow up the ratio.
-    """
-    def rel_drift(series):
-        series = np.asarray(series, dtype=float)
-        scale = max(float(np.max(np.abs(series))), 1e-6)
-        return float((series.max() - series.min()) / scale)
-
+    """Max :func:`rel_drift` per monitored quantity over a report sequence."""
     summary = {
         "energy": rel_drift([r.energy for r in reports]),
         "theta1": rel_drift([r.theta1 for r in reports]),

@@ -325,7 +325,11 @@ def rhs_direct_nonlinear_raw(psi, gamma, params: ModelParams, chi_matrix,
     with the optional potential and forcing terms:
 
         2i*alpha1*Gamma psid = [(f'(theta1) - alpha4) Gamma - alpha5 chi] psi - conj(F).
+
+    alpha1 == 0 leaves no psid to solve for (DegenerateKinetic).
     """
+    if params.alpha1 == 0.0:
+        raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics")
     psi = np.asarray(psi, dtype=complex)
     g = np.asarray(gamma, dtype=complex)
     chi_m = np.asarray(chi_matrix, dtype=complex)

@@ -122,13 +122,10 @@ class ModelParams:
     alpha8: float = 0.0
     alpha9: float = 0.0
     kappa: float = 0.0
-    hbar: float = 1.0
     forcing: Optional[Callable[[float], np.ndarray]] = None
     potential: PotentialSpec = field(default_factory=PotentialSpec)
 
     def __post_init__(self):
-        if not (self.hbar > 0.0):
-            raise ValueError("hbar must be positive")
         for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5",
                      "alpha6", "alpha7", "alpha8", "alpha9", "kappa"):
             if not np.all(np.isfinite(complex(getattr(self, name)))):
@@ -182,16 +179,19 @@ def preset(name: str, n: int | None = None, hbar: float = 1.0, tau: float = 1.0)
     alpha = hbar, beta = -4*tau*hbar, gamma = 2 from the heat-transport
     analogy.  ``killing``: the scalar-product kinetic couplings A = 2n,
     B = -2; note A + nB = 0, so the kinetic operator is degenerate along
-    dilatations and this preset cannot drive the geodesic tier.
+    dilatations and this preset cannot drive the geodesic tier.  hbar must
+    be positive.
     """
+    if not hbar > 0.0:
+        raise ValueError("hbar must be positive")
     if name == "schrodinger":
-        return ModelParams(alpha1=hbar / 2.0, alpha5=-1.0, hbar=hbar)
+        return ModelParams(alpha1=hbar / 2.0, alpha5=-1.0)
     if name == "kozlov-heat":
-        return ModelParams.from_legacy(alpha=hbar, beta=-4.0 * tau * hbar, gamma=2.0, hbar=hbar)
+        return ModelParams.from_legacy(alpha=hbar, beta=-4.0 * tau * hbar, gamma=2.0)
     if name == "killing":
         if n is None:
             raise ValueError("preset 'killing' needs the dimension n")
-        return ModelParams.from_legacy(A=2.0 * n, B=-2.0, hbar=hbar)
+        return ModelParams.from_legacy(A=2.0 * n, B=-2.0)
     raise ValueError(f"unknown preset {name!r}")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotGHermitian, SingularOperator
-from .hermitian_algebra import hermitian_basis, matrix_exp
+from .hermitian_algebra import HERM_TOL_FACTOR, hermitian_basis, hermiticity_drift, matrix_exp
 from .models import FullState, ModelParams, apply_omega, lagrangian_value
 
 __all__ = [
@@ -48,11 +48,9 @@ class GammaExponentialSolution:
         if self.side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
         contracted = g @ e if self.side == "right" else e @ g
-        defect = np.linalg.norm(contracted - contracted.conj().T)
-        tol = 1e-9 * max(np.linalg.norm(contracted), 1e-300)
-        if defect > tol:
-            raise NotGHermitian(
-                f"generator is not admissible: contracted-form defect {defect:.3e}")
+        drift = hermiticity_drift(contracted)
+        if drift > HERM_TOL_FACTOR:
+            raise NotGHermitian(f"generator is not admissible: contracted-form drift {drift:.3e}")
         object.__setattr__(self, "G", g)
         object.__setattr__(self, "E", e)
 

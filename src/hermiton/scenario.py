@@ -23,7 +23,7 @@ from .models import ModelParams, PotentialSpec, preset
 __all__ = ["Scenario", "load_scenario", "scenario_to_dict", "dump_scenario"]
 
 _PARAM_KEYS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5",
-               "alpha6", "alpha7", "alpha8", "alpha9", "kappa", "hbar")
+               "alpha6", "alpha7", "alpha8", "alpha9", "kappa")
 _OUTPUT_KINDS = ("trajectory", "diagnostics", "charges")
 _TOP_KEYS = ("model_tier", "params", "chi", "initial", "integrator", "outputs", "seed",
              "gamma_tilde", "generators", "request_chart", "inject_sign_error")
@@ -106,11 +106,19 @@ def _decode_params(data, n: int) -> ModelParams:
     preset_name = data.pop("preset", None)
     potential_spec = data.pop("potential", None)
     forcing_spec = data.pop("forcing", None)
-    tau = data.pop("tau", 1.0)
+    # a settable value must be read: hbar only by a preset, tau only by kozlov-heat
+    if "hbar" in data and preset_name is None:
+        raise ScenarioError("params key 'hbar' is read only by a preset")
+    if "tau" in data and preset_name != "kozlov-heat":
+        raise ScenarioError("params key 'tau' is read only by the 'kozlov-heat' preset")
+    hbar, tau = float(data.pop("hbar", 1.0)), float(data.pop("tau", 1.0))
 
     base = {}
     if preset_name is not None:
-        p = preset(preset_name, n=n, hbar=float(data.get("hbar", 1.0)), tau=float(tau))
+        try:
+            p = preset(preset_name, n=n, hbar=hbar, tau=tau)
+        except ValueError as exc:
+            raise ScenarioError(f"preset {preset_name!r}: {exc}") from exc
         base = {k: getattr(p, k) for k in _PARAM_KEYS}
     for key in list(data):
         if key not in _PARAM_KEYS:

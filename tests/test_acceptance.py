@@ -50,7 +50,7 @@ def test_criterion_1_schrodinger_recovery(acceptance_rng):
     # matches the matrix-exponential solution for 20 random gamma-Hermitian
     # Hamilton operators, n <= 4
     rng = acceptance_rng
-    params = ModelParams(alpha1=0.5, alpha5=-1.0, hbar=1.0)
+    params = ModelParams(alpha1=0.5, alpha5=-1.0)
     worst_err = 0.0
     worst_theta = 0.0
     for k in range(20):

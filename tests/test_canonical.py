@@ -292,6 +292,36 @@ class TestDarboux:
         with pytest.raises(ValueError):
             darboux_reduce(np.eye(2), chi, alpha, g=g)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_g_verdicts_are_relative(self, scale):
+        # gamma = s (g / (2 alpha) + i A): a consistent s g is accepted at
+        # every scale; one with an entry 50 % asymmetric, or 50 % away from
+        # 2 alpha S, is refused at every scale
+        alpha = 0.5
+        g = np.array([[2.0, 0.3], [0.3, 4.0]])
+        gamma = scale * (g / (2 * alpha) + 1j * np.array([[0.0, 0.2], [-0.2, 0.0]]))
+        chart = darboux_reduce(gamma, np.eye(2), alpha, g=scale * g)
+        assert np.allclose(chart.S, scale * g / (2 * alpha), rtol=1e-15, atol=0)
+        with pytest.raises(ValueError, match="real symmetric"):
+            darboux_reduce(gamma, np.eye(2), alpha,
+                           g=scale * np.array([[2.0, 0.3], [0.45, 4.0]]))
+        with pytest.raises(ValueError, match="inconsistent"):
+            darboux_reduce(gamma, np.eye(2), alpha, g=1.5 * scale * g)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_canonical_flag_is_relative_to_the_canonical_form(self, scale):
+        # alpha = s / 2: gamma = I / (2 alpha) is canonical at every scale,
+        # 2 I / (2 alpha) at none
+        alpha = 0.5 * scale
+        assert darboux_reduce(np.eye(2) / (2 * alpha), np.eye(2), alpha).canonical
+        assert not darboux_reduce(np.eye(2) / alpha, np.eye(2), alpha).canonical
+
+    def test_canonical_flag_at_large_alpha(self):
+        # gamma = 2 I / (2 alpha) differs from I / (2 alpha) by 1e-12 entrywise
+        # at alpha = 1e12, a whole unit of the canonical form
+        alpha = 1e12
+        assert not darboux_reduce(np.eye(2) / alpha, np.eye(2), alpha).canonical
+
 
 class TestRegularSector:
     def test_momenta_static_gamma_alpha3_zero(self, rng):

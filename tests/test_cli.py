@@ -177,6 +177,14 @@ def _with_forcing(kind, **extra):
     _malformed("generator", "'matrx'", lambda sc: sc.update(
         generators=[{"label": "H", "matrx": mat(np.eye(2))}])),
     _malformed("initial-not-object", "initial", lambda sc: sc.update(initial=[1.0])),
+    # a settable value must be read: hbar only by a preset, tau only by kozlov-heat
+    _malformed("hbar-without-preset", "'hbar'", lambda sc: sc.update(
+        params={"alpha1": 0.5, "alpha5": -1.0, "hbar": 1.0})),
+    _malformed("tau-outside-kozlov-heat", "'tau'", lambda sc: sc["params"].update(tau=3.0)),
+    _malformed("tau-without-preset", "'tau'", lambda sc: sc.update(
+        params={"alpha1": 0.5, "alpha5": -1.0, "tau": 3.0})),
+    _malformed("hbar-not-positive", "hbar must be positive",
+               lambda sc: sc["params"].update(hbar=0.0)),
 ])
 def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     # refused at load time with a ScenarioError that names the field
@@ -186,6 +194,21 @@ def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     assert err.startswith("ScenarioError: ") and field in err
     assert err.count("ScenarioError") == 1
     assert not (tmp_path / "malformed_trajectory.csv").exists()
+
+
+def test_kozlov_heat_reads_hbar_and_tau(tmp_path):
+    sc = schrodinger_scenario(params={"preset": "kozlov-heat", "hbar": 2.0, "tau": 0.25})
+    params = load_scenario(write(tmp_path, "heat", sc)).params
+    assert (params.alpha1, params.alpha2, params.alpha5) == (2.0, -2.0, -2.0)
+
+
+@pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear"])
+def test_first_order_psi_tier_refuses_alpha1_zero(tmp_path, capsys, tier):
+    sc = schrodinger_scenario(model_tier=tier, params={"alpha5": -1.0})
+    path = write(tmp_path, "a1zero", sc)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("DegenerateKinetic: ") and "alpha1 == 0" in err
 
 
 def test_harmonic_forcing_takes_omega(tmp_path):
@@ -267,7 +290,9 @@ class TestCheck:
 def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path, tier,
                                                                         kappa):
     # alpha5 = 0 everywhere, so only the tier decides whether charges are
-    # asserted; theta1 is asserted only on a frozen gamma without a potential
+    # asserted; theta1 is asserted only on the first-order psi flows on a
+    # frozen gamma without a potential (a second-order psi flow conserves
+    # the U(1) charge, not theta1)
     alpha2 = 0.3 if tier in ("second_order", "full") else 0.0
     sc = {
         "model_tier": tier,
@@ -284,7 +309,58 @@ def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path
                 json.loads((tmp_path / "split_check.json").read_text())["verdicts"]}
     steps_gamma = tier in ("gamma_geodesic", "full", "modified_first_order")
     assert ("charge_drift" in verdicts) == steps_gamma
-    assert (verdicts["theta1_drift"]["tol"] is not None) == (not steps_gamma and kappa == 0.0)
+    if steps_gamma:
+        assert verdicts["charge_drift"]["tol"] == 1e-6
+    assert (verdicts["theta1_drift"]["tol"] is not None) == (
+        tier in ("schrodinger", "direct_nonlinear") and kappa == 0.0)
+
+
+_FORCING = {"kind": "constant", "vector": vec([0.3, 0.2j])}
+_SECOND_ORDER = {"model_tier": "second_order",
+                 "params": {"alpha1": 0.5, "alpha2": 1.0, "alpha5": -1.0}}
+
+
+@pytest.mark.parametrize("case, moving, recorded", [
+    # a second-order psi flow conserves the U(1) charge, not theta1
+    pytest.param(_SECOND_ORDER, "theta1_drift", {"theta1_drift"}, id="second_order"),
+    # the recorded energy is that of the one-metric L
+    pytest.param({**_SECOND_ORDER, "gamma_tilde": mat(np.array([[1.3, 0.2 + 0.1j],
+                                                                [0.2 - 0.1j, 0.8]]))},
+                 "energy_drift", {"energy_drift", "theta1_drift"}, id="two_metric"),
+    # a forcing, an opaque callable, leaves nothing asserted (a constant one
+    # still conserves energy, which the table cannot tell)
+    pytest.param({"model_tier": "direct_nonlinear",
+                  "params": {"preset": "schrodinger", "forcing": _FORCING}},
+                 "theta1_drift", {"energy_drift", "theta1_drift"}, id="forced_first_order"),
+    pytest.param({"model_tier": "full",
+                  "params": {"alpha1": 0.4, "alpha2": 0.3, "alpha6": 0.9, "alpha7": 0.25,
+                             "forcing": _FORCING},
+                  "initial": {"gamma_dot0": mat(np.array([[0.01, 0.02 + 0.01j],
+                                                          [0.02 - 0.01j, -0.01]]))}},
+                 "charge_drift", {"energy_drift", "theta1_drift", "charge_drift"},
+                 id="forced_full"),
+])
+def test_check_records_what_a_scenario_does_not_conserve(tmp_path, case, moving, recorded):
+    # the quantity ``moving`` drifts (by 0.02 to 1.7) because the scenario
+    # does not conserve it; check records it and the other unconserved ones
+    # with a null tolerance instead of failing the run, and asserts the rest
+    sc = {"chi": "diag:[1, 2]",
+          "initial": {"psi0": vec([0.6 + 0.1j, 0.2 - 0.3j]), "psi_dot0": vec([0.05, 0.02j])},
+          "integrator": {"method": "rk4", "dt": 0.002, "t_end": 0.4, "sample_stride": 20},
+          "seed": 3}
+    sc.update({k: v for k, v in case.items() if k != "initial"})
+    sc["initial"] = {**sc["initial"], **case.get("initial", {})}
+    path = write(tmp_path, "cons", sc)
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    verdicts = {v["check"]: v for v in
+                json.loads((tmp_path / "cons_check.json").read_text())["verdicts"]}
+    assert verdicts[moving]["value"] > 0.01
+    for name, verdict in verdicts.items():
+        assert (verdict["tol"] is None) == (name in recorded)
+        assert verdict["passed"] is (None if name in recorded else True)
+    sc["inject_sign_error"] = True
+    path = write(tmp_path, "cons", sc)
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 1
 
 
 class TestReduce:

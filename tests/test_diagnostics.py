@@ -74,7 +74,7 @@ class TestNoetherTensors:
         psi = rand_vec(rng, n)
         state = FullState(psi=psi, psi_dot=rand_vec(rng, n), gamma=gamma,
                           gamma_dot=np.zeros((n, n)))
-        params = ModelParams(alpha1=hbar / 2.0, alpha5=-1.0, hbar=hbar)
+        params = ModelParams(alpha1=hbar / 2.0, alpha5=-1.0)
         v, w = noether_tensors(state, params, gamma)
         assert np.max(np.abs(v)) < 1e-13
         assert np.allclose(w, hbar * np.outer(psi, np.conj(psi)), atol=1e-13)
@@ -345,3 +345,54 @@ class TestStackedMonitor:
             monkeypatch.setattr(np.linalg, "inv", inv)
             counts.append((len(traj.states), len(calls)))
         assert counts == [(6, 2), (21, 2)]     # gamma0 once, the stack once
+
+
+class TestConservedQuantities:
+    @pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear", "second_order",
+                                      "gamma_geodesic", "full", "modified_first_order",
+                                      "canonical_frozen"])
+    def test_table(self, tier):
+        # energy: no forcing, a constant chi and the one-metric L; theta1: the
+        # first-order psi flows on a frozen gamma without potential or forcing;
+        # charges: the gamma-stepping tiers with alpha5 = 0 and no forcing
+        first_order_psi = tier in ("schrodinger", "direct_nonlinear")
+        steps_gamma = tier in ("gamma_geodesic", "full", "modified_first_order")
+        chi = np.eye(2)
+        for forced in (False, True):
+            for kappa in (0.0, 0.1):
+                for gamma_tilde in (None, 2.0 * np.eye(2)):
+                    for alpha5 in (0.0, -1.0):
+                        params = ModelParams(
+                            alpha1=0.5, alpha5=alpha5, kappa=kappa,
+                            forcing=(lambda t: np.ones(2)) if forced else None)
+                        expected = {}
+                        if not forced and gamma_tilde is None:
+                            expected["energy"] = 1e-6
+                        if first_order_psi and not forced and kappa == 0.0:
+                            expected["theta1"] = 1e-9
+                        if steps_gamma and not forced and alpha5 == 0.0:
+                            expected["charges"] = 1e-6
+                        assert diagnostics.conserved_quantities(
+                            tier, params, chi, gamma_tilde) == expected
+        # a time-dependent chi breaks energy conservation only
+        table = diagnostics.conserved_quantities(tier, ModelParams(alpha1=0.5),
+                                                 lambda t: chi)
+        assert "energy" not in table
+        assert ("theta1" in table, "charges" in table) == (first_order_psi, steps_gamma)
+
+    def test_rel_drift(self):
+        assert diagnostics.rel_drift([2.0, 3.0, 4.0]) == 0.5
+        assert diagnostics.rel_drift([1e-9, 3e-9]) == pytest.approx(2e-3)   # floor 1e-6
+        assert diagnostics.rel_drift([5.0]) == 0.0
+
+
+class TestGeneratorClass:
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_relative_at_every_scale(self, rng, scale):
+        h = rand_herm(rng, 3)
+        off = rand_herm(rng, 3)
+        assert diagnostics._is_hermitian(scale * h) is True
+        assert diagnostics._is_hermitian(scale * 1j * h) is False
+        assert diagnostics._is_hermitian(np.zeros((3, 3))) is None
+        with pytest.raises(WrongSymmetryClass):
+            diagnostics._is_hermitian(scale * (h + 1e-6 * 1j * off))

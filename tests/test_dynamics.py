@@ -117,7 +117,7 @@ class TestElResidual:
     def test_vanishes_on_frozen_schrodinger_solution(self, rng):
         n = 3
         hbar = 1.0
-        params = ModelParams(alpha1=hbar / 2.0, alpha5=-1.0, hbar=hbar)
+        params = ModelParams(alpha1=hbar / 2.0, alpha5=-1.0)
         gamma = rand_pd(rng, n)
         chi = rand_herm(rng, n)
         h = np.linalg.inv(gamma) @ chi

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from hermiton.errors import NonFinite, NotHermitian, SingularForm
 from hermiton.hermitian_algebra import (
-    check_hermitian,
+    HERM_TOL_FACTOR,
     complex_vector,
     gamma_velocity,
     hermitian_basis,
@@ -25,15 +25,43 @@ from hermiton.hermitian_algebra import (
 from conftest import rand_herm, rand_pd, rand_vec
 
 
-class TestCheckHermitian:
+class TestHermiticityVerdict:
+    """One relative rule: hermitian_form refuses a form whose
+    hermiticity_drift exceeds HERM_TOL_FACTOR."""
+
     def test_identity(self):
-        assert check_hermitian(np.eye(3), 1e-12)
+        assert hermiticity_drift(np.eye(3)) == 0.0
+        assert np.array_equal(hermitian_form(np.eye(3)), np.eye(3))
 
     def test_antihermitian(self):
-        assert not check_hermitian(np.array([[0, 1j], [1j, 0]]), 1e-12)
+        f = np.array([[0, 1j], [1j, 0]])
+        assert hermiticity_drift(f) == 2.0         # F^dag = -F
+        assert hermiticity_drift(1j * f) == 0.0
+        with pytest.raises(NotHermitian, match="^form deviates from hermiticity by 2.000e"):
+            hermitian_form(f, require_invertible=False)
 
     def test_pauli_like(self):
-        assert check_hermitian(np.array([[1, 1j], [-1j, 2]]), 1e-12)
+        f = np.array([[1, 1j], [-1j, 2]])
+        assert hermiticity_drift(f) == 0.0
+        assert np.array_equal(hermitian_form(f), f)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_scaled_form_gets_the_verdict_of_the_form(self, rng, scale):
+        # relative defects just inside and just outside the tolerance: s * F
+        # is accepted or refused with F, whatever the scale s
+        for rel, accepted in ((0.5 * HERM_TOL_FACTOR, True), (2.0 * HERM_TOL_FACTOR, False)):
+            base = rand_pd(rng, 3)
+            skew = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            skew = skew - skew.conj().T
+            # F - F^dag = 2 c skew, so the drift is about rel
+            form = base + 0.5 * rel * np.linalg.norm(base) / np.linalg.norm(skew) * skew
+            assert hermiticity_drift(form) == pytest.approx(rel, rel=1e-6)
+            for f in (form, scale * form):
+                if accepted:
+                    hermitian_form(f)
+                else:
+                    with pytest.raises(NotHermitian):
+                        hermitian_form(f)
 
 
 class TestHermitianForm:

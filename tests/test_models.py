@@ -40,8 +40,10 @@ def full_params(**overrides):
 
 class TestModelParams:
     def test_hbar_positive(self):
-        with pytest.raises(ValueError):
-            ModelParams(hbar=0.0)
+        for name in ("schrodinger", "kozlov-heat", "killing"):
+            for hbar in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="hbar must be positive"):
+                    preset(name, n=2, hbar=hbar)
 
     def test_kappa_vs_potential_exclusive(self):
         with pytest.raises(ValueError):
@@ -108,7 +110,7 @@ class TestLagrangian:
         psi_dot = -1j * e_level / hbar * psi
         state = FullState(psi=psi, psi_dot=psi_dot, gamma=np.eye(2),
                           gamma_dot=np.zeros((2, 2)), t=t)
-        params = ModelParams(alpha1=hbar / 2.0, alpha5=-1.0, hbar=hbar)
+        params = ModelParams(alpha1=hbar / 2.0, alpha5=-1.0)
         val = lagrangian_value(state, params, e_level * np.eye(2))
         assert abs(val) < 1e-12
 
@@ -342,7 +344,7 @@ class TestEffectiveHamiltonian:
         hbar = 1.0
         alpha9 = 0.4
         params = ModelParams(alpha1=hbar / 2.0, alpha3=(-1j * hbar / 2.0) / alpha9,
-                             alpha5=-1.0, alpha9=alpha9, hbar=hbar)
+                             alpha5=-1.0, alpha9=alpha9)
         gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
         gamma_dot = rand_herm(rng, n, 0.5)
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
