@@ -18,8 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _apply_omega_dot, _full_accelerations_raw, _p_dot, rhs_second_order
-from .errors import NotPositiveDefinite, ZeroAlpha2
+from .dynamics import (
+    _apply_omega_dot,
+    _full_accelerations_raw,
+    _p_dot,
+    rhs_direct_nonlinear_raw,
+    rhs_second_order,
+)
+from .errors import DegenerateKinetic, NotPositiveDefinite, ZeroAlpha2
 from .hermitian_algebra import (
     _checked_inverse,
     complex_vector,
@@ -27,7 +33,6 @@ from .hermitian_algebra import (
     hermitian_part,
     hermiticity_drift,
     invert_form,
-    raise_first_index,
     real_decompose,
 )
 from .models import (
@@ -142,15 +147,11 @@ def lagrange_multipliers(psi, gamma, chi, alpha: float, gamma_coeff: float,
     """Unique multipliers of the Dirac tangency conditions.
 
     lambda = -(i/2)(gamma_coeff/alpha) H psi - (i / 2 alpha) Gamma^{-1} dV/d(conj psi);
-    on the constraint manifold these are exactly the psi velocities.
+    on the constraint manifold these are exactly the first-order flow's psi velocities.
     """
-    psi = np.asarray(psi, dtype=complex)
-    h = raise_first_index(gamma, chi)
-    lam = -0.5j * (gamma_coeff / alpha) * (h @ psi)
-    if spec is not None and spec.kind != "none":
-        grad = potential_gradient(psi, gamma, spec)
-        lam = lam - (0.5j / alpha) * (invert_form(gamma) @ grad)
-    return lam
+    params = ModelParams.from_legacy(alpha=alpha, gamma=gamma_coeff,
+                                     potential=spec or PotentialSpec())
+    return rhs_direct_nonlinear_raw(psi, gamma, params, chi)
 
 
 def reduced_bracket_flow(psi, gamma, chi, alpha: float,
@@ -257,8 +258,10 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
     Cholesky factor; if gamma is not positive definite the chart is refused
     (silently unless ``require_chart``).  Each ``tol`` test is relative:
     ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
-    hermiticity drift and S == g / (2 alpha) to ||S||.
+    hermiticity drift and S == g / (2 alpha) to ||S||; alpha == 0 is refused.
     """
+    if alpha == 0.0:
+        raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics to reduce")
     gamma = hermitian_form(gamma)
     chi = hermitian_form(np.asarray(chi, dtype=complex), require_invertible=False)
     gamma_coeff = 2.0
@@ -511,8 +514,7 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
     if params.alpha2 == 0.0:
         raise ZeroAlpha2("the psi-sector Legendre map is singular for alpha2 == 0")
     psid = _psi_velocity(psi, p.pi, invert_form(g), params)
-    zero = np.zeros_like(g)
-    state = FullState(psi=psi, psi_dot=psid, gamma=g, gamma_dot=zero, t=p.t)
+    state = FullState(psi=psi, psi_dot=psid, gamma=g, gamma_dot=np.zeros_like(g), t=p.t)
     psi_ddot = rhs_second_order(state, chi_m, params)
     pi_dot = params.alpha2 * (np.conj(psi_ddot) @ g) + 1j * params.alpha1 * (np.conj(psid) @ g)
     return CanonicalFlow(psi_dot=psid, pi_dot=pi_dot, gamma_dot=None, pi_gamma_dot=None)

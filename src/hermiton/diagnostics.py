@@ -217,11 +217,12 @@ def rel_drift(series) -> float:
 def conserved_quantities(tier: str, params: ModelParams, chi,
                          gamma_tilde=None) -> dict:
     """{quantity: drift tolerance} of what a run of ``tier`` conserves; a
-    second-order psi flow conserves the U(1) charge, not theta1, and the
-    recorded energy is that of the one-metric L (no ``gamma_tilde``)."""
+    first-order psi flow on a frozen gamma keeps a gamma-Hermitian generator
+    and so theta1 with any real potential, a second-order psi flow conserves
+    the U(1) charge, not theta1, and the recorded energy is that of the
+    one-metric L (no ``gamma_tilde``)."""
     holds = {"energy": (1e-6, not callable(chi) and gamma_tilde is None),
-             "theta1": (1e-9, tier in ("schrodinger", "direct_nonlinear")
-                        and params.effective_potential.kind == "none"),
+             "theta1": (1e-9, tier in ("schrodinger", "direct_nonlinear")),
              "charges": (1e-6, params.alpha5 == 0.0 and "gamma" in STEPPED_BLOCKS[tier])}
     return {name: tol for name, (tol, held) in holds.items()
             if held and params.forcing is None}

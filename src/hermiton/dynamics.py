@@ -1,4 +1,4 @@
-"""Euler-Lagrange residuals and explicit right-hand sides for every model tier.
+"""Euler-Lagrange residuals, and the right-hand sides of every tier solved from them.
 
 Residual sign convention: r = d/dt (dL/dq_dot) - dL/dq, for both the psi
 sector (variation with respect to conj(psi), giving a covariant complex
@@ -8,16 +8,18 @@ which the finite-difference action-gradient oracle and the analytic
 residuals agree without sign flips; equations of motion are r = 0 either
 way.
 
-The residual has one implementation, split by sector.  ``_ResidualPieces``
-computes once per configuration what both sectors use: theta1 and
-f'(theta1), gamma psi, gamma_dot psi, gamma^{-1} gamma_dot,
-P = gamma^{-1} + alpha9 psi psi^, P gamma_dot and its trace.  Its
-``psi_residual`` builds r_psi from matrix-vector products; its
-``gamma_residual`` builds r_gamma, with all of its outer products of psi and
-psid as one (n x 2)(2 x 2)(2 x n) product.  :func:`el_residual` and the
-``full`` kernel evaluate both parts; the ``modified_first_order`` kernel
-solves the psi part, affine in psid when alpha2 == 0, for psid and then
-evaluates the gamma part at that psid.  The
+The residual has one implementation, split by sector, and it is the only
+source of the psi equation of motion.  ``_ResidualPieces`` computes once
+per configuration what both sectors use: theta1 and f'(theta1), gamma psi
+and, unless gamma is frozen, gamma_dot psi, gamma^{-1} gamma_dot,
+P = gamma^{-1} + alpha9 psi psi^, P gamma_dot and its trace.  Every psi
+tier solves ``psi_residual`` without its acceleration term, R, with one
+inverse K^{-1} (K = gamma, or gamma_tilde in the alpha2 term): the
+first-order tiers (alpha2 == 0) as psid = K^{-1} R0 / (2i alpha1), R0 being
+R at psid = 0, the second-order ones as psi_ddot = K^{-1} R / (-alpha2).
+The frozen-gamma kernels take K^{-1} from the integrator, which inverts K
+once per run.  ``gamma_residual`` builds r_gamma, with all of its outer
+products of psi and psid as one (n x 2)(2 x 2)(2 x n) product, and the
 kernels hand gamma psi and theta1 on to the closed-form kinetic inverse.
 """
 
@@ -35,9 +37,7 @@ from .models import (
     _apply_omega_inverse,
     _kinetic_denominator,
     p_tensor,
-    potential_gradient,
     resolve_chi,
-    theta1,
 )
 
 __all__ = [
@@ -71,32 +71,26 @@ class Residual:
 def rhs_schrodinger(psi, gamma, chi, alpha: float, gamma_coeff: float) -> np.ndarray:
     """psid for the velocity-linear model on a frozen scalar product:
     2i*alpha*Gamma*psid = gamma_coeff*chi*psi, i.e. psid = (gamma_coeff / 2i alpha) H psi."""
-    psi = np.asarray(psi, dtype=complex)
-    h = invert_form(gamma) @ np.asarray(chi, dtype=complex)
-    return (gamma_coeff / (2.0j * alpha)) * (h @ psi)
+    return rhs_direct_nonlinear_raw(psi, gamma,
+                                    ModelParams.from_legacy(alpha=alpha, gamma=gamma_coeff), chi)
 
 
 def rhs_second_order(state: FullState, chi, params: ModelParams,
-                     gamma_tilde=None) -> np.ndarray:
-    """psi_ddot for the second-order model (frozen gamma).
-
-    Solves  2i*alpha*Gamma psid - beta*K psi_ddot = gamma*chi psi + f' Gamma psi
-    with K = Gamma when ``gamma_tilde`` is None, K = gamma_tilde otherwise
-    (the two-metric variant); beta = alpha2 must not vanish.  Only the
-    state's psi, psi_dot, gamma and t are read, and they are not validated
-    again: the integrator passes its stages as a lighter object with those
-    attributes.
+                     gamma_tilde=None, kinv=None) -> np.ndarray:
+    """psi_ddot = K^{-1} R / (-alpha2) of the second-order model on a frozen
+    gamma, with K = gamma or ``gamma_tilde`` (the two-metric variant) and
+    ``kinv``, when given, ``_checked_inverse(K)`` computed by the caller.
+    alpha2 must not vanish.  Only the state's psi, psi_dot, gamma and t are
+    read, and not validated again: the integrator passes its stages as a
+    lighter object with those attributes.
     """
-    beta = params.alpha2
-    if beta == 0.0:
+    if params.alpha2 == 0.0:
         raise ZeroBeta("second-order dynamics needs alpha2 != 0")
-    psi, psid = state.psi, state.psi_dot
-    g = state.gamma
-    chi = resolve_chi(chi, state.t)
-    grad_v = potential_gradient(psi, g, params.effective_potential)
-    rhs = 2.0j * params.alpha1 * (g @ psid) - params.gamma_coeff * (chi @ psi) - grad_v
-    kinetic = g if gamma_tilde is None else np.asarray(gamma_tilde, dtype=complex)
-    return np.linalg.solve(kinetic, rhs) / beta
+    s = _ResidualPieces(state.psi, state.gamma, None, params)
+    if kinv is None:
+        kinv = _checked_inverse(np.asarray(s.g if gamma_tilde is None else gamma_tilde, complex))
+    rest = s.psi_residual(resolve_chi(chi, state.t), state.t, state.psi_dot)
+    return (kinv @ rest) / -params.alpha2
 
 
 def _p_dot(psi, psid, ginv, gamma_dot, alpha9: float) -> np.ndarray:
@@ -139,24 +133,27 @@ class _ResidualPieces:
     ``psi_residual`` is the psi part and ``gamma_residual`` the gamma part;
     ``residuals`` evaluates both, which also share gamma_dot psid, and
     ``effective_hamiltonian`` is the psi part as an operator on psi.  None of
-    the pieces depends on psid, so the modified first-order tier can solve
-    the psi residual for psid before it forms the gamma one.  An acceleration given as None counts as zero and its terms
-    are skipped.
+    the pieces depends on psid, so the first-order tiers can solve the psi
+    residual for psid before the gamma one is formed.  An acceleration, or a
+    gamma_dot (a frozen gamma: ``psi_residual`` only, ``ginv`` unread), given
+    as None counts as zero and its terms are skipped.
     """
 
     __slots__ = ("params", "psi", "psibar", "g", "gd", "ginv", "gpsi", "th1",
                  "fprime", "gdpsi", "quad", "ginv_gd", "p", "pgd", "tr_pgd", "c_gd")
 
-    def __init__(self, psi, gamma, gamma_dot, params: ModelParams, ginv):
+    def __init__(self, psi, gamma, gamma_dot, params: ModelParams, ginv=None):
         self.params = params
         self.psi = psi = np.asarray(psi, dtype=complex)
         self.psibar = psibar = psi.conj()
         self.g = g = np.asarray(gamma, dtype=complex)
-        self.gd = gd = np.asarray(gamma_dot, dtype=complex)
-        self.ginv = ginv
         self.gpsi = gpsi = g @ psi
         self.th1 = th1 = psibar @ gpsi
         self.fprime = params.effective_potential.derivative(float(th1.real))
+        self.gd = gd = None if gamma_dot is None else np.asarray(gamma_dot, dtype=complex)
+        if gd is None:
+            return
+        self.ginv = ginv
         self.gdpsi = gdpsi = gd @ psi
         self.quad = psibar @ gdpsi
         self.ginv_gd = ginv @ gd
@@ -179,13 +176,16 @@ class _ResidualPieces:
         psi_ddot given as None."""
         prm = self.params
         a1, a2, a9 = prm.alpha1, prm.alpha2, prm.alpha9
-        r = (self.fprime - prm.alpha4) * self.gpsi + self.c_gd * self.gdpsi
+        frozen = self.gd is None
+        r = (self.fprime - prm.alpha4) * self.gpsi
+        if not frozen:
+            r += self.c_gd * self.gdpsi
         if prm.alpha5 != 0.0:
             r -= prm.alpha5 * (chi @ self.psi)
-        if a9 != 0.0:
+        if a9 != 0.0 and not frozen:
             r -= (2.0 * a9 * prm.alpha6) * (self.gd @ (self.pgd @ self.psi))
         if psid is not None:
-            r += a2 * gdpsid - (2.0j * a1) * (self.g @ psid)
+            r += (0.0 if frozen else a2 * gdpsid) - (2.0j * a1) * (self.g @ psid)
         if psi_ddot is not None:
             r += a2 * (self.g @ psi_ddot)
         if prm.forcing is not None:
@@ -249,17 +249,9 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
     refuses a near-singular form with SingularForm.
     """
     psi_ddot, gamma_ddot = accel if accel is not None else (None, None)
-    n = state.n
-    if psi_ddot is None:
-        psi_ddot = np.zeros(n, dtype=complex)
-    if gamma_ddot is None:
-        gamma_ddot = np.zeros((n, n), dtype=complex)
-    ginv = _checked_inverse(state.gamma)
-    pieces = _ResidualPieces(state.psi, state.gamma, state.gamma_dot, params, ginv)
-    r_psi, r_gamma = pieces.residuals(
-        state.psi_dot, chi, state.t,
-        np.asarray(psi_ddot, dtype=complex), np.asarray(gamma_ddot, dtype=complex))
-    return Residual(r_psi=r_psi, r_gamma=r_gamma)
+    pieces = _ResidualPieces(state.psi, state.gamma, state.gamma_dot, params,
+                             _checked_inverse(state.gamma))
+    return Residual(*pieces.residuals(state.psi_dot, chi, state.t, psi_ddot, gamma_ddot))
 
 
 def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
@@ -286,19 +278,22 @@ def rhs_full(state: FullState, params: ModelParams, chi):
     return psi_ddot, hermitian_part(gamma_ddot)
 
 
+def _first_order_rate(s: _ResidualPieces, chi_matrix, t: float, kinv) -> np.ndarray:
+    """psid = gamma^{-1} R0 / (2i*alpha1), ``kinv`` = gamma^{-1}: the psi residual
+    -2i*alpha1 gamma psid + R0 solved for psid; alpha2 != 0 and alpha1 == 0 are refused."""
+    prm = s.params
+    if prm.alpha2 != 0.0:
+        raise ValueError("first-order psi dynamics requires alpha2 == 0")
+    if prm.alpha1 == 0.0:
+        raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics")
+    return (kinv @ s.psi_residual(chi_matrix, t)) / (2.0j * prm.alpha1)
+
+
 def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
                               chi, t: float):
-    if params.alpha2 != 0.0:
-        raise ValueError("modified first-order system requires alpha2 == 0")
-    if params.alpha1 == 0.0:
-        raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics")
     ginv = invert_form(gamma)
     s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
-
-    # with alpha2 == 0 the psi residual is -2i*alpha1 * gamma psid + R, R its
-    # value at psid = 0: solved for psid, psid = gamma^{-1} R / (2i*alpha1)
-    rest_psi = s.psi_residual(resolve_chi(chi, t), t)
-    psid = (ginv @ rest_psi) / (2.0j * params.alpha1)
+    psid = _first_order_rate(s, resolve_chi(chi, t), t, ginv)
 
     # gamma equation solved for gamma_ddot with the psid just obtained
     rest_gamma = s.gamma_residual(psid, s.gd @ psid)
@@ -320,24 +315,16 @@ def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
 
 
 def rhs_direct_nonlinear_raw(psi, gamma, params: ModelParams, chi_matrix,
-                             t: float = 0.0) -> np.ndarray:
+                             t: float = 0.0, kinv=None) -> np.ndarray:
     """psid of the velocity-linear psi dynamics on a frozen scalar product,
-    with the optional potential and forcing terms:
+    with the optional potential and forcing terms, from the psi residual:
 
         2i*alpha1*Gamma psid = [(f'(theta1) - alpha4) Gamma - alpha5 chi] psi - conj(F).
 
-    alpha1 == 0 leaves no psid to solve for (DegenerateKinetic).
+    ``kinv``, when given, is ``_checked_inverse(gamma)`` computed by the caller.
     """
-    if params.alpha1 == 0.0:
-        raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics")
-    psi = np.asarray(psi, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    chi_m = np.asarray(chi_matrix, dtype=complex)
-    fprime = params.effective_potential.derivative(theta1(psi, g))
-    rhs = ((fprime - params.alpha4) * g - params.alpha5 * chi_m) @ psi
-    if params.forcing is not None:
-        rhs = rhs - np.conj(np.asarray(params.forcing(t), dtype=complex))
-    return np.linalg.solve(g, rhs) / (2.0j * params.alpha1)
+    s = _ResidualPieces(psi, gamma, None, params)
+    return _first_order_rate(s, chi_matrix, t, _checked_inverse(s.g) if kinv is None else kinv)
 
 
 def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:

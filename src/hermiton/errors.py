@@ -28,7 +28,8 @@ class DegenerateKinetic(HermitonError):
     a denominator a + b of its closed-form inverse (alpha6, alpha6 + n alpha7,
     1 + alpha9 theta1, 1 + alpha8 theta2; A and A + n B on the geodesic tier)
     cancels, |a + b| <= ``hermitian_algebra.COND_TOL`` (|a| + |b|).  The rule
-    is relative, so scaling every coupling gives the same verdict."""
+    is relative, so scaling every coupling gives the same verdict.  Also
+    raised for alpha1 == 0 on a first-order psi flow or Darboux reduction."""
 
 
 class ZeroBeta(HermitonError):

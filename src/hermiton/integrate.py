@@ -68,6 +68,7 @@ from .dynamics import (
 )
 from .errors import HermitonError, NonFinite, StepFailure
 from .hermitian_algebra import (
+    _checked_inverse,
     hermitian_part,
     hermitian_to_real,
     hermiticity_drift,
@@ -215,16 +216,16 @@ class _Blocks(NamedTuple):
     t: object
 
 
-def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
-           ginv) -> dict:
+def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, kinv) -> dict:
     """Time derivative of each block the tier steps (and psi's rate on the
-    first-order tiers), from the blocks ``b`` by name, via the tier's RHS."""
+    first-order tiers), from the blocks ``b`` by name, via the tier's RHS;
+    ``kinv`` is :attr:`_System.kinv`."""
     if tier in ("schrodinger", "direct_nonlinear"):
         return {"psi": rhs_direct_nonlinear_raw(b["psi"], b["gamma"], params,
-                                                resolve_chi(chi, t), t)}
+                                                resolve_chi(chi, t), t, kinv=kinv)}
     if tier == "second_order":
         acc = rhs_second_order(_Blocks(b["psi"], b["psi_dot"], b["gamma"], b["gamma_dot"], t),
-                               resolve_chi(chi, t), params, gamma_tilde)
+                               resolve_chi(chi, t), params, kinv=kinv)
         return {"psi": b["psi_dot"], "psi_dot": acc}
     if tier == "gamma_geodesic":
         acc_g = rhs_gamma_geodesic(b["gamma"], b["gamma_dot"], params.big_a, params.big_b)
@@ -240,7 +241,7 @@ def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, gamma_tilde,
                                                 params, resolve_chi(chi, t), t)
         return {"psi": psid, "gamma": b["gamma_dot"], "gamma_dot": acc_g}
     psid, pid = canonical_frozen_flow(b["psi"], b["pi"], b["gamma"], params,
-                                      resolve_chi(chi, t), t, ginv=ginv)
+                                      resolve_chi(chi, t), t, ginv=kinv)
     return {"psi": psid, "pi": pid}
 
 
@@ -269,14 +270,18 @@ class _System:
     def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
                  chi, gamma_tilde):
         n = initial.n
-        self.tier, self.params, self.chi, self.gamma_tilde = tier, params, chi, gamma_tilde
+        self.tier, self.params, self.chi = tier, params, chi
         self.stepped = stepped = STEPPED_BLOCKS[tier]
         self.codec = _Codec(stepped, n, cfg.resymmetrize_gamma)
         zero_v = np.zeros(n, dtype=complex)
         zero_v.setflags(write=False)         # shared by every recorded state
         self.frozen = {"psi": zero_v, "psi_dot": zero_v, "gamma": initial.gamma,
                        "gamma_dot": np.zeros((n, n), dtype=complex)}
-        self.ginv = np.linalg.inv(initial.gamma) if tier == "canonical_frozen" else None
+        # K, the form multiplying the psi rate (gamma_tilde in a psi_ddot term),
+        # is inverted once per run on the tiers that do not step gamma
+        two_metric = "psi_dot" in stepped and gamma_tilde is not None
+        kinetic = np.asarray(gamma_tilde if two_metric else initial.gamma, dtype=complex)
+        self.kinv = None if "gamma" in stepped else _checked_inverse(kinetic)
         self.first_order = "psi" in stepped and "psi_dot" not in stepped
         self.structural = cfg.resymmetrize_gamma
         self.needs_rates = tier != "canonical_frozen" and (
@@ -298,8 +303,7 @@ class _System:
 
     def deriv(self, t, y):
         self.stage.update(self.codec.unpack(y))
-        rates = _rates(self.tier, t, self.stage, self.params, self.chi, self.gamma_tilde,
-                       self.ginv)
+        rates = _rates(self.tier, t, self.stage, self.params, self.chi, self.kinv)
         if self.needs_rates:
             self.latest = (t, y, rates)
             self._take_rates(t, y, rates)
@@ -329,7 +333,7 @@ class _System:
             if rates[k] is None:
                 try:
                     rates[k] = _rates(self.tier, times[k], self.blocks(ys[k]), self.params,
-                                      self.chi, self.gamma_tilde, self.ginv)
+                                      self.chi, self.kinv)
                 except Exception as exc:
                     failure = _sample_error(self.tier, k, times[k], exc)
                     times, ys = times[:k], ys[:k]

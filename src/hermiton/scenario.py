@@ -226,6 +226,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
 
     params = _decode_params(raw.get("params"), n)
+    blocks = STEPPED_BLOCKS[tier]
+    if "psi" in blocks and "psi_dot" not in blocks and params.alpha2 != 0.0:
+        raise ScenarioError(f"params key 'alpha2' makes L second order in psi; the "
+                            f"first-order tier {tier!r} needs alpha2 == 0")
 
     integ = _known_keys(raw.get("integrator", {}), _INTEGRATOR_KEYS, "integrator")
     try:

@@ -426,11 +426,14 @@ class TestHamiltonFlow:
         assert np.max(np.abs(flow.gamma_dot)) < 1e-9
         assert np.max(np.abs(flow.pi_gamma_dot)) < 1e-9
 
-    def test_frozen_sector_matches_second_order(self, rng):
+    @pytest.mark.parametrize("extra", [
+        {}, {"alpha4": 0.3}, {"forcing": lambda t: np.array([0.3, -0.2j])}],
+        ids=["plain", "alpha4", "constant_forcing"])
+    def test_frozen_sector_matches_second_order(self, rng, extra):
         # L(1,2) canonical flow: FD derivatives of the Hamiltonian against
         # the Lagrangian push and the analytic canonical equations
         n = 2
-        params = ModelParams.from_legacy(alpha=0.6, beta=0.5, gamma=2.0)
+        params = ModelParams.from_legacy(alpha=0.6, beta=0.5, gamma=2.0, **extra)
         gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
         state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
                           gamma=gamma, gamma_dot=np.zeros((n, n)))

@@ -185,6 +185,10 @@ def _with_forcing(kind, **extra):
         params={"alpha1": 0.5, "alpha5": -1.0, "tau": 3.0})),
     _malformed("hbar-not-positive", "hbar must be positive",
                lambda sc: sc["params"].update(hbar=0.0)),
+    # alpha2 != 0 makes L second order: a first-order psi tier cannot solve it
+    *[_malformed(f"alpha2-on-{tier}", "'alpha2'", lambda sc, tier=tier: sc.update(
+        model_tier=tier, params={"preset": "schrodinger", "alpha2": 0.7}))
+      for tier in ("schrodinger", "direct_nonlinear", "modified_first_order")],
 ])
 def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     # refused at load time with a ScenarioError that names the field
@@ -197,16 +201,18 @@ def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
 
 
 def test_kozlov_heat_reads_hbar_and_tau(tmp_path):
-    sc = schrodinger_scenario(params={"preset": "kozlov-heat", "hbar": 2.0, "tau": 0.25})
+    sc = schrodinger_scenario(model_tier="second_order",
+                              params={"preset": "kozlov-heat", "hbar": 2.0, "tau": 0.25})
     params = load_scenario(write(tmp_path, "heat", sc)).params
     assert (params.alpha1, params.alpha2, params.alpha5) == (2.0, -2.0, -2.0)
 
 
+@pytest.mark.parametrize("command", ["simulate", "reduce"])
 @pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear"])
-def test_first_order_psi_tier_refuses_alpha1_zero(tmp_path, capsys, tier):
+def test_first_order_psi_tier_refuses_alpha1_zero(tmp_path, capsys, tier, command):
     sc = schrodinger_scenario(model_tier=tier, params={"alpha5": -1.0})
     path = write(tmp_path, "a1zero", sc)
-    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("DegenerateKinetic: ") and "alpha1 == 0" in err
 
@@ -291,8 +297,8 @@ def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path
                                                                         kappa):
     # alpha5 = 0 everywhere, so only the tier decides whether charges are
     # asserted; theta1 is asserted only on the first-order psi flows on a
-    # frozen gamma without a potential (a second-order psi flow conserves
-    # the U(1) charge, not theta1)
+    # frozen gamma, with or without a potential (a second-order psi flow
+    # conserves the U(1) charge, not theta1)
     alpha2 = 0.3 if tier in ("second_order", "full") else 0.0
     sc = {
         "model_tier": tier,
@@ -312,7 +318,8 @@ def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path
     if steps_gamma:
         assert verdicts["charge_drift"]["tol"] == 1e-6
     assert (verdicts["theta1_drift"]["tol"] is not None) == (
-        tier in ("schrodinger", "direct_nonlinear") and kappa == 0.0)
+        tier in ("schrodinger", "direct_nonlinear"))
+    assert verdicts["theta1_drift"]["passed"] is not False
 
 
 _FORCING = {"kind": "constant", "vector": vec([0.3, 0.2j])}
@@ -323,6 +330,12 @@ _SECOND_ORDER = {"model_tier": "second_order",
 @pytest.mark.parametrize("case, moving, recorded", [
     # a second-order psi flow conserves the U(1) charge, not theta1
     pytest.param(_SECOND_ORDER, "theta1_drift", {"theta1_drift"}, id="second_order"),
+    # alpha4 enters the second-order psi equation: energy is conserved
+    pytest.param({"model_tier": "second_order",
+                  "params": {"alpha1": 0.5, "alpha2": 0.7, "alpha4": 0.3, "alpha5": -1.0},
+                  "integrator": {"method": "rk4", "dt": 0.002, "t_end": 2.0,
+                                 "sample_stride": 20}},
+                 "theta1_drift", {"theta1_drift"}, id="second_order_alpha4"),
     # the recorded energy is that of the one-metric L
     pytest.param({**_SECOND_ORDER, "gamma_tilde": mat(np.array([[1.3, 0.2 + 0.1j],
                                                                 [0.2 - 0.1j, 0.8]]))},

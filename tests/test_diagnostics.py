@@ -353,7 +353,8 @@ class TestConservedQuantities:
                                       "canonical_frozen"])
     def test_table(self, tier):
         # energy: no forcing, a constant chi and the one-metric L; theta1: the
-        # first-order psi flows on a frozen gamma without potential or forcing;
+        # first-order psi flows on a frozen gamma without forcing, with any
+        # potential;
         # charges: the gamma-stepping tiers with alpha5 = 0 and no forcing
         first_order_psi = tier in ("schrodinger", "direct_nonlinear")
         steps_gamma = tier in ("gamma_geodesic", "full", "modified_first_order")
@@ -368,7 +369,7 @@ class TestConservedQuantities:
                         expected = {}
                         if not forced and gamma_tilde is None:
                             expected["energy"] = 1e-6
-                        if first_order_psi and not forced and kappa == 0.0:
+                        if first_order_psi and not forced:
                             expected["theta1"] = 1e-9
                         if steps_gamma and not forced and alpha5 == 0.0:
                             expected["charges"] = 1e-6

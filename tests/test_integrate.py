@@ -5,7 +5,8 @@ import pytest
 
 import hermiton.integrate as integrate_module
 from hermiton.canonical import PhasePoint, hamiltonian
-from hermiton.errors import HermitonError, NonFinite, StepFailure
+from hermiton.dynamics import el_residual
+from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
 from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, Trajectory, convergence_order, integrate
 from hermiton.models import FullState, ModelParams, PotentialSpec, energy, theta1
@@ -441,6 +442,10 @@ def test_second_order_tier_with_gamma_tilde(rng):
     cfg = IntegratorConfig(dt=1e-3, t_end=0.5, sample_stride=100)
     traj = integrate(state, "second_order", cfg, params, chi, gamma_tilde=gamma_tilde)
     assert traj.times[-1] == pytest.approx(0.5)
+    # gamma_tilde is refused by the conditioning test that refuses gamma
+    with pytest.raises(SingularForm):
+        integrate(state, "second_order", cfg, params, chi,
+                  gamma_tilde=np.diag([1.0, 1e-13]))
 
 
 def test_time_dependent_chi_callback(rng):
@@ -461,6 +466,79 @@ def test_time_dependent_chi_callback(rng):
     assert (th.max() - th.min()) < 1e-10  # hermitian generator keeps the norm
 
 
+_EL_TIERS = {
+    "schrodinger": dict(alpha1=0.5, alpha5=-1.0),
+    "direct_nonlinear": dict(alpha1=0.5, alpha5=-1.0),
+    "second_order": dict(alpha1=0.5, alpha2=0.7, alpha5=-1.0),
+    "full": dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha5=-1.0, alpha6=0.9,
+                 alpha7=0.25, alpha8=0.2, alpha9=0.15),
+    "modified_first_order": dict(alpha1=0.4, alpha3=0.15, alpha5=-1.0, alpha6=0.9,
+                                 alpha7=0.25, alpha8=0.2, alpha9=0.15),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("case", ["alpha4", "potential", "constant_forcing",
+                                  "harmonic_forcing", "gamma_tilde"])
+@pytest.mark.parametrize("tier", list(_EL_TIERS))
+def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
+    # every psi tier's rates, fed back into el_residual, leave no psi residual
+    gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
+    drive = rand_vec(rng, n, 0.3)
+    extra = {"alpha4": dict(alpha4=0.3),
+             "potential": dict(potential=PotentialSpec(kind="quartic_shifted", kappa=0.3,
+                                                       shift=0.5)),
+             "constant_forcing": dict(forcing=lambda t: drive),
+             "harmonic_forcing": dict(forcing=lambda t: np.cos(1.3 * t) * drive),
+             "gamma_tilde": {}}[case]
+    params = ModelParams(**_EL_TIERS[tier], **extra)
+    stepped = integrate_module.STEPPED_BLOCKS[tier]
+    gamma_dot = rand_herm(rng, n, 0.2) if "gamma" in stepped else np.zeros((n, n))
+    state = FullState(psi=rand_vec(rng, n, 0.6), psi_dot=rand_vec(rng, n, 0.3), gamma=gamma,
+                      gamma_dot=gamma_dot, t=0.3)
+    cfg = IntegratorConfig(dt=0.1, t_start=0.3, t_end=1.0)
+    system = integrate_module._build_system(state, tier, cfg, params, chi,
+                                            gamma if case == "gamma_tilde" else None)
+    rates = integrate_module._rates(tier, state.t, system.blocks(system.y0), params, chi,
+                                    system.kinv)
+    if "psi_dot" in stepped:
+        accel = (rates["psi_dot"], rates.get("gamma_dot"))
+    else:
+        state = dataclasses.replace(state, psi_dot=rates["psi"])
+        accel = (None, rates.get("gamma_dot"))
+    r_psi = el_residual(state, accel, params, chi).r_psi
+    assert np.linalg.norm(r_psi) <= 1e-12 * np.linalg.norm(gamma @ state.psi)
+
+
+@pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear", "second_order",
+                                  "canonical_frozen"])
+def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier):
+    # the form multiplying the psi rate is inverted once per run, so no
+    # numpy.linalg factorization runs inside deriv
+    inside, calls = [False], []
+    for name in ("inv", "solve", "lstsq", "pinv", "det", "eigh", "cholesky", "qr", "svd"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if inside[0]:
+                calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    deriv = integrate_module._System.deriv
+
+    def spied(self, t, y):
+        inside[0] = True
+        try:
+            return deriv(self, t, y)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(integrate_module._System, "deriv", spied)
+    initial, params, chi = tier_case(tier, 3, rng)
+    gamma_tilde = rand_pd(rng, 3) if tier == "second_order" else None
+    traj = integrate(initial, tier, IntegratorConfig(dt=0.01, t_end=0.05), params, chi,
+                     gamma_tilde)
+    assert len(traj.times) == 6 and calls == []
+
+
 def reference_record(system, tier, cfg, params, chi, t, y):
     """A sample recorded one at a time, as before samples were stacked: its
     own rates, FullState (or PhasePoint), energy, theta1 and drift."""
@@ -474,7 +552,7 @@ def reference_record(system, tier, cfg, params, chi, t, y):
     steps_gamma = "gamma" in stepped
     rates = None
     if first_order or (steps_gamma and cfg.resymmetrize_gamma):
-        rates = integrate_module._rates(tier, t, b, params, chi, None, None)
+        rates = integrate_module._rates(tier, t, b, params, chi, system.kinv)
     if first_order:
         b["psi_dot"] = rates["psi"]
     if not steps_gamma:
