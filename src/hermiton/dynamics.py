@@ -332,10 +332,11 @@ def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:
     A*Y + B*Tr(gamma^{-1} Y)*gamma = 0 about Y = gamma_ddot - that product
     whenever A != 0 and A + n*B != 0.
 
-    A and A + n*B are refused by the kinetic inverse's own rule, so with
-    A = 2 alpha6 and B = 2 alpha7 this tier refuses exactly the couplings
-    the closed-form ladder refuses (A + n*B = 0 makes the kinetic metric
-    degenerate along dilatations)."""
+    A and A + n*B are refused by the relative rule of
+    :func:`~hermiton.models._kinetic_denominator`.  With A = 2 alpha6 and
+    B = 2 alpha7 this tier refuses the couplings the kinetic inverse refuses
+    at alpha8 = 0 or psi = 0 (A + n*B = 0 makes the kinetic metric
+    degenerate along dilatations); alpha8 psi != 0 can lift that degeneracy."""
     g = np.asarray(gamma, dtype=complex)
     gd = np.asarray(gamma_dot, dtype=complex)
     _kinetic_denominator(A, 0.0, "A")

@@ -25,11 +25,11 @@ class NonFinite(HermitonError):
 
 class DegenerateKinetic(HermitonError):
     """The quadratic kinetic operator on Hermitian matrices is degenerate:
-    a denominator a + b of its closed-form inverse (alpha6, alpha6 + n alpha7,
-    1 + alpha9 theta1, 1 + alpha8 theta2; A and A + n B on the geodesic tier)
-    cancels, |a + b| <= ``hermitian_algebra.COND_TOL`` (|a| + |b|).  The rule
-    is relative, so scaling every coupling gives the same verdict.  Also
-    raised for alpha1 == 0 on a first-order psi flow or Darboux reduction."""
+    its closed-form inverse refuses alpha6 == 0, 1 + alpha9 theta1 and the
+    2 x 2 determinant det M by relative rules (``models._ladder_pieces``), and
+    the geodesic tier A and A + n B.  Scaling every coupling keeps the
+    verdict.  Also raised for alpha1 == 0 on a first-order psi flow or
+    Darboux reduction."""
 
 
 class ZeroBeta(HermitonError):
@@ -47,7 +47,8 @@ class NotGHermitian(HermitonError):
 
 
 class SingularOperator(HermitonError):
-    """The vectorized kinetic operator cannot be inverted numerically."""
+    """The vectorized kinetic operator cannot be inverted numerically; raised
+    only by the oracle ``oracles.omega_inverse_numeric``."""
 
 
 class NotPositiveDefinite(HermitonError):

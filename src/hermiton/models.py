@@ -179,8 +179,9 @@ def preset(name: str, n: int | None = None, hbar: float = 1.0, tau: float = 1.0)
     alpha = hbar, beta = -4*tau*hbar, gamma = 2 from the heat-transport
     analogy.  ``killing``: the scalar-product kinetic couplings A = 2n,
     B = -2; note A + nB = 0, so the kinetic operator is degenerate along
-    dilatations and this preset cannot drive the geodesic tier.  hbar must
-    be positive.
+    dilatations and this preset cannot drive the geodesic tier; with
+    alpha8 != 0 added it drives ``full`` and ``modified_first_order``.  hbar
+    must be positive.
     """
     if not hbar > 0.0:
         raise ValueError("hbar must be positive")
@@ -481,50 +482,52 @@ def _kinetic_denominator(a, b, label: str):
 
 
 def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1):
-    """Shared pieces of the closed-form kinetic inverse.
+    """Shared pieces of the closed-form kinetic inverse, a rank-2 Woodbury
+    solve (Golub & Van Loan, Matrix Computations, 2.1.4).
 
-    ``gpsi`` is gamma psi, ``psibar_g`` is psibar gamma and ``th1`` the
-    complex psibar gamma psi, as the caller has them.  On the diagonal
-    psibar and psibar_g are conj(psi) and conj(gamma psi); the analytic
-    extension of the Hamiltonian passes them as independent arguments.
-    Returns (lam, c7, lam_psi, q, s8) so that the inverse acts on a
-    contravariant Y as
+    ``gpsi`` is gamma psi, ``psibar_g`` psibar gamma and ``th1`` the complex
+    psibar gamma psi.  On the diagonal psibar and psibar_g are conj(psi) and
+    conj(gamma psi); the analytic extension of the Hamiltonian passes them as
+    independent arguments.  With lam = P^{-1} (gamma minus a rank-one
+    update), phi = lam psi, phibar = psibar lam and q = psibar phi,
 
-        (1/alpha6) lam Y lam - c7 Tr(lam Y) lam - s8 Tr(u Y) u
+        X = (lam Y lam - alpha7 t1 lam - alpha8 t2 phi phibar) / alpha6,
+        M t = (Tr(lam Y), phibar Y phi),
+        M = [[alpha6 + n alpha7, alpha8 q], [alpha7 q, alpha6 + alpha8 q^2]].
 
-    with lam the inverse of P (gamma minus a rank-one update), lam_psi =
-    lam psi, q = psibar lam psi, u = (1/alpha6) lam_psi psibar lam - c7 q lam
-    the image of psi psibar under the alpha6/7 block inverse, and s8 the
-    rank-one correction weight of the alpha8 term.
+    Returns (lam, phi, alpha6, k), k the entries of diag(alpha7, alpha8)
+    M^{-1} / alpha6 by Cramer's rule.  Refused: alpha6 == 0, 1 + alpha9 theta1
+    by :func:`_kinetic_denominator`, and det M = alpha6 (alpha6 + n alpha7) +
+    alpha8 q^2 (alpha6 + (n - 1) alpha7) at or below COND_TOL times the summed
+    magnitudes of its four products (at alpha8 q = 0, the rule on alpha6 + n alpha7).
     """
     n = psi.size
     a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
     _kinetic_denominator(a6, 0.0, "alpha6")
-    d67 = _kinetic_denominator(a6, n * a7, "alpha6 + n*alpha7")
     den = _kinetic_denominator(1.0, a9 * th1, "1 + alpha9*theta1")
     lam = gamma - (a9 / den * gpsi)[:, None] * psibar_g
-    c7 = a7 / (a6 * d67)
+    phi = lam @ psi
+    q = complex(psibar @ phi)
+    d67, w = a6 + n * a7, a8 * q * q
+    det = a6 * d67 + w * (a6 + (n - 1) * a7)
+    if abs(det) <= COND_TOL * (abs(a6) * (abs(a6) + abs(n * a7))
+                               + abs(w) * (abs(a6) + abs((n - 1) * a7))):
+        raise DegenerateKinetic(f"|det M| = {abs(det):.3e} vanishes relative to its terms: "
+                                "the kinetic operator is degenerate")
+    k7, k8 = a7 / a6, a8 / a6
+    return lam, phi, a6, (k7 * ((a6 + w) / det), k7 * (-a8 * q / det),
+                          k8 * (-a7 * q / det), k8 * (d67 / det))
 
-    ratio = th1 / den
-    theta2 = (a6 + (n - 1) * a7) / (a6 * d67) * ratio ** 2
-    s8 = a8 / _kinetic_denominator(1.0, a8 * theta2, "1 + alpha8*theta2")
 
-    lam_psi = lam @ psi
-    return lam, c7, lam_psi, psibar @ lam_psi, s8
-
-
-def _ladder_apply(pieces, a6: float, y, psibar_lam, scale: float) -> np.ndarray:
+def _ladder_apply(pieces, y, psibar_lam, scale: float) -> np.ndarray:
     """``scale`` times the kinetic inverse of :func:`_ladder_pieces` applied
-    to Y, with ``psibar_lam`` = psibar lam (conj(lam_psi) on the diagonal);
-    ``scale`` is folded into the scalar coefficients.  u is not formed:
-    Tr(u Y) comes from Tr(lam Y) and psibar lam Y lam_psi, and s8 Tr(u Y) u is
-    split into its lam and lam_psi psibar lam parts."""
-    lam, c7, lam_psi, q, s8 = pieces
+    to Y, with ``psibar_lam`` = psibar lam (conj(phi) on the diagonal);
+    ``scale`` is folded into the scalar coefficients."""
+    lam, phi, a6, (k11, k12, k21, k22) = pieces
     ly = lam @ y
-    tr_ly = ly.trace()
-    tr_uy = (psibar_lam @ y @ lam_psi) / a6 - c7 * q * tr_ly
-    out = (scale / a6) * (ly @ lam) - (scale * c7 * (tr_ly - s8 * q * tr_uy)) * lam
-    out -= (scale * s8 * tr_uy / a6 * lam_psi)[:, None] * psibar_lam
+    r1, r2 = ly.trace(), psibar_lam @ y @ phi
+    out = (scale / a6) * (ly @ lam) - (scale * (k11 * r1 + k12 * r2)) * lam
+    out -= (scale * (k21 * r1 + k22 * r2) * phi)[:, None] * psibar_lam
     return out
 
 
@@ -537,56 +540,36 @@ def _gamma_psi(psi, gamma):
 
 
 def _apply_omega_inverse(psi, gamma, params: ModelParams, y, gpsi, th1,
-                         scale: float = 1.0, fallback: bool = True) -> np.ndarray:
+                         scale: float = 1.0) -> np.ndarray:
     """``scale * apply_omega_inverse(psi, gamma, params, y)`` on complex
     arrays, with gamma psi and theta1 supplied by the caller."""
-    y = np.asarray(y, dtype=complex)
-    try:
-        pieces = _ladder_pieces(psi, psi.conj(), gamma, params, gpsi, gpsi.conj(), th1)
-    except DegenerateKinetic:
-        if not fallback:
-            raise
-        from .oracles import omega_inverse_numeric
-
-        return scale * np.einsum("abcd,dc->ab", omega_inverse_numeric(psi, gamma, params), y)
-    return _ladder_apply(pieces, params.alpha6, y, pieces[2].conj(), scale)
+    pieces = _ladder_pieces(psi, psi.conj(), gamma, params, gpsi, gpsi.conj(), th1)
+    return _ladder_apply(pieces, np.asarray(y, dtype=complex), pieces[1].conj(), scale)
 
 
-def apply_omega_inverse(psi, gamma, params: ModelParams, y, fallback: bool = True) -> np.ndarray:
-    """Solve Omega(X) = Y for covariant Hermitian X given contravariant Y.
-
-    Uses the closed-form ladder; if a denominator vanishes and ``fallback``
-    is set, delegates to the brute-force vectorized solve.
-    """
+def apply_omega_inverse(psi, gamma, params: ModelParams, y) -> np.ndarray:
+    """Solve Omega(X) = Y for covariant Hermitian X given contravariant Y,
+    by the closed form of :func:`_ladder_pieces`; DegenerateKinetic when
+    its alpha6, 1 + alpha9 theta1 or det M guard refuses the couplings."""
     psi, g, gpsi, th1 = _gamma_psi(psi, gamma)
-    return _apply_omega_inverse(psi, g, params, y, gpsi, th1, fallback=fallback)
+    return _apply_omega_inverse(psi, g, params, y, gpsi, th1)
 
 
-def omega_inverse(psi, gamma, params: ModelParams, fallback: bool = True) -> np.ndarray:
+def omega_inverse(psi, gamma, params: ModelParams) -> np.ndarray:
     """Rank-4 inverse kinetic tensor Oi[a, b, c, d].
 
     Contracting against a contravariant Hermitian Y (stored Y[d, c]) as
     einsum('abcd,dc->ab') undoes :func:`apply_omega`; column (c, d) is the
-    ladder applied to the unit Y[d, c] = 1.  Raises
-    DegenerateKinetic when a denominator of the closed form vanishes and
-    ``fallback`` is disabled; with the fallback enabled the brute-force
-    vectorized solve is used instead (and may still raise
-    SingularOperator for genuinely degenerate couplings).
+    closed form of :func:`_ladder_pieces` applied to the unit Y[d, c] = 1,
+    and DegenerateKinetic is raised where that closed form refuses.
     """
-    psi_c, g, gpsi, th1 = _gamma_psi(psi, gamma)
-    try:
-        pieces = _ladder_pieces(psi_c, psi_c.conj(), g, params, gpsi, gpsi.conj(), th1)
-    except DegenerateKinetic:
-        if not fallback:
-            raise
-        from .oracles import omega_inverse_numeric
-
-        return omega_inverse_numeric(psi, gamma, params)
-    n = psi_c.size
+    psi, g, gpsi, th1 = _gamma_psi(psi, gamma)
+    pieces = _ladder_pieces(psi, psi.conj(), g, params, gpsi, gpsi.conj(), th1)
+    n = psi.size
     units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)    # units[d, c]: Y[d, c] = 1
     oi = np.empty((n, n, n, n), dtype=complex)
     for c, d in np.ndindex(n, n):
-        oi[:, :, c, d] = _ladder_apply(pieces, params.alpha6, units[d, c], pieces[2].conj(), 1.0)
+        oi[:, :, c, d] = _ladder_apply(pieces, units[d, c], pieces[1].conj(), 1.0)
     return oi
 
 

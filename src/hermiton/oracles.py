@@ -6,7 +6,7 @@ oracles (discretized-action gradients, vectorized inversion of the kinetic
 operator) used by the test suite and the ``oracle`` CLI command.  These
 deliberately avoid the analytic shortcut being checked: the action gradient
 never calls the residual formulas, and the numeric kinetic inverse never
-uses the closed-form ladder.
+uses the closed-form rank-2 solve.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def action_gradient_fd(path: DiscretizedPath, params: ModelParams, chi,
 
 def omega_inverse_numeric(psi, gamma, params: ModelParams) -> np.ndarray:
     """Rank-4 inverse of the kinetic operator by direct linear solve on the
-    real vectorization of Hermitian matrices (independent of the closed-form
-    ladder)."""
+    real vectorization of Hermitian matrices (independent of the closed form
+    in ``models``)."""
     psi = np.asarray(psi, dtype=complex)
     n = psi.size
     basis = hermitian_basis(n)

@@ -230,6 +230,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if "psi" in blocks and "psi_dot" not in blocks and params.alpha2 != 0.0:
         raise ScenarioError(f"params key 'alpha2' makes L second order in psi; the "
                             f"first-order tier {tier!r} needs alpha2 == 0")
+    if "psi_dot" in blocks and params.alpha2 == 0.0:
+        raise ScenarioError(f"params key 'alpha2' is 0; the second-order tier {tier!r} "
+                            "solves for psi_ddot and needs alpha2 != 0")
+    if raw.get("gamma_tilde") is not None and tier != "second_order":
+        raise ScenarioError(f"gamma_tilde is read only by the 'second_order' tier, "
+                            f"not by {tier!r}")
 
     integ = _known_keys(raw.get("integrator", {}), _INTEGRATOR_KEYS, "integrator")
     try:

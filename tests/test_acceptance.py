@@ -107,7 +107,7 @@ def test_criterion_3_omega_inverse_ladder(acceptance_rng):
             alpha9=float(rng.uniform(0.05, 0.5)))
         psi = rand_vec(rng, n)
         gamma = rand_pd(rng, n)
-        closed = models.omega_inverse(psi, gamma, params, fallback=False)
+        closed = models.omega_inverse(psi, gamma, params)
         brute = oracles.omega_inverse_numeric(psi, gamma, params)
         gap = float(np.max(np.abs(closed - brute)))
         worst = max(worst, gap / max(1.0, float(np.max(np.abs(brute)))))

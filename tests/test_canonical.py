@@ -31,7 +31,7 @@ from hermiton.models import (
     theta1,
 )
 
-from conftest import rand_herm, rand_pd, rand_vec, scale_couplings
+from conftest import killing_alpha8, rand_herm, rand_pd, rand_vec, scale_couplings
 
 
 def full_params(**overrides):
@@ -358,14 +358,19 @@ class TestRegularSector:
         with pytest.raises(ZeroAlpha2):
             legendre_inverse(point, full_params(alpha2=0.0))
 
-    def test_hamiltonian_is_energy_pullback(self, rng):
-        params = full_params()
-        chi = rand_herm(rng, 2)
-        for _ in range(100):
-            state = random_state(rng, 2)
-            point = legendre_regular(state, params)
-            assert hamiltonian(point, params, chi) == pytest.approx(
-                energy(state, params, chi), rel=1e-10, abs=1e-10)
+    @pytest.mark.parametrize("ns, couplings", [
+        pytest.param((2,), lambda n: {}, id="generic"),
+        pytest.param((1, 2, 3, 4), killing_alpha8, id="killing+alpha8"),
+    ])
+    def test_hamiltonian_is_energy_pullback(self, rng, ns, couplings):
+        for n in ns:
+            params = full_params(**couplings(n))
+            chi = rand_herm(rng, n)
+            for _ in range(100 // len(ns)):
+                state = random_state(rng, n)
+                point = legendre_regular(state, params)
+                assert hamiltonian(point, params, chi) == pytest.approx(
+                    energy(state, params, chi), rel=1e-10, abs=1e-10)
 
     def test_gamma_sector_isolation(self, rng):
         # psi = 0, pi = 0, alpha3 = 0: only the quadratic pi_gamma term remains

@@ -12,6 +12,8 @@ from hermiton.scenario import (
     scenario_to_dict,
 )
 
+from conftest import count_numeric_inverse
+
 
 def pair(z):
     return [float(np.real(z)), float(np.imag(z))]
@@ -157,7 +159,14 @@ def _with_forcing(kind, **extra):
     _malformed("gamma_dot0-size", "gamma_dot0", lambda sc: sc["initial"].update(
         gamma_dot0=mat(np.eye(3)))),
     _malformed("gamma_tilde-size", "gamma_tilde", lambda sc: sc.update(
+        model_tier="second_order", params={"alpha1": 0.5, "alpha2": 1.0, "alpha5": -1.0},
         gamma_tilde=mat(np.eye(3)))),
+    # gamma_tilde is read only by second_order
+    *[_malformed(f"gamma_tilde-on-{tier}", "gamma_tilde", lambda sc, tier=tier: sc.update(
+        model_tier=tier, gamma_tilde=mat(2.0 * np.eye(2)),
+        params={"preset": "schrodinger", "alpha2": 0.7 if tier == "full" else 0.0}))
+      for tier in ("schrodinger", "direct_nonlinear", "gamma_geodesic", "full",
+                   "modified_first_order")],
     _malformed("generator-size", "generators[1]", lambda sc: sc.update(
         generators=[mat(np.eye(2)), mat(np.eye(3))])),
     _malformed("canonical_frozen", "canonical_frozen", lambda sc: sc.update(
@@ -189,6 +198,10 @@ def _with_forcing(kind, **extra):
     *[_malformed(f"alpha2-on-{tier}", "'alpha2'", lambda sc, tier=tier: sc.update(
         model_tier=tier, params={"preset": "schrodinger", "alpha2": 0.7}))
       for tier in ("schrodinger", "direct_nonlinear", "modified_first_order")],
+    # the second-order tiers solve for psi_ddot, which alpha2 == 0 leaves undefined
+    *[_malformed(f"alpha2-zero-on-{tier}", "'alpha2'", lambda sc, tier=tier: sc.update(
+        model_tier=tier, params={"preset": "schrodinger"}))
+      for tier in ("second_order", "full")],
 ])
 def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     # refused at load time with a ScenarioError that names the field
@@ -268,6 +281,26 @@ class TestCheck:
         report = json.loads((tmp_path / "static_check.json").read_text())
         drift = [v for v in report["verdicts"] if v["check"] == "energy_drift"][0]
         assert drift["value"] == 0.0
+
+    def test_killing_plus_alpha8_full_check(self, tmp_path, monkeypatch):
+        # the killing preset (alpha6 + n alpha7 = 0) with alpha8 != 0: the
+        # closed-form kinetic inverse runs it, never the numeric oracle
+        numeric = count_numeric_inverse(monkeypatch)
+        sc = {
+            "model_tier": "full",
+            "params": {"preset": "killing", "alpha1": 0.4, "alpha2": 0.3, "alpha8": 0.3},
+            "initial": {
+                "psi0": vec([0.5, 0.3j]),
+                "psi_dot0": vec([0.1, 0.0]),
+                "gamma0": mat(np.eye(2)),
+                "gamma_dot0": mat(np.array([[0.05, 0.01], [0.01, -0.02]])),
+            },
+            "integrator": {"dt": 1e-3, "t_end": 0.2, "sample_stride": 50},
+            "seed": 11,
+        }
+        path = write(tmp_path, "killing8", sc)
+        assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        assert numeric == []
 
     def test_full_model_check(self, tmp_path):
         sc = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermiton import dynamics, models, oracles
+from hermiton import dynamics, models
 from hermiton.dynamics import (
     el_residual,
     rhs_direct_nonlinear_raw,
@@ -25,7 +25,7 @@ from hermiton.models import (
 )
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
-from conftest import rand_herm, rand_pd, rand_vec, scale_couplings
+from conftest import count_numeric_inverse, rand_herm, rand_pd, rand_vec, scale_couplings
 
 
 def full_params(**overrides):
@@ -552,18 +552,6 @@ class TestFactorizations:
 SCALES = [pytest.param(2.0 ** e, id=f"s=2^{e}") for e in (-300, -40, 40, 300)]
 
 
-def count_numeric_inverse(monkeypatch) -> list:
-    calls = []
-    real = oracles.omega_inverse_numeric
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(oracles, "omega_inverse_numeric", counted)
-    return calls
-
-
 class TestCouplingScaling:
     """L and s L share their equations of motion: for a power of two s the
     accelerations keep their bits and the energy scales by exactly s."""
@@ -604,19 +592,16 @@ def count_ladder_pieces(monkeypatch) -> list:
 
 
 def test_degenerate_kinetic_inverse_tries_the_ladder_once(rng, monkeypatch):
-    # alpha6 + n alpha7 = 0: one attempt at the closed form, then the
-    # numeric inverse, or the DegenerateKinetic when the fallback is off
+    # alpha6 + n alpha7 = 0 with alpha8 != 0: Omega is invertible, and one
+    # closed-form solve inverts it without the numeric oracle
     n = 2
     params = ModelParams(alpha6=2.0, alpha7=-1.0, alpha8=0.3, alpha9=0.2)
     psi, g, gpsi, th1 = models._gamma_psi(rand_vec(rng, n), rand_pd(rng, n))
     y = rand_herm(rng, n)
     ladder, numeric = count_ladder_pieces(monkeypatch), count_numeric_inverse(monkeypatch)
     x = models._apply_omega_inverse(psi, g, params, y, gpsi, th1, 0.5)
-    assert (len(ladder), len(numeric)) == (1, 1)
+    assert (len(ladder), len(numeric)) == (1, 0)
     assert np.allclose(models.apply_omega(psi, g, params, x), 0.5 * y, atol=1e-10)
-    with pytest.raises(DegenerateKinetic):
-        models._apply_omega_inverse(psi, g, params, y, gpsi, th1, fallback=False)
-    assert (len(ladder), len(numeric)) == (2, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -641,7 +626,6 @@ def test_ladder_and_geodesic_refuse_the_same_couplings(rng, n, a6, a7_of, degene
             return True
         return False
 
-    assert refused(lambda: omega_inverse(rand_vec(rng, n), g, params,
-                                         fallback=False)) is degenerate
+    assert refused(lambda: omega_inverse(rand_vec(rng, n), g, params)) is degenerate
     assert refused(lambda: rhs_gamma_geodesic(g, gd, params.big_a,
                                               params.big_b)) is degenerate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hermiton import models
-from hermiton.errors import DegenerateKinetic, SingularOperator
+from hermiton.errors import DegenerateKinetic
 from hermiton.hermitian_algebra import invert_form
 from hermiton.hermitian_algebra import (
     tensor4_hermiticity_defect,
@@ -28,7 +28,7 @@ from hermiton.models import (
 )
 from hermiton.oracles import omega_inverse_numeric
 
-from conftest import rand_herm, rand_pd, rand_vec
+from conftest import count_numeric_inverse, killing_alpha8, rand_herm, rand_pd, rand_vec
 
 
 def full_params(**overrides):
@@ -185,13 +185,19 @@ class TestOmegaInverse:
         oi = omega_inverse(np.zeros(1), np.eye(1), params)
         assert oi.reshape(()) == pytest.approx(1.0 / (0.7 + 0.4))
 
-    def test_matches_numeric_oracle(self, rng):
-        params = full_params()
-        for n in (1, 2, 3):
+    @pytest.mark.parametrize("ns, couplings", [
+        pytest.param((1, 2, 3), lambda n: {}, id="generic"),
+        pytest.param((1, 2, 3, 4), killing_alpha8, id="killing+alpha8"),
+    ])
+    def test_matches_numeric_oracle(self, rng, monkeypatch, ns, couplings):
+        numeric = count_numeric_inverse(monkeypatch)
+        for n in ns:
+            params = full_params(**couplings(n))
             psi, gamma = rand_vec(rng, n), rand_pd(rng, n)
             oi = omega_inverse(psi, gamma, params)
             oi_num = omega_inverse_numeric(psi, gamma, params)
             assert np.max(np.abs(oi - oi_num)) < 1e-9 * max(1.0, np.max(np.abs(oi_num)))
+        assert numeric == []      # omega_inverse never reached the numeric oracle
 
     def test_round_trip_operator(self, rng):
         params = full_params()
@@ -206,19 +212,17 @@ class TestOmegaInverse:
     def test_degenerate_denominators(self, rng):
         psi, gamma = rand_vec(rng, 2), rand_pd(rng, 2)
         with pytest.raises(DegenerateKinetic):
-            omega_inverse(psi, gamma, ModelParams(alpha6=0.0, alpha7=1.0),
-                          fallback=False)
+            omega_inverse(psi, gamma, ModelParams(alpha6=0.0, alpha7=1.0))
         with pytest.raises(DegenerateKinetic):
-            omega_inverse(psi, gamma, ModelParams(alpha6=1.0, alpha7=-0.5),
-                          fallback=False)
+            omega_inverse(psi, gamma, ModelParams(alpha6=1.0, alpha7=-0.5))
 
-    def test_fallback_hits_singular_operator(self, rng):
-        # alpha6 = -n*alpha7 is genuinely degenerate: gamma is in the kernel
+    def test_dilatation_degeneracy_hits_det_guard(self, rng):
+        # alpha6 = -n*alpha7 with psi = 0 is genuinely degenerate: gamma is in
+        # the kernel, and det M = alpha6 (alpha6 + n alpha7) vanishes
         psi = np.zeros(2)
         gamma = rand_pd(rng, 2)
-        with pytest.raises(SingularOperator):
-            omega_inverse(psi, gamma, ModelParams(alpha6=2.0, alpha7=-1.0),
-                          fallback=True)
+        with pytest.raises(DegenerateKinetic, match="det M"):
+            omega_inverse(psi, gamma, ModelParams(alpha6=2.0, alpha7=-1.0, alpha8=0.3))
 
 
 class TestPotentialGradient:
