@@ -27,7 +27,7 @@ from .errors import HermitonError, NoOracleForTier, ScenarioError, StepFailure
 from .hermitian_algebra import hermitian_basis, hermiticity_drift
 from .integrate import STEPPED_BLOCKS, Trajectory, integrate
 from .models import FullState
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, encode_pairs, load_scenario
 
 log = logging.getLogger("hermiton")
 
@@ -51,25 +51,17 @@ def _run_trajectory(s: Scenario) -> Trajectory:
 
 
 def _trajectory_csv(traj: Trajectory, path: Path) -> None:
-    state0 = traj.states[0]
-    n = state0.n
-    cols = ["t"]
-    for a in range(n):
-        cols += [f"Re(psi_{a + 1})", f"Im(psi_{a + 1})"]
-    for a in range(n):
-        for b in range(n):
-            cols += [f"Re(G_{a + 1}{b + 1})", f"Im(G_{a + 1}{b + 1})"]
-    cols += ["energy", "theta1", "herm_drift"]
+    # psi and G in their real view: Re and Im of each entry side by side
+    n = traj.states[0].n
+    labels = ([f"psi_{a + 1}" for a in range(n)]
+              + [f"G_{a + 1}{b + 1}" for a in range(n) for b in range(n)])
+    cols = ["t", *(f"{part}({label})" for label in labels for part in ("Re", "Im")),
+            "energy", "theta1", "herm_drift"]
     lines = [", ".join(cols)]
     for t, state, diag in zip(traj.times, traj.states, traj.diagnostics):
-        row = [_fmt(t)]
-        for a in range(n):
-            row += [_fmt(state.psi[a].real), _fmt(state.psi[a].imag)]
-        for a in range(n):
-            for b in range(n):
-                row += [_fmt(state.gamma[a, b].real), _fmt(state.gamma[a, b].imag)]
-        row += [_fmt(diag["energy"]), _fmt(diag["theta1"]), _fmt(diag["herm_drift"])]
-        lines.append(", ".join(row))
+        entries = np.concatenate([state.psi, state.gamma], axis=None, dtype=complex).view(float)
+        row = [t, *entries.tolist(), diag["energy"], diag["theta1"], diag["herm_drift"]]
+        lines.append(", ".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -245,10 +237,9 @@ def cmd_reduce(s: Scenario, out_dir: Path) -> int:
         "legendre_vx": real_mat(chart.legendre_vx),
         "legendre_vy": real_mat(chart.legendre_vy),
         "canonical": chart.canonical,
-        "chart": None if chart.chart_matrix is None else
-                 [[[z.real, z.imag] for z in row] for row in chart.chart_matrix],
+        "chart": None if chart.chart_matrix is None else encode_pairs(chart.chart_matrix),
         "chart_refused": chart.chart_matrix is None,
-        "multipliers": [[z.real, z.imag] for z in lam],
+        "multipliers": encode_pairs(lam),
     }
     path = out_dir / f"{s.name}_reduce.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True))

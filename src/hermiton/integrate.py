@@ -4,12 +4,12 @@ Every tier steps a subset of the same blocks psi, psi_dot, gamma and
 gamma_dot (psi and pi for ``canonical_frozen``), listed in
 ``STEPPED_BLOCKS`` in storage order.  The stepped blocks are flattened into
 one real vector; the others stay frozen (gamma at its initial value, the
-rest at zero).  One ``deriv`` unpacks the vector with one gather, evaluates
-the tier's right-hand side through ``_rates`` and packs the rates back with
-one scatter.
+rest at zero).  One ``deriv`` unpacks the vector into read-only views,
+evaluates the tier's right-hand side through ``_rates`` and packs the rates
+back with one concatenate.
 
 Recording is stacked.  ``record`` only buffers a sample's (t, y).  When the
-run ends, the same index tables unpack the (S, N) stack of samples, and one
+run ends, the same codec unpacks the (S, N) stack of samples, and one
 set of stacked calls runs the FullState checks on every sample (finite
 entries, hermiticity, one stacked checked inverse of gamma) and computes
 energy from that inverse, theta1 and the hermiticity drift.  Each sample's
@@ -20,12 +20,14 @@ accepted Dormand-Prince step's last stage.  An invalid sample raises its
 own error, naming it, ahead of any later step failure.  ``canonical_frozen``
 records its PhasePoints one at a time.
 
-Vector blocks are stored as real parts followed by imaginary parts.  The
-gamma blocks have two layouts:
+The real form of complex data is numpy's real view, real and imaginary
+parts interleaved: y is the real view of the complex blocks, concatenated in
+``STEPPED_BLOCKS`` order.  The gamma blocks have two layouts:
 
-* ``resymmetrize_gamma=True``: gamma and gamma_dot are stored in the
-  n^2-real Hermitian parametrization (diagonal reals plus off-diagonal
-  real/imaginary pairs), which enforces hermiticity structurally; the
+* ``resymmetrize_gamma=True``: gamma and gamma_dot are stored after the
+  complex blocks in the n^2-real Hermitian parametrization of
+  ``hermitian_to_real`` (diagonal reals plus off-diagonal real/imaginary
+  pairs), which enforces hermiticity structurally; the
   hermiticity defect of the raw right-hand side is still recorded at
   sample times (the "pre-projection" drift).
 * ``resymmetrize_gamma=False``: the full complex matrices are stepped
@@ -140,67 +142,54 @@ class Trajectory:
         return np.array([d[key] for d in self.diagnostics])
 
 
-def _c2r(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex).ravel()
-    return np.concatenate([z.real, z.imag])
-
-
 class _Codec:
-    """Index tables of the flat real state vector y of one tier.
+    """Layout of the flat real state vector y of one tier.
 
-    Vector blocks, and matrix blocks in the complex layout, are stored as
-    real parts followed by imaginary parts; in the structural layout a
-    Hermitian matrix is stored as ``hermitian_to_real`` coordinates.  The
-    same tables read one vector in ``deriv`` and the stack of recorded
+    y is the real view of the complex blocks (vectors, and matrices in the
+    complex layout) in stepped order, followed in the structural layout by
+    the ``hermitian_to_real`` coordinates of each Hermitian matrix.  The
+    same codec reads one vector in ``deriv`` and the stack of recorded
     vectors (S, N) when a run is recorded.
     """
 
     def __init__(self, stepped, n: int, structural: bool):
         self.n = n
-        self.views = []          # (block, span in the gathered complex vector, shape)
-        self.hermitian = []      # (block, coordinates in y)
-        re, im = [], []
-        start = offset = 0
+        matrices = [block for block in stepped if block in ("gamma", "gamma_dot")]
+        hermitian = matrices if structural else []
+        self.views = []          # (block, span in y's complex view, shape)
+        offset = 0
         for block in stepped:
-            matrix = block in ("gamma", "gamma_dot")
-            if matrix and structural:
-                self.hermitian.append((block, slice(start, start + n * n)))
-                start += n * n
-                continue
-            shape = (n, n) if matrix else (n,)
-            size = n ** len(shape)
-            re += range(start, start + size)
-            im += range(start + size, start + 2 * size)
-            self.views.append((block, slice(offset, offset + size), shape))
-            start += 2 * size
-            offset += size
-        self.size = start
-        self.re, self.im = np.array(re, dtype=np.intp), np.array(im, dtype=np.intp)
-        self.re_im = np.column_stack([self.re, self.im]).ravel()
+            if block not in hermitian:
+                shape = (n, n) if block in matrices else (n,)
+                self.views.append((block, slice(offset, offset + n ** len(shape)), shape))
+                offset += n ** len(shape)
+        self.split = 2 * offset  # the reals of the complex blocks
+        self.hermitian = [(block, slice(self.split + k * n * n, self.split + (k + 1) * n * n))
+                          for k, block in enumerate(hermitian)]
 
     def unpack(self, y) -> dict:
         """The stepped blocks stored in y (..., N), by name, with y's leading
-        axes: one gather of every complex block, then views of it."""
+        axes; the complex blocks are read-only views of y, which must be
+        C-contiguous."""
         blocks = {}
         if self.views:
-            z = y.take(self.re, axis=-1) + 1j * y.take(self.im, axis=-1)
+            z = y[..., :self.split].view(complex)
             for block, span, shape in self.views:
-                blocks[block] = z[..., span].reshape(*y.shape[:-1], *shape)
+                blocks[block] = view = z[..., span].reshape(*y.shape[:-1], *shape)
+                view.setflags(write=False)
         for block, coords in self.hermitian:
             blocks[block] = real_to_hermitian(y[..., coords], self.n)
         return blocks
 
     def pack(self, blocks: dict) -> np.ndarray:
-        """A new vector y holding the stepped blocks given by name; the
-        complex blocks' real and imaginary parts reach their places in y with
-        one scatter."""
-        y = np.empty(self.size)
-        if self.views:
-            z = np.concatenate([blocks[block] for block, _, _ in self.views], axis=None,
-                               dtype=complex)
-            y[self.re_im] = z.view(float)
-        for block, coords in self.hermitian:
-            y[coords] = hermitian_to_real(hermitian_part(blocks[block]))
+        """A new vector y holding the stepped blocks given by name: one
+        concatenate of the complex blocks, viewed as reals, then the
+        Hermitian coordinates."""
+        y = (np.concatenate([blocks[block] for block, _, _ in self.views], axis=None,
+                            dtype=complex).view(float) if self.views else np.empty(0))
+        if self.hermitian:
+            y = np.concatenate([y, *(hermitian_to_real(hermitian_part(blocks[block]))
+                                     for block, _ in self.hermitian)])
         return y
 
 
@@ -632,6 +621,6 @@ def convergence_order(initial, tier: str, cfg: IntegratorConfig,
 def _final_vector(traj: Trajectory) -> np.ndarray:
     state = traj.final_state
     if isinstance(state, PhasePoint):
-        return np.concatenate([_c2r(state.psi), _c2r(state.pi)])
-    return np.concatenate([_c2r(state.psi), _c2r(state.psi_dot),
-                           _c2r(state.gamma), _c2r(state.gamma_dot)])
+        return np.concatenate([state.psi, state.pi], axis=None, dtype=complex)
+    return np.concatenate([state.psi, state.psi_dot, state.gamma, state.gamma_dot],
+                          axis=None, dtype=complex)

@@ -1,14 +1,16 @@
 """Scenario files: JSON descriptions of a simulation run.
 
-Complex numbers are encoded as two-element [re, im] arrays, vectors as
-lists of such pairs and matrices as n x n nested lists of pairs.  All
-referenced matrices are validated (hermiticity, invertibility) at load
-time, before anything runs.
+Complex arrays are encoded as their real view: every entry becomes an
+[re, im] pair of numbers, so a vector is a list of pairs and an n x n matrix
+n nested lists of n pairs.  Numbers, flags and array literals are checked
+for their JSON type, and all referenced matrices are validated (hermiticity,
+invertibility) at load time, before anything runs.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -30,7 +32,8 @@ _TOP_KEYS = ("model_tier", "params", "chi", "initial", "integrator", "outputs", 
 _INITIAL_KEYS = ("psi0", "psi_dot0", "gamma0", "gamma_dot0")
 _INTEGRATOR_KEYS = ("dt", "t_end", "t_start", "method", "rel_tol", "abs_tol",
                     "resymmetrize_gamma", "sample_stride")
-_POTENTIAL_KEYS = ("kind", "kappa", "shift")
+_POTENTIAL_KEYS = {"none": ("kind",), "quartic_pure": ("kind", "kappa"),
+                   "quartic_shifted": ("kind", "kappa", "shift")}
 _FORCING_KEYS = {"constant": ("kind", "vector"), "harmonic": ("kind", "vector", "omega")}
 _GENERATOR_KEYS = ("label", "matrix")
 
@@ -46,42 +49,40 @@ def _known_keys(block, allowed, where: str) -> dict:
     return block
 
 
-def encode_complex(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+def _typed(value, kind: type, name: str):
+    """``value`` as a ``kind`` (float, int or bool), read only from a JSON
+    value of that type (any number for float); anything else raises
+    ScenarioError naming the field."""
+    accepted = {float: (int, float), int: int, bool: bool}[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        what = {float: "a number", int: "an integer", bool: "true or false"}[kind]
+        raise ScenarioError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
-def decode_complex(pair) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise ScenarioError(f"complex numbers are [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def encode_pairs(z) -> list:
+    """The [re, im] literal of a complex array: its real view, nested as
+    the array is."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(*z.shape, 2).tolist()
 
 
-def encode_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex)]
-
-
-def decode_vector(data) -> np.ndarray:
-    return np.array([decode_complex(p) for p in data], dtype=complex)
-
-
-def encode_matrix(m) -> list:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def decode_matrix(data) -> np.ndarray:
-    return np.array([[decode_complex(p) for p in row] for row in data], dtype=complex)
-
-
-def _square_matrix(data, n: int, name: str) -> np.ndarray:
-    """Decode the n x n matrix literal of field ``name``; any other shape,
-    or entries that are not [re, im] pairs, raise ScenarioError."""
+def decode_pairs(data, shape: tuple, name: str) -> np.ndarray:
+    """The complex array of field ``name`` from its [re, im] literal, whose
+    entries must be number pairs in array shape ``shape``; a None length is
+    any length >= 1.  Each entry has the bits of complex(re, im)."""
     try:
-        m = decode_matrix(data)
-    except (HermitonError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name}: {exc}") from exc
-    if m.shape != (n, n):
-        raise ScenarioError(f"{name} must be a {n} x {n} matrix, got shape {m.shape}")
-    return m
+        pairs = np.array(data)
+    except ValueError:           # ragged nesting
+        pairs = np.array(None)
+    want = (*shape, 2)
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim != len(want)
+            or any(got == 0 if size is None else got != size
+                   for got, size in zip(pairs.shape, want))):
+        dims = ", ".join("m >= 1" if size is None else str(size) for size in want)
+        raise ScenarioError(f"{name} must be [re, im] number pairs in an array of shape "
+                            f"({dims}), got {reprlib.repr(data)}")
+    return pairs.astype(float).view(complex)[..., 0]
 
 
 def _decode_chi(spec, n: int) -> np.ndarray:
@@ -98,7 +99,7 @@ def _decode_chi(spec, n: int) -> np.ndarray:
                 raise ScenarioError(f"chi: diag generator needs {n} entries, got {spec!r}")
             return np.diag(diag).astype(complex)
         raise ScenarioError(f"unknown chi generator {spec!r}")
-    return _square_matrix(spec, n, "chi")
+    return decode_pairs(spec, (n, n), "chi")
 
 
 def _decode_params(data, n: int) -> ModelParams:
@@ -111,7 +112,8 @@ def _decode_params(data, n: int) -> ModelParams:
         raise ScenarioError("params key 'hbar' is read only by a preset")
     if "tau" in data and preset_name != "kozlov-heat":
         raise ScenarioError("params key 'tau' is read only by the 'kozlov-heat' preset")
-    hbar, tau = float(data.pop("hbar", 1.0)), float(data.pop("tau", 1.0))
+    hbar = _typed(data.pop("hbar", 1.0), float, "params key 'hbar'")
+    tau = _typed(data.pop("tau", 1.0), float, "params key 'tau'")
 
     base = {}
     if preset_name is not None:
@@ -123,16 +125,19 @@ def _decode_params(data, n: int) -> ModelParams:
     for key in list(data):
         if key not in _PARAM_KEYS:
             raise ScenarioError(f"unknown params key {key!r}")
-        base[key] = float(data.pop(key))
+        base[key] = _typed(data.pop(key), float, f"params key {key!r}")
 
     if potential_spec is not None:
-        kind = _known_keys(potential_spec, _POTENTIAL_KEYS, "potential").get("kind", "none")
+        kind = _known_keys(potential_spec, ("kind", "kappa", "shift"),
+                           "potential").get("kind", "none")
         if kind == "custom":
             raise ScenarioError("custom potentials are not expressible in scenarios")
-        base["potential"] = PotentialSpec(
-            kind=kind,
-            kappa=float(potential_spec.get("kappa", 0.0)),
-            shift=float(potential_spec.get("shift", 0.0)))
+        if kind not in _POTENTIAL_KEYS:
+            raise ScenarioError(f"unknown potential kind {kind!r}")
+        _known_keys(potential_spec, _POTENTIAL_KEYS[kind], f"{kind} potential")
+        base["potential"] = PotentialSpec(kind=kind, **{
+            key: _typed(potential_spec.get(key, 0.0), float, f"potential key {key!r}")
+            for key in ("kappa", "shift")})
 
     if forcing_spec is not None:
         kind = _known_keys(forcing_spec, ("kind", "vector", "omega"),
@@ -140,13 +145,11 @@ def _decode_params(data, n: int) -> ModelParams:
         if kind not in _FORCING_KEYS:
             raise ScenarioError(f"unknown forcing kind {kind!r}")
         _known_keys(forcing_spec, _FORCING_KEYS[kind], f"{kind} forcing")
-        vector = decode_vector(forcing_spec.get("vector", []))
-        if vector.size != n:
-            raise ScenarioError("forcing vector has wrong length")
+        vector = decode_pairs(forcing_spec.get("vector"), (n,), "forcing vector")
         if kind == "constant":
             base["forcing"] = lambda t, v=vector: v
         elif kind == "harmonic":
-            omega = float(forcing_spec.get("omega", 1.0))
+            omega = _typed(forcing_spec.get("omega", 1.0), float, "forcing key 'omega'")
             base["forcing"] = lambda t, v=vector, w=omega: v * np.cos(w * t)
 
     try:
@@ -202,20 +205,18 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     initial = _known_keys(raw.get("initial", {}), _INITIAL_KEYS, "initial")
     if "psi0" in initial:
-        psi0 = decode_vector(initial["psi0"])
+        psi0 = decode_pairs(initial["psi0"], (None,), "psi0")
         n = psi0.size
     elif "gamma0" in initial:
-        n = len(initial["gamma0"])
+        n = decode_pairs(initial["gamma0"], (None, None), "gamma0").shape[0]
         psi0 = np.zeros(n, dtype=complex)
     else:
         raise ScenarioError("initial data needs psi0 or gamma0")
-    psi_dot0 = (decode_vector(initial["psi_dot0"])
+    psi_dot0 = (decode_pairs(initial["psi_dot0"], (n,), "psi_dot0")
                 if "psi_dot0" in initial else np.zeros(n, dtype=complex))
-    if psi_dot0.size != n:
-        raise ScenarioError(f"psi_dot0 needs {n} entries, got {psi_dot0.size}")
-    gamma0_raw = (_square_matrix(initial["gamma0"], n, "gamma0")
+    gamma0_raw = (decode_pairs(initial["gamma0"], (n, n), "gamma0")
                   if "gamma0" in initial else np.eye(n, dtype=complex))
-    gamma_dot0_raw = (_square_matrix(initial["gamma_dot0"], n, "gamma_dot0")
+    gamma_dot0_raw = (decode_pairs(initial["gamma_dot0"], (n, n), "gamma_dot0")
                       if "gamma_dot0" in initial else np.zeros((n, n), dtype=complex))
     chi = _decode_chi(raw.get("chi"), n)
     try:
@@ -238,17 +239,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
                             f"not by {tier!r}")
 
     integ = _known_keys(raw.get("integrator", {}), _INTEGRATOR_KEYS, "integrator")
+    defaults = {"dt": 1e-3, "t_end": 1.0, "t_start": 0.0, "rel_tol": 1e-8, "abs_tol": 1e-10,
+                "resymmetrize_gamma": False, "sample_stride": 1}
     try:
-        cfg = IntegratorConfig(
-            dt=float(integ.get("dt", 1e-3)),
-            t_end=float(integ.get("t_end", 1.0)),
-            t_start=float(integ.get("t_start", 0.0)),
-            method=integ.get("method", "rk4"),
-            rel_tol=float(integ.get("rel_tol", 1e-8)),
-            abs_tol=float(integ.get("abs_tol", 1e-10)),
-            resymmetrize_gamma=bool(integ.get("resymmetrize_gamma", False)),
-            sample_stride=int(integ.get("sample_stride", 1)),
-        )
+        cfg = IntegratorConfig(method=integ.get("method", "rk4"), **{
+            key: _typed(integ.get(key, default), type(default), f"integrator key {key!r}")
+            for key, default in defaults.items()})
     except ValueError as exc:
         raise ScenarioError(f"bad integrator config: {exc}") from exc
 
@@ -259,7 +255,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     gamma_tilde = None
     if raw.get("gamma_tilde") is not None:
-        gamma_tilde_raw = _square_matrix(raw["gamma_tilde"], n, "gamma_tilde")
+        gamma_tilde_raw = decode_pairs(raw["gamma_tilde"], (n, n), "gamma_tilde")
         try:
             gamma_tilde = hermitian_form(gamma_tilde_raw)
         except HermitonError as exc:
@@ -267,17 +263,17 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
     generators = tuple(
         (_known_keys(g, _GENERATOR_KEYS, f"generators[{i}]").get("label", f"gen{i}"),
-         _square_matrix(g.get("matrix"), n, f"generators[{i}]"))
-        if isinstance(g, dict) else (f"gen{i}", _square_matrix(g, n, f"generators[{i}]"))
+         decode_pairs(g.get("matrix"), (n, n), f"generators[{i}]"))
+        if isinstance(g, dict) else (f"gen{i}", decode_pairs(g, (n, n), f"generators[{i}]"))
         for i, g in enumerate(raw.get("generators", [])))
 
+    scalars = {key: _typed(raw.get(key, default), type(default), f"scenario key {key!r}")
+               for key, default in (("seed", 0), ("request_chart", False),
+                                    ("inject_sign_error", False))}
     return Scenario(
         model_tier=tier, params=params, chi=chi, psi0=psi0, psi_dot0=psi_dot0,
         gamma0=gamma0, gamma_dot0=gamma_dot0, integrator=cfg, outputs=outputs,
-        seed=int(raw.get("seed", 0)), gamma_tilde=gamma_tilde,
-        generators=generators, request_chart=bool(raw.get("request_chart", False)),
-        inject_sign_error=bool(raw.get("inject_sign_error", False)),
-        name=name, raw=raw)
+        gamma_tilde=gamma_tilde, generators=generators, name=name, raw=raw, **scalars)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -285,12 +281,12 @@ def scenario_to_dict(s: Scenario) -> dict:
     out = {
         "model_tier": s.model_tier,
         "params": {k: float(np.real(getattr(s.params, k))) for k in _PARAM_KEYS},
-        "chi": encode_matrix(s.chi),
+        "chi": encode_pairs(s.chi),
         "initial": {
-            "psi0": encode_vector(s.psi0),
-            "psi_dot0": encode_vector(s.psi_dot0),
-            "gamma0": encode_matrix(s.gamma0),
-            "gamma_dot0": encode_matrix(s.gamma_dot0),
+            "psi0": encode_pairs(s.psi0),
+            "psi_dot0": encode_pairs(s.psi_dot0),
+            "gamma0": encode_pairs(s.gamma0),
+            "gamma_dot0": encode_pairs(s.gamma_dot0),
         },
         "integrator": {
             "method": s.integrator.method,
@@ -308,19 +304,16 @@ def scenario_to_dict(s: Scenario) -> dict:
         "inject_sign_error": s.inject_sign_error,
     }
     if s.params.potential.kind != "none":
-        out["params"]["potential"] = {
-            "kind": s.params.potential.kind,
-            "kappa": s.params.potential.kappa,
-            "shift": s.params.potential.shift,
-        }
+        out["params"]["potential"] = {key: getattr(s.params.potential, key)
+                                      for key in _POTENTIAL_KEYS[s.params.potential.kind]}
         out["params"].pop("kappa", None)
     if "forcing" in s.raw.get("params", {}):
         out["params"]["forcing"] = s.raw["params"]["forcing"]
     if s.gamma_tilde is not None:
-        out["gamma_tilde"] = encode_matrix(s.gamma_tilde)
+        out["gamma_tilde"] = encode_pairs(s.gamma_tilde)
     if s.generators:
         out["generators"] = [
-            {"label": label, "matrix": encode_matrix(m)} for label, m in s.generators]
+            {"label": label, "matrix": encode_pairs(m)} for label, m in s.generators]
     return out
 
 

@@ -6,7 +6,9 @@ import pytest
 from hermiton.cli import main
 from hermiton.integrate import STEPPED_BLOCKS
 from hermiton.scenario import (
+    decode_pairs,
     dump_scenario,
+    encode_pairs,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -80,6 +82,23 @@ class TestScenarioRoundTrip:
         s2 = load_scenario(out)
         assert np.allclose(s2.gamma0, s1.gamma0)
         assert s2.model_tier == s1.model_tier
+
+    @pytest.mark.parametrize("potential", [{"kind": "quartic_pure", "kappa": 0.1},
+                                           {"kind": "quartic_shifted", "kappa": 0.1,
+                                            "shift": 1.0}])
+    def test_potential_serializes_the_keys_its_kind_reads(self, potential):
+        sc = schrodinger_scenario()
+        sc["params"]["potential"] = potential
+        d1 = scenario_to_dict(scenario_from_dict(sc))
+        assert d1["params"]["potential"] == potential
+        assert scenario_to_dict(scenario_from_dict(d1)) == d1
+
+    def test_pairs_keep_their_bits(self):
+        # each entry is complex(re, im) bitwise, signed zeros included
+        literal = [[-0.0, 1e-320], [1, -0.0]]
+        z = decode_pairs(literal, (2,), "psi0")
+        assert z.tobytes() == np.array([complex(-0.0, 1e-320), complex(1.0, -0.0)]).tobytes()
+        assert repr(encode_pairs(z)) == "[[-0.0, 1e-320], [1.0, -0.0]]"
 
     def test_unknown_tier_rejected(self, tmp_path):
         path = write(tmp_path, "bad", schrodinger_scenario(model_tier="warp"))
@@ -194,6 +213,30 @@ def _with_forcing(kind, **extra):
         params={"alpha1": 0.5, "alpha5": -1.0, "tau": 3.0})),
     _malformed("hbar-not-positive", "hbar must be positive",
                lambda sc: sc["params"].update(hbar=0.0)),
+    # numbers and flags are read only from JSON values of their type
+    _malformed("alpha4-string", "'alpha4'", lambda sc: sc["params"].update(alpha4="abc")),
+    _malformed("hbar-string", "'hbar'", lambda sc: sc["params"].update(hbar="1")),
+    _malformed("seed-string", "'seed'", lambda sc: sc.update(seed="x")),
+    _malformed("dt-null", "'dt'", lambda sc: sc["integrator"].update(dt=None)),
+    _malformed("kappa-string", "'kappa'", lambda sc: sc["params"].update(
+        potential={"kind": "quartic_pure", "kappa": "x"})),
+    _malformed("omega-string", "'omega'", _with_forcing("harmonic", omega="x")),
+    *[_malformed(f"{key}-string", f"'{key}'", lambda sc, key=key: sc.update({key: "false"}))
+      for key in ("inject_sign_error", "request_chart")],
+    _malformed("resymmetrize_gamma-string", "'resymmetrize_gamma'",
+               lambda sc: sc["integrator"].update(resymmetrize_gamma="false")),
+    # a potential carries only the keys its kind reads
+    _malformed("quartic_pure-shift", "'shift'", lambda sc: sc["params"].update(
+        potential={"kind": "quartic_pure", "kappa": 0.1, "shift": 5.0})),
+    _malformed("none-kappa", "'kappa'", lambda sc: sc["params"].update(
+        potential={"kind": "none", "kappa": 0.1})),
+    # an array literal is [re, im] number pairs of the shape n fixes
+    _malformed("psi0-string-entry", "psi0", lambda sc: sc["initial"].update(
+        psi0=[["x", 0], [0, 0]])),
+    _malformed("psi0-number", "psi0", lambda sc: sc["initial"].update(psi0=5)),
+    _malformed("psi0-empty", "psi0", lambda sc: sc["initial"].update(psi0=[])),
+    _malformed("forcing-vector-entry", "forcing vector", lambda sc: sc["params"].update(
+        forcing={"kind": "constant", "vector": [["y", 0.0], [0.0, 0.0]]})),
     # alpha2 != 0 makes L second order: a first-order psi tier cannot solve it
     *[_malformed(f"alpha2-on-{tier}", "'alpha2'", lambda sc, tier=tier: sc.update(
         model_tier=tier, params={"preset": "schrodinger", "alpha2": 0.7}))
