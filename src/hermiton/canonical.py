@@ -20,9 +20,10 @@ import numpy as np
 
 from .dynamics import (
     _apply_omega_dot,
+    _first_order_rate,
     _full_accelerations_raw,
     _p_dot,
-    rhs_direct_nonlinear_raw,
+    _ResidualPieces,
     rhs_second_order,
 )
 from .errors import DegenerateKinetic, NotPositiveDefinite, ZeroAlpha2
@@ -56,7 +57,6 @@ __all__ = [
     "CanonicalFlow",
     "legendre_singular",
     "primary_constraints",
-    "lagrange_multipliers",
     "reduced_bracket_flow",
     "dirac_flow",
     "darboux_momentum",
@@ -142,18 +142,6 @@ def primary_constraints(p: PhasePoint, alpha: float) -> ConstraintValue:
     return ConstraintValue(phi=phi)
 
 
-def lagrange_multipliers(psi, gamma, chi, alpha: float, gamma_coeff: float,
-                         spec: PotentialSpec | None = None) -> np.ndarray:
-    """Unique multipliers of the Dirac tangency conditions.
-
-    lambda = -(i/2)(gamma_coeff/alpha) H psi - (i / 2 alpha) Gamma^{-1} dV/d(conj psi);
-    on the constraint manifold these are exactly the first-order flow's psi velocities.
-    """
-    params = ModelParams.from_legacy(alpha=alpha, gamma=gamma_coeff,
-                                     potential=spec or PotentialSpec())
-    return rhs_direct_nonlinear_raw(psi, gamma, params, chi)
-
-
 def reduced_bracket_flow(psi, gamma, chi, alpha: float,
                          spec: PotentialSpec | None = None) -> np.ndarray:
     """psi velocity from the reduced bracket {psi, psi^}_M = Gamma^{-1} / 2i alpha
@@ -167,23 +155,22 @@ def reduced_bracket_flow(psi, gamma, chi, alpha: float,
     return (invert_form(gamma) @ grad) / (2.0j * alpha)
 
 
-def dirac_flow(psi, pi, gamma, chi, alpha: float, gamma_coeff: float,
-               spec: PotentialSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-space vector field of the constrained Hamiltonian.
+def dirac_flow(psi, pi, gamma, params: ModelParams, chi,
+               t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-space vector field of the constrained Hamiltonian of the
+    velocity-linear model (alpha2 == 0) on a frozen scalar product.
 
-    The multipliers are substituted from the tangency conditions, which
-    makes the primary constraints exactly invariant in continuous time;
-    conjugate variables evolve by conjugation.
+    With R0 the psi residual at psid = 0, the multipliers of the tangency
+    conditions are lambda = Gamma^{-1} R0 / (2i alpha1), the first-order
+    flow's psi velocities, and the momentum rate is
+    pid = -conj(R0) - i alpha1 conj(lambda) Gamma, so the primary constraint
+    phi = pi - i alpha1 psi^ Gamma is exactly invariant in continuous time
+    with every coupling, potential and forcing of ``params``.
     """
-    psi = np.asarray(psi, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    lam = lagrange_multipliers(psi, g, chi, alpha, gamma_coeff, spec)
-    pi_dot = -gamma_coeff * (np.conj(psi) @ chi)
-    if spec is not None and spec.kind != "none":
-        pi_dot = pi_dot - np.conj(potential_gradient(psi, g, spec))
-    pi_dot = pi_dot - 1j * alpha * (np.conj(lam) @ g)
-    return lam, pi_dot
+    s = _ResidualPieces(psi, gamma, None, params)
+    r0 = s.psi_residual(resolve_chi(chi, t), t)
+    lam = _first_order_rate(params, r0, _checked_inverse(s.g))
+    return lam, -np.conj(r0) - 1j * params.alpha1 * (np.conj(lam) @ s.g)
 
 
 def darboux_momentum(psi, gamma, alpha: float) -> np.ndarray:
@@ -214,7 +201,6 @@ class DarbouxChart:
     """
 
     alpha: float
-    gamma_coeff: float
     S: np.ndarray
     A: np.ndarray
     sigma: np.ndarray
@@ -252,8 +238,9 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
     """Real Darboux reduction of the constrained velocity-linear model.
 
     Splits gamma = S + iA and chi = sigma + i*alpha_mat into real parts,
-    emits the restricted two-form, the reduced Hamiltonian (with the
-    gamma_coeff = 2 normalisation) and the real Legendre maps.  A canonical
+    emits the restricted two-form, the reduced Hamiltonian (in the
+    normalisation alpha5 = -2, chi's coefficient gamma_coeff = 2) and the
+    real Legendre maps.  A canonical
     chart (basis change making the form exactly dy ^ dx) is attempted via a
     Cholesky factor; if gamma is not positive definite the chart is refused
     (silently unless ``require_chart``).  Each ``tol`` test is relative:
@@ -306,7 +293,7 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
         ham_g_xp = 0.5 * gamma_coeff * (g_alpha_lr.T - alpha_mat @ g_inv)
 
     return DarbouxChart(
-        alpha=alpha, gamma_coeff=gamma_coeff, S=s, A=a, sigma=sigma,
+        alpha=alpha, S=s, A=a, sigma=sigma,
         alpha_mat=alpha_mat, form_xy=form_xy, form_xx=form_xx, form_yy=form_yy,
         ham_xx=ham_xx, ham_yy=ham_yy, ham_xy=ham_xy,
         legendre_ux=legendre_ux, legendre_uy=legendre_uy,

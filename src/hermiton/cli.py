@@ -212,9 +212,8 @@ def cmd_reduce(s: Scenario, out_dir: Path) -> int:
     alpha = s.params.alpha1
     chart = canonical.darboux_reduce(s.gamma0, s.chi, alpha,
                                      require_chart=s.request_chart)
-    lam = canonical.lagrange_multipliers(
-        s.psi0, s.gamma0, s.chi, alpha, s.params.gamma_coeff,
-        s.params.effective_potential)
+    lam = dynamics.rhs_direct_nonlinear_raw(s.psi0, s.gamma0, s.params, s.chi,
+                                            s.integrator.t_start)
 
     def real_mat(m):
         return None if m is None else np.asarray(m, dtype=float).tolist()
@@ -271,7 +270,7 @@ def _exact_solution(s: Scenario):
             raise NoOracleForTier("the exact Schrodinger solution does not cover "
                                   f"{', '.join(uncovered)}")
         h = np.linalg.solve(s.gamma0, np.asarray(s.chi, dtype=complex))
-        hbar_eff = 2.0 * p.alpha1 / p.gamma_coeff
+        hbar_eff = 2.0 * p.alpha1 / -p.alpha5
         return ([f"abs_psi_{a + 1}" for a in range(n)], lambda state: state.psi,
                 lambda t: oracles.exact_schrodinger(s.psi0, h, hbar_eff, t))
     raise NoOracleForTier(f"no exact solution for tier {s.model_tier!r}")

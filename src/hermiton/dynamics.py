@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateKinetic, ZeroAlpha2, ZeroBeta
+from .errors import DegenerateKinetic, ZeroAlpha2
 from .hermitian_algebra import _checked_inverse, hermitian_part, hermiticity_drift, invert_form
 from .models import (
     FullState,
@@ -70,9 +70,10 @@ class Residual:
 
 def rhs_schrodinger(psi, gamma, chi, alpha: float, gamma_coeff: float) -> np.ndarray:
     """psid for the velocity-linear model on a frozen scalar product:
-    2i*alpha*Gamma*psid = gamma_coeff*chi*psi, i.e. psid = (gamma_coeff / 2i alpha) H psi."""
+    2i*alpha*Gamma*psid = gamma_coeff*chi*psi, i.e. psid = (gamma_coeff / 2i alpha) H psi,
+    the couplings alpha1 = alpha, alpha5 = -gamma_coeff of :func:`rhs_direct_nonlinear_raw`."""
     return rhs_direct_nonlinear_raw(psi, gamma,
-                                    ModelParams.from_legacy(alpha=alpha, gamma=gamma_coeff), chi)
+                                    ModelParams(alpha1=alpha, alpha5=-gamma_coeff), chi)
 
 
 def rhs_second_order(state: FullState, chi, params: ModelParams,
@@ -85,7 +86,7 @@ def rhs_second_order(state: FullState, chi, params: ModelParams,
     lighter object with those attributes.
     """
     if params.alpha2 == 0.0:
-        raise ZeroBeta("second-order dynamics needs alpha2 != 0")
+        raise ZeroAlpha2("second-order dynamics needs alpha2 != 0")
     s = _ResidualPieces(state.psi, state.gamma, None, params)
     if kinv is None:
         kinv = _checked_inverse(np.asarray(s.g if gamma_tilde is None else gamma_tilde, complex))
@@ -278,22 +279,22 @@ def rhs_full(state: FullState, params: ModelParams, chi):
     return psi_ddot, hermitian_part(gamma_ddot)
 
 
-def _first_order_rate(s: _ResidualPieces, chi_matrix, t: float, kinv) -> np.ndarray:
-    """psid = gamma^{-1} R0 / (2i*alpha1), ``kinv`` = gamma^{-1}: the psi residual
-    -2i*alpha1 gamma psid + R0 solved for psid; alpha2 != 0 and alpha1 == 0 are refused."""
-    prm = s.params
+def _first_order_rate(prm: ModelParams, r0, kinv) -> np.ndarray:
+    """psid = gamma^{-1} R0 / (2i*alpha1), ``kinv`` = gamma^{-1} and ``r0`` the psi
+    residual at psid = 0: the psi residual -2i*alpha1 gamma psid + R0 solved for
+    psid; alpha2 != 0 and alpha1 == 0 are refused."""
     if prm.alpha2 != 0.0:
         raise ValueError("first-order psi dynamics requires alpha2 == 0")
     if prm.alpha1 == 0.0:
         raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics")
-    return (kinv @ s.psi_residual(chi_matrix, t)) / (2.0j * prm.alpha1)
+    return (kinv @ r0) / (2.0j * prm.alpha1)
 
 
 def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
                               chi, t: float):
     ginv = invert_form(gamma)
     s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
-    psid = _first_order_rate(s, resolve_chi(chi, t), t, ginv)
+    psid = _first_order_rate(params, s.psi_residual(resolve_chi(chi, t), t), ginv)
 
     # gamma equation solved for gamma_ddot with the psid just obtained
     rest_gamma = s.gamma_residual(psid, s.gd @ psid)
@@ -324,7 +325,8 @@ def rhs_direct_nonlinear_raw(psi, gamma, params: ModelParams, chi_matrix,
     ``kinv``, when given, is ``_checked_inverse(gamma)`` computed by the caller.
     """
     s = _ResidualPieces(psi, gamma, None, params)
-    return _first_order_rate(s, chi_matrix, t, _checked_inverse(s.g) if kinv is None else kinv)
+    return _first_order_rate(params, s.psi_residual(chi_matrix, t),
+                             _checked_inverse(s.g) if kinv is None else kinv)
 
 
 def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Exception hierarchy for hermiton.
 
 Every failure mode of the library maps to one of these classes so that the
-CLI can translate them into stable exit codes and messages.
+CLI can translate them into stable exit codes and messages.  Conditions on
+the couplings are stated in the couplings alpha1 ... alpha9 of
+``models.ModelParams``, the one description of a model.
 """
 
 
@@ -27,18 +29,15 @@ class DegenerateKinetic(HermitonError):
     """The quadratic kinetic operator on Hermitian matrices is degenerate:
     its closed-form inverse refuses alpha6 == 0, 1 + alpha9 theta1 and the
     2 x 2 determinant det M by relative rules (``models._ladder_pieces``), and
-    the geodesic tier A and A + n B.  Scaling every coupling keeps the
-    verdict.  Also raised for alpha1 == 0 on a first-order psi flow or
-    Darboux reduction."""
-
-
-class ZeroBeta(HermitonError):
-    """Second-order dynamics requested with vanishing acceleration coupling."""
+    the geodesic tier alpha6 and alpha6 + n alpha7.  Scaling every coupling
+    keeps the verdict.  Also raised for alpha1 == 0 on a first-order psi
+    flow or Darboux reduction."""
 
 
 class ZeroAlpha2(HermitonError):
-    """Full second-order model requested with alpha2 == 0; use the modified
-    first-order system instead."""
+    """Second-order psi dynamics, or a regular Legendre map or Hamiltonian,
+    requested with alpha2 == 0: the acceleration coupling vanishes.  The
+    full model then has the modified first-order system instead."""
 
 
 class NotGHermitian(HermitonError):

@@ -217,7 +217,8 @@ def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, kinv) -> dict
                                resolve_chi(chi, t), params, kinv=kinv)
         return {"psi": b["psi_dot"], "psi_dot": acc}
     if tier == "gamma_geodesic":
-        acc_g = rhs_gamma_geodesic(b["gamma"], b["gamma_dot"], params.big_a, params.big_b)
+        acc_g = rhs_gamma_geodesic(b["gamma"], b["gamma_dot"],
+                                   2.0 * params.alpha6, 2.0 * params.alpha7)
         return {"gamma": b["gamma_dot"], "gamma_dot": acc_g}
     if tier == "full":
         acc_psi, acc_g = _full_accelerations_raw(b["psi"], b["psi_dot"], b["gamma"],

@@ -12,15 +12,15 @@ The most general model implemented here reads, in matrix form,
 with P = Gamma^{-1} + alpha9 * psi psi^, Gd = d(Gamma)/dt, theta1 = psi^ Gamma psi,
 ``^`` denoting conjugate transposition and f the scalar potential profile.
 Setting alpha1 = hbar/2, alpha5 = -1 and everything else to zero recovers the
-standard n-level Schrodinger dynamics; the legacy couplings of the linear and
-geodesic submodels map as alpha1=alpha, alpha2=beta, alpha5=-gamma,
-alpha6=A/2, alpha7=B/2.
+standard n-level Schrodinger dynamics.  These couplings, with one potential
+profile and one forcing, are the only description of a model: the linear,
+second-order and geodesic submodels are points of this family.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Optional
 
@@ -76,6 +76,9 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "custom" and self.f is None:
             raise ValueError("custom potential needs f")
+        for name in ("kappa", "shift"):
+            if not np.isfinite(complex(getattr(self, name))):
+                raise ValueError(f"potential {name} is not finite")
 
     def value(self, x):
         """f(x); a complex x evaluates the analytic extension."""
@@ -141,58 +144,29 @@ class ModelParams:
             return PotentialSpec(kind="quartic_pure", kappa=self.kappa)
         return self.potential
 
-    # legacy aliases of the linear / geodesic submodels
-    @property
-    def alpha(self) -> float:
-        return self.alpha1
-
-    @property
-    def beta(self) -> float:
-        return self.alpha2
-
-    @property
-    def gamma_coeff(self) -> float:
-        return -self.alpha5
-
-    @property
-    def big_a(self) -> float:
-        return 2.0 * self.alpha6
-
-    @property
-    def big_b(self) -> float:
-        return 2.0 * self.alpha7
-
-    @classmethod
-    def from_legacy(cls, alpha=0.0, beta=0.0, gamma=0.0, A=0.0, B=0.0, **kwargs):
-        return cls(alpha1=alpha, alpha2=beta, alpha5=-gamma,
-                   alpha6=A / 2.0, alpha7=B / 2.0, **kwargs)
-
-    def with_(self, **kwargs) -> "ModelParams":
-        return replace(self, **kwargs)
-
 
 def preset(name: str, n: int | None = None, hbar: float = 1.0, tau: float = 1.0) -> ModelParams:
     """Named coupling presets exposed to the CLI.
 
     ``schrodinger``: alpha1 = hbar/2, alpha5 = -1 (standard dynamics on a
     frozen scalar product).  ``kozlov-heat``: the second-order model with
-    alpha = hbar, beta = -4*tau*hbar, gamma = 2 from the heat-transport
-    analogy.  ``killing``: the scalar-product kinetic couplings A = 2n,
-    B = -2; note A + nB = 0, so the kinetic operator is degenerate along
-    dilatations and this preset cannot drive the geodesic tier; with
-    alpha8 != 0 added it drives ``full`` and ``modified_first_order``.  hbar
-    must be positive.
+    alpha1 = hbar, alpha2 = -4*tau*hbar, alpha5 = -2 from the heat-transport
+    analogy.  ``killing``: the scalar-product kinetic couplings alpha6 = n,
+    alpha7 = -1; note alpha6 + n alpha7 = 0, so the kinetic operator is
+    degenerate along dilatations and this preset cannot drive the geodesic
+    tier; with alpha8 != 0 added it drives ``full`` and
+    ``modified_first_order``.  hbar must be positive.
     """
     if not hbar > 0.0:
         raise ValueError("hbar must be positive")
     if name == "schrodinger":
         return ModelParams(alpha1=hbar / 2.0, alpha5=-1.0)
     if name == "kozlov-heat":
-        return ModelParams.from_legacy(alpha=hbar, beta=-4.0 * tau * hbar, gamma=2.0)
+        return ModelParams(alpha1=hbar, alpha2=-4.0 * tau * hbar, alpha5=-2.0)
     if name == "killing":
         if n is None:
             raise ValueError("preset 'killing' needs the dimension n")
-        return ModelParams.from_legacy(A=2.0 * n, B=-2.0)
+        return ModelParams(alpha6=float(n), alpha7=-1.0)
     raise ValueError(f"unknown preset {name!r}")
 
 

@@ -49,13 +49,17 @@ def _known_keys(block, allowed, where: str) -> dict:
     return block
 
 
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               bool: (bool, "true or false"), str: (str, "a string"),
+               list: (list, "a JSON list"), dict: (dict, "a JSON object")}
+
+
 def _typed(value, kind: type, name: str):
-    """``value`` as a ``kind`` (float, int or bool), read only from a JSON
-    value of that type (any number for float); anything else raises
-    ScenarioError naming the field."""
-    accepted = {float: (int, float), int: int, bool: bool}[kind]
+    """``value`` as a ``kind`` (float, int, bool, str, list or dict), read
+    only from a JSON value of that type (any number for float); anything
+    else raises ScenarioError naming the field."""
+    accepted, what = _JSON_TYPES[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        what = {float: "a number", int: "an integer", bool: "true or false"}[kind]
         raise ScenarioError(f"{name} must be {what}, got {value!r}")
     return kind(value)
 
@@ -103,7 +107,7 @@ def _decode_chi(spec, n: int) -> np.ndarray:
 
 
 def _decode_params(data, n: int) -> ModelParams:
-    data = dict(data or {})
+    data = _typed(data, dict, "scenario key 'params'")
     preset_name = data.pop("preset", None)
     potential_spec = data.pop("potential", None)
     forcing_spec = data.pop("forcing", None)
@@ -128,20 +132,23 @@ def _decode_params(data, n: int) -> ModelParams:
         base[key] = _typed(data.pop(key), float, f"params key {key!r}")
 
     if potential_spec is not None:
-        kind = _known_keys(potential_spec, ("kind", "kappa", "shift"),
-                           "potential").get("kind", "none")
+        kind = _typed(_known_keys(potential_spec, ("kind", "kappa", "shift"), "potential")
+                      .get("kind", "none"), str, "potential key 'kind'")
         if kind == "custom":
             raise ScenarioError("custom potentials are not expressible in scenarios")
         if kind not in _POTENTIAL_KEYS:
             raise ScenarioError(f"unknown potential kind {kind!r}")
         _known_keys(potential_spec, _POTENTIAL_KEYS[kind], f"{kind} potential")
-        base["potential"] = PotentialSpec(kind=kind, **{
-            key: _typed(potential_spec.get(key, 0.0), float, f"potential key {key!r}")
-            for key in ("kappa", "shift")})
+        try:
+            base["potential"] = PotentialSpec(kind=kind, **{
+                key: _typed(potential_spec.get(key, 0.0), float, f"potential key {key!r}")
+                for key in ("kappa", "shift")})
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     if forcing_spec is not None:
-        kind = _known_keys(forcing_spec, ("kind", "vector", "omega"),
-                           "forcing").get("kind", "constant")
+        kind = _typed(_known_keys(forcing_spec, ("kind", "vector", "omega"), "forcing")
+                      .get("kind", "constant"), str, "forcing key 'kind'")
         if kind not in _FORCING_KEYS:
             raise ScenarioError(f"unknown forcing kind {kind!r}")
         _known_keys(forcing_spec, _FORCING_KEYS[kind], f"{kind} forcing")
@@ -226,7 +233,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     except HermitonError as exc:
         raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
 
-    params = _decode_params(raw.get("params"), n)
+    params = _decode_params(raw.get("params", {}), n)
     blocks = STEPPED_BLOCKS[tier]
     if "psi" in blocks and "psi_dot" not in blocks and params.alpha2 != 0.0:
         raise ScenarioError(f"params key 'alpha2' makes L second order in psi; the "
@@ -248,7 +255,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"bad integrator config: {exc}") from exc
 
-    outputs = tuple(raw.get("outputs", ["trajectory", "diagnostics"]))
+    outputs = tuple(_typed(raw.get("outputs", ["trajectory", "diagnostics"]), list,
+                           "scenario key 'outputs'"))
     for out in outputs:
         if out not in _OUTPUT_KINDS:
             raise ScenarioError(f"unknown output kind {out!r}")
@@ -262,10 +270,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"gamma_tilde: {exc}") from exc
 
     generators = tuple(
-        (_known_keys(g, _GENERATOR_KEYS, f"generators[{i}]").get("label", f"gen{i}"),
+        (_typed(_known_keys(g, _GENERATOR_KEYS, f"generators[{i}]").get("label", f"gen{i}"),
+                str, f"generators[{i}] key 'label'"),
          decode_pairs(g.get("matrix"), (n, n), f"generators[{i}]"))
         if isinstance(g, dict) else (f"gen{i}", decode_pairs(g, (n, n), f"generators[{i}]"))
-        for i, g in enumerate(raw.get("generators", [])))
+        for i, g in enumerate(_typed(raw.get("generators", []), list,
+                                     "scenario key 'generators'")))
 
     scalars = {key: _typed(raw.get(key, default), type(default), f"scenario key {key!r}")
                for key, default in (("seed", 0), ("request_chart", False),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def rand_pd(rng, n, spread=1.0):
 def scale_couplings(params, s):
     """The model s L: alpha1 ... alpha8 and kappa times s; alpha9, which sits
     inside P = Gamma^-1 + alpha9 psi psi^, is kept."""
-    return params.with_(**{k: s * getattr(params, k) for k in (
+    return replace(params, **{k: s * getattr(params, k) for k in (
         "alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "alpha7", "alpha8",
         "kappa")})
 

@@ -81,18 +81,18 @@ def test_criterion_2_gamma_geodesic_exactness(acceptance_rng):
                           gamma=g, gamma_dot=g @ e)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=100)
         runs = {}
-        for big_b in (0.4, -0.2):      # both keep A + n B != 0
-            params = ModelParams.from_legacy(A=2.0, B=big_b)
-            runs[big_b] = integrate(state, "gamma_geodesic", cfg, params)
-        traj = runs[0.4]
+        for alpha7 in (0.2, -0.1):      # both keep alpha6 + n alpha7 != 0
+            params = ModelParams(alpha6=1.0, alpha7=alpha7)
+            runs[alpha7] = integrate(state, "gamma_geodesic", cfg, params)
+        traj = runs[0.2]
         exact = oracles.exact_gamma(sol, 1.0)
         worst_err = max(worst_err, float(np.max(np.abs(traj.final_state.gamma - exact))))
         worst_drift = max(worst_drift, float(traj.series("herm_drift").max()))
         worst_b_gap = max(worst_b_gap, float(np.max(np.abs(
-            runs[0.4].final_state.gamma - runs[-0.2].final_state.gamma))))
+            runs[0.2].final_state.gamma - runs[-0.1].final_state.gamma))))
     report("2 gamma geodesic (endpoint vs exponential)", worst_err, 1e-7)
     report("2 gamma geodesic (hermiticity drift, pre-projection)", worst_drift, 1e-9)
-    report("2 gamma geodesic (B independence)", worst_b_gap, 1e-9)
+    report("2 gamma geodesic (alpha7 independence)", worst_b_gap, 1e-9)
 
 
 def test_criterion_3_omega_inverse_ladder(acceptance_rng):
@@ -217,6 +217,7 @@ def test_criterion_8_dirac_constraint_persistence(acceptance_rng):
     n = 2
     alpha, gamma_c = 1.0, 2.0
     spec = PotentialSpec(kind="quartic_pure", kappa=0.4)
+    params = ModelParams(alpha1=alpha, alpha5=-gamma_c, potential=spec)
     gamma = rand_pd(rng, n)
     chi = rand_herm(rng, n)
     psi = rand_vec(rng, n)
@@ -225,8 +226,7 @@ def test_criterion_8_dirac_constraint_persistence(acceptance_rng):
     dt = 1e-3
 
     def f(y):
-        psid, pid = canonical.dirac_flow(y[:n], y[n:], gamma, chi, alpha,
-                                         gamma_c, spec)
+        psid, pid = canonical.dirac_flow(y[:n], y[n:], gamma, params, chi)
         return np.concatenate([psid, pid])
 
     for _ in range(1000):
@@ -243,9 +243,7 @@ def test_criterion_8_dirac_constraint_persistence(acceptance_rng):
     for _ in range(20):
         psi_r = rand_vec(rng, n)
         flow = canonical.reduced_bracket_flow(psi_r, gamma, chi, alpha, spec)
-        direct = dynamics.rhs_direct_nonlinear_raw(
-            psi_r, gamma, ModelParams(alpha1=alpha, alpha5=-gamma_c, potential=spec),
-            chi)
+        direct = dynamics.rhs_direct_nonlinear_raw(psi_r, gamma, params, chi)
         worst_gap = max(worst_gap, float(np.max(np.abs(flow - direct))))
     report("8 dirac constraints (bracket flow vs direct rhs)", worst_gap, 1e-12)
 

@@ -9,7 +9,6 @@ from hermiton.canonical import (
     dirac_flow,
     hamilton_flow_check,
     hamiltonian,
-    lagrange_multipliers,
     lagrangian_flow_through_legendre,
     legendre_inverse,
     legendre_regular,
@@ -17,7 +16,13 @@ from hermiton.canonical import (
     primary_constraints,
     reduced_bracket_flow,
 )
-from hermiton.dynamics import _apply_omega_dot, _p_dot, rhs_full, rhs_schrodinger
+from hermiton.dynamics import (
+    _apply_omega_dot,
+    _p_dot,
+    rhs_direct_nonlinear_raw,
+    rhs_full,
+    rhs_schrodinger,
+)
 from hermiton.hermitian_algebra import invert_form
 from hermiton.errors import NotPositiveDefinite, ZeroAlpha2
 from hermiton.models import (
@@ -86,17 +91,24 @@ class TestSingularSector:
         assert np.allclose(darboux_momentum(psi, gamma, 0.8), 2.0 * pi)
 
 
+def multipliers(psi, gamma, chi, params):
+    """The Lagrange multipliers of the Dirac flow at the constrained point
+    over psi: its psi velocities."""
+    pi, _ = legendre_singular(psi, gamma, params.alpha1)
+    return dirac_flow(psi, pi, gamma, params, chi)[0]
+
+
 class TestMultipliers:
     def test_scalar_schrodinger(self):
         hbar, e_level = 1.0, 1.4
         psi = np.array([0.7 + 0.2j])
-        lam = lagrange_multipliers(psi, np.eye(1), e_level * np.eye(1),
-                                   alpha=hbar, gamma_coeff=2.0)
+        lam = multipliers(psi, np.eye(1), e_level * np.eye(1),
+                          ModelParams(alpha1=hbar, alpha5=-2.0))
         assert np.allclose(lam, -1j * e_level * psi / hbar)
 
     def test_zero_state(self, rng):
-        lam = lagrange_multipliers(np.zeros(2), rand_pd(rng, 2), rand_herm(rng, 2),
-                                   1.0, 2.0)
+        lam = multipliers(np.zeros(2), rand_pd(rng, 2), rand_herm(rng, 2),
+                          ModelParams(alpha1=1.0, alpha5=-2.0))
         assert np.allclose(lam, 0.0)
 
     def test_quartic_extra_term(self, rng):
@@ -104,8 +116,8 @@ class TestMultipliers:
         kappa = 0.6
         spec = PotentialSpec(kind="quartic_pure", kappa=kappa)
         psi, gamma, chi = rand_vec(rng, n), rand_pd(rng, n), rand_herm(rng, n)
-        lam = lagrange_multipliers(psi, gamma, chi, 1.0, 2.0, spec)
-        lam0 = lagrange_multipliers(psi, gamma, chi, 1.0, 2.0)
+        lam = multipliers(psi, gamma, chi, ModelParams(alpha1=1.0, alpha5=-2.0, potential=spec))
+        lam0 = multipliers(psi, gamma, chi, ModelParams(alpha1=1.0, alpha5=-2.0))
         extra = -0.5j * 2.0 * kappa * theta1(psi, gamma) * psi
         assert np.allclose(lam - lam0, extra, atol=1e-12)
 
@@ -130,12 +142,18 @@ class TestMultipliers:
                                                 rand_herm(rng, 2), 1.0), 0.0)
 
 
+# alpha4 and a constant forcing: couplings the psi residual carries beyond chi and f
+DIRAC_EXTRA = dict(alpha4=0.3, forcing=lambda t: np.array([0.2 - 0.1j, -0.3j]))
+
+
 class TestDiracFlow:
     def test_constraint_persistence(self, rng):
         # RK4 on the extended phase space keeps phi at zero
         n = 2
-        alpha, gamma_c = 1.0, 2.0
-        spec = PotentialSpec(kind="quartic_pure", kappa=0.3)
+        alpha = 1.0
+        params = ModelParams(alpha1=alpha, alpha5=-2.0,
+                             potential=PotentialSpec(kind="quartic_pure", kappa=0.3),
+                             **DIRAC_EXTRA)
         gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
         psi = rand_vec(rng, n)
         pi, _ = legendre_singular(psi, gamma, alpha)
@@ -143,7 +161,7 @@ class TestDiracFlow:
         dt = 1e-3
 
         def f(y):
-            psid, pid = dirac_flow(y[:n], y[n:], gamma, chi, alpha, gamma_c, spec)
+            psid, pid = dirac_flow(y[:n], y[n:], gamma, params, chi)
             return np.concatenate([psid, pid])
 
         for _ in range(1000):
@@ -159,9 +177,10 @@ class TestDiracFlow:
         n = 2
         gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
         psi = rand_vec(rng, n)
+        params = ModelParams(alpha1=1.0, alpha5=-2.0, **DIRAC_EXTRA)
         pi, _ = legendre_singular(psi, gamma, 1.0)
-        psid, _ = dirac_flow(psi, pi, gamma, chi, 1.0, 2.0)
-        assert np.allclose(psid, lagrange_multipliers(psi, gamma, chi, 1.0, 2.0))
+        psid, _ = dirac_flow(psi, pi, gamma, params, chi)
+        assert np.allclose(psid, rhs_direct_nonlinear_raw(psi, gamma, params, chi))
 
 
 class TestDarboux:
@@ -223,7 +242,7 @@ class TestDarboux:
         for _ in range(10):
             x, y = rng.normal(size=n), rng.normal(size=n)
             psi = (x + 1j * y) / np.sqrt(2.0)
-            direct = chart.gamma_coeff * float((np.conj(psi) @ chi @ psi).real)
+            direct = 2.0 * float((np.conj(psi) @ chi @ psi).real)
             assert chart.hamiltonian_value(x, y) == pytest.approx(direct, abs=1e-12)
 
     def test_real_legendre_maps(self, rng):
@@ -438,7 +457,7 @@ class TestHamiltonFlow:
         # L(1,2) canonical flow: FD derivatives of the Hamiltonian against
         # the Lagrangian push and the analytic canonical equations
         n = 2
-        params = ModelParams.from_legacy(alpha=0.6, beta=0.5, gamma=2.0, **extra)
+        params = ModelParams(alpha1=0.6, alpha2=0.5, alpha5=-2.0, **extra)
         gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
         state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
                           gamma=gamma, gamma_dot=np.zeros((n, n)))
@@ -537,7 +556,7 @@ def test_implicit_midpoint_symplectic_smoke():
     # quadratic, so the midpoint rule keeps it without secular drift
     from hermiton.integrate import IntegratorConfig, integrate
 
-    params = ModelParams.from_legacy(alpha=0.5, beta=0.8, gamma=2.0)
+    params = ModelParams(alpha1=0.5, alpha2=0.8, alpha5=-2.0)
     chi = np.array([[1.3]])
     point = PhasePoint(psi=np.array([0.9 + 0.3j]), pi=np.array([0.2 - 0.4j]),
                        gamma=np.eye(1))

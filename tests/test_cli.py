@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hermiton.cli import main
+from hermiton.dynamics import rhs_direct_nonlinear_raw
 from hermiton.integrate import STEPPED_BLOCKS
 from hermiton.scenario import (
     decode_pairs,
@@ -237,6 +238,22 @@ def _with_forcing(kind, **extra):
     _malformed("psi0-empty", "psi0", lambda sc: sc["initial"].update(psi0=[])),
     _malformed("forcing-vector-entry", "forcing vector", lambda sc: sc["params"].update(
         forcing={"kind": "constant", "vector": [["y", 0.0], [0.0, 0.0]]})),
+    # a block is read only from a JSON value of its type: lists, objects, a string kind
+    _malformed("outputs-number", "'outputs'", lambda sc: sc.update(outputs=5)),
+    _malformed("outputs-string", "'outputs'", lambda sc: sc.update(outputs="trajectory")),
+    _malformed("generators-number", "'generators'", lambda sc: sc.update(generators=5)),
+    _malformed("params-list", "'params'", lambda sc: sc.update(params=[1])),
+    _malformed("generator-label-list", "generators[0] key 'label'", lambda sc: sc.update(
+        generators=[{"label": ["H"], "matrix": mat(np.eye(2))}])),
+    _malformed("potential-kind-list", "potential key 'kind'", lambda sc: sc["params"].update(
+        potential={"kind": ["quartic_pure"], "kappa": 0.1})),
+    _malformed("forcing-kind-list", "forcing key 'kind'", lambda sc: sc["params"].update(
+        forcing={"kind": ["constant"], "vector": vec([0.1, 0.0])})),
+    # a potential's numbers are finite, as the couplings are
+    _malformed("potential-kappa-infinite", "potential kappa", lambda sc: sc["params"].update(
+        potential={"kind": "quartic_pure", "kappa": float("inf")})),
+    _malformed("potential-shift-nan", "potential shift", lambda sc: sc["params"].update(
+        potential={"kind": "quartic_shifted", "kappa": 0.1, "shift": float("nan")})),
     # alpha2 != 0 makes L second order: a first-order psi tier cannot solve it
     *[_malformed(f"alpha2-on-{tier}", "'alpha2'", lambda sc, tier=tier: sc.update(
         model_tier=tier, params={"preset": "schrodinger", "alpha2": 0.7}))
@@ -493,6 +510,24 @@ class TestReduce:
         sc = geodesic_scenario()
         path = write(tmp_path, "geo", sc)
         assert main(["reduce", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("forcing", [
+        {"kind": "constant", "vector": vec([0.1 - 0.2j, 0.3])},
+        {"kind": "harmonic", "vector": vec([0.1 - 0.2j, 0.3]), "omega": 2.0},
+    ], ids=["constant", "harmonic"])
+    def test_multipliers_are_the_flow_velocity(self, tmp_path, forcing):
+        # with alpha4 and a forcing the multipliers are the psi velocity of
+        # the scenario's own flow at t_start, bit for bit
+        sc = schrodinger_scenario()
+        sc["params"].update(alpha4=0.3, forcing=forcing)
+        sc["initial"]["psi0"] = vec([0.6 + 0.2j, -0.4j])
+        sc["integrator"]["t_start"] = 0.4
+        path = write(tmp_path, "forced", sc)
+        assert main(["reduce", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "forced_reduce.json").read_text())
+        s = load_scenario(path)
+        flow = rhs_direct_nonlinear_raw(s.psi0, s.gamma0, s.params, s.chi, 0.4)
+        assert np.array_equal(decode_pairs(report["multipliers"], (2,), "multipliers"), flow)
 
 
 class TestOracle:

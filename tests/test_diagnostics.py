@@ -272,7 +272,7 @@ class TestMonitor:
             monitor(Fake(), ModelParams(), np.eye(1))
 
     def test_canonical_trajectory_rejected_up_front(self):
-        params = ModelParams.from_legacy(alpha=0.5, beta=1.0, gamma=2.0)
+        params = ModelParams(alpha1=0.5, alpha2=1.0, alpha5=-2.0)
         point = PhasePoint(psi=np.array([0.9 + 0.3j]), pi=np.array([0.2 - 0.4j]),
                            gamma=np.eye(1))
         traj = integrate(point, "canonical_frozen", IntegratorConfig(dt=1e-2, t_end=0.05),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from hermiton.dynamics import (
     rhs_schrodinger,
     rhs_second_order,
 )
-from hermiton.errors import DegenerateKinetic, SingularForm, ZeroAlpha2, ZeroBeta
+from hermiton.errors import DegenerateKinetic, SingularForm, ZeroAlpha2
 from hermiton.hermitian_algebra import hermitian_part, invert_form, matrix_exp
 from hermiton.models import (
     FullState,
@@ -73,13 +75,13 @@ class TestRhsSecondOrder:
         psi = np.array([1.0 + 0.0j])
         state = FullState(psi=psi, psi_dot=-1j * omega * psi, gamma=np.eye(1),
                           gamma_dot=np.zeros((1, 1)))
-        params = ModelParams.from_legacy(alpha=alpha, beta=beta, gamma=gamma_c)
+        params = ModelParams(alpha1=alpha, alpha2=beta, alpha5=-gamma_c)
         acc = rhs_second_order(state, e_level * np.eye(1), params)
         assert np.allclose(acc, -omega ** 2 * psi, atol=1e-12)
 
     def test_two_metric_collapse(self, rng):
         n = 2
-        params = ModelParams.from_legacy(alpha=0.7, beta=0.4, gamma=2.0)
+        params = ModelParams(alpha1=0.7, alpha2=0.4, alpha5=-2.0)
         gamma = rand_pd(rng, n)
         chi = rand_herm(rng, n)
         state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
@@ -90,7 +92,7 @@ class TestRhsSecondOrder:
     def test_zero_beta_raises(self, rng):
         state = FullState(psi=rand_vec(rng, 2), psi_dot=rand_vec(rng, 2),
                           gamma=rand_pd(rng, 2), gamma_dot=np.zeros((2, 2)))
-        with pytest.raises(ZeroBeta):
+        with pytest.raises(ZeroAlpha2):
             rhs_second_order(state, np.eye(2), ModelParams(alpha1=1.0))
 
     def test_beta_to_zero_termwise_limit(self, rng):
@@ -135,7 +137,7 @@ class TestElResidual:
         # psi = 0, alpha8 = alpha9 = kappa = 0: the exponential family solves
         # the gamma equation exactly
         n = 2
-        params = ModelParams.from_legacy(A=1.8, B=0.5)
+        params = ModelParams(alpha6=0.9, alpha7=0.25)
         g = rand_pd(rng, n)
         e = np.linalg.solve(g, rand_herm(rng, n, 0.6))
         sol = GammaExponentialSolution(G=g, E=e)
@@ -190,7 +192,7 @@ class TestRhsFull:
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
                           gamma=gamma, gamma_dot=gamma_dot)
         _, acc_gamma = rhs_full(state, params, rand_herm(rng, n))
-        geo = rhs_gamma_geodesic(gamma, gamma_dot, params.big_a, params.big_b)
+        geo = rhs_gamma_geodesic(gamma, gamma_dot, 2.0 * params.alpha6, 2.0 * params.alpha7)
         assert np.allclose(acc_gamma, geo, atol=1e-10)
 
     def test_self_consistency_random_states(self, rng):
@@ -229,7 +231,7 @@ class TestRhsModifiedFirstOrder:
         psid, acc_gamma = rhs_modified_first_order(
             np.zeros(n), gamma, gamma_dot, params, np.zeros((n, n)))
         assert np.allclose(psid, 0.0)
-        geo = rhs_gamma_geodesic(gamma, gamma_dot, params.big_a, params.big_b)
+        geo = rhs_gamma_geodesic(gamma, gamma_dot, 2.0 * params.alpha6, 2.0 * params.alpha7)
         assert np.allclose(acc_gamma, geo, atol=1e-10)
 
     def test_consistency_with_el_residual(self, rng):
@@ -305,7 +307,7 @@ def test_geodesic_hermiticity_over_long_run(rng):
     n = 2
     g = rand_pd(rng, n)
     e = np.linalg.solve(g, rand_herm(rng, n, 0.4))
-    params = ModelParams.from_legacy(A=2.0, B=0.3)
+    params = ModelParams(alpha6=1.0, alpha7=0.15)
     state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n), gamma=g,
                       gamma_dot=g @ e)
     cfg = IntegratorConfig(dt=1e-4, t_end=1.0, sample_stride=1000)
@@ -564,14 +566,14 @@ class TestCouplingScaling:
         state = FullState(psi=rand_vec(rng, n, 0.5), psi_dot=rand_vec(rng, n, 0.3),
                           gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.2))
         chi = rand_herm(rng, n)
-        mfo = params.with_(alpha2=0.0)
+        mfo = replace(params, alpha2=0.0)
         g, gd = state.gamma, state.gamma_dot
         for got, ref in [
             (rhs_full(state, scale_couplings(params, s), chi), rhs_full(state, params, chi)),
             (rhs_modified_first_order(state.psi, g, gd, scale_couplings(mfo, s), chi),
              rhs_modified_first_order(state.psi, g, gd, mfo, chi)),
-            ((rhs_gamma_geodesic(g, gd, s * params.big_a, s * params.big_b),),
-             (rhs_gamma_geodesic(g, gd, params.big_a, params.big_b),)),
+            ((rhs_gamma_geodesic(g, gd, 2.0 * s * params.alpha6, 2.0 * s * params.alpha7),),
+             (rhs_gamma_geodesic(g, gd, 2.0 * params.alpha6, 2.0 * params.alpha7),)),
         ]:
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b)
@@ -627,5 +629,5 @@ def test_ladder_and_geodesic_refuse_the_same_couplings(rng, n, a6, a7_of, degene
         return False
 
     assert refused(lambda: omega_inverse(rand_vec(rng, n), g, params)) is degenerate
-    assert refused(lambda: rhs_gamma_geodesic(g, gd, params.big_a,
-                                              params.big_b)) is degenerate
+    assert refused(lambda: rhs_gamma_geodesic(g, gd, 2.0 * params.alpha6,
+                                              2.0 * params.alpha7)) is degenerate

@@ -38,7 +38,7 @@ class TestFixedStep:
         g = rand_pd(rng, n)
         e = np.linalg.solve(g, rand_herm(rng, n, 0.5))
         sol = GammaExponentialSolution(G=g, E=e)
-        params = ModelParams.from_legacy(A=2.0, B=0.4)
+        params = ModelParams(alpha6=1.0, alpha7=0.2)
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
                           gamma=g, gamma_dot=g @ e)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=200)
@@ -120,9 +120,9 @@ class TestResymmetrize:
     def test_structural_and_full_agree(self, rng):
         coupled = ModelParams(alpha1=0.5, alpha2=0.4, alpha5=-1.0, alpha6=1.0,
                               alpha7=0.1, alpha9=0.05)
-        cases = (("gamma_geodesic", ModelParams.from_legacy(A=2.0, B=0.4)),
+        cases = (("gamma_geodesic", ModelParams(alpha6=1.0, alpha7=0.2)),
                  ("full", coupled),
-                 ("modified_first_order", coupled.with_(alpha2=0.0)))
+                 ("modified_first_order", dataclasses.replace(coupled, alpha2=0.0)))
         base = dict(dt=1e-3, t_end=0.5, sample_stride=100)
         for tier, params in cases:
             for n in (2, 5):        # odd n exercises the off-diagonal coordinate order
@@ -143,7 +143,7 @@ class TestResymmetrize:
         n = 2
         g = rand_pd(rng, n)
         e = np.linalg.solve(g, rand_herm(rng, n, 0.5))
-        params = ModelParams.from_legacy(A=2.0, B=0.4)
+        params = ModelParams(alpha6=1.0, alpha7=0.2)
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
                           gamma=g, gamma_dot=g @ e)
         for structural in (False, True):
@@ -171,7 +171,7 @@ class TestFailures:
         # the stages of the frozen-gamma tier are not validated: a stage that
         # overflows must still end the run with a StepFailure
         n = 2
-        params = ModelParams.from_legacy(alpha=0.7, beta=0.5, gamma=2.0)
+        params = ModelParams(alpha1=0.7, alpha2=0.5, alpha5=-2.0)
         state = FullState(psi=np.ones(n), psi_dot=np.zeros(n), gamma=np.eye(n),
                           gamma_dot=np.zeros((n, n)))
         cfg = IntegratorConfig(dt=0.1, t_end=1.0, method=method)
@@ -293,7 +293,7 @@ class TestRhsCounts:
     # so every counted call belongs to a step
     @staticmethod
     def second_order_setup(rng, n=3):
-        params = ModelParams.from_legacy(alpha=0.7, beta=0.5, gamma=2.0)
+        params = ModelParams(alpha1=0.7, alpha2=0.5, alpha5=-2.0)
         state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n, 0.3),
                           gamma=rand_pd(rng, n), gamma_dot=np.zeros((n, n)))
         return params, state, rand_herm(rng, n)
@@ -324,7 +324,7 @@ class TestRhsCounts:
 
     def test_implicit_midpoint_at_most_five_per_step(self, monkeypatch):
         # the problem of test_canonical::test_implicit_midpoint_symplectic_smoke
-        params = ModelParams.from_legacy(alpha=0.5, beta=0.8, gamma=2.0)
+        params = ModelParams(alpha1=0.5, alpha2=0.8, alpha5=-2.0)
         point = PhasePoint(psi=np.array([0.9 + 0.3j]), pi=np.array([0.2 - 0.4j]),
                            gamma=np.eye(1))
         n_steps = 2 * 10 ** 4
@@ -416,7 +416,7 @@ def test_modified_first_order_tier_runs(rng):
 
 @pytest.mark.parametrize("tier, params", [
     ("schrodinger", ModelParams(alpha1=0.5, alpha5=-1.0)),
-    ("gamma_geodesic", ModelParams.from_legacy(A=2.0, B=0.4)),
+    ("gamma_geodesic", ModelParams(alpha6=1.0, alpha7=0.2)),
     ("full", ModelParams(alpha1=0.4, alpha2=0.3, alpha3=0.1, alpha6=0.9, alpha7=0.1,
                          alpha8=0.05, alpha9=0.05)),
     ("modified_first_order", ModelParams(alpha1=0.5, alpha3=0.1, alpha5=-1.0, alpha6=1.0,
@@ -456,7 +456,7 @@ def test_full_tier_invariant_under_coupling_scaling(rng, method, structural):
 
 def test_second_order_tier_with_gamma_tilde(rng):
     n = 2
-    params = ModelParams.from_legacy(alpha=0.7, beta=0.5, gamma=2.0)
+    params = ModelParams(alpha1=0.7, alpha2=0.5, alpha5=-2.0)
     gamma = rand_pd(rng, n)
     gamma_tilde = rand_pd(rng, n)
     chi = rand_herm(rng, n)
@@ -620,18 +620,18 @@ def tier_case(tier, n, rng):
     drive = rand_herm(rng, n, 0.3)
     if tier == "canonical_frozen":
         return (PhasePoint(psi=psi, pi=rand_vec(rng, n, 0.4), gamma=gamma),
-                ModelParams.from_legacy(alpha=0.5, beta=0.8, gamma=2.0), chi)
+                ModelParams(alpha1=0.5, alpha2=0.8, alpha5=-2.0), chi)
     params = {
         "schrodinger": ModelParams(alpha1=0.5, alpha5=-1.0),
         "direct_nonlinear": ModelParams(
             alpha1=0.5, alpha5=-1.0,
             potential=PotentialSpec(kind="quartic_shifted", kappa=0.3, shift=0.5),
             forcing=lambda t: 0.1 * np.cos(t) * np.ones(n)),
-        "second_order": ModelParams.from_legacy(
-            alpha=0.7, beta=0.5, gamma=2.0,
+        "second_order": ModelParams(
+            alpha1=0.7, alpha2=0.5, alpha5=-2.0,
             potential=PotentialSpec(kind="custom", f=lambda x: 0.1 * x ** 3,
                                     f_prime=lambda x: 0.3 * x ** 2)),
-        "gamma_geodesic": ModelParams.from_legacy(A=2.0, B=0.4),
+        "gamma_geodesic": ModelParams(alpha6=1.0, alpha7=0.2),
         "full": ModelParams(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2,
                             alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1),
         "modified_first_order": ModelParams(alpha1=0.5, alpha3=0.1, alpha5=-1.0, alpha6=1.0,
@@ -698,7 +698,7 @@ class TestStackedRecord:
         calls = count_rates(monkeypatch)
         integrate(state, "gamma_geodesic",
                   IntegratorConfig(dt=0.02, t_end=0.4, resymmetrize_gamma=True),
-                  ModelParams.from_legacy(A=2.0, B=0.4))
+                  ModelParams(alpha6=1.0, alpha7=0.2))
         assert calls[0] == 4 * 20 + 1
 
     @pytest.mark.parametrize("block, index", [("psi", 1), ("gamma", 2)])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,19 +50,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(kappa=1.0, potential=PotentialSpec(kind="quartic_pure", kappa=1.0))
 
-    def test_legacy_map(self):
-        p = ModelParams.from_legacy(alpha=1.0, beta=2.0, gamma=3.0, A=4.0, B=5.0)
-        assert (p.alpha1, p.alpha2, p.alpha5) == (1.0, 2.0, -3.0)
-        assert (p.alpha6, p.alpha7) == (2.0, 2.5)
-        assert (p.alpha, p.beta, p.gamma_coeff, p.big_a, p.big_b) == (1.0, 2.0, 3.0, 4.0, 5.0)
-
     def test_presets(self):
         p = preset("schrodinger", hbar=2.0)
         assert p.alpha1 == 1.0 and p.alpha5 == -1.0
         p = preset("kozlov-heat", hbar=1.0, tau=0.25)
         assert (p.alpha1, p.alpha2, p.alpha5) == (1.0, -1.0, -2.0)
         p = preset("killing", n=3)
-        assert (p.big_a, p.big_b) == (6.0, -2.0)
+        assert (p.alpha6, p.alpha7) == (3.0, -1.0)
         with pytest.raises(ValueError):
             preset("killing")
         with pytest.raises(ValueError):
@@ -138,10 +133,9 @@ class TestOmegaTensor:
         assert np.allclose(o, 0.0)
 
     def test_scalar_reduction(self):
-        big_a, big_b = 1.4, -0.3
-        params = ModelParams.from_legacy(A=big_a, B=big_b)
+        params = ModelParams(alpha6=0.7, alpha7=-0.15)
         o = omega_tensor(np.zeros(1), np.eye(1), params)
-        assert o.reshape(()) == pytest.approx((big_a + big_b) / 2.0)
+        assert o.reshape(()) == pytest.approx(0.7 - 0.15)
 
     def test_rank_one_term(self):
         params = ModelParams(alpha8=1.0)
@@ -262,15 +256,14 @@ class TestEnergy:
         assert energy(state, ModelParams(), np.zeros((2, 2))) == 0.0
 
     def test_pure_gamma_kinetic(self, rng):
-        big_a = 1.3
-        params = ModelParams.from_legacy(A=big_a)
+        params = ModelParams(alpha6=0.65)
         n = 3
         gamma, gamma_dot = rand_pd(rng, n), rand_herm(rng, n)
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
                           gamma=gamma, gamma_dot=gamma_dot)
         val = energy(state, params, np.zeros((n, n)))
         m = np.linalg.inv(gamma) @ gamma_dot
-        assert val == pytest.approx(big_a / 2.0 * float(np.trace(m @ m).real), rel=1e-12)
+        assert val == pytest.approx(0.65 * float(np.trace(m @ m).real), rel=1e-12)
         assert val >= 0.0
 
     def test_velocity_contraction_identity(self, rng):
@@ -457,7 +450,7 @@ class TestLagrangianTermList:
         drive = rand_vec(rng, n, 0.1)
         params = full_params(kappa=0.0, potential=POTENTIALS[potential],
                              forcing=(lambda t: np.cos(t) * drive) if forced else None)
-        params = params.with_(**COUPLINGS[couplings])
+        params = replace(params, **COUPLINGS[couplings])
         chi = rand_herm(rng, n)
         states = TestStackedEnergy.states(rng, n, count=3)
         for state in states:
@@ -556,7 +549,7 @@ class TestImaginaryPartGuard:
         real = FullState(psi=state.psi.real, psi_dot=state.psi.real, gamma=np.eye(n),
                          gamma_dot=np.zeros((n, n)))
         params = full_params()
-        scaled = params.with_(**{k: s * getattr(params, k) for k in (
+        scaled = replace(params, **{k: s * getattr(params, k) for k in (
             "alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "alpha7", "alpha8",
             "kappa")})
         for st in (state, real):
