@@ -5,10 +5,13 @@ constrained formalism: primary constraints, unique Lagrange multipliers,
 reduced brackets and the real Darboux reduction.  The regular sector
 (alpha2 != 0, dynamical gamma) gets the forward/inverse Legendre maps, the
 globally defined Hamiltonian and a finite-difference canonical flow used
-as a two-path oracle against the Lagrangian equations.
+as a two-path oracle against the Lagrangian equations.  On a frozen gamma
+the canonical coordinates of a ``second_order`` run are pi(psi, psi_dot) of
+its samples; the canonical flow there is the Lagrangian one pushed through
+the Legendre map.
 
-Conjugate variables are never stored twice: pi_bar and psi_bar are always
-obtained by conjugation on demand.
+Conjugate variables are never stored: the conjugates of psi, pi and phi
+are taken where a formula needs them.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .hermitian_algebra import (
     real_decompose,
 )
 from .models import (
+    FD_STEP,
     FullState,
     ModelParams,
     PotentialSpec,
@@ -66,7 +70,6 @@ __all__ = [
     "hamiltonian",
     "hamilton_flow_check",
     "lagrangian_flow_through_legendre",
-    "canonical_frozen_flow",
 ]
 
 
@@ -102,10 +105,6 @@ class PhasePoint:
             object.__setattr__(self, "pi_gamma", pg)
 
     @property
-    def pi_bar(self) -> np.ndarray:
-        return np.conj(self.pi)
-
-    @property
     def n(self) -> int:
         return self.psi.size
 
@@ -115,10 +114,6 @@ class ConstraintValue:
     """Primary constraint covector phi (the conjugate copy is redundant)."""
 
     phi: np.ndarray
-
-    @property
-    def phi_bar(self) -> np.ndarray:
-        return np.conj(self.phi)
 
     def max_violation(self) -> float:
         return float(np.max(np.abs(self.phi)))
@@ -234,7 +229,7 @@ class DarbouxChart:
 
 
 def darboux_reduce(gamma, chi, alpha: float, g=None,
-                   require_chart: bool = False, tol: float = 1e-10) -> DarbouxChart:
+                   require_chart: bool = False) -> DarbouxChart:
     """Real Darboux reduction of the constrained velocity-linear model.
 
     Splits gamma = S + iA and chi = sigma + i*alpha_mat into real parts,
@@ -243,15 +238,15 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
     real Legendre maps.  A canonical
     chart (basis change making the form exactly dy ^ dx) is attempted via a
     Cholesky factor; if gamma is not positive definite the chart is refused
-    (silently unless ``require_chart``).  Each ``tol`` test is relative:
-    ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
+    (silently unless ``require_chart``).  Each test at ``tol`` = 1e-10 is
+    relative: ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
     hermiticity drift and S == g / (2 alpha) to ||S||; alpha == 0 is refused.
     """
     if alpha == 0.0:
         raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics to reduce")
     gamma = hermitian_form(gamma)
     chi = hermitian_form(np.asarray(chi, dtype=complex), require_invertible=False)
-    gamma_coeff = 2.0
+    gamma_coeff, tol = 2.0, 1e-10
     s, a = real_decompose(gamma)
     sigma, alpha_mat = real_decompose(chi)
     n = gamma.shape[0]
@@ -409,9 +404,9 @@ class CanonicalFlow:
     pi_gamma_dot: Optional[np.ndarray]
 
 
-def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi,
-                        fd_step: float = 1e-6) -> CanonicalFlow:
-    """Canonical flow by central differences of the Hamiltonian.
+def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi) -> CanonicalFlow:
+    """Canonical flow by central differences of the Hamiltonian, with step
+    ``FD_STEP`` * max(1, |x|) in each entry x.
 
     This is an oracle, not a production integrator: every partial
     derivative is taken on the analytic extension, where single-entry
@@ -433,7 +428,7 @@ def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi,
             params, chi_m, p.t)[0]
 
     def diff(setter, base_abs: float) -> complex:
-        h = fd_step * max(1.0, base_abs)
+        h = FD_STEP * max(1.0, base_abs)
         return (ham(**setter(+h)) - ham(**setter(-h))) / (2.0 * h)
 
     psi_dot = np.zeros(n, dtype=complex)
@@ -505,29 +500,3 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
     psi_ddot = rhs_second_order(state, chi_m, params)
     pi_dot = params.alpha2 * (np.conj(psi_ddot) @ g) + 1j * params.alpha1 * (np.conj(psid) @ g)
     return CanonicalFlow(psi_dot=psid, pi_dot=pi_dot, gamma_dot=None, pi_gamma_dot=None)
-
-
-def canonical_frozen_flow(psi, pi, gamma, params: ModelParams, chi_matrix,
-                          t: float = 0.0, ginv=None) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic canonical equations of the frozen-gamma regular model
-    (alpha2 != 0): psid = dH/dpi, pid = -dH/dpsi.  ``ginv`` may be passed
-    precomputed for tight integration loops."""
-    a1, a2 = params.alpha1, params.alpha2
-    if a2 == 0.0:
-        raise ZeroAlpha2("frozen-gamma canonical flow needs alpha2 != 0")
-    psi = np.asarray(psi, dtype=complex)
-    pi = np.asarray(pi, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    chi_m = np.asarray(chi_matrix, dtype=complex)
-    if ginv is None:
-        ginv = invert_form(g)
-    psibar = np.conj(psi)
-
-    psi_dot = _psi_velocity(psi, pi, ginv, params)
-    pi_dot = -(1j * a1 / a2) * pi \
-        + psibar @ ((params.alpha4 - a1 * a1 / a2) * g + params.alpha5 * chi_m)
-    fprime = params.effective_potential.derivative(float((psibar @ g @ psi).real))
-    pi_dot = pi_dot - fprime * (psibar @ g)
-    if params.forcing is not None:
-        pi_dot = pi_dot + np.asarray(params.forcing(t), dtype=complex)
-    return psi_dot, pi_dot

@@ -11,7 +11,6 @@ Hermitian tensors V and W assembled below from the canonical momenta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,8 +37,8 @@ GENERATOR_TOL = 1e-10
 @dataclass(frozen=True)
 class ChargeReport:
     """Per-sample conserved-quantity snapshot.  ``vw_defect`` is the larger
-    hermiticity drift of V and W; :func:`monitor` passes it from one stacked
-    call per tensor, and it is computed here when it is not given."""
+    hermiticity drift of V and W, which :func:`monitor` takes from one
+    stacked call per tensor."""
 
     t: float
     V: np.ndarray
@@ -48,12 +47,7 @@ class ChargeReport:
     energy: float
     theta1: float
     hermiticity_drift: float
-    vw_defect: Optional[float] = None
-
-    def __post_init__(self):
-        if self.vw_defect is None:
-            object.__setattr__(self, "vw_defect", max(hermiticity_drift(self.V),
-                                                      hermiticity_drift(self.W)))
+    vw_defect: float
 
 
 def _noether_stack(states, params: ModelParams,
@@ -176,10 +170,6 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
     states = trajectory.states
     if not states:
         raise ValueError("trajectory is empty")
-    if not all(isinstance(state, FullState) for state in states):
-        raise ValueError(
-            "the charge monitor needs FullState samples (psi, psi_dot, gamma,"
-            f" gamma_dot), got {type(states[0]).__name__}")
     if gamma0 is None:
         gamma0 = states[0].gamma
     items = []

@@ -1,10 +1,9 @@
 """Time-stepping engines and trajectory recording for all model tiers.
 
 Every tier steps a subset of the same blocks psi, psi_dot, gamma and
-gamma_dot (psi and pi for ``canonical_frozen``), listed in
-``STEPPED_BLOCKS`` in storage order.  The stepped blocks are flattened into
-one real vector; the others stay frozen (gamma at its initial value, the
-rest at zero).  One ``deriv`` unpacks the vector into read-only views,
+gamma_dot, listed in ``STEPPED_BLOCKS`` in storage order.  The stepped
+blocks are flattened into one real vector; the others stay frozen (gamma at
+its initial value, the rest at zero).  One ``deriv`` unpacks the vector into read-only views,
 evaluates the tier's right-hand side through ``_rates`` and packs the rates
 back with one concatenate.
 
@@ -17,8 +16,8 @@ state and diagnostics have the bits of the one-state calls.  A sample that
 needs the rates f(t, y) takes them from the stepper's evaluation at the
 same (t, y) when there is one: the next RK4 step's first stage, or the
 accepted Dormand-Prince step's last stage.  An invalid sample raises its
-own error, naming it, ahead of any later step failure.  ``canonical_frozen``
-records its PhasePoints one at a time.
+own error, naming it, ahead of any later step failure.  Every trajectory
+holds validated FullStates.
 
 The real form of complex data is numpy's real view, real and imaginary
 parts interleaved: y is the real view of the complex blocks, concatenated in
@@ -60,7 +59,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import PhasePoint, canonical_frozen_flow, hamiltonian
 from .dynamics import (
     _full_accelerations_raw,
     _modified_first_order_raw,
@@ -90,7 +88,6 @@ STEPPED_BLOCKS = {
     "gamma_geodesic": ("gamma", "gamma_dot"),
     "full": ("psi", "psi_dot", "gamma", "gamma_dot"),
     "modified_first_order": ("psi", "gamma", "gamma_dot"),
-    "canonical_frozen": ("psi", "pi"),
 }
 MODEL_TIERS = tuple(STEPPED_BLOCKS)
 
@@ -226,13 +223,9 @@ def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, kinv) -> dict
                                                  resolve_chi(chi, t), t)
         return {"psi": b["psi_dot"], "psi_dot": acc_psi,
                 "gamma": b["gamma_dot"], "gamma_dot": acc_g}
-    if tier == "modified_first_order":
-        psid, acc_g = _modified_first_order_raw(b["psi"], b["gamma"], b["gamma_dot"],
-                                                params, resolve_chi(chi, t), t)
-        return {"psi": psid, "gamma": b["gamma_dot"], "gamma_dot": acc_g}
-    psid, pid = canonical_frozen_flow(b["psi"], b["pi"], b["gamma"], params,
-                                      resolve_chi(chi, t), t, ginv=kinv)
-    return {"psi": psid, "pi": pid}
+    psid, acc_g = _modified_first_order_raw(b["psi"], b["gamma"], b["gamma_dot"],
+                                            params, resolve_chi(chi, t), t)
+    return {"psi": psid, "gamma": b["gamma_dot"], "gamma_dot": acc_g}
 
 
 def _sample_error(tier: str, k: int, t: float, exc: Exception) -> Exception:
@@ -274,8 +267,7 @@ class _System:
         self.kinv = None if "gamma" in stepped else _checked_inverse(kinetic)
         self.first_order = "psi" in stepped and "psi_dot" not in stepped
         self.structural = cfg.resymmetrize_gamma
-        self.needs_rates = tier != "canonical_frozen" and (
-            self.first_order or ("gamma" in stepped and self.structural))
+        self.needs_rates = self.first_order or ("gamma" in stepped and self.structural)
         self.stage = dict(self.frozen)       # the blocks deriv hands to _rates
         self.latest = (None, None, None)     # (t, y, rates) of the latest deriv call
         self.times, self.ys, self.rates = [], [], []
@@ -328,12 +320,7 @@ class _System:
                     failure = _sample_error(self.tier, k, times[k], exc)
                     times, ys = times[:k], ys[:k]
                     break
-        if not times:
-            states, diags = [], []
-        elif self.tier == "canonical_frozen":
-            states, diags = self._phase_points(times, ys)
-        else:
-            states, diags = self._states(times, np.array(ys), rates)
+        states, diags = self._states(times, np.array(ys), rates) if times else ([], [])
         if failure is not None:
             raise failure
         return times, states, diags
@@ -373,21 +360,6 @@ class _System:
         diags = [{"t": t, "energy": e, "theta1": th, "herm_drift": d} for t, e, th, d
                  in zip(times, np.asarray(energies).tolist(), np.asarray(theta).tolist(),
                         np.asarray(drift).tolist())]
-        return states, diags
-
-    def _phase_points(self, times, ys) -> tuple:
-        """PhasePoints and diagnostics of the canonical tier, one sample at a
-        time."""
-        states, diags = [], []
-        for k, (t, y) in enumerate(zip(times, ys)):
-            b = self.blocks(y)
-            try:
-                point = PhasePoint(psi=b["psi"], pi=b["pi"], gamma=b["gamma"], t=t)
-                diags.append({"t": t, "energy": hamiltonian(point, self.params, self.chi),
-                              "theta1": theta1(b["psi"], b["gamma"]), "herm_drift": 0.0})
-            except (HermitonError, ValueError) as exc:
-                raise _sample_error(self.tier, k, t, exc) from exc
-            states.append(point)
         return states, diags
 
 
@@ -505,10 +477,10 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
               chi=None, gamma_tilde=None) -> Trajectory:
     """Integrate one model tier and record a sampled trajectory.
 
-    ``initial`` is a FullState (or a PhasePoint for the canonical tier);
-    ``chi`` may be a Hermitian matrix or a callable t -> matrix.  Errors
-    raised by the right-hand side mid-run surface as StepFailure with the
-    last good time attached; an invalid sample raises its own error first.
+    ``initial`` is a FullState; ``chi`` may be a Hermitian matrix or a
+    callable t -> matrix.  Errors raised by the right-hand side mid-run
+    surface as StepFailure with the last good time attached; an invalid
+    sample raises its own error first.
     """
     if chi is None:
         n = initial.n
@@ -621,7 +593,5 @@ def convergence_order(initial, tier: str, cfg: IntegratorConfig,
 
 def _final_vector(traj: Trajectory) -> np.ndarray:
     state = traj.final_state
-    if isinstance(state, PhasePoint):
-        return np.concatenate([state.psi, state.pi], axis=None, dtype=complex)
     return np.concatenate([state.psi, state.psi_dot, state.gamma, state.gamma_dot],
                           axis=None, dtype=complex)

@@ -53,6 +53,10 @@ __all__ = [
     "effective_hamiltonian",
 ]
 
+#: relative central-difference step: h = FD_STEP * max(1, |x|)
+FD_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Scalar potential profile f applied to theta1 = psi^ Gamma psi.
@@ -61,7 +65,7 @@ class PotentialSpec:
     ``quartic_shifted`` (f(x) = kappa * (x - shift)**2) or ``custom``.
     Custom potentials supply ``f`` and optionally ``f_prime``; a missing
     derivative is replaced by a central difference with step
-    fd_step * max(1, |x|).
+    ``FD_STEP`` * max(1, |x|).
     """
 
     kind: str = "none"
@@ -69,7 +73,6 @@ class PotentialSpec:
     shift: float = 0.0
     f: Optional[Callable[[float], float]] = None
     f_prime: Optional[Callable[[float], float]] = None
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("none", "quartic_pure", "quartic_shifted", "custom"):
@@ -99,7 +102,7 @@ class PotentialSpec:
             return 2.0 * self.kappa * (x - self.shift)
         if self.f_prime is not None:
             return float(self.f_prime(x))
-        h = self.fd_step * max(1.0, abs(x))
+        h = FD_STEP * max(1.0, abs(x))
         return (self.value(x + h) - self.value(x - h)) / (2.0 * h)
 
 

@@ -206,9 +206,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("scenario needs model_tier") from exc
     if tier not in MODEL_TIERS:
         raise ScenarioError(f"unknown model tier {tier!r}")
-    if "pi" in STEPPED_BLOCKS[tier]:
-        raise ScenarioError(f"model tier {tier!r} steps the momentum pi, "
-                            "which a scenario file has no field for")
 
     initial = _known_keys(raw.get("initial", {}), _INITIAL_KEYS, "initial")
     if "psi0" in initial:
@@ -276,6 +273,11 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         if isinstance(g, dict) else (f"gen{i}", decode_pairs(g, (n, n), f"generators[{i}]"))
         for i, g in enumerate(_typed(raw.get("generators", []), list,
                                      "scenario key 'generators'")))
+    labels = [label for label, _ in generators]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ScenarioError(f"generator label {label!r} appears {labels.count(label)} "
+                                "times; each charge needs its own label")
 
     scalars = {key: _typed(raw.get(key, default), type(default), f"scenario key {key!r}")
                for key, default in (("seed", 0), ("request_chart", False),

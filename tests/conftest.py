@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hermiton import oracles
+from hermiton.models import FullState, ModelParams
 
 
 def rand_vec(rng, n, scale=1.0):
@@ -34,6 +35,19 @@ def killing_alpha8(n) -> dict:
     kinetic operator is degenerate along dilatations, and alpha8 != 0, which
     makes it invertible again for psi != 0."""
     return dict(alpha6=float(n), alpha7=-1.0, alpha8=0.3, alpha9=0.2)
+
+
+def symplectic_smoke_case():
+    """(params, state, chi) of the implicit-midpoint smoke test: a regular
+    second-order flow on a frozen gamma = 1 at n = 1, started from the phase
+    point psi0 = 0.9 + 0.3i, pi0 = 0.2 - 0.4i through the inverse Legendre
+    map psi_dot0 = gamma^-1 conj(pi0) / alpha2 + (i alpha1 / alpha2) psi0."""
+    params = ModelParams(alpha1=0.5, alpha2=0.8, alpha5=-2.0)
+    gamma, psi0, pi0 = np.eye(1), np.array([0.9 + 0.3j]), np.array([0.2 - 0.4j])
+    psi_dot0 = (np.linalg.inv(gamma) @ np.conj(pi0)) / params.alpha2 \
+        + (1j * params.alpha1 / params.alpha2) * psi0
+    state = FullState(psi=psi0, psi_dot=psi_dot0, gamma=gamma, gamma_dot=np.zeros((1, 1)))
+    return params, state, np.array([[1.3]])
 
 
 def count_numeric_inverse(monkeypatch) -> list:

@@ -189,6 +189,12 @@ def _with_forcing(kind, **extra):
                    "modified_first_order")],
     _malformed("generator-size", "generators[1]", lambda sc: sc.update(
         generators=[mat(np.eye(2)), mat(np.eye(3))])),
+    # each charge is written under its label, so a label may appear once
+    _malformed("generator-label-repeated", "'a'", lambda sc: sc.update(
+        generators=[{"label": "a", "matrix": mat(np.eye(2))},
+                    {"label": "a", "matrix": mat(np.array([[0, 1], [1, 0]]))}])),
+    _malformed("generator-label-default-taken", "'gen1'", lambda sc: sc.update(
+        generators=[{"label": "gen1", "matrix": mat(np.eye(2))}, mat(np.eye(2))])),
     _malformed("canonical_frozen", "canonical_frozen", lambda sc: sc.update(
         model_tier="canonical_frozen")),
     # every key a scenario may carry is read; any other one is refused
@@ -384,8 +390,7 @@ class TestCheck:
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.05])
-@pytest.mark.parametrize("tier", [t for t, blocks in STEPPED_BLOCKS.items()
-                                  if "pi" not in blocks])
+@pytest.mark.parametrize("tier", list(STEPPED_BLOCKS))
 def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path, tier,
                                                                         kappa):
     # alpha5 = 0 everywhere, so only the tier decides whether charges are

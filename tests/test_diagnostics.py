@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hermiton import diagnostics
-from hermiton.canonical import PhasePoint
 from hermiton.diagnostics import (
     drift_summary,
     gl_transform,
@@ -271,15 +270,6 @@ class TestMonitor:
         with pytest.raises(ValueError):
             monitor(Fake(), ModelParams(), np.eye(1))
 
-    def test_canonical_trajectory_rejected_up_front(self):
-        params = ModelParams(alpha1=0.5, alpha2=1.0, alpha5=-2.0)
-        point = PhasePoint(psi=np.array([0.9 + 0.3j]), pi=np.array([0.2 - 0.4j]),
-                           gamma=np.eye(1))
-        traj = integrate(point, "canonical_frozen", IntegratorConfig(dt=1e-2, t_end=0.05),
-                         params, np.array([[1.3]]))
-        with pytest.raises(ValueError, match="FullState"):
-            monitor(traj, params, np.array([[1.3]]), generators=[("H", np.eye(1))])
-
 
 class TestStackedMonitor:
     @staticmethod
@@ -349,8 +339,7 @@ class TestStackedMonitor:
 
 class TestConservedQuantities:
     @pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear", "second_order",
-                                      "gamma_geodesic", "full", "modified_first_order",
-                                      "canonical_frozen"])
+                                      "gamma_geodesic", "full", "modified_first_order"])
     def test_table(self, tier):
         # energy: no forcing, a constant chi and the one-metric L; theta1: the
         # first-order psi flows on a frozen gamma without forcing, with any

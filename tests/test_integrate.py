@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import hermiton.integrate as integrate_module
-from hermiton.canonical import PhasePoint, hamiltonian
 from hermiton.dynamics import el_residual
 from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
 from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
@@ -12,7 +11,7 @@ from hermiton.integrate import IntegratorConfig, Trajectory, convergence_order, 
 from hermiton.models import FullState, ModelParams, PotentialSpec, energy, theta1
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
-from conftest import rand_herm, rand_pd, rand_vec, scale_couplings
+from conftest import rand_herm, rand_pd, rand_vec, scale_couplings, symplectic_smoke_case
 
 
 def schrodinger_setup(rng, n=2):
@@ -289,8 +288,8 @@ def reference_dp(system, cfg):
 
 
 class TestRhsCounts:
-    # second_order and canonical_frozen record without evaluating the RHS,
-    # so every counted call belongs to a step
+    # second_order records without evaluating the RHS, so every counted
+    # call belongs to a step
     @staticmethod
     def second_order_setup(rng, n=3):
         params = ModelParams(alpha1=0.7, alpha2=0.5, alpha5=-2.0)
@@ -324,14 +323,12 @@ class TestRhsCounts:
 
     def test_implicit_midpoint_at_most_five_per_step(self, monkeypatch):
         # the problem of test_canonical::test_implicit_midpoint_symplectic_smoke
-        params = ModelParams(alpha1=0.5, alpha2=0.8, alpha5=-2.0)
-        point = PhasePoint(psi=np.array([0.9 + 0.3j]), pi=np.array([0.2 - 0.4j]),
-                           gamma=np.eye(1))
+        params, state, chi = symplectic_smoke_case()
         n_steps = 2 * 10 ** 4
         cfg = IntegratorConfig(dt=0.01, t_end=n_steps * 0.01, method="implicit_midpoint",
                                sample_stride=500)
         calls = count_rates(monkeypatch)
-        integrate(point, "canonical_frozen", cfg, params, np.array([[1.3]]))
+        integrate(state, "second_order", cfg, params, chi)
         # 5 per step once three earlier slopes feed the predictor; the first
         # three steps may take up to 3 more each
         assert calls[0] <= 5 * n_steps + 9
@@ -533,8 +530,7 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
     assert np.linalg.norm(r_psi) <= 1e-12 * np.linalg.norm(gamma @ state.psi)
 
 
-@pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear", "second_order",
-                                  "canonical_frozen"])
+@pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear", "second_order"])
 def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier):
     # the form multiplying the psi rate is inverted once per run, so no
     # numpy.linalg factorization runs inside deriv
@@ -564,13 +560,9 @@ def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier):
 
 def reference_record(system, tier, cfg, params, chi, t, y):
     """A sample recorded one at a time, as before samples were stacked: its
-    own rates, FullState (or PhasePoint), energy, theta1 and drift."""
+    own rates, FullState, energy, theta1 and drift."""
     stepped = integrate_module.STEPPED_BLOCKS[tier]
     b = system.blocks(y)
-    if tier == "canonical_frozen":
-        point = PhasePoint(psi=b["psi"], pi=b["pi"], gamma=b["gamma"], t=t)
-        return point, {"t": t, "energy": hamiltonian(point, params, chi),
-                       "theta1": theta1(b["psi"], b["gamma"]), "herm_drift": 0.0}
     first_order = "psi" in stepped and "psi_dot" not in stepped
     steps_gamma = "gamma" in stepped
     rates = None
@@ -618,9 +610,6 @@ def tier_case(tier, n, rng):
     gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
     psi, psid, gd = rand_vec(rng, n, 0.6), rand_vec(rng, n, 0.3), rand_herm(rng, n, 0.2)
     drive = rand_herm(rng, n, 0.3)
-    if tier == "canonical_frozen":
-        return (PhasePoint(psi=psi, pi=rand_vec(rng, n, 0.4), gamma=gamma),
-                ModelParams(alpha1=0.5, alpha2=0.8, alpha5=-2.0), chi)
     params = {
         "schrodinger": ModelParams(alpha1=0.5, alpha5=-1.0),
         "direct_nonlinear": ModelParams(
@@ -663,11 +652,10 @@ def test_stacked_record_matches_per_sample_record_bitwise(rng, monkeypatch, tier
         assert len(traj.states) == len(samples) > 2
         for state, diag, (system, t, y) in zip(traj.states, traj.diagnostics, samples):
             ref_state, ref_diag = reference_record(system, tier, cfg, params, chi, t, y)
-            assert type(state) is type(ref_state) and state.t == ref_state.t
-            for block in ("psi", "psi_dot", "pi", "gamma", "gamma_dot"):
-                if hasattr(ref_state, block):
-                    got, want = getattr(state, block), getattr(ref_state, block)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert type(state) is FullState and state.t == ref_state.t
+            for block in ("psi", "psi_dot", "gamma", "gamma_dot"):
+                got, want = getattr(state, block), getattr(ref_state, block)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert diag.keys() == ref_diag.keys()
             for key, value in ref_diag.items():
                 assert type(diag[key]) is float
