@@ -579,3 +579,63 @@ def test_implicit_midpoint_symplectic_smoke():
             + 1j * params.alpha1 * (np.conj(s.psi) @ s.gamma)
         h = hamiltonian(PhasePoint(psi=s.psi, pi=pi, gamma=s.gamma, t=s.t), params, chi)
         assert abs(h - e) <= 1e-12 * abs(e)
+
+
+_FROZEN_CASES = {
+    "plain": lambda n: {},
+    "alpha4": lambda n: {"alpha4": 0.3},
+    "constant_forcing": lambda n: {"forcing": lambda t: 0.3 * np.exp(1j * np.arange(n))},
+    "rotating_chi": lambda n: {},
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("case", list(_FROZEN_CASES))
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_second_order_run_is_the_canonical_run_in_legendre_coordinates(rng, method, case,
+                                                                        n):
+    # on a frozen gamma, pi = alpha2 psi_dot^ gamma + i alpha1 psi^ gamma is
+    # real-linear in (psi, psi_dot), and RK4 and the implicit midpoint commute
+    # with a linear change of variables: (psi, pi) stepped by the analytic
+    # canonical flow is the second_order run read through the Legendre map
+    from hermiton.integrate import (
+        IntegratorConfig,
+        _implicit_midpoint_step,
+        _rk4_step,
+        integrate,
+    )
+
+    params = ModelParams(alpha1=0.6, alpha2=0.5, alpha5=-2.0, **_FROZEN_CASES[case](n))
+    gamma, base = rand_pd(rng, n), rand_herm(rng, n)
+    chi = (lambda t: np.cos(0.7 * t) * base) if case == "rotating_chi" else base
+    state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
+                      gamma=gamma, gamma_dot=np.zeros((n, n)))
+    dt, n_steps, stride = 0.01, 60, 10
+    cfg = IntegratorConfig(dt=dt, t_end=n_steps * dt, method=method, sample_stride=stride)
+    traj = integrate(state, "second_order", cfg, params, chi)
+
+    def canonical_rates(t, y):
+        psi, pi = y.view(complex).reshape(2, n)
+        flow = lagrangian_flow_through_legendre(
+            PhasePoint(psi=psi, pi=pi, gamma=gamma, t=t), params, chi)
+        return np.concatenate([flow.psi_dot, flow.pi_dot]).view(float)
+
+    def step(t, y):
+        if method == "rk4":
+            return _rk4_step(canonical_rates, t, y, dt)
+        return _implicit_midpoint_step(canonical_rates, t, y, dt)[0]
+
+    y = np.concatenate([state.psi, legendre_regular(state, params).pi]).view(float)
+    canonical = [y]
+    for k in range(n_steps):
+        y = step(k * dt, y)
+        if (k + 1) % stride == 0:
+            canonical.append(y)
+    assert len(canonical) == len(traj.states)
+    for s, y in zip(traj.states, canonical):
+        psi, pi = y.view(complex).reshape(2, n)
+        pi_of_sample = params.alpha2 * (np.conj(s.psi_dot) @ gamma) \
+            + 1j * params.alpha1 * (np.conj(s.psi) @ gamma)
+        scale = 1.0 + np.max(np.abs(y))
+        assert np.max(np.abs(s.psi - psi)) <= 1e-12 * scale
+        assert np.max(np.abs(pi_of_sample - pi)) <= 1e-12 * scale
