@@ -228,35 +228,39 @@ class DarbouxChart:
         return float(x @ self.ham_xx @ x + y @ self.ham_yy @ y + x @ self.ham_xy @ y)
 
 
-def darboux_reduce(gamma, chi, alpha: float, g=None,
+def darboux_reduce(gamma, chi, params: ModelParams, g=None,
                    require_chart: bool = False) -> DarbouxChart:
     """Real Darboux reduction of the constrained velocity-linear model.
 
     Splits gamma = S + iA and chi = sigma + i*alpha_mat into real parts,
-    emits the restricted two-form, the reduced Hamiltonian (in the
-    normalisation alpha5 = -2, chi's coefficient gamma_coeff = 2) and the
-    real Legendre maps.  A canonical
-    chart (basis change making the form exactly dy ^ dx) is attempted via a
-    Cholesky factor; if gamma is not positive definite the chart is refused
-    (silently unless ``require_chart``).  Each test at ``tol`` = 1e-10 is
-    relative: ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
+    emits the restricted two-form, the reduced Hamiltonian and the real
+    Legendre maps, with alpha1, alpha4 and alpha5 read from ``params``.  The
+    reduced Hamiltonian is the quadratic part psi^ M psi, M = -(alpha4 Gamma
+    + alpha5 chi), in psi = (x + iy) / sqrt(2); a potential and a forcing
+    enter only the flow.  A canonical chart (basis change making the form
+    exactly dy ^ dx) is attempted via a Cholesky factor; if gamma is not
+    positive definite the chart is refused (silently unless
+    ``require_chart``).  Each test at ``tol`` = 1e-10 is relative:
+    ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
     hermiticity drift and S == g / (2 alpha) to ||S||; alpha == 0 is refused.
     """
+    alpha = params.alpha1
     if alpha == 0.0:
         raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics to reduce")
     gamma = hermitian_form(gamma)
     chi = hermitian_form(np.asarray(chi, dtype=complex), require_invertible=False)
-    gamma_coeff, tol = 2.0, 1e-10
+    tol = 1e-10
     s, a = real_decompose(gamma)
     sigma, alpha_mat = real_decompose(chi)
+    m = -params.alpha4 * gamma - params.alpha5 * chi
     n = gamma.shape[0]
 
     form_xy = -2.0 * alpha * s
     form_xx = -alpha * a
     form_yy = -alpha * a
-    ham_xx = 0.5 * gamma_coeff * sigma
-    ham_yy = 0.5 * gamma_coeff * sigma
-    ham_xy = -gamma_coeff * alpha_mat
+    ham_xx = 0.5 * m.real
+    ham_yy = 0.5 * m.real
+    ham_xy = -m.imag
     legendre_ux = alpha * a
     legendre_uy = alpha * s
     legendre_vx = -alpha * s
@@ -283,9 +287,9 @@ def darboux_reduce(gamma, chi, alpha: float, g=None,
             raise ValueError("g is inconsistent with gamma: need S == g / (2 alpha)")
         g_inv = np.linalg.inv(g_arr)
         g_a_raised = g_inv @ a @ g_inv
-        ham_g_pp = 0.5 * gamma_coeff * (g_inv @ sigma @ g_inv)
-        g_alpha_lr = g_inv @ alpha_mat          # (g alpha)^b_a with rows raised
-        ham_g_xp = 0.5 * gamma_coeff * (g_alpha_lr.T - alpha_mat @ g_inv)
+        ham_g_pp = 0.5 * (g_inv @ m.real @ g_inv)
+        g_m_lr = g_inv @ m.imag                 # (g Im M)^b_a with rows raised
+        ham_g_xp = 0.5 * (g_m_lr.T - m.imag @ g_inv)
 
     return DarbouxChart(
         alpha=alpha, S=s, A=a, sigma=sigma,

@@ -209,8 +209,7 @@ def cmd_reduce(s: Scenario, out_dir: Path) -> int:
     if s.model_tier not in _PSI_ONLY_TIERS:
         raise ScenarioError(f"reduce applies to the {'/'.join(_PSI_ONLY_TIERS)} tiers, "
                             f"not {s.model_tier}")
-    alpha = s.params.alpha1
-    chart = canonical.darboux_reduce(s.gamma0, s.chi, alpha,
+    chart = canonical.darboux_reduce(s.gamma0, s.chi, s.params,
                                      require_chart=s.request_chart)
     lam = dynamics.rhs_direct_nonlinear_raw(s.psi0, s.gamma0, s.params, s.chi,
                                             s.integrator.t_start)
@@ -220,7 +219,7 @@ def cmd_reduce(s: Scenario, out_dir: Path) -> int:
 
     report = {
         "scenario": s.name,
-        "alpha": alpha,
+        "alpha": chart.alpha,
         "S": real_mat(chart.S),
         "A": real_mat(chart.A),
         "sigma": real_mat(chart.sigma),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateKinetic, ZeroAlpha2
-from .hermitian_algebra import _checked_inverse, hermitian_part, hermiticity_drift, invert_form
+from .hermitian_algebra import _checked_inverse, hermitian_part, invert_form
 from .models import (
     FullState,
     ModelParams,
@@ -63,9 +63,6 @@ class Residual:
 
     r_psi: np.ndarray
     r_gamma: np.ndarray
-
-    def gamma_hermiticity_defect(self) -> float:
-        return hermiticity_drift(self.r_gamma)
 
 
 def rhs_schrodinger(psi, gamma, chi, alpha: float, gamma_coeff: float) -> np.ndarray:

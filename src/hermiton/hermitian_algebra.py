@@ -33,16 +33,11 @@ __all__ = [
     "complex_vector",
     "hermitian_form",
     "invert_form",
-    "raise_first_index",
     "matrix_exp",
-    "gamma_velocity",
-    "trace_invariants",
     "real_decompose",
     "hermitian_basis",
     "hermitian_to_real",
     "real_to_hermitian",
-    "tensor4_pair_defect",
-    "tensor4_hermiticity_defect",
 ]
 
 #: default relative tolerance for hermiticity validation
@@ -200,15 +195,6 @@ def _require_finite(x: np.ndarray, core: int, what: str) -> None:
     raise NonFinite(f"{_member(x, k, core)}{what} has non-finite entries")
 
 
-def raise_first_index(gamma, chi) -> np.ndarray:
-    """Raise the first index of a covariant form with gamma's inverse.
-
-    Returns the mixed operator ``H = gamma^{-1} @ chi``, which is Hermitian
-    with respect to gamma: gamma(H u, v) == gamma(u, H v).
-    """
-    return invert_form(gamma) @ _as_complex_matrix(chi)
-
-
 # Pade-13 numerator/denominator coefficients for the exponential kernel.
 _PADE13 = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -251,32 +237,6 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(result)):
         raise NonFinite("matrix exponential overflowed")
     return result
-
-
-def gamma_velocity(gamma, gamma_dot, hatted: bool = True) -> np.ndarray:
-    """Nonholonomic velocity of a curve of Hermitian forms.
-
-    ``hatted=True`` returns gamma^{-1} @ gamma_dot (the mixed tensor acting
-    on the state space); ``hatted=False`` returns gamma_dot @ gamma^{-1},
-    its conjugate-slot companion.  The two are similar, so they share all
-    trace invariants.
-    """
-    inv = invert_form(gamma)
-    gd = _as_complex_matrix(gamma_dot)
-    return inv @ gd if hatted else gd @ inv
-
-
-def trace_invariants(m, pmax: int) -> list[complex]:
-    """[Tr(M^p) for p = 1..pmax]; basis-free by similarity invariance."""
-    m = _as_complex_matrix(m)
-    if not 1 <= pmax <= m.shape[0]:
-        raise ValueError(f"pmax must lie in 1..{m.shape[0]}, got {pmax}")
-    out = []
-    power = np.eye(m.shape[0], dtype=complex)
-    for _ in range(pmax):
-        power = power @ m
-        out.append(complex(np.trace(power)))
-    return out
 
 
 def real_decompose(gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -355,17 +315,3 @@ def real_to_hermitian(coords, n: int) -> np.ndarray:
     i_im = 1j * (-coords[..., n + 1::2] * _INV_SQRT2)
     entries = np.concatenate((coords[..., :n], re + i_im, re - i_im), axis=-1)
     return entries.take(_codec_tables(n)[2], axis=-1).reshape(*coords.shape[:-1], n, n)
-
-
-def tensor4_pair_defect(omega) -> float:
-    """Max deviation from the pair-exchange symmetry O[d,c,b,a] == O[b,a,d,c]."""
-    o = np.asarray(omega, dtype=complex)
-    return float(np.max(np.abs(o - o.transpose(2, 3, 0, 1))))
-
-
-def tensor4_hermiticity_defect(omega) -> float:
-    """Relative deviation from conj(O[d,c,b,a]) == O[a,b,c,d]: the
-    :func:`hermiticity_drift` of O as the matrix M[ab, dc] = O[a,b,c,d]."""
-    o = np.asarray(omega, dtype=complex)
-    n = o.shape[0]
-    return hermiticity_drift(o.transpose(0, 1, 3, 2).reshape(n * n, n * n))

@@ -54,7 +54,7 @@ takes a step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +76,7 @@ from .hermitian_algebra import (
 )
 from .models import FullState, ModelParams, _validated_blocks, energy, resolve_chi, theta1
 
-__all__ = ["IntegratorConfig", "Trajectory", "integrate", "convergence_order"]
+__all__ = ["IntegratorConfig", "Trajectory", "integrate"]
 
 #: blocks each tier steps, in storage order.  The others are frozen: gamma
 #: at its initial value, every other block at zero, except that psi_dot of a
@@ -107,6 +107,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45_adaptive", "implicit_midpoint"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("dt", "t_start", "t_end", "rel_tol", "abs_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.t_end > self.t_start:
@@ -558,40 +561,3 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
         else:
             fac = max(0.2, 0.9 * (err + 1e-16) ** (-1.0 / 5.0))
         dt *= min(5.0, max(0.2, fac))
-
-
-def convergence_order(initial, tier: str, cfg: IntegratorConfig,
-                      params: ModelParams, chi=None, dt_list=None,
-                      gamma_tilde=None) -> float:
-    """Richardson order estimate from >= 3 step sizes in geometric progression.
-
-    Returns NaN when the solution differences are too small to resolve an
-    order (e.g. a constant trajectory).
-    """
-    if dt_list is None or len(dt_list) < 3:
-        raise ValueError("need at least 3 dt values")
-    dt_list = list(dt_list)
-    ratios = [dt_list[i] / dt_list[i + 1] for i in range(len(dt_list) - 1)]
-    if not np.allclose(ratios, ratios[0], rtol=1e-12):
-        raise ValueError("dt values must form a geometric progression")
-
-    finals = []
-    for dt in dt_list:
-        run_cfg = replace(cfg, dt=dt, sample_stride=10 ** 9)
-        traj = integrate(initial, tier, run_cfg, params, chi, gamma_tilde)
-        finals.append(_final_vector(traj))
-
-    diffs = [float(np.linalg.norm(finals[i] - finals[i + 1]))
-             for i in range(len(finals) - 1)]
-    floor = 1e-13 * max(1.0, float(np.linalg.norm(finals[-1])))
-    if any(d <= floor for d in diffs):
-        return float("nan")
-    orders = [np.log(diffs[i] / diffs[i + 1]) / np.log(ratios[0])
-              for i in range(len(diffs) - 1)]
-    return float(np.mean(orders))
-
-
-def _final_vector(traj: Trajectory) -> np.ndarray:
-    state = traj.final_state
-    return np.concatenate([state.psi, state.psi_dot, state.gamma, state.gamma_dot],
-                          axis=None, dtype=complex)

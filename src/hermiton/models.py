@@ -44,7 +44,6 @@ __all__ = [
     "theta1",
     "p_tensor",
     "lagrangian_value",
-    "omega_tensor",
     "apply_omega",
     "omega_inverse",
     "apply_omega_inverse",
@@ -406,22 +405,6 @@ def lagrangian_value(state: FullState, params: ModelParams, chi) -> float:
     terms, magnitude = _lagrangian_terms(state, params, chi)
     val = reduce(operator.add, [term for _, term in terms])
     return _real_value(val, magnitude, 1e-10, "Lagrangian")
-
-
-def omega_tensor(psi, gamma, params: ModelParams) -> np.ndarray:
-    """Rank-4 kinetic tensor of the gamma sector.
-
-    Stored as O[d, c, b, a] with the two covariant slots contracting
-    against gamma_dot entries gd[a, b] and gd[c, d]; satisfies the
-    pair-exchange symmetry O[d,c,b,a] == O[b,a,d,c] by construction.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    p = p_tensor(psi, gamma, params.alpha9)
-    rank1 = np.outer(psi, np.conj(psi))
-    o = params.alpha6 * np.einsum("da,bc->dcba", p, p)
-    o += params.alpha7 * np.einsum("ba,dc->dcba", p, p)
-    o += params.alpha8 * np.einsum("da,bc->dcba", rank1, rank1)
-    return o
 
 
 def apply_omega(psi, gamma, params: ModelParams, x, ginv=None) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -22,7 +22,7 @@ from .hermitian_algebra import hermitian_form
 from .integrate import MODEL_TIERS, STEPPED_BLOCKS, IntegratorConfig
 from .models import ModelParams, PotentialSpec, preset
 
-__all__ = ["Scenario", "load_scenario", "scenario_to_dict", "dump_scenario"]
+__all__ = ["Scenario", "load_scenario"]
 
 _PARAM_KEYS = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5",
                "alpha6", "alpha7", "alpha8", "alpha9", "kappa")
@@ -153,10 +153,14 @@ def _decode_params(data, n: int) -> ModelParams:
             raise ScenarioError(f"unknown forcing kind {kind!r}")
         _known_keys(forcing_spec, _FORCING_KEYS[kind], f"{kind} forcing")
         vector = decode_pairs(forcing_spec.get("vector"), (n,), "forcing vector")
+        if not np.isfinite(vector).all():
+            raise ScenarioError(f"forcing vector must be finite, got {vector}")
         if kind == "constant":
             base["forcing"] = lambda t, v=vector: v
         elif kind == "harmonic":
             omega = _typed(forcing_spec.get("omega", 1.0), float, "forcing key 'omega'")
+            if not np.isfinite(omega):
+                raise ScenarioError(f"forcing key 'omega' must be finite, got {omega}")
             base["forcing"] = lambda t, v=vector, w=omega: v * np.cos(w * t)
 
     try:
@@ -182,7 +186,6 @@ class Scenario:
     request_chart: bool = False
     inject_sign_error: bool = False
     name: str = "scenario"
-    raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -285,49 +288,4 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     return Scenario(
         model_tier=tier, params=params, chi=chi, psi0=psi0, psi_dot0=psi_dot0,
         gamma0=gamma0, gamma_dot0=gamma_dot0, integrator=cfg, outputs=outputs,
-        gamma_tilde=gamma_tilde, generators=generators, name=name, raw=raw, **scalars)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Canonical serialized form; parse -> serialize -> parse is identity."""
-    out = {
-        "model_tier": s.model_tier,
-        "params": {k: float(np.real(getattr(s.params, k))) for k in _PARAM_KEYS},
-        "chi": encode_pairs(s.chi),
-        "initial": {
-            "psi0": encode_pairs(s.psi0),
-            "psi_dot0": encode_pairs(s.psi_dot0),
-            "gamma0": encode_pairs(s.gamma0),
-            "gamma_dot0": encode_pairs(s.gamma_dot0),
-        },
-        "integrator": {
-            "method": s.integrator.method,
-            "dt": s.integrator.dt,
-            "t_end": s.integrator.t_end,
-            "t_start": s.integrator.t_start,
-            "rel_tol": s.integrator.rel_tol,
-            "abs_tol": s.integrator.abs_tol,
-            "resymmetrize_gamma": s.integrator.resymmetrize_gamma,
-            "sample_stride": s.integrator.sample_stride,
-        },
-        "outputs": list(s.outputs),
-        "seed": s.seed,
-        "request_chart": s.request_chart,
-        "inject_sign_error": s.inject_sign_error,
-    }
-    if s.params.potential.kind != "none":
-        out["params"]["potential"] = {key: getattr(s.params.potential, key)
-                                      for key in _POTENTIAL_KEYS[s.params.potential.kind]}
-        out["params"].pop("kappa", None)
-    if "forcing" in s.raw.get("params", {}):
-        out["params"]["forcing"] = s.raw["params"]["forcing"]
-    if s.gamma_tilde is not None:
-        out["gamma_tilde"] = encode_pairs(s.gamma_tilde)
-    if s.generators:
-        out["generators"] = [
-            {"label": label, "matrix": encode_pairs(m)} for label, m in s.generators]
-    return out
-
-
-def dump_scenario(s: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2, sort_keys=True))
+        gamma_tilde=gamma_tilde, generators=generators, name=name, **scalars)

@@ -253,7 +253,7 @@ def test_criterion_9_darboux_reduction():
     n = 2
     gamma = np.eye(n) / (2.0 * alpha)
     chi = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 3.0]])
-    chart = canonical.darboux_reduce(gamma, chi, alpha)
+    chart = canonical.darboux_reduce(gamma, chi, ModelParams(alpha1=alpha, alpha5=-2.0))
     form_gap = max(float(np.max(np.abs(chart.form_xy + np.eye(n)))),
                    float(np.max(np.abs(chart.form_xx))),
                    float(np.max(np.abs(chart.form_yy))))

@@ -192,7 +192,8 @@ class TestDiracFlow:
 class TestDarboux:
     def test_canonical_case(self):
         alpha = 0.5
-        chart = darboux_reduce(np.eye(2), np.diag([1.0, 2.0]), alpha)
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
+        chart = darboux_reduce(np.eye(2), np.diag([1.0, 2.0]), params)
         assert chart.canonical
         assert np.array_equal(chart.S, np.eye(2))
         assert np.array_equal(chart.A, np.zeros((2, 2)))
@@ -200,10 +201,11 @@ class TestDarboux:
         assert np.allclose(chart.form_xx, 0.0) and np.allclose(chart.form_yy, 0.0)
 
     def test_harmonic_oscillator_hamiltonian(self, rng):
-        # gamma = I/(2 alpha), chi real symmetric: H = (gamma_c/2) sigma (yy + xx)
+        # gamma = I/(2 alpha), chi real symmetric: H = (-alpha5/2) sigma (yy + xx)
         alpha = 0.7
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
         sigma = np.array([[1.0, 0.2], [0.2, 2.0]])
-        chart = darboux_reduce(np.eye(2) / (2 * alpha), sigma, alpha)
+        chart = darboux_reduce(np.eye(2) / (2 * alpha), sigma, params)
         x, y = rng.normal(size=2), rng.normal(size=2)
         expected = float(x @ sigma @ x + y @ sigma @ y)
         assert chart.hamiltonian_value(x, y) == pytest.approx(expected, rel=1e-12)
@@ -211,9 +213,10 @@ class TestDarboux:
 
     def test_n2_hand_expansion_with_imaginary_part(self):
         alpha = 0.5
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
         gamma = np.array([[1.0, 0.3j], [-0.3j, 2.0]])
         chi = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 3.0]])
-        chart = darboux_reduce(gamma, chi, alpha)
+        chart = darboux_reduce(gamma, chi, params)
         assert np.allclose(chart.S, np.diag([1.0, 2.0]))
         assert np.allclose(chart.A, np.array([[0.0, 0.3], [-0.3, 0.0]]))
         assert np.allclose(chart.form_xy, -np.diag([1.0, 2.0]))
@@ -228,8 +231,9 @@ class TestDarboux:
         # random tangent pairs
         n = 3
         alpha = 0.8
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
         gamma = rand_pd(rng, n)
-        chart = darboux_reduce(gamma, rand_herm(rng, n), alpha)
+        chart = darboux_reduce(gamma, rand_herm(rng, n), params)
         for _ in range(20):
             ux, uy = rng.normal(size=n), rng.normal(size=n)
             vx, vy = rng.normal(size=n), rng.normal(size=n)
@@ -241,22 +245,50 @@ class TestDarboux:
                 direct.real, abs=1e-10)
 
     def test_hamiltonian_matches_direct_restriction(self, rng):
-        # chart coefficients reproduce gamma_c * psi^ chi psi on the diagonal
+        # chart coefficients reproduce -alpha5 * psi^ chi psi on the diagonal
         n = 2
         chi = rand_herm(rng, n)
-        chart = darboux_reduce(rand_pd(rng, n), chi, 0.6)
+        chart = darboux_reduce(rand_pd(rng, n), chi, ModelParams(alpha1=0.6, alpha5=-2.0))
         for _ in range(10):
             x, y = rng.normal(size=n), rng.normal(size=n)
             psi = (x + 1j * y) / np.sqrt(2.0)
             direct = 2.0 * float((np.conj(psi) @ chi @ psi).real)
             assert chart.hamiltonian_value(x, y) == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha4", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha5", [-1.0, -2.0, 0.7])
+    def test_chart_vector_field_is_the_flow(self, rng, alpha5, alpha4, n):
+        # the chart's Hamiltonian vector field, W X = grad H read back as
+        # psid = (X_x + i X_y) / sqrt(2), is the first-order flow of the same
+        # couplings, and the g-metric Hamiltonian is the chart's at y = g^-1 y_low
+        params = ModelParams(alpha1=0.6, alpha4=alpha4, alpha5=alpha5)
+        gamma, chi, psi = rand_pd(rng, n), rand_herm(rng, n), rand_vec(rng, n)
+        g = 1.2 * gamma.real
+        chart = darboux_reduce(gamma, chi, params, g=g)
+        w = np.block([[chart.form_xx - chart.form_xx.T, chart.form_xy],
+                      [-chart.form_xy.T, chart.form_yy - chart.form_yy.T]])
+        x, y = np.sqrt(2.0) * psi.real, np.sqrt(2.0) * psi.imag
+        grad = np.concatenate([(chart.ham_xx + chart.ham_xx.T) @ x + chart.ham_xy @ y,
+                               (chart.ham_yy + chart.ham_yy.T) @ y + chart.ham_xy.T @ x])
+        field = np.linalg.solve(w, grad)
+        psid = (field[:n] + 1j * field[n:]) / np.sqrt(2.0)
+        flow = rhs_direct_nonlinear_raw(psi, gamma, params, chi)
+        assert np.linalg.norm(psid - flow) <= 1e-12 * np.linalg.norm(flow)
+
+        h = chart.hamiltonian_value(x, y)
+        y_low = g @ y
+        via_g = (x @ chart.ham_xx @ x + y_low @ chart.ham_g_pp @ y_low
+                 + x @ chart.ham_g_xp @ y_low)
+        assert via_g == pytest.approx(h, rel=1e-12)
+
     def test_real_legendre_maps(self, rng):
         # u = alpha(Ax + Sy), v = alpha(-Sx + Ay); canonical case halves y, -x
         n = 2
         alpha = 0.5
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
         gamma = rand_pd(rng, n)
-        chart = darboux_reduce(gamma, np.eye(n), alpha)
+        chart = darboux_reduce(gamma, np.eye(n), params)
         x, y = rng.normal(size=n), rng.normal(size=n)
         psi = (x + 1j * y) / np.sqrt(2.0)
         pi, _ = legendre_singular(psi, gamma, alpha)
@@ -265,31 +297,34 @@ class TestDarboux:
         assert np.allclose(chart.legendre_ux @ x + chart.legendre_uy @ y, u, atol=1e-12)
         assert np.allclose(chart.legendre_vx @ x + chart.legendre_vy @ y, v, atol=1e-12)
 
-        chart_c = darboux_reduce(np.eye(n) / (2 * alpha), np.eye(n), alpha)
+        chart_c = darboux_reduce(np.eye(n) / (2 * alpha), np.eye(n), params)
         assert np.allclose(chart_c.legendre_uy, 0.5 * np.eye(n))
         assert np.allclose(chart_c.legendre_vx, -0.5 * np.eye(n))
 
     def test_chart_construction(self, rng):
         n = 2
         alpha = 0.4
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
         gamma = rand_pd(rng, n)
-        chart = darboux_reduce(gamma, np.eye(n), alpha)
+        chart = darboux_reduce(gamma, np.eye(n), params)
         c = chart.chart_matrix
         assert np.allclose(c.conj().T @ gamma @ c, np.eye(n) / (2 * alpha), atol=1e-12)
 
     def test_indefinite_chart_refused(self):
         gamma = np.diag([1.0, -1.0])
-        chart = darboux_reduce(gamma, np.eye(2), 0.5)
+        params = ModelParams(alpha1=0.5, alpha5=-2.0)
+        chart = darboux_reduce(gamma, np.eye(2), params)
         assert chart.chart_matrix is None and not chart.canonical
         with pytest.raises(NotPositiveDefinite):
-            darboux_reduce(gamma, np.eye(2), 0.5, require_chart=True)
+            darboux_reduce(gamma, np.eye(2), params, require_chart=True)
 
     def test_generalized_g(self, rng):
         alpha = 0.5
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
         g = np.array([[2.0, 0.3], [0.3, 4.0]])
         gamma = (g / (2 * alpha) + 1j * np.array([[0.0, 0.2], [-0.2, 0.0]]))
         chi = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 2.0]])
-        chart = darboux_reduce(gamma, chi, alpha, g=g)
+        chart = darboux_reduce(gamma, chi, params, g=g)
         g_inv = np.linalg.inv(g)
         assert np.allclose(chart.ham_g_pp, g_inv @ chart.sigma @ g_inv)
 
@@ -315,7 +350,7 @@ class TestDarboux:
             assert via_g == pytest.approx(chart.form_value(ux, uy, vx, vy), abs=1e-12)
 
         with pytest.raises(ValueError):
-            darboux_reduce(np.eye(2), chi, alpha, g=g)
+            darboux_reduce(np.eye(2), chi, params, g=g)
 
     @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
     def test_g_verdicts_are_relative(self, scale):
@@ -323,29 +358,32 @@ class TestDarboux:
         # every scale; one with an entry 50 % asymmetric, or 50 % away from
         # 2 alpha S, is refused at every scale
         alpha = 0.5
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
         g = np.array([[2.0, 0.3], [0.3, 4.0]])
         gamma = scale * (g / (2 * alpha) + 1j * np.array([[0.0, 0.2], [-0.2, 0.0]]))
-        chart = darboux_reduce(gamma, np.eye(2), alpha, g=scale * g)
+        chart = darboux_reduce(gamma, np.eye(2), params, g=scale * g)
         assert np.allclose(chart.S, scale * g / (2 * alpha), rtol=1e-15, atol=0)
         with pytest.raises(ValueError, match="real symmetric"):
-            darboux_reduce(gamma, np.eye(2), alpha,
+            darboux_reduce(gamma, np.eye(2), params,
                            g=scale * np.array([[2.0, 0.3], [0.45, 4.0]]))
         with pytest.raises(ValueError, match="inconsistent"):
-            darboux_reduce(gamma, np.eye(2), alpha, g=1.5 * scale * g)
+            darboux_reduce(gamma, np.eye(2), params, g=1.5 * scale * g)
 
     @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
     def test_canonical_flag_is_relative_to_the_canonical_form(self, scale):
         # alpha = s / 2: gamma = I / (2 alpha) is canonical at every scale,
         # 2 I / (2 alpha) at none
         alpha = 0.5 * scale
-        assert darboux_reduce(np.eye(2) / (2 * alpha), np.eye(2), alpha).canonical
-        assert not darboux_reduce(np.eye(2) / alpha, np.eye(2), alpha).canonical
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
+        assert darboux_reduce(np.eye(2) / (2 * alpha), np.eye(2), params).canonical
+        assert not darboux_reduce(np.eye(2) / alpha, np.eye(2), params).canonical
 
     def test_canonical_flag_at_large_alpha(self):
         # gamma = 2 I / (2 alpha) differs from I / (2 alpha) by 1e-12 entrywise
         # at alpha = 1e12, a whole unit of the canonical form
         alpha = 1e12
-        assert not darboux_reduce(np.eye(2) / alpha, np.eye(2), alpha).canonical
+        params = ModelParams(alpha1=alpha, alpha5=-2.0)
+        assert not darboux_reduce(np.eye(2) / alpha, np.eye(2), params).canonical
 
 
 class TestRegularSector:

