@@ -17,15 +17,19 @@ tier solves ``psi_residual`` without its acceleration term, R, with one
 inverse K^{-1} (K = gamma, or gamma_tilde in the alpha2 term): the
 first-order tiers (alpha2 == 0) as psid = K^{-1} R0 / (2i alpha1), R0 being
 R at psid = 0, the second-order ones as psi_ddot = K^{-1} R / (-alpha2).
-The frozen-gamma kernels take K^{-1} from the integrator, which inverts K
-once per run.  ``gamma_residual`` builds r_gamma, with all of its outer
-products of psi and psid as one (n x 2)(2 x 2)(2 x n) product, and the
-kernels hand gamma psi and theta1 on to the closed-form kinetic inverse.
+On a frozen gamma that rate is linear in the state except for the
+f'(theta1) term and the forcing, so the integrator hands the frozen-gamma
+kernels a ``_PreparedPsiRate``, built once per run: K^{-1} and the linear
+part, probed from ``psi_residual`` at unit vectors, so that a call costs
+one matrix-vector product plus those two terms.  ``gamma_residual`` builds
+r_gamma, with all of its outer products of psi and psid as one
+(n x 2)(2 x 2)(2 x n) product, and the kernels hand gamma psi and theta1 on
+to the closed-form kinetic inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .hermitian_algebra import _checked_inverse, hermitian_part, invert_form
 from .models import (
     FullState,
     ModelParams,
+    PotentialSpec,
     _apply_omega_inverse,
     _kinetic_denominator,
     p_tensor,
@@ -74,21 +79,23 @@ def rhs_schrodinger(psi, gamma, chi, alpha: float, gamma_coeff: float) -> np.nda
 
 
 def rhs_second_order(state: FullState, chi, params: ModelParams,
-                     gamma_tilde=None, kinv=None) -> np.ndarray:
+                     gamma_tilde=None, prepared=None) -> np.ndarray:
     """psi_ddot = K^{-1} R / (-alpha2) of the second-order model on a frozen
-    gamma, with K = gamma or ``gamma_tilde`` (the two-metric variant) and
-    ``kinv``, when given, ``_checked_inverse(K)`` computed by the caller.
+    gamma, with K = gamma or ``gamma_tilde`` (the two-metric variant).
     alpha2 must not vanish.  Only the state's psi, psi_dot, gamma and t are
     read, and not validated again: the integrator passes its stages as a
-    lighter object with those attributes.
+    lighter object with those attributes.  ``prepared``, when given, is the
+    run's :class:`_PreparedPsiRate`, which holds K^{-1}, chi and the couplings
+    (``chi``, ``params``, ``gamma_tilde`` and the state's gamma are then not
+    read).
     """
-    if params.alpha2 == 0.0:
-        raise ZeroAlpha2("second-order dynamics needs alpha2 != 0")
+    if prepared is not None:
+        return prepared(state.psi, state.psi_dot, state.t)
+    denom = _second_order_denominator(params)
     s = _ResidualPieces(state.psi, state.gamma, None, params)
-    if kinv is None:
-        kinv = _checked_inverse(np.asarray(s.g if gamma_tilde is None else gamma_tilde, complex))
+    kinv = _checked_inverse(np.asarray(s.g if gamma_tilde is None else gamma_tilde, complex))
     rest = s.psi_residual(resolve_chi(chi, state.t), state.t, state.psi_dot)
-    return (kinv @ rest) / -params.alpha2
+    return (kinv @ rest) / denom
 
 
 def _p_dot(psi, psid, ginv, gamma_dot, alpha9: float) -> np.ndarray:
@@ -276,15 +283,93 @@ def rhs_full(state: FullState, params: ModelParams, chi):
     return psi_ddot, hermitian_part(gamma_ddot)
 
 
-def _first_order_rate(prm: ModelParams, r0, kinv) -> np.ndarray:
-    """psid = gamma^{-1} R0 / (2i*alpha1), ``kinv`` = gamma^{-1} and ``r0`` the psi
-    residual at psid = 0: the psi residual -2i*alpha1 gamma psid + R0 solved for
-    psid; alpha2 != 0 and alpha1 == 0 are refused."""
+def _first_order_denominator(prm: ModelParams) -> complex:
+    """2i*alpha1, by which the first-order tiers divide K^{-1} R0; alpha2 != 0
+    and alpha1 == 0 are refused."""
     if prm.alpha2 != 0.0:
         raise ValueError("first-order psi dynamics requires alpha2 == 0")
     if prm.alpha1 == 0.0:
         raise DegenerateKinetic("alpha1 == 0 leaves no first-order psi dynamics")
-    return (kinv @ r0) / (2.0j * prm.alpha1)
+    return 2.0j * prm.alpha1
+
+
+def _second_order_denominator(prm: ModelParams) -> float:
+    """-alpha2, by which the second-order tiers divide K^{-1} R; alpha2 == 0
+    is refused."""
+    if prm.alpha2 == 0.0:
+        raise ZeroAlpha2("second-order dynamics needs alpha2 != 0")
+    return -prm.alpha2
+
+
+def _first_order_rate(prm: ModelParams, r0, kinv) -> np.ndarray:
+    """psid = gamma^{-1} R0 / (2i*alpha1), ``kinv`` = gamma^{-1} and ``r0`` the psi
+    residual at psid = 0: the psi residual -2i*alpha1 gamma psid + R0 solved for
+    psid; alpha2 != 0 and alpha1 == 0 are refused."""
+    return (kinv @ r0) / _first_order_denominator(prm)
+
+
+class _PreparedPsiRate:
+    """The psi rate of a frozen-gamma tier, prepared once per run: psid on the
+    first-order tiers, psi_ddot on ``second_order``.
+
+    K is inverted here, once, with the condition test of ``_checked_inverse``,
+    and the couplings are refused as the kernels refuse them.  On a frozen
+    gamma the rate is K^{-1} R / d (d = 2i alpha1 or -alpha2), and R is
+    linear in x = psi, or x = (psi, psid) on ``second_order``, except for the
+    f'(theta1) gamma psi term and the forcing.  With a constant chi a call is
+    therefore
+
+        A x + f'(theta1) B psi - K^{-1} conj(F(t)) / d,    B = K^{-1} gamma / d,
+
+    with A read off ``psi_residual`` at the unit vectors, the potential and
+    the forcing off, so that the psi equation keeps one implementation.  A,
+    B and gamma (for theta1 = psi^ gamma psi) are stacked, so x costs one
+    matrix-vector product.  A callable chi cannot be probed: the rate then
+    evaluates ``psi_residual`` at chi(t) on every call.
+    """
+
+    __slots__ = ("params", "chi", "gamma", "kinv", "denom", "op", "fprime", "forcing",
+                 "kinv_d")
+
+    def __init__(self, gamma, params: ModelParams, chi, second_order: bool, kinetic=None):
+        self.params, self.chi = params, chi
+        self.gamma = g = np.asarray(gamma, dtype=complex)
+        self.kinv = kinv = _checked_inverse(g if kinetic is None
+                                            else np.asarray(kinetic, dtype=complex))
+        self.denom = d = (_second_order_denominator(params) if second_order
+                          else _first_order_denominator(params))
+        self.op = None
+        if callable(chi):
+            return
+        n = g.shape[0]
+        m = 2 * n if second_order else n
+        linear = replace(params, kappa=0.0, potential=PotentialSpec(), forcing=None)
+        chi_m = resolve_chi(chi, 0.0)
+        probes = [_ResidualPieces(e[:n], g, None, linear)
+                  .psi_residual(chi_m, 0.0, e[n:] if second_order else None)
+                  for e in np.eye(m, dtype=complex)]
+        op = (kinv @ np.array(probes).T) / d
+        self.fprime = None
+        if params.effective_potential.kind != "none":
+            pad = np.zeros((n, m - n), dtype=complex)
+            op = np.array([op, np.hstack([(kinv @ g) / d, pad]), np.hstack([g, pad])])
+            self.fprime = params.effective_potential.derivative
+        self.op = op
+        self.forcing = params.forcing
+        self.kinv_d = kinv / d
+
+    def __call__(self, psi, psid, t: float) -> np.ndarray:
+        """The rate at psi (and psid on ``second_order``, None otherwise) and t."""
+        if self.op is None:
+            s = _ResidualPieces(psi, self.gamma, None, self.params)
+            return (self.kinv @ s.psi_residual(resolve_chi(self.chi, t), t, psid)) / self.denom
+        rate = self.op @ (psi if psid is None else np.concatenate((psi, psid)))
+        if self.fprime is not None:
+            rate, b_psi, gpsi = rate
+            rate = rate + self.fprime(float(np.vdot(psi, gpsi).real)) * b_psi
+        if self.forcing is not None:
+            rate = rate - self.kinv_d @ np.conj(self.forcing(t))
+        return rate
 
 
 def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
@@ -313,17 +398,20 @@ def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
 
 
 def rhs_direct_nonlinear_raw(psi, gamma, params: ModelParams, chi_matrix,
-                             t: float = 0.0, kinv=None) -> np.ndarray:
+                             t: float = 0.0, prepared=None) -> np.ndarray:
     """psid of the velocity-linear psi dynamics on a frozen scalar product,
     with the optional potential and forcing terms, from the psi residual:
 
         2i*alpha1*Gamma psid = [(f'(theta1) - alpha4) Gamma - alpha5 chi] psi - conj(F).
 
-    ``kinv``, when given, is ``_checked_inverse(gamma)`` computed by the caller.
+    ``prepared``, when given, is the run's :class:`_PreparedPsiRate`, which
+    holds gamma^{-1}, chi and the couplings (``gamma``, ``params`` and
+    ``chi_matrix`` are then not read).
     """
+    if prepared is not None:
+        return prepared(psi, None, t)
     s = _ResidualPieces(psi, gamma, None, params)
-    return _first_order_rate(params, s.psi_residual(chi_matrix, t),
-                             _checked_inverse(s.g) if kinv is None else kinv)
+    return _first_order_rate(params, s.psi_residual(chi_matrix, t), _checked_inverse(s.g))
 
 
 def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:

@@ -3,9 +3,13 @@
 Every tier steps a subset of the same blocks psi, psi_dot, gamma and
 gamma_dot, listed in ``STEPPED_BLOCKS`` in storage order.  The stepped
 blocks are flattened into one real vector; the others stay frozen (gamma at
-its initial value, the rest at zero).  One ``deriv`` unpacks the vector into read-only views,
-evaluates the tier's right-hand side through ``_rates`` and packs the rates
-back with one concatenate.
+its initial value, the rest at zero).  Each run builds one rate closure for
+its tier, ``_System.rates``: it reads the stepped blocks as views of the
+vector, calls the tier's kernel through its module-level name and returns
+the blocks' rates; ``deriv`` packs them with one concatenate.  The
+frozen-gamma tiers hand their kernel a ``dynamics._PreparedPsiRate``, built
+with the closure, so a step re-derives neither K^{-1} nor the linear part of
+the psi equation; a constant chi is resolved once per run.
 
 Recording is stacked.  ``record`` only buffers a sample's (t, y).  When the
 run ends, the same codec unpacks the (S, N) stack of samples, and one
@@ -61,6 +65,7 @@ import numpy as np
 
 from .dynamics import (
     _full_accelerations_raw,
+    _PreparedPsiRate,
     _modified_first_order_raw,
     rhs_direct_nonlinear_raw,
     rhs_gamma_geodesic,
@@ -68,7 +73,6 @@ from .dynamics import (
 )
 from .errors import HermitonError, NonFinite, StepFailure
 from .hermitian_algebra import (
-    _checked_inverse,
     hermitian_part,
     hermitian_to_real,
     hermiticity_drift,
@@ -148,12 +152,12 @@ class _Codec:
     y is the real view of the complex blocks (vectors, and matrices in the
     complex layout) in stepped order, followed in the structural layout by
     the ``hermitian_to_real`` coordinates of each Hermitian matrix.  The
-    same codec reads one vector in ``deriv`` and the stack of recorded
+    same codec reads one vector in the rate closure and the stack of recorded
     vectors (S, N) when a run is recorded.
     """
 
     def __init__(self, stepped, n: int, structural: bool):
-        self.n = n
+        self.n, self.stepped = n, stepped
         matrices = [block for block in stepped if block in ("gamma", "gamma_dot")]
         hermitian = matrices if structural else []
         self.views = []          # (block, span in y's complex view, shape)
@@ -167,29 +171,33 @@ class _Codec:
         self.hermitian = [(block, slice(self.split + k * n * n, self.split + (k + 1) * n * n))
                           for k, block in enumerate(hermitian)]
 
-    def unpack(self, y) -> dict:
-        """The stepped blocks stored in y (..., N), by name, with y's leading
-        axes; the complex blocks are read-only views of y, which must be
-        C-contiguous."""
-        blocks = {}
-        if self.views:
-            z = y[..., :self.split].view(complex)
-            for block, span, shape in self.views:
-                blocks[block] = view = z[..., span].reshape(*y.shape[:-1], *shape)
-                view.setflags(write=False)
-        for block, coords in self.hermitian:
-            blocks[block] = real_to_hermitian(y[..., coords], self.n)
-        return blocks
+    def read(self, y) -> list:
+        """The stepped blocks stored in y (..., N), in stepped order, with y's
+        leading axes: views of y (which must be C-contiguous) for the complex
+        blocks, then the Hermitian matrices of the structural layout."""
+        z = y[..., :self.split].view(complex)
+        lead = y.shape[:-1]
+        return ([z[..., span].reshape(lead + shape) for _, span, shape in self.views]
+                + [real_to_hermitian(y[..., coords], self.n) for _, coords in self.hermitian])
 
-    def pack(self, blocks: dict) -> np.ndarray:
-        """A new vector y holding the stepped blocks given by name: one
-        concatenate of the complex blocks, viewed as reals, then the
+    def unpack(self, y) -> dict:
+        """The stepped blocks stored in y (..., N), by name; the complex blocks
+        are read-only views of y."""
+        blocks = self.read(y)
+        for view in blocks[:len(self.views)]:
+            view.setflags(write=False)
+        return dict(zip(self.stepped, blocks))
+
+    def pack(self, blocks) -> np.ndarray:
+        """A new vector y holding the stepped blocks, given in stepped order:
+        one concatenate of the complex blocks, viewed as reals, then the
         Hermitian coordinates."""
-        y = (np.concatenate([blocks[block] for block, _, _ in self.views], axis=None,
-                            dtype=complex).view(float) if self.views else np.empty(0))
+        split = len(self.views)
+        y = (np.concatenate(blocks[:split], axis=None, dtype=complex).view(float)
+             if split else np.empty(0))
         if self.hermitian:
-            y = np.concatenate([y, *(hermitian_to_real(hermitian_part(blocks[block]))
-                                     for block, _ in self.hermitian)])
+            y = np.concatenate([y, *(hermitian_to_real(hermitian_part(block))
+                                     for block in blocks[split:])])
         return y
 
 
@@ -205,30 +213,47 @@ class _Blocks(NamedTuple):
     t: object
 
 
-def _rates(tier: str, t: float, b: dict, params: ModelParams, chi, kinv) -> dict:
-    """Time derivative of each block the tier steps (and psi's rate on the
-    first-order tiers), from the blocks ``b`` by name, via the tier's RHS;
-    ``kinv`` is :attr:`_System.kinv`."""
+def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gamma_tilde):
+    """The run's rate closure ``rates(t, y)``: the time derivative of each
+    block y stores, in stepped order, from the tier's kernel, called through
+    its module-level name.  The gamma_dot rate is the kernel's acceleration
+    before the structural layout projects it.  ``gamma`` is the frozen form
+    of the tiers that do not step it; their kernel takes a prepared psi rate
+    built here, and the Gamma-stepping kernels take chi resolved once when
+    it is constant."""
+    read = codec.read
+    if not callable(chi):
+        chi = resolve_chi(chi, 0.0)
     if tier in ("schrodinger", "direct_nonlinear"):
-        return {"psi": rhs_direct_nonlinear_raw(b["psi"], b["gamma"], params,
-                                                resolve_chi(chi, t), t, kinv=kinv)}
-    if tier == "second_order":
-        acc = rhs_second_order(_Blocks(b["psi"], b["psi_dot"], b["gamma"], b["gamma_dot"], t),
-                               resolve_chi(chi, t), params, kinv=kinv)
-        return {"psi": b["psi_dot"], "psi_dot": acc}
-    if tier == "gamma_geodesic":
-        acc_g = rhs_gamma_geodesic(b["gamma"], b["gamma_dot"],
-                                   2.0 * params.alpha6, 2.0 * params.alpha7)
-        return {"gamma": b["gamma_dot"], "gamma_dot": acc_g}
-    if tier == "full":
-        acc_psi, acc_g = _full_accelerations_raw(b["psi"], b["psi_dot"], b["gamma"],
-                                                 b["gamma_dot"], params,
-                                                 resolve_chi(chi, t), t)
-        return {"psi": b["psi_dot"], "psi_dot": acc_psi,
-                "gamma": b["gamma_dot"], "gamma_dot": acc_g}
-    psid, acc_g = _modified_first_order_raw(b["psi"], b["gamma"], b["gamma_dot"],
-                                            params, resolve_chi(chi, t), t)
-    return {"psi": psid, "gamma": b["gamma_dot"], "gamma_dot": acc_g}
+        psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=False)
+
+        def rates(t, y):
+            (psi,) = read(y)
+            return [rhs_direct_nonlinear_raw(psi, gamma, params, chi, t, prepared=psi_rate)]
+    elif tier == "second_order":
+        psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=True, kinetic=gamma_tilde)
+
+        def rates(t, y):
+            psi, psid = read(y)
+            return [psid, rhs_second_order(_Blocks(psi, psid, gamma, None, t), chi, params,
+                                           prepared=psi_rate)]
+    elif tier == "gamma_geodesic":
+        a, b = 2.0 * params.alpha6, 2.0 * params.alpha7
+
+        def rates(t, y):
+            g, gd = read(y)
+            return [gd, rhs_gamma_geodesic(g, gd, a, b)]
+    elif tier == "full":
+        def rates(t, y):
+            psi, psid, g, gd = read(y)
+            acc_psi, acc_g = _full_accelerations_raw(psi, psid, g, gd, params, chi, t)
+            return [psid, acc_psi, gd, acc_g]
+    else:
+        def rates(t, y):
+            psi, g, gd = read(y)
+            psid, acc_g = _modified_first_order_raw(psi, g, gd, params, chi, t)
+            return [psid, gd, acc_g]
+    return rates
 
 
 def _sample_error(tier: str, k: int, t: float, exc: Exception) -> Exception:
@@ -244,13 +269,15 @@ class _System:
     """Flattened-vector view of one model tier, and the recorder of its
     samples.
 
-    ``record`` only buffers a sample's (t, y).  ``finish`` turns the buffer
-    into (times, states, diagnostics) with one set of stacked calls and
-    empties it.  A sample that needs the rates f(t, y) (psi_dot of a
-    first-order tier, the pre-projection drift of a structural gamma) takes
-    them from a ``deriv`` call at bitwise the same (t, y) when the stepper
-    makes one (the next RK4 step's first stage, an accepted Dormand-Prince
-    step's last stage); ``finish`` evaluates the others.
+    ``rates`` is the run's rate closure (see :func:`_rate_closure`) and
+    ``deriv`` packs its rates into the vector the steppers take.  ``record``
+    only buffers a sample's (t, y).  ``finish`` turns the buffer into (times,
+    states, diagnostics) with one set of stacked calls and empties it.  A
+    sample that needs the rates f(t, y) (psi_dot of a first-order tier, the
+    pre-projection drift of a structural gamma) takes them from a ``deriv``
+    call at bitwise the same (t, y) when the stepper makes one (the next RK4
+    step's first stage, an accepted Dormand-Prince step's last stage);
+    ``finish`` evaluates the others with ``rates``.
     """
 
     def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -263,19 +290,14 @@ class _System:
         zero_v.setflags(write=False)         # shared by every recorded state
         self.frozen = {"psi": zero_v, "psi_dot": zero_v, "gamma": initial.gamma,
                        "gamma_dot": np.zeros((n, n), dtype=complex)}
-        # K, the form multiplying the psi rate (gamma_tilde in a psi_ddot term),
-        # is inverted once per run on the tiers that do not step gamma
-        two_metric = "psi_dot" in stepped and gamma_tilde is not None
-        kinetic = np.asarray(gamma_tilde if two_metric else initial.gamma, dtype=complex)
-        self.kinv = None if "gamma" in stepped else _checked_inverse(kinetic)
+        self.rates = _rate_closure(tier, self.codec, initial.gamma, params, chi, gamma_tilde)
         self.first_order = "psi" in stepped and "psi_dot" not in stepped
         self.structural = cfg.resymmetrize_gamma
         self.needs_rates = self.first_order or ("gamma" in stepped and self.structural)
-        self.stage = dict(self.frozen)       # the blocks deriv hands to _rates
         self.latest = (None, None, None)     # (t, y, rates) of the latest deriv call
-        self.times, self.ys, self.rates = [], [], []
+        self.times, self.ys, self.taken = [], [], []
         self.t0 = initial.t
-        self.y0 = self.codec.pack({block: getattr(initial, block) for block in stepped})
+        self.y0 = self.codec.pack([getattr(initial, block) for block in stepped])
 
     def blocks(self, y) -> dict:
         """Every block of y (..., N) by name, the frozen ones broadcast to
@@ -287,8 +309,7 @@ class _System:
         return b
 
     def deriv(self, t, y):
-        self.stage.update(self.codec.unpack(y))
-        rates = _rates(self.tier, t, self.stage, self.params, self.chi, self.kinv)
+        rates = self.rates(t, y)
         if self.needs_rates:
             self.latest = (t, y, rates)
             self._take_rates(t, y, rates)
@@ -298,27 +319,26 @@ class _System:
         self.times.append(t)
         self.ys.append(y)
         if self.needs_rates:
-            self.rates.append(None)
+            self.taken.append(None)
             self._take_rates(*self.latest)
 
     def _take_rates(self, t, y, rates):
         # the waiting sample takes rates evaluated at bitwise its (t, y)
-        if (self.rates and self.rates[-1] is None and t == self.times[-1]
+        if (self.taken and self.taken[-1] is None and t == self.times[-1]
                 and (y is self.ys[-1] or np.array_equal(y, self.ys[-1]))):
-            self.rates[-1] = rates
+            self.taken[-1] = rates
 
     def finish(self) -> tuple:
         """(times, states, diagnostics) of the buffered samples.  An error
         names its sample, and comes after the samples before it are
         recorded, as if each had been recorded when it was taken."""
-        times, ys, rates = self.times, self.ys, self.rates
-        self.times, self.ys, self.rates = [], [], []
+        times, ys, rates = self.times, self.ys, self.taken
+        self.times, self.ys, self.taken = [], [], []
         failure = None
         for k in range(len(times) if self.needs_rates else 0):
             if rates[k] is None:
                 try:
-                    rates[k] = _rates(self.tier, times[k], self.blocks(ys[k]), self.params,
-                                      self.chi, self.kinv)
+                    rates[k] = self.rates(times[k], ys[k])
                 except Exception as exc:
                     failure = _sample_error(self.tier, k, times[k], exc)
                     times, ys = times[:k], ys[:k]
@@ -332,12 +352,12 @@ class _System:
         """Validated FullStates and diagnostics of the samples y (S, N)."""
         b = self.blocks(y)
         count = len(times)
-        if self.first_order:
-            b["psi_dot"] = np.array([r["psi"] for r in rates[:count]])
+        if self.first_order:             # psi is stored first
+            b["psi_dot"] = np.array([r[0] for r in rates[:count]])
         if "gamma" not in self.stepped:
             drift = [0.0] * count
-        elif self.structural:
-            drift = hermiticity_drift(np.array([r["gamma_dot"] for r in rates[:count]]))
+        elif self.structural:            # gamma_dot is stored last
+            drift = hermiticity_drift(np.array([r[-1] for r in rates[:count]]))
         else:
             drift = hermiticity_drift(b["gamma"])
         gamma, gamma_dot = hermitian_part(b["gamma"]), hermitian_part(b["gamma_dot"])

@@ -73,8 +73,8 @@ def encode_pairs(z) -> list:
 
 def decode_pairs(data, shape: tuple, name: str) -> np.ndarray:
     """The complex array of field ``name`` from its [re, im] literal, whose
-    entries must be number pairs in array shape ``shape``; a None length is
-    any length >= 1.  Each entry has the bits of complex(re, im)."""
+    entries must be finite number pairs in array shape ``shape``; a None
+    length is any length >= 1.  Each entry has the bits of complex(re, im)."""
     try:
         pairs = np.array(data)
     except ValueError:           # ragged nesting
@@ -86,6 +86,8 @@ def decode_pairs(data, shape: tuple, name: str) -> np.ndarray:
         dims = ", ".join("m >= 1" if size is None else str(size) for size in want)
         raise ScenarioError(f"{name} must be [re, im] number pairs in an array of shape "
                             f"({dims}), got {reprlib.repr(data)}")
+    if not np.isfinite(pairs).all():
+        raise ScenarioError(f"{name} must have finite entries, got {reprlib.repr(data)}")
     return pairs.astype(float).view(complex)[..., 0]
 
 
@@ -101,6 +103,8 @@ def _decode_chi(spec, n: int) -> np.ndarray:
                 raise ScenarioError(f"chi: bad diag generator {spec!r}: {exc}") from exc
             if diag.shape != (n,):
                 raise ScenarioError(f"chi: diag generator needs {n} entries, got {spec!r}")
+            if not np.isfinite(diag).all():
+                raise ScenarioError(f"chi: diag generator entries must be finite, got {spec!r}")
             return np.diag(diag).astype(complex)
         raise ScenarioError(f"unknown chi generator {spec!r}")
     return decode_pairs(spec, (n, n), "chi")
@@ -153,8 +157,6 @@ def _decode_params(data, n: int) -> ModelParams:
             raise ScenarioError(f"unknown forcing kind {kind!r}")
         _known_keys(forcing_spec, _FORCING_KEYS[kind], f"{kind} forcing")
         vector = decode_pairs(forcing_spec.get("vector"), (n,), "forcing vector")
-        if not np.isfinite(vector).all():
-            raise ScenarioError(f"forcing vector must be finite, got {vector}")
         if kind == "constant":
             base["forcing"] = lambda t, v=vector: v
         elif kind == "harmonic":

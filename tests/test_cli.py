@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,48 @@ def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     assert err.startswith("ScenarioError: ") and field in err
     assert err.count("ScenarioError") == 1
     assert not (tmp_path / "malformed_trajectory.csv").exists()
+
+
+def _non_finite_field(field: str, value: float):
+    """An edit putting ``value`` into one entry of the array literal ``field``."""
+    bad_vec, bad_mat = vec([1.0, 0.0]), mat(np.eye(2))
+    bad_vec[1][0] = bad_mat[1][1][1] = value
+    return {
+        "psi0": lambda sc: sc["initial"].update(psi0=bad_vec),
+        "psi_dot0": lambda sc: sc["initial"].update(psi_dot0=bad_vec),
+        "gamma0": lambda sc: sc["initial"].update(gamma0=bad_mat),
+        "gamma_dot0": lambda sc: sc["initial"].update(gamma_dot0=bad_mat),
+        "chi": lambda sc: sc.update(chi=bad_mat),
+        "gamma_tilde": lambda sc: sc.update(
+            model_tier="second_order", params={"alpha1": 0.5, "alpha2": 1.0, "alpha5": -1.0},
+            gamma_tilde=bad_mat),
+        "generators[1]": lambda sc: sc.update(generators=[mat(np.eye(2)), bad_mat]),
+        "forcing vector": lambda sc: sc["params"].update(
+            forcing={"kind": "constant", "vector": bad_vec}),
+    }[field]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["psi0", "psi_dot0", "gamma0", "gamma_dot0", "chi",
+                                   "gamma_tilde", "generators[1]", "forcing vector"])
+def test_non_finite_array_literal_exit_2(tmp_path, capsys, field, value):
+    # JSON's Infinity and NaN load as numbers; every array literal refuses them
+    # by name, at load time, with no numpy warning on the way
+    sc = schrodinger_scenario()
+    _non_finite_field(field, value)(sc)
+    path = write(tmp_path, "non_finite", sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["charges", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ScenarioError: {field} must have finite entries, got ")
+
+
+def test_chi_diag_generator_must_be_finite(tmp_path, capsys):
+    path = write(tmp_path, "diag", schrodinger_scenario(chi="diag:[1, Infinity]"))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("ScenarioError: chi: diag generator entries "
+                                              "must be finite")
 
 
 def test_kozlov_heat_reads_hbar_and_tau(tmp_path):

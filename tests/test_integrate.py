@@ -3,12 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+import hermiton.dynamics as dynamics_module
 import hermiton.integrate as integrate_module
-from hermiton.dynamics import el_residual
+from hermiton.dynamics import (
+    _full_accelerations_raw,
+    _modified_first_order_raw,
+    el_residual,
+    rhs_direct_nonlinear_raw,
+    rhs_gamma_geodesic,
+    rhs_second_order,
+)
 from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
 from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, Trajectory, integrate
-from hermiton.models import FullState, ModelParams, PotentialSpec, energy, theta1
+from hermiton.models import FullState, ModelParams, PotentialSpec, energy, resolve_chi, theta1
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
 from conftest import rand_herm, rand_pd, rand_vec, scale_couplings, symplectic_smoke_case
@@ -101,13 +109,13 @@ def test_codec_round_trip_and_read_only_views(rng, tier, structural, n):
     stepped = integrate_module.STEPPED_BLOCKS[tier]
     codec = integrate_module._Codec(stepped, n, structural)
     matrices = ("gamma", "gamma_dot")
-    stack = np.array([codec.pack({block: rand_herm(rng, n) if block in matrices
-                                  else rand_vec(rng, n) for block in stepped})
+    stack = np.array([codec.pack([rand_herm(rng, n) if block in matrices
+                                  else rand_vec(rng, n) for block in stepped])
                       for _ in range(3)])
     stacked = codec.unpack(stack)
     for k, y in enumerate(stack):
         blocks = codec.unpack(y)
-        assert codec.pack(blocks).tobytes() == y.tobytes()
+        assert codec.pack([blocks[block] for block in stepped]).tobytes() == y.tobytes()
         for block in stepped:
             assert stacked[block][k].tobytes() == blocks[block].tobytes()
             if not (structural and block in matrices):
@@ -239,15 +247,23 @@ class TestStepLimits:
 
 
 def count_rates(monkeypatch) -> list:
-    """Count the RHS evaluations of every tier (calls of ``_rates``)."""
+    """Count the RHS evaluations of every tier (calls of each run's rate
+    closure, ``_System.rates``) in the runs built after this call."""
     calls = [0]
-    rates = integrate_module._rates
+    build = integrate_module._build_system
 
-    def counted(*args):
-        calls[0] += 1
-        return rates(*args)
+    def spied(*args, **kwargs):
+        system = build(*args, **kwargs)
+        rates = system.rates
 
-    monkeypatch.setattr(integrate_module, "_rates", counted)
+        def counted(t, y):
+            calls[0] += 1
+            return rates(t, y)
+
+        system.rates = counted
+        return system
+
+    monkeypatch.setattr(integrate_module, "_build_system", spied)
     return calls
 
 
@@ -556,8 +572,7 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
     cfg = IntegratorConfig(dt=0.1, t_start=0.3, t_end=1.0)
     system = integrate_module._build_system(state, tier, cfg, params, chi,
                                             gamma if case == "gamma_tilde" else None)
-    rates = integrate_module._rates(tier, state.t, system.blocks(system.y0), params, chi,
-                                    system.kinv)
+    rates = dict(zip(stepped, system.rates(state.t, system.y0)))
     if "psi_dot" in stepped:
         accel = (rates["psi_dot"], rates.get("gamma_dot"))
     else:
@@ -567,10 +582,84 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
     assert np.linalg.norm(r_psi) <= 1e-12 * np.linalg.norm(gamma @ state.psi)
 
 
+def _unprepared_rates(tier, blocks, gamma, params, chi, gamma_tilde, t) -> list:
+    """The rates of ``_System.rates`` from the kernels' unprepared paths, which
+    invert K and resolve chi on every call."""
+    b = blocks
+    chi_t = resolve_chi(chi, t)
+    if tier in ("schrodinger", "direct_nonlinear"):
+        return [rhs_direct_nonlinear_raw(b["psi"], gamma, params, chi_t, t)]
+    if tier == "second_order":
+        stage = integrate_module._Blocks(b["psi"], b["psi_dot"], gamma, None, t)
+        return [b["psi_dot"], rhs_second_order(stage, chi, params, gamma_tilde)]
+    if tier == "gamma_geodesic":
+        return [b["gamma_dot"], rhs_gamma_geodesic(b["gamma"], b["gamma_dot"],
+                                                   2.0 * params.alpha6, 2.0 * params.alpha7)]
+    if tier == "full":
+        acc_psi, acc_g = _full_accelerations_raw(b["psi"], b["psi_dot"], b["gamma"],
+                                                 b["gamma_dot"], params, chi_t, t)
+        return [b["psi_dot"], acc_psi, b["gamma_dot"], acc_g]
+    psid, acc_g = _modified_first_order_raw(b["psi"], b["gamma"], b["gamma_dot"], params,
+                                            chi_t, t)
+    return [psid, b["gamma_dot"], acc_g]
+
+
+_FROZEN_TIERS = ("schrodinger", "direct_nonlinear", "second_order")
+_PARITY_CASES = ("plain", "alpha4", "potential", "constant_forcing", "harmonic_forcing",
+                 "gamma_tilde", "callable_chi")
+
+
+@pytest.mark.parametrize("tier, case, structural", [
+    (tier, case, structural)
+    for tier in integrate_module.MODEL_TIERS
+    for case in (_PARITY_CASES if tier != "gamma_geodesic" else ("plain",))
+    if case != "gamma_tilde" or tier == "second_order"
+    for structural in ((False,) if tier in _FROZEN_TIERS else (False, True))])
+def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural):
+    # the run's rate closure against the kernels' unprepared paths at random
+    # states: within 1e-14 of max|ref| where the frozen tiers apply the probed
+    # operator, bitwise where a callable chi keeps the unprepared arithmetic
+    # and where the Gamma-stepping kernels are called as before
+    stepped = integrate_module.STEPPED_BLOCKS[tier]
+    for n in (1, 2, 3, 5, 8):
+        drive, base, turn = rand_vec(rng, n, 0.3), rand_herm(rng, n), rand_herm(rng, n, 0.3)
+        extra = {"alpha4": dict(alpha4=0.3),
+                 "potential": dict(potential=PotentialSpec(kind="quartic_shifted", kappa=0.3,
+                                                           shift=0.5)),
+                 "constant_forcing": dict(forcing=lambda t: drive),
+                 "harmonic_forcing": dict(forcing=lambda t: np.cos(1.3 * t) * drive),
+                 }.get(case, {})
+        params = ModelParams(**_EL_TIERS.get(tier, dict(alpha6=1.0, alpha7=0.2)), **extra)
+        chi = (lambda t: base + np.sin(t) * turn) if case == "callable_chi" else base
+        gamma_tilde = rand_pd(rng, n) if case == "gamma_tilde" else None
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n, 0.3),
+                          gamma=rand_pd(rng, n), gamma_dot=np.zeros((n, n)))
+        cfg = IntegratorConfig(dt=0.1, t_end=1.0, resymmetrize_gamma=structural)
+        system = integrate_module._build_system(state, tier, cfg, params, chi, gamma_tilde)
+        for _ in range(3):
+            t = float(rng.uniform(0.0, 2.0))
+            y = system.codec.pack([rand_pd(rng, n) if block == "gamma"
+                                   else rand_herm(rng, n, 0.3) if block == "gamma_dot"
+                                   else rand_vec(rng, n) for block in stepped])
+            got = system.rates(t, y)
+            want = _unprepared_rates(tier, system.codec.unpack(y), state.gamma, params, chi,
+                                     gamma_tilde, t)
+            assert len(got) == len(want) == len(stepped)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                if tier in _FROZEN_TIERS and case != "callable_chi":
+                    assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+                else:
+                    assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("constant_chi", [True, False])
 @pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear", "second_order"])
-def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier):
+def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier, constant_chi):
     # the form multiplying the psi rate is inverted once per run, so no
-    # numpy.linalg factorization runs inside deriv
+    # numpy.linalg factorization runs inside deriv; with a constant chi the
+    # psi rate is prepared too, so deriv builds no _ResidualPieces and
+    # resolves no chi
     inside, calls = [False], []
     for name in ("inv", "solve", "lstsq", "pinv", "det", "eigh", "cholesky", "qr", "svd"):
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -578,6 +667,22 @@ def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier):
                 calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    for module in (dynamics_module, integrate_module):
+        def resolved(*args, _fn=module.resolve_chi, **kwargs):
+            if inside[0]:
+                calls.append("resolve_chi")
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "resolve_chi", resolved)
+
+    class Pieces(dynamics_module._ResidualPieces):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            if inside[0]:
+                calls.append("_ResidualPieces")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics_module, "_ResidualPieces", Pieces)
     deriv = integrate_module._System.deriv
 
     def spied(self, t, y):
@@ -589,10 +694,49 @@ def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier):
 
     monkeypatch.setattr(integrate_module._System, "deriv", spied)
     initial, params, chi = tier_case(tier, 3, rng)
+    if constant_chi and callable(chi):
+        chi = chi(0.7)
+    elif not constant_chi and not callable(chi):
+        chi = lambda t, base=chi: np.cos(t) * base           # noqa: E731
     gamma_tilde = rand_pd(rng, 3) if tier == "second_order" else None
     traj = integrate(initial, tier, IntegratorConfig(dt=0.01, t_end=0.05), params, chi,
                      gamma_tilde)
-    assert len(traj.times) == 6 and calls == []
+    assert len(traj.times) == 6
+    if constant_chi:
+        assert calls == []
+    else:     # a callable chi keeps the generic path, still with no factorization
+        assert set(calls) == {"_ResidualPieces", "resolve_chi"}
+
+
+@pytest.mark.parametrize("structural", [False, True])
+@pytest.mark.parametrize("tier", integrate_module.MODEL_TIERS)
+def test_build_system_calls_no_kernel(rng, monkeypatch, tier, structural):
+    # the run's set-up (the prepared psi rate's probe included) evaluates no
+    # right-hand side through the kernels' names: every call of one is a step's
+    # or a sample's, as the benchmark's RHS counts assume
+    kernels = ("rhs_direct_nonlinear_raw", "rhs_second_order", "rhs_gamma_geodesic",
+               "_full_accelerations_raw", "_modified_first_order_raw")
+    calls = []
+    for name in kernels:
+        def counted(*args, _fn=getattr(integrate_module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(integrate_module, name, counted)
+    initial, params, chi = tier_case(tier, 3, rng)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.02, resymmetrize_gamma=structural)
+    for chi_case in (chi, resolve_chi(chi, 0.3)):
+        system = integrate_module._build_system(initial, tier, cfg, params, chi_case,
+                                                rand_pd(rng, 3) if tier == "second_order"
+                                                else None)
+        assert calls == []
+        system.rates(system.t0, system.y0)
+        assert calls == [{"schrodinger": "rhs_direct_nonlinear_raw",
+                          "direct_nonlinear": "rhs_direct_nonlinear_raw",
+                          "second_order": "rhs_second_order",
+                          "gamma_geodesic": "rhs_gamma_geodesic",
+                          "full": "_full_accelerations_raw",
+                          "modified_first_order": "_modified_first_order_raw"}[tier]]
+        del calls[:]
 
 
 def reference_record(system, tier, cfg, params, chi, t, y):
@@ -604,7 +748,7 @@ def reference_record(system, tier, cfg, params, chi, t, y):
     steps_gamma = "gamma" in stepped
     rates = None
     if first_order or (steps_gamma and cfg.resymmetrize_gamma):
-        rates = integrate_module._rates(tier, t, b, params, chi, system.kinv)
+        rates = dict(zip(stepped, system.rates(t, y)))
     if first_order:
         b["psi_dot"] = rates["psi"]
     if not steps_gamma:
@@ -737,7 +881,8 @@ class TestStackedRecord:
         blocks = system.codec.unpack(system.y0)
         bad_block = blocks[block].copy()
         bad_block.flat[index] = np.nan
-        bad = system.codec.pack({**blocks, block: bad_block})
+        bad = system.codec.pack([bad_block if name == block else value
+                                 for name, value in blocks.items()])
         for t, y in ((0.0, system.y0), (0.1, system.y0), (0.2, bad), (0.3, bad)):
             system.record(t, y)
         what = "state vector" if block == "psi" else "form"
