@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTransform, WrongSymmetryClass
-from .hermitian_algebra import hermiticity_drift, invert_form
+from .hermitian_algebra import _dagger, _frobenius, hermiticity_drift, invert_form
 from .integrate import STEPPED_BLOCKS
 from .models import FullState, ModelParams, apply_omega, energy, theta1
 
@@ -36,9 +36,11 @@ GENERATOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ChargeReport:
-    """Per-sample conserved-quantity snapshot.  ``vw_defect`` is the larger
-    hermiticity drift of V and W, which :func:`monitor` takes from one
-    stacked call per tensor."""
+    """Per-sample conserved-quantity snapshot.  ``vw_defect`` is
+    max(|V - V^dag|, |W - W^dag|) / max(|V|, |W|) in Frobenius norms, which
+    :func:`monitor` takes from stacked calls: relative to the larger tensor,
+    since V vanishes on a frozen gamma and its own relative drift would be a
+    ratio of round-off."""
 
     t: float
     V: np.ndarray
@@ -182,7 +184,8 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
         items.append((label, a, hermitian))
 
     v, w = _noether_stack(states, params, invert_form(gamma0))
-    vw_defect = np.maximum(hermiticity_drift(v), hermiticity_drift(w)).tolist()
+    vw_defect = (np.maximum(_frobenius(v - _dagger(v)), _frobenius(w - _dagger(w)))
+                 / np.maximum(np.maximum(_frobenius(v), _frobenius(w)), 1e-300)).tolist()
     labels = [label for label, _, _ in items]
     # one generator at a time: an (S, G, n, n) product would cost memory
     charges = np.array([_charges(v, w, a, hermitian) for _, a, hermitian in items])

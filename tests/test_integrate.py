@@ -176,16 +176,41 @@ class TestFailures:
     @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive", "implicit_midpoint"])
     def test_non_finite_second_order_stage(self, method):
         # the stages of the frozen-gamma tier are not validated: a stage that
-        # overflows must still end the run with a StepFailure
+        # overflows must still end the run with a StepFailure.  The midpoint
+        # run takes 5 steps, fewer than N + 1 = 9, so it iterates with M = I
         n = 2
         params = ModelParams(alpha1=0.7, alpha2=0.5, alpha5=-2.0)
         state = FullState(psi=np.ones(n), psi_dot=np.zeros(n), gamma=np.eye(n),
                           gamma_dot=np.zeros((n, n)))
-        cfg = IntegratorConfig(dt=0.1, t_end=1.0, method=method)
+        cfg = IntegratorConfig(dt=0.1, t_end=0.5 if method == "implicit_midpoint" else 1.0,
+                               method=method)
         with np.errstate(all="ignore"), pytest.raises(StepFailure,
                                                       match="non-finite") as err:
             integrate(state, "second_order", cfg, params, np.diag([1e300, -1e300]))
         assert err.value.last_good_t == 0.0
+
+    def test_newton_side_of_the_non_finite_stage(self):
+        # 10 steps >= N + 1 = 9: the Newton side.  With chi = diag(+-1e300)
+        # the A-stable rule with an accurate J stays bounded; at 1e308 the
+        # Jacobian's base call overflows and J is non-finite
+        n = 2
+        params = ModelParams(alpha1=0.7, alpha2=0.5, alpha5=-2.0)
+        state = FullState(psi=np.ones(n), psi_dot=np.zeros(n), gamma=np.eye(n),
+                          gamma_dot=np.zeros((n, n)))
+        cfg = IntegratorConfig(dt=0.1, t_end=1.0, method="implicit_midpoint")
+        with np.errstate(all="ignore"):
+            traj = integrate(state, "second_order", cfg, params, np.diag([1e300, -1e300]))
+            assert np.max(np.abs(traj.final_state.psi)) <= 1.0 + 1e-12
+            with pytest.raises(StepFailure, match=r"^\[second_order\] step failed: implicit "
+                                                  r"midpoint stage Jacobian is non-finite") as err:
+                integrate(state, "second_order", cfg, params, np.diag([1e308, -1e308]))
+        assert err.value.last_good_t == 0.0
+
+    def test_singular_newton_matrix_is_step_failure(self):
+        # f = 2y at dt = 1: the forward differences of the power-of-two step
+        # are exact, J = 2 I and M = I - (dt/2) J = 0
+        with pytest.raises(StepFailure, match=r"Newton matrix I - \(dt/2\) J is singular"):
+            integrate_module._stage_inverse(lambda t, y: 2.0 * y, 0.0, np.ones(3), 1.0)
 
     def test_unknown_tier(self, rng):
         state = FullState(psi=np.ones(1), psi_dot=np.zeros(1),
@@ -337,17 +362,43 @@ class TestRhsCounts:
             assert np.array_equal(got.psi, blocks["psi"])
             assert np.array_equal(got.psi_dot, blocks["psi_dot"])
 
-    def test_implicit_midpoint_at_most_five_per_step(self, monkeypatch):
-        # the problem of test_canonical::test_implicit_midpoint_symplectic_smoke
+    def test_implicit_midpoint_at_most_three_per_step_plus_jacobian(self, monkeypatch):
+        # the problem of test_canonical::test_implicit_midpoint_symplectic_smoke,
+        # second_order at n = 1: N = 4 reals, so J costs N + 1 = 5 calls
         params, state, chi = symplectic_smoke_case()
         n_steps = 2 * 10 ** 4
         cfg = IntegratorConfig(dt=0.01, t_end=n_steps * 0.01, method="implicit_midpoint",
                                sample_stride=500)
         calls = count_rates(monkeypatch)
         integrate(state, "second_order", cfg, params, chi)
-        # 5 per step once three earlier slopes feed the predictor; the first
-        # three steps may take up to 3 more each
-        assert calls[0] <= 5 * n_steps + 9
+        assert calls[0] <= 3 * n_steps + 4 + 1
+
+    @pytest.mark.parametrize("tier", ["schrodinger", "second_order", "full"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_newton_jacobian_costs_n_plus_one_calls(self, rng, monkeypatch, tier, n):
+        # the calls before the first stage: J at N + 1 <= steps, none below
+        params = ModelParams(alpha1=0.7, alpha2=0.0 if tier == "schrodinger" else 0.5,
+                             alpha5=-2.0, alpha6=1.0, alpha7=0.1)
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n, 0.3),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.1))
+        chi = rand_herm(rng, n)
+        size = integrate_module._build_system(
+            state, tier, IntegratorConfig(dt=0.01, t_end=1.0), params, chi).y0.size
+        calls, before_stage = count_rates(monkeypatch), []
+        stage = integrate_module._implicit_midpoint_step
+
+        def first_stage(*args, **kwargs):
+            before_stage.append(calls[0])
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, "_implicit_midpoint_step", first_stage)
+        for n_steps, jacobian_calls in ((size + 1, size + 1), (size, 0)):
+            before_stage.clear()
+            calls[0] = 0
+            cfg = IntegratorConfig(dt=0.01, t_end=n_steps * 0.01, method="implicit_midpoint")
+            integrate(state, tier, cfg, params, chi)
+            assert len(before_stage) == n_steps
+            assert before_stage[0] == jacobian_calls
 
 
 def test_implicit_midpoint_non_convergence_is_step_failure():
@@ -355,6 +406,21 @@ def test_implicit_midpoint_non_convergence_is_step_failure():
     with pytest.raises(StepFailure, match=r"did not converge in 3 sweeps \(last residual "):
         integrate_module._implicit_midpoint_step(lambda t, y: 100.0 * y, 0.0, np.ones(2),
                                                  1.0, max_iter=3)
+
+
+@pytest.mark.parametrize("n_steps", [4, 50])
+def test_midpoint_run_is_scale_invariant(rng, n_steps):
+    # the stage test is relative with no absolute floor: psi scaled by a power
+    # of two, on the M = I side (4 steps < N + 1 = 5) and the Newton side
+    params, _, chi, _, state = schrodinger_setup(rng)
+    cfg = IntegratorConfig(dt=0.01, t_end=n_steps * 0.01, method="implicit_midpoint")
+    reference = np.array([s.psi for s in integrate(state, "schrodinger", cfg, params,
+                                                   chi).states])
+    for scale in (2.0 ** -40, 1.0, 2.0 ** 40):
+        scaled = dataclasses.replace(state, psi=scale * state.psi)
+        psi = np.array([s.psi for s in integrate(scaled, "schrodinger", cfg, params,
+                                                 chi).states]) / scale
+        assert np.max(np.abs(psi - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_stage_failure_names_tier_and_last_good_time_once(rng, monkeypatch):
