@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateKinetic, ZeroAlpha2
-from .hermitian_algebra import _checked_inverse, hermitian_part, invert_form
+from .hermitian_algebra import _as_complex_matrix, _checked_inverse, hermitian_part, invert_form
 from .models import (
     FullState,
     ModelParams,
@@ -92,9 +92,9 @@ def rhs_second_order(state: FullState, chi, params: ModelParams,
     if prepared is not None:
         return prepared(state.psi, state.psi_dot, state.t)
     denom = _second_order_denominator(params)
-    s = _ResidualPieces(state.psi, state.gamma, None, params)
+    s = _ResidualPieces(state.psi, state.gamma, None, params, psid=state.psi_dot)
     kinv = _checked_inverse(np.asarray(s.g if gamma_tilde is None else gamma_tilde, complex))
-    rest = s.psi_residual(resolve_chi(chi, state.t), state.t, state.psi_dot)
+    rest = s.psi_residual(resolve_chi(chi, state.t), state.t)
     return (kinv @ rest) / denom
 
 
@@ -130,55 +130,64 @@ class _ResidualPieces:
     """The only home of the Euler-Lagrange residual, on raw arrays (no
     validation, no re-symmetrization).
 
-    Built once per configuration (psi, gamma, gamma_dot) with the caller's
-    ``ginv`` = gamma^{-1}, it holds what the two sectors share: theta1 and
-    f'(theta1), gamma psi, gamma_dot psi, psi^ gamma_dot psi,
-    gamma^{-1} gamma_dot, P = gamma^{-1} + alpha9 psi psi^, P gamma_dot, its
-    trace and c_gd, the coefficient of gamma_dot psi in r_psi.
+    Built once per configuration (psi, gamma, gamma_dot), with the caller's
+    ``ginv`` = gamma^{-1} and optionally the velocity psid, it holds what the
+    two sectors share: theta1 and f'(theta1), gamma psi, gamma_dot psi,
+    psi^ gamma_dot psi, gamma^{-1} gamma_dot, P = gamma^{-1} + alpha9 psi psi^,
+    P gamma_dot, its trace and c_gd, the coefficient of gamma_dot psi in
+    r_psi, and with psid also gamma psid and gamma_dot psid.
     ``psi_residual`` is the psi part and ``gamma_residual`` the gamma part;
-    ``residuals`` evaluates both, which also share gamma_dot psid, and
-    ``effective_hamiltonian`` is the psi part as an operator on psi.  None of
-    the pieces depends on psid, so the first-order tiers can solve the psi
-    residual for psid before the gamma one is formed.  An acceleration, or a
-    gamma_dot (a frozen gamma: ``psi_residual`` only, ``ginv`` unread), given
-    as None counts as zero and its terms are skipped.
+    ``residuals`` evaluates both, and ``effective_hamiltonian`` is the psi
+    part as an operator on psi.  Only the velocity's pieces depend on psid,
+    so the first-order tiers build the others without it, solve the psi
+    residual for psid and hand it to ``gamma_residual``.  An acceleration, a
+    velocity or a gamma_dot (a frozen gamma: ``psi_residual`` only, ``ginv``
+    unread) given as None counts as zero and its terms are skipped.
+
+    On a stepped gamma the products take ``ndarray.dot``, which skips the
+    matmul ufunc's dispatch (about 0.4 us a call at n <= 8), the scalars are
+    Python complex numbers, and a trace of a product of two Hermitian
+    matrices is one ``vdot``: Tr(A B) = vdot(B, A).
     """
 
-    __slots__ = ("params", "psi", "psibar", "g", "gd", "ginv", "gpsi", "th1",
-                 "fprime", "gdpsi", "quad", "ginv_gd", "p", "pgd", "tr_pgd", "c_gd")
+    __slots__ = ("params", "psi", "psibar", "psid", "g", "gd", "ginv", "gpsi", "th1",
+                 "fprime", "gdpsi", "quad", "ginv_gd", "p", "pgd", "tr_pgd", "c_gd",
+                 "gpsid", "gdpsid")
 
-    def __init__(self, psi, gamma, gamma_dot, params: ModelParams, ginv=None):
+    def __init__(self, psi, gamma, gamma_dot, params: ModelParams, ginv=None, psid=None):
         self.params = params
         self.psi = psi = np.asarray(psi, dtype=complex)
         self.psibar = psibar = psi.conj()
+        self.psid = psid = None if psid is None else np.asarray(psid, dtype=complex)
         self.g = g = np.asarray(gamma, dtype=complex)
-        self.gpsi = gpsi = g @ psi
-        self.th1 = th1 = psibar @ gpsi
-        self.fprime = params.effective_potential.derivative(float(th1.real))
         self.gd = gd = None if gamma_dot is None else np.asarray(gamma_dot, dtype=complex)
         if gd is None:
+            self.gpsi = gpsi = g @ psi
+            self.th1 = th1 = psibar @ gpsi
+            self.fprime = params.effective_potential.derivative(float(th1.real))
             return
         self.ginv = ginv
-        self.gdpsi = gdpsi = gd @ psi
-        self.quad = psibar @ gdpsi
-        self.ginv_gd = ginv @ gd
+        self.gpsi, self.gdpsi = gpsi, gdpsi = g.dot(psi), gd.dot(psi)
+        if psid is not None:
+            self.gpsid, self.gdpsid = g.dot(psid), gd.dot(psid)
+        self.th1 = th1 = complex(np.vdot(psi, gpsi))
+        self.quad = quad = complex(np.vdot(psi, gdpsi))
+        self.fprime = params.effective_potential.derivative(th1.real)
+        self.ginv_gd = ginv.dot(gd)
         self.p = p = ginv + (params.alpha9 * psi)[:, None] * psibar
-        self.pgd = pgd = p @ gd
-        self.tr_pgd = tr = pgd.trace()
+        self.pgd = p.dot(gd)
+        self.tr_pgd = tr = complex(np.vdot(gd, p))
         self.c_gd = (-(params.alpha3 * params.alpha9 + 1.0j * params.alpha1)
-                     - 2.0 * params.alpha8 * self.quad - 2.0 * params.alpha9 * params.alpha7 * tr)
+                     - 2.0 * params.alpha8 * quad - 2.0 * params.alpha9 * params.alpha7 * tr)
 
-    def residuals(self, psid, chi, t: float, psi_ddot=None, gamma_ddot=None):
-        """(r_psi, r_gamma) at velocity psid; both parts share gamma_dot psid."""
-        psid = np.asarray(psid, dtype=complex)
-        gdpsid = self.gd @ psid
-        return (self.psi_residual(resolve_chi(chi, t), t, psid, gdpsid, psi_ddot),
-                self.gamma_residual(psid, gdpsid, gamma_ddot))
+    def residuals(self, chi, t: float, psi_ddot=None, gamma_ddot=None):
+        """(r_psi, r_gamma) at the pieces' velocity."""
+        return (self.psi_residual(resolve_chi(chi, t), t, psi_ddot),
+                self.gamma_residual(gamma_ddot=gamma_ddot))
 
-    def psi_residual(self, chi, t: float, psid=None, gdpsid=None, psi_ddot=None):
-        """r_psi = d/dt dL/d(conj psid) - dL/d(conj psi); a psid given as
-        None (with its gamma_dot psid) counts as zero, and so does a
-        psi_ddot given as None."""
+    def psi_residual(self, chi, t: float, psi_ddot=None):
+        """r_psi = d/dt dL/d(conj psid) - dL/d(conj psi) at the pieces'
+        velocity; a psi_ddot given as None counts as zero."""
         prm = self.params
         a1, a2, a9 = prm.alpha1, prm.alpha2, prm.alpha9
         frozen = self.gd is None
@@ -188,9 +197,12 @@ class _ResidualPieces:
         if prm.alpha5 != 0.0:
             r -= prm.alpha5 * (chi @ self.psi)
         if a9 != 0.0 and not frozen:
-            r -= (2.0 * a9 * prm.alpha6) * (self.gd @ (self.pgd @ self.psi))
-        if psid is not None:
-            r += (0.0 if frozen else a2 * gdpsid) - (2.0j * a1) * (self.g @ psid)
+            r -= (2.0 * a9 * prm.alpha6) * self.gd.dot(self.pgd.dot(self.psi))
+        if self.psid is not None:
+            if frozen:     # 0.0 - x, not -x: the frozen tiers keep their signed zeros
+                r += 0.0 - (2.0j * a1) * (self.g @ self.psid)
+            else:
+                r += a2 * self.gdpsid - (2.0j * a1) * self.gpsid
         if psi_ddot is not None:
             r += a2 * (self.g @ psi_ddot)
         if prm.forcing is not None:
@@ -207,42 +219,47 @@ class _ResidualPieces:
         heff -= (2.0 * prm.alpha9 * prm.alpha6) * (self.ginv_gd @ self.pgd)
         return heff
 
-    def gamma_residual(self, psid, gdpsid, gamma_ddot=None):
+    def gamma_residual(self, psid=None, gamma_ddot=None):
         """r_gamma = d/dt dL/d(gamma_dot) - dL/d(gamma) (contravariant) at
-        velocity psid, with gdpsid = gamma_dot psid; a gamma_ddot given as
-        None counts as zero.
+        velocity psid, the pieces' own when None; a gamma_ddot given as None
+        counts as zero.
 
         Every term that is an outer product of psi and psid (the f' - alpha4,
         alpha8, alpha2 and alpha3*alpha9 +- i*alpha1 terms, and the alpha7
         term's alpha9 part) is one product V^T C conj(V), with V the rows
-        psi and psid and C the 2x2 matrix of their coefficients.
+        psi and psid and C the 2x2 matrix of their coefficients.  Of the
+        Hermitian pair Pdot gamma_dot P + P gamma_dot Pdot the second is the
+        adjoint of the first.
         """
         prm = self.params
         a6, a7, a8, a9 = prm.alpha6, prm.alpha7, prm.alpha8, prm.alpha9
-        psibar, ginv, gd, p = self.psibar, self.ginv, self.gd, self.p
-        v = np.array([self.psi, psid])
+        psi, ginv, gd, p = self.psi, self.ginv, self.gd, self.p
+        if psid is None:
+            psid = self.psid
+        v = np.array((psi, psid))
         vbar = v.conj()
 
         # dP/dt = -gamma^{-1} gamma_dot gamma^{-1} + alpha9 (psid psi^ + psi psid^)
-        gg = self.ginv_gd @ ginv
-        pdot = a9 * (v.T @ vbar[::-1]) - gg
-        pdot_gd = pdot @ gd
-        r = (2.0 * a6) * (pdot_gd @ p + self.pgd @ pdot + self.ginv_gd @ self.pgd @ ginv)
+        pdot = a9 * v.T.dot(vbar[::-1]) - self.ginv_gd.dot(ginv)
+        x = pdot.dot(gd).dot(p)
+        r = (2.0 * a6) * (x + x.conj().T + self.ginv_gd.dot(self.pgd).dot(ginv))
         if a7 != 0.0:
-            r += (2.0 * a7 * pdot_gd.trace()) * p
+            r += (2.0 * a7 * complex(np.vdot(gd, pdot))) * p
 
         c_pp = self.fprime - prm.alpha4
         if a8 != 0.0:
-            c_pp += 2.0 * a8 * (vbar[1] @ self.gdpsi + psibar @ gdpsid)
+            # psid^ gamma_dot psi + psi^ gamma_dot psid, gamma_dot Hermitian
+            c_pp += 4.0 * a8 * np.vdot(psid, self.gdpsi).real
         if gamma_ddot is not None:
-            pgdd = p @ gamma_ddot
-            r += (2.0 * a6) * (pgdd @ p) + (2.0 * a7 * pgdd.trace()) * p
+            gamma_ddot = np.asarray(gamma_ddot, dtype=complex)
+            r += (2.0 * a6) * p.dot(gamma_ddot).dot(p) \
+                + (2.0 * a7 * complex(np.vdot(gamma_ddot, p))) * p
             if a8 != 0.0:
-                c_pp += 2.0 * a8 * (psibar @ gamma_ddot @ self.psi)
+                c_pp += 2.0 * a8 * complex(np.vdot(psi, gamma_ddot.dot(psi)))
         c_mix = prm.alpha3 * a9 + 2.0 * a8 * self.quad + 2.0 * a7 * a9 * self.tr_pgd
         coeffs = np.array([[c_pp, c_mix + 1.0j * prm.alpha1],
                            [c_mix - 1.0j * prm.alpha1, -prm.alpha2]])
-        r += v.T @ (coeffs @ vbar)
+        r += v.T.dot(coeffs.dot(vbar))
         return r
 
 
@@ -255,8 +272,8 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
     """
     psi_ddot, gamma_ddot = accel if accel is not None else (None, None)
     pieces = _ResidualPieces(state.psi, state.gamma, state.gamma_dot, params,
-                             _checked_inverse(state.gamma))
-    return Residual(*pieces.residuals(state.psi_dot, chi, state.t, psi_ddot, gamma_ddot))
+                             _checked_inverse(state.gamma), state.psi_dot)
+    return Residual(*pieces.residuals(chi, state.t, psi_ddot, gamma_ddot))
 
 
 def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
@@ -267,9 +284,9 @@ def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
         raise ZeroAlpha2("alpha2 == 0: use rhs_modified_first_order")
     if ginv is None:
         ginv = _checked_inverse(np.asarray(gamma, dtype=complex))
-    s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
-    rest_psi, rest_gamma = s.residuals(psid, chi, t)
-    psi_ddot = (ginv @ rest_psi) / -params.alpha2
+    s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv, psid)
+    rest_psi, rest_gamma = s.residuals(chi, t)
+    psi_ddot = ginv.dot(rest_psi) / -params.alpha2
     gamma_ddot = _apply_omega_inverse(s.psi, s.g, params, rest_gamma, s.gpsi, s.th1, -0.5)
     return psi_ddot, gamma_ddot
 
@@ -345,8 +362,8 @@ class _PreparedPsiRate:
         m = 2 * n if second_order else n
         linear = replace(params, kappa=0.0, potential=PotentialSpec(), forcing=None)
         chi_m = resolve_chi(chi, 0.0)
-        probes = [_ResidualPieces(e[:n], g, None, linear)
-                  .psi_residual(chi_m, 0.0, e[n:] if second_order else None)
+        probes = [_ResidualPieces(e[:n], g, None, linear, psid=e[n:] if second_order else None)
+                  .psi_residual(chi_m, 0.0)
                   for e in np.eye(m, dtype=complex)]
         op = (kinv @ np.array(probes).T) / d
         self.fprime = None
@@ -361,8 +378,8 @@ class _PreparedPsiRate:
     def __call__(self, psi, psid, t: float) -> np.ndarray:
         """The rate at psi (and psid on ``second_order``, None otherwise) and t."""
         if self.op is None:
-            s = _ResidualPieces(psi, self.gamma, None, self.params)
-            return (self.kinv @ s.psi_residual(resolve_chi(self.chi, t), t, psid)) / self.denom
+            s = _ResidualPieces(psi, self.gamma, None, self.params, psid=psid)
+            return (self.kinv @ s.psi_residual(resolve_chi(self.chi, t), t)) / self.denom
         rate = self.op @ (psi if psid is None else np.concatenate((psi, psid)))
         if self.fprime is not None:
             rate, b_psi, gpsi = rate
@@ -379,7 +396,7 @@ def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
     psid = _first_order_rate(params, s.psi_residual(resolve_chi(chi, t), t), ginv)
 
     # gamma equation solved for gamma_ddot with the psid just obtained
-    rest_gamma = s.gamma_residual(psid, s.gd @ psid)
+    rest_gamma = s.gamma_residual(psid)
     gamma_ddot = _apply_omega_inverse(s.psi, s.g, params, rest_gamma, s.gpsi, s.th1, -0.5)
     return psid, gamma_ddot
 
@@ -424,9 +441,8 @@ def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:
     B = 2 alpha7 this tier refuses the couplings the kinetic inverse refuses
     at alpha8 = 0 or psi = 0 (A + n*B = 0 makes the kinetic metric
     degenerate along dilatations); alpha8 psi != 0 can lift that degeneracy."""
-    g = np.asarray(gamma, dtype=complex)
+    g = _as_complex_matrix(gamma)
     gd = np.asarray(gamma_dot, dtype=complex)
     _kinetic_denominator(A, 0.0, "A")
     _kinetic_denominator(A, g.shape[0] * B, "A + n*B")
-    ginv = invert_form(g)
-    return hermitian_part(gd @ ginv @ gd)
+    return hermitian_part(gd.dot(_checked_inverse(g)).dot(gd))

@@ -154,7 +154,7 @@ def _checked_inverse(f: np.ndarray) -> np.ndarray:
 
     n max|F_ij| max|(F^-1)_ij| lies within a factor n of the spectral
     condition number.  A refused stack member is named by its index in the
-    flattened stack.
+    flattened stack.  One matrix takes the same test in Python floats.
     """
     try:
         inv = np.linalg.inv(f)
@@ -167,6 +167,11 @@ def _checked_inverse(f: np.ndarray) -> np.ndarray:
                 raise SingularForm(f"{_member(f, k)}zero pivot: the form is singular") from None
         raise
     n = f.shape[-1]
+    if f.ndim == 2:
+        rc = 1.0 / (n * float(np.abs(f).max()) * float(np.abs(inv).max()))
+        if not rc > COND_TOL:
+            raise SingularForm(f"reciprocal condition estimate {rc:.3e} <= {COND_TOL:.0e}")
+        return inv
     rc = 1.0 / (n * np.abs(f).max(axis=(-2, -1)) * np.abs(inv).max(axis=(-2, -1)))
     accepted = rc > COND_TOL
     if not accepted.all():

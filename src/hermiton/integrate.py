@@ -32,7 +32,9 @@ parts interleaved: y is the real view of the complex blocks, concatenated in
   ``hermitian_to_real`` (diagonal reals plus off-diagonal real/imaginary
   pairs), which enforces hermiticity structurally; the
   hermiticity defect of the raw right-hand side is still recorded at
-  sample times (the "pre-projection" drift).
+  sample times (the "pre-projection" drift).  A ``deriv`` call decodes
+  both matrices with one ``real_to_hermitian`` call and encodes only the
+  acceleration: gamma's rate is y's own gamma_dot coordinates.
 * ``resymmetrize_gamma=False``: the full complex matrices are stepped
   (2 n^2 reals each) and the hermiticity drift of the state itself is
   recorded, unprojected.
@@ -97,6 +99,7 @@ STEPPED_BLOCKS = {
     "modified_first_order": ("psi", "gamma", "gamma_dot"),
 }
 MODEL_TIERS = tuple(STEPPED_BLOCKS)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,10 @@ class IntegratorConfig:
             raise ValueError("t_end must exceed t_start")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
+        if self.rel_tol < _EPS:
+            # below round-off, a step's error estimate is rounding noise
+            raise ValueError(f"rel_tol must be at least the float64 epsilon {_EPS:.3e}, "
+                             f"got {self.rel_tol:.3e}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
@@ -154,25 +161,23 @@ class _Codec:
 
     y is the real view of the complex blocks (vectors, and matrices in the
     complex layout) in stepped order, followed in the structural layout by
-    the ``hermitian_to_real`` coordinates of each Hermitian matrix.  The
-    same codec reads one vector in the rate closure and the stack of recorded
-    vectors (S, N) when a run is recorded.
+    the ``hermitian_to_real`` coordinates of gamma and then of gamma_dot (a
+    tier that steps gamma steps gamma_dot too).  The same codec reads one
+    vector in the rate closure and the stack of recorded vectors (S, N) when
+    a run is recorded; the two Hermitian matrices are decoded by one call.
     """
 
     def __init__(self, stepped, n: int, structural: bool):
         self.n, self.stepped = n, stepped
         matrices = [block for block in stepped if block in ("gamma", "gamma_dot")]
-        hermitian = matrices if structural else []
-        self.views = []          # (block, span in y's complex view, shape)
+        self.coded = len(matrices) if structural else 0   # matrices stored as coordinates
+        self.views = []          # (span in y's complex view, shape) of each complex block
         offset = 0
-        for block in stepped:
-            if block not in hermitian:
-                shape = (n, n) if block in matrices else (n,)
-                self.views.append((block, slice(offset, offset + n ** len(shape)), shape))
-                offset += n ** len(shape)
+        for block in stepped[:len(stepped) - self.coded]:
+            shape = (n, n) if block in matrices else (n,)
+            self.views.append((slice(offset, offset + n ** len(shape)), shape))
+            offset += n ** len(shape)
         self.split = 2 * offset  # the reals of the complex blocks
-        self.hermitian = [(block, slice(self.split + k * n * n, self.split + (k + 1) * n * n))
-                          for k, block in enumerate(hermitian)]
 
     def read(self, y) -> list:
         """The stepped blocks stored in y (..., N), in stepped order, with y's
@@ -180,8 +185,12 @@ class _Codec:
         blocks, then the Hermitian matrices of the structural layout."""
         z = y[..., :self.split].view(complex)
         lead = y.shape[:-1]
-        return ([z[..., span].reshape(lead + shape) for _, span, shape in self.views]
-                + [real_to_hermitian(y[..., coords], self.n) for _, coords in self.hermitian])
+        blocks = [z[..., span].reshape(lead + shape) for span, shape in self.views]
+        if self.coded:
+            coords = y[..., self.split:].reshape(*lead, self.coded, self.n * self.n)
+            matrices = real_to_hermitian(coords, self.n)
+            blocks += [matrices[..., k, :, :] for k in range(self.coded)]
+        return blocks
 
     def unpack(self, y) -> dict:
         """The stepped blocks stored in y (..., N), by name; the complex blocks
@@ -191,17 +200,22 @@ class _Codec:
             view.setflags(write=False)
         return dict(zip(self.stepped, blocks))
 
-    def pack(self, blocks) -> np.ndarray:
-        """A new vector y holding the stepped blocks, given in stepped order:
-        one concatenate of the complex blocks, viewed as reals, then the
-        Hermitian coordinates."""
+    def pack(self, blocks, y=None) -> np.ndarray:
+        """A new vector holding the stepped blocks, given in stepped order:
+        one concatenate of the complex blocks, viewed as reals, and the
+        Hermitian coordinates.  With ``y``, the blocks are the rates at y:
+        gamma's rate in the structural layout is gamma_dot, whose coordinates
+        y holds, so they are copied from y and only gamma_dot's rate is
+        encoded."""
         split = len(self.views)
-        y = (np.concatenate(blocks[:split], axis=None, dtype=complex).view(float)
-             if split else np.empty(0))
-        if self.hermitian:
-            y = np.concatenate([y, *(hermitian_to_real(hermitian_part(block))
-                                     for block in blocks[split:])])
-        return y
+        parts = [np.concatenate(blocks[:split], axis=None, dtype=complex).view(float)] \
+            if split else []
+        if self.coded and y is not None:
+            parts += [y[self.split + self.n * self.n:],
+                      hermitian_to_real(hermitian_part(blocks[-1]))]
+        elif self.coded:
+            parts += [hermitian_to_real(hermitian_part(block)) for block in blocks[split:]]
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 class _Blocks(NamedTuple):
@@ -317,7 +331,7 @@ class _System:
         if self.needs_rates:
             self.latest = (t, y, rates)
             self._take_rates(t, y, rates)
-        return self.codec.pack(rates)
+        return self.codec.pack(rates, y)
 
     def record(self, t, y):
         self.times.append(t)

@@ -466,8 +466,8 @@ def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1)
     _kinetic_denominator(a6, 0.0, "alpha6")
     den = _kinetic_denominator(1.0, a9 * th1, "1 + alpha9*theta1")
     lam = gamma - (a9 / den * gpsi)[:, None] * psibar_g
-    phi = lam @ psi
-    q = complex(psibar @ phi)
+    phi = lam.dot(psi)
+    q = complex(psibar.dot(phi))
     d67, w = a6 + n * a7, a8 * q * q
     det = a6 * d67 + w * (a6 + (n - 1) * a7)
     if abs(det) <= COND_TOL * (abs(a6) * (abs(a6) + abs(n * a7))
@@ -482,11 +482,13 @@ def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1)
 def _ladder_apply(pieces, y, psibar_lam, scale: float) -> np.ndarray:
     """``scale`` times the kinetic inverse of :func:`_ladder_pieces` applied
     to Y, with ``psibar_lam`` = psibar lam (conj(phi) on the diagonal);
-    ``scale`` is folded into the scalar coefficients."""
+    ``scale`` is folded into the scalar coefficients.  The products take
+    ``ndarray.dot``, which skips the matmul ufunc's dispatch, and Tr(lam Y)
+    sums the diagonal of lam Y in Python complex."""
     lam, phi, a6, (k11, k12, k21, k22) = pieces
-    ly = lam @ y
-    r1, r2 = ly.trace(), psibar_lam @ y @ phi
-    out = (scale / a6) * (ly @ lam) - (scale * (k11 * r1 + k12 * r2)) * lam
+    ly = lam.dot(y)
+    r1, r2 = sum(ly.diagonal().tolist()), complex(psibar_lam.dot(y).dot(phi))
+    out = (scale / a6) * ly.dot(lam) - (scale * (k11 * r1 + k12 * r2)) * lam
     out -= (scale * (k21 * r1 + k22 * r2) * phi)[:, None] * psibar_lam
     return out
 

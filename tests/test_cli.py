@@ -241,6 +241,9 @@ def _with_forcing(kind, **extra):
                  sc["integrator"].update({key: float(value)}))
       for key, value in (("t_end", "inf"), ("dt", "inf"), ("t_start", "-inf"),
                          ("rel_tol", "inf"), ("abs_tol", "nan"))],
+    # a relative tolerance below round-off
+    _malformed("rel_tol-below-eps", "rel_tol must be at least", lambda sc: sc["integrator"].update(
+        rel_tol=1e-300)),
     _malformed("forcing-vector-infinite", "forcing vector", lambda sc: sc["params"].update(
         forcing={"kind": "constant", "vector": [[float("inf"), 0.0], [0.0, 0.0]]})),
     _malformed("omega-infinite", "'omega'", _with_forcing("harmonic", omega=float("inf"))),

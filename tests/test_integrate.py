@@ -253,22 +253,38 @@ class TestStepLimits:
                       dataclasses.replace(cfg, max_steps=n_attempts - 1), params, chi)
 
     def test_step_size_underflow_fails_fast(self, rng, monkeypatch):
-        # tolerances below round-off: the error estimate of the zero
-        # components of psi is measured against abs_tol alone, so steps are
-        # rejected until dt underflows (without the guard the run crawls from
-        # t ~ 1e-270 up through every exponent, with dt ~ 1e-2 t: 39 175
-        # attempted steps before it reaches t_end)
+        # the step the tolerances ask for is below 4 ulps of t: at t ~ 2^40
+        # an ulp is 2^-12, and a rotation at frequency ~100 needs dt ~ 1e-4
+        # at rel_tol 1e-10 (without the guard the run would go on with steps
+        # that t + dt rounds)
         params = ModelParams(alpha1=0.5, alpha5=-1.0)
-        chi = np.diag([1.0, -1.0])
+        chi = np.diag([100.0, -100.0])
+        t0 = 2.0 ** 40
         state = FullState(psi=np.array([1.0, 0.0]), psi_dot=np.zeros(2),
-                          gamma=rand_pd(rng, 2), gamma_dot=np.zeros((2, 2)))
-        cfg = IntegratorConfig(dt=0.01, t_end=1.0, method="rk45_adaptive",
-                               rel_tol=1e-300, abs_tol=1e-300)
+                          gamma=rand_pd(rng, 2), gamma_dot=np.zeros((2, 2)), t=t0)
+        cfg = IntegratorConfig(dt=0.01, t_start=t0, t_end=t0 + 1.0, method="rk45_adaptive",
+                               rel_tol=1e-10, abs_tol=1e-12)
         attempts = count_dp_attempts(monkeypatch)
-        with np.errstate(over="ignore"), pytest.raises(StepFailure,
-                                                       match="step size underflow"):
+        with pytest.raises(StepFailure, match="step size underflow"):
             integrate(state, "schrodinger", cfg, params, chi)
-        assert len(attempts) < 100
+        assert 0 < len(attempts) < 100
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dt", 0.0, "dt must be positive"),
+    ("t_end", 0.0, "t_end must exceed t_start"),
+    ("rel_tol", float("nan"), "rel_tol must be finite"),
+    ("abs_tol", 0.0, "tolerances must be positive"),
+    ("sample_stride", 0, "sample_stride must be >= 1"),
+    # a tolerance below round-off: the error norm of every step would be
+    # measured against rounding noise
+    ("rel_tol", 1e-300, "rel_tol must be at least the float64 epsilon"),
+])
+def test_integrator_config_refuses(field, value, message):
+    fields = dict(dt=0.01, t_end=1.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        IntegratorConfig(**fields)
 
 
 def count_rates(monkeypatch) -> list:
@@ -372,6 +388,25 @@ class TestRhsCounts:
         calls = count_rates(monkeypatch)
         integrate(state, "second_order", cfg, params, chi)
         assert calls[0] <= 3 * n_steps + 4 + 1
+
+    @pytest.mark.parametrize("tier", ["gamma_geodesic", "full", "modified_first_order"])
+    def test_structural_deriv_codes_each_way_once(self, rng, monkeypatch, tier):
+        # one real_to_hermitian decodes gamma and gamma_dot together, and one
+        # hermitian_to_real encodes the acceleration: gamma's rate is y's own
+        # gamma_dot coordinates
+        n = 3
+        initial, params, chi = tier_case(tier, n, rng)
+        cfg = IntegratorConfig(dt=0.01, t_end=0.02, resymmetrize_gamma=True)
+        system = integrate_module._build_system(initial, tier, cfg, params, chi)
+        calls = []
+        for name in ("real_to_hermitian", "hermitian_to_real"):
+            def counted(*args, _fn=getattr(integrate_module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(integrate_module, name, counted)
+        rate = system.deriv(system.t0, system.y0)
+        assert sorted(calls) == ["hermitian_to_real", "real_to_hermitian"]
+        assert rate[-2 * n * n:-n * n].tobytes() == system.y0[-n * n:].tobytes()
 
     @pytest.mark.parametrize("tier", ["schrodinger", "second_order", "full"])
     @pytest.mark.parametrize("n", [1, 3])
@@ -609,6 +644,7 @@ _EL_TIERS = {
     "schrodinger": dict(alpha1=0.5, alpha5=-1.0),
     "direct_nonlinear": dict(alpha1=0.5, alpha5=-1.0),
     "second_order": dict(alpha1=0.5, alpha2=0.7, alpha5=-1.0),
+    "gamma_geodesic": dict(alpha6=1.0, alpha7=0.2),
     "full": dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha5=-1.0, alpha6=0.9,
                  alpha7=0.25, alpha8=0.2, alpha9=0.15),
     "modified_first_order": dict(alpha1=0.4, alpha3=0.15, alpha5=-1.0, alpha6=0.9,
@@ -621,7 +657,8 @@ _EL_TIERS = {
                                   "harmonic_forcing", "gamma_tilde"])
 @pytest.mark.parametrize("tier", list(_EL_TIERS))
 def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
-    # every psi tier's rates, fed back into el_residual, leave no psi residual
+    # every tier's rates, fed back into el_residual, leave no residual in the
+    # sectors it steps: psi, gamma or both (the geodesic tier at psi = 0)
     gamma, chi = rand_pd(rng, n), rand_herm(rng, n)
     drive = rand_vec(rng, n, 0.3)
     extra = {"alpha4": dict(alpha4=0.3),
@@ -633,19 +670,26 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
     params = ModelParams(**_EL_TIERS[tier], **extra)
     stepped = integrate_module.STEPPED_BLOCKS[tier]
     gamma_dot = rand_herm(rng, n, 0.2) if "gamma" in stepped else np.zeros((n, n))
-    state = FullState(psi=rand_vec(rng, n, 0.6), psi_dot=rand_vec(rng, n, 0.3), gamma=gamma,
-                      gamma_dot=gamma_dot, t=0.3)
+    moving = 1.0 if "psi" in stepped else 0.0
+    state = FullState(psi=rand_vec(rng, n, 0.6 * moving), psi_dot=rand_vec(rng, n, 0.3 * moving),
+                      gamma=gamma, gamma_dot=gamma_dot, t=0.3)
     cfg = IntegratorConfig(dt=0.1, t_start=0.3, t_end=1.0)
     system = integrate_module._build_system(state, tier, cfg, params, chi,
                                             gamma if case == "gamma_tilde" else None)
     rates = dict(zip(stepped, system.rates(state.t, system.y0)))
     if "psi_dot" in stepped:
         accel = (rates["psi_dot"], rates.get("gamma_dot"))
-    else:
+    elif "psi" in stepped:
         state = dataclasses.replace(state, psi_dot=rates["psi"])
         accel = (None, rates.get("gamma_dot"))
-    r_psi = el_residual(state, accel, params, chi).r_psi
-    assert np.linalg.norm(r_psi) <= 1e-12 * np.linalg.norm(gamma @ state.psi)
+    else:
+        accel = (None, rates["gamma_dot"])
+    residual = el_residual(state, accel, params, chi)
+    if "psi" in stepped:
+        assert np.linalg.norm(residual.r_psi) <= 1e-12 * np.linalg.norm(gamma @ state.psi)
+    if "gamma" in stepped:
+        assert (np.linalg.norm(residual.r_gamma)
+                <= 1e-12 * np.linalg.norm(np.linalg.inv(gamma)))
 
 
 def _unprepared_rates(tier, blocks, gamma, params, chi, gamma_tilde, t) -> list:
