@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateKinetic, ZeroAlpha2
-from .hermitian_algebra import _as_complex_matrix, _checked_inverse, hermitian_part, invert_form
+from .hermitian_algebra import _as_complex_matrix, _checked_inverse, hermitian_part
 from .models import (
     FullState,
     ModelParams,
@@ -95,7 +95,7 @@ def rhs_second_order(state: FullState, chi, params: ModelParams,
     s = _ResidualPieces(state.psi, state.gamma, None, params, psid=state.psi_dot)
     kinv = _checked_inverse(np.asarray(s.g if gamma_tilde is None else gamma_tilde, complex))
     rest = s.psi_residual(resolve_chi(chi, state.t), state.t)
-    return (kinv @ rest) / denom
+    return kinv.dot(rest) / denom
 
 
 def _p_dot(psi, psid, ginv, gamma_dot, alpha9: float) -> np.ndarray:
@@ -322,7 +322,7 @@ def _first_order_rate(prm: ModelParams, r0, kinv) -> np.ndarray:
     """psid = gamma^{-1} R0 / (2i*alpha1), ``kinv`` = gamma^{-1} and ``r0`` the psi
     residual at psid = 0: the psi residual -2i*alpha1 gamma psid + R0 solved for
     psid; alpha2 != 0 and alpha1 == 0 are refused."""
-    return (kinv @ r0) / _first_order_denominator(prm)
+    return kinv.dot(r0) / _first_order_denominator(prm)
 
 
 class _PreparedPsiRate:
@@ -379,19 +379,24 @@ class _PreparedPsiRate:
         """The rate at psi (and psid on ``second_order``, None otherwise) and t."""
         if self.op is None:
             s = _ResidualPieces(psi, self.gamma, None, self.params, psid=psid)
-            return (self.kinv @ s.psi_residual(resolve_chi(self.chi, t), t)) / self.denom
-        rate = self.op @ (psi if psid is None else np.concatenate((psi, psid)))
-        if self.fprime is not None:
-            rate, b_psi, gpsi = rate
+            return self.kinv.dot(s.psi_residual(resolve_chi(self.chi, t), t)) / self.denom
+        x = psi if psid is None else np.concatenate((psi, psid))
+        if self.fprime is None:
+            rate = self.op.dot(x)
+        else:        # the (3, n, m) stack keeps matmul, whose bits dot does not give
+            rate, b_psi, gpsi = self.op @ x
             rate = rate + self.fprime(float(np.vdot(psi, gpsi).real)) * b_psi
         if self.forcing is not None:
-            rate = rate - self.kinv_d @ np.conj(self.forcing(t))
+            rate = rate - self.kinv_d.dot(np.conj(self.forcing(t)))
         return rate
 
 
 def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
                               chi, t: float):
-    ginv = invert_form(gamma)
+    """(psid, gamma_ddot) of the modified first-order model on raw arrays,
+    through the raw ``_checked_inverse(gamma)``, as in
+    :func:`_full_accelerations_raw`."""
+    ginv = _checked_inverse(np.asarray(gamma, dtype=complex))
     s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
     psid = _first_order_rate(params, s.psi_residual(resolve_chi(chi, t), t), ginv)
 

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +82,15 @@ from .hermitian_algebra import (
     hermiticity_drift,
     real_to_hermitian,
 )
-from .models import FullState, ModelParams, _validated_blocks, energy, resolve_chi, theta1
+from .models import (
+    FullState,
+    ModelParams,
+    _Blocks,
+    _validated_blocks,
+    energy,
+    resolve_chi,
+    theta1,
+)
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate"]
 
@@ -216,18 +223,6 @@ class _Codec:
         elif self.coded:
             parts += [hermitian_to_real(hermitian_part(block)) for block in blocks[split:]]
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
-class _Blocks(NamedTuple):
-    """A state's blocks by name, unvalidated: a stage of the frozen-gamma
-    tier, which ``rhs_second_order`` reads, or the recorded samples stacked
-    on a leading axis, which ``energy`` reads."""
-
-    psi: np.ndarray
-    psi_dot: np.ndarray
-    gamma: np.ndarray
-    gamma_dot: np.ndarray
-    t: object
 
 
 def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gamma_tilde):

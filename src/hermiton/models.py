@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -218,6 +218,19 @@ class FullState:
     @property
     def n(self) -> int:
         return self.psi.size
+
+
+class _Blocks(NamedTuple):
+    """A state's blocks by name, unvalidated: a stage of the frozen-gamma
+    tier, which ``rhs_second_order`` reads, or states stacked on leading
+    axes (recorded samples, the action oracle's probes), which ``energy``
+    and ``_lagrangian_terms`` read."""
+
+    psi: np.ndarray
+    psi_dot: np.ndarray
+    gamma: np.ndarray
+    gamma_dot: np.ndarray
+    t: object
 
 
 def _validated_blocks(psi, psi_dot, gamma, gamma_dot) -> tuple:

@@ -3,21 +3,42 @@
 Exact solutions (matrix-exponential families for the scalar-product
 geodesics and for the frozen-product Schrodinger flow) and brute-force
 oracles (discretized-action gradients, vectorized inversion of the kinetic
-operator) used by the test suite and the ``oracle`` CLI command.  These
-deliberately avoid the analytic shortcut being checked: the action gradient
-never calls the residual formulas, and the numeric kinetic inverse never
-uses the closed-form rank-2 solve.
+operator) used by the test suite and the ``oracle`` and ``check`` CLI
+commands.  These deliberately avoid the analytic shortcut being checked: the
+action gradient never calls the residual formulas, and the numeric kinetic
+inverse never uses the closed-form rank-2 solve.
+
+The action gradient evaluates the Lagrangian alone.  All its probes of one
+call are stacked: one set of FullState checks, one stacked inverse of gamma
+and one stacked Lagrangian call, whose members have the bits of the
+one-state calls.  The finite differences are then taken in Python floats in
+the order of a probe-by-probe evaluation, so the estimate keeps its bits too.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import NotGHermitian, SingularOperator
-from .hermitian_algebra import HERM_TOL_FACTOR, hermitian_basis, hermiticity_drift, matrix_exp
-from .models import FullState, ModelParams, apply_omega, lagrangian_value
+from .hermitian_algebra import (
+    HERM_TOL_FACTOR,
+    hermitian_basis,
+    hermitian_part,
+    hermiticity_drift,
+    matrix_exp,
+)
+from .models import (
+    ModelParams,
+    _Blocks,
+    _lagrangian_terms,
+    _real_value,
+    _validated_blocks,
+    apply_omega,
+)
 
 __all__ = [
     "GammaExponentialSolution",
@@ -102,32 +123,37 @@ class DiscretizedPath:
         return self.psis.shape[1]
 
 
-def _node_lagrangian(path: DiscretizedPath, k: int, params: ModelParams, chi,
-                     psis, gammas) -> float:
-    """Trapezoid-weighted Lagrangian at node k with central-difference
-    velocities (one-sided at the ends, which variation never touches)."""
-    m = path.times.size
-    dt = path.dt
-    if k == 0:
-        psid = (psis[1] - psis[0]) / dt
-        gd = (gammas[1] - gammas[0]) / dt
-    elif k == m - 1:
-        psid = (psis[m - 1] - psis[m - 2]) / dt
-        gd = (gammas[m - 1] - gammas[m - 2]) / dt
+def _probe_states(path: DiscretizedPath, index: str, node: int, h: float) -> tuple:
+    """The blocks (psi, psi_dot, gamma, gamma_dot) at node - 1, node and
+    node + 1 of every probe of :func:`action_gradient_fd`, stacked (P, 3, ...),
+    with central-difference velocities: the probe's perturbation is added to
+    the data at ``node`` of the five-node window node - 2 ... node + 2.
+
+    For ``index == "psi"`` probe 4a + j moves psi_a by the j-th of h, -h,
+    ih, -ih.  For ``index == "gamma"`` the units are E_aa for each a, then
+    the symmetric and the skew unit of each pair a < b; probe 2u + j moves
+    gamma by h or -h times unit u.
+    """
+    if index not in ("psi", "gamma"):
+        raise ValueError(f"index must be 'psi' or 'gamma', got {index!r}")
+    n = path.n
+    count = 4 * n if index == "psi" else 2 * n * n
+    psis = np.repeat(path.psis[None, node - 2:node + 3], count, axis=0)
+    gammas = np.repeat(path.gammas[None, node - 2:node + 3], count, axis=0)
+    if index == "psi":
+        deltas = np.tile([h, -h, 1j * h, -1j * h], n)
+        psis[np.arange(count), 2, np.repeat(np.arange(n), 4)] += deltas
     else:
-        psid = (psis[k + 1] - psis[k - 1]) / (2.0 * dt)
-        gd = (gammas[k + 1] - gammas[k - 1]) / (2.0 * dt)
-    weight = dt / 2.0 if k in (0, m - 1) else dt
-    state = FullState(psi=psis[k], psi_dot=psid, gamma=gammas[k],
-                      gamma_dot=gd, t=float(path.times[k]))
-    return weight * lagrangian_value(state, params, chi)
-
-
-def _local_action(path: DiscretizedPath, node: int, params: ModelParams, chi,
-                  psis, gammas) -> float:
-    """The part of the discretized action that depends on the data at ``node``."""
-    return sum(_node_lagrangian(path, k, params, chi, psis, gammas)
-               for k in (node - 1, node, node + 1))
+        units = np.zeros((n * n, n, n), dtype=complex)
+        units[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+        a, b = np.triu_indices(n, 1)
+        sym, skew = n + 2 * np.arange(a.size), n + 2 * np.arange(a.size) + 1
+        units[sym, a, b] = units[sym, b, a] = 1.0
+        units[skew, a, b], units[skew, b, a] = 1j, -1j
+        gammas[:, 2] += (np.array([h, -h])[None, :, None, None] * units[:, None]).reshape(-1, n, n)
+    two_dt = 2.0 * path.dt
+    return (psis[:, 1:4], (psis[:, 2:] - psis[:, :3]) / two_dt,
+            gammas[:, 1:4], (gammas[:, 2:] - gammas[:, :3]) / two_dt)
 
 
 def action_gradient_fd(path: DiscretizedPath, params: ModelParams, chi,
@@ -138,55 +164,47 @@ def action_gradient_fd(path: DiscretizedPath, params: ModelParams, chi,
     (d/dt dL/dq_dot - dL/dq): a covariant complex vector for
     ``index == "psi"``, a contravariant Hermitian matrix for
     ``index == "gamma"``.  Converges at O(h^2) + O(dt^2) at interior nodes.
+
+    The discretized action is the trapezoid sum of L at every node, with
+    central-difference velocities; the data at ``node`` enters it at
+    node - 1, node and node + 1, each weighted by dt.  Every probe (a
+    component of psi or a Hermitian unit of gamma moved by +-h, and psi's
+    also by +-ih) makes three states, and all of them are checked as
+    FullStates and evaluated in one stacked Lagrangian call, through one
+    stacked inverse of gamma.  The probes' actions and their central
+    differences are then formed in Python floats, so the estimate has the
+    bits of evaluating each probe on its own.
     """
     m = path.times.size
     if not 2 <= node <= m - 3:
         raise ValueError("node must keep the stencil away from the endpoints")
-    n = path.n
-    dt = path.dt
-
-    def probe_psi(a: int, delta: complex) -> float:
-        psis = path.psis.copy()
-        psis[node, a] += delta
-        return _local_action(path, node, params, chi, psis, path.gammas)
-
-    def probe_gamma(direction: np.ndarray) -> float:
-        gammas = path.gammas.copy()
-        gammas[node] = gammas[node] + direction
-        return _local_action(path, node, params, chi, path.psis, gammas)
+    n, dt = path.n, path.dt
+    psi, psi_dot, gamma, gamma_dot, inv = _validated_blocks(
+        *_probe_states(path, index, node, h))
+    times = np.broadcast_to(path.times[node - 1:node + 2], psi.shape[:2])
+    terms, magnitude = _lagrangian_terms(_Blocks(psi, psi_dot, gamma, gamma_dot, times),
+                                         params, chi, ginv=hermitian_part(inv))
+    values = _real_value(reduce(operator.add, [term for _, term in terms]), magnitude,
+                         1e-10, "Lagrangian")
+    # the part of the action that depends on the data at ``node``, per probe,
+    # and the central difference of each +-pair of probes
+    action = [sum(dt * value for value in row) for row in values.tolist()]
+    diffs = [(plus - minus) / (2.0 * h) for plus, minus in zip(action[::2], action[1::2])]
 
     if index == "psi":
-        out = np.zeros(n, dtype=complex)
-        for a in range(n):
-            d_re = (probe_psi(a, +h) - probe_psi(a, -h)) / (2.0 * h)
-            d_im = (probe_psi(a, +1j * h) - probe_psi(a, -1j * h)) / (2.0 * h)
-            # Wirtinger derivative with respect to conj(psi), then flip to
-            # the d/dt dL/dq_dot - dL/dq convention and undo the dt weight.
-            out[a] = -(0.5 * (d_re + 1j * d_im)) / dt
-        return out
+        # Wirtinger derivative with respect to conj(psi), then flip to the
+        # d/dt dL/dq_dot - dL/dq convention and undo the dt weight.
+        return np.array([-(0.5 * (d_re + 1j * d_im)) / dt
+                         for d_re, d_im in zip(diffs[::2], diffs[1::2])])
 
-    if index == "gamma":
-        out = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            e_aa = np.zeros((n, n), dtype=complex)
-            e_aa[a, a] = 1.0
-            d = (probe_gamma(h * e_aa) - probe_gamma(-h * e_aa)) / (2.0 * h)
-            out[a, a] = -d / dt
-        for a in range(n):
-            for b in range(a + 1, n):
-                sym = np.zeros((n, n), dtype=complex)
-                sym[a, b] = sym[b, a] = 1.0
-                skew = np.zeros((n, n), dtype=complex)
-                skew[a, b] = 1j
-                skew[b, a] = -1j
-                d_s = (probe_gamma(h * sym) - probe_gamma(-h * sym)) / (2.0 * h)
-                d_t = (probe_gamma(h * skew) - probe_gamma(-h * skew)) / (2.0 * h)
-                grad_ab = 0.5 * (d_s - 1j * d_t)   # dI / d gamma_{abar b}
-                out[b, a] = -grad_ab / dt
-                out[a, b] = np.conj(-grad_ab / dt)
-        return out
-
-    raise ValueError(f"index must be 'psi' or 'gamma', got {index!r}")
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        out[a, a] = -diffs[a] / dt
+    for (a, b), d_s, d_t in zip(zip(*np.triu_indices(n, 1)), diffs[n::2], diffs[n + 1::2]):
+        grad_ab = 0.5 * (d_s - 1j * d_t)   # dI / d gamma_{abar b}
+        out[b, a] = -grad_ab / dt
+        out[a, b] = np.conj(-grad_ab / dt)
+    return out
 
 
 def omega_inverse_numeric(psi, gamma, params: ModelParams) -> np.ndarray:

@@ -423,6 +423,37 @@ class TestCheck:
         assert {"energy_drift", "charge_drift", "legendre_round_trip"} <= names
 
 
+def test_action_gradient_verdict_is_scale_free(tmp_path):
+    # L and s L share their equations of motion: at a power of two s the
+    # residual and the action gradient scale by exactly s, so the verdict
+    # value keeps its bits, and an injected sign error fails at every scale
+    couplings = {"alpha1": 0.4, "alpha2": 0.3, "alpha3": 0.1, "alpha6": 0.9,
+                 "alpha7": 0.25, "alpha8": 0.1, "kappa": 0.05}
+    values = {}
+    for s in (2.0 ** -40, 1.0, 2.0 ** 40):
+        sc = {
+            "model_tier": "full",
+            "params": {**{k: s * v for k, v in couplings.items()}, "alpha9": 0.1},
+            "initial": {"psi0": vec([0.5, 0.3j]), "psi_dot0": vec([0.1, 0.0]),
+                        "gamma0": mat(np.eye(2)),
+                        "gamma_dot0": mat(np.array([[0.05, 0.01], [0.01, -0.02]]))},
+            "integrator": {"dt": 1e-3, "t_end": 0.05, "sample_stride": 25},
+            "seed": 11,
+        }
+        for fault in (False, True):
+            path = write(tmp_path, "scaled", {**sc, "inject_sign_error": fault})
+            code = main(["check", "--scenario", str(path), "--out", str(tmp_path)])
+            verdicts = {v["check"]: v for v in
+                        json.loads((tmp_path / "scaled_check.json").read_text())["verdicts"]}
+            verdict = verdicts["el_vs_action_gradient"]
+            assert verdict["passed"] is not fault
+            if fault:
+                assert code == 1
+            else:
+                values[s] = verdict["value"]
+    assert values[2.0 ** -40] == values[1.0] == values[2.0 ** 40]
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.05])
 @pytest.mark.parametrize("tier", list(STEPPED_BLOCKS))
 def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path, tier,

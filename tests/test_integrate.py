@@ -16,7 +16,15 @@ from hermiton.dynamics import (
 from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
 from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, Trajectory, integrate
-from hermiton.models import FullState, ModelParams, PotentialSpec, energy, resolve_chi, theta1
+from hermiton.models import (
+    FullState,
+    ModelParams,
+    PotentialSpec,
+    _Blocks,
+    energy,
+    resolve_chi,
+    theta1,
+)
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
 from conftest import rand_herm, rand_pd, rand_vec, scale_couplings, symplectic_smoke_case
@@ -700,7 +708,7 @@ def _unprepared_rates(tier, blocks, gamma, params, chi, gamma_tilde, t) -> list:
     if tier in ("schrodinger", "direct_nonlinear"):
         return [rhs_direct_nonlinear_raw(b["psi"], gamma, params, chi_t, t)]
     if tier == "second_order":
-        stage = integrate_module._Blocks(b["psi"], b["psi_dot"], gamma, None, t)
+        stage = _Blocks(b["psi"], b["psi_dot"], gamma, None, t)
         return [b["psi_dot"], rhs_second_order(stage, chi, params, gamma_tilde)]
     if tier == "gamma_geodesic":
         return [b["gamma_dot"], rhs_gamma_geodesic(b["gamma"], b["gamma_dot"],

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from hermiton import models, oracles
 from hermiton.dynamics import el_residual
-from hermiton.errors import NotGHermitian, SingularOperator
+from hermiton.errors import NotGHermitian, NotHermitian, SingularForm, SingularOperator
 from hermiton.hermitian_algebra import hermiticity_drift, matrix_exp
-from hermiton.models import FullState, ModelParams, apply_omega, omega_inverse, theta1
+from hermiton.models import (
+    FullState,
+    ModelParams,
+    PotentialSpec,
+    apply_omega,
+    lagrangian_value,
+    omega_inverse,
+    theta1,
+)
 from hermiton.oracles import (
     DiscretizedPath,
     GammaExponentialSolution,
@@ -204,6 +213,137 @@ class TestActionGradient:
             action_gradient_fd(path, full_params(), np.eye(1), "psi", 1)
         with pytest.raises(ValueError):
             action_gradient_fd(path, full_params(), np.eye(1), "nope", 5)
+
+
+def _serial_action_gradient(path, params, chi, index, node, h):
+    """Reference of ``action_gradient_fd``: every probe a copy of the path,
+    with a FullState and a scalar Lagrangian at each of the three nodes that
+    the data at ``node`` enters."""
+    dt = path.dt
+
+    def node_lagrangian(psis, gammas, k):
+        state = FullState(psi=psis[k], psi_dot=(psis[k + 1] - psis[k - 1]) / (2.0 * dt),
+                          gamma=gammas[k], gamma_dot=(gammas[k + 1] - gammas[k - 1]) / (2.0 * dt),
+                          t=float(path.times[k]))
+        return dt * lagrangian_value(state, params, chi)
+
+    def local_action(psis, gammas):
+        return sum(node_lagrangian(psis, gammas, k) for k in (node - 1, node, node + 1))
+
+    def probe_psi(a, delta):
+        psis = path.psis.copy()
+        psis[node, a] += delta
+        return local_action(psis, path.gammas)
+
+    def probe_gamma(direction):
+        gammas = path.gammas.copy()
+        gammas[node] = gammas[node] + direction
+        return local_action(path.psis, gammas)
+
+    n = path.n
+    if index == "psi":
+        out = np.zeros(n, dtype=complex)
+        for a in range(n):
+            d_re = (probe_psi(a, +h) - probe_psi(a, -h)) / (2.0 * h)
+            d_im = (probe_psi(a, +1j * h) - probe_psi(a, -1j * h)) / (2.0 * h)
+            out[a] = -(0.5 * (d_re + 1j * d_im)) / dt
+        return out
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        e_aa = np.zeros((n, n), dtype=complex)
+        e_aa[a, a] = 1.0
+        out[a, a] = -((probe_gamma(h * e_aa) - probe_gamma(-h * e_aa)) / (2.0 * h)) / dt
+    for a in range(n):
+        for b in range(a + 1, n):
+            sym = np.zeros((n, n), dtype=complex)
+            sym[a, b] = sym[b, a] = 1.0
+            skew = np.zeros((n, n), dtype=complex)
+            skew[a, b], skew[b, a] = 1j, -1j
+            d_s = (probe_gamma(h * sym) - probe_gamma(-h * sym)) / (2.0 * h)
+            d_t = (probe_gamma(h * skew) - probe_gamma(-h * skew)) / (2.0 * h)
+            grad_ab = 0.5 * (d_s - 1j * d_t)
+            out[b, a] = -grad_ab / dt
+            out[a, b] = np.conj(-grad_ab / dt)
+    return out
+
+
+def _oracle_case(model, n, seed):
+    """(path, params, chi) of one stacked-oracle parity case."""
+    rng = np.random.default_rng(seed)
+    path, _ = _smooth_path(rng, n, 9, 2e-3)
+    chi0, chi1 = rand_herm(rng, n), rand_herm(rng, n, 0.3)
+    covector = rand_vec(rng, n, 0.2)
+    params = {
+        "plain": full_params(kappa=0.0),
+        "quartic": full_params(),
+        "custom": full_params(kappa=0.0, potential=PotentialSpec(
+            kind="custom", f=lambda x: 0.3 * np.cos(x) + 0.05 * x ** 3)),
+        "constant_forcing": full_params(forcing=lambda t: covector),
+        "harmonic_forcing": full_params(forcing=lambda t: covector * np.exp(2.5j * t)),
+        "callable_chi": full_params(),
+    }[model]
+    chi = (lambda t: chi0 + np.sin(3.0 * t) * chi1) if model == "callable_chi" else chi0
+    return path, params, chi
+
+
+_ORACLE_MODELS = ("plain", "quartic", "custom", "constant_forcing", "harmonic_forcing",
+                  "callable_chi")
+
+
+class TestStackedActionGradient:
+    """The stacked oracle against the serial reference, bit for bit."""
+
+    @pytest.mark.parametrize("index", ["psi", "gamma"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("model", _ORACLE_MODELS)
+    def test_bit_identical_to_serial_reference(self, model, n, index):
+        path, params, chi = _oracle_case(model, n, seed=100 * n + _ORACLE_MODELS.index(model))
+        for h in (1e-4, 3e-6, 2.5e-3):
+            got = action_gradient_fd(path, params, chi, index, 4, h=h)
+            want = _serial_action_gradient(path, params, chi, index, 4, h)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("index", ["psi", "gamma"])
+    def test_one_stacked_evaluation(self, monkeypatch, index):
+        path, params, chi = _oracle_case("harmonic_forcing", 3, seed=5)
+        calls = {"inv": 0, "terms": 0}
+        inv, terms = np.linalg.inv, oracles._lagrangian_terms
+
+        def counted_inv(*args, **kwargs):
+            calls["inv"] += 1
+            return inv(*args, **kwargs)
+
+        def counted_terms(*args, **kwargs):
+            calls["terms"] += 1
+            return terms(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stacked oracle makes no one-state call")
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(oracles, "_lagrangian_terms", counted_terms)
+        monkeypatch.setattr(models, "lagrangian_value", forbidden)
+        monkeypatch.setattr(models.FullState, "__post_init__", forbidden)
+        action_gradient_fd(path, params, chi, index, 4)
+        assert calls == {"inv": 1, "terms": 1}
+
+    @pytest.mark.parametrize("index", ["psi", "gamma"])
+    @pytest.mark.parametrize("defect, error", [("singular", SingularForm),
+                                               ("non_hermitian", NotHermitian)])
+    def test_invalid_probe_state_raises_the_serial_error(self, index, defect, error):
+        # gamma at node + 1, which no probe moves
+        path, params, chi = _oracle_case("plain", 2, seed=11)
+        gammas = path.gammas.copy()
+        if defect == "singular":
+            gammas[5] = np.array([[1.0, 1.0], [1.0, 1.0]])
+        else:
+            gammas[5, 0, 1] += 0.3
+        path = DiscretizedPath(times=path.times, psis=path.psis, gammas=gammas)
+        with pytest.raises(error):
+            _serial_action_gradient(path, params, chi, index, 4, 1e-4)
+        with pytest.raises(error):
+            action_gradient_fd(path, params, chi, index, 4)
 
 
 class TestOmegaInverseNumeric:
