@@ -368,7 +368,7 @@ def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParam
         p_full = ginv + params.alpha9 * np.outer(psi, psibar)
         y = np.asarray(pi_gamma, dtype=complex) - params.alpha3 * p_full
         pieces = _ladder_pieces(psi, psibar, g, params, g @ psi, psibar @ g, theta1c)
-        x = _ladder_apply(pieces, y, psibar @ pieces[0], 1.0)
+        x = _ladder_apply(pieces, y, psibar @ pieces[0])
         val += 0.25 * np.trace(y @ x)
 
     def magnitude() -> float:

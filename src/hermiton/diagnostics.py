@@ -115,10 +115,17 @@ def _is_hermitian(a: np.ndarray, label: str = "generator") -> bool | None:
     raise WrongSymmetryClass(f"{label} is neither Hermitian nor antihermitian")
 
 
-def _charges(v: np.ndarray, w: np.ndarray, a: np.ndarray, hermitian: bool) -> np.ndarray:
-    """One generator's charge for each member of the stacks v, w (S, n, n)."""
-    product = v @ a if hermitian else 1j * (w @ a)
-    return np.trace(product, axis1=-2, axis2=-1).real
+def _charges(v: np.ndarray, w: np.ndarray, generators) -> np.ndarray:
+    """The charges (S, G) of the generators, (A, hermitian) pairs, at each
+    member of the stacks v, w (S, n, n): Tr(V A) or Tr(W iA), as
+    Tr(X A) = vec(X) . vec(A^T), from one product of the (S, 2 n^2) rows
+    [vec V, vec W] with the (2 n^2, G) columns of the generators."""
+    n2 = v.shape[-1] * v.shape[-1]
+    columns = np.zeros((2, n2, len(generators)), dtype=complex)
+    for k, (a, hermitian) in enumerate(generators):
+        columns[0 if hermitian else 1, :, k] = (a if hermitian else 1j * a).T.ravel()
+    rows = np.concatenate((v.reshape(-1, n2), w.reshape(-1, n2)), 1)
+    return rows.dot(columns.reshape(2 * n2, -1)).real
 
 
 def noether_charge(state: FullState, params: ModelParams, gamma0,
@@ -130,7 +137,7 @@ def noether_charge(state: FullState, params: ModelParams, gamma0,
     if hermitian is None:
         return 0.0
     v, w = _noether_stack([state], params, invert_form(gamma0))
-    return float(_charges(v, w, a, hermitian)[0])
+    return float(_charges(v, w, [(a, hermitian)])[0, 0])
 
 
 def gl_transform(state: FullState, l_matrix) -> FullState:
@@ -165,9 +172,10 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
     gamma0 defaults to the initial scalar product; ``generators`` is a list
     of (label, matrix) pairs or bare matrices.  The samples are stacked on a
     leading axis (S, n, n): gamma0 is inverted once, V and W of every sample
-    come from one set of stacked calls, and each generator's charge series
-    from one stacked trace.  Each report's V, W and charges have the bits of
-    :func:`noether_tensors` and :func:`noether_charge` on its sample.
+    come from one set of stacked calls, and every charge from one product.
+    Each report's V and W have the bits of :func:`noether_tensors` on its
+    sample, and its charges agree with :func:`noether_charge` to round-off
+    (a product's bits depend on its shape through the BLAS kernel).
     """
     states = trajectory.states
     if not states:
@@ -187,9 +195,7 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
     vw_defect = (np.maximum(_frobenius(v - _dagger(v)), _frobenius(w - _dagger(w)))
                  / np.maximum(np.maximum(_frobenius(v), _frobenius(w)), 1e-300)).tolist()
     labels = [label for label, _, _ in items]
-    # one generator at a time: an (S, G, n, n) product would cost memory
-    charges = np.array([_charges(v, w, a, hermitian) for _, a, hermitian in items])
-    per_sample = charges.reshape(len(items), len(states)).T.tolist()
+    per_sample = _charges(v, w, [(a, hermitian) for _, a, hermitian in items]).tolist()
     return [ChargeReport(
         t=state.t, V=v_k, W=w_k, charges=list(zip(labels, values)),
         energy=diag["energy"] if "energy" in diag else energy(state, params, chi),

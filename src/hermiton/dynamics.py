@@ -8,23 +8,27 @@ which the finite-difference action-gradient oracle and the analytic
 residuals agree without sign flips; equations of motion are r = 0 either
 way.
 
-The residual has one implementation, split by sector, and it is the only
-source of the psi equation of motion.  ``_ResidualPieces`` computes once
-per configuration what both sectors use: theta1 and f'(theta1), gamma psi
-and, unless gamma is frozen, gamma_dot psi, gamma^{-1} gamma_dot,
-P = gamma^{-1} + alpha9 psi psi^, P gamma_dot and its trace.  Every psi
-tier solves ``psi_residual`` without its acceleration term, R, with one
-inverse K^{-1} (K = gamma, or gamma_tilde in the alpha2 term): the
-first-order tiers (alpha2 == 0) as psid = K^{-1} R0 / (2i alpha1), R0 being
-R at psid = 0, the second-order ones as psi_ddot = K^{-1} R / (-alpha2).
-On a frozen gamma that rate is linear in the state except for the
-f'(theta1) term and the forcing, so the integrator hands the frozen-gamma
-kernels a ``_PreparedPsiRate``, built once per run: K^{-1} and the linear
-part, probed from ``psi_residual`` at unit vectors, so that a call costs
-one matrix-vector product plus those two terms.  ``gamma_residual`` builds
-r_gamma, with all of its outer products of psi and psid as one
-(n x 2)(2 x 2)(2 x n) product, and the kernels hand gamma psi and theta1 on
-to the closed-form kinetic inverse.
+The residual has one implementation, ``_ResidualPieces``, split by sector:
+it is the definition that ``el_residual``, the checks and the tests use,
+and the frozen-gamma tiers solve its psi part.  Every frozen-gamma tier
+solves ``psi_residual`` without its acceleration term, R, with one inverse
+K^{-1} (K = gamma, or gamma_tilde in the alpha2 term): the first-order
+tiers (alpha2 == 0) as psid = K^{-1} R0 / (2i alpha1), R0 being R at
+psid = 0, the second-order one as psi_ddot = K^{-1} R / (-alpha2).  On a
+frozen gamma that rate is linear in the state except for the f'(theta1)
+term and the forcing, so the integrator hands the frozen-gamma kernels a
+``_PreparedPsiRate``, built once per run: K^{-1} and the linear part,
+probed from ``psi_residual`` at unit vectors, so that a call costs one
+matrix-vector product plus those two terms.
+
+The Gamma-stepping tiers (``full``, ``modified_first_order``) take their
+rates from ``_PreparedGammaRate``: the same psi equation and the kinetic
+inverse of the gamma residual (``models.apply_omega_inverse``), worked out
+in closed form.  Because Lambda = P^{-1} cancels the gamma^{-1} sandwiches
+of r_gamma, gamma_ddot is the geodesic flow gamma_dot gamma^{-1} gamma_dot
+plus a multiple of gamma plus a Hermitian term of rank at most 4, and a
+call costs a few n x n and n x 4 products and Python scalar arithmetic.
+The tests hold it to the residual and the kinetic inverse.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .models import (
     FullState,
     ModelParams,
     PotentialSpec,
-    _apply_omega_inverse,
     _kinetic_denominator,
+    _ladder_weights,
     p_tensor,
     resolve_chi,
 )
@@ -127,22 +131,22 @@ def _apply_omega_dot(psi, psid, ginv, gamma_dot, params: ModelParams, x) -> np.n
 
 
 class _ResidualPieces:
-    """The only home of the Euler-Lagrange residual, on raw arrays (no
-    validation, no re-symmetrization).
+    """The Euler-Lagrange residual, on raw arrays (no validation, no
+    re-symmetrization): the definition that ``el_residual`` evaluates and
+    the frozen-gamma tiers solve, and against which the closed form of
+    :class:`_PreparedGammaRate` is tested.
 
     Built once per configuration (psi, gamma, gamma_dot), with the caller's
     ``ginv`` = gamma^{-1} and optionally the velocity psid, it holds what the
-    two sectors share: theta1 and f'(theta1), gamma psi, gamma_dot psi,
+    two sectors share: f'(theta1), gamma psi, gamma_dot psi,
     psi^ gamma_dot psi, gamma^{-1} gamma_dot, P = gamma^{-1} + alpha9 psi psi^,
     P gamma_dot, its trace and c_gd, the coefficient of gamma_dot psi in
     r_psi, and with psid also gamma psid and gamma_dot psid.
     ``psi_residual`` is the psi part and ``gamma_residual`` the gamma part;
     ``residuals`` evaluates both, and ``effective_hamiltonian`` is the psi
-    part as an operator on psi.  Only the velocity's pieces depend on psid,
-    so the first-order tiers build the others without it, solve the psi
-    residual for psid and hand it to ``gamma_residual``.  An acceleration, a
-    velocity or a gamma_dot (a frozen gamma: ``psi_residual`` only, ``ginv``
-    unread) given as None counts as zero and its terms are skipped.
+    part as an operator on psi.  An acceleration, a velocity or a gamma_dot
+    (a frozen gamma: ``psi_residual`` only, ``ginv`` unread) given as None
+    counts as zero and its terms are skipped.
 
     On a stepped gamma the products take ``ndarray.dot``, which skips the
     matmul ufunc's dispatch (about 0.4 us a call at n <= 8), the scalars are
@@ -150,27 +154,25 @@ class _ResidualPieces:
     matrices is one ``vdot``: Tr(A B) = vdot(B, A).
     """
 
-    __slots__ = ("params", "psi", "psibar", "psid", "g", "gd", "ginv", "gpsi", "th1",
-                 "fprime", "gdpsi", "quad", "ginv_gd", "p", "pgd", "tr_pgd", "c_gd",
-                 "gpsid", "gdpsid")
+    __slots__ = ("params", "psi", "psid", "g", "gd", "ginv", "gpsi", "fprime", "gdpsi",
+                 "quad", "ginv_gd", "p", "pgd", "tr_pgd", "c_gd", "gpsid", "gdpsid")
 
     def __init__(self, psi, gamma, gamma_dot, params: ModelParams, ginv=None, psid=None):
         self.params = params
         self.psi = psi = np.asarray(psi, dtype=complex)
-        self.psibar = psibar = psi.conj()
+        psibar = psi.conj()
         self.psid = psid = None if psid is None else np.asarray(psid, dtype=complex)
         self.g = g = np.asarray(gamma, dtype=complex)
         self.gd = gd = None if gamma_dot is None else np.asarray(gamma_dot, dtype=complex)
         if gd is None:
             self.gpsi = gpsi = g @ psi
-            self.th1 = th1 = psibar @ gpsi
-            self.fprime = params.effective_potential.derivative(float(th1.real))
+            self.fprime = params.effective_potential.derivative(float((psibar @ gpsi).real))
             return
         self.ginv = ginv
         self.gpsi, self.gdpsi = gpsi, gdpsi = g.dot(psi), gd.dot(psi)
         if psid is not None:
             self.gpsid, self.gdpsid = g.dot(psid), gd.dot(psid)
-        self.th1 = th1 = complex(np.vdot(psi, gpsi))
+        th1 = complex(np.vdot(psi, gpsi))
         self.quad = quad = complex(np.vdot(psi, gdpsi))
         self.fprime = params.effective_potential.derivative(th1.real)
         self.ginv_gd = ginv.dot(gd)
@@ -183,7 +185,7 @@ class _ResidualPieces:
     def residuals(self, chi, t: float, psi_ddot=None, gamma_ddot=None):
         """(r_psi, r_gamma) at the pieces' velocity."""
         return (self.psi_residual(resolve_chi(chi, t), t, psi_ddot),
-                self.gamma_residual(gamma_ddot=gamma_ddot))
+                self.gamma_residual(gamma_ddot))
 
     def psi_residual(self, chi, t: float, psi_ddot=None):
         """r_psi = d/dt dL/d(conj psid) - dL/d(conj psi) at the pieces'
@@ -219,10 +221,9 @@ class _ResidualPieces:
         heff -= (2.0 * prm.alpha9 * prm.alpha6) * (self.ginv_gd @ self.pgd)
         return heff
 
-    def gamma_residual(self, psid=None, gamma_ddot=None):
+    def gamma_residual(self, gamma_ddot=None):
         """r_gamma = d/dt dL/d(gamma_dot) - dL/d(gamma) (contravariant) at
-        velocity psid, the pieces' own when None; a gamma_ddot given as None
-        counts as zero.
+        the pieces' velocity; a gamma_ddot given as None counts as zero.
 
         Every term that is an outer product of psi and psid (the f' - alpha4,
         alpha8, alpha2 and alpha3*alpha9 +- i*alpha1 terms, and the alpha7
@@ -233,9 +234,7 @@ class _ResidualPieces:
         """
         prm = self.params
         a6, a7, a8, a9 = prm.alpha6, prm.alpha7, prm.alpha8, prm.alpha9
-        psi, ginv, gd, p = self.psi, self.ginv, self.gd, self.p
-        if psid is None:
-            psid = self.psid
+        psi, psid, ginv, gd, p = self.psi, self.psid, self.ginv, self.gd, self.p
         v = np.array((psi, psid))
         vbar = v.conj()
 
@@ -277,24 +276,27 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
 
 
 def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
-                            chi, t: float, ginv=None):
-    """(psi_ddot, gamma_ddot) of the full model on raw arrays; ``ginv``,
-    when given, is ``_checked_inverse(gamma)`` computed by the caller."""
-    if params.alpha2 == 0.0:
-        raise ZeroAlpha2("alpha2 == 0: use rhs_modified_first_order")
-    if ginv is None:
-        ginv = _checked_inverse(np.asarray(gamma, dtype=complex))
-    s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv, psid)
-    rest_psi, rest_gamma = s.residuals(chi, t)
-    psi_ddot = ginv.dot(rest_psi) / -params.alpha2
-    gamma_ddot = _apply_omega_inverse(s.psi, s.g, params, rest_gamma, s.gpsi, s.th1, -0.5)
-    return psi_ddot, gamma_ddot
+                            chi, t: float, ginv=None, prepared=None):
+    """(psi_ddot, gamma_ddot) of the full model on raw arrays, from the closed
+    form of :class:`_PreparedGammaRate`.
+
+    ``psid`` given as None means ``psi`` is the (2, n) stack (psi, psid), and
+    ``gamma_dot`` given as None means ``gamma`` is the (2, n, n) stack (gamma,
+    gamma_dot): the integrator's codec reads them so, and the separate blocks
+    are stacked into the same arrays.  ``ginv``, when given, is
+    ``_checked_inverse(gamma)`` computed by the caller; ``prepared`` is the
+    run's :class:`_PreparedGammaRate` (built here when None).
+    """
+    if prepared is None:
+        prepared = _PreparedGammaRate(params, first_order=False)
+    v = psi if psid is None else np.array((psi, psid), dtype=complex)
+    gg = gamma if gamma_dot is None else np.array((gamma, gamma_dot), dtype=complex)
+    return prepared(v, gg, chi, t, ginv)
 
 
 def rhs_full(state: FullState, params: ModelParams, chi):
-    """Accelerations (psi_ddot, gamma_ddot) of the full coupled model,
-    obtained from one inverse of gamma (shared by the residuals and the psi
-    sector) and the closed-form kinetic inverse for the gamma sector."""
+    """Accelerations (psi_ddot, gamma_ddot) of the full coupled model, from
+    one inverse of gamma and the closed form of :class:`_PreparedGammaRate`."""
     psi_ddot, gamma_ddot = _full_accelerations_raw(
         state.psi, state.psi_dot, state.gamma, state.gamma_dot, params, chi, state.t)
     return psi_ddot, hermitian_part(gamma_ddot)
@@ -391,19 +393,170 @@ class _PreparedPsiRate:
         return rate
 
 
-def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
-                              chi, t: float):
-    """(psid, gamma_ddot) of the modified first-order model on raw arrays,
-    through the raw ``_checked_inverse(gamma)``, as in
-    :func:`_full_accelerations_raw`."""
-    ginv = _checked_inverse(np.asarray(gamma, dtype=complex))
-    s = _ResidualPieces(psi, gamma, gamma_dot, params, ginv)
-    psid = _first_order_rate(params, s.psi_residual(resolve_chi(chi, t), t), ginv)
+class _PreparedGammaRate:
+    """The rates of a Gamma-stepping tier, prepared once per run from its
+    couplings: (psi_ddot, gamma_ddot) on ``full``, (psid, gamma_ddot) on
+    ``modified_first_order``, the psi residual and the kinetic inverse of the
+    gamma residual (``models.apply_omega_inverse``) in closed form.  With
+    A = gamma^{-1} gamma_dot, W = [psi, A psi, psid, A psid] and U = gamma W,
 
-    # gamma equation solved for gamma_ddot with the psid just obtained
-    rest_gamma = s.gamma_residual(psid)
-    gamma_ddot = _apply_omega_inverse(s.psi, s.g, params, rest_gamma, s.gpsi, s.th1, -0.5)
-    return psid, gamma_ddot
+        gamma^{-1} r_psi = c W + c5 A^2 psi - gamma^{-1} (alpha5 chi psi + conj(F)),
+        gamma_ddot = gamma_dot A + b gamma + U K U^,
+
+    the scalars and the 4 x 4 matrix K assembled in Python from the Gram
+    matrix H = W^ U, Tr A and Tr A^2 (README, "Validation of forms", derives
+    it).  psi_ddot is the first line over -alpha2 on ``full``; psid is its
+    part without psid over 2i alpha1 on ``modified_first_order``.
+
+    Refused here, once: alpha6 == 0, and alpha2 == 0 on ``full`` or
+    alpha2 != 0 and alpha1 == 0 on ``modified_first_order``.  A call inverts
+    gamma with the condition test of ``_checked_inverse`` and refuses
+    1 + alpha9 theta1 and det M as ``models._ladder_pieces`` does, the
+    latter through the same ``models._ladder_weights``.
+    """
+
+    __slots__ = ("params", "first_order", "denom", "fprime", "forcing", "c_a0", "c_atr",
+                 "c_aq", "c_a2", "c_psid", "c_apsid", "c_chi", "half6", "r67", "m2a6")
+
+    def __init__(self, params: ModelParams, first_order: bool):
+        prm = self.params = params
+        self.first_order = first_order
+        a1, a2, a6, a7, a9 = prm.alpha1, prm.alpha2, prm.alpha6, prm.alpha7, prm.alpha9
+        _kinetic_denominator(a6, 0.0, "alpha6")
+        if first_order:
+            d = _first_order_denominator(prm)
+        elif a2 == 0.0:
+            raise ZeroAlpha2("alpha2 == 0: use rhs_modified_first_order")
+        else:
+            d = -a2
+        self.denom = d
+        self.fprime = prm.effective_potential.derivative
+        self.forcing = prm.forcing
+        # the coefficient of A psi in gamma^{-1} r_psi is
+        # c_a0 + c_atr Tr(A) + c_aq psi^ gamma_dot psi, each divided by d here
+        self.c_a0 = -(prm.alpha3 * a9 + 1.0j * a1) / d
+        self.c_atr = -2.0 * a9 * a7 / d
+        self.c_aq = -2.0 * (prm.alpha8 + a9 * a9 * (a7 + a6)) / d
+        self.c_a2 = -2.0 * a9 * a6 / d                   # of A^2 psi
+        self.c_psid, self.c_apsid = -2.0j * a1 / d, a2 / d
+        self.c_chi = prm.alpha5 / d                       # of gamma^{-1} chi psi
+        self.half6, self.r67, self.m2a6 = 0.5 / a6, a7 / a6, -2.0 * a6
+
+    def __call__(self, psi, gg, chi, t: float, ginv=None):
+        """The rates at psi (the (2, n) stack (psi, psid) on ``full``, the
+        vector psi on ``modified_first_order``), the (2, n, n) stack (gamma,
+        gamma_dot) and t; ``ginv``, when given, is ``_checked_inverse(gamma)``."""
+        prm = self.params
+        g, gd = gg[0], gg[1]
+        n = g.shape[0]
+        if ginv is None:
+            ginv = _checked_inverse(g)
+        a = ginv.dot(gd)                                   # A = gamma^{-1} gamma_dot
+        ggt = gg.reshape(2 * n, n).T
+        first_order = self.first_order
+        if first_order:
+            psi0, apsi = psi, a.dot(psi)
+            theta, q = (z.real for z in psi.dot(ggt).reshape(2, n).dot(psi.conj()).tolist())
+        else:
+            psi0, v = psi[0], psi
+            ut, w, h = _gram(v, ggt, a, n)
+            apsi = w[1]
+            theta, q = h[0][0].real, h[0][1].real
+        fprime = self.fprime(theta)
+        tr_a = sum(a.diagonal().tolist()).real
+
+        # gamma^{-1} r_psi / d, on full with its psid terms
+        c0 = (fprime - prm.alpha4) / self.denom
+        c_a = self.c_a0 + self.c_atr * tr_a + self.c_aq * q
+        if first_order:
+            rate = c0 * psi + c_a * apsi
+        else:
+            rate = np.dot((c0, c_a, self.c_psid, self.c_apsid), w)
+        rate += self.c_a2 * a.dot(apsi)
+        ext = None
+        if self.c_chi != 0.0:
+            ext = self.c_chi * resolve_chi(chi, t).dot(psi0)
+        if self.forcing is not None:
+            force = np.conj(np.asarray(self.forcing(t), dtype=complex)) / self.denom
+            ext = force if ext is None else ext + force
+        if ext is not None:
+            rate -= ginv.dot(ext)
+        if first_order:
+            ut, w, h = _gram(np.array((psi, rate)), ggt, a, n)
+        return rate, self._gamma_ddot(g, gd.dot(a), ginv, ut, h, theta, q, fprime, tr_a, n)
+
+    def _gamma_ddot(self, g, geodesic, ginv, ut, h, theta, q, fprime, tr_a, n):
+        """gamma_dot A + b gamma + U K U^ from the rows ``ut`` of U, the Gram
+        matrix ``h`` as nested lists, ``geodesic`` = gamma_dot A, and theta,
+        psi^ gamma_dot psi, f'(theta) and Tr A."""
+        prm = self.params
+        a1, a2, a9 = prm.alpha1, prm.alpha2, prm.alpha9
+        (h00, h01, h02, h03), (h10, h11, h12, _), (h20, h21, h22, _), (h30, *_) = h
+        tr_a2 = np.vdot(ginv, geodesic).real               # Tr A^2
+
+        # lam r_gamma lam = -2 alpha6 (gamma_dot A - (alpha7/alpha6) tau gamma + U K' U^)
+        x = h21.real                                       # Re psid^ gamma_dot psi
+        tau = 2.0 * a9 * x - tr_a2                         # Tr(gamma_dot dP/dt)
+        s = 1.0 / _kinetic_denominator(1.0, a9 * theta, "1 + alpha9*theta1")
+        c = a9 * s
+        c_pp = fprime - prm.alpha4 + 4.0 * prm.alpha8 * x
+        c_mix = prm.alpha3 * a9 + 2.0 * prm.alpha8 * q + 2.0 * prm.alpha7 * a9 * (tr_a + a9 * q)
+        c01, c10 = c_mix + 1.0j * a1, c_mix - 1.0j * a1
+        u = c * h02                                        # c psi^ gamma psid
+        ub = u.conjugate()
+        half6, r67 = self.half6, self.r67
+        k00 = (r67 * tau * c - c * c * (h11.real + a9 * q * q)
+               - half6 * (s * s * c_pp - s * (c01 * ub + c10 * u) - a2 * u * ub))
+        k01, k10 = a9 * (u + c * q), a9 * (ub + c * q)
+        k02, k20 = -half6 * (c01 * s + a2 * u), -half6 * (c10 * s + a2 * ub)
+        k22 = half6 * a2
+        # K' = [[k00, k01, k02,  -c],
+        #       [k10, -a9, -a9,   0],
+        #       [k20, -a9, k22,   0],
+        #       [ -c,   0,   0,   0]];  Tr(K' H) and (H K' H)[0][0]
+        tr_kh = (k00 * h00 + k01 * h10 + k10 * h01 + k02 * h20 + k20 * h02
+                 - c * (h30 + h03) - a9 * (h11 + h21 + h12) + k22 * h22)
+        hkh = (h00 * (k00 * h00 + k01 * h10 + k02 * h20 - c * h30)
+               + h01 * (k10 * h00 - a9 * (h10 + h20)) + h02 * (k20 * h00 - a9 * h10 + k22 * h20)
+               - h03 * c * h00)
+        # the kinetic inverse's r1 = Tr(lam r_gamma) and r2 = psi^ M psi
+        r2 = self.m2a6 * (hkh + h11.real - r67 * tau * theta)
+        r1 = self.m2a6 * (tr_kh + tr_a2 - r67 * tau * n) + a9 * r2
+        w11, w12, w21, w22 = _ladder_weights(prm, n, theta * s)
+        t1, t2 = w11 * r1 + w12 * r2, w21 * r1 + w22 * r2
+
+        # gamma_ddot = -(lam r_gamma lam / alpha6 - t1 lam - t2 phi phi^) / 2, so
+        # b = t1 / 2 - (alpha7 / alpha6) tau = -(alpha7 / alpha6) d/dt Tr(P gamma_dot)
+        kmat = np.array((k00 + 0.5 * (s * s * t2 - c * t1), k01, k02, -c,
+                         k10, -a9, -a9, 0.0,
+                         k20, -a9, k22, 0.0,
+                         -c, 0.0, 0.0, 0.0), dtype=complex).reshape(4, 4)
+        gamma_ddot = ut.T.dot(kmat.dot(ut.conj()))
+        gamma_ddot += geodesic
+        gamma_ddot += (0.5 * t1 - r67 * tau) * g
+        return gamma_ddot
+
+
+def _gram(v, ggt, a, n: int):
+    """(U, W, H) at the stack v = (psi, psid): the rows of U = [gamma psi,
+    gamma_dot psi, gamma psid, gamma_dot psid] from ``ggt``, the transposed
+    (2n, n) stack of gamma and gamma_dot, W = [psi, A psi, psid, A psid] with
+    A = ``a``, and H[j][l] = w_j^ u_l as nested lists."""
+    ut = v.dot(ggt).reshape(4, n)
+    w = np.concatenate((v, v.dot(a.T)), 1).reshape(4, n)
+    return ut, w, w.conj().dot(ut.T).tolist()
+
+
+def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
+                              chi, t: float, prepared=None):
+    """(psid, gamma_ddot) of the modified first-order model on raw arrays,
+    from the closed form of :class:`_PreparedGammaRate`.  ``gamma_dot``
+    given as None means ``gamma`` is the (2, n, n) stack (gamma, gamma_dot),
+    as in :func:`_full_accelerations_raw`."""
+    if prepared is None:
+        prepared = _PreparedGammaRate(params, first_order=True)
+    gg = gamma if gamma_dot is None else np.array((gamma, gamma_dot), dtype=complex)
+    return prepared(np.asarray(psi, dtype=complex), gg, chi, t)
 
 
 def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
@@ -412,8 +565,8 @@ def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
 
     psid solves the psi-sector equation, which is affine in psid when
     alpha2 == 0 (equivalently 2i*alpha1 psid = H_eff psi - gamma^{-1} conj(F),
-    see :func:`~hermiton.models.effective_hamiltonian`); gamma_ddot comes
-    from the kinetic inverse applied to the rearranged gamma-sector equation.
+    see :func:`~hermiton.models.effective_hamiltonian`); gamma_ddot is the
+    closed form of :class:`_PreparedGammaRate` at that psid.
     """
     psid, gamma_ddot = _modified_first_order_raw(psi, gamma, gamma_dot, params, chi, t)
     return psid, hermitian_part(gamma_ddot)

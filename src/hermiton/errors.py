@@ -28,8 +28,9 @@ class NonFinite(HermitonError):
 class DegenerateKinetic(HermitonError):
     """The quadratic kinetic operator on Hermitian matrices is degenerate:
     its closed-form inverse refuses alpha6 == 0, 1 + alpha9 theta1 and the
-    2 x 2 determinant det M by relative rules (``models._ladder_pieces``), and
-    the geodesic tier alpha6 and alpha6 + n alpha7.  Scaling every coupling
+    2 x 2 determinant det M by relative rules (``models._ladder_pieces``,
+    whose rules the closed form of the Gamma-stepping tiers applies too),
+    and the geodesic tier alpha6 and alpha6 + n alpha7.  Scaling every coupling
     keeps the verdict.  Also raised for alpha1 == 0 on a first-order psi
     flow or Darboux reduction."""
 

@@ -282,23 +282,39 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @functools.lru_cache(maxsize=None)
-def _codec_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _codec_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gather tables of the Hermitian codec for n x n matrices.
 
-    ``hermitian_to_real(x) == x.ravel().view(float)[to_real] * scale``, and
-    ``to_matrix`` gives, for each entry of a flattened matrix, its position
-    in the concatenation of the diagonal, the entries (a, b) and the entries
-    (b, a), a < b, both in ``hermitian_basis`` order.
+    ``hermitian_to_real(x) == x.ravel().view(float)[to_real] * scale``.
+    ``to_matrix`` and ``decode_scale`` hold two gathers of the coordinates
+    (index n^2 is an appended zero) with a factor for each, each of the size
+    of the decoded matrix's real view.  The first gives the values: the
+    diagonal (c, 0), and (Re, Im) = c / sqrt(2) times (1, -1) above the
+    diagonal and (1, 1) below it.  The second gives the signed zero added to
+    each, as the complex arithmetic of re + 1j * im adds it: 0 * im to a
+    real part (-0.0 on the diagonal, which keeps its sign) and +0.0 to an
+    imaginary part.
     """
     rows, cols = np.triu_indices(n, k=1)
-    diag, upper, lower = np.arange(n) * (n + 1), rows * n + cols, cols * n + rows
+    diag, upper = np.arange(n) * (n + 1), rows * n + cols
     to_real = np.concatenate([2 * diag, np.column_stack([2 * upper, 2 * upper + 1]).ravel()])
     scale = np.concatenate([np.ones(n), np.tile([_SQRT2, -_SQRT2], upper.size)])
-    to_matrix = np.empty(n * n, dtype=np.intp)
-    to_matrix[np.concatenate([diag, upper, lower])] = np.arange(n * n)
-    for table in (to_real, scale, to_matrix):
+    zero, d, k = n * n, np.arange(n), n + 2 * np.arange(upper.size)
+    to_matrix = np.empty((2, n, n, 2), dtype=np.intp)
+    decode_scale = np.empty((2, n, n, 2))
+    to_matrix[0, d, d, 0], to_matrix[0, d, d, 1] = d, zero
+    to_matrix[1, d, d] = zero
+    for i, j in ((rows, cols), (cols, rows)):
+        to_matrix[0, i, j, 0], to_matrix[0, i, j, 1] = k, k + 1
+        to_matrix[1, i, j, 0], to_matrix[1, i, j, 1] = k + 1, zero
+    decode_scale[0, d, d], decode_scale[1, d, d] = (1.0, 1.0), (-0.0, 0.0)
+    decode_scale[0, rows, cols], decode_scale[0, cols, rows] = (_INV_SQRT2, -_INV_SQRT2), \
+        (_INV_SQRT2, _INV_SQRT2)
+    decode_scale[1, rows, cols], decode_scale[1, cols, rows] = (-0.0, 0.0), (0.0, 0.0)
+    tables = to_real, scale, to_matrix.ravel(), decode_scale.ravel()
+    for table in tables:
         table.setflags(write=False)
-    return to_real, scale, to_matrix
+    return tables
 
 
 def hermitian_to_real(x) -> np.ndarray:
@@ -306,17 +322,25 @@ def hermitian_to_real(x) -> np.ndarray:
     order: x == sum_k c[k] * conj(hermitian_basis(n)[k]).  That is the
     diagonal, then sqrt(2) * Re and -sqrt(2) * Im of each upper entry."""
     x = _as_complex_matrix(x)
-    to_real, scale, _ = _codec_tables(x.shape[0])
+    to_real, scale, _, _ = _codec_tables(x.shape[0])
     return x.ravel().view(float)[to_real] * scale
 
 
 def real_to_hermitian(coords, n: int) -> np.ndarray:
     """Inverse of :func:`hermitian_to_real`; coordinates (..., n^2) with
-    leading stack axes give the stack of matrices (..., n, n)."""
+    leading stack axes give the stack of matrices (..., n, n).
+
+    One gather of the coordinates (and a zero) into twice the matrices' real
+    view, times each real's factor, gives the entries (re, im) above and
+    (re, -im) below the diagonal and the signed zeros that make them the bits
+    of re + 1j * im and re - 1j * im in complex arithmetic: one addition.
+    """
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1:] != (n * n,):
         raise ValueError(f"expected {n * n} coordinates, got shape {coords.shape}")
-    re = coords[..., n::2] * _INV_SQRT2
-    i_im = 1j * (-coords[..., n + 1::2] * _INV_SQRT2)
-    entries = np.concatenate((coords[..., :n], re + i_im, re - i_im), axis=-1)
-    return entries.take(_codec_tables(n)[2], axis=-1).reshape(*coords.shape[:-1], n, n)
+    lead = coords.shape[:-1]
+    _, _, to_matrix, decode_scale = _codec_tables(n)
+    parts = np.concatenate((coords, np.zeros(lead + (1,))), -1).take(to_matrix, -1)
+    parts *= decode_scale
+    size = 2 * n * n
+    return (parts[..., :size] + parts[..., size:]).view(complex).reshape(*lead, n, n)

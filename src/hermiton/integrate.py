@@ -69,6 +69,7 @@ import numpy as np
 
 from .dynamics import (
     _full_accelerations_raw,
+    _PreparedGammaRate,
     _PreparedPsiRate,
     _modified_first_order_raw,
     rhs_direct_nonlinear_raw,
@@ -169,42 +170,54 @@ class _Codec:
     y is the real view of the complex blocks (vectors, and matrices in the
     complex layout) in stepped order, followed in the structural layout by
     the ``hermitian_to_real`` coordinates of gamma and then of gamma_dot (a
-    tier that steps gamma steps gamma_dot too).  The same codec reads one
-    vector in the rate closure and the stack of recorded vectors (S, N) when
-    a run is recorded; the two Hermitian matrices are decoded by one call.
+    tier that steps gamma steps gamma_dot too).  Blocks of one shape are
+    adjacent in y, so psi and psi_dot are one (2, n) array and gamma and
+    gamma_dot one (2, n, n) array, as the Gamma-stepping kernels take them.
+    The same codec reads one vector in the rate closure and the stack of
+    recorded vectors (S, N) when a run is recorded; the two Hermitian
+    matrices are decoded by one call.
     """
 
     def __init__(self, stepped, n: int, structural: bool):
         self.n, self.stepped = n, stepped
+        vectors = [block for block in stepped if block in ("psi", "psi_dot")]
         matrices = [block for block in stepped if block in ("gamma", "gamma_dot")]
         self.coded = len(matrices) if structural else 0   # matrices stored as coordinates
-        self.views = []          # (span in y's complex view, shape) of each complex block
+        self.groups = []   # (span in y's complex view, blocks, shape of one block)
         offset = 0
-        for block in stepped[:len(stepped) - self.coded]:
-            shape = (n, n) if block in matrices else (n,)
-            self.views.append((slice(offset, offset + n ** len(shape)), shape))
-            offset += n ** len(shape)
+        for count, shape in ((len(vectors), (n,)), (len(matrices) - self.coded, (n, n))):
+            if count:
+                size = count * n ** len(shape)
+                self.groups.append((slice(offset, offset + size), count, shape))
+                offset += size
         self.split = 2 * offset  # the reals of the complex blocks
 
     def read(self, y) -> list:
         """The stepped blocks stored in y (..., N), in stepped order, with y's
-        leading axes: views of y (which must be C-contiguous) for the complex
-        blocks, then the Hermitian matrices of the structural layout."""
+        leading axes, each pair of blocks of one shape as one array with the
+        pair on the axis after them: views of y (which must be C-contiguous)
+        for the complex blocks, then the Hermitian matrices of the structural
+        layout."""
         z = y[..., :self.split].view(complex)
         lead = y.shape[:-1]
-        blocks = [z[..., span].reshape(lead + shape) for span, shape in self.views]
+        groups = [z[..., span].reshape(lead + ((count,) if count > 1 else ()) + shape)
+                  for span, count, shape in self.groups]
         if self.coded:
             coords = y[..., self.split:].reshape(*lead, self.coded, self.n * self.n)
-            matrices = real_to_hermitian(coords, self.n)
-            blocks += [matrices[..., k, :, :] for k in range(self.coded)]
-        return blocks
+            groups.append(real_to_hermitian(coords, self.n))
+        return groups
 
     def unpack(self, y) -> dict:
         """The stepped blocks stored in y (..., N), by name; the complex blocks
         are read-only views of y."""
-        blocks = self.read(y)
-        for view in blocks[:len(self.views)]:
-            view.setflags(write=False)
+        blocks = []
+        layout = [(count, len(shape)) for _, count, shape in self.groups] \
+            + ([(self.coded, 2)] if self.coded else [])
+        for k, (group, (count, core)) in enumerate(zip(self.read(y), layout)):
+            if k < len(self.groups):
+                group.setflags(write=False)
+            blocks += [group] if count == 1 else \
+                [group[(..., j) + (slice(None),) * core] for j in range(count)]
         return dict(zip(self.stepped, blocks))
 
     def pack(self, blocks, y=None) -> np.ndarray:
@@ -214,7 +227,7 @@ class _Codec:
         gamma's rate in the structural layout is gamma_dot, whose coordinates
         y holds, so they are copied from y and only gamma_dot's rate is
         encoded."""
-        split = len(self.views)
+        split = len(self.stepped) - self.coded   # the complex blocks
         parts = [np.concatenate(blocks[:split], axis=None, dtype=complex).view(float)] \
             if split else []
         if self.coded and y is not None:
@@ -231,8 +244,9 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     its module-level name.  The gamma_dot rate is the kernel's acceleration
     before the structural layout projects it.  ``gamma`` is the frozen form
     of the tiers that do not step it; their kernel takes a prepared psi rate
-    built here, and the Gamma-stepping kernels take chi resolved once when
-    it is constant."""
+    built here.  The Gamma-stepping kernels take a prepared gamma rate built
+    here, the stacked blocks as the codec reads them, and chi resolved once
+    when it is constant."""
     read = codec.read
     if not callable(chi):
         chi = resolve_chi(chi, 0.0)
@@ -246,25 +260,31 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
         psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=True, kinetic=gamma_tilde)
 
         def rates(t, y):
-            psi, psid = read(y)
+            psi, psid = read(y)[0]
             return [psid, rhs_second_order(_Blocks(psi, psid, gamma, None, t), chi, params,
                                            prepared=psi_rate)]
     elif tier == "gamma_geodesic":
         a, b = 2.0 * params.alpha6, 2.0 * params.alpha7
 
         def rates(t, y):
-            g, gd = read(y)
+            g, gd = read(y)[0]
             return [gd, rhs_gamma_geodesic(g, gd, a, b)]
     elif tier == "full":
+        gamma_rate = _PreparedGammaRate(params, first_order=False)
+
         def rates(t, y):
-            psi, psid, g, gd = read(y)
-            acc_psi, acc_g = _full_accelerations_raw(psi, psid, g, gd, params, chi, t)
-            return [psid, acc_psi, gd, acc_g]
+            v, gg = read(y)
+            acc_psi, acc_g = _full_accelerations_raw(v, None, gg, None, params, chi, t,
+                                                     prepared=gamma_rate)
+            return [v[1], acc_psi, gg[1], acc_g]
     else:
+        gamma_rate = _PreparedGammaRate(params, first_order=True)
+
         def rates(t, y):
-            psi, g, gd = read(y)
-            psid, acc_g = _modified_first_order_raw(psi, g, gd, params, chi, t)
-            return [psid, gd, acc_g]
+            psi, gg = read(y)
+            psid, acc_g = _modified_first_order_raw(psi, gg, None, params, chi, t,
+                                                    prepared=gamma_rate)
+            return [psid, gg[1], acc_g]
     return rates
 
 

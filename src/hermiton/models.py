@@ -468,19 +468,28 @@ def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1)
         M t = (Tr(lam Y), phibar Y phi),
         M = [[alpha6 + n alpha7, alpha8 q], [alpha7 q, alpha6 + alpha8 q^2]].
 
-    Returns (lam, phi, alpha6, k), k the entries of diag(alpha7, alpha8)
-    M^{-1} / alpha6 by Cramer's rule.  Refused: alpha6 == 0, 1 + alpha9 theta1
-    by :func:`_kinetic_denominator`, and det M = alpha6 (alpha6 + n alpha7) +
-    alpha8 q^2 (alpha6 + (n - 1) alpha7) at or below COND_TOL times the summed
-    magnitudes of its four products (at alpha8 q = 0, the rule on alpha6 + n alpha7).
+    Returns (lam, phi, alpha6, k), k the weights of :func:`_ladder_weights`.
+    Refused: alpha6 == 0 and 1 + alpha9 theta1 by :func:`_kinetic_denominator`,
+    and det M by :func:`_ladder_weights`.
     """
-    n = psi.size
-    a6, a7, a8, a9 = params.alpha6, params.alpha7, params.alpha8, params.alpha9
+    a6, a9 = params.alpha6, params.alpha9
     _kinetic_denominator(a6, 0.0, "alpha6")
     den = _kinetic_denominator(1.0, a9 * th1, "1 + alpha9*theta1")
     lam = gamma - (a9 / den * gpsi)[:, None] * psibar_g
     phi = lam.dot(psi)
-    q = complex(psibar.dot(phi))
+    return lam, phi, a6, _ladder_weights(params, psi.size, complex(psibar.dot(phi)))
+
+
+def _ladder_weights(params: ModelParams, n: int, q):
+    """(k11, k12, k21, k22), the entries of diag(alpha7, alpha8) M^{-1} / alpha6
+    for the 2 x 2 matrix M of :func:`_ladder_pieces` at q = psi^ lam psi, by
+    Cramer's rule: t1 / alpha6 = k11 r1 + k12 r2 and t2 / alpha6 = k21 r1 +
+    k22 r2 solve M t = (r1, r2).  det M = alpha6 (alpha6 + n alpha7) +
+    alpha8 q^2 (alpha6 + (n - 1) alpha7) is refused with DegenerateKinetic at
+    or below COND_TOL times the summed magnitudes of its four products (at
+    alpha8 q = 0, the rule on alpha6 + n alpha7).
+    """
+    a6, a7, a8 = params.alpha6, params.alpha7, params.alpha8
     d67, w = a6 + n * a7, a8 * q * q
     det = a6 * d67 + w * (a6 + (n - 1) * a7)
     if abs(det) <= COND_TOL * (abs(a6) * (abs(a6) + abs(n * a7))
@@ -488,21 +497,20 @@ def _ladder_pieces(psi, psibar, gamma, params: ModelParams, gpsi, psibar_g, th1)
         raise DegenerateKinetic(f"|det M| = {abs(det):.3e} vanishes relative to its terms: "
                                 "the kinetic operator is degenerate")
     k7, k8 = a7 / a6, a8 / a6
-    return lam, phi, a6, (k7 * ((a6 + w) / det), k7 * (-a8 * q / det),
-                          k8 * (-a7 * q / det), k8 * (d67 / det))
+    return (k7 * ((a6 + w) / det), k7 * (-a8 * q / det),
+            k8 * (-a7 * q / det), k8 * (d67 / det))
 
 
-def _ladder_apply(pieces, y, psibar_lam, scale: float) -> np.ndarray:
-    """``scale`` times the kinetic inverse of :func:`_ladder_pieces` applied
-    to Y, with ``psibar_lam`` = psibar lam (conj(phi) on the diagonal);
-    ``scale`` is folded into the scalar coefficients.  The products take
-    ``ndarray.dot``, which skips the matmul ufunc's dispatch, and Tr(lam Y)
-    sums the diagonal of lam Y in Python complex."""
+def _ladder_apply(pieces, y, psibar_lam) -> np.ndarray:
+    """The kinetic inverse of :func:`_ladder_pieces` applied to Y, with
+    ``psibar_lam`` = psibar lam (conj(phi) on the diagonal).  The products
+    take ``ndarray.dot``, which skips the matmul ufunc's dispatch, and
+    Tr(lam Y) sums the diagonal of lam Y in Python complex."""
     lam, phi, a6, (k11, k12, k21, k22) = pieces
     ly = lam.dot(y)
     r1, r2 = sum(ly.diagonal().tolist()), complex(psibar_lam.dot(y).dot(phi))
-    out = (scale / a6) * ly.dot(lam) - (scale * (k11 * r1 + k12 * r2)) * lam
-    out -= (scale * (k21 * r1 + k22 * r2) * phi)[:, None] * psibar_lam
+    out = (1.0 / a6) * ly.dot(lam) - (k11 * r1 + k12 * r2) * lam
+    out -= ((k21 * r1 + k22 * r2) * phi)[:, None] * psibar_lam
     return out
 
 
@@ -514,20 +522,13 @@ def _gamma_psi(psi, gamma):
     return psi, g, gpsi, psi.conj() @ gpsi
 
 
-def _apply_omega_inverse(psi, gamma, params: ModelParams, y, gpsi, th1,
-                         scale: float = 1.0) -> np.ndarray:
-    """``scale * apply_omega_inverse(psi, gamma, params, y)`` on complex
-    arrays, with gamma psi and theta1 supplied by the caller."""
-    pieces = _ladder_pieces(psi, psi.conj(), gamma, params, gpsi, gpsi.conj(), th1)
-    return _ladder_apply(pieces, np.asarray(y, dtype=complex), pieces[1].conj(), scale)
-
-
 def apply_omega_inverse(psi, gamma, params: ModelParams, y) -> np.ndarray:
     """Solve Omega(X) = Y for covariant Hermitian X given contravariant Y,
     by the closed form of :func:`_ladder_pieces`; DegenerateKinetic when
     its alpha6, 1 + alpha9 theta1 or det M guard refuses the couplings."""
     psi, g, gpsi, th1 = _gamma_psi(psi, gamma)
-    return _apply_omega_inverse(psi, g, params, y, gpsi, th1)
+    pieces = _ladder_pieces(psi, psi.conj(), g, params, gpsi, gpsi.conj(), th1)
+    return _ladder_apply(pieces, np.asarray(y, dtype=complex), pieces[1].conj())
 
 
 def omega_inverse(psi, gamma, params: ModelParams) -> np.ndarray:
@@ -544,7 +545,7 @@ def omega_inverse(psi, gamma, params: ModelParams) -> np.ndarray:
     units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)    # units[d, c]: Y[d, c] = 1
     oi = np.empty((n, n, n, n), dtype=complex)
     for c, d in np.ndindex(n, n):
-        oi[:, :, c, d] = _ladder_apply(pieces, units[d, c], pieces[1].conj(), 1.0)
+        oi[:, :, c, d] = _ladder_apply(pieces, units[d, c], pieces[1].conj())
     return oi
 
 

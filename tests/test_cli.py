@@ -330,6 +330,18 @@ def test_first_order_psi_tier_refuses_alpha1_zero(tmp_path, capsys, tier, comman
     assert err.startswith("DegenerateKinetic: ") and "alpha1 == 0" in err
 
 
+@pytest.mark.parametrize("tier, alpha2", [("full", 0.3), ("modified_first_order", 0.0)])
+def test_gamma_tier_refuses_alpha6_zero_before_it_steps(tmp_path, capsys, tier, alpha2):
+    # the couplings are refused when the run is set up: exit 2, not a step failure
+    sc = schrodinger_scenario(model_tier=tier, chi="diag:[1, 2]",
+                              params={"alpha1": 0.4, "alpha2": alpha2, "alpha6": 0.0,
+                                      "alpha7": 0.25})
+    path = write(tmp_path, "a6zero", sc)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "DegenerateKinetic: alpha6 = 0.000e+00 vanishes relative to its terms")
+
+
 def test_harmonic_forcing_takes_omega(tmp_path):
     sc = schrodinger_scenario()
     _with_forcing("harmonic", omega=2.0)(sc)

@@ -314,14 +314,18 @@ class TestStackedMonitor:
                 v, w = reference_noether_tensors(state, params, gamma0)
                 assert rep.V.tobytes() == v.tobytes()
                 assert rep.W.tobytes() == w.tobytes()
-                expected = [(label, reference_charge(v, w, a, label.startswith(("H", "R"))))
-                            for label, a in gens]
-                assert rep.charges == expected
+                # the charges come from one product over samples and
+                # generators, whose bits depend on its shape: they agree with
+                # the per-sample traces to round-off of their terms
+                assert [label for label, _ in rep.charges] == [label for label, _ in gens]
+                for (label, got), (_, a) in zip(rep.charges, gens):
+                    hermitian = label.startswith(("H", "R"))
+                    terms = np.sum(np.abs(v if hermitian else w) * np.abs(a).T)
+                    assert abs(got - reference_charge(v, w, a, hermitian)) <= 1e-14 * terms
+                    assert abs(got - noether_charge(state, params, gamma0, a)) <= 1e-14 * terms
                 one_v, one_w = noether_tensors(state, params, gamma0)
                 assert one_v.tobytes() == rep.V.tobytes()
                 assert one_w.tobytes() == rep.W.tobytes()
-                for label, a in gens[:3]:
-                    assert noether_charge(state, params, gamma0, a) == dict(rep.charges)[label]
             summary = drift_summary(reports)
             assert summary["max_vw_defect"] == max(
                 reference_vw_defect(r.V, r.W) for r in reports)

@@ -496,6 +496,161 @@ class TestKernelParity:
                     assert_close(rhs_modified_first_order(*args), ref_rhs_modified(*args))
 
 
+def residual_then_inverse(tier, state, params, chi):
+    """The Gamma-stepping rates from their definition: el_residual's r_psi
+    solved for the psi rate, and r_gamma (at zero gamma_ddot) through the
+    kinetic inverse, models.apply_omega_inverse.  Also the size of the terms
+    gamma_ddot sums: the largest entry of the kinetic inverse of each part of
+    r_gamma, the terms without psi, those in psi only and those in psid."""
+    ginv = np.linalg.inv(state.gamma)
+    if tier == "full":
+        r_psi = el_residual(state, None, params, chi).r_psi
+        psi_rate = -(ginv @ r_psi) / params.alpha2
+    else:
+        at_rest = replace(state, psi_dot=np.zeros(state.n))
+        psi_rate = (ginv @ el_residual(at_rest, None, params, chi).r_psi) / (2.0j * params.alpha1)
+        state = replace(state, psi_dot=psi_rate)
+    zero = np.zeros(state.n)
+    r_gamma, r_psi_only, r_geodesic = (
+        el_residual(replace(state, psi=psi, psi_dot=psid), None, params, chi).r_gamma
+        for psi, psid in ((state.psi, state.psi_dot), (state.psi, zero), (zero, zero)))
+
+    def inverse(y):
+        return models.apply_omega_inverse(state.psi, state.gamma, params, -0.5 * y)
+
+    terms = max(np.max(np.abs(inverse(part))) for part in (
+        r_geodesic, r_psi_only - r_geodesic, r_gamma - r_psi_only))
+    return psi_rate, hermitian_part(inverse(r_gamma)), terms
+
+
+def gamma_rates(tier, state, params, chi):
+    if tier == "full":
+        return rhs_full(state, params, chi)
+    return rhs_modified_first_order(state.psi, state.gamma, state.gamma_dot, params, chi,
+                                    state.t)
+
+
+GAMMA_TIERS = ["full", "modified_first_order"]
+
+
+class TestClosedFormGammaRates:
+    """The closed form of dynamics._PreparedGammaRate against the residual
+    and the kinetic inverse it solves."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("tier", GAMMA_TIERS)
+    def test_matches_residual_then_inverse(self, rng, tier, n):
+        # alpha3, alpha4, alpha5, alpha7, alpha8 and alpha9 each zero and
+        # nonzero; the potential, the forcing and chi cycle through their kinds
+        force, base, turn = rand_vec(rng, n, 0.3), rand_herm(rng, n), rand_herm(rng, n, 0.3)
+        forcings = (None, lambda t: force, lambda t: np.cos(1.3 * t) * force)
+        potentials = [POTENTIALS[k] for k in sorted(POTENTIALS)]
+        for k in range(64):
+            on = [(k >> bit) & 1 for bit in range(6)]
+            params = ModelParams(alpha1=0.4, alpha2=0.3 if tier == "full" else 0.0,
+                                 alpha3=0.15 * on[0], alpha4=0.25 * on[1], alpha5=-1.0 * on[2],
+                                 alpha6=0.9, alpha7=0.25 * on[3], alpha8=0.2 * on[4],
+                                 alpha9=0.15 * on[5], potential=potentials[k % 3],
+                                 forcing=forcings[(k // 3) % 3])
+            chi = (lambda t: base + np.sin(t) * turn) if k % 2 else base
+            state = FullState(psi=rand_vec(rng, n, 0.6), psi_dot=rand_vec(rng, n, 0.3),
+                              gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.3), t=0.4)
+            psi_rate, gamma_ddot = gamma_rates(tier, state, params, chi)
+            ref_psi, ref_gamma, terms = residual_then_inverse(tier, state, params, chi)
+            assert np.max(np.abs(psi_rate - ref_psi)) <= 1e-12 * np.max(np.abs(ref_psi))
+            # relative to the terms: at n = 1 they can cancel far below their size
+            assert (np.max(np.abs(gamma_ddot - ref_gamma))
+                    <= 1e-12 * max(np.max(np.abs(ref_gamma)), terms))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("tier", GAMMA_TIERS)
+    def test_geodesic_flow_at_psi_zero(self, rng, tier, n):
+        # at psi = psid = 0, U = 0 and b = -(alpha7 / alpha6) d/dt Tr(P gamma_dot)
+        # = 0: gamma_ddot is gamma_dot gamma^{-1} gamma_dot
+        params = ModelParams(alpha1=0.4, alpha2=0.3 if tier == "full" else 0.0, alpha3=0.15,
+                             alpha4=0.2, alpha5=-1.0, alpha6=0.9, alpha7=0.25, alpha8=0.2,
+                             alpha9=0.15, kappa=0.1)
+        state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n), gamma=rand_pd(rng, n),
+                          gamma_dot=rand_herm(rng, n, 0.5))
+        psi_rate, gamma_ddot = gamma_rates(tier, state, params, rand_herm(rng, n))
+        geodesic = rhs_gamma_geodesic(state.gamma, state.gamma_dot, 2.0 * params.alpha6,
+                                      2.0 * params.alpha7)
+        assert not psi_rate.any()
+        assert np.max(np.abs(gamma_ddot - geodesic)) <= 1e-14 * np.max(np.abs(geodesic))
+
+    @pytest.mark.parametrize("structural", [False, True])
+    @pytest.mark.parametrize("tier", GAMMA_TIERS)
+    def test_one_inverse_per_rhs(self, rng, monkeypatch, tier, structural):
+        # numpy.linalg.inv is looked up when a right-hand side runs, once per
+        # call, in the run's rate closure and in the public kernels alike
+        from hermiton import integrate as integrate_module
+        from hermiton.integrate import IntegratorConfig
+
+        n = 3
+        params = full_params(alpha2=0.3 if tier == "full" else 0.0)
+        state = FullState(psi=rand_vec(rng, n, 0.6), psi_dot=rand_vec(rng, n, 0.3),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.3))
+        chi = rand_herm(rng, n)
+        cfg = IntegratorConfig(dt=0.01, t_end=0.1, resymmetrize_gamma=structural)
+        system = integrate_module._build_system(state, tier, cfg, params, chi)
+        counts = count_linalg(monkeypatch)
+        for k in range(5):
+            system.rates(0.1 * k, system.y0)
+        gamma_rates(tier, state, params, chi)
+        assert counts == {"inv": 6, "det": 0, "solve": 0}
+
+
+@pytest.mark.parametrize("tier", GAMMA_TIERS)
+def test_gamma_tiers_refuse_with_named_errors(rng, tier):
+    # each refusal's class and message, through the public kernels; the
+    # couplings' refusals also when a run is set up, before any step
+    from hermiton import integrate as integrate_module
+    from hermiton.integrate import IntegratorConfig
+
+    n = 2
+    a2 = 0.3 if tier == "full" else 0.0
+    psi, psid = np.array([1.0, 0.0]), rand_vec(rng, n, 0.3)
+    gamma, gamma_dot, chi = np.eye(n), rand_herm(rng, n, 0.3), rand_herm(rng, n)
+
+    def refusal(params, psi=psi, gamma=gamma):
+        state = FullState._from_validated(np.asarray(psi, complex), np.asarray(psid, complex),
+                                          np.asarray(gamma, complex), gamma_dot, 0.0)
+        with pytest.raises(Exception) as info:
+            gamma_rates(tier, state, params, chi)
+        return type(info.value), str(info.value)
+
+    degenerate = "vanishes relative to its terms: the kinetic operator is degenerate"
+    base = dict(alpha1=0.4, alpha2=a2, alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15)
+    no_alpha6 = ModelParams(**{**base, "alpha6": 0.0})
+    assert refusal(no_alpha6) == (DegenerateKinetic, f"alpha6 = 0.000e+00 {degenerate}")
+    # theta1 = 1 at psi = e1, gamma = I
+    assert refusal(ModelParams(**{**base, "alpha9": -1.0})) == (
+        DegenerateKinetic, f"1 + alpha9*theta1 = 0.000e+00 {degenerate}")
+    # psi = 0 and alpha6 + n alpha7 = 0: det M = alpha6 (alpha6 + n alpha7)
+    assert refusal(ModelParams(**{**base, "alpha7": -0.45}), psi=np.zeros(n)) == (
+        DegenerateKinetic, f"|det M| = 0.000e+00 {degenerate}")
+    assert refusal(ModelParams(**base), gamma=np.ones((n, n))) == (
+        SingularForm, "zero pivot: the form is singular")
+    assert refusal(ModelParams(**base), gamma=np.diag([1.0, 1e-14])) == (
+        SingularForm, "reciprocal condition estimate 5.000e-15 <= 1e-12")
+    if tier == "full":
+        wrong = [(ModelParams(**{**base, "alpha2": 0.0}),
+                  ZeroAlpha2, "alpha2 == 0: use rhs_modified_first_order")]
+    else:
+        wrong = [(ModelParams(**{**base, "alpha2": 0.3}),
+                  ValueError, "first-order psi dynamics requires alpha2 == 0"),
+                 (ModelParams(**{**base, "alpha1": 0.0}),
+                  DegenerateKinetic, "alpha1 == 0 leaves no first-order psi dynamics")]
+    state = FullState(psi=psi, psi_dot=psid, gamma=gamma, gamma_dot=gamma_dot)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1)
+    for params, error, message in wrong + [(no_alpha6, DegenerateKinetic,
+                                            f"alpha6 = 0.000e+00 {degenerate}")]:
+        assert refusal(params) == (error, message)
+        with pytest.raises(error) as info:
+            integrate_module._build_system(state, tier, cfg, params, chi)
+        assert str(info.value) == message
+
+
 def test_near_singular_gamma_refused_in_both_tiers(rng):
     n = 3
     gamma = np.diag([1.0, 1.0, 1e-14]).astype(complex)
@@ -598,10 +753,10 @@ def test_degenerate_kinetic_inverse_tries_the_ladder_once(rng, monkeypatch):
     # closed-form solve inverts it without the numeric oracle
     n = 2
     params = ModelParams(alpha6=2.0, alpha7=-1.0, alpha8=0.3, alpha9=0.2)
-    psi, g, gpsi, th1 = models._gamma_psi(rand_vec(rng, n), rand_pd(rng, n))
+    psi, g = rand_vec(rng, n), rand_pd(rng, n)
     y = rand_herm(rng, n)
     ladder, numeric = count_ladder_pieces(monkeypatch), count_numeric_inverse(monkeypatch)
-    x = models._apply_omega_inverse(psi, g, params, y, gpsi, th1, 0.5)
+    x = models.apply_omega_inverse(psi, g, params, 0.5 * y)
     assert (len(ladder), len(numeric)) == (1, 0)
     assert np.allclose(models.apply_omega(psi, g, params, x), 0.5 * y, atol=1e-10)
 

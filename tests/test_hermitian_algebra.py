@@ -338,6 +338,17 @@ def test_codec_bit_identical_to_loop_reference(rng):
                 == _loop_real_to_hermitian(coords, n).tobytes())
 
 
+def test_codec_decodes_non_finite_coordinates_as_the_loop_reference(rng):
+    # the gather adds the signed zeros of re + 1j * im as 0 * im, so an
+    # infinite coordinate gives the loop's NaN and inf in the same places
+    for n in (1, 2, 3, 5):
+        coords = rng.normal(size=n * n)
+        coords[rng.permutation(n * n)[:2]] = (np.inf, -np.inf)[: min(2, n * n)]
+        with np.errstate(invalid="ignore"):
+            got, want = real_to_hermitian(coords, n), _loop_real_to_hermitian(coords, n)
+        assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+
+
 def test_real_to_hermitian_stack_matches_each_row_bitwise(rng):
     for n in (1, 2, 3, 8):
         coords = rng.normal(size=(5, n * n))
