@@ -127,13 +127,13 @@ def legendre_singular(psi, gamma, alpha: float) -> tuple[np.ndarray, np.ndarray]
     """
     psi = np.asarray(psi, dtype=complex)
     g = np.asarray(gamma, dtype=complex)
-    pi = 1j * alpha * (np.conj(psi) @ g)
+    pi = 1j * alpha * np.conj(psi).dot(g)
     return pi, np.conj(pi)
 
 
 def primary_constraints(p: PhasePoint, alpha: float) -> ConstraintValue:
     """phi = pi - i*alpha * psi^ Gamma; zero exactly on the singular image."""
-    phi = p.pi - 1j * alpha * (np.conj(p.psi) @ p.gamma)
+    phi = p.pi - 1j * alpha * np.conj(p.psi).dot(p.gamma)
     return ConstraintValue(phi=phi)
 
 
@@ -144,10 +144,10 @@ def reduced_bracket_flow(psi, gamma, chi, alpha: float,
     gamma_coeff = 2 (the normalisation in which the bracket result is the
     plain nonlinear evolution i*hbar*psid = H psi + Gamma^{-1} dV/d(conj psi) / 2)."""
     psi = np.asarray(psi, dtype=complex)
-    grad = 2.0 * np.asarray(chi, dtype=complex) @ psi
+    grad = (2.0 * np.asarray(chi, dtype=complex)).dot(psi)
     if spec is not None and spec.kind != "none":
         grad = grad + potential_gradient(psi, gamma, spec)
-    return (invert_form(gamma) @ grad) / (2.0j * alpha)
+    return invert_form(gamma).dot(grad) / (2.0j * alpha)
 
 
 def dirac_flow(psi, pi, gamma, params: ModelParams, chi,
@@ -165,14 +165,14 @@ def dirac_flow(psi, pi, gamma, params: ModelParams, chi,
     s = _ResidualPieces(psi, gamma, None, params)
     r0 = s.psi_residual(resolve_chi(chi, t), t)
     lam = _first_order_rate(params, r0, _checked_inverse(s.g))
-    return lam, -np.conj(r0) - 1j * params.alpha1 * (np.conj(lam) @ s.g)
+    return lam, -np.conj(r0) - 1j * params.alpha1 * np.conj(lam).dot(s.g)
 
 
 def darboux_momentum(psi, gamma, alpha: float) -> np.ndarray:
     """Constraint-manifold Darboux momentum Pi = 2 i alpha psi^ Gamma,
     twice the singular Legendre momentum restricted to the manifold."""
     psi = np.asarray(psi, dtype=complex)
-    return 2.0j * alpha * (np.conj(psi) @ np.asarray(gamma, dtype=complex))
+    return 2.0j * alpha * np.conj(psi).dot(np.asarray(gamma, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -286,10 +286,10 @@ def darboux_reduce(gamma, chi, params: ModelParams, g=None,
         if np.linalg.norm(s - g_arr / (2.0 * alpha)) > tol * np.linalg.norm(s):
             raise ValueError("g is inconsistent with gamma: need S == g / (2 alpha)")
         g_inv = np.linalg.inv(g_arr)
-        g_a_raised = g_inv @ a @ g_inv
-        ham_g_pp = 0.5 * (g_inv @ m.real @ g_inv)
-        g_m_lr = g_inv @ m.imag                 # (g Im M)^b_a with rows raised
-        ham_g_xp = 0.5 * (g_m_lr.T - m.imag @ g_inv)
+        g_a_raised = g_inv.dot(a).dot(g_inv)
+        ham_g_pp = 0.5 * g_inv.dot(m.real).dot(g_inv)
+        g_m_lr = g_inv.dot(m.imag)              # (g Im M)^b_a with rows raised
+        ham_g_xp = 0.5 * (g_m_lr.T - m.imag.dot(g_inv))
 
     return DarbouxChart(
         alpha=alpha, S=s, A=a, sigma=sigma,
@@ -305,7 +305,7 @@ def legendre_regular(state: FullState, params: ModelParams) -> PhasePoint:
     """Forward Legendre map of the total model."""
     psi, psid = state.psi, state.psi_dot
     g, gd = state.gamma, state.gamma_dot
-    pi = params.alpha2 * (np.conj(psid) @ g) + 1j * params.alpha1 * (np.conj(psi) @ g)
+    pi = params.alpha2 * np.conj(psid).dot(g) + 1j * params.alpha1 * np.conj(psi).dot(g)
     p = p_tensor(psi, g, params.alpha9)
     pi_gamma = params.alpha3 * p + 2.0 * apply_omega(psi, g, params, gd)
     return PhasePoint(psi=psi, pi=pi, gamma=g,
@@ -315,7 +315,7 @@ def legendre_regular(state: FullState, params: ModelParams) -> PhasePoint:
 def _psi_velocity(psi, pi, ginv, params: ModelParams) -> np.ndarray:
     """psid = gamma^{-1} conj(pi) / alpha2 + (i alpha1 / alpha2) psi, the
     psi sector of the inverse Legendre map, with ``ginv`` = gamma^{-1}."""
-    return (ginv @ np.conj(pi)) / params.alpha2 + (1j * params.alpha1 / params.alpha2) * psi
+    return ginv.dot(np.conj(pi)) / params.alpha2 + (1j * params.alpha1 / params.alpha2) * psi
 
 
 def legendre_inverse(p: PhasePoint, params: ModelParams,
@@ -350,37 +350,38 @@ def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParam
         raise ZeroAlpha2("the regular Hamiltonian needs alpha2 != 0")
     g = np.asarray(gamma, dtype=complex)
     ginv = _checked_inverse(g)
-    theta1c = psibar @ g @ psi
+    theta1c = psibar.dot(g).dot(psi)
     c4 = params.alpha4 - a1 * a1 / a2
     potential = params.effective_potential.value(theta1c)
 
-    val = (pi @ ginv @ pibar) / a2
-    val += (a1 / a2) * 1j * (pi @ psi - psibar @ pibar)
-    val -= c4 * theta1c + params.alpha5 * (psibar @ chi_matrix @ psi)
+    val = pi.dot(ginv).dot(pibar) / a2
+    val += (a1 / a2) * 1j * (pi.dot(psi) - psibar.dot(pibar))
+    val -= c4 * theta1c + params.alpha5 * psibar.dot(chi_matrix).dot(psi)
     val += potential
     f = None
     if params.forcing is not None:
         f = np.asarray(params.forcing(t), dtype=complex)
-        val -= f @ psi + np.conj(f) @ psibar
+        val -= f.dot(psi) + np.conj(f).dot(psibar)
 
     y = x = None
     if pi_gamma is not None:
         p_full = ginv + params.alpha9 * np.outer(psi, psibar)
         y = np.asarray(pi_gamma, dtype=complex) - params.alpha3 * p_full
-        pieces = _ladder_pieces(psi, psibar, g, params, g @ psi, psibar @ g, theta1c)
-        x = _ladder_apply(pieces, y, psibar @ pieces[0])
-        val += 0.25 * np.trace(y @ x)
+        pieces = _ladder_pieces(psi, psibar, g, params, g.dot(psi), psibar.dot(g), theta1c)
+        x = _ladder_apply(pieces, y, psibar.dot(pieces[0]))
+        val += 0.25 * np.trace(y.dot(x))
 
     def magnitude() -> float:
         apsi, apsibar, api, apibar = (np.abs(v) for v in (psi, psibar, pi, pibar))
-        total = (api @ np.abs(ginv) @ apibar / abs(a2)
-                 + abs(a1 / a2) * (api @ apsi + apsibar @ apibar)
-                 + apsibar @ (abs(c4) * np.abs(g) + abs(params.alpha5) * np.abs(chi_matrix)) @ apsi
+        total = (api.dot(np.abs(ginv)).dot(apibar) / abs(a2)
+                 + abs(a1 / a2) * (api.dot(apsi) + apsibar.dot(apibar))
+                 + apsibar.dot(abs(c4) * np.abs(g)
+                               + abs(params.alpha5) * np.abs(chi_matrix)).dot(apsi)
                  + abs(potential))
         if f is not None:
-            total += np.abs(f) @ (apsi + apsibar)
+            total += np.abs(f).dot(apsi + apsibar)
         if x is not None:
-            total += 0.25 * np.trace(np.abs(y) @ np.abs(x))
+            total += 0.25 * np.trace(np.abs(y).dot(np.abs(x)))
         return float(total)
 
     return complex(val), magnitude
@@ -487,8 +488,8 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
         psi_ddot, gamma_ddot = _full_accelerations_raw(psi, psid, g, gd, params, chi_m, p.t,
                                                        ginv=raw_inv)
         gamma_ddot = hermitian_part(gamma_ddot)
-        pi_dot = params.alpha2 * (np.conj(psi_ddot) @ g + np.conj(psid) @ gd) \
-            + 1j * params.alpha1 * (np.conj(psid) @ g + np.conj(psi) @ gd)
+        pi_dot = params.alpha2 * (np.conj(psi_ddot).dot(g) + np.conj(psid).dot(gd)) \
+            + 1j * params.alpha1 * (np.conj(psid).dot(g) + np.conj(psi).dot(gd))
         pdot = _p_dot(psi, psid, ginv, gd, params.alpha9)
         pi_gamma_dot = params.alpha3 * pdot \
             + 2.0 * _apply_omega_dot(psi, psid, ginv, gd, params, gd) \
@@ -502,5 +503,5 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
     psid = _psi_velocity(psi, p.pi, invert_form(g), params)
     state = FullState(psi=psi, psi_dot=psid, gamma=g, gamma_dot=np.zeros_like(g), t=p.t)
     psi_ddot = rhs_second_order(state, chi_m, params)
-    pi_dot = params.alpha2 * (np.conj(psi_ddot) @ g) + 1j * params.alpha1 * (np.conj(psid) @ g)
+    pi_dot = params.alpha2 * np.conj(psi_ddot).dot(g) + 1j * params.alpha1 * np.conj(psid).dot(g)
     return CanonicalFlow(psi_dot=psid, pi_dot=pi_dot, gamma_dot=None, pi_gamma_dot=None)

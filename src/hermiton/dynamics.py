@@ -29,6 +29,13 @@ of r_gamma, gamma_ddot is the geodesic flow gamma_dot gamma^{-1} gamma_dot
 plus a multiple of gamma plus a Hermitian term of rank at most 4, and a
 call costs a few n x n and n x 4 products and Python scalar arithmetic.
 The tests hold it to the residual and the kinetic inverse.
+
+``gamma_geodesic`` steps the free flow gamma_ddot = gamma_dot gamma^{-1}
+gamma_dot.  Its couplings enter only through two guards, so the run's rate,
+from ``_prepared_geodesic_rate``, refuses them once, and a call is one
+checked inverse, two ``dot`` products and the Hermitian part.  Every tier's
+kernel is thus prepared once per run; the public functions keep their
+per-call guards and share the prepared bodies.
 """
 
 from __future__ import annotations
@@ -165,8 +172,8 @@ class _ResidualPieces:
         self.g = g = np.asarray(gamma, dtype=complex)
         self.gd = gd = None if gamma_dot is None else np.asarray(gamma_dot, dtype=complex)
         if gd is None:
-            self.gpsi = gpsi = g @ psi
-            self.fprime = params.effective_potential.derivative(float((psibar @ gpsi).real))
+            self.gpsi = gpsi = g.dot(psi)
+            self.fprime = params.effective_potential.derivative(float(psibar.dot(gpsi).real))
             return
         self.ginv = ginv
         self.gpsi, self.gdpsi = gpsi, gdpsi = g.dot(psi), gd.dot(psi)
@@ -197,16 +204,16 @@ class _ResidualPieces:
         if not frozen:
             r += self.c_gd * self.gdpsi
         if prm.alpha5 != 0.0:
-            r -= prm.alpha5 * (chi @ self.psi)
+            r -= prm.alpha5 * chi.dot(self.psi)
         if a9 != 0.0 and not frozen:
             r -= (2.0 * a9 * prm.alpha6) * self.gd.dot(self.pgd.dot(self.psi))
         if self.psid is not None:
             if frozen:     # 0.0 - x, not -x: the frozen tiers keep their signed zeros
-                r += 0.0 - (2.0j * a1) * (self.g @ self.psid)
+                r += 0.0 - (2.0j * a1) * self.g.dot(self.psid)
             else:
                 r += a2 * self.gdpsid - (2.0j * a1) * self.gpsid
         if psi_ddot is not None:
-            r += a2 * (self.g @ psi_ddot)
+            r += a2 * self.g.dot(psi_ddot)
         if prm.forcing is not None:
             r -= np.conj(np.asarray(prm.forcing(t), dtype=complex))
         return r
@@ -589,7 +596,7 @@ def rhs_direct_nonlinear_raw(psi, gamma, params: ModelParams, chi_matrix,
     return _first_order_rate(params, s.psi_residual(chi_matrix, t), _checked_inverse(s.g))
 
 
-def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:
+def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float, prepared=None) -> np.ndarray:
     """gamma_ddot = gamma_dot gamma^{-1} gamma_dot, the unique solution of
     A*Y + B*Tr(gamma^{-1} Y)*gamma = 0 about Y = gamma_ddot - that product
     whenever A != 0 and A + n*B != 0.
@@ -598,9 +605,32 @@ def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:
     :func:`~hermiton.models._kinetic_denominator`.  With A = 2 alpha6 and
     B = 2 alpha7 this tier refuses the couplings the kinetic inverse refuses
     at alpha8 = 0 or psi = 0 (A + n*B = 0 makes the kinetic metric
-    degenerate along dilatations); alpha8 psi != 0 can lift that degeneracy."""
-    g = _as_complex_matrix(gamma)
-    gd = np.asarray(gamma_dot, dtype=complex)
+    degenerate along dilatations); alpha8 psi != 0 can lift that degeneracy.
+
+    ``prepared``, when given, is the run's rate from
+    :func:`_prepared_geodesic_rate`, which has refused A and A + n*B once;
+    gamma and gamma_dot are then complex (n, n) arrays, not validated
+    again, and A and B are not read.
+    """
+    if prepared is None:
+        gamma = _as_complex_matrix(gamma)
+        gamma_dot = np.asarray(gamma_dot, dtype=complex)
+        prepared = _prepared_geodesic_rate(A, B, gamma.shape[0])
+    return prepared(gamma, gamma_dot)
+
+
+def _prepared_geodesic_rate(A: float, B: float, n: int):
+    """The geodesic tier's rate ``rate(gamma, gamma_dot)`` at n, after A and
+    A + n*B are refused here, once."""
     _kinetic_denominator(A, 0.0, "A")
-    _kinetic_denominator(A, g.shape[0] * B, "A + n*B")
-    return hermitian_part(gd.dot(_checked_inverse(g)).dot(gd))
+    _kinetic_denominator(A, n * B, "A + n*B")
+    return _geodesic_rate
+
+
+def _geodesic_rate(g, gd) -> np.ndarray:
+    """The Hermitian part of gamma_dot gamma^{-1} gamma_dot, with the bits of
+    ``hermitian_part``: one checked inverse and two ``dot`` calls."""
+    x = gd.dot(_checked_inverse(g)).dot(gd)
+    x += x.conj().T
+    x /= 2.0
+    return x

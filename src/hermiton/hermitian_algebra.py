@@ -154,7 +154,9 @@ def _checked_inverse(f: np.ndarray) -> np.ndarray:
 
     n max|F_ij| max|(F^-1)_ij| lies within a factor n of the spectral
     condition number.  A refused stack member is named by its index in the
-    flattened stack.  One matrix takes the same test in Python floats.
+    flattened stack.  One matrix takes the same test in Python floats, its
+    two maxima from one ``abs`` of the (2, n, n) stack (F, F^-1) and one
+    reduce.
     """
     try:
         inv = np.linalg.inv(f)
@@ -168,7 +170,8 @@ def _checked_inverse(f: np.ndarray) -> np.ndarray:
         raise
     n = f.shape[-1]
     if f.ndim == 2:
-        rc = 1.0 / (n * float(np.abs(f).max()) * float(np.abs(inv).max()))
+        f_max, inv_max = np.abs((f, inv)).max(axis=(1, 2)).tolist()
+        rc = 1.0 / (n * f_max * inv_max)
         if not rc > COND_TOL:
             raise SingularForm(f"reciprocal condition estimate {rc:.3e} <= {COND_TOL:.0e}")
         return inv

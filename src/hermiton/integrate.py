@@ -6,10 +6,13 @@ blocks are flattened into one real vector; the others stay frozen (gamma at
 its initial value, the rest at zero).  Each run builds one rate closure for
 its tier, ``_System.rates``: it reads the stepped blocks as views of the
 vector, calls the tier's kernel through its module-level name and returns
-the blocks' rates; ``deriv`` packs them with one concatenate.  The
-frozen-gamma tiers hand their kernel a ``dynamics._PreparedPsiRate``, built
-with the closure, so a step re-derives neither K^{-1} nor the linear part of
-the psi equation; a constant chi is resolved once per run.
+the blocks' rates; ``deriv`` packs them with one concatenate.  Every
+tier's kernel is prepared once per run, with the closure: the frozen-gamma
+tiers take a ``dynamics._PreparedPsiRate``, so a step re-derives neither
+K^{-1} nor the linear part of the psi equation; ``gamma_geodesic`` takes the
+rate of ``dynamics._prepared_geodesic_rate``, whose couplings are refused
+before the run steps; ``full`` and ``modified_first_order`` take a
+``dynamics._PreparedGammaRate``.  A constant chi is resolved once per run.
 
 Recording is stacked.  ``record`` only buffers a sample's (t, y).  When the
 run ends, the same codec unpacks the (S, N) stack of samples, and one
@@ -57,7 +60,10 @@ Stepping methods (``IntegratorConfig.method``):
   the iteration stops.
 
 A fixed-step run whose step count exceeds ``max_steps`` fails before it
-takes a step.
+takes a step.  The explicit steppers sum their stages in place, into one
+fresh array per sum, with the operations and their order of the textbook
+expressions, so the sums keep their bits; nothing is written into y or into
+a slope the caller keeps.
 """
 
 from __future__ import annotations
@@ -72,11 +78,12 @@ from .dynamics import (
     _PreparedGammaRate,
     _PreparedPsiRate,
     _modified_first_order_raw,
+    _prepared_geodesic_rate,
     rhs_direct_nonlinear_raw,
     rhs_gamma_geodesic,
     rhs_second_order,
 )
-from .errors import HermitonError, NonFinite, StepFailure
+from .errors import DegenerateKinetic, HermitonError, NonFinite, StepFailure
 from .hermitian_algebra import (
     hermitian_part,
     hermitian_to_real,
@@ -244,7 +251,9 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     its module-level name.  The gamma_dot rate is the kernel's acceleration
     before the structural layout projects it.  ``gamma`` is the frozen form
     of the tiers that do not step it; their kernel takes a prepared psi rate
-    built here.  The Gamma-stepping kernels take a prepared gamma rate built
+    built here.  The geodesic kernel takes a prepared geodesic rate built
+    here, which refuses degenerate couplings before the run steps, naming
+    the tier.  The Gamma-stepping kernels take a prepared gamma rate built
     here, the stacked blocks as the codec reads them, and chi resolved once
     when it is constant."""
     read = codec.read
@@ -265,10 +274,14 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
                                            prepared=psi_rate)]
     elif tier == "gamma_geodesic":
         a, b = 2.0 * params.alpha6, 2.0 * params.alpha7
+        try:
+            geodesic = _prepared_geodesic_rate(a, b, codec.n)
+        except DegenerateKinetic as exc:
+            raise DegenerateKinetic(f"[{tier}] {exc}") from None
 
         def rates(t, y):
             g, gd = read(y)[0]
-            return [gd, rhs_gamma_geodesic(g, gd, a, b)]
+            return [gd, rhs_gamma_geodesic(g, gd, a, b, prepared=geodesic)]
     elif tier == "full":
         gamma_rate = _PreparedGammaRate(params, first_order=False)
 
@@ -431,7 +444,12 @@ def _rk4_step(f, t, y, dt):
     k2 = f(t + dt / 2.0, y + (dt / 2.0) * k1)
     k3 = f(t + dt / 2.0, y + (dt / 2.0) * k2)
     k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in place in that order
+    s = k1 + 2.0 * k2
+    s += 2.0 * k3
+    s += k4
+    s *= dt / 6.0
+    return np.add(y, s, out=s)
 
 
 # Dormand-Prince 5(4) tableau
@@ -461,11 +479,22 @@ def _dp_step(f, t, y, dt, k1=None):
     """
     k = [f(t, y) if k1 is None else k1]
     for i in range(1, 7):
-        yi = y + dt * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(f(t + _DP_C[i] * dt, yi))
-    y5 = y + dt * sum(b * kk for b, kk in zip(_DP_B5, k))
-    y4 = y + dt * sum(b * kk for b, kk in zip(_DP_B4, k))
+        k.append(f(t + _DP_C[i] * dt, _dp_sum(y, dt, _DP_A[i], k)))
+    y5 = _dp_sum(y, dt, _DP_B5, k)
+    y4 = _dp_sum(y, dt, _DP_B4, k)
     return y5, y5 - y4, k[0], k[6]
+
+
+def _dp_sum(y, dt, coeffs, k) -> np.ndarray:
+    """y + dt * sum(c * kk for c, kk in zip(coeffs, k)), summed in place into
+    one fresh array in the same order, from sum's leading 0 + (which maps
+    -0.0 to 0.0) to the final y +."""
+    s = coeffs[0] * k[0]
+    s += 0
+    for i in range(1, len(coeffs)):
+        s += coeffs[i] * k[i]
+    s *= dt
+    return np.add(y, s, out=s)
 
 
 def _implicit_midpoint_step(f, t, y, dt, k_guess=None, m_inv=None, tol=1e-12, max_iter=50):
@@ -614,7 +643,7 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
                 y = stepper(system.deriv, t, y, dt)
             except (HermitonError, np.linalg.LinAlgError, FloatingPointError) as exc:
                 raise _step_failed(tier, exc, t) from exc
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise StepFailure(f"[{tier}] state became non-finite", last_good_t=t)
             t = system.t0 + (k + 1) * dt
             if (k + 1) % cfg.sample_stride == 0 or k == n_steps - 1:
@@ -640,7 +669,7 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
             y_new, err_vec, k1, k_last = _dp_step(system.deriv, t, y, dt, k1)
         except (HermitonError, np.linalg.LinAlgError, FloatingPointError) as exc:
             raise _step_failed(tier, exc, t) from exc
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise StepFailure(f"[{tier}] state became non-finite", last_good_t=t)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))

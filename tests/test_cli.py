@@ -131,10 +131,11 @@ class TestSimulate:
         assert exc.value.code == 2
 
     def test_killing_geodesic_is_degenerate(self, tmp_path, capsys):
-        # preset killing has A + n B = 0: the geodesic tier refuses to run
+        # preset killing has A + n B = 0: the geodesic tier refuses to run,
+        # when the run is set up: exit 2, not a step failure
         sc = geodesic_scenario(params={"preset": "killing"})
         path = write(tmp_path, "killing", sc)
-        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 3
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "gamma_geodesic" in err and "degenerate" in err.lower()
 

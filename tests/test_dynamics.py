@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hermiton import dynamics, models
+from hermiton import dynamics, integrate as integrate_module, models
 from hermiton.dynamics import (
     el_residual,
     rhs_direct_nonlinear_raw,
@@ -14,7 +14,14 @@ from hermiton.dynamics import (
     rhs_second_order,
 )
 from hermiton.errors import DegenerateKinetic, SingularForm, ZeroAlpha2
-from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift, invert_form, matrix_exp
+from hermiton.hermitian_algebra import (
+    _checked_inverse,
+    hermitian_part,
+    hermiticity_drift,
+    invert_form,
+    matrix_exp,
+)
+from hermiton.integrate import IntegratorConfig
 from hermiton.models import (
     FullState,
     ModelParams,
@@ -297,6 +304,55 @@ class TestRhsGammaGeodesic:
             rhs_gamma_geodesic(g, gd, 0.0, 1.0)
         with pytest.raises(DegenerateKinetic):
             rhs_gamma_geodesic(g, gd, 4.0, -2.0)  # A + n B = 0, the Killing values
+
+    @pytest.mark.parametrize("structural", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_prepared_closure_has_the_bits_of_the_public_call(self, rng, n, structural):
+        # the run's rate closure, at the blocks its codec reads in either gamma
+        # layout, against the public 4-argument call and the Hermitian part
+        # of gamma_dot gamma^-1 gamma_dot
+        params = ModelParams(alpha6=1.0, alpha7=0.2)
+        state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n), gamma=rand_pd(rng, n),
+                          gamma_dot=rand_herm(rng, n, 0.3))
+        cfg = IntegratorConfig(dt=0.01, t_end=0.1, resymmetrize_gamma=structural)
+        system = integrate_module._build_system(state, "gamma_geodesic", cfg, params,
+                                                np.zeros((n, n)))
+        for y in (system.y0, system.y0 + 0.1 * rng.normal(size=system.y0.size)):
+            g, gd = system.codec.read(y)[0]
+            rate = system.rates(0.0, y)[1]
+            public = rhs_gamma_geodesic(g, gd, 2.0 * params.alpha6, 2.0 * params.alpha7)
+            assert rate.tobytes() == public.tobytes()
+            assert rate.tobytes() == hermitian_part(gd.dot(_checked_inverse(g)).dot(gd)).tobytes()
+
+    @pytest.mark.parametrize("scale", [2.0 ** -300, 1.0, 2.0 ** 300])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_run_refuses_the_couplings_at_set_up(self, rng, monkeypatch, n, scale):
+        # alpha6 = 0, alpha6 + n alpha7 = 0 and near cancellations: the run's
+        # set-up gives the verdict and the message of the per-call guards, the
+        # tier named, before any kernel call; s L gets the verdict of L
+        calls = []
+        monkeypatch.setattr(integrate_module, "rhs_gamma_geodesic",
+                            lambda *args, **kwargs: calls.append(args))
+        g, gd = rand_pd(rng, n), rand_herm(rng, n)
+        cfg = IntegratorConfig(dt=0.01, t_end=0.1)
+        for a6, a7, degenerate in ((0.0, 1.0, True), (1.3, -1.3 / n, True),
+                                   (1.3, -1.3 * (1.0 - 1e-13) / n, True),
+                                   (1.3, -1.3 * (1.0 - 1e-11) / n, False), (1.3, 0.4, False)):
+            params = ModelParams(alpha6=scale * a6, alpha7=scale * a7)
+            try:
+                rhs_gamma_geodesic(g, gd, 2.0 * params.alpha6, 2.0 * params.alpha7)
+                expected = None
+            except DegenerateKinetic as exc:
+                expected = f"[gamma_geodesic] {exc}"
+            state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n), gamma=g, gamma_dot=gd)
+            try:
+                integrate_module._build_system(state, "gamma_geodesic", cfg, params,
+                                               np.zeros((n, n)))
+                refusal = None
+            except DegenerateKinetic as exc:
+                refusal = str(exc)
+            assert refusal == expected and (refusal is not None) == degenerate
+        assert calls == []
 
 
 def test_geodesic_hermiticity_over_long_run(rng):

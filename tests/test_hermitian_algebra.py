@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hermiton import hermitian_algebra
 from hermiton.errors import NonFinite, NotHermitian, SingularForm
 from hermiton.hermitian_algebra import (
+    COND_TOL,
     HERM_TOL_FACTOR,
+    _checked_inverse,
     complex_vector,
     hermitian_basis,
     hermitian_form,
@@ -207,6 +210,50 @@ class TestConditionPolicy:
         for scale in (1e-150, 1.0, 1e150):
             assert accepted(hermitian_form, scale * form) == verdict
             assert accepted(invert_form, scale * form) == verdict
+
+
+def reference_rc(f) -> float:
+    """The one-matrix condition estimate as two separate passes, each
+    maximum a Python float: 1 / (n max|F_ij| max|(F^-1)_ij|)."""
+    inv = np.linalg.inv(f)
+    return 1.0 / (f.shape[0] * float(np.abs(f).max()) * float(np.abs(inv).max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_checked_inverse_keeps_the_reference_estimate(rng, monkeypatch, n):
+    # forms on either side of COND_TOL, and at scales 2^-300 and 2^300: the
+    # verdict, the message and (by moving the threshold onto the reference
+    # estimate and one ulp below it) the estimate's bits are the reference's,
+    # from exactly one np.linalg.inv call, looked up when the call is made
+    cases = [(scale, form_with_condition(rng, n, cond))
+             for cond in np.geomspace(1e10, 1e14, 9) if n > 1 or cond == 1e10
+             for scale in (2.0 ** -300, 1.0, 2.0 ** 300)]
+    if n == 1:
+        cases += [(2.0 ** -300, np.array([[3.0 + 0.0j]])), (2.0 ** 300, np.array([[-0.5j]]))]
+    expected = [reference_rc(scale * form) for scale, form in cases]
+    assert {rc > COND_TOL for rc in expected} == ({True, False} if n > 1 else {True})
+    calls = []
+    real_inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    for (scale, form), rc in zip(cases, expected):
+        f = scale * form
+        for tol, refused in ((COND_TOL, not rc > COND_TOL), (rc, True),
+                             (np.nextafter(rc, -np.inf), False)):
+            monkeypatch.setattr(hermitian_algebra, "COND_TOL", tol)
+            del calls[:]
+            if refused:
+                with pytest.raises(SingularForm) as info:
+                    _checked_inverse(f)
+                assert str(info.value) == (f"reciprocal condition estimate {rc:.3e} "
+                                           f"<= {tol:.0e}")
+            else:
+                assert np.array_equal(_checked_inverse(f), real_inv(f))
+            assert calls == [(n, n)]
 
 
 class TestMatrixExp:

@@ -1035,3 +1035,103 @@ class TestStackedRecord:
         monkeypatch.setattr(integrate_module, "energy", real_energy)
         with pytest.raises(StepFailure, match="stage refused"):
             integrate(state, "full", cfg, params, np.zeros((n, n)))
+
+
+def textbook_rk4(f, t, y, dt):
+    """Classical Runge-Kutta, written out as one expression."""
+    k1 = f(t, y)
+    k2 = f(t + dt / 2.0, y + (dt / 2.0) * k1)
+    k3 = f(t + dt / 2.0, y + (dt / 2.0) * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def textbook_dp(f, t, y, dt, k1=None):
+    """Dormand-Prince 5(4) with first same as last, every sum a Python sum."""
+    a, c = integrate_module._DP_A, integrate_module._DP_C
+    k = [f(t, y) if k1 is None else k1]
+    for i in range(1, 7):
+        k.append(f(t + c[i] * dt, y + dt * sum(aa * kk for aa, kk in zip(a[i], k))))
+    y5 = y + dt * sum(b * kk for b, kk in zip(integrate_module._DP_B5, k))
+    y4 = y + dt * sum(b * kk for b, kk in zip(integrate_module._DP_B4, k))
+    return y5, y5 - y4, k[0], k[6]
+
+
+def special_entries(rng, size):
+    """Random reals over many binades, with signed zeros, signed infinities
+    and NaNs of both signs among them."""
+    x = rng.normal(size=size) * 2.0 ** rng.integers(-20, 20, size=size)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    pick = rng.random(size) < 0.15
+    x[pick] = rng.choice(specials, size=int(pick.sum()))
+    return x
+
+
+def scripted_rates(rng, size, calls):
+    """f(t, y) that records a copy of its arguments and returns the next of
+    ``calls`` prepared slopes, which it keeps with a copy of each."""
+    slopes = [special_entries(rng, size) for _ in range(calls)]
+    log, given = [], []
+
+    def f(t, y):
+        log.append((t, y.tobytes()))
+        k = slopes[len(given)]
+        given.append((k, k.copy()))
+        return k
+    return f, log, given
+
+
+def unchanged(pairs) -> bool:
+    return all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+@pytest.mark.parametrize("size", [2, 8, 38, 288])
+def test_stage_sums_have_the_textbook_bits(rng, size):
+    # the in-place stage sums against the textbook expressions, on entries
+    # with signed zeros, infinities and NaNs: every stage argument and every
+    # output has the same bits, and no array a caller holds is written.  A
+    # stepped vector holds the real view of at least one complex number, so
+    # size >= 2: an in-place add of one-element arrays takes the sign of a NaN
+    # from its other operand when both are NaN
+    with np.errstate(invalid="ignore", over="ignore"):
+        check_stage_sums(rng, size)
+
+
+def check_stage_sums(rng, size):
+    for seed in range(20):
+        y, dt, t = special_entries(rng, size), float(rng.uniform(1e-3, 0.5)), float(seed)
+        y_copy = y.copy()
+        runs = []
+        for step in (integrate_module._rk4_step, textbook_rk4):
+            f, log, given = scripted_rates(np.random.default_rng(seed), size, 4)
+            runs.append((step(f, t, y, dt).tobytes(), log))
+            assert unchanged(given) and unchanged([(y, y_copy)])
+        assert runs[0] == runs[1]
+        for k1 in (None, special_entries(rng, size)):
+            k1_copy = None if k1 is None else k1.copy()
+            runs = []
+            for step in (integrate_module._dp_step, textbook_dp):
+                f, log, given = scripted_rates(np.random.default_rng(seed), size, 7)
+                out = step(f, t, y, dt, k1)
+                runs.append(([a.tobytes() for a in out], log))
+                assert unchanged(given) and unchanged([(y, y_copy)])
+                if k1 is not None:
+                    assert out[2] is k1 and unchanged([(k1, k1_copy)])
+            assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45_adaptive", "implicit_midpoint"])
+@pytest.mark.parametrize("tier", ["schrodinger", "gamma_geodesic", "full"])
+def test_recorded_samples_are_not_written_after_they_are_taken(rng, monkeypatch, tier, method):
+    # every vector the recorder buffers keeps the bits it had when recorded
+    taken = []
+    real_record = integrate_module._System.record
+
+    def record(self, t, y):
+        taken.append((y, y.copy()))
+        return real_record(self, t, y)
+
+    monkeypatch.setattr(integrate_module._System, "record", record)
+    initial, params, chi = tier_case(tier, 2, rng)
+    integrate(initial, tier, IntegratorConfig(dt=0.01, t_end=0.05, method=method), params, chi)
+    assert len(taken) >= 2 and unchanged(taken)
