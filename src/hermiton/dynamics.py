@@ -289,8 +289,8 @@ def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
 
     ``psid`` given as None means ``psi`` is the (2, n) stack (psi, psid), and
     ``gamma_dot`` given as None means ``gamma`` is the (2, n, n) stack (gamma,
-    gamma_dot): the integrator's codec reads them so, and the separate blocks
-    are stacked into the same arrays.  ``ginv``, when given, is
+    gamma_dot): the integrator's rate closures read them so, and the separate
+    blocks are stacked into the same arrays.  ``ginv``, when given, is
     ``_checked_inverse(gamma)`` computed by the caller; ``prepared`` is the
     run's :class:`_PreparedGammaRate` (built here when None).
     """
@@ -499,7 +499,9 @@ class _PreparedGammaRate:
         prm = self.params
         a1, a2, a9 = prm.alpha1, prm.alpha2, prm.alpha9
         (h00, h01, h02, h03), (h10, h11, h12, _), (h20, h21, h22, _), (h30, *_) = h
-        tr_a2 = np.vdot(ginv, geodesic).real               # Tr A^2
+        # Tr A^2, as a Python float: the scalar algebra below then stays in
+        # Python scalars, each operation far cheaper than on numpy scalars
+        tr_a2 = float(np.vdot(ginv, geodesic).real)
 
         # lam r_gamma lam = -2 alpha6 (gamma_dot A - (alpha7/alpha6) tau gamma + U K' U^)
         x = h21.real                                       # Re psid^ gamma_dot psi

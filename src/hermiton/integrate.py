@@ -4,9 +4,11 @@ Every tier steps a subset of the same blocks psi, psi_dot, gamma and
 gamma_dot, listed in ``STEPPED_BLOCKS`` in storage order.  The stepped
 blocks are flattened into one real vector; the others stay frozen (gamma at
 its initial value, the rest at zero).  Each run builds one rate closure for
-its tier, ``_System.rates``: it reads the stepped blocks as views of the
-vector, calls the tier's kernel through its module-level name and returns
-the blocks' rates; ``deriv`` packs them with one concatenate.  Every
+its tier and gamma layout, ``_System.rates``: it reads the stepped blocks
+through shapes fixed at set-up, as read-only views of the vector (and, in
+the structural layout, as the matrices one codec call decodes), calls the
+tier's kernel through its module-level name and packs the new rate vector
+with one concatenate; ``deriv`` hands that vector to the steppers.  Every
 tier's kernel is prepared once per run, with the closure: the frozen-gamma
 tiers take a ``dynamics._PreparedPsiRate``, so a step re-derives neither
 K^{-1} nor the linear part of the psi equation; ``gamma_geodesic`` takes the
@@ -20,11 +22,13 @@ set of stacked calls runs the FullState checks on every sample (finite
 entries, hermiticity, one stacked checked inverse of gamma) and computes
 energy from that inverse, theta1 and the hermiticity drift.  Each sample's
 state and diagnostics have the bits of the one-state calls.  A sample that
-needs the rates f(t, y) takes them from the stepper's evaluation at the
-same (t, y) when there is one: the next RK4 step's first stage, the
-accepted Dormand-Prince step's last stage, or the midpoint Jacobian's base
-call at (t0, y0).  An invalid sample raises its own error, naming it, ahead
-of any later step failure.  Every trajectory holds validated FullStates.
+needs the rates f(t, y) (psi_dot of a first-order tier, read back from the
+rate vector, or the raw acceleration of a structural gamma) takes them from
+the stepper's evaluation at the same (t, y) when there is one: the next RK4
+step's first stage, the accepted Dormand-Prince step's last stage, or the
+midpoint Jacobian's base call at (t0, y0).  An invalid sample raises its
+own error, naming it, ahead of any later step failure.  Every trajectory
+holds validated FullStates.
 
 The real form of complex data is numpy's real view, real and imaginary
 parts interleaved: y is the real view of the complex blocks, concatenated in
@@ -35,8 +39,8 @@ parts interleaved: y is the real view of the complex blocks, concatenated in
   ``hermitian_to_real`` (diagonal reals plus off-diagonal real/imaginary
   pairs), which enforces hermiticity structurally; the
   hermiticity defect of the raw right-hand side is still recorded at
-  sample times (the "pre-projection" drift).  A ``deriv`` call decodes
-  both matrices with one ``real_to_hermitian`` call and encodes only the
+  sample times (the "pre-projection" drift).  A rate call decodes both
+  matrices with one ``real_to_hermitian`` call and encodes only the
   acceleration: gamma's rate is y's own gamma_dot coordinates.
 * ``resymmetrize_gamma=False``: the full complex matrices are stepped
   (2 n^2 reals each) and the hermiticity drift of the state itself is
@@ -60,10 +64,13 @@ Stepping methods (``IntegratorConfig.method``):
   the iteration stops.
 
 A fixed-step run whose step count exceeds ``max_steps`` fails before it
-takes a step.  The explicit steppers sum their stages in place, into one
-fresh array per sum, with the operations and their order of the textbook
+takes a step.  The explicit steppers take each stage and output sum into
+one fresh array with the operations and their order of the textbook
 expressions, so the sums keep their bits; nothing is written into y or into
-a slope the caller keeps.
+a slope the caller keeps.  RK4 sums its four slopes in place; Dormand-Prince
+keeps its seven slopes as the rows of one (7, N) array, and a sum is the
+tableau row, as a column, times those rows, one reduce down the stack and
+the scaling and y + in place.
 """
 
 from __future__ import annotations
@@ -179,10 +186,10 @@ class _Codec:
     the ``hermitian_to_real`` coordinates of gamma and then of gamma_dot (a
     tier that steps gamma steps gamma_dot too).  Blocks of one shape are
     adjacent in y, so psi and psi_dot are one (2, n) array and gamma and
-    gamma_dot one (2, n, n) array, as the Gamma-stepping kernels take them.
-    The same codec reads one vector in the rate closure and the stack of
-    recorded vectors (S, N) when a run is recorded; the two Hermitian
-    matrices are decoded by one call.
+    gamma_dot one (2, n, n) array, as the Gamma-stepping kernels take them
+    and the rate closures read them.  The codec packs the initial vector and
+    unpacks the stack of recorded vectors (S, N) when a run is recorded; the
+    two Hermitian matrices are decoded by one call.
     """
 
     def __init__(self, stepped, n: int, structural: bool):
@@ -199,105 +206,147 @@ class _Codec:
                 offset += size
         self.split = 2 * offset  # the reals of the complex blocks
 
-    def read(self, y) -> list:
-        """The stepped blocks stored in y (..., N), in stepped order, with y's
-        leading axes, each pair of blocks of one shape as one array with the
-        pair on the axis after them: views of y (which must be C-contiguous)
-        for the complex blocks, then the Hermitian matrices of the structural
-        layout."""
-        z = y[..., :self.split].view(complex)
+    def unpack(self, y) -> dict:
+        """The stepped blocks stored in y (..., N), by name, with y's leading
+        axes: read-only views of y (which must be C-contiguous) for the
+        complex blocks, then the Hermitian matrices of the structural
+        layout, decoded by one call."""
         lead = y.shape[:-1]
-        groups = [z[..., span].reshape(lead + ((count,) if count > 1 else ()) + shape)
+        z = y[..., :self.split].view(complex)
+        z.setflags(write=False)
+        groups = [(z[..., span].reshape(lead + (count,) + shape), shape)
                   for span, count, shape in self.groups]
         if self.coded:
             coords = y[..., self.split:].reshape(*lead, self.coded, self.n * self.n)
-            groups.append(real_to_hermitian(coords, self.n))
-        return groups
-
-    def unpack(self, y) -> dict:
-        """The stepped blocks stored in y (..., N), by name; the complex blocks
-        are read-only views of y."""
-        blocks = []
-        layout = [(count, len(shape)) for _, count, shape in self.groups] \
-            + ([(self.coded, 2)] if self.coded else [])
-        for k, (group, (count, core)) in enumerate(zip(self.read(y), layout)):
-            if k < len(self.groups):
-                group.setflags(write=False)
-            blocks += [group] if count == 1 else \
-                [group[(..., j) + (slice(None),) * core] for j in range(count)]
+            groups.append((real_to_hermitian(coords, self.n), (self.n, self.n)))
+        blocks = [group[(..., j) + (slice(None),) * len(shape)]
+                  for group, shape in groups for j in range(group.shape[len(lead)])]
         return dict(zip(self.stepped, blocks))
 
-    def pack(self, blocks, y=None) -> np.ndarray:
+    def pack(self, blocks) -> np.ndarray:
         """A new vector holding the stepped blocks, given in stepped order:
         one concatenate of the complex blocks, viewed as reals, and the
-        Hermitian coordinates.  With ``y``, the blocks are the rates at y:
-        gamma's rate in the structural layout is gamma_dot, whose coordinates
-        y holds, so they are copied from y and only gamma_dot's rate is
-        encoded."""
+        Hermitian coordinates."""
         split = len(self.stepped) - self.coded   # the complex blocks
         parts = [np.concatenate(blocks[:split], axis=None, dtype=complex).view(float)] \
             if split else []
-        if self.coded and y is not None:
-            parts += [y[self.split + self.n * self.n:],
-                      hermitian_to_real(hermitian_part(blocks[-1]))]
-        elif self.coded:
-            parts += [hermitian_to_real(hermitian_part(block)) for block in blocks[split:]]
+        parts += [hermitian_to_real(hermitian_part(block)) for block in blocks[split:]]
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gamma_tilde):
-    """The run's rate closure ``rates(t, y)``: the time derivative of each
-    block y stores, in stepped order, from the tier's kernel, called through
-    its module-level name.  The gamma_dot rate is the kernel's acceleration
-    before the structural layout projects it.  ``gamma`` is the frozen form
-    of the tiers that do not step it; their kernel takes a prepared psi rate
-    built here.  The geodesic kernel takes a prepared geodesic rate built
-    here, which refuses degenerate couplings before the run steps, naming
-    the tier.  The Gamma-stepping kernels take a prepared gamma rate built
-    here, the stacked blocks as the codec reads them, and chi resolved once
-    when it is constant."""
-    read = codec.read
+    """The run's rate closure ``rates(t, y)``: ``(rate, acc)``, with ``rate``
+    the new real vector of y's time derivative that the steppers take, from
+    the tier's kernel, called through its module-level name.  ``acc`` is the
+    kernel's gamma acceleration before the structural layout projects it, in
+    that layout, and None otherwise.  The tiers whose recorded samples read
+    the rates (the first-order tiers and the structural layout) take
+    ``rates(t, y, sample=True)``, which gives what a sample reads and may
+    leave the rest out: psi's rate first in ``rate`` (None without psi), and
+    ``acc`` unprojected, so a sample encodes no acceleration.
+
+    A closure reads y through shapes fixed here: the complex blocks as one
+    ``view(complex)`` of y, reshaped, and in the structural layout the two
+    Hermitian matrices, decoded by one ``real_to_hermitian`` call.  Both are
+    marked read-only, so a kernel that writes into its input raises.  It
+    packs ``rate`` with one concatenate: the rate of psi on ``second_order``
+    and ``full`` is y's own psi_dot, and the rate of gamma is y's own
+    gamma_dot, coordinates included; the structural layout encodes only the
+    projected acceleration.  A frozen first-order tier's rate is the real
+    view of the kernel's new array.
+
+    ``gamma`` is the frozen form of the tiers that do not step it; their
+    kernel takes a prepared psi rate built here.  The geodesic kernel takes a
+    prepared geodesic rate built here, which refuses degenerate couplings
+    before the run steps, naming the tier.  The Gamma-stepping kernels take a
+    prepared gamma rate built here, the (2, n, n) stack (gamma, gamma_dot),
+    the (2, n) stack (psi, psi_dot) on ``full``, and chi resolved once when
+    it is constant."""
+    n, split, structural = codec.n, codec.split, codec.coded > 0
+    nn = n * n
     if not callable(chi):
         chi = resolve_chi(chi, 0.0)
     if tier in ("schrodinger", "direct_nonlinear"):
         psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=False)
 
-        def rates(t, y):
-            (psi,) = read(y)
-            return [rhs_direct_nonlinear_raw(psi, gamma, params, chi, t, prepared=psi_rate)]
+        def rates(t, y, sample=False):
+            psi = y.view(complex)
+            psi.setflags(write=False)
+            psid = rhs_direct_nonlinear_raw(psi, gamma, params, chi, t, prepared=psi_rate)
+            return psid.view(float), None
     elif tier == "second_order":
         psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=True, kinetic=gamma_tilde)
 
         def rates(t, y):
-            psi, psid = read(y)[0]
-            return [psid, rhs_second_order(_Blocks(psi, psid, gamma, None, t), chi, params,
-                                           prepared=psi_rate)]
+            v = y.view(complex).reshape(2, n)
+            v.setflags(write=False)
+            acc = rhs_second_order(_Blocks(v[0], v[1], gamma, None, t), chi, params,
+                                   prepared=psi_rate)
+            return np.concatenate((v[1], acc)).view(float), None
     elif tier == "gamma_geodesic":
         a, b = 2.0 * params.alpha6, 2.0 * params.alpha7
         try:
-            geodesic = _prepared_geodesic_rate(a, b, codec.n)
+            geodesic = _prepared_geodesic_rate(a, b, n)
         except DegenerateKinetic as exc:
             raise DegenerateKinetic(f"[{tier}] {exc}") from None
-
-        def rates(t, y):
-            g, gd = read(y)[0]
-            return [gd, rhs_gamma_geodesic(g, gd, a, b, prepared=geodesic)]
+        if structural:
+            def rates(t, y, sample=False):
+                gg = real_to_hermitian(y.reshape(2, nn), n)
+                gg.setflags(write=False)
+                acc = rhs_gamma_geodesic(gg[0], gg[1], a, b, prepared=geodesic)
+                if sample:
+                    return None, acc
+                return np.concatenate((y[nn:], hermitian_to_real(hermitian_part(acc)))), acc
+        else:
+            def rates(t, y):
+                gg = y.view(complex).reshape(2, n, n)
+                gg.setflags(write=False)
+                acc = rhs_gamma_geodesic(gg[0], gg[1], a, b, prepared=geodesic)
+                return np.concatenate((gg[1], acc), axis=None).view(float), None
     elif tier == "full":
         gamma_rate = _PreparedGammaRate(params, first_order=False)
-
-        def rates(t, y):
-            v, gg = read(y)
-            acc_psi, acc_g = _full_accelerations_raw(v, None, gg, None, params, chi, t,
-                                                     prepared=gamma_rate)
-            return [v[1], acc_psi, gg[1], acc_g]
+        if structural:
+            def rates(t, y, sample=False):
+                v = y[:split].view(complex).reshape(2, n)
+                gg = real_to_hermitian(y[split:].reshape(2, nn), n)
+                v.setflags(write=False)
+                gg.setflags(write=False)
+                acc_psi, acc_g = _full_accelerations_raw(v, None, gg, None, params, chi, t,
+                                                         prepared=gamma_rate)
+                if sample:
+                    return None, acc_g
+                return np.concatenate((y[2 * n:split], acc_psi.view(float), y[split + nn:],
+                                       hermitian_to_real(hermitian_part(acc_g)))), acc_g
+        else:
+            def rates(t, y):
+                z = y.view(complex)
+                z.setflags(write=False)
+                v, gg = z[:2 * n].reshape(2, n), z[2 * n:].reshape(2, n, n)
+                acc_psi, acc_g = _full_accelerations_raw(v, None, gg, None, params, chi, t,
+                                                         prepared=gamma_rate)
+                return np.concatenate((v[1], acc_psi, gg[1], acc_g), axis=None).view(float), None
     else:
         gamma_rate = _PreparedGammaRate(params, first_order=True)
-
-        def rates(t, y):
-            psi, gg = read(y)
-            psid, acc_g = _modified_first_order_raw(psi, gg, None, params, chi, t,
-                                                    prepared=gamma_rate)
-            return [psid, gg[1], acc_g]
+        if structural:
+            def rates(t, y, sample=False):
+                psi = y[:split].view(complex)
+                gg = real_to_hermitian(y[split:].reshape(2, nn), n)
+                psi.setflags(write=False)
+                gg.setflags(write=False)
+                psid, acc_g = _modified_first_order_raw(psi, gg, None, params, chi, t,
+                                                        prepared=gamma_rate)
+                if sample:
+                    return psid.view(float), acc_g
+                return np.concatenate((psid.view(float), y[split + nn:],
+                                       hermitian_to_real(hermitian_part(acc_g)))), acc_g
+        else:
+            def rates(t, y, sample=False):
+                z = y.view(complex)
+                z.setflags(write=False)
+                psi, gg = z[:n], z[n:].reshape(2, n, n)
+                psid, acc_g = _modified_first_order_raw(psi, gg, None, params, chi, t,
+                                                        prepared=gamma_rate)
+                return np.concatenate((psid, gg[1], acc_g), axis=None).view(float), None
     return rates
 
 
@@ -315,15 +364,15 @@ class _System:
     samples.
 
     ``rates`` is the run's rate closure (see :func:`_rate_closure`) and
-    ``deriv`` packs its rates into the vector the steppers take.  ``record``
-    only buffers a sample's (t, y).  ``finish`` turns the buffer into (times,
+    ``deriv`` returns its rate vector to the steppers.  ``record`` only
+    buffers a sample's (t, y).  ``finish`` turns the buffer into (times,
     states, diagnostics) with one set of stacked calls and empties it.  A
-    sample that needs the rates f(t, y) (psi_dot of a first-order tier, the
-    pre-projection drift of a structural gamma) takes them from a ``deriv``
-    call at bitwise the same (t, y) when the stepper makes one (the next RK4
-    step's first stage, an accepted Dormand-Prince step's last stage, the
-    midpoint Jacobian's base call);
-    ``finish`` evaluates the others with ``rates``.
+    sample that needs f(t, y) (psi_dot of a first-order tier, read back from
+    the rate vector; the raw acceleration of a structural gamma, for the
+    pre-projection drift) takes it from a ``deriv`` call at bitwise the same
+    (t, y) when the stepper makes one (the next RK4 step's first stage, an
+    accepted Dormand-Prince step's last stage, the midpoint Jacobian's base
+    call); ``finish`` evaluates the others with ``rates``.
     """
 
     def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -340,7 +389,7 @@ class _System:
         self.first_order = "psi" in stepped and "psi_dot" not in stepped
         self.structural = cfg.resymmetrize_gamma
         self.needs_rates = self.first_order or ("gamma" in stepped and self.structural)
-        self.latest = (None, None, None)     # (t, y, rates) of the latest deriv call
+        self.latest = (None, None, None)     # (t, y, rates(t, y)) of the latest deriv call
         self.times, self.ys, self.taken = [], [], []
         self.t0 = initial.t
         self.y0 = self.codec.pack([getattr(initial, block) for block in stepped])
@@ -359,7 +408,7 @@ class _System:
         if self.needs_rates:
             self.latest = (t, y, rates)
             self._take_rates(t, y, rates)
-        return self.codec.pack(rates, y)
+        return rates[0]
 
     def record(self, t, y):
         self.times.append(t)
@@ -384,7 +433,7 @@ class _System:
         for k in range(len(times) if self.needs_rates else 0):
             if rates[k] is None:
                 try:
-                    rates[k] = self.rates(times[k], ys[k])
+                    rates[k] = self.rates(times[k], ys[k], sample=True)
                 except Exception as exc:
                     failure = _sample_error(self.tier, k, times[k], exc)
                     times, ys = times[:k], ys[:k]
@@ -398,12 +447,13 @@ class _System:
         """Validated FullStates and diagnostics of the samples y (S, N)."""
         b = self.blocks(y)
         count = len(times)
-        if self.first_order:             # psi is stored first
-            b["psi_dot"] = np.array([r[0] for r in rates[:count]])
+        if self.first_order:             # psi's rate is stored first
+            psi_reals = 2 * self.codec.n
+            b["psi_dot"] = np.array([r[:psi_reals] for r, _ in rates[:count]]).view(complex)
         if "gamma" not in self.stepped:
             drift = [0.0] * count
-        elif self.structural:            # gamma_dot is stored last
-            drift = hermiticity_drift(np.array([r[-1] for r in rates[:count]]))
+        elif self.structural:
+            drift = hermiticity_drift(np.array([acc for _, acc in rates[:count]]))
         else:
             drift = hermiticity_drift(b["gamma"])
         gamma, gamma_dot = hermitian_part(b["gamma"]), hermitian_part(b["gamma_dot"])
@@ -452,8 +502,9 @@ def _rk4_step(f, t, y, dt):
     return np.add(y, s, out=s)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; the nodes are Python floats, so a stage time
+# is one too
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _DP_A = [
     [],
     [1 / 5],
@@ -466,6 +517,9 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+#: the tableau rows of the six stage sums, then of y5 and y4, as columns:
+#: the weights of the slopes stacked (i, N)
+_DP_COLUMNS = [np.array(row)[:, None] for row in (*_DP_A[1:], _DP_B5, _DP_B4)]
 
 
 def _dp_step(f, t, y, dt, k1=None):
@@ -475,24 +529,25 @@ def _dp_step(f, t, y, dt, k1=None):
     is returned for a retry after a rejection.  The last stage is evaluated
     at (t + dt, y5), so ``k7`` is the next step's ``k1`` once this step is
     accepted ("first same as last"): a step costs 6 RHS evaluations, and the
-    first one 7.
+    first one 7.  The slopes are the rows of one (7, N) array.
     """
-    k = [f(t, y) if k1 is None else k1]
+    if k1 is None:
+        k1 = f(t, y)
+    k = np.empty((7, y.size))
+    k[0] = k1
     for i in range(1, 7):
-        k.append(f(t + _DP_C[i] * dt, _dp_sum(y, dt, _DP_A[i], k)))
-    y5 = _dp_sum(y, dt, _DP_B5, k)
-    y4 = _dp_sum(y, dt, _DP_B4, k)
-    return y5, y5 - y4, k[0], k[6]
+        k[i] = f(t + _DP_C[i] * dt, _dp_sum(y, dt, _DP_COLUMNS[i - 1], k[:i]))
+    y5 = _dp_sum(y, dt, _DP_COLUMNS[6], k)
+    y4 = _dp_sum(y, dt, _DP_COLUMNS[7], k)
+    return y5, y5 - y4, k1, k[6]
 
 
-def _dp_sum(y, dt, coeffs, k) -> np.ndarray:
-    """y + dt * sum(c * kk for c, kk in zip(coeffs, k)), summed in place into
-    one fresh array in the same order, from sum's leading 0 + (which maps
-    -0.0 to 0.0) to the final y +."""
-    s = coeffs[0] * k[0]
-    s += 0
-    for i in range(1, len(coeffs)):
-        s += coeffs[i] * k[i]
+def _dp_sum(y, dt, column, k) -> np.ndarray:
+    """y + dt * sum(c * kk for c, kk in zip(column, k)) for the stacked
+    slopes k (i, N), with the operations of that expression in its order: the
+    products, then one reduce down the stack from sum's leading 0 + (which
+    maps -0.0 to 0.0), then dt * and y + in place."""
+    s = np.add.reduce(column * k, axis=0, initial=0.0)
     s *= dt
     return np.add(y, s, out=s)
 

@@ -50,6 +50,17 @@ def symplectic_smoke_case():
     return params, state, np.array([[1.3]])
 
 
+def rate_blocks(codec, rate, acc) -> list:
+    """The rates ``(rate, acc)`` of one call of a run's rate closure, block by
+    block in stepped order: read back from the rate vector through the
+    run's codec, with gamma_dot's rate in the structural layout the raw
+    acceleration ``acc`` of the same call."""
+    blocks = list(codec.unpack(rate).values())
+    if acc is not None:
+        blocks[-1] = acc
+    return blocks
+
+
 def count_numeric_inverse(monkeypatch) -> list:
     """A list that gains one entry per call of the brute-force kinetic
     inverse ``oracles.omega_inverse_numeric`` while the test runs."""

@@ -34,7 +34,14 @@ from hermiton.models import (
 )
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
-from conftest import count_numeric_inverse, rand_herm, rand_pd, rand_vec, scale_couplings
+from conftest import (
+    count_numeric_inverse,
+    rand_herm,
+    rand_pd,
+    rand_vec,
+    rate_blocks,
+    scale_couplings,
+)
 
 
 def full_params(**overrides):
@@ -318,8 +325,9 @@ class TestRhsGammaGeodesic:
         system = integrate_module._build_system(state, "gamma_geodesic", cfg, params,
                                                 np.zeros((n, n)))
         for y in (system.y0, system.y0 + 0.1 * rng.normal(size=system.y0.size)):
-            g, gd = system.codec.read(y)[0]
-            rate = system.rates(0.0, y)[1]
+            blocks = system.codec.unpack(y)
+            g, gd = blocks["gamma"], blocks["gamma_dot"]
+            rate = rate_blocks(system.codec, *system.rates(0.0, y))[1]
             public = rhs_gamma_geodesic(g, gd, 2.0 * params.alpha6, 2.0 * params.alpha7)
             assert rate.tobytes() == public.tobytes()
             assert rate.tobytes() == hermitian_part(gd.dot(_checked_inverse(g)).dot(gd)).tobytes()

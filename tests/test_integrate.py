@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hermiton.dynamics import (
     rhs_second_order,
 )
 from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
-from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
+from hermiton.hermitian_algebra import hermitian_part, hermitian_to_real, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, Trajectory, integrate
 from hermiton.models import (
     FullState,
@@ -27,7 +28,14 @@ from hermiton.models import (
 )
 from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
-from conftest import rand_herm, rand_pd, rand_vec, scale_couplings, symplectic_smoke_case
+from conftest import (
+    rand_herm,
+    rand_pd,
+    rand_vec,
+    rate_blocks,
+    scale_couplings,
+    symplectic_smoke_case,
+)
 
 
 def schrodinger_setup(rng, n=2):
@@ -305,9 +313,9 @@ def count_rates(monkeypatch) -> list:
         system = build(*args, **kwargs)
         rates = system.rates
 
-        def counted(t, y):
+        def counted(*args, **kwargs):
             calls[0] += 1
-            return rates(t, y)
+            return rates(*args, **kwargs)
 
         system.rates = counted
         return system
@@ -415,6 +423,12 @@ class TestRhsCounts:
         rate = system.deriv(system.t0, system.y0)
         assert sorted(calls) == ["hermitian_to_real", "real_to_hermitian"]
         assert rate[-2 * n * n:-n * n].tobytes() == system.y0[-n * n:].tobytes()
+        # a sample no stage reached takes its rates without the encode it never
+        # reads: one decode there and one for the recorded stack
+        del calls[:]
+        system.record(system.t0 + 0.01, 1.01 * system.y0)
+        system.finish()
+        assert calls == ["real_to_hermitian", "real_to_hermitian"]
 
     @pytest.mark.parametrize("tier", ["schrodinger", "second_order", "full"])
     @pytest.mark.parametrize("n", [1, 3])
@@ -684,7 +698,7 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
     cfg = IntegratorConfig(dt=0.1, t_start=0.3, t_end=1.0)
     system = integrate_module._build_system(state, tier, cfg, params, chi,
                                             gamma if case == "gamma_tilde" else None)
-    rates = dict(zip(stepped, system.rates(state.t, system.y0)))
+    rates = dict(zip(stepped, rate_blocks(system.codec, *system.rates(state.t, system.y0))))
     if "psi_dot" in stepped:
         accel = (rates["psi_dot"], rates.get("gamma_dot"))
     elif "psi" in stepped:
@@ -698,6 +712,20 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
     if "gamma" in stepped:
         assert (np.linalg.norm(residual.r_gamma)
                 <= 1e-12 * np.linalg.norm(np.linalg.inv(gamma)))
+
+
+def packed_rates(codec, rates, y) -> np.ndarray:
+    """The rate vector at y of the rate blocks ``rates``, given in stepped
+    order, packed block by block: one concatenate of the complex blocks,
+    viewed as reals, and in the structural layout y's own gamma_dot
+    coordinates and the coordinates of the acceleration's Hermitian part."""
+    split = len(codec.stepped) - codec.coded
+    parts = [np.concatenate(rates[:split], axis=None, dtype=complex).view(float)] \
+        if split else []
+    if codec.coded:
+        parts += [y[codec.split + codec.n * codec.n:],
+                  hermitian_to_real(hermitian_part(rates[-1]))]
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def _unprepared_rates(tier, blocks, gamma, params, chi, gamma_tilde, t) -> list:
@@ -737,7 +765,8 @@ def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural
     # the run's rate closure against the kernels' unprepared paths at random
     # states: within 1e-14 of max|ref| where the frozen tiers apply the probed
     # operator, bitwise where a callable chi keeps the unprepared arithmetic
-    # and where the Gamma-stepping kernels are called as before
+    # and where the Gamma-stepping kernels are called as before.  Its rate
+    # vector has the bits of its blocks packed one by one
     stepped = integrate_module.STEPPED_BLOCKS[tier]
     for n in (1, 2, 3, 5, 8):
         drive, base, turn = rand_vec(rng, n, 0.3), rand_herm(rng, n), rand_herm(rng, n, 0.3)
@@ -759,7 +788,9 @@ def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural
             y = system.codec.pack([rand_pd(rng, n) if block == "gamma"
                                    else rand_herm(rng, n, 0.3) if block == "gamma_dot"
                                    else rand_vec(rng, n) for block in stepped])
-            got = system.rates(t, y)
+            rate, acc = system.rates(t, y)
+            got = rate_blocks(system.codec, rate, acc)
+            assert rate.tobytes() == packed_rates(system.codec, got, y).tobytes()
             want = _unprepared_rates(tier, system.codec.unpack(y), state.gamma, params, chi,
                                      gamma_tilde, t)
             assert len(got) == len(want) == len(stepped)
@@ -826,16 +857,23 @@ def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier, constant
         assert set(calls) == {"_ResidualPieces", "resolve_chi"}
 
 
+#: each tier's kernel, by its name in the integrate module
+_KERNELS = {"schrodinger": "rhs_direct_nonlinear_raw",
+            "direct_nonlinear": "rhs_direct_nonlinear_raw",
+            "second_order": "rhs_second_order",
+            "gamma_geodesic": "rhs_gamma_geodesic",
+            "full": "_full_accelerations_raw",
+            "modified_first_order": "_modified_first_order_raw"}
+
+
 @pytest.mark.parametrize("structural", [False, True])
 @pytest.mark.parametrize("tier", integrate_module.MODEL_TIERS)
 def test_build_system_calls_no_kernel(rng, monkeypatch, tier, structural):
     # the run's set-up (the prepared psi rate's probe included) evaluates no
     # right-hand side through the kernels' names: every call of one is a step's
     # or a sample's, as the benchmark's RHS counts assume
-    kernels = ("rhs_direct_nonlinear_raw", "rhs_second_order", "rhs_gamma_geodesic",
-               "_full_accelerations_raw", "_modified_first_order_raw")
     calls = []
-    for name in kernels:
+    for name in set(_KERNELS.values()):
         def counted(*args, _fn=getattr(integrate_module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -848,13 +886,40 @@ def test_build_system_calls_no_kernel(rng, monkeypatch, tier, structural):
                                                 else None)
         assert calls == []
         system.rates(system.t0, system.y0)
-        assert calls == [{"schrodinger": "rhs_direct_nonlinear_raw",
-                          "direct_nonlinear": "rhs_direct_nonlinear_raw",
-                          "second_order": "rhs_second_order",
-                          "gamma_geodesic": "rhs_gamma_geodesic",
-                          "full": "_full_accelerations_raw",
-                          "modified_first_order": "_modified_first_order_raw"}[tier]]
+        assert calls == [_KERNELS[tier]]
         del calls[:]
+
+
+#: the arguments of each kernel that hold the stage's blocks
+_STAGE_INPUTS = {"rhs_direct_nonlinear_raw": lambda args: args[:1],
+                 "rhs_second_order": lambda args: (args[0].psi, args[0].psi_dot),
+                 "rhs_gamma_geodesic": lambda args: args[:2],
+                 "_full_accelerations_raw": lambda args: (args[0], args[2]),
+                 "_modified_first_order_raw": lambda args: args[:2]}
+
+
+@pytest.mark.parametrize("structural", [False, True])
+@pytest.mark.parametrize("tier", integrate_module.MODEL_TIERS)
+def test_kernel_that_writes_into_its_input_raises(rng, monkeypatch, tier, structural):
+    # every block a kernel reads from y is read-only, the views of y and the
+    # decoded Hermitian matrices alike: a kernel that writes into any one of
+    # them raises, and y keeps its bits
+    name = _KERNELS[tier]
+    kernel = getattr(integrate_module, name)
+    initial, params, chi = tier_case(tier, 3, rng)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.02, resymmetrize_gamma=structural)
+    system = integrate_module._build_system(initial, tier, cfg, params, chi)
+    y = system.y0 + 0.01 * rng.normal(size=system.y0.size)
+    y_copy = y.copy()
+    for target in range(1 if name == "rhs_direct_nonlinear_raw" else 2):
+        def writing(*args, _target=target, **kwargs):
+            _STAGE_INPUTS[name](args)[_target][...] = 0.0
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, name, writing)
+        with pytest.raises(ValueError, match="read-only"):
+            system.deriv(system.t0, y)
+        assert y.tobytes() == y_copy.tobytes()
 
 
 def reference_record(system, tier, cfg, params, chi, t, y):
@@ -866,7 +931,7 @@ def reference_record(system, tier, cfg, params, chi, t, y):
     steps_gamma = "gamma" in stepped
     rates = None
     if first_order or (steps_gamma and cfg.resymmetrize_gamma):
-        rates = dict(zip(stepped, system.rates(t, y)))
+        rates = dict(zip(stepped, rate_blocks(system.codec, *system.rates(t, y))))
     if first_order:
         b["psi_dot"] = rates["psi"]
     if not steps_gamma:
@@ -1057,20 +1122,21 @@ def textbook_dp(f, t, y, dt, k1=None):
     return y5, y5 - y4, k[0], k[6]
 
 
-def special_entries(rng, size):
-    """Random reals over many binades, with signed zeros, signed infinities
-    and NaNs of both signs among them."""
-    x = rng.normal(size=size) * 2.0 ** rng.integers(-20, 20, size=size)
+def special_entries(rng, size, binades=20):
+    """Random reals over 2 ``binades`` binades, from 2^-binades to 2^binades,
+    with signed zeros, signed infinities and NaNs of both signs among them."""
+    x = rng.normal(size=size) * 2.0 ** rng.integers(-binades, binades, size=size)
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
     pick = rng.random(size) < 0.15
     x[pick] = rng.choice(specials, size=int(pick.sum()))
     return x
 
 
-def scripted_rates(rng, size, calls):
+def scripted_rates(rng, size, calls, binades=20):
     """f(t, y) that records a copy of its arguments and returns the next of
-    ``calls`` prepared slopes, which it keeps with a copy of each."""
-    slopes = [special_entries(rng, size) for _ in range(calls)]
+    ``calls`` prepared slopes of ``special_entries``, which it keeps with a
+    copy of each."""
+    slopes = [special_entries(rng, size, binades) for _ in range(calls)]
     log, given = [], []
 
     def f(t, y):
@@ -1092,26 +1158,27 @@ def test_stage_sums_have_the_textbook_bits(rng, size):
     # output has the same bits, and no array a caller holds is written.  A
     # stepped vector holds the real view of at least one complex number, so
     # size >= 2: an in-place add of one-element arrays takes the sign of a NaN
-    # from its other operand when both are NaN
+    # from its other operand when both are NaN.  Slopes over 2^-53 to 2^53,
+    # about 1e-16 to 1e16, make a sum taken in another order change bits
     with np.errstate(invalid="ignore", over="ignore"):
         check_stage_sums(rng, size)
 
 
 def check_stage_sums(rng, size):
-    for seed in range(20):
+    for seed, binades in itertools.product(range(20), (20, 53)):
         y, dt, t = special_entries(rng, size), float(rng.uniform(1e-3, 0.5)), float(seed)
         y_copy = y.copy()
         runs = []
         for step in (integrate_module._rk4_step, textbook_rk4):
-            f, log, given = scripted_rates(np.random.default_rng(seed), size, 4)
+            f, log, given = scripted_rates(np.random.default_rng(seed), size, 4, binades)
             runs.append((step(f, t, y, dt).tobytes(), log))
             assert unchanged(given) and unchanged([(y, y_copy)])
         assert runs[0] == runs[1]
-        for k1 in (None, special_entries(rng, size)):
+        for k1 in (None, special_entries(rng, size, binades)):
             k1_copy = None if k1 is None else k1.copy()
             runs = []
             for step in (integrate_module._dp_step, textbook_dp):
-                f, log, given = scripted_rates(np.random.default_rng(seed), size, 7)
+                f, log, given = scripted_rates(np.random.default_rng(seed), size, 7, binades)
                 out = step(f, t, y, dt, k1)
                 runs.append(([a.tobytes() for a in out], log))
                 assert unchanged(given) and unchanged([(y, y_copy)])
