@@ -40,7 +40,6 @@ from .hermitian_algebra import (
     real_decompose,
 )
 from .models import (
-    FD_STEP,
     FullState,
     ModelParams,
     PotentialSpec,
@@ -407,6 +406,10 @@ class CanonicalFlow:
     pi_dot: np.ndarray
     gamma_dot: Optional[np.ndarray]
     pi_gamma_dot: Optional[np.ndarray]
+
+
+#: relative central-difference step: h = FD_STEP * max(1, |x|)
+FD_STEP = 1e-6
 
 
 def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi) -> CanonicalFlow:

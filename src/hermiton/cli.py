@@ -80,10 +80,12 @@ def _generators(s: Scenario) -> list:
             for gen in ((f"H{i}", b), (f"A{i}", 1j * b))]
 
 
-def _charges_jsonl(traj: Trajectory, s: Scenario, path: Path) -> dict:
+def _charges_jsonl(traj: Trajectory, s: Scenario, out_dir: Path) -> dict:
+    """Write ``<name>_charges.jsonl`` and ``<name>_charge_summary.json``;
+    returns the summary."""
     reports = diagnostics.monitor(traj, s.params, s.chi, gamma0=s.gamma0,
                                   generators=_generators(s))
-    with path.open("w") as fh:
+    with (out_dir / f"{s.name}_charges.jsonl").open("w") as fh:
         for rep in reports:
             fh.write(json.dumps({
                 "t": rep.t,
@@ -92,7 +94,10 @@ def _charges_jsonl(traj: Trajectory, s: Scenario, path: Path) -> dict:
                 "herm_drift": rep.hermiticity_drift,
                 "charges": {label: value for label, value in rep.charges},
             }, sort_keys=True) + "\n")
-    return diagnostics.drift_summary(reports)
+    summary = diagnostics.drift_summary(reports)
+    (out_dir / f"{s.name}_charge_summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True))
+    return summary
 
 
 def cmd_simulate(s: Scenario, out_dir: Path) -> int:
@@ -102,9 +107,7 @@ def cmd_simulate(s: Scenario, out_dir: Path) -> int:
     if "diagnostics" in s.outputs:
         _diagnostics_jsonl(traj, out_dir / f"{s.name}_diagnostics.jsonl")
     if "charges" in s.outputs:
-        summary = _charges_jsonl(traj, s, out_dir / f"{s.name}_charges.jsonl")
-        (out_dir / f"{s.name}_charge_summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True))
+        _charges_jsonl(traj, s, out_dir)
     log.info("simulate %s: %d samples to t=%g", s.name, traj.times.size, traj.times[-1])
     return 0
 
@@ -300,9 +303,7 @@ def cmd_oracle(s: Scenario, out_dir: Path) -> int:
 
 def cmd_charges(s: Scenario, out_dir: Path) -> int:
     traj = _run_trajectory(s)
-    summary = _charges_jsonl(traj, s, out_dir / f"{s.name}_charges.jsonl")
-    (out_dir / f"{s.name}_charge_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
+    summary = _charges_jsonl(traj, s, out_dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -26,9 +26,10 @@ needs the rates f(t, y) (psi_dot of a first-order tier, read back from the
 rate vector, or the raw acceleration of a structural gamma) takes them from
 the stepper's evaluation at the same (t, y) when there is one: the next RK4
 step's first stage, the accepted Dormand-Prince step's last stage, or the
-midpoint Jacobian's base call at (t0, y0).  An invalid sample raises its
-own error, naming it, ahead of any later step failure.  Every trajectory
-holds validated FullStates.
+midpoint Jacobian's base call at (t0, y0); ``finish`` makes the same rate
+call for the others.  An invalid sample raises its own error, naming it,
+ahead of any later step failure.  Every trajectory holds validated
+FullStates.
 
 The real form of complex data is numpy's real view, real and imaginary
 parts interleaved: y is the real view of the complex blocks, concatenated in
@@ -54,7 +55,9 @@ Stepping methods (``IntegratorConfig.method``):
   ("first same as last") and a rejected step keeps its first stage, so a
   run makes 6 RHS evaluations per attempted step, plus one.  Every
   attempted step counts toward ``max_steps``, and a step size below 4 ulps
-  of max(|t|, |t_end|) raises StepFailure instead of creeping on.
+  of max(|t|, |t_end|) raises StepFailure instead of creeping on.  The run
+  ends at the first accepted t within 1e-14 max(1, |t_end|) of t_end, and
+  records it, whatever the sample stride.
 * ``implicit_midpoint``: simplified Newton on the midpoint slope, started
   from the slopes of the last three steps extrapolated to the new midpoint.
   M = I - (dt/2) J is inverted once per run, with J taken by forward
@@ -239,11 +242,10 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     the new real vector of y's time derivative that the steppers take, from
     the tier's kernel, called through its module-level name.  ``acc`` is the
     kernel's gamma acceleration before the structural layout projects it, in
-    that layout, and None otherwise.  The tiers whose recorded samples read
-    the rates (the first-order tiers and the structural layout) take
-    ``rates(t, y, sample=True)``, which gives what a sample reads and may
-    leave the rest out: psi's rate first in ``rate`` (None without psi), and
-    ``acc`` unprojected, so a sample encodes no acceleration.
+    that layout, and None otherwise.  Every closure takes only (t, y): a
+    recorded sample that reads the rates (psi's rate, stored first in
+    ``rate``, on a first-order tier; ``acc`` in the structural layout) takes
+    them from the same call a stage makes.
 
     A closure reads y through shapes fixed here: the complex blocks as one
     ``view(complex)`` of y, reshaped, and in the structural layout the two
@@ -269,7 +271,7 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     if tier in ("schrodinger", "direct_nonlinear"):
         psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=False)
 
-        def rates(t, y, sample=False):
+        def rates(t, y):
             psi = y.view(complex)
             psi.setflags(write=False)
             psid = rhs_direct_nonlinear_raw(psi, gamma, params, chi, t, prepared=psi_rate)
@@ -290,12 +292,10 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
         except DegenerateKinetic as exc:
             raise DegenerateKinetic(f"[{tier}] {exc}") from None
         if structural:
-            def rates(t, y, sample=False):
+            def rates(t, y):
                 gg = real_to_hermitian(y.reshape(2, nn), n)
                 gg.setflags(write=False)
                 acc = rhs_gamma_geodesic(gg[0], gg[1], a, b, prepared=geodesic)
-                if sample:
-                    return None, acc
                 return np.concatenate((y[nn:], hermitian_to_real(hermitian_part(acc)))), acc
         else:
             def rates(t, y):
@@ -306,15 +306,13 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     elif tier == "full":
         gamma_rate = _PreparedGammaRate(params, first_order=False)
         if structural:
-            def rates(t, y, sample=False):
+            def rates(t, y):
                 v = y[:split].view(complex).reshape(2, n)
                 gg = real_to_hermitian(y[split:].reshape(2, nn), n)
                 v.setflags(write=False)
                 gg.setflags(write=False)
                 acc_psi, acc_g = _full_accelerations_raw(v, None, gg, None, params, chi, t,
                                                          prepared=gamma_rate)
-                if sample:
-                    return None, acc_g
                 return np.concatenate((y[2 * n:split], acc_psi.view(float), y[split + nn:],
                                        hermitian_to_real(hermitian_part(acc_g)))), acc_g
         else:
@@ -328,19 +326,17 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     else:
         gamma_rate = _PreparedGammaRate(params, first_order=True)
         if structural:
-            def rates(t, y, sample=False):
+            def rates(t, y):
                 psi = y[:split].view(complex)
                 gg = real_to_hermitian(y[split:].reshape(2, nn), n)
                 psi.setflags(write=False)
                 gg.setflags(write=False)
                 psid, acc_g = _modified_first_order_raw(psi, gg, None, params, chi, t,
                                                         prepared=gamma_rate)
-                if sample:
-                    return psid.view(float), acc_g
                 return np.concatenate((psid.view(float), y[split + nn:],
                                        hermitian_to_real(hermitian_part(acc_g)))), acc_g
         else:
-            def rates(t, y, sample=False):
+            def rates(t, y):
                 z = y.view(complex)
                 z.setflags(write=False)
                 psi, gg = z[:n], z[n:].reshape(2, n, n)
@@ -372,7 +368,8 @@ class _System:
     pre-projection drift) takes it from a ``deriv`` call at bitwise the same
     (t, y) when the stepper makes one (the next RK4 step's first stage, an
     accepted Dormand-Prince step's last stage, the midpoint Jacobian's base
-    call); ``finish`` evaluates the others with ``rates``.
+    call); ``finish`` evaluates the others with ``rates``, the call a stage
+    makes.
     """
 
     def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -433,7 +430,7 @@ class _System:
         for k in range(len(times) if self.needs_rates else 0):
             if rates[k] is None:
                 try:
-                    rates[k] = self.rates(times[k], ys[k], sample=True)
+                    rates[k] = self.rates(times[k], ys[k])
                 except Exception as exc:
                     failure = _sample_error(self.tier, k, times[k], exc)
                     times, ys = times[:k], ys[:k]
@@ -711,7 +708,9 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
     err_prev = 1.0
     accepted = attempted = 0
     k1 = None
-    while t < cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end)):
+    # the first accepted t >= t_last ends the run and is recorded
+    t_last = cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end))
+    while t < t_last:
         if attempted == cfg.max_steps:
             raise StepFailure(f"[{tier}] exceeded max_steps: {attempted} steps attempted",
                               last_good_t=t)
@@ -733,7 +732,7 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
             y = y_new
             k1 = k_last
             accepted += 1
-            if accepted % cfg.sample_stride == 0 or t >= cfg.t_end - 1e-14:
+            if accepted % cfg.sample_stride == 0 or t >= t_last:
                 system.record(t, y)
             # PI controller (orders 5/4)
             fac = 0.9 * (err + 1e-16) ** (-0.7 / 5.0) * (err_prev + 1e-16) ** (0.4 / 5.0)

@@ -52,9 +52,6 @@ __all__ = [
     "effective_hamiltonian",
 ]
 
-#: relative central-difference step: h = FD_STEP * max(1, |x|)
-FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -62,9 +59,7 @@ class PotentialSpec:
 
     kind is one of ``none``, ``quartic_pure`` (f(x) = kappa * x**2),
     ``quartic_shifted`` (f(x) = kappa * (x - shift)**2) or ``custom``.
-    Custom potentials supply ``f`` and optionally ``f_prime``; a missing
-    derivative is replaced by a central difference with step
-    ``FD_STEP`` * max(1, |x|).
+    Custom potentials supply both ``f`` and its exact derivative ``f_prime``.
     """
 
     kind: str = "none"
@@ -76,8 +71,8 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("none", "quartic_pure", "quartic_shifted", "custom"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "custom" and self.f is None:
-            raise ValueError("custom potential needs f")
+        if self.kind == "custom" and (self.f is None or self.f_prime is None):
+            raise ValueError("custom potential needs f and f_prime")
         for name in ("kappa", "shift"):
             if not np.isfinite(complex(getattr(self, name))):
                 raise ValueError(f"potential {name} is not finite")
@@ -99,10 +94,7 @@ class PotentialSpec:
             return 2.0 * self.kappa * x
         if self.kind == "quartic_shifted":
             return 2.0 * self.kappa * (x - self.shift)
-        if self.f_prime is not None:
-            return float(self.f_prime(x))
-        h = FD_STEP * max(1.0, abs(x))
-        return (self.value(x + h) - self.value(x - h)) / (2.0 * h)
+        return float(self.f_prime(x))
 
 
 @dataclass(frozen=True)

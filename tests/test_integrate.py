@@ -115,6 +115,20 @@ class TestAdaptive:
         n_tight = integrate(state, "schrodinger", tight, params, chi).times.size
         assert n_tight > n_loose
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("t_end", [0.5, 100.0])
+    def test_step_that_ends_the_run_is_recorded(self, rng, t_end, stride):
+        # one accepted step (chi = 0, so psi stands still) stops half the
+        # end-of-run tolerance 1e-14 max(1, |t_end|) short of t_end: it ends
+        # the run, so it is the last sample whatever the stride
+        params, _, _, psi0, state = schrodinger_setup(rng)
+        dt = t_end - 5e-15 * max(1.0, t_end)
+        cfg = IntegratorConfig(dt=dt, t_end=t_end, method="rk45_adaptive",
+                               sample_stride=stride)
+        traj = integrate(state, "schrodinger", cfg, params, np.zeros((2, 2)))
+        assert traj.times.tolist() == [0.0, dt]
+        assert np.array_equal(traj.final_state.psi, psi0)
+
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("structural", [False, True])
@@ -423,12 +437,12 @@ class TestRhsCounts:
         rate = system.deriv(system.t0, system.y0)
         assert sorted(calls) == ["hermitian_to_real", "real_to_hermitian"]
         assert rate[-2 * n * n:-n * n].tobytes() == system.y0[-n * n:].tobytes()
-        # a sample no stage reached takes its rates without the encode it never
-        # reads: one decode there and one for the recorded stack
+        # a sample no stage reached takes its rates from the call a stage
+        # makes, one decode and one encode, then one decode for the stack
         del calls[:]
         system.record(system.t0 + 0.01, 1.01 * system.y0)
         system.finish()
-        assert calls == ["real_to_hermitian", "real_to_hermitian"]
+        assert calls == ["real_to_hermitian", "hermitian_to_real", "real_to_hermitian"]
 
     @pytest.mark.parametrize("tier", ["schrodinger", "second_order", "full"])
     @pytest.mark.parametrize("n", [1, 3])

@@ -64,9 +64,17 @@ class TestPotentialSpec:
         assert spec.value(3.0) == pytest.approx(8.0)
         assert spec.derivative(3.0) == pytest.approx(8.0)
 
-    def test_custom_fd_derivative(self):
-        spec = PotentialSpec(kind="custom", f=lambda x: np.sin(x))
-        assert spec.derivative(0.3) == pytest.approx(np.cos(0.3), rel=1e-9)
+    def test_custom_needs_f_prime(self):
+        with pytest.raises(ValueError, match="f_prime"):
+            PotentialSpec(kind="custom", f=lambda x: np.sin(x))
+
+    def test_custom_derivative_is_exact(self):
+        # at theta1 = 2^-40 a central difference of x^3 with step 1e-6 reads
+        # 1.0e-12, against 3 x^2 = 2.5e-24
+        spec = PotentialSpec(kind="custom", f=lambda x: x ** 3, f_prime=lambda x: 3.0 * x ** 2)
+        assert spec.derivative(2.0 ** -40) == 3.0 * 2.0 ** -80
+        grad = potential_gradient(np.array([2.0 ** -20]), np.eye(1), spec)
+        assert grad[0] == 3.0 * 2.0 ** -100
 
     def test_custom_needs_f(self):
         with pytest.raises(ValueError):
@@ -376,7 +384,8 @@ POTENTIALS = {
     "none": PotentialSpec(),
     "quartic_pure": PotentialSpec(kind="quartic_pure", kappa=0.3),
     "quartic_shifted": PotentialSpec(kind="quartic_shifted", kappa=0.3, shift=0.7),
-    "custom": PotentialSpec(kind="custom", f=lambda x: 0.1 * x ** 3),
+    "custom": PotentialSpec(kind="custom", f=lambda x: 0.1 * x ** 3,
+                            f_prime=lambda x: 0.3 * x ** 2),
 }
 
 

@@ -277,7 +277,8 @@ def _oracle_case(model, n, seed):
         "plain": full_params(kappa=0.0),
         "quartic": full_params(),
         "custom": full_params(kappa=0.0, potential=PotentialSpec(
-            kind="custom", f=lambda x: 0.3 * np.cos(x) + 0.05 * x ** 3)),
+            kind="custom", f=lambda x: 0.3 * np.cos(x) + 0.05 * x ** 3,
+            f_prime=lambda x: -0.3 * np.sin(x) + 0.15 * x ** 2)),
         "constant_forcing": full_params(forcing=lambda t: covector),
         "harmonic_forcing": full_params(forcing=lambda t: covector * np.exp(2.5j * t)),
         "callable_chi": full_params(),
