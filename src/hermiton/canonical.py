@@ -237,10 +237,10 @@ def darboux_reduce(gamma, chi, params: ModelParams, g=None,
     reduced Hamiltonian is the quadratic part psi^ M psi, M = -(alpha4 Gamma
     + alpha5 chi), in psi = (x + iy) / sqrt(2); a potential and a forcing
     enter only the flow.  A canonical chart (basis change making the form
-    exactly dy ^ dx) is attempted via a Cholesky factor; if gamma is not
-    positive definite the chart is refused (silently unless
-    ``require_chart``).  Each test at ``tol`` = 1e-10 is relative:
-    ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
+    exactly dy ^ dx) is attempted via a Cholesky factor of sign(alpha)
+    gamma; if gamma / alpha is not positive definite the chart is refused
+    (silently unless ``require_chart``).  Each test at ``tol`` = 1e-10 is
+    relative: ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
     hermiticity drift and S == g / (2 alpha) to ||S||; alpha == 0 is refused.
     """
     alpha = params.alpha1
@@ -268,14 +268,16 @@ def darboux_reduce(gamma, chi, params: ModelParams, g=None,
     canonical = bool(np.max(np.abs((a, s - np.eye(n) / (2.0 * alpha))))
                      <= tol / (2.0 * abs(alpha)))
 
+    # C^ gamma C = I / (2 alpha) needs gamma / alpha positive definite: C is
+    # L^{-^} / sqrt(2 |alpha|) with L L^ = sign(alpha) gamma
     chart = None
     try:
-        low = np.linalg.cholesky(gamma)
-        chart = np.linalg.inv(low.conj().T) / np.sqrt(2.0 * alpha)
+        low = np.linalg.cholesky(gamma if alpha > 0.0 else -gamma)
+        chart = np.linalg.inv(low.conj().T) / np.sqrt(2.0 * abs(alpha))
     except np.linalg.LinAlgError:
         if require_chart:
             raise NotPositiveDefinite(
-                "canonical chart requested for an indefinite scalar product")
+                "canonical chart requested, but Gamma / alpha1 is not positive definite")
 
     g_arr = g_a_raised = ham_g_pp = ham_g_xp = None
     if g is not None:

@@ -31,11 +31,12 @@ call costs a few n x n and n x 4 products and Python scalar arithmetic.
 The tests hold it to the residual and the kinetic inverse.
 
 ``gamma_geodesic`` steps the free flow gamma_ddot = gamma_dot gamma^{-1}
-gamma_dot.  Its couplings enter only through two guards, so the run's rate,
-from ``_prepared_geodesic_rate``, refuses them once, and a call is one
-checked inverse, two ``dot`` products and the Hermitian part.  Every tier's
-kernel is thus prepared once per run; the public functions keep their
-per-call guards and share the prepared bodies.
+gamma_dot.  Its couplings enter only through two guards,
+``_refuse_geodesic_couplings``, so a run refuses them once, and a call of
+``_geodesic_rate`` is one checked inverse, two ``dot`` products and the
+Hermitian part.  Every tier's kernel is thus prepared once per run, and the
+integrator calls the prepared bodies directly.  The public functions have
+one mode: each checks its couplings on every call and runs the same body.
 """
 
 from __future__ import annotations
@@ -90,18 +91,14 @@ def rhs_schrodinger(psi, gamma, chi, alpha: float, gamma_coeff: float) -> np.nda
 
 
 def rhs_second_order(state: FullState, chi, params: ModelParams,
-                     gamma_tilde=None, prepared=None) -> np.ndarray:
+                     gamma_tilde=None) -> np.ndarray:
     """psi_ddot = K^{-1} R / (-alpha2) of the second-order model on a frozen
     gamma, with K = gamma or ``gamma_tilde`` (the two-metric variant).
     alpha2 must not vanish.  Only the state's psi, psi_dot, gamma and t are
-    read, and not validated again: the integrator passes its stages as a
-    lighter object with those attributes.  ``prepared``, when given, is the
-    run's :class:`_PreparedPsiRate`, which holds K^{-1}, chi and the couplings
-    (``chi``, ``params``, ``gamma_tilde`` and the state's gamma are then not
-    read).
+    read, and not validated again, so any object with those attributes
+    will do.  A run steps the same equation through its
+    :class:`_PreparedPsiRate`.
     """
-    if prepared is not None:
-        return prepared(state.psi, state.psi_dot, state.t)
     denom = _second_order_denominator(params)
     s = _ResidualPieces(state.psi, state.gamma, None, params, psid=state.psi_dot)
     kinv = _checked_inverse(np.asarray(s.g if gamma_tilde is None else gamma_tilde, complex))
@@ -283,22 +280,13 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
 
 
 def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
-                            chi, t: float, ginv=None, prepared=None):
+                            chi, t: float, ginv=None):
     """(psi_ddot, gamma_ddot) of the full model on raw arrays, from the closed
-    form of :class:`_PreparedGammaRate`.
-
-    ``psid`` given as None means ``psi`` is the (2, n) stack (psi, psid), and
-    ``gamma_dot`` given as None means ``gamma`` is the (2, n, n) stack (gamma,
-    gamma_dot): the integrator's rate closures read them so, and the separate
-    blocks are stacked into the same arrays.  ``ginv``, when given, is
-    ``_checked_inverse(gamma)`` computed by the caller; ``prepared`` is the
-    run's :class:`_PreparedGammaRate` (built here when None).
-    """
-    if prepared is None:
-        prepared = _PreparedGammaRate(params, first_order=False)
-    v = psi if psid is None else np.array((psi, psid), dtype=complex)
-    gg = gamma if gamma_dot is None else np.array((gamma, gamma_dot), dtype=complex)
-    return prepared(v, gg, chi, t, ginv)
+    form of :class:`_PreparedGammaRate`, prepared for this call; ``ginv``,
+    when given, is ``_checked_inverse(gamma)`` computed by the caller."""
+    return _PreparedGammaRate(params, chi, first_order=False)(
+        np.array((psi, psid), dtype=complex), np.array((gamma, gamma_dot), dtype=complex),
+        t, ginv)
 
 
 def rhs_full(state: FullState, params: ModelParams, chi):
@@ -415,18 +403,20 @@ class _PreparedGammaRate:
     it).  psi_ddot is the first line over -alpha2 on ``full``; psid is its
     part without psid over 2i alpha1 on ``modified_first_order``.
 
-    Refused here, once: alpha6 == 0, and alpha2 == 0 on ``full`` or
+    chi is the run's form, constant or a callable of t, resolved on each
+    call.  Refused here, once: alpha6 == 0, and alpha2 == 0 on ``full`` or
     alpha2 != 0 and alpha1 == 0 on ``modified_first_order``.  A call inverts
     gamma with the condition test of ``_checked_inverse`` and refuses
     1 + alpha9 theta1 and det M as ``models._ladder_pieces`` does, the
     latter through the same ``models._ladder_weights``.
     """
 
-    __slots__ = ("params", "first_order", "denom", "fprime", "forcing", "c_a0", "c_atr",
-                 "c_aq", "c_a2", "c_psid", "c_apsid", "c_chi", "half6", "r67", "m2a6")
+    __slots__ = ("params", "chi", "first_order", "denom", "fprime", "forcing", "c_a0",
+                 "c_atr", "c_aq", "c_a2", "c_psid", "c_apsid", "c_chi", "half6", "r67", "m2a6")
 
-    def __init__(self, params: ModelParams, first_order: bool):
+    def __init__(self, params: ModelParams, chi, first_order: bool):
         prm = self.params = params
+        self.chi = chi
         self.first_order = first_order
         a1, a2, a6, a7, a9 = prm.alpha1, prm.alpha2, prm.alpha6, prm.alpha7, prm.alpha9
         _kinetic_denominator(a6, 0.0, "alpha6")
@@ -449,7 +439,7 @@ class _PreparedGammaRate:
         self.c_chi = prm.alpha5 / d                       # of gamma^{-1} chi psi
         self.half6, self.r67, self.m2a6 = 0.5 / a6, a7 / a6, -2.0 * a6
 
-    def __call__(self, psi, gg, chi, t: float, ginv=None):
+    def __call__(self, psi, gg, t: float, ginv=None):
         """The rates at psi (the (2, n) stack (psi, psid) on ``full``, the
         vector psi on ``modified_first_order``), the (2, n, n) stack (gamma,
         gamma_dot) and t; ``ginv``, when given, is ``_checked_inverse(gamma)``."""
@@ -482,7 +472,7 @@ class _PreparedGammaRate:
         rate += self.c_a2 * a.dot(apsi)
         ext = None
         if self.c_chi != 0.0:
-            ext = self.c_chi * resolve_chi(chi, t).dot(psi0)
+            ext = self.c_chi * resolve_chi(self.chi, t).dot(psi0)
         if self.forcing is not None:
             force = np.conj(np.asarray(self.forcing(t), dtype=complex)) / self.denom
             ext = force if ext is None else ext + force
@@ -556,16 +546,12 @@ def _gram(v, ggt, a, n: int):
     return ut, w, w.conj().dot(ut.T).tolist()
 
 
-def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams,
-                              chi, t: float, prepared=None):
+def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams, chi, t: float):
     """(psid, gamma_ddot) of the modified first-order model on raw arrays,
-    from the closed form of :class:`_PreparedGammaRate`.  ``gamma_dot``
-    given as None means ``gamma`` is the (2, n, n) stack (gamma, gamma_dot),
-    as in :func:`_full_accelerations_raw`."""
-    if prepared is None:
-        prepared = _PreparedGammaRate(params, first_order=True)
-    gg = gamma if gamma_dot is None else np.array((gamma, gamma_dot), dtype=complex)
-    return prepared(np.asarray(psi, dtype=complex), gg, chi, t)
+    from the closed form of :class:`_PreparedGammaRate`, prepared for this
+    call."""
+    return _PreparedGammaRate(params, chi, first_order=True)(
+        np.asarray(psi, dtype=complex), np.array((gamma, gamma_dot), dtype=complex), t)
 
 
 def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
@@ -582,23 +568,19 @@ def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
 
 
 def rhs_direct_nonlinear_raw(psi, gamma, params: ModelParams, chi_matrix,
-                             t: float = 0.0, prepared=None) -> np.ndarray:
+                             t: float = 0.0) -> np.ndarray:
     """psid of the velocity-linear psi dynamics on a frozen scalar product,
     with the optional potential and forcing terms, from the psi residual:
 
         2i*alpha1*Gamma psid = [(f'(theta1) - alpha4) Gamma - alpha5 chi] psi - conj(F).
 
-    ``prepared``, when given, is the run's :class:`_PreparedPsiRate`, which
-    holds gamma^{-1}, chi and the couplings (``gamma``, ``params`` and
-    ``chi_matrix`` are then not read).
+    A run steps the same equation through its :class:`_PreparedPsiRate`.
     """
-    if prepared is not None:
-        return prepared(psi, None, t)
     s = _ResidualPieces(psi, gamma, None, params)
     return _first_order_rate(params, s.psi_residual(chi_matrix, t), _checked_inverse(s.g))
 
 
-def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float, prepared=None) -> np.ndarray:
+def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float) -> np.ndarray:
     """gamma_ddot = gamma_dot gamma^{-1} gamma_dot, the unique solution of
     A*Y + B*Tr(gamma^{-1} Y)*gamma = 0 about Y = gamma_ddot - that product
     whenever A != 0 and A + n*B != 0.
@@ -608,30 +590,24 @@ def rhs_gamma_geodesic(gamma, gamma_dot, A: float, B: float, prepared=None) -> n
     B = 2 alpha7 this tier refuses the couplings the kinetic inverse refuses
     at alpha8 = 0 or psi = 0 (A + n*B = 0 makes the kinetic metric
     degenerate along dilatations); alpha8 psi != 0 can lift that degeneracy.
-
-    ``prepared``, when given, is the run's rate from
-    :func:`_prepared_geodesic_rate`, which has refused A and A + n*B once;
-    gamma and gamma_dot are then complex (n, n) arrays, not validated
-    again, and A and B are not read.
+    A run refuses them once and steps :func:`_geodesic_rate`.
     """
-    if prepared is None:
-        gamma = _as_complex_matrix(gamma)
-        gamma_dot = np.asarray(gamma_dot, dtype=complex)
-        prepared = _prepared_geodesic_rate(A, B, gamma.shape[0])
-    return prepared(gamma, gamma_dot)
+    gamma = _as_complex_matrix(gamma)
+    gamma_dot = np.asarray(gamma_dot, dtype=complex)
+    _refuse_geodesic_couplings(A, B, gamma.shape[0])
+    return _geodesic_rate(gamma, gamma_dot)
 
 
-def _prepared_geodesic_rate(A: float, B: float, n: int):
-    """The geodesic tier's rate ``rate(gamma, gamma_dot)`` at n, after A and
-    A + n*B are refused here, once."""
+def _refuse_geodesic_couplings(A: float, B: float, n: int) -> None:
+    """Refuse A and A + n*B of the geodesic tier at n as degenerate."""
     _kinetic_denominator(A, 0.0, "A")
     _kinetic_denominator(A, n * B, "A + n*B")
-    return _geodesic_rate
 
 
 def _geodesic_rate(g, gd) -> np.ndarray:
     """The Hermitian part of gamma_dot gamma^{-1} gamma_dot, with the bits of
-    ``hermitian_part``: one checked inverse and two ``dot`` calls."""
+    ``hermitian_part``, at the complex (n, n) arrays gamma and gamma_dot, not
+    validated again: one checked inverse and two ``dot`` calls."""
     x = gd.dot(_checked_inverse(g)).dot(gd)
     x += x.conj().T
     x /= 2.0

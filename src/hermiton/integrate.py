@@ -7,14 +7,15 @@ its initial value, the rest at zero).  Each run builds one rate closure for
 its tier and gamma layout, ``_System.rates``: it reads the stepped blocks
 through shapes fixed at set-up, as read-only views of the vector (and, in
 the structural layout, as the matrices one codec call decodes), calls the
-tier's kernel through its module-level name and packs the new rate vector
-with one concatenate; ``deriv`` hands that vector to the steppers.  Every
-tier's kernel is prepared once per run, with the closure: the frozen-gamma
-tiers take a ``dynamics._PreparedPsiRate``, so a step re-derives neither
-K^{-1} nor the linear part of the psi equation; ``gamma_geodesic`` takes the
-rate of ``dynamics._prepared_geodesic_rate``, whose couplings are refused
-before the run steps; ``full`` and ``modified_first_order`` take a
-``dynamics._PreparedGammaRate``.  A constant chi is resolved once per run.
+tier's prepared kernel through its module-level name and packs the new
+rate vector with one concatenate; ``deriv`` hands that vector to the
+steppers.  Every tier's kernel is prepared once per run, with the closure,
+and called directly, with the stage's blocks and t only: the frozen-gamma
+tiers call a ``dynamics._PreparedPsiRate``, so a step re-derives neither
+K^{-1} nor the linear part of the psi equation; ``gamma_geodesic`` calls
+``dynamics._geodesic_rate``, its couplings refused before the run steps;
+``full`` and ``modified_first_order`` call a ``dynamics._PreparedGammaRate``.
+A constant chi is resolved once per run.
 
 Recording is stacked.  ``record`` only buffers a sample's (t, y).  When the
 run ends, the same codec unpacks the (S, N) stack of samples, and one
@@ -56,8 +57,8 @@ Stepping methods (``IntegratorConfig.method``):
   run makes 6 RHS evaluations per attempted step, plus one.  Every
   attempted step counts toward ``max_steps``, and a step size below 4 ulps
   of max(|t|, |t_end|) raises StepFailure instead of creeping on.  The run
-  ends at the first accepted t within 1e-14 max(1, |t_end|) of t_end, and
-  records it, whatever the sample stride.
+  ends at the first accepted t within max(1e-14 (t_end - t0), 4 ulps of
+  max(|t0|, |t_end|)) of t_end, and records it, whatever the sample stride.
 * ``implicit_midpoint``: simplified Newton on the midpoint slope, started
   from the slopes of the last three steps extrapolated to the new midpoint.
   M = I - (dt/2) J is inverted once per run, with J taken by forward
@@ -84,14 +85,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    _full_accelerations_raw,
     _PreparedGammaRate,
     _PreparedPsiRate,
-    _modified_first_order_raw,
-    _prepared_geodesic_rate,
-    rhs_direct_nonlinear_raw,
-    rhs_gamma_geodesic,
-    rhs_second_order,
+    _geodesic_rate,
+    _refuse_geodesic_couplings,
 )
 from .errors import DegenerateKinetic, HermitonError, NonFinite, StepFailure
 from .hermitian_algebra import (
@@ -111,6 +108,15 @@ from .models import (
 )
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate"]
+
+# The rate closures call each prepared kernel through one of these names, so
+# that perfbench/tracing.py (its TARGETS) can span every RHS call by
+# rebinding the name here: the frozen-gamma psi rates, the geodesic rate and
+# the Gamma-stepping rates, called as name(prepared, blocks..., t) or, for
+# the geodesic rate, name(gamma, gamma_dot).
+rhs_direct_nonlinear_raw = rhs_second_order = _PreparedPsiRate.__call__
+rhs_gamma_geodesic = _geodesic_rate
+_full_accelerations_raw = _modified_first_order_raw = _PreparedGammaRate.__call__
 
 #: blocks each tier steps, in storage order.  The others are frozen: gamma
 #: at its initial value, every other block at zero, except that psi_dot of a
@@ -240,7 +246,8 @@ class _Codec:
 def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gamma_tilde):
     """The run's rate closure ``rates(t, y)``: ``(rate, acc)``, with ``rate``
     the new real vector of y's time derivative that the steppers take, from
-    the tier's kernel, called through its module-level name.  ``acc`` is the
+    the tier's prepared kernel, called through its module-level name with
+    the stage's blocks and t and nothing else.  ``acc`` is the
     kernel's gamma acceleration before the structural layout projects it, in
     that layout, and None otherwise.  Every closure takes only (t, y): a
     recorded sample that reads the rates (psi's rate, stored first in
@@ -258,12 +265,12 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     view of the kernel's new array.
 
     ``gamma`` is the frozen form of the tiers that do not step it; their
-    kernel takes a prepared psi rate built here.  The geodesic kernel takes a
-    prepared geodesic rate built here, which refuses degenerate couplings
-    before the run steps, naming the tier.  The Gamma-stepping kernels take a
-    prepared gamma rate built here, the (2, n, n) stack (gamma, gamma_dot),
-    the (2, n) stack (psi, psi_dot) on ``full``, and chi resolved once when
-    it is constant."""
+    kernel is a psi rate prepared here.  The geodesic tier's couplings are
+    refused here, before the run steps, naming the tier, and its kernel
+    takes only gamma and gamma_dot.  The Gamma-stepping kernels are a gamma
+    rate prepared here and take the (2, n, n) stack (gamma, gamma_dot) and
+    the (2, n) stack (psi, psi_dot) on ``full``.  chi is resolved here, once,
+    when it is constant."""
     n, split, structural = codec.n, codec.split, codec.coded > 0
     nn = n * n
     if not callable(chi):
@@ -274,7 +281,7 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
         def rates(t, y):
             psi = y.view(complex)
             psi.setflags(write=False)
-            psid = rhs_direct_nonlinear_raw(psi, gamma, params, chi, t, prepared=psi_rate)
+            psid = rhs_direct_nonlinear_raw(psi_rate, psi, None, t)
             return psid.view(float), None
     elif tier == "second_order":
         psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=True, kinetic=gamma_tilde)
@@ -282,37 +289,35 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
         def rates(t, y):
             v = y.view(complex).reshape(2, n)
             v.setflags(write=False)
-            acc = rhs_second_order(_Blocks(v[0], v[1], gamma, None, t), chi, params,
-                                   prepared=psi_rate)
+            acc = rhs_second_order(psi_rate, v[0], v[1], t)
             return np.concatenate((v[1], acc)).view(float), None
     elif tier == "gamma_geodesic":
-        a, b = 2.0 * params.alpha6, 2.0 * params.alpha7
         try:
-            geodesic = _prepared_geodesic_rate(a, b, n)
+            _refuse_geodesic_couplings(2.0 * params.alpha6, 2.0 * params.alpha7, n)
         except DegenerateKinetic as exc:
             raise DegenerateKinetic(f"[{tier}] {exc}") from None
         if structural:
             def rates(t, y):
                 gg = real_to_hermitian(y.reshape(2, nn), n)
                 gg.setflags(write=False)
-                acc = rhs_gamma_geodesic(gg[0], gg[1], a, b, prepared=geodesic)
-                return np.concatenate((y[nn:], hermitian_to_real(hermitian_part(acc)))), acc
+                # the geodesic rate is exactly Hermitian: encoded as it is
+                acc = rhs_gamma_geodesic(gg[0], gg[1])
+                return np.concatenate((y[nn:], hermitian_to_real(acc))), acc
         else:
             def rates(t, y):
                 gg = y.view(complex).reshape(2, n, n)
                 gg.setflags(write=False)
-                acc = rhs_gamma_geodesic(gg[0], gg[1], a, b, prepared=geodesic)
+                acc = rhs_gamma_geodesic(gg[0], gg[1])
                 return np.concatenate((gg[1], acc), axis=None).view(float), None
     elif tier == "full":
-        gamma_rate = _PreparedGammaRate(params, first_order=False)
+        gamma_rate = _PreparedGammaRate(params, chi, first_order=False)
         if structural:
             def rates(t, y):
                 v = y[:split].view(complex).reshape(2, n)
                 gg = real_to_hermitian(y[split:].reshape(2, nn), n)
                 v.setflags(write=False)
                 gg.setflags(write=False)
-                acc_psi, acc_g = _full_accelerations_raw(v, None, gg, None, params, chi, t,
-                                                         prepared=gamma_rate)
+                acc_psi, acc_g = _full_accelerations_raw(gamma_rate, v, gg, t)
                 return np.concatenate((y[2 * n:split], acc_psi.view(float), y[split + nn:],
                                        hermitian_to_real(hermitian_part(acc_g)))), acc_g
         else:
@@ -320,19 +325,17 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
                 z = y.view(complex)
                 z.setflags(write=False)
                 v, gg = z[:2 * n].reshape(2, n), z[2 * n:].reshape(2, n, n)
-                acc_psi, acc_g = _full_accelerations_raw(v, None, gg, None, params, chi, t,
-                                                         prepared=gamma_rate)
+                acc_psi, acc_g = _full_accelerations_raw(gamma_rate, v, gg, t)
                 return np.concatenate((v[1], acc_psi, gg[1], acc_g), axis=None).view(float), None
     else:
-        gamma_rate = _PreparedGammaRate(params, first_order=True)
+        gamma_rate = _PreparedGammaRate(params, chi, first_order=True)
         if structural:
             def rates(t, y):
                 psi = y[:split].view(complex)
                 gg = real_to_hermitian(y[split:].reshape(2, nn), n)
                 psi.setflags(write=False)
                 gg.setflags(write=False)
-                psid, acc_g = _modified_first_order_raw(psi, gg, None, params, chi, t,
-                                                        prepared=gamma_rate)
+                psid, acc_g = _modified_first_order_raw(gamma_rate, psi, gg, t)
                 return np.concatenate((psid.view(float), y[split + nn:],
                                        hermitian_to_real(hermitian_part(acc_g)))), acc_g
         else:
@@ -340,8 +343,7 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
                 z = y.view(complex)
                 z.setflags(write=False)
                 psi, gg = z[:n], z[n:].reshape(2, n, n)
-                psid, acc_g = _modified_first_order_raw(psi, gg, None, params, chi, t,
-                                                        prepared=gamma_rate)
+                psid, acc_g = _modified_first_order_raw(gamma_rate, psi, gg, t)
                 return np.concatenate((psid, gg[1], acc_g), axis=None).view(float), None
     return rates
 
@@ -708,8 +710,10 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
     err_prev = 1.0
     accepted = attempted = 0
     k1 = None
-    # the first accepted t >= t_last ends the run and is recorded
-    t_last = cfg.t_end - 1e-14 * max(1.0, abs(cfg.t_end))
+    # the first accepted t >= t_last ends the run and is recorded: t_last is
+    # relative to the run's span, and at least 4 ulps short of t_end
+    t_last = cfg.t_end - max(1e-14 * (cfg.t_end - system.t0),
+                             4.0 * np.spacing(max(abs(system.t0), abs(cfg.t_end))))
     while t < t_last:
         if attempted == cfg.max_steps:
             raise StepFailure(f"[{tier}] exceeded max_steps: {attempted} steps attempted",

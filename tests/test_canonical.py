@@ -318,6 +318,22 @@ class TestDarboux:
         with pytest.raises(NotPositiveDefinite):
             darboux_reduce(gamma, np.eye(2), params, require_chart=True)
 
+    def test_negative_alpha1_chart(self, rng):
+        # C^ Gamma C = I / (2 alpha1) exists only for Gamma / alpha1 positive
+        # definite: at alpha1 < 0 a positive-definite Gamma is refused and a
+        # negative-definite one gets a finite chart
+        n = 3
+        alpha = -0.5
+        params = ModelParams(alpha1=alpha, alpha5=1.0)
+        chart = darboux_reduce(np.eye(n), np.eye(n), params)
+        assert chart.chart_matrix is None
+        with pytest.raises(NotPositiveDefinite, match="Gamma / alpha1"):
+            darboux_reduce(np.eye(n), np.eye(n), params, require_chart=True)
+        gamma = -rand_pd(rng, n)
+        c = darboux_reduce(gamma, np.eye(n), params, require_chart=True).chart_matrix
+        assert np.all(np.isfinite(c))
+        assert np.max(np.abs(c.conj().T @ gamma @ c - np.eye(n) / (2 * alpha))) < 1e-14
+
     def test_generalized_g(self, rng):
         alpha = 0.5
         params = ModelParams(alpha1=alpha, alpha5=-2.0)

@@ -589,6 +589,30 @@ class TestReduce:
         assert main(["reduce", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         assert "NotPositiveDefinite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("request_chart", [False, True])
+    def test_negative_alpha1_chart_refused(self, tmp_path, capsys, request_chart):
+        # at alpha1 < 0 a positive-definite Gamma has no chart with
+        # C^ Gamma C = I / (2 alpha1): it is refused, and the report is JSON
+        # without NaN, written with no numpy warning
+        sc = {"model_tier": "schrodinger", "params": {"alpha1": -0.5, "alpha5": 1},
+              "chi": "diag:[1, 2]", "initial": {"psi0": vec([1.0, 0.0])},
+              "request_chart": request_chart}
+        path = write(tmp_path, "neg", sc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["reduce", "--scenario", str(path), "--out", str(tmp_path)])
+        if request_chart:
+            assert code == 2
+            assert "Gamma / alpha1" in capsys.readouterr().err
+            return
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        report = json.loads((tmp_path / "neg_reduce.json").read_text(), parse_constant=refuse)
+        assert report["chart_refused"] is True and report["chart"] is None
+
     def test_wrong_tier_rejected(self, tmp_path):
         sc = geodesic_scenario()
         path = write(tmp_path, "geo", sc)

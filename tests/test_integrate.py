@@ -118,9 +118,10 @@ class TestAdaptive:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("t_end", [0.5, 100.0])
     def test_step_that_ends_the_run_is_recorded(self, rng, t_end, stride):
-        # one accepted step (chi = 0, so psi stands still) stops half the
-        # end-of-run tolerance 1e-14 max(1, |t_end|) short of t_end: it ends
-        # the run, so it is the last sample whatever the stride
+        # one accepted step (chi = 0, so psi stands still) stops 5e-15
+        # max(1, t_end) short of t_end, within the end-of-run tolerance
+        # 1e-14 t_end (at it for t_end = 0.5): it ends the run, so it is the
+        # last sample whatever the stride
         params, _, _, psi0, state = schrodinger_setup(rng)
         dt = t_end - 5e-15 * max(1.0, t_end)
         cfg = IntegratorConfig(dt=dt, t_end=t_end, method="rk45_adaptive",
@@ -128,6 +129,17 @@ class TestAdaptive:
         traj = integrate(state, "schrodinger", cfg, params, np.zeros((2, 2)))
         assert traj.times.tolist() == [0.0, dt]
         assert np.array_equal(traj.final_state.psi, psi0)
+
+    def test_run_shorter_than_1e_14_steps_to_its_end(self, rng):
+        # the end-of-run tolerance is relative to the run's span: a span of
+        # 5e-15 is stepped to t_end and recorded there, not left at t0
+        params, gamma, chi, psi0, state = schrodinger_setup(rng)
+        cfg = IntegratorConfig(dt=5e-16, t_end=5e-15, method="rk45_adaptive")
+        traj = integrate(state, "schrodinger", cfg, params, chi)
+        assert len(traj.times) > 1
+        assert traj.times[-1] == pytest.approx(5e-15, rel=1e-13)
+        exact = exact_schrodinger(psi0, np.linalg.solve(gamma, chi), 1.0, 5e-15)
+        assert np.max(np.abs(traj.final_state.psi - exact)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -904,12 +916,13 @@ def test_build_system_calls_no_kernel(rng, monkeypatch, tier, structural):
         del calls[:]
 
 
-#: the arguments of each kernel that hold the stage's blocks
-_STAGE_INPUTS = {"rhs_direct_nonlinear_raw": lambda args: args[:1],
-                 "rhs_second_order": lambda args: (args[0].psi, args[0].psi_dot),
+#: the arguments of each kernel that hold the stage's blocks: the prepared
+#: rates take (prepared, blocks..., t), the geodesic rate (gamma, gamma_dot)
+_STAGE_INPUTS = {"rhs_direct_nonlinear_raw": lambda args: args[1:2],
+                 "rhs_second_order": lambda args: args[1:3],
                  "rhs_gamma_geodesic": lambda args: args[:2],
-                 "_full_accelerations_raw": lambda args: (args[0], args[2]),
-                 "_modified_first_order_raw": lambda args: args[:2]}
+                 "_full_accelerations_raw": lambda args: args[1:3],
+                 "_modified_first_order_raw": lambda args: args[1:3]}
 
 
 @pytest.mark.parametrize("structural", [False, True])
