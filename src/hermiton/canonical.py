@@ -24,8 +24,8 @@ import numpy as np
 from .dynamics import (
     _apply_omega_dot,
     _first_order_rate,
-    _full_accelerations_raw,
     _p_dot,
+    _PreparedGammaRate,
     _ResidualPieces,
     rhs_second_order,
 )
@@ -490,8 +490,9 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
         raw_inv = _checked_inverse(g)
         ginv = hermitian_part(raw_inv)
         psid, gd = legendre_inverse(p, params, ginv)
-        psi_ddot, gamma_ddot = _full_accelerations_raw(psi, psid, g, gd, params, chi_m, p.t,
-                                                       ginv=raw_inv)
+        psi_ddot, gamma_ddot = _PreparedGammaRate(params, chi_m, first_order=False)(
+            np.array((psi, psid), dtype=complex), np.array((g, gd), dtype=complex), p.t,
+            ginv=raw_inv)
         gamma_ddot = hermitian_part(gamma_ddot)
         pi_dot = params.alpha2 * (np.conj(psi_ddot).dot(g) + np.conj(psid).dot(gd)) \
             + 1j * params.alpha1 * (np.conj(psid).dot(g) + np.conj(psi).dot(gd))

@@ -2,9 +2,10 @@
 
 Commands: ``simulate``, ``check``, ``reduce``, ``oracle``, ``charges``.
 Common flags: ``--scenario <path>`` (repeatable for simulate) and
-``--out <dir>``; ``check`` also takes ``--seed <n>``, which overrides the
-scenario seed of its randomized checks.  Verbosity is controlled by the
-``HERMITON_LOG`` environment variable (error, info, debug).
+``--out <dir>``; ``check`` also takes ``--seed <n>`` (n >= 0), which
+overrides the scenario seed of its randomized checks.  Verbosity is
+controlled by the ``HERMITON_LOG`` environment variable (error, info,
+debug).
 
 Exit codes: 0 success, 2 validation failure (bad scenario, non-Hermitian
 matrices, degenerate kinetic operators, missing oracle), 3 step failure
@@ -316,6 +317,14 @@ def _configure_logging() -> None:
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
 
 
+def non_negative_int(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermiton",
@@ -334,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
            multi_scenario=True)
     check = sub.add_parser("check", help="run the invariant suite on a scenario")
     common(check)
-    check.add_argument("--seed", type=int, default=None,
+    check.add_argument("--seed", type=non_negative_int, default=None,
                        help="override the scenario seed of the randomized checks")
     common(sub.add_parser("reduce", help="Darboux/Dirac reduction report"))
     common(sub.add_parser("oracle", help="compare against the exact solution"))

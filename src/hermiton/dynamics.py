@@ -279,21 +279,12 @@ def el_residual(state: FullState, accel, params: ModelParams, chi) -> Residual:
     return Residual(*pieces.residuals(chi, state.t, psi_ddot, gamma_ddot))
 
 
-def _full_accelerations_raw(psi, psid, gamma, gamma_dot, params: ModelParams,
-                            chi, t: float, ginv=None):
-    """(psi_ddot, gamma_ddot) of the full model on raw arrays, from the closed
-    form of :class:`_PreparedGammaRate`, prepared for this call; ``ginv``,
-    when given, is ``_checked_inverse(gamma)`` computed by the caller."""
-    return _PreparedGammaRate(params, chi, first_order=False)(
-        np.array((psi, psid), dtype=complex), np.array((gamma, gamma_dot), dtype=complex),
-        t, ginv)
-
-
 def rhs_full(state: FullState, params: ModelParams, chi):
     """Accelerations (psi_ddot, gamma_ddot) of the full coupled model, from
     one inverse of gamma and the closed form of :class:`_PreparedGammaRate`."""
-    psi_ddot, gamma_ddot = _full_accelerations_raw(
-        state.psi, state.psi_dot, state.gamma, state.gamma_dot, params, chi, state.t)
+    psi_ddot, gamma_ddot = _PreparedGammaRate(params, chi, first_order=False)(
+        np.array((state.psi, state.psi_dot), dtype=complex),
+        np.array((state.gamma, state.gamma_dot), dtype=complex), state.t)
     return psi_ddot, hermitian_part(gamma_ddot)
 
 
@@ -546,14 +537,6 @@ def _gram(v, ggt, a, n: int):
     return ut, w, w.conj().dot(ut.T).tolist()
 
 
-def _modified_first_order_raw(psi, gamma, gamma_dot, params: ModelParams, chi, t: float):
-    """(psid, gamma_ddot) of the modified first-order model on raw arrays,
-    from the closed form of :class:`_PreparedGammaRate`, prepared for this
-    call."""
-    return _PreparedGammaRate(params, chi, first_order=True)(
-        np.asarray(psi, dtype=complex), np.array((gamma, gamma_dot), dtype=complex), t)
-
-
 def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
                              t: float = 0.0):
     """(psid, gamma_ddot) for the alpha2 == 0 modified first-order system.
@@ -563,7 +546,8 @@ def rhs_modified_first_order(psi, gamma, gamma_dot, params: ModelParams, chi,
     see :func:`~hermiton.models.effective_hamiltonian`); gamma_ddot is the
     closed form of :class:`_PreparedGammaRate` at that psid.
     """
-    psid, gamma_ddot = _modified_first_order_raw(psi, gamma, gamma_dot, params, chi, t)
+    psid, gamma_ddot = _PreparedGammaRate(params, chi, first_order=True)(
+        np.asarray(psi, dtype=complex), np.array((gamma, gamma_dot), dtype=complex), t)
     return psid, hermitian_part(gamma_ddot)
 
 

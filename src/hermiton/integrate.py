@@ -24,13 +24,11 @@ entries, hermiticity, one stacked checked inverse of gamma) and computes
 energy from that inverse, theta1 and the hermiticity drift.  Each sample's
 state and diagnostics have the bits of the one-state calls.  A sample that
 needs the rates f(t, y) (psi_dot of a first-order tier, read back from the
-rate vector, or the raw acceleration of a structural gamma) takes them from
-the stepper's evaluation at the same (t, y) when there is one: the next RK4
-step's first stage, the accepted Dormand-Prince step's last stage, or the
-midpoint Jacobian's base call at (t0, y0); ``finish`` makes the same rate
-call for the others.  An invalid sample raises its own error, naming it,
-ahead of any later step failure.  Every trajectory holds validated
-FullStates.
+rate vector, or the raw acceleration of a structural gamma) gets them from
+one call of the rate closure that ``finish`` makes, sample by sample in
+order: the recorder does not depend on the stepper's calls.  An invalid
+sample raises its own error, naming it, ahead of any later step failure.
+Every trajectory holds validated FullStates.
 
 The real form of complex data is numpy's real view, real and imaginary
 parts interleaved: y is the real view of the complex blocks, concatenated in
@@ -67,8 +65,8 @@ Stepping methods (``IntegratorConfig.method``):
   plain fixed-point iteration.  See ``_implicit_midpoint_step`` for where
   the iteration stops.
 
-A fixed-step run whose step count exceeds ``max_steps`` fails before it
-takes a step.  The explicit steppers take each stage and output sum into
+A fixed-step run whose step count exceeds ``max_steps`` (or overflows a
+float) fails before it takes a step.  The explicit steppers take each stage and output sum into
 one fresh array with the operations and their order of the textbook
 expressions, so the sums keep their bits; nothing is written into y or into
 a slope the caller keeps.  RK4 sums its four slopes in place; Dormand-Prince
@@ -155,6 +153,8 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
+        if not math.isfinite(self.t_end - self.t_start):
+            raise ValueError(f"t_end - t_start must be finite, got {self.t_end - self.t_start}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.rel_tol < _EPS:
@@ -251,8 +251,8 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
     kernel's gamma acceleration before the structural layout projects it, in
     that layout, and None otherwise.  Every closure takes only (t, y): a
     recorded sample that reads the rates (psi's rate, stored first in
-    ``rate``, on a first-order tier; ``acc`` in the structural layout) takes
-    them from the same call a stage makes.
+    ``rate``, on a first-order tier; ``acc`` in the structural layout) gets
+    them from the same call a stage makes, when the run is recorded.
 
     A closure reads y through shapes fixed here: the complex blocks as one
     ``view(complex)`` of y, reshaped, and in the structural layout the two
@@ -367,11 +367,8 @@ class _System:
     states, diagnostics) with one set of stacked calls and empties it.  A
     sample that needs f(t, y) (psi_dot of a first-order tier, read back from
     the rate vector; the raw acceleration of a structural gamma, for the
-    pre-projection drift) takes it from a ``deriv`` call at bitwise the same
-    (t, y) when the stepper makes one (the next RK4 step's first stage, an
-    accepted Dormand-Prince step's last stage, the midpoint Jacobian's base
-    call); ``finish`` evaluates the others with ``rates``, the call a stage
-    makes.
+    pre-projection drift) gets it from one ``rates`` call in ``finish``, the
+    call a stage makes.
     """
 
     def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -388,8 +385,7 @@ class _System:
         self.first_order = "psi" in stepped and "psi_dot" not in stepped
         self.structural = cfg.resymmetrize_gamma
         self.needs_rates = self.first_order or ("gamma" in stepped and self.structural)
-        self.latest = (None, None, None)     # (t, y, rates(t, y)) of the latest deriv call
-        self.times, self.ys, self.taken = [], [], []
+        self.times, self.ys = [], []
         self.t0 = initial.t
         self.y0 = self.codec.pack([getattr(initial, block) for block in stepped])
 
@@ -403,40 +399,26 @@ class _System:
         return b
 
     def deriv(self, t, y):
-        rates = self.rates(t, y)
-        if self.needs_rates:
-            self.latest = (t, y, rates)
-            self._take_rates(t, y, rates)
-        return rates[0]
+        return self.rates(t, y)[0]
 
     def record(self, t, y):
         self.times.append(t)
         self.ys.append(y)
-        if self.needs_rates:
-            self.taken.append(None)
-            self._take_rates(*self.latest)
-
-    def _take_rates(self, t, y, rates):
-        # the waiting sample takes rates evaluated at bitwise its (t, y)
-        if (self.taken and self.taken[-1] is None and t == self.times[-1]
-                and (y is self.ys[-1] or np.array_equal(y, self.ys[-1]))):
-            self.taken[-1] = rates
 
     def finish(self) -> tuple:
         """(times, states, diagnostics) of the buffered samples.  An error
         names its sample, and comes after the samples before it are
         recorded, as if each had been recorded when it was taken."""
-        times, ys, rates = self.times, self.ys, self.taken
-        self.times, self.ys, self.taken = [], [], []
-        failure = None
+        times, ys = self.times, self.ys
+        self.times, self.ys = [], []
+        rates, failure = [], None
         for k in range(len(times) if self.needs_rates else 0):
-            if rates[k] is None:
-                try:
-                    rates[k] = self.rates(times[k], ys[k])
-                except Exception as exc:
-                    failure = _sample_error(self.tier, k, times[k], exc)
-                    times, ys = times[:k], ys[:k]
-                    break
+            try:
+                rates.append(self.rates(times[k], ys[k]))
+            except Exception as exc:
+                failure = _sample_error(self.tier, k, times[k], exc)
+                times, ys = times[:k], ys[:k]
+                break
         states, diags = self._states(times, np.array(ys), rates) if times else ([], [])
         if failure is not None:
             raise failure
@@ -448,11 +430,11 @@ class _System:
         count = len(times)
         if self.first_order:             # psi's rate is stored first
             psi_reals = 2 * self.codec.n
-            b["psi_dot"] = np.array([r[:psi_reals] for r, _ in rates[:count]]).view(complex)
+            b["psi_dot"] = np.array([r[:psi_reals] for r, _ in rates]).view(complex)
         if "gamma" not in self.stepped:
             drift = [0.0] * count
         elif self.structural:
-            drift = hermiticity_drift(np.array([acc for _, acc in rates[:count]]))
+            drift = hermiticity_drift(np.array([acc for _, acc in rates]))
         else:
             drift = hermiticity_drift(b["gamma"])
         gamma, gamma_dot = hermitian_part(b["gamma"]), hermitian_part(b["gamma_dot"])
@@ -685,8 +667,9 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
     system.record(t, y)
 
     if cfg.method in ("rk4", "implicit_midpoint"):
-        n_steps = int(round((cfg.t_end - system.t0) / cfg.dt))
-        n_steps = max(n_steps, 1)
+        # a step count that overflows a float is above any max_steps
+        n_steps = (cfg.t_end - system.t0) / cfg.dt
+        n_steps = max(round(n_steps), 1) if math.isfinite(n_steps) else math.inf
         if n_steps > cfg.max_steps:
             raise StepFailure(f"[{tier}] exceeded max_steps: {n_steps} fixed steps > "
                               f"{cfg.max_steps}", last_good_t=t)

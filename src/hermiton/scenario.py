@@ -287,6 +287,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     scalars = {key: _typed(raw.get(key, default), type(default), f"scenario key {key!r}")
                for key, default in (("seed", 0), ("request_chart", False),
                                     ("inject_sign_error", False))}
+    if scalars["seed"] < 0:
+        raise ScenarioError(f"scenario key 'seed' must be a non-negative integer, "
+                            f"got {scalars['seed']}")
     return Scenario(
         model_tier=tier, params=params, chi=chi, psi0=psi0, psi_dot0=psi_dot0,
         gamma0=gamma0, gamma_dot0=gamma_dot0, integrator=cfg, outputs=outputs,

@@ -206,6 +206,8 @@ def _with_forcing(kind, **extra):
     _malformed("alpha4-string", "'alpha4'", lambda sc: sc["params"].update(alpha4="abc")),
     _malformed("hbar-string", "'hbar'", lambda sc: sc["params"].update(hbar="1")),
     _malformed("seed-string", "'seed'", lambda sc: sc.update(seed="x")),
+    # numpy's generators take a seed >= 0
+    _malformed("seed-negative", "'seed'", lambda sc: sc.update(seed=-3)),
     _malformed("dt-null", "'dt'", lambda sc: sc["integrator"].update(dt=None)),
     _malformed("kappa-string", "'kappa'", lambda sc: sc["params"].update(
         potential={"kind": "quartic_pure", "kappa": "x"})),
@@ -243,6 +245,9 @@ def _with_forcing(kind, **extra):
       for key, value in (("t_end", "inf"), ("dt", "inf"), ("t_start", "-inf"),
                          ("rel_tol", "inf"), ("abs_tol", "nan"))],
     # a relative tolerance below round-off
+    # finite ends whose difference is not: no finite step count
+    _malformed("span-infinite", "t_end - t_start must be finite", lambda sc: sc["integrator"]
+               .update(t_start=-1e308, t_end=1e308, method="rk45_adaptive")),
     _malformed("rel_tol-below-eps", "rel_tol must be at least", lambda sc: sc["integrator"].update(
         rel_tol=1e-300)),
     _malformed("forcing-vector-infinite", "forcing vector", lambda sc: sc["params"].update(
@@ -362,6 +367,18 @@ def test_seed_only_on_check(tmp_path, capsys, command):
 def test_check_takes_seed(tmp_path):
     path = write(tmp_path, "sch", schrodinger_scenario())
     assert main(["check", "--scenario", str(path), "--out", str(tmp_path), "--seed", "5"]) == 0
+
+
+def test_check_refuses_a_negative_seed(tmp_path, capsys):
+    # exit 2, a bad input, not 1, the code of failed verdicts
+    path = write(tmp_path, "sch", schrodinger_scenario(seed=-3))
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("ScenarioError: scenario key 'seed' must be")
+    path = write(tmp_path, "sch", schrodinger_scenario())
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--scenario", str(path), "--out", str(tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 class TestCheck:

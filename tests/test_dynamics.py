@@ -720,11 +720,13 @@ def test_near_singular_gamma_refused_in_both_tiers(rng):
     gamma = np.diag([1.0, 1.0, 1e-14]).astype(complex)
     psi, psid, gamma_dot, chi = (rand_vec(rng, n), rand_vec(rng, n), rand_herm(rng, n),
                                  rand_herm(rng, n))
+    gg = np.array((gamma, gamma_dot))
     with pytest.raises(SingularForm):
-        dynamics._full_accelerations_raw(psi, psid, gamma, gamma_dot, full_params(), chi, 0.0)
+        dynamics._PreparedGammaRate(full_params(), chi, first_order=False)(
+            np.array((psi, psid)), gg, 0.0)
     with pytest.raises(SingularForm):
-        dynamics._modified_first_order_raw(psi, gamma, gamma_dot, full_params(alpha2=0.0),
-                                           chi, 0.0)
+        dynamics._PreparedGammaRate(full_params(alpha2=0.0), chi, first_order=True)(
+            psi, gg, 0.0)
 
 
 def count_linalg(monkeypatch) -> dict:
@@ -744,18 +746,20 @@ def count_linalg(monkeypatch) -> dict:
 class TestFactorizations:
     def test_one_inverse_per_full_rhs(self, rng, monkeypatch):
         n = 4
-        args = (rand_vec(rng, n), rand_vec(rng, n), rand_pd(rng, n), rand_herm(rng, n),
-                full_params(), rand_herm(rng, n), 0.0)
+        psi, psid, gamma, gamma_dot, chi = (rand_vec(rng, n), rand_vec(rng, n), rand_pd(rng, n),
+                                            rand_herm(rng, n), rand_herm(rng, n))
+        rate = dynamics._PreparedGammaRate(full_params(), chi, first_order=False)
         counts = count_linalg(monkeypatch)
-        dynamics._full_accelerations_raw(*args)
+        rate(np.array((psi, psid)), np.array((gamma, gamma_dot)), 0.0)
         assert counts == {"inv": 1, "det": 0, "solve": 0}
 
     def test_one_guarded_inverse_per_modified_rhs(self, rng, monkeypatch):
         n = 4
-        args = (rand_vec(rng, n), rand_pd(rng, n), rand_herm(rng, n),
-                full_params(alpha2=0.0), rand_herm(rng, n), 0.0)
+        psi, gamma, gamma_dot, chi = (rand_vec(rng, n), rand_pd(rng, n), rand_herm(rng, n),
+                                      rand_herm(rng, n))
+        rate = dynamics._PreparedGammaRate(full_params(alpha2=0.0), chi, first_order=True)
         counts = count_linalg(monkeypatch)
-        dynamics._modified_first_order_raw(*args)
+        rate(psi, np.array((gamma, gamma_dot)), 0.0)
         assert counts == {"inv": 1, "det": 0, "solve": 0}
 
     def test_omega_dot_inverts_gamma_once(self, rng, monkeypatch):

@@ -7,8 +7,7 @@ import pytest
 import hermiton.dynamics as dynamics_module
 import hermiton.integrate as integrate_module
 from hermiton.dynamics import (
-    _full_accelerations_raw,
-    _modified_first_order_raw,
+    _PreparedGammaRate,
     el_residual,
     rhs_direct_nonlinear_raw,
     rhs_gamma_geodesic,
@@ -276,6 +275,18 @@ class TestStepLimits:
         at_limit = IntegratorConfig(dt=0.01, t_end=1.0, method=method, max_steps=100)
         assert integrate(state, "schrodinger", at_limit, params, chi).times.size == 101
 
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_fixed_step_count_beyond_floats_exceeds_max_steps(self, rng, monkeypatch,
+                                                              method):
+        # span / dt overflows to inf: above any max_steps, not an OverflowError
+        params, gamma, chi, psi0, state = schrodinger_setup(rng)
+        calls = count_rates(monkeypatch)
+        cfg = IntegratorConfig(dt=5e-324, t_end=1.0, method=method)
+        with pytest.raises(StepFailure, match="exceeded max_steps: inf fixed steps") as err:
+            integrate(state, "schrodinger", cfg, params, chi)
+        assert err.value.last_good_t == 0.0
+        assert calls[0] <= 1
+
     def test_adaptive_counts_rejected_steps_toward_max_steps(self, rng, monkeypatch):
         params, gamma, chi, psi0, state = schrodinger_setup(rng)
         cfg = IntegratorConfig(dt=0.5, t_end=1.0, method="rk45_adaptive",
@@ -327,6 +338,13 @@ def test_integrator_config_refuses(field, value, message):
     fields[field] = value
     with pytest.raises(ValueError, match=message):
         IntegratorConfig(**fields)
+
+
+def test_integrator_config_refuses_an_infinite_span():
+    # both ends finite, their difference not: a run would have no finite steps
+    with pytest.raises(ValueError, match="t_end - t_start must be finite, got inf"):
+        IntegratorConfig(dt=0.01, t_start=-1e308, t_end=1e308)
+    assert IntegratorConfig(dt=0.01, t_start=-1e307, t_end=1e307).t_end == 1e307
 
 
 def count_rates(monkeypatch) -> list:
@@ -449,8 +467,8 @@ class TestRhsCounts:
         rate = system.deriv(system.t0, system.y0)
         assert sorted(calls) == ["hermitian_to_real", "real_to_hermitian"]
         assert rate[-2 * n * n:-n * n].tobytes() == system.y0[-n * n:].tobytes()
-        # a sample no stage reached takes its rates from the call a stage
-        # makes, one decode and one encode, then one decode for the stack
+        # a sample takes its rates from the call a stage makes, one decode
+        # and one encode, then one decode for the stack
         del calls[:]
         system.record(system.t0 + 0.01, 1.01 * system.y0)
         system.finish()
@@ -756,7 +774,8 @@ def packed_rates(codec, rates, y) -> np.ndarray:
 
 def _unprepared_rates(tier, blocks, gamma, params, chi, gamma_tilde, t) -> list:
     """The rates of ``_System.rates`` from the kernels' unprepared paths, which
-    invert K and resolve chi on every call."""
+    invert K and resolve chi on every call; the Gamma-stepping rates are
+    prepared for this call."""
     b = blocks
     chi_t = resolve_chi(chi, t)
     if tier in ("schrodinger", "direct_nonlinear"):
@@ -767,12 +786,12 @@ def _unprepared_rates(tier, blocks, gamma, params, chi, gamma_tilde, t) -> list:
     if tier == "gamma_geodesic":
         return [b["gamma_dot"], rhs_gamma_geodesic(b["gamma"], b["gamma_dot"],
                                                    2.0 * params.alpha6, 2.0 * params.alpha7)]
+    gg = np.array((b["gamma"], b["gamma_dot"]))
     if tier == "full":
-        acc_psi, acc_g = _full_accelerations_raw(b["psi"], b["psi_dot"], b["gamma"],
-                                                 b["gamma_dot"], params, chi_t, t)
+        acc_psi, acc_g = _PreparedGammaRate(params, chi_t, first_order=False)(
+            np.array((b["psi"], b["psi_dot"])), gg, t)
         return [b["psi_dot"], acc_psi, b["gamma_dot"], acc_g]
-    psid, acc_g = _modified_first_order_raw(b["psi"], b["gamma"], b["gamma_dot"], params,
-                                            chi_t, t)
+    psid, acc_g = _PreparedGammaRate(params, chi_t, first_order=True)(b["psi"], gg, t)
     return [psid, b["gamma_dot"], acc_g]
 
 
@@ -1054,31 +1073,31 @@ def test_stacked_record_matches_per_sample_record_bitwise(rng, monkeypatch, tier
 
 
 class TestStackedRecord:
-    def test_first_order_samples_take_the_stepper_stages(self, rng, monkeypatch):
-        # a sample takes the next RK4 step's first stage or the accepted
-        # Dormand-Prince step's last one; only the final RK4 sample pays
+    def test_first_order_samples_take_one_rate_call_each(self, rng, monkeypatch):
+        # the steppers' calls, plus one call per recorded sample when the
+        # run is recorded
         params, _, chi, _, state = schrodinger_setup(rng)
         calls = count_rates(monkeypatch)
         traj = integrate(state, "schrodinger", IntegratorConfig(dt=0.02, t_end=1.0),
                          params, chi)
-        assert traj.times.size == 51 and calls[0] == 4 * 50 + 1
+        assert traj.times.size == 51 and calls[0] == 4 * 50 + 51
         calls[0] = 0
         attempts = count_dp_attempts(monkeypatch)
         cfg = IntegratorConfig(dt=0.5, t_end=2.0, method="rk45_adaptive", rel_tol=1e-9,
                                abs_tol=1e-11)
         traj = integrate(state, "schrodinger", cfg, params, chi)
         assert len(attempts) > traj.times.size - 1          # the case has rejections
-        assert calls[0] == 6 * len(attempts) + 1
+        assert calls[0] == 6 * len(attempts) + 1 + traj.times.size
 
-    def test_structural_gamma_samples_take_the_stepper_stages(self, rng, monkeypatch):
+    def test_structural_gamma_samples_take_one_rate_call_each(self, rng, monkeypatch):
         n = 2
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n), gamma=rand_pd(rng, n),
                           gamma_dot=rand_herm(rng, n, 0.3))
         calls = count_rates(monkeypatch)
-        integrate(state, "gamma_geodesic",
-                  IntegratorConfig(dt=0.02, t_end=0.4, resymmetrize_gamma=True),
-                  ModelParams(alpha6=1.0, alpha7=0.2))
-        assert calls[0] == 4 * 20 + 1
+        traj = integrate(state, "gamma_geodesic",
+                         IntegratorConfig(dt=0.02, t_end=0.4, resymmetrize_gamma=True),
+                         ModelParams(alpha6=1.0, alpha7=0.2))
+        assert traj.times.size == 21 and calls[0] == 4 * 20 + 21
 
     @pytest.mark.parametrize("block, index", [("psi", 1), ("gamma", 2)])
     def test_non_finite_sample_names_the_sample(self, rng, block, index):
