@@ -15,6 +15,7 @@ mid-run, 1 for a completed check run with failing verdicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -325,7 +326,10 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: a caller that runs main many times parses with
+    # the same parser
     parser = argparse.ArgumentParser(
         prog="hermiton",
         description="Finite-level Schrodinger-type systems with a dynamical scalar product")

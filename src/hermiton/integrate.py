@@ -62,8 +62,12 @@ Stepping methods (``IntegratorConfig.method``):
   M = I - (dt/2) J is inverted once per run, with J taken by forward
   differences at (t0, y0) at a cost of N + 1 RHS calls for N = len(y),
   when the run takes at least N + 1 steps; a shorter run keeps M = I, the
-  plain fixed-point iteration.  See ``_implicit_midpoint_step`` for where
-  the iteration stops.
+  plain fixed-point iteration.  The iteration stops once the stage error
+  estimated from the contraction of successive corrections, eta res with
+  eta = theta / (1 - theta), is at most ``_STAGE_KAPPA`` = 0.01 of the
+  stage's relative scale, or once the last correction is inside that scale
+  (Hairer & Wanner, Solving ODEs II, IV.8); a step's first sweep takes
+  eta from the step before.  See ``_implicit_midpoint_step``.
 
 A fixed-step run whose step count exceeds ``max_steps`` (or overflows a
 float) fails before it takes a step.  The explicit steppers take each stage and output sum into
@@ -533,41 +537,63 @@ def _dp_sum(y, dt, column, k) -> np.ndarray:
     return np.add(y, s, out=s)
 
 
-def _implicit_midpoint_step(f, t, y, dt, k_guess=None, m_inv=None, tol=1e-12, max_iter=50):
-    """One implicit midpoint step: ``(y_next, k)`` with y_next = y + dt*k and
-    k = f(t + dt/2, (y + y_next)/2), solved by simplified Newton on k:
+#: the midpoint stage stops once its estimated error eta res is at most this
+#: fraction of its scale
+_STAGE_KAPPA = 0.01
+
+
+def _implicit_midpoint_step(f, t, y, dt, k_guess=None, m_inv=None, eta=1.0, tol=1e-12,
+                            max_iter=50):
+    """One implicit midpoint step: ``(y_next, k, eta)`` with y_next = y + dt*k
+    and k = f(t + dt/2, (y + y_next)/2), solved by simplified Newton on k:
     k <- k + M^{-1} (f(t + dt/2, y + (dt/2) k) - k), with ``m_inv`` the
     inverse of M = I - (dt/2) J from :func:`_stage_inverse`.  Without it
     M = I, the plain fixed-point iteration.
 
     The iteration starts from ``k_guess`` (explicit Euler, f(t, y), when it
-    is None).  It stops once the correction it has just applied moves
-    y_next by at most ``tol`` relative to max(|y|, |dt k_guess|), with no
+    is None).  Each sweep's correction moves y_next by res_j = dt max|dk|,
+    and ``scale`` is ``tol`` relative to max(|y|, |dt k_guess|), with no
     absolute floor, so a run scaled by a power of two takes the same
-    iterates.  The stage error left is about the next correction, the last
-    one times the contraction rate.  On the Newton side that rate is about
-    (dt/2)|J(y) - J(y0)|, far below 1, so the error stays far inside
-    ``tol`` and adds up to no secular drift of the quadratic invariants the
-    rule conserves; with M = I it is (dt/2)|J|.  A correction larger than
-    the one before it is halved, that iteration only.  A non-finite correction
-    raises NonFinite at once; a stage that has not converged after
-    ``max_iter`` sweeps raises StepFailure with the last correction.
+    iterates.  From the second sweep on, the contraction rate is estimated
+    as theta = res_j / res_{j-1} and the stage error left after the
+    correction as eta res_j, with eta = theta / (1 - theta) (Hairer &
+    Wanner, Solving ODEs II, IV.8); the first sweep takes ``eta`` from the
+    caller, the previous step's estimate.  The iteration stops once
+    eta res_j <= ``_STAGE_KAPPA`` scale, or once res_j <= scale, the test
+    that stands alone when no contraction is seen (theta >= 1).  On the
+    Newton side theta is about (dt/2)|J(y) - J(y0)|, far below 1, so the
+    error stays far inside ``tol`` and adds up to no secular drift of the
+    quadratic invariants the rule conserves; with M = I it is (dt/2)|J|.
+    A correction larger than the one before it is halved, that iteration
+    only.  A non-finite correction raises NonFinite at once; a stage that
+    has not converged after ``max_iter`` sweeps raises StepFailure with the
+    last correction.  The returned ``eta`` is the one of the last sweep.
     """
     t_mid, half = t + dt / 2.0, dt / 2.0
-    k = f(t, y) if k_guess is None else k_guess
-    scale = tol * max(float(np.max(np.abs(y))), dt * float(np.max(np.abs(k))))
-    prev_res = np.inf
+    k = f(t, y) if k_guess is None else k_guess.copy()     # updated in place
+    scale = tol * max(float(np.abs(y).max()), dt * float(np.abs(k).max()))
+    bound, prev_res = _STAGE_KAPPA * scale, math.inf
     for _ in range(max_iter):
-        dk = f(t_mid, y + half * k) - k
+        stage = half * k
+        stage += y
+        dk = f(t_mid, stage)
+        dk -= k
         if m_inv is not None:
-            dk = m_inv @ dk
-        res = dt * float(np.max(np.abs(dk)))
+            dk = m_inv.dot(dk)
+        res = dt * float(np.abs(dk).max())
         if not math.isfinite(res):
             raise NonFinite("implicit midpoint stage became non-finite")
-        if res <= scale:
-            k = k + dk
-            return y + dt * k, k
-        k = k + (0.5 * dk if res > prev_res else dk)
+        if prev_res < math.inf:
+            theta = res / prev_res
+            eta = theta / (1.0 - theta) if theta < 1.0 else math.inf
+        stop = res <= scale or eta * res <= bound
+        if res > prev_res and not stop:
+            dk *= 0.5
+        k += dk
+        if stop:
+            y_next = dt * k
+            y_next += y
+            return y_next, k, eta
         prev_res = res
     raise StepFailure(f"implicit midpoint stage iteration did not converge in {max_iter} "
                       f"sweeps (last residual {res:.3e})", last_good_t=t)
@@ -606,11 +632,14 @@ def _warm_started_midpoint(n_steps: int):
     from one).  The first step builds the run's Newton matrix when
     N + 1 <= ``n_steps`` for N = len(y), so J costs at most one RHS call per
     step, and starts its stage from J's base call f(t0, y0); a shorter run
-    iterates with M = I."""
-    slopes, m_inv = [], None
+    iterates with M = I.  Each stage's first sweep takes max(eta, eps)^0.8
+    from the eta the step before it ended with (1 on the first step), so a
+    step whose first correction is already inside the bound makes one rate
+    call, and the estimate grows until a second sweep measures it again."""
+    slopes, m_inv, eta = [], None, 1.0
 
     def step(f, t, y, dt):
-        nonlocal m_inv
+        nonlocal m_inv, eta
         if len(slopes) == 3:
             guess = 3.0 * (slopes[2] - slopes[1]) + slopes[0]
         elif len(slopes) == 2:
@@ -621,7 +650,8 @@ def _warm_started_midpoint(n_steps: int):
             m_inv, guess = _stage_inverse(f, t, y, dt)
         else:
             guess = None
-        y_next, k = _implicit_midpoint_step(f, t, y, dt, guess, m_inv)
+        y_next, k, eta = _implicit_midpoint_step(f, t, y, dt, guess, m_inv,
+                                                 max(eta, _EPS) ** 0.8)
         del slopes[:-2]
         slopes.append(k)
         return y_next
@@ -644,8 +674,12 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
     ``initial`` is a FullState; ``chi`` may be a Hermitian matrix or a
     callable t -> matrix.  Errors raised by the right-hand side mid-run
     surface as StepFailure with the last good time attached; an invalid
-    sample raises its own error first.
+    sample raises its own error first.  A state whose time lies outside
+    [t_start, t_end) of ``cfg`` is refused with ValueError before any step.
     """
+    if not cfg.t_start <= initial.t < cfg.t_end:
+        raise ValueError(f"initial.t = {initial.t!r} lies outside the config's span "
+                         f"[t_start, t_end) = [{cfg.t_start!r}, {cfg.t_end!r})")
     if chi is None:
         n = initial.n
         chi = np.zeros((n, n), dtype=complex)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -129,6 +130,19 @@ class TestSimulate:
             main(["simulate", "--scenario", str(p1), "--jobs", "2",
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, monkeypatch):
+        # main parses with one parser per process, and an appended option
+        # starts empty on every call
+        p1 = write(tmp_path, "one", schrodinger_scenario())
+        p2 = write(tmp_path, "two", geodesic_scenario())
+        assert main(["simulate", "--scenario", str(p1), "--scenario", str(p2),
+                     "--out", str(tmp_path)]) == 0
+        monkeypatch.setattr(argparse, "ArgumentParser", None)
+        again = tmp_path / "again"
+        assert main(["simulate", "--scenario", str(p1), "--out", str(again)]) == 0
+        assert (again / "one_trajectory.csv").exists()
+        assert not (again / "two_trajectory.csv").exists()
 
     def test_killing_geodesic_is_degenerate(self, tmp_path, capsys):
         # preset killing has A + n B = 0: the geodesic tier refuses to run,

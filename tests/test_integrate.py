@@ -449,6 +449,23 @@ class TestRhsCounts:
         integrate(state, "second_order", cfg, params, chi)
         assert calls[0] <= 3 * n_steps + 4 + 1
 
+    @pytest.mark.parametrize("tier, n, expected", [("modified_first_order", 1, 131),
+                                                   ("schrodinger", 4, 178)])
+    def test_midpoint_calls_at_the_ensemble_settings(self, rng, monkeypatch, tier, n,
+                                                     expected):
+        # dt 0.01, 60 steps, 4 samples: J's N + 1 calls, the stage sweeps and
+        # one call per first-order sample.  A stage stops on its estimated
+        # error eta res, so a step whose contraction is already small takes
+        # no sweep to confirm it: 151 and 193 calls with the plain res <= scale
+        # test alone
+        state, params, chi = tier_case(tier, n, rng)
+        cfg = IntegratorConfig(dt=0.01, t_end=0.6, method="implicit_midpoint",
+                               sample_stride=20)
+        calls = count_rates(monkeypatch)
+        traj = integrate(state, tier, cfg, params, chi)
+        assert len(traj.times) == 4
+        assert calls[0] == expected
+
     @pytest.mark.parametrize("tier", ["gamma_geodesic", "full", "modified_first_order"])
     def test_structural_deriv_codes_each_way_once(self, rng, monkeypatch, tier):
         # one real_to_hermitian decodes gamma and gamma_dot together, and one
@@ -509,6 +526,29 @@ def test_implicit_midpoint_non_convergence_is_step_failure():
                                                  1.0, max_iter=3)
 
 
+@pytest.mark.parametrize("eta, sweeps", [(1.0, 2), (np.finfo(float).eps ** 0.8, 1)])
+def test_midpoint_stage_stops_on_the_carried_eta(eta, sweeps):
+    # y' = A y with the exact Newton matrix: the first correction solves the
+    # stage up to rounding.  A small eta carried from the step before stops
+    # the iteration there; eta = 1, no estimate yet, takes a second sweep,
+    # whose correction is the stage error
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    dt, calls = 0.1, []
+
+    def f(t, y):
+        calls.append(t)
+        return a @ y
+
+    m_inv = np.linalg.inv(np.eye(2) - (dt / 2.0) * a)
+    y = np.array([1.0, 0.0])
+    y_next, k, eta_out = integrate_module._implicit_midpoint_step(f, 0.0, y, dt, a @ y,
+                                                                  m_inv, eta)
+    assert len(calls) == sweeps
+    exact = np.linalg.solve(np.eye(2) - (dt / 2.0) * a, (np.eye(2) + (dt / 2.0) * a) @ y)
+    assert np.max(np.abs(y_next - exact)) <= 1e-15
+    assert eta_out == eta if sweeps == 1 else eta_out < 1e-3
+
+
 @pytest.mark.parametrize("n_steps", [4, 50])
 def test_midpoint_run_is_scale_invariant(rng, n_steps):
     # the stage test is relative with no absolute floor: psi scaled by a power
@@ -522,6 +562,27 @@ def test_midpoint_run_is_scale_invariant(rng, n_steps):
         psi = np.array([s.psi for s in integrate(scaled, "schrodinger", cfg, params,
                                                  chi).states]) / scale
         assert np.max(np.abs(psi - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_initial_time_after_the_span_is_refused(rng):
+    # before, the run took one backward step and failed in Trajectory
+    params, _, chi, _, state = schrodinger_setup(rng)
+    late = dataclasses.replace(state, t=5.0)
+    with pytest.raises(ValueError, match=r"initial\.t = 5\.0 .*\[t_start, t_end\) = "
+                                         r"\[0\.0, 1\.0\)"):
+        integrate(late, "schrodinger", IntegratorConfig(dt=0.1, t_end=1.0), params, chi)
+
+
+def test_initial_time_before_the_span_is_refused(rng, monkeypatch):
+    # before, the adaptive run failed with a misleading step size underflow
+    params, _, chi, _, state = schrodinger_setup(rng)
+    early = dataclasses.replace(state, t=-1e308)
+    cfg = IntegratorConfig(dt=0.1, t_start=-1e307, t_end=1e307, method="rk45_adaptive")
+    calls = count_rates(monkeypatch)
+    with pytest.raises(ValueError, match=r"initial\.t = -1e\+308 .*"
+                                         r"\[-1e\+307, 1e\+307\)"):
+        integrate(early, "schrodinger", cfg, params, chi)
+    assert calls[0] == 0
 
 
 def test_stage_failure_names_tier_and_last_good_time_once(rng, monkeypatch):
