@@ -326,6 +326,18 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _refuse_shared_names(paths, scenarios) -> None:
+    """Refuse two scenarios of one ``simulate`` whose file stems, and so
+    whose output names, are the same: the later run would overwrite the
+    earlier one's files."""
+    first = {}
+    for path, s in zip(paths, scenarios):
+        if s.name in first:
+            raise ScenarioError(f"scenarios {first[s.name]} and {path} share the name "
+                                f"{s.name!r}, so their outputs would overwrite each other")
+        first[s.name] = path
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: a caller that runs main many times parses with
@@ -364,6 +376,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             scenarios = [load_scenario(p) for p in args.scenario]
+            _refuse_shared_names(args.scenario, scenarios)
             for s in scenarios:
                 cmd_simulate(s, out_dir)
             return 0

@@ -2,20 +2,31 @@
 
 Every tier steps a subset of the same blocks psi, psi_dot, gamma and
 gamma_dot, listed in ``STEPPED_BLOCKS`` in storage order.  The stepped
-blocks are flattened into one real vector; the others stay frozen (gamma at
-its initial value, the rest at zero).  Each run builds one rate closure for
-its tier and gamma layout, ``_System.rates``: it reads the stepped blocks
-through shapes fixed at set-up, as read-only views of the vector (and, in
-the structural layout, as the matrices one codec call decodes), calls the
-tier's prepared kernel through its module-level name and packs the new
-rate vector with one concatenate; ``deriv`` hands that vector to the
-steppers.  Every tier's kernel is prepared once per run, with the closure,
-and called directly, with the stage's blocks and t only: the frozen-gamma
-tiers call a ``dynamics._PreparedPsiRate``, so a step re-derives neither
-K^{-1} nor the linear part of the psi equation; ``gamma_geodesic`` calls
-``dynamics._geodesic_rate``, its couplings refused before the run steps;
-``full`` and ``modified_first_order`` call a ``dynamics._PreparedGammaRate``.
-A constant chi is resolved once per run.
+blocks are flattened into one real vector, numpy's real view of the complex
+blocks (real and imaginary parts interleaved) concatenated in that order;
+the others stay frozen (gamma at its initial value, the rest at zero).  Each
+run builds one rate closure for its tier, ``_System.rates``: it reads the
+stepped blocks as read-only views of the vector, through shapes fixed at
+set-up, calls the tier's prepared kernel through its module-level name and
+packs the new rate vector with one concatenate; ``deriv`` hands that vector
+to the steppers.  Every tier's kernel is prepared once per run, with the
+closure, and called directly, with the stage's blocks and t only: the
+frozen-gamma tiers call a ``dynamics._PreparedPsiRate``, so a step
+re-derives neither K^{-1} nor the linear part of the psi equation;
+``gamma_geodesic`` calls ``dynamics._geodesic_rate``, its couplings refused
+before the run steps; ``full`` and ``modified_first_order`` call a
+``dynamics._PreparedGammaRate``.  A constant chi is resolved once per run.
+
+gamma and gamma_dot are stepped as complex matrices (2 n^2 reals each).
+With ``resymmetrize_gamma=True`` the stepped acceleration is the Hermitian
+part of the kernel's, and the hermiticity defect of the raw acceleration is
+recorded at sample times (the "pre-projection" drift).  gamma - gamma^dag
+= 0 is then a linear invariant, which Runge-Kutta methods keep, so the
+stepped gamma and gamma_dot stay Hermitian entry for entry.  (The
+midpoint's Newton matrix does not commute with conjugate transposition,
+but the anti-Hermitian part of a correction lies far below the state's
+round-off.)  Without it the kernel's acceleration is stepped as it is, and
+the hermiticity drift of the state itself is recorded.
 
 Recording is stacked.  ``record`` only buffers a sample's (t, y).  When the
 run ends, the same codec unpacks the (S, N) stack of samples, and one
@@ -24,27 +35,11 @@ entries, hermiticity, one stacked checked inverse of gamma) and computes
 energy from that inverse, theta1 and the hermiticity drift.  Each sample's
 state and diagnostics have the bits of the one-state calls.  A sample that
 needs the rates f(t, y) (psi_dot of a first-order tier, read back from the
-rate vector, or the raw acceleration of a structural gamma) gets them from
-one call of the rate closure that ``finish`` makes, sample by sample in
-order: the recorder does not depend on the stepper's calls.  An invalid
+rate vector, or the raw acceleration of a resymmetrized gamma) gets them
+from one call of the rate closure that ``finish`` makes, sample by sample
+in order: the recorder does not depend on the stepper's calls.  An invalid
 sample raises its own error, naming it, ahead of any later step failure.
 Every trajectory holds validated FullStates.
-
-The real form of complex data is numpy's real view, real and imaginary
-parts interleaved: y is the real view of the complex blocks, concatenated in
-``STEPPED_BLOCKS`` order.  The gamma blocks have two layouts:
-
-* ``resymmetrize_gamma=True``: gamma and gamma_dot are stored after the
-  complex blocks in the n^2-real Hermitian parametrization of
-  ``hermitian_to_real`` (diagonal reals plus off-diagonal real/imaginary
-  pairs), which enforces hermiticity structurally; the
-  hermiticity defect of the raw right-hand side is still recorded at
-  sample times (the "pre-projection" drift).  A rate call decodes both
-  matrices with one ``real_to_hermitian`` call and encodes only the
-  acceleration: gamma's rate is y's own gamma_dot coordinates.
-* ``resymmetrize_gamma=False``: the full complex matrices are stepped
-  (2 n^2 reals each) and the hermiticity drift of the state itself is
-  recorded, unprojected.
 
 Stepping methods (``IntegratorConfig.method``):
 
@@ -93,12 +88,10 @@ from .dynamics import (
     _refuse_geodesic_couplings,
 )
 from .errors import DegenerateKinetic, HermitonError, NonFinite, StepFailure
-from .hermitian_algebra import (
-    hermitian_part,
-    hermitian_to_real,
-    hermiticity_drift,
-    real_to_hermitian,
-)
+from .hermitian_algebra import hermitian_part, hermiticity_drift
+# no rate path calls the Hermitian codec; perfbench/tracing.py (its TARGETS)
+# rebinds these names here to count the calls that would
+from .hermitian_algebra import hermitian_to_real, real_to_hermitian  # noqa: F401
 from .models import (
     FullState,
     ModelParams,
@@ -192,91 +185,70 @@ class Trajectory:
 
 
 class _Codec:
-    """Layout of the flat real state vector y of one tier.
-
-    y is the real view of the complex blocks (vectors, and matrices in the
-    complex layout) in stepped order, followed in the structural layout by
-    the ``hermitian_to_real`` coordinates of gamma and then of gamma_dot (a
-    tier that steps gamma steps gamma_dot too).  Blocks of one shape are
-    adjacent in y, so psi and psi_dot are one (2, n) array and gamma and
-    gamma_dot one (2, n, n) array, as the Gamma-stepping kernels take them
-    and the rate closures read them.  The codec packs the initial vector and
-    unpacks the stack of recorded vectors (S, N) when a run is recorded; the
-    two Hermitian matrices are decoded by one call.
+    """Layout of the flat real state vector y of one tier: the real view of
+    the complex blocks, in stepped order.  Blocks of one shape are adjacent
+    in y, so psi and psi_dot are one (2, n) array and gamma and gamma_dot
+    one (2, n, n) array, as the Gamma-stepping kernels take them and the
+    rate closures read them.  The codec packs the initial vector and unpacks
+    the stack of recorded vectors (S, N) when a run is recorded.
     """
 
-    def __init__(self, stepped, n: int, structural: bool):
+    def __init__(self, stepped, n: int):
         self.n, self.stepped = n, stepped
-        vectors = [block for block in stepped if block in ("psi", "psi_dot")]
-        matrices = [block for block in stepped if block in ("gamma", "gamma_dot")]
-        self.coded = len(matrices) if structural else 0   # matrices stored as coordinates
+        vectors = sum(block in ("psi", "psi_dot") for block in stepped)
         self.groups = []   # (span in y's complex view, blocks, shape of one block)
         offset = 0
-        for count, shape in ((len(vectors), (n,)), (len(matrices) - self.coded, (n, n))):
+        for count, shape in ((vectors, (n,)), (len(stepped) - vectors, (n, n))):
             if count:
                 size = count * n ** len(shape)
                 self.groups.append((slice(offset, offset + size), count, shape))
                 offset += size
-        self.split = 2 * offset  # the reals of the complex blocks
 
     def unpack(self, y) -> dict:
         """The stepped blocks stored in y (..., N), by name, with y's leading
-        axes: read-only views of y (which must be C-contiguous) for the
-        complex blocks, then the Hermitian matrices of the structural
-        layout, decoded by one call."""
+        axes: read-only views of y, which must be C-contiguous."""
         lead = y.shape[:-1]
-        z = y[..., :self.split].view(complex)
+        z = y.view(complex)
         z.setflags(write=False)
-        groups = [(z[..., span].reshape(lead + (count,) + shape), shape)
-                  for span, count, shape in self.groups]
-        if self.coded:
-            coords = y[..., self.split:].reshape(*lead, self.coded, self.n * self.n)
-            groups.append((real_to_hermitian(coords, self.n), (self.n, self.n)))
-        blocks = [group[(..., j) + (slice(None),) * len(shape)]
-                  for group, shape in groups for j in range(group.shape[len(lead)])]
+        blocks = []
+        for span, count, shape in self.groups:
+            group = z[..., span].reshape(lead + (count,) + shape)
+            blocks += [group[(..., j) + (slice(None),) * len(shape)] for j in range(count)]
         return dict(zip(self.stepped, blocks))
 
     def pack(self, blocks) -> np.ndarray:
         """A new vector holding the stepped blocks, given in stepped order:
-        one concatenate of the complex blocks, viewed as reals, and the
-        Hermitian coordinates."""
-        split = len(self.stepped) - self.coded   # the complex blocks
-        parts = [np.concatenate(blocks[:split], axis=None, dtype=complex).view(float)] \
-            if split else []
-        parts += [hermitian_to_real(hermitian_part(block)) for block in blocks[split:]]
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        one concatenate, viewed as reals."""
+        return np.concatenate(blocks, axis=None, dtype=complex).view(float)
 
 
-def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gamma_tilde):
+def _rate_closure(tier: str, n: int, resymmetrize: bool, gamma, params: ModelParams, chi,
+                  gamma_tilde):
     """The run's rate closure ``rates(t, y)``: ``(rate, acc)``, with ``rate``
     the new real vector of y's time derivative that the steppers take, from
     the tier's prepared kernel, called through its module-level name with
-    the stage's blocks and t and nothing else.  ``acc`` is the
-    kernel's gamma acceleration before the structural layout projects it, in
-    that layout, and None otherwise.  Every closure takes only (t, y): a
-    recorded sample that reads the rates (psi's rate, stored first in
-    ``rate``, on a first-order tier; ``acc`` in the structural layout) gets
-    them from the same call a stage makes, when the run is recorded.
+    the stage's blocks and t and nothing else.  With ``resymmetrize``,
+    ``rate`` holds the Hermitian part of the kernel's gamma acceleration and
+    ``acc`` is the acceleration itself; ``acc`` is None otherwise.  Every
+    closure takes only (t, y): a recorded sample that reads the rates
+    (psi's rate, stored first in ``rate``, on a first-order tier; ``acc``)
+    gets them from the same call a stage makes, when the run is recorded.
 
-    A closure reads y through shapes fixed here: the complex blocks as one
-    ``view(complex)`` of y, reshaped, and in the structural layout the two
-    Hermitian matrices, decoded by one ``real_to_hermitian`` call.  Both are
-    marked read-only, so a kernel that writes into its input raises.  It
-    packs ``rate`` with one concatenate: the rate of psi on ``second_order``
-    and ``full`` is y's own psi_dot, and the rate of gamma is y's own
-    gamma_dot, coordinates included; the structural layout encodes only the
-    projected acceleration.  A frozen first-order tier's rate is the real
-    view of the kernel's new array.
+    A closure reads y through shapes fixed here, as one ``view(complex)``
+    of y, reshaped and marked read-only, so a kernel that writes into its
+    input raises.  It packs ``rate`` with one concatenate: the rate of psi
+    on ``second_order`` and ``full`` is y's own psi_dot, and the rate of
+    gamma is y's own gamma_dot.  A frozen first-order tier's rate is the
+    real view of the kernel's new array.
 
     ``gamma`` is the frozen form of the tiers that do not step it; their
     kernel is a psi rate prepared here.  The geodesic tier's couplings are
     refused here, before the run steps, naming the tier, and its kernel
-    takes only gamma and gamma_dot.  The Gamma-stepping kernels are a gamma
-    rate prepared here and take the (2, n, n) stack (gamma, gamma_dot) and
-    the (2, n) stack (psi, psi_dot) on ``full``.  chi is resolved here, once,
+    takes only gamma and gamma_dot; its acceleration is exactly Hermitian,
+    so it is stepped as it is.  The Gamma-stepping kernels are a gamma rate
+    prepared here and take the (2, n, n) stack (gamma, gamma_dot) and the
+    (2, n) stack (psi, psi_dot) on ``full``.  chi is resolved here, once,
     when it is constant."""
-    n, split, structural = codec.n, codec.split, codec.coded > 0
-    nn = n * n
     if not callable(chi):
         chi = resolve_chi(chi, 0.0)
     if tier in ("schrodinger", "direct_nonlinear"):
@@ -300,55 +272,35 @@ def _rate_closure(tier: str, codec: _Codec, gamma, params: ModelParams, chi, gam
             _refuse_geodesic_couplings(2.0 * params.alpha6, 2.0 * params.alpha7, n)
         except DegenerateKinetic as exc:
             raise DegenerateKinetic(f"[{tier}] {exc}") from None
-        if structural:
-            def rates(t, y):
-                gg = real_to_hermitian(y.reshape(2, nn), n)
-                gg.setflags(write=False)
-                # the geodesic rate is exactly Hermitian: encoded as it is
-                acc = rhs_gamma_geodesic(gg[0], gg[1])
-                return np.concatenate((y[nn:], hermitian_to_real(acc))), acc
-        else:
-            def rates(t, y):
-                gg = y.view(complex).reshape(2, n, n)
-                gg.setflags(write=False)
-                acc = rhs_gamma_geodesic(gg[0], gg[1])
-                return np.concatenate((gg[1], acc), axis=None).view(float), None
+
+        def rates(t, y):
+            gg = y.view(complex).reshape(2, n, n)
+            gg.setflags(write=False)
+            acc = rhs_gamma_geodesic(gg[0], gg[1])
+            return (np.concatenate((gg[1], acc), axis=None).view(float),
+                    acc if resymmetrize else None)
     elif tier == "full":
         gamma_rate = _PreparedGammaRate(params, chi, first_order=False)
-        if structural:
-            def rates(t, y):
-                v = y[:split].view(complex).reshape(2, n)
-                gg = real_to_hermitian(y[split:].reshape(2, nn), n)
-                v.setflags(write=False)
-                gg.setflags(write=False)
-                acc_psi, acc_g = _full_accelerations_raw(gamma_rate, v, gg, t)
-                return np.concatenate((y[2 * n:split], acc_psi.view(float), y[split + nn:],
-                                       hermitian_to_real(hermitian_part(acc_g)))), acc_g
-        else:
-            def rates(t, y):
-                z = y.view(complex)
-                z.setflags(write=False)
-                v, gg = z[:2 * n].reshape(2, n), z[2 * n:].reshape(2, n, n)
-                acc_psi, acc_g = _full_accelerations_raw(gamma_rate, v, gg, t)
-                return np.concatenate((v[1], acc_psi, gg[1], acc_g), axis=None).view(float), None
+
+        def rates(t, y):
+            z = y.view(complex)
+            z.setflags(write=False)
+            v, gg = z[:2 * n].reshape(2, n), z[2 * n:].reshape(2, n, n)
+            acc_psi, acc_g = _full_accelerations_raw(gamma_rate, v, gg, t)
+            stepped_g = hermitian_part(acc_g) if resymmetrize else acc_g
+            return (np.concatenate((v[1], acc_psi, gg[1], stepped_g), axis=None).view(float),
+                    acc_g if resymmetrize else None)
     else:
         gamma_rate = _PreparedGammaRate(params, chi, first_order=True)
-        if structural:
-            def rates(t, y):
-                psi = y[:split].view(complex)
-                gg = real_to_hermitian(y[split:].reshape(2, nn), n)
-                psi.setflags(write=False)
-                gg.setflags(write=False)
-                psid, acc_g = _modified_first_order_raw(gamma_rate, psi, gg, t)
-                return np.concatenate((psid.view(float), y[split + nn:],
-                                       hermitian_to_real(hermitian_part(acc_g)))), acc_g
-        else:
-            def rates(t, y):
-                z = y.view(complex)
-                z.setflags(write=False)
-                psi, gg = z[:n], z[n:].reshape(2, n, n)
-                psid, acc_g = _modified_first_order_raw(gamma_rate, psi, gg, t)
-                return np.concatenate((psid, gg[1], acc_g), axis=None).view(float), None
+
+        def rates(t, y):
+            z = y.view(complex)
+            z.setflags(write=False)
+            psi, gg = z[:n], z[n:].reshape(2, n, n)
+            psid, acc_g = _modified_first_order_raw(gamma_rate, psi, gg, t)
+            stepped_g = hermitian_part(acc_g) if resymmetrize else acc_g
+            return (np.concatenate((psid, gg[1], stepped_g), axis=None).view(float),
+                    acc_g if resymmetrize else None)
     return rates
 
 
@@ -370,7 +322,7 @@ class _System:
     buffers a sample's (t, y).  ``finish`` turns the buffer into (times,
     states, diagnostics) with one set of stacked calls and empties it.  A
     sample that needs f(t, y) (psi_dot of a first-order tier, read back from
-    the rate vector; the raw acceleration of a structural gamma, for the
+    the rate vector; the raw acceleration of a resymmetrized gamma, for the
     pre-projection drift) gets it from one ``rates`` call in ``finish``, the
     call a stage makes.
     """
@@ -380,15 +332,16 @@ class _System:
         n = initial.n
         self.tier, self.params, self.chi = tier, params, chi
         self.stepped = stepped = STEPPED_BLOCKS[tier]
-        self.codec = _Codec(stepped, n, cfg.resymmetrize_gamma)
+        self.codec = _Codec(stepped, n)
         zero_v = np.zeros(n, dtype=complex)
         zero_v.setflags(write=False)         # shared by every recorded state
         self.frozen = {"psi": zero_v, "psi_dot": zero_v, "gamma": initial.gamma,
                        "gamma_dot": np.zeros((n, n), dtype=complex)}
-        self.rates = _rate_closure(tier, self.codec, initial.gamma, params, chi, gamma_tilde)
+        self.rates = _rate_closure(tier, n, cfg.resymmetrize_gamma, initial.gamma, params,
+                                   chi, gamma_tilde)
         self.first_order = "psi" in stepped and "psi_dot" not in stepped
-        self.structural = cfg.resymmetrize_gamma
-        self.needs_rates = self.first_order or ("gamma" in stepped and self.structural)
+        self.resymmetrize = cfg.resymmetrize_gamma
+        self.needs_rates = self.first_order or ("gamma" in stepped and self.resymmetrize)
         self.times, self.ys = [], []
         self.t0 = initial.t
         self.y0 = self.codec.pack([getattr(initial, block) for block in stepped])
@@ -437,7 +390,7 @@ class _System:
             b["psi_dot"] = np.array([r[:psi_reals] for r, _ in rates]).view(complex)
         if "gamma" not in self.stepped:
             drift = [0.0] * count
-        elif self.structural:
+        elif self.resymmetrize:
             drift = hermiticity_drift(np.array([acc for _, acc in rates]))
         else:
             drift = hermiticity_drift(b["gamma"])

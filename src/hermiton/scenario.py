@@ -213,6 +213,11 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"unknown model tier {tier!r}")
 
     initial = _known_keys(raw.get("initial", {}), _INITIAL_KEYS, "initial")
+    # an initial velocity is read only by a tier that steps it
+    for key, block in (("psi_dot0", "psi_dot"), ("gamma_dot0", "gamma_dot")):
+        if key in initial and block not in STEPPED_BLOCKS[tier]:
+            raise ScenarioError(f"initial key {key!r} is read only by a tier that steps "
+                                f"{block}, not by {tier!r}")
     if "psi0" in initial:
         psi0 = decode_pairs(initial["psi0"], (None,), "psi0")
         n = psi0.size

@@ -53,8 +53,9 @@ def symplectic_smoke_case():
 def rate_blocks(codec, rate, acc) -> list:
     """The rates ``(rate, acc)`` of one call of a run's rate closure, block by
     block in stepped order: read back from the rate vector through the
-    run's codec, with gamma_dot's rate in the structural layout the raw
-    acceleration ``acc`` of the same call."""
+    run's codec, with gamma_dot's rate, when gamma is resymmetrized, the raw
+    acceleration ``acc`` of the same call rather than its stepped Hermitian
+    part."""
     blocks = list(codec.unpack(rate).values())
     if acc is not None:
         blocks[-1] = acc

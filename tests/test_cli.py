@@ -118,6 +118,20 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         assert "NotHermitian" in capsys.readouterr().err
 
+    def test_scenarios_sharing_a_name_exit_2(self, tmp_path, capsys):
+        # a/x.json and b/x.json both write x_*: refused, naming both paths,
+        # before either runs
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        p1 = write(tmp_path / "a", "x", schrodinger_scenario())
+        p2 = write(tmp_path / "b", "x", geodesic_scenario())
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(p1), "--scenario", str(p2),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ScenarioError: ") and str(p1) in err and str(p2) in err
+        assert list(out.iterdir()) == []
+
     def test_multiple_scenarios_run_serially(self, tmp_path):
         p1 = write(tmp_path, "one", schrodinger_scenario())
         p2 = write(tmp_path, "two", geodesic_scenario())
@@ -172,8 +186,16 @@ def _with_forcing(kind, **extra):
     _malformed("chi-diag-size", "chi", lambda sc: sc.update(chi="diag:[1, 2, 3]")),
     _malformed("gamma0-ragged", "gamma0", lambda sc: sc["initial"].update(
         gamma0=[[pair(1.0), pair(0.0)], [pair(1.0)]])),
-    _malformed("gamma_dot0-size", "gamma_dot0", lambda sc: sc["initial"].update(
-        gamma_dot0=mat(np.eye(3)))),
+    _malformed("gamma_dot0-size", "gamma_dot0 must be", lambda sc: sc.update(
+        model_tier="gamma_geodesic", initial={**sc["initial"], "gamma_dot0": mat(np.eye(3))})),
+    # an initial velocity is read only by a tier that steps it
+    *[_malformed(f"{key}-on-{tier}", f"initial key {key!r} is read only by a tier that steps "
+                                     f"{key[:-1]}, not by {tier!r}",
+                 lambda sc, tier=tier, key=key: sc.update(model_tier=tier, initial={
+                     **sc["initial"], key: vec([9 + 9j, 9 + 9j]) if key == "psi_dot0"
+                     else mat(np.diag([0.5, 0.3]))}))
+      for tier, blocks in STEPPED_BLOCKS.items() for key in ("psi_dot0", "gamma_dot0")
+      if key[:-1] not in blocks],
     _malformed("gamma_tilde-size", "gamma_tilde", lambda sc: sc.update(
         model_tier="second_order", params={"alpha1": 0.5, "alpha2": 1.0, "alpha5": -1.0},
         gamma_tilde=mat(np.eye(3)))),
@@ -297,9 +319,12 @@ def _non_finite_field(field: str, value: float):
     bad_vec[1][0] = bad_mat[1][1][1] = value
     return {
         "psi0": lambda sc: sc["initial"].update(psi0=bad_vec),
-        "psi_dot0": lambda sc: sc["initial"].update(psi_dot0=bad_vec),
+        # the initial velocities on the tier that steps both
+        "psi_dot0": lambda sc: sc.update(model_tier="full",
+                                         initial={**sc["initial"], "psi_dot0": bad_vec}),
         "gamma0": lambda sc: sc["initial"].update(gamma0=bad_mat),
-        "gamma_dot0": lambda sc: sc["initial"].update(gamma_dot0=bad_mat),
+        "gamma_dot0": lambda sc: sc.update(model_tier="full",
+                                           initial={**sc["initial"], "gamma_dot0": bad_mat}),
         "chi": lambda sc: sc.update(chi=bad_mat),
         "gamma_tilde": lambda sc: sc.update(
             model_tier="second_order", params={"alpha1": 0.5, "alpha2": 1.0, "alpha5": -1.0},
@@ -511,11 +536,12 @@ def test_check_asserts_charges_on_gamma_tiers_and_theta1_on_frozen_ones(tmp_path
         "model_tier": tier,
         "params": {"alpha1": 0.4, "alpha2": alpha2, "alpha4": 0.2, "alpha6": 0.9,
                    "alpha7": 0.25, "kappa": kappa},
-        "initial": {"psi0": vec([0.5, 0.3j]), "gamma0": mat(np.eye(2)),
-                    "gamma_dot0": mat(np.array([[0.05, 0.01], [0.01, -0.02]]))},
+        "initial": {"psi0": vec([0.5, 0.3j]), "gamma0": mat(np.eye(2))},
         "integrator": {"dt": 1e-2, "t_end": 0.05},
         "seed": 5,
     }
+    if "gamma_dot" in STEPPED_BLOCKS[tier]:
+        sc["initial"]["gamma_dot0"] = mat(np.array([[0.05, 0.01], [0.01, -0.02]]))
     path = write(tmp_path, "split", sc)
     main(["check", "--scenario", str(path), "--out", str(tmp_path)])
     verdicts = {v["check"]: v for v in
@@ -570,6 +596,8 @@ def test_check_records_what_a_scenario_does_not_conserve(tmp_path, case, moving,
           "seed": 3}
     sc.update({k: v for k, v in case.items() if k != "initial"})
     sc["initial"] = {**sc["initial"], **case.get("initial", {})}
+    if "psi_dot" not in STEPPED_BLOCKS[sc["model_tier"]]:
+        del sc["initial"]["psi_dot0"]
     path = write(tmp_path, "cons", sc)
     assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     verdicts = {v["check"]: v for v in

@@ -14,7 +14,7 @@ from hermiton.dynamics import (
     rhs_second_order,
 )
 from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
-from hermiton.hermitian_algebra import hermitian_part, hermitian_to_real, hermiticity_drift
+from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, Trajectory, integrate
 from hermiton.models import (
     FullState,
@@ -142,15 +142,13 @@ class TestAdaptive:
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-@pytest.mark.parametrize("structural", [False, True])
 @pytest.mark.parametrize("tier", integrate_module.MODEL_TIERS)
-def test_codec_round_trip_and_read_only_views(rng, tier, structural, n):
+def test_codec_round_trip_and_read_only_views(rng, tier, n):
     # a y the codec writes packs back from its blocks bitwise, the (S, N)
-    # stack unpacks as its rows do, and the complex blocks are views of y
+    # stack unpacks as its rows do, and every block is a read-only view of y
     stepped = integrate_module.STEPPED_BLOCKS[tier]
-    codec = integrate_module._Codec(stepped, n, structural)
-    matrices = ("gamma", "gamma_dot")
-    stack = np.array([codec.pack([rand_herm(rng, n) if block in matrices
+    codec = integrate_module._Codec(stepped, n)
+    stack = np.array([codec.pack([rand_herm(rng, n) if block in ("gamma", "gamma_dot")
                                   else rand_vec(rng, n) for block in stepped])
                       for _ in range(3)])
     stacked = codec.unpack(stack)
@@ -159,9 +157,8 @@ def test_codec_round_trip_and_read_only_views(rng, tier, structural, n):
         assert codec.pack([blocks[block] for block in stepped]).tobytes() == y.tobytes()
         for block in stepped:
             assert stacked[block][k].tobytes() == blocks[block].tobytes()
-            if not (structural and block in matrices):
-                for got, base in ((blocks[block], y), (stacked[block], stack)):
-                    assert not got.flags.writeable and np.shares_memory(got, base)
+            for got, base in ((blocks[block], y), (stacked[block], stack)):
+                assert not got.flags.writeable and np.shares_memory(got, base)
 
 
 class TestResymmetrize:
@@ -465,31 +462,6 @@ class TestRhsCounts:
         traj = integrate(state, tier, cfg, params, chi)
         assert len(traj.times) == 4
         assert calls[0] == expected
-
-    @pytest.mark.parametrize("tier", ["gamma_geodesic", "full", "modified_first_order"])
-    def test_structural_deriv_codes_each_way_once(self, rng, monkeypatch, tier):
-        # one real_to_hermitian decodes gamma and gamma_dot together, and one
-        # hermitian_to_real encodes the acceleration: gamma's rate is y's own
-        # gamma_dot coordinates
-        n = 3
-        initial, params, chi = tier_case(tier, n, rng)
-        cfg = IntegratorConfig(dt=0.01, t_end=0.02, resymmetrize_gamma=True)
-        system = integrate_module._build_system(initial, tier, cfg, params, chi)
-        calls = []
-        for name in ("real_to_hermitian", "hermitian_to_real"):
-            def counted(*args, _fn=getattr(integrate_module, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(integrate_module, name, counted)
-        rate = system.deriv(system.t0, system.y0)
-        assert sorted(calls) == ["hermitian_to_real", "real_to_hermitian"]
-        assert rate[-2 * n * n:-n * n].tobytes() == system.y0[-n * n:].tobytes()
-        # a sample takes its rates from the call a stage makes, one decode
-        # and one encode, then one decode for the stack
-        del calls[:]
-        system.record(system.t0 + 0.01, 1.01 * system.y0)
-        system.finish()
-        assert calls == ["real_to_hermitian", "hermitian_to_real", "real_to_hermitian"]
 
     @pytest.mark.parametrize("tier", ["schrodinger", "second_order", "full"])
     @pytest.mark.parametrize("n", [1, 3])
@@ -819,18 +791,14 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
                 <= 1e-12 * np.linalg.norm(np.linalg.inv(gamma)))
 
 
-def packed_rates(codec, rates, y) -> np.ndarray:
-    """The rate vector at y of the rate blocks ``rates``, given in stepped
-    order, packed block by block: one concatenate of the complex blocks,
-    viewed as reals, and in the structural layout y's own gamma_dot
-    coordinates and the coordinates of the acceleration's Hermitian part."""
-    split = len(codec.stepped) - codec.coded
-    parts = [np.concatenate(rates[:split], axis=None, dtype=complex).view(float)] \
-        if split else []
-    if codec.coded:
-        parts += [y[codec.split + codec.n * codec.n:],
-                  hermitian_to_real(hermitian_part(rates[-1]))]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+def packed_rates(rates, resymmetrize: bool) -> np.ndarray:
+    """The rate vector of the rate blocks ``rates``, given in stepped order,
+    packed block by block: one concatenate, viewed as reals, of the blocks
+    with a resymmetrized gamma's acceleration replaced by its Hermitian
+    part."""
+    if resymmetrize:
+        rates = [*rates[:-1], hermitian_part(rates[-1])]
+    return np.concatenate(rates, axis=None, dtype=complex).view(float)
 
 
 def _unprepared_rates(tier, blocks, gamma, params, chi, gamma_tilde, t) -> list:
@@ -896,7 +864,10 @@ def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural
                                    else rand_vec(rng, n) for block in stepped])
             rate, acc = system.rates(t, y)
             got = rate_blocks(system.codec, rate, acc)
-            assert rate.tobytes() == packed_rates(system.codec, got, y).tobytes()
+            assert rate.tobytes() == packed_rates(got, structural).tobytes()
+            if "gamma" in stepped:     # gamma's rate is y's own gamma_dot
+                assert (system.codec.unpack(rate)["gamma"].tobytes()
+                        == system.codec.unpack(y)["gamma_dot"].tobytes())
             want = _unprepared_rates(tier, system.codec.unpack(y), state.gamma, params, chi,
                                      gamma_tilde, t)
             assert len(got) == len(want) == len(stepped)
@@ -1008,9 +979,8 @@ _STAGE_INPUTS = {"rhs_direct_nonlinear_raw": lambda args: args[1:2],
 @pytest.mark.parametrize("structural", [False, True])
 @pytest.mark.parametrize("tier", integrate_module.MODEL_TIERS)
 def test_kernel_that_writes_into_its_input_raises(rng, monkeypatch, tier, structural):
-    # every block a kernel reads from y is read-only, the views of y and the
-    # decoded Hermitian matrices alike: a kernel that writes into any one of
-    # them raises, and y keeps its bits
+    # every block a kernel reads from y is a read-only view of y: a kernel
+    # that writes into any one of them raises, and y keeps its bits
     name = _KERNELS[tier]
     kernel = getattr(integrate_module, name)
     initial, params, chi = tier_case(tier, 3, rng)
@@ -1131,6 +1101,26 @@ def test_stacked_record_matches_per_sample_record_bitwise(rng, monkeypatch, tier
             for key, value in ref_diag.items():
                 assert type(diag[key]) is float
                 assert np.float64(diag[key]).tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("method", ["rk4", "rk45_adaptive", "implicit_midpoint"])
+@pytest.mark.parametrize("tier", ["gamma_geodesic", "full", "modified_first_order"])
+def test_resymmetrized_gamma_stays_hermitian_bitwise(rng, monkeypatch, tier, method, n):
+    # gamma - gamma^dag = 0 is a linear invariant, which Runge-Kutta methods
+    # keep: with the acceleration's Hermitian part stepped, the
+    # stepped gamma and gamma_dot equal their conjugate transposes entry by
+    # entry after every step (sample_stride 1).  The midpoint runs take J,
+    # N + 1 <= 200 steps
+    samples = recorded_samples(monkeypatch)
+    initial, params, chi = tier_case(tier, n, rng)
+    cfg = IntegratorConfig(dt=0.005, t_end=1.0, method=method, resymmetrize_gamma=True)
+    integrate(initial, tier, cfg, params, chi)
+    assert len(samples) > 10
+    for system, _, y in samples:
+        blocks = system.codec.unpack(y)
+        for block in ("gamma", "gamma_dot"):
+            assert np.array_equal(blocks[block], blocks[block].conj().T), (block, y)
 
 
 class TestStackedRecord:
