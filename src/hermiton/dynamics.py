@@ -16,10 +16,10 @@ K^{-1} (K = gamma, or gamma_tilde in the alpha2 term): the first-order
 tiers (alpha2 == 0) as psid = K^{-1} R0 / (2i alpha1), R0 being R at
 psid = 0, the second-order one as psi_ddot = K^{-1} R / (-alpha2).  On a
 frozen gamma that rate is linear in the state except for the f'(theta1)
-term and the forcing, so the integrator hands the frozen-gamma kernels a
-``_PreparedPsiRate``, built once per run: K^{-1} and the linear part,
-probed from ``psi_residual`` at unit vectors, so that a call costs one
-matrix-vector product plus those two terms.
+term, the forcing and a callable chi, so the integrator hands the
+frozen-gamma kernels a ``_PreparedPsiRate``, built once per run: K^{-1} and
+the linear part, probed from ``psi_residual`` at unit vectors, so that a
+call costs one matrix-vector product plus those three terms.
 
 The Gamma-stepping tiers (``full``, ``modified_first_order``) take their
 rates from ``_PreparedGammaRate``: the same psi equation and the kinetic
@@ -321,37 +321,34 @@ class _PreparedPsiRate:
     and the couplings are refused as the kernels refuse them.  On a frozen
     gamma the rate is K^{-1} R / d (d = 2i alpha1 or -alpha2), and R is
     linear in x = psi, or x = (psi, psid) on ``second_order``, except for the
-    f'(theta1) gamma psi term and the forcing.  With a constant chi a call is
+    f'(theta1) gamma psi term, the forcing and a callable chi.  A call is
     therefore
 
-        A x + f'(theta1) B psi - K^{-1} conj(F(t)) / d,    B = K^{-1} gamma / d,
+        A x + f'(theta1) B psi - K^{-1} (alpha5 chi(t) psi + conj(F(t))) / d,
 
-    with A read off ``psi_residual`` at the unit vectors, the potential and
-    the forcing off, so that the psi equation keeps one implementation.  A,
-    B and gamma (for theta1 = psi^ gamma psi) are stacked, so x costs one
-    matrix-vector product.  A callable chi cannot be probed: the rate then
-    evaluates ``psi_residual`` at chi(t) on every call.
+    with B = K^{-1} gamma / d and A read off ``psi_residual`` at the unit
+    vectors, the potential and the forcing off, so that the psi equation
+    keeps one implementation.  A constant chi is probed into A, so its term
+    drops out of the sum; a callable one is left out of the probe (alpha5 =
+    0 there) and resolved on each call.  A, B and gamma (for theta1 =
+    psi^ gamma psi) are stacked, so x costs one matrix-vector product.
     """
 
-    __slots__ = ("params", "chi", "gamma", "kinv", "denom", "op", "fprime", "forcing",
-                 "kinv_d")
+    __slots__ = ("chi", "alpha5", "op", "fprime", "forcing", "kinv_d")
 
     def __init__(self, gamma, params: ModelParams, chi, second_order: bool, kinetic=None):
-        self.params, self.chi = params, chi
-        self.gamma = g = np.asarray(gamma, dtype=complex)
-        self.kinv = kinv = _checked_inverse(g if kinetic is None
-                                            else np.asarray(kinetic, dtype=complex))
-        self.denom = d = (_second_order_denominator(params) if second_order
-                          else _first_order_denominator(params))
-        self.op = None
-        if callable(chi):
-            return
+        g = np.asarray(gamma, dtype=complex)
+        kinv = _checked_inverse(g if kinetic is None else np.asarray(kinetic, dtype=complex))
+        d = (_second_order_denominator(params) if second_order
+             else _first_order_denominator(params))
         n = g.shape[0]
         m = 2 * n if second_order else n
-        linear = replace(params, kappa=0.0, potential=PotentialSpec(), forcing=None)
-        chi_m = resolve_chi(chi, 0.0)
+        self.chi = chi if callable(chi) and params.alpha5 != 0.0 else None
+        self.alpha5 = params.alpha5
+        linear = replace(params, kappa=0.0, potential=PotentialSpec(), forcing=None,
+                         alpha5=0.0 if callable(chi) else params.alpha5)
         probes = [_ResidualPieces(e[:n], g, None, linear, psid=e[n:] if second_order else None)
-                  .psi_residual(chi_m, 0.0)
+                  .psi_residual(None if callable(chi) else resolve_chi(chi, 0.0), 0.0)
                   for e in np.eye(m, dtype=complex)]
         op = (kinv @ np.array(probes).T) / d
         self.fprime = None
@@ -365,17 +362,18 @@ class _PreparedPsiRate:
 
     def __call__(self, psi, psid, t: float) -> np.ndarray:
         """The rate at psi (and psid on ``second_order``, None otherwise) and t."""
-        if self.op is None:
-            s = _ResidualPieces(psi, self.gamma, None, self.params, psid=psid)
-            return self.kinv.dot(s.psi_residual(resolve_chi(self.chi, t), t)) / self.denom
         x = psi if psid is None else np.concatenate((psi, psid))
         if self.fprime is None:
             rate = self.op.dot(x)
         else:        # the (3, n, m) stack keeps matmul, whose bits dot does not give
             rate, b_psi, gpsi = self.op @ x
             rate = rate + self.fprime(float(np.vdot(psi, gpsi).real)) * b_psi
+        ext = None if self.chi is None else self.alpha5 * resolve_chi(self.chi, t).dot(psi)
         if self.forcing is not None:
-            rate = rate - self.kinv_d.dot(np.conj(self.forcing(t)))
+            force = np.conj(self.forcing(t))
+            ext = force if ext is None else ext + force
+        if ext is not None:
+            rate = rate - self.kinv_d.dot(ext)
         return rate
 
 

@@ -1,45 +1,39 @@
 """Time-stepping engines and trajectory recording for all model tiers.
 
 Every tier steps a subset of the same blocks psi, psi_dot, gamma and
-gamma_dot, listed in ``STEPPED_BLOCKS`` in storage order.  The stepped
-blocks are flattened into one real vector, numpy's real view of the complex
-blocks (real and imaginary parts interleaved) concatenated in that order;
-the others stay frozen (gamma at its initial value, the rest at zero).  Each
-run builds one rate closure for its tier, ``_System.rates``: it reads the
-stepped blocks as read-only views of the vector, through shapes fixed at
-set-up, calls the tier's prepared kernel through its module-level name and
-packs the new rate vector with one concatenate; ``deriv`` hands that vector
-to the steppers.  Every tier's kernel is prepared once per run, with the
-closure, and called directly, with the stage's blocks and t only: the
-frozen-gamma tiers call a ``dynamics._PreparedPsiRate``, so a step
-re-derives neither K^{-1} nor the linear part of the psi equation;
-``gamma_geodesic`` calls ``dynamics._geodesic_rate``, its couplings refused
-before the run steps; ``full`` and ``modified_first_order`` call a
-``dynamics._PreparedGammaRate``.  A constant chi is resolved once per run.
+gamma_dot, listed in ``STEPPED_BLOCKS`` in storage order, flattened into
+one real vector y: numpy's real view of the complex blocks (real and
+imaginary parts interleaved), concatenated in that order.  The other blocks
+stay frozen (gamma at its initial value, the rest at zero).  Each run builds
+one rate closure for its tier, ``_System.rates``, which returns f(t, y)
+from the tier's kernel, prepared once per run (see ``_rate_closure``): a
+``dynamics._PreparedPsiRate`` on the frozen-gamma tiers,
+``dynamics._geodesic_rate`` on ``gamma_geodesic`` and a
+``dynamics._PreparedGammaRate`` on ``full`` and ``modified_first_order``.
+``_System.deriv`` hands f to the steppers.
 
 gamma and gamma_dot are stepped as complex matrices (2 n^2 reals each).
-With ``resymmetrize_gamma=True`` the stepped acceleration is the Hermitian
-part of the kernel's, and the hermiticity defect of the raw acceleration is
-recorded at sample times (the "pre-projection" drift).  gamma - gamma^dag
-= 0 is then a linear invariant, which Runge-Kutta methods keep, so the
-stepped gamma and gamma_dot stay Hermitian entry for entry.  (The
-midpoint's Newton matrix does not commute with conjugate transposition,
-but the anti-Hermitian part of a correction lies far below the state's
-round-off.)  Without it the kernel's acceleration is stepped as it is, and
-the hermiticity drift of the state itself is recorded.
+With ``resymmetrize_gamma=True``, ``deriv`` replaces the gamma acceleration
+of f(t, y) with its Hermitian part, and the hermiticity defect of the raw
+acceleration is recorded at sample times (the "pre-projection" drift).
+gamma - gamma^dag = 0 is then a linear invariant, which Runge-Kutta methods
+keep, so the stepped gamma and gamma_dot stay Hermitian entry for entry.
+(The midpoint's Newton matrix does not commute with conjugate
+transposition, but the anti-Hermitian part of a correction lies far below
+the state's round-off.)  Without it f is stepped as it is, and the
+hermiticity drift of the state itself is recorded.
 
 Recording is stacked.  ``record`` only buffers a sample's (t, y).  When the
-run ends, the same codec unpacks the (S, N) stack of samples, and one
-set of stacked calls runs the FullState checks on every sample (finite
-entries, hermiticity, one stacked checked inverse of gamma) and computes
-energy from that inverse, theta1 and the hermiticity drift.  Each sample's
-state and diagnostics have the bits of the one-state calls.  A sample that
-needs the rates f(t, y) (psi_dot of a first-order tier, read back from the
-rate vector, or the raw acceleration of a resymmetrized gamma) gets them
-from one call of the rate closure that ``finish`` makes, sample by sample
-in order: the recorder does not depend on the stepper's calls.  An invalid
-sample raises its own error, naming it, ahead of any later step failure.
-Every trajectory holds validated FullStates.
+run ends, the codec unpacks the (S, N) stack of samples, and one set of
+stacked calls runs the FullState checks on every sample (finite entries,
+hermiticity, one stacked checked inverse of gamma) and computes energy from
+that inverse, theta1 and the hermiticity drift, with the bits of the
+one-state calls.  A sample that needs f(t, y) (psi_dot of a first-order
+tier, or the raw acceleration of a resymmetrized gamma) gets it from one
+rate call in ``finish``, sample by sample in order, and the codec unpacks
+their (S, N) stack too: the recorder does not depend on the stepper's
+calls.  An invalid sample raises its own error, naming it, ahead of any
+later step failure.
 
 Stepping methods (``IntegratorConfig.method``):
 
@@ -65,13 +59,13 @@ Stepping methods (``IntegratorConfig.method``):
   eta from the step before.  See ``_implicit_midpoint_step``.
 
 A fixed-step run whose step count exceeds ``max_steps`` (or overflows a
-float) fails before it takes a step.  The explicit steppers take each stage and output sum into
-one fresh array with the operations and their order of the textbook
-expressions, so the sums keep their bits; nothing is written into y or into
-a slope the caller keeps.  RK4 sums its four slopes in place; Dormand-Prince
-keeps its seven slopes as the rows of one (7, N) array, and a sum is the
-tableau row, as a column, times those rows, one reduce down the stack and
-the scaling and y + in place.
+float) fails before it takes a step.  The explicit steppers take each stage
+and output sum into one fresh array with the operations and their order of
+the textbook expressions, so the sums keep their bits; nothing is written
+into y or into a slope the caller keeps.  RK4 sums its four slopes in
+place; Dormand-Prince keeps its seven slopes as the rows of one (7, N)
+array, and a sum is the tableau row, as a column, times those rows, one
+reduce down the stack and the scaling and y + in place.
 """
 
 from __future__ import annotations
@@ -190,7 +184,7 @@ class _Codec:
     in y, so psi and psi_dot are one (2, n) array and gamma and gamma_dot
     one (2, n, n) array, as the Gamma-stepping kernels take them and the
     rate closures read them.  The codec packs the initial vector and unpacks
-    the stack of recorded vectors (S, N) when a run is recorded.
+    the recorded (S, N) stacks of y and of f(t, y).
     """
 
     def __init__(self, stepped, n: int):
@@ -222,32 +216,26 @@ class _Codec:
         return np.concatenate(blocks, axis=None, dtype=complex).view(float)
 
 
-def _rate_closure(tier: str, n: int, resymmetrize: bool, gamma, params: ModelParams, chi,
-                  gamma_tilde):
-    """The run's rate closure ``rates(t, y)``: ``(rate, acc)``, with ``rate``
-    the new real vector of y's time derivative that the steppers take, from
-    the tier's prepared kernel, called through its module-level name with
-    the stage's blocks and t and nothing else.  With ``resymmetrize``,
-    ``rate`` holds the Hermitian part of the kernel's gamma acceleration and
-    ``acc`` is the acceleration itself; ``acc`` is None otherwise.  Every
-    closure takes only (t, y): a recorded sample that reads the rates
-    (psi's rate, stored first in ``rate``, on a first-order tier; ``acc``)
-    gets them from the same call a stage makes, when the run is recorded.
+def _rate_closure(tier: str, n: int, gamma, params: ModelParams, chi, gamma_tilde):
+    """The run's rate closure ``rates(t, y)``: f(t, y), a new real vector in
+    y's layout, from the tier's prepared kernel, called through its
+    module-level name with the stage's blocks and t and nothing else.  Its
+    gamma_dot block is the kernel's raw gamma acceleration; ``_System.deriv``
+    projects it when the run resymmetrizes gamma.
 
     A closure reads y through shapes fixed here, as one ``view(complex)``
     of y, reshaped and marked read-only, so a kernel that writes into its
-    input raises.  It packs ``rate`` with one concatenate: the rate of psi
-    on ``second_order`` and ``full`` is y's own psi_dot, and the rate of
-    gamma is y's own gamma_dot.  A frozen first-order tier's rate is the
-    real view of the kernel's new array.
+    input raises.  It packs f with one concatenate: the rate of psi on
+    ``second_order`` and ``full`` is y's own psi_dot, and the rate of gamma
+    is y's own gamma_dot.  A frozen first-order tier's rate is the real view
+    of the kernel's new array.
 
     ``gamma`` is the frozen form of the tiers that do not step it; their
     kernel is a psi rate prepared here.  The geodesic tier's couplings are
     refused here, before the run steps, naming the tier, and its kernel
-    takes only gamma and gamma_dot; its acceleration is exactly Hermitian,
-    so it is stepped as it is.  The Gamma-stepping kernels are a gamma rate
-    prepared here and take the (2, n, n) stack (gamma, gamma_dot) and the
-    (2, n) stack (psi, psi_dot) on ``full``.  chi is resolved here, once,
+    takes only gamma and gamma_dot.  The Gamma-stepping kernels are a gamma
+    rate prepared here and take the (2, n, n) stack (gamma, gamma_dot) and
+    the (2, n) stack (psi, psi_dot) on ``full``.  chi is resolved here, once,
     when it is constant."""
     if not callable(chi):
         chi = resolve_chi(chi, 0.0)
@@ -257,16 +245,14 @@ def _rate_closure(tier: str, n: int, resymmetrize: bool, gamma, params: ModelPar
         def rates(t, y):
             psi = y.view(complex)
             psi.setflags(write=False)
-            psid = rhs_direct_nonlinear_raw(psi_rate, psi, None, t)
-            return psid.view(float), None
+            return rhs_direct_nonlinear_raw(psi_rate, psi, None, t).view(float)
     elif tier == "second_order":
         psi_rate = _PreparedPsiRate(gamma, params, chi, second_order=True, kinetic=gamma_tilde)
 
         def rates(t, y):
             v = y.view(complex).reshape(2, n)
             v.setflags(write=False)
-            acc = rhs_second_order(psi_rate, v[0], v[1], t)
-            return np.concatenate((v[1], acc)).view(float), None
+            return np.concatenate((v[1], rhs_second_order(psi_rate, v[0], v[1], t))).view(float)
     elif tier == "gamma_geodesic":
         try:
             _refuse_geodesic_couplings(2.0 * params.alpha6, 2.0 * params.alpha7, n)
@@ -276,9 +262,8 @@ def _rate_closure(tier: str, n: int, resymmetrize: bool, gamma, params: ModelPar
         def rates(t, y):
             gg = y.view(complex).reshape(2, n, n)
             gg.setflags(write=False)
-            acc = rhs_gamma_geodesic(gg[0], gg[1])
-            return (np.concatenate((gg[1], acc), axis=None).view(float),
-                    acc if resymmetrize else None)
+            return np.concatenate((gg[1], rhs_gamma_geodesic(gg[0], gg[1])),
+                                  axis=None).view(float)
     elif tier == "full":
         gamma_rate = _PreparedGammaRate(params, chi, first_order=False)
 
@@ -287,9 +272,7 @@ def _rate_closure(tier: str, n: int, resymmetrize: bool, gamma, params: ModelPar
             z.setflags(write=False)
             v, gg = z[:2 * n].reshape(2, n), z[2 * n:].reshape(2, n, n)
             acc_psi, acc_g = _full_accelerations_raw(gamma_rate, v, gg, t)
-            stepped_g = hermitian_part(acc_g) if resymmetrize else acc_g
-            return (np.concatenate((v[1], acc_psi, gg[1], stepped_g), axis=None).view(float),
-                    acc_g if resymmetrize else None)
+            return np.concatenate((v[1], acc_psi, gg[1], acc_g), axis=None).view(float)
     else:
         gamma_rate = _PreparedGammaRate(params, chi, first_order=True)
 
@@ -298,9 +281,7 @@ def _rate_closure(tier: str, n: int, resymmetrize: bool, gamma, params: ModelPar
             z.setflags(write=False)
             psi, gg = z[:n], z[n:].reshape(2, n, n)
             psid, acc_g = _modified_first_order_raw(gamma_rate, psi, gg, t)
-            stepped_g = hermitian_part(acc_g) if resymmetrize else acc_g
-            return (np.concatenate((psid, gg[1], stepped_g), axis=None).view(float),
-                    acc_g if resymmetrize else None)
+            return np.concatenate((psid, gg[1], acc_g), axis=None).view(float)
     return rates
 
 
@@ -317,14 +298,17 @@ class _System:
     """Flattened-vector view of one model tier, and the recorder of its
     samples.
 
-    ``rates`` is the run's rate closure (see :func:`_rate_closure`) and
-    ``deriv`` returns its rate vector to the steppers.  ``record`` only
-    buffers a sample's (t, y).  ``finish`` turns the buffer into (times,
-    states, diagnostics) with one set of stacked calls and empties it.  A
-    sample that needs f(t, y) (psi_dot of a first-order tier, read back from
-    the rate vector; the raw acceleration of a resymmetrized gamma, for the
+    ``rates`` is the run's rate closure f(t, y) (see :func:`_rate_closure`)
+    and ``deriv`` the steppers' right-hand side: f itself, except that on
+    ``full`` and ``modified_first_order`` with ``resymmetrize_gamma`` it
+    replaces f's gamma_dot block, stored last, with its Hermitian part, in
+    place, the one place the key acts on stepping (``gamma_geodesic``'s rate
+    is exactly Hermitian).  ``record`` only buffers a sample's (t, y);
+    ``finish`` turns the buffer into (times, states, diagnostics) with one
+    set of stacked calls and empties it.  A sample that needs f(t, y)
+    (psi_dot of a first-order tier; the raw acceleration, for the
     pre-projection drift) gets it from one ``rates`` call in ``finish``, the
-    call a stage makes.
+    call a stage makes, read through the codec that reads y.
     """
 
     def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -337,10 +321,10 @@ class _System:
         zero_v.setflags(write=False)         # shared by every recorded state
         self.frozen = {"psi": zero_v, "psi_dot": zero_v, "gamma": initial.gamma,
                        "gamma_dot": np.zeros((n, n), dtype=complex)}
-        self.rates = _rate_closure(tier, n, cfg.resymmetrize_gamma, initial.gamma, params,
-                                   chi, gamma_tilde)
+        self.rates = _rate_closure(tier, n, initial.gamma, params, chi, gamma_tilde)
         self.first_order = "psi" in stepped and "psi_dot" not in stepped
         self.resymmetrize = cfg.resymmetrize_gamma
+        self.projects = self.resymmetrize and tier in ("full", "modified_first_order")
         self.needs_rates = self.first_order or ("gamma" in stepped and self.resymmetrize)
         self.times, self.ys = [], []
         self.t0 = initial.t
@@ -356,7 +340,13 @@ class _System:
         return b
 
     def deriv(self, t, y):
-        return self.rates(t, y)[0]
+        rate = self.rates(t, y)
+        if self.projects:            # gamma_dot's rate: the last n^2 complex entries
+            n = self.codec.n
+            acc = rate.view(complex)[-n * n:].reshape(n, n)
+            acc += acc.conj().T      # hermitian_part's (F + F^dag) / 2, bit for bit, in place
+            acc /= 2.0
+        return rate
 
     def record(self, t, y):
         self.times.append(t)
@@ -376,22 +366,22 @@ class _System:
                 failure = _sample_error(self.tier, k, times[k], exc)
                 times, ys = times[:k], ys[:k]
                 break
+        rates = self.codec.unpack(np.array(rates)) if rates else None
         states, diags = self._states(times, np.array(ys), rates) if times else ([], [])
         if failure is not None:
             raise failure
         return times, states, diags
 
     def _states(self, times, y, rates) -> tuple:
-        """Validated FullStates and diagnostics of the samples y (S, N)."""
+        """Validated FullStates and diagnostics of samples y (S, N) with their rates."""
         b = self.blocks(y)
         count = len(times)
-        if self.first_order:             # psi's rate is stored first
-            psi_reals = 2 * self.codec.n
-            b["psi_dot"] = np.array([r[:psi_reals] for r, _ in rates]).view(complex)
+        if self.first_order:
+            b["psi_dot"] = rates["psi"]
         if "gamma" not in self.stepped:
             drift = [0.0] * count
         elif self.resymmetrize:
-            drift = hermiticity_drift(np.array([acc for _, acc in rates]))
+            drift = hermiticity_drift(rates["gamma_dot"])
         else:
             drift = hermiticity_drift(b["gamma"])
         gamma, gamma_dot = hermitian_part(b["gamma"]), hermitian_part(b["gamma_dot"])

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HermitonError, ScenarioError
+from .diagnostics import _is_hermitian
+from .errors import HermitonError, ScenarioError, WrongSymmetryClass
 from .hermitian_algebra import hermitian_form
 from .integrate import MODEL_TIERS, STEPPED_BLOCKS, IntegratorConfig
 from .models import ModelParams, PotentialSpec, preset
@@ -115,11 +116,12 @@ def _decode_params(data, n: int) -> ModelParams:
     preset_name = data.pop("preset", None)
     potential_spec = data.pop("potential", None)
     forcing_spec = data.pop("forcing", None)
-    # a settable value must be read: hbar only by a preset, tau only by kozlov-heat
+    # a settable value must be read: hbar by schrodinger and kozlov-heat, tau by kozlov-heat
     if "hbar" in data and preset_name is None:
         raise ScenarioError("params key 'hbar' is read only by a preset")
     if "tau" in data and preset_name != "kozlov-heat":
         raise ScenarioError("params key 'tau' is read only by the 'kozlov-heat' preset")
+    reads_hbar = "hbar" in data
     hbar = _typed(data.pop("hbar", 1.0), float, "params key 'hbar'")
     tau = _typed(data.pop("tau", 1.0), float, "params key 'tau'")
 
@@ -129,6 +131,9 @@ def _decode_params(data, n: int) -> ModelParams:
             p = preset(preset_name, n=n, hbar=hbar, tau=tau)
         except ValueError as exc:
             raise ScenarioError(f"preset {preset_name!r}: {exc}") from exc
+        if reads_hbar and preset_name not in ("schrodinger", "kozlov-heat"):
+            raise ScenarioError("params key 'hbar' is read only by the 'schrodinger' and "
+                                f"'kozlov-heat' presets, not by {preset_name!r}")
         base = {k: getattr(p, k) for k in _PARAM_KEYS}
     for key in list(data):
         if key not in _PARAM_KEYS:
@@ -288,6 +293,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         if labels.count(label) > 1:
             raise ScenarioError(f"generator label {label!r} appears {labels.count(label)} "
                                 "times; each charge needs its own label")
+    for label, matrix in generators:      # classified as the charge monitor does
+        try:
+            if _is_hermitian(matrix, f"generator {label!r}") is None:
+                raise ScenarioError(f"generator {label!r} is zero, so it has no charge")
+        except WrongSymmetryClass as exc:
+            raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
 
     scalars = {key: _typed(raw.get(key, default), type(default), f"scenario key {key!r}")
                for key, default in (("seed", 0), ("request_chart", False),

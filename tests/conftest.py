@@ -22,6 +22,37 @@ def rand_pd(rng, n, spread=1.0):
     return spread * (m @ m.conj().T) / n + np.eye(n)
 
 
+def full_params(**overrides):
+    """Couplings with every alpha and kappa nonzero, updated by ``overrides``."""
+    base = dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
+                alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
+    base.update(overrides)
+    return ModelParams(**base)
+
+
+def smooth_path(rng, n, m, dt):
+    """A smooth random path at m nodes dt apart, and the functions of t that
+    give it and its first two derivatives, by block name."""
+    psi0, psi1 = rand_vec(rng, n), rand_vec(rng, n, 0.3)
+    freqs = rng.uniform(0.5, 1.5, size=n)
+    herm = rand_herm(rng, n, 0.25)
+    gam0 = rand_pd(rng, n)
+    w = 1.0 + rng.uniform(0.0, 0.5)
+    times = dt * np.arange(m)
+    fns = {
+        "psi": lambda t: psi0 + psi1 * np.sin(freqs * t),
+        "psi_dot": lambda t: psi1 * freqs * np.cos(freqs * t),
+        "psi_ddot": lambda t: -psi1 * freqs ** 2 * np.sin(freqs * t),
+        "gamma": lambda t: gam0 + herm * np.sin(w * t),
+        "gamma_dot": lambda t: w * herm * np.cos(w * t),
+        "gamma_ddot": lambda t: -w * w * herm * np.sin(w * t),
+    }
+    path = oracles.DiscretizedPath(times=times,
+                                   psis=np.stack([fns["psi"](t) for t in times]),
+                                   gammas=np.stack([fns["gamma"](t) for t in times]))
+    return path, fns
+
+
 def scale_couplings(params, s):
     """The model s L: alpha1 ... alpha8 and kappa times s; alpha9, which sits
     inside P = Gamma^-1 + alpha9 psi psi^, is kept."""
@@ -48,18 +79,6 @@ def symplectic_smoke_case():
         + (1j * params.alpha1 / params.alpha2) * psi0
     state = FullState(psi=psi0, psi_dot=psi_dot0, gamma=gamma, gamma_dot=np.zeros((1, 1)))
     return params, state, np.array([[1.3]])
-
-
-def rate_blocks(codec, rate, acc) -> list:
-    """The rates ``(rate, acc)`` of one call of a run's rate closure, block by
-    block in stepped order: read back from the rate vector through the
-    run's codec, with gamma_dot's rate, when gamma is resymmetrized, the raw
-    acceleration ``acc`` of the same call rather than its stepped Hermitian
-    part."""
-    blocks = list(codec.unpack(rate).values())
-    if acc is not None:
-        blocks[-1] = acc
-    return blocks
 
 
 def count_numeric_inverse(monkeypatch) -> list:

@@ -8,7 +8,7 @@ from hermiton import canonical, diagnostics, dynamics, models, oracles
 from hermiton.integrate import IntegratorConfig, integrate
 from hermiton.models import FullState, ModelParams, PotentialSpec
 
-from conftest import rand_herm, rand_pd, rand_vec
+from conftest import full_params, rand_herm, rand_pd, rand_vec, smooth_path
 
 
 def report(name: str, value: float, tol: float, larger_is_worse: bool = True):
@@ -16,13 +16,6 @@ def report(name: str, value: float, tol: float, larger_is_worse: bool = True):
     print(f"ACCEPTANCE {name}: {'PASS' if passed else 'FAIL'} "
           f"(value {value:.3e}, tolerance {tol:.3e})")
     assert passed, f"{name}: {value:.3e} vs tolerance {tol:.3e}"
-
-
-def full_params(**overrides):
-    base = dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
-                alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
-    base.update(overrides)
-    return ModelParams(**base)
 
 
 @pytest.fixture(scope="module")
@@ -129,28 +122,6 @@ def test_criterion_4_legendre_round_trip(acceptance_rng):
     report("4 legendre round trip", worst, 1e-10)
 
 
-def _smooth_path(rng, n, m, dt):
-    psi0, psi1 = rand_vec(rng, n), rand_vec(rng, n, 0.3)
-    freqs = rng.uniform(0.5, 1.5, size=n)
-    herm = rand_herm(rng, n, 0.25)
-    gam0 = rand_pd(rng, n)
-    w = 1.0 + rng.uniform(0.0, 0.5)
-    times = dt * np.arange(m)
-    fns = {
-        "psi": lambda t: psi0 + psi1 * np.sin(freqs * t),
-        "psi_dot": lambda t: psi1 * freqs * np.cos(freqs * t),
-        "psi_ddot": lambda t: -psi1 * freqs ** 2 * np.sin(freqs * t),
-        "gamma": lambda t: gam0 + herm * np.sin(w * t),
-        "gamma_dot": lambda t: w * herm * np.cos(w * t),
-        "gamma_ddot": lambda t: -w * w * herm * np.sin(w * t),
-    }
-    path = oracles.DiscretizedPath(
-        times=times,
-        psis=np.stack([fns["psi"](t) for t in times]),
-        gammas=np.stack([fns["gamma"](t) for t in times]))
-    return path, fns
-
-
 def test_criterion_5_variational_oracle(acceptance_rng):
     rng = acceptance_rng
     params = full_params()
@@ -163,7 +134,7 @@ def test_criterion_5_variational_oracle(acceptance_rng):
         gaps = []
         for dt, h in ((4e-3, 4e-4), (2e-3, 2e-4)):
             rng_path = np.random.default_rng(seed)
-            path, fns = _smooth_path(rng_path, n, 41, dt)
+            path, fns = smooth_path(rng_path, n, 41, dt)
             node = 20
             t = path.times[node]
             state = FullState(psi=fns["psi"](t), psi_dot=fns["psi_dot"](t),

@@ -36,6 +36,7 @@ from hermiton.models import (
 )
 
 from conftest import (
+    full_params,
     killing_alpha8,
     rand_herm,
     rand_pd,
@@ -43,13 +44,6 @@ from conftest import (
     scale_couplings,
     symplectic_smoke_case,
 )
-
-
-def full_params(**overrides):
-    base = dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
-                alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
-    base.update(overrides)
-    return ModelParams(**base)
 
 
 def random_state(rng, n):

@@ -233,6 +233,9 @@ def _with_forcing(kind, **extra):
     # a settable value must be read: hbar only by a preset, tau only by kozlov-heat
     _malformed("hbar-without-preset", "'hbar'", lambda sc: sc.update(
         params={"alpha1": 0.5, "alpha5": -1.0, "hbar": 1.0})),
+    _malformed("hbar-with-killing", "params key 'hbar' is read only by the 'schrodinger' and "
+               "'kozlov-heat' presets, not by 'killing'", lambda sc: sc.update(
+                   model_tier="gamma_geodesic", params={"preset": "killing", "hbar": 7.0})),
     _malformed("tau-outside-kozlov-heat", "'tau'", lambda sc: sc["params"].update(tau=3.0)),
     _malformed("tau-without-preset", "'tau'", lambda sc: sc.update(
         params={"alpha1": 0.5, "alpha5": -1.0, "tau": 3.0})),
@@ -311,6 +314,35 @@ def test_malformed_scenario_exit_2(tmp_path, capsys, scenario, field):
     assert err.startswith("ScenarioError: ") and field in err
     assert err.count("ScenarioError") == 1
     assert not (tmp_path / "malformed_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize("matrix, reason", [
+    pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), "WrongSymmetryClass: generator 'g' is "
+                 "neither Hermitian nor antihermitian", id="neither"),
+    pytest.param(np.zeros((2, 2)), "generator 'g' is zero", id="zero"),
+])
+def test_bad_charge_generator_refused_before_anything_runs(tmp_path, capsys, command, matrix,
+                                                            reason):
+    # the loader classifies each generator as the charge monitor does: a
+    # zero generator or one of neither symmetry class is refused by its
+    # label, exit 2, before a step is taken or a file is written
+    sc = {
+        "model_tier": "full",
+        "params": {"alpha1": 0.4, "alpha2": 0.3, "alpha6": 0.9, "alpha7": 0.25},
+        "initial": {"psi0": vec([0.5, 0.3j]), "psi_dot0": vec([0.1, 0.0]),
+                    "gamma0": mat(np.eye(2))},
+        "integrator": {"dt": 1e-3, "t_end": 0.01},
+        "outputs": ["trajectory", "diagnostics", "charges"],
+        "generators": [{"label": "H", "matrix": mat(np.eye(2))},
+                       {"label": "g", "matrix": mat(matrix)}],
+    }
+    path = write(tmp_path, "g", sc)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ScenarioError: ") and reason in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def _non_finite_field(field: str, value: float):

@@ -14,7 +14,7 @@ from hermiton.hermitian_algebra import hermitian_basis, hermiticity_drift
 from hermiton.integrate import IntegratorConfig, integrate
 from hermiton.models import FullState, ModelParams, theta1
 
-from conftest import rand_herm, rand_pd, rand_vec
+from conftest import full_params, rand_herm, rand_pd, rand_vec
 
 
 def reference_noether_tensors(state, params, gamma0):
@@ -54,13 +54,6 @@ def reference_noether_tensors(state, params, gamma0):
 
 def reference_charge(v, w, a, hermitian):
     return float((np.trace(v @ a) if hermitian else np.trace(1j * (w @ a))).real)
-
-
-def full_params(**overrides):
-    base = dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
-                alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
-    base.update(overrides)
-    return ModelParams(**base)
 
 
 class TestNoetherTensors:

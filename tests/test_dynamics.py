@@ -36,19 +36,12 @@ from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrod
 
 from conftest import (
     count_numeric_inverse,
+    full_params,
     rand_herm,
     rand_pd,
     rand_vec,
-    rate_blocks,
     scale_couplings,
 )
-
-
-def full_params(**overrides):
-    base = dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
-                alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
-    base.update(overrides)
-    return ModelParams(**base)
 
 
 class TestRhsSchrodinger:
@@ -315,9 +308,9 @@ class TestRhsGammaGeodesic:
     @pytest.mark.parametrize("structural", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_prepared_closure_has_the_bits_of_the_public_call(self, rng, n, structural):
-        # the run's rate closure, at the blocks its codec reads in either gamma
-        # layout, against the public 4-argument call and the Hermitian part
-        # of gamma_dot gamma^-1 gamma_dot
+        # the run's stepped rate, with and without resymmetrize_gamma, at the
+        # blocks its codec reads, against the public 4-argument call and the
+        # Hermitian part of gamma_dot gamma^-1 gamma_dot
         params = ModelParams(alpha6=1.0, alpha7=0.2)
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n), gamma=rand_pd(rng, n),
                           gamma_dot=rand_herm(rng, n, 0.3))
@@ -327,7 +320,7 @@ class TestRhsGammaGeodesic:
         for y in (system.y0, system.y0 + 0.1 * rng.normal(size=system.y0.size)):
             blocks = system.codec.unpack(y)
             g, gd = blocks["gamma"], blocks["gamma_dot"]
-            rate = rate_blocks(system.codec, *system.rates(0.0, y))[1]
+            rate = system.codec.unpack(system.deriv(0.0, y))["gamma_dot"]
             public = rhs_gamma_geodesic(g, gd, 2.0 * params.alpha6, 2.0 * params.alpha7)
             assert rate.tobytes() == public.tobytes()
             assert rate.tobytes() == hermitian_part(gd.dot(_checked_inverse(g)).dot(gd)).tobytes()
@@ -646,7 +639,7 @@ class TestClosedFormGammaRates:
     @pytest.mark.parametrize("tier", GAMMA_TIERS)
     def test_one_inverse_per_rhs(self, rng, monkeypatch, tier, structural):
         # numpy.linalg.inv is looked up when a right-hand side runs, once per
-        # call, in the run's rate closure and in the public kernels alike
+        # call, in the run's stepped rate and in the public kernels alike
         from hermiton import integrate as integrate_module
         from hermiton.integrate import IntegratorConfig
 
@@ -659,7 +652,7 @@ class TestClosedFormGammaRates:
         system = integrate_module._build_system(state, tier, cfg, params, chi)
         counts = count_linalg(monkeypatch)
         for k in range(5):
-            system.rates(0.1 * k, system.y0)
+            system.deriv(0.1 * k, system.y0)
         gamma_rates(tier, state, params, chi)
         assert counts == {"inv": 6, "det": 0, "solve": 0}
 

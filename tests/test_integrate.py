@@ -31,7 +31,6 @@ from conftest import (
     rand_herm,
     rand_pd,
     rand_vec,
-    rate_blocks,
     scale_couplings,
     symplectic_smoke_case,
 )
@@ -775,7 +774,7 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
     cfg = IntegratorConfig(dt=0.1, t_start=0.3, t_end=1.0)
     system = integrate_module._build_system(state, tier, cfg, params, chi,
                                             gamma if case == "gamma_tilde" else None)
-    rates = dict(zip(stepped, rate_blocks(system.codec, *system.rates(state.t, system.y0))))
+    rates = system.codec.unpack(system.rates(state.t, system.y0))
     if "psi_dot" in stepped:
         accel = (rates["psi_dot"], rates.get("gamma_dot"))
     elif "psi" in stepped:
@@ -791,13 +790,9 @@ def test_tier_rates_solve_the_el_residual(rng, tier, case, n):
                 <= 1e-12 * np.linalg.norm(np.linalg.inv(gamma)))
 
 
-def packed_rates(rates, resymmetrize: bool) -> np.ndarray:
+def packed_rates(rates) -> np.ndarray:
     """The rate vector of the rate blocks ``rates``, given in stepped order,
-    packed block by block: one concatenate, viewed as reals, of the blocks
-    with a resymmetrized gamma's acceleration replaced by its Hermitian
-    part."""
-    if resymmetrize:
-        rates = [*rates[:-1], hermitian_part(rates[-1])]
+    packed block by block: one concatenate, viewed as reals."""
     return np.concatenate(rates, axis=None, dtype=complex).view(float)
 
 
@@ -838,9 +833,10 @@ _PARITY_CASES = ("plain", "alpha4", "potential", "constant_forcing", "harmonic_f
 def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural):
     # the run's rate closure against the kernels' unprepared paths at random
     # states: within 1e-14 of max|ref| where the frozen tiers apply the probed
-    # operator, bitwise where a callable chi keeps the unprepared arithmetic
-    # and where the Gamma-stepping kernels are called as before.  Its rate
-    # vector has the bits of its blocks packed one by one
+    # operator, bitwise where the Gamma-stepping kernels are called as before.
+    # Its rate vector has the bits of its blocks packed one by one, and the
+    # stepped rate, deriv's, has its bits with gamma_dot's block replaced by
+    # its Hermitian part when full or modified_first_order resymmetrizes
     stepped = integrate_module.STEPPED_BLOCKS[tier]
     for n in (1, 2, 3, 5, 8):
         drive, base, turn = rand_vec(rng, n, 0.3), rand_herm(rng, n), rand_herm(rng, n, 0.3)
@@ -862,9 +858,12 @@ def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural
             y = system.codec.pack([rand_pd(rng, n) if block == "gamma"
                                    else rand_herm(rng, n, 0.3) if block == "gamma_dot"
                                    else rand_vec(rng, n) for block in stepped])
-            rate, acc = system.rates(t, y)
-            got = rate_blocks(system.codec, rate, acc)
-            assert rate.tobytes() == packed_rates(got, structural).tobytes()
+            rate = system.rates(t, y)
+            got = list(system.codec.unpack(rate).values())
+            assert rate.tobytes() == packed_rates(got).tobytes()
+            stepped_rate = (packed_rates([*got[:-1], hermitian_part(got[-1])])
+                            if structural and tier != "gamma_geodesic" else rate)
+            assert system.deriv(t, y).tobytes() == stepped_rate.tobytes()
             if "gamma" in stepped:     # gamma's rate is y's own gamma_dot
                 assert (system.codec.unpack(rate)["gamma"].tobytes()
                         == system.codec.unpack(y)["gamma_dot"].tobytes())
@@ -873,7 +872,7 @@ def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural
             assert len(got) == len(want) == len(stepped)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
-                if tier in _FROZEN_TIERS and case != "callable_chi":
+                if tier in _FROZEN_TIERS:
                     assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
                 else:
                     assert g.tobytes() == w.tobytes()
@@ -883,9 +882,9 @@ def test_rate_closure_matches_the_unprepared_kernels(rng, tier, case, structural
 @pytest.mark.parametrize("tier", ["schrodinger", "direct_nonlinear", "second_order"])
 def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier, constant_chi):
     # the form multiplying the psi rate is inverted once per run, so no
-    # numpy.linalg factorization runs inside deriv; with a constant chi the
-    # psi rate is prepared too, so deriv builds no _ResidualPieces and
-    # resolves no chi
+    # numpy.linalg factorization runs inside deriv; the psi rate is prepared
+    # too, so deriv builds no _ResidualPieces, and it resolves chi only when
+    # chi is a callable
     inside, calls = [False], []
     for name in ("inv", "solve", "lstsq", "pinv", "det", "eigh", "cholesky", "qr", "svd"):
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -930,8 +929,8 @@ def test_frozen_tier_factorizes_before_it_steps(rng, monkeypatch, tier, constant
     assert len(traj.times) == 6
     if constant_chi:
         assert calls == []
-    else:     # a callable chi keeps the generic path, still with no factorization
-        assert set(calls) == {"_ResidualPieces", "resolve_chi"}
+    else:
+        assert set(calls) == {"resolve_chi"}
 
 
 #: each tier's kernel, by its name in the integrate module
@@ -1008,7 +1007,7 @@ def reference_record(system, tier, cfg, params, chi, t, y):
     steps_gamma = "gamma" in stepped
     rates = None
     if first_order or (steps_gamma and cfg.resymmetrize_gamma):
-        rates = dict(zip(stepped, rate_blocks(system.codec, *system.rates(t, y))))
+        rates = system.codec.unpack(system.rates(t, y))
     if first_order:
         b["psi_dot"] = rates["psi"]
     if not steps_gamma:

@@ -24,14 +24,14 @@ from hermiton.models import (
 )
 from hermiton.oracles import omega_inverse_numeric
 
-from conftest import count_numeric_inverse, killing_alpha8, rand_herm, rand_pd, rand_vec
-
-
-def full_params(**overrides):
-    base = dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
-                alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
-    base.update(overrides)
-    return ModelParams(**base)
+from conftest import (
+    count_numeric_inverse,
+    full_params,
+    killing_alpha8,
+    rand_herm,
+    rand_pd,
+    rand_vec,
+)
 
 
 class TestModelParams:

@@ -23,14 +23,7 @@ from hermiton.oracles import (
     omega_inverse_numeric,
 )
 
-from conftest import rand_herm, rand_pd, rand_vec
-
-
-def full_params(**overrides):
-    base = dict(alpha1=0.4, alpha2=0.3, alpha3=0.15, alpha4=0.2, alpha5=-1.0,
-                alpha6=0.9, alpha7=0.25, alpha8=0.2, alpha9=0.15, kappa=0.1)
-    base.update(overrides)
-    return ModelParams(**base)
+from conftest import full_params, rand_herm, rand_pd, rand_vec, smooth_path
 
 
 class TestExactGamma:
@@ -109,29 +102,6 @@ class TestExactSchrodinger:
             assert abs(th - th0) < 1e-12 * max(1.0, abs(th0))
 
 
-def _smooth_path(rng, n, m, dt):
-    psi0 = rand_vec(rng, n)
-    psi1 = rand_vec(rng, n, 0.3)
-    freqs = rng.uniform(0.5, 1.5, size=n)
-    herm = rand_herm(rng, n, 0.25)
-    gam0 = rand_pd(rng, n)
-    w = 1.0 + rng.uniform(0.0, 0.5)
-    times = dt * np.arange(m)
-
-    fns = {
-        "psi": lambda t: psi0 + psi1 * np.sin(freqs * t),
-        "psi_dot": lambda t: psi1 * freqs * np.cos(freqs * t),
-        "psi_ddot": lambda t: -psi1 * freqs ** 2 * np.sin(freqs * t),
-        "gamma": lambda t: gam0 + herm * np.sin(w * t),
-        "gamma_dot": lambda t: w * herm * np.cos(w * t),
-        "gamma_ddot": lambda t: -w * w * herm * np.sin(w * t),
-    }
-    path = DiscretizedPath(times=times,
-                           psis=np.stack([fns["psi"](t) for t in times]),
-                           gammas=np.stack([fns["gamma"](t) for t in times]))
-    return path, fns
-
-
 class TestActionGradient:
     def test_near_zero_on_solution_path(self, rng):
         # frozen-gamma Schrodinger solution: the psi residual estimate is
@@ -176,7 +146,7 @@ class TestActionGradient:
         params = full_params()
         n = 2
         chi = rand_herm(rng, n)
-        path, fns = _smooth_path(rng, n, 41, 2e-3)
+        path, fns = smooth_path(rng, n, 41, 2e-3)
         node = 20
         t = path.times[node]
         state = FullState(psi=fns["psi"](t), psi_dot=fns["psi_dot"](t),
@@ -196,7 +166,7 @@ class TestActionGradient:
         gaps = []
         for dt, h in ((4e-3, 4e-4), (2e-3, 2e-4)):
             rng_local = np.random.default_rng(99)
-            path, fns = _smooth_path(rng_local, n, 41, dt)
+            path, fns = smooth_path(rng_local, n, 41, dt)
             node = 20
             t = path.times[node]
             state = FullState(psi=fns["psi"](t), psi_dot=fns["psi_dot"](t),
@@ -208,7 +178,7 @@ class TestActionGradient:
         assert gaps[0] / gaps[1] > 2.5   # ~4x for an O(h^2)+O(dt^2) scheme
 
     def test_node_bounds(self, rng):
-        path, _ = _smooth_path(rng, 1, 11, 1e-3)
+        path, _ = smooth_path(rng, 1, 11, 1e-3)
         with pytest.raises(ValueError):
             action_gradient_fd(path, full_params(), np.eye(1), "psi", 1)
         with pytest.raises(ValueError):
@@ -270,7 +240,7 @@ def _serial_action_gradient(path, params, chi, index, node, h):
 def _oracle_case(model, n, seed):
     """(path, params, chi) of one stacked-oracle parity case."""
     rng = np.random.default_rng(seed)
-    path, _ = _smooth_path(rng, n, 9, 2e-3)
+    path, _ = smooth_path(rng, n, 9, 2e-3)
     chi0, chi1 = rand_herm(rng, n), rand_herm(rng, n, 0.3)
     covector = rand_vec(rng, n, 0.2)
     params = {
