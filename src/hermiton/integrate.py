@@ -47,7 +47,8 @@ Stepping methods (``IntegratorConfig.method``):
   ends at the first accepted t within max(1e-14 (t_end - t0), 4 ulps of
   max(|t0|, |t_end|)) of t_end, and records it, whatever the sample stride.
 * ``implicit_midpoint``: simplified Newton on the midpoint slope, started
-  from the slopes of the last three steps extrapolated to the new midpoint.
+  from the polynomial through the slopes of the last six steps (fewer at
+  the start of a run), extrapolated to the new midpoint.
   M = I - (dt/2) J is inverted once per run, with J taken by forward
   differences at (t0, y0) at a cost of N + 1 RHS calls for N = len(y),
   when the run takes at least N + 1 steps; a shorter run keeps M = I, the
@@ -568,35 +569,45 @@ def _stage_inverse(f, t, y, dt):
     return np.ascontiguousarray(m_inv.real), f0
 
 
+#: the midpoint stage's guess is the polynomial through this many slopes
+_PREDICTOR_DEPTH = 6
+#: row q - 1: the weights of the last q midpoint slopes, oldest first, in
+#: the polynomial through them extrapolated to the next midpoint, which lies
+#: one step past the newest: (-1)^(q-1-j) C(q, j) for slope j, right-aligned
+#: on the stack of the last six slopes, so the older rows take weight 0
+_PREDICTOR = np.array([[0.0] * (_PREDICTOR_DEPTH - q)
+                       + [(-1.0) ** (q - 1 - j) * math.comb(q, j) for j in range(q)]
+                       for q in range(1, _PREDICTOR_DEPTH + 1)])
+
+
 def _warm_started_midpoint(n_steps: int):
     """Implicit midpoint stepper for a run of ``n_steps`` steps.  Each stage
-    iteration starts from the slopes of the steps before it, extrapolated to
-    the new midpoint (quadratic from three slopes, linear from two, constant
-    from one).  The first step builds the run's Newton matrix when
-    N + 1 <= ``n_steps`` for N = len(y), so J costs at most one RHS call per
-    step, and starts its stage from J's base call f(t0, y0); a shorter run
-    iterates with M = I.  Each stage's first sweep takes max(eta, eps)^0.8
-    from the eta the step before it ended with (1 on the first step), so a
-    step whose first correction is already inside the bound makes one rate
-    call, and the estimate grows until a second sweep measures it again."""
-    slopes, m_inv, eta = [], None, 1.0
+    iteration starts from the polynomial through the last q <= 6 midpoint
+    slopes, extrapolated to the new midpoint: exact, up to rounding, when
+    the slope is a polynomial of degree below q in t.  The slopes are the
+    rows of one (6, N) array, newest last, and the guess is one product of
+    the row of ``_PREDICTOR`` for q with them.  The first step builds the
+    run's Newton matrix when N + 1 <= ``n_steps`` for N = len(y), so J
+    costs at most one RHS call per step, and starts its stage from J's base
+    call f(t0, y0); a shorter run iterates with M = I.  Each stage's first
+    sweep takes max(eta, eps)^0.8 from the eta the step before it ended
+    with (1 on the first step), so a step whose first correction is already
+    inside the bound makes one rate call, and the estimate grows until a
+    second sweep measures it again."""
+    slopes, count, m_inv, eta = None, 0, None, 1.0
 
     def step(f, t, y, dt):
-        nonlocal m_inv, eta
-        if len(slopes) == 3:
-            guess = 3.0 * (slopes[2] - slopes[1]) + slopes[0]
-        elif len(slopes) == 2:
-            guess = 2.0 * slopes[1] - slopes[0]
-        elif slopes:
-            guess = slopes[0]
-        elif y.size < n_steps:
-            m_inv, guess = _stage_inverse(f, t, y, dt)
+        nonlocal slopes, count, m_inv, eta
+        if count:
+            guess = _PREDICTOR[count - 1] @ slopes
         else:
-            guess = None
+            slopes = np.zeros((_PREDICTOR_DEPTH, y.size))   # rows weighed 0 hold 0
+            m_inv, guess = _stage_inverse(f, t, y, dt) if y.size < n_steps else (None, None)
         y_next, k, eta = _implicit_midpoint_step(f, t, y, dt, guess, m_inv,
                                                  max(eta, _EPS) ** 0.8)
-        del slopes[:-2]
-        slopes.append(k)
+        slopes[:-1] = slopes[1:]
+        slopes[-1] = k
+        count = min(count + 1, _PREDICTOR_DEPTH)
         return y_next
 
     return step
