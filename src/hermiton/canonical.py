@@ -43,8 +43,10 @@ from .models import (
     FullState,
     ModelParams,
     PotentialSpec,
+    _gamma_momentum,
     _ladder_apply,
     _ladder_pieces,
+    _psi_momentum,
     _real_value,
     apply_omega,
     apply_omega_inverse,
@@ -124,16 +126,13 @@ def legendre_singular(psi, gamma, alpha: float) -> tuple[np.ndarray, np.ndarray]
     They are independent of the velocities, so the Legendre map is singular
     and its image is the primary-constraint manifold.
     """
-    psi = np.asarray(psi, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    pi = 1j * alpha * np.conj(psi).dot(g)
+    pi = _psi_momentum(psi, None, gamma, alpha)
     return pi, np.conj(pi)
 
 
 def primary_constraints(p: PhasePoint, alpha: float) -> ConstraintValue:
     """phi = pi - i*alpha * psi^ Gamma; zero exactly on the singular image."""
-    phi = p.pi - 1j * alpha * np.conj(p.psi).dot(p.gamma)
-    return ConstraintValue(phi=phi)
+    return ConstraintValue(phi=p.pi - legendre_singular(p.psi, p.gamma, alpha)[0])
 
 
 def reduced_bracket_flow(psi, gamma, chi, alpha: float,
@@ -164,14 +163,13 @@ def dirac_flow(psi, pi, gamma, params: ModelParams, chi,
     s = _ResidualPieces(psi, gamma, None, params)
     r0 = s.psi_residual(resolve_chi(chi, t), t)
     lam = _first_order_rate(params, r0, _checked_inverse(s.g))
-    return lam, -np.conj(r0) - 1j * params.alpha1 * np.conj(lam).dot(s.g)
+    return lam, -np.conj(r0) - legendre_singular(lam, s.g, params.alpha1)[0]
 
 
 def darboux_momentum(psi, gamma, alpha: float) -> np.ndarray:
     """Constraint-manifold Darboux momentum Pi = 2 i alpha psi^ Gamma,
     twice the singular Legendre momentum restricted to the manifold."""
-    psi = np.asarray(psi, dtype=complex)
-    return 2.0j * alpha * np.conj(psi).dot(np.asarray(gamma, dtype=complex))
+    return 2.0 * legendre_singular(psi, gamma, alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -304,11 +302,9 @@ def darboux_reduce(gamma, chi, params: ModelParams, g=None,
 
 def legendre_regular(state: FullState, params: ModelParams) -> PhasePoint:
     """Forward Legendre map of the total model."""
-    psi, psid = state.psi, state.psi_dot
-    g, gd = state.gamma, state.gamma_dot
-    pi = params.alpha2 * np.conj(psid).dot(g) + 1j * params.alpha1 * np.conj(psi).dot(g)
-    p = p_tensor(psi, g, params.alpha9)
-    pi_gamma = params.alpha3 * p + 2.0 * apply_omega(psi, g, params, gd)
+    psi, g = state.psi, state.gamma
+    pi = _psi_momentum(psi, state.psi_dot, g, params.alpha1, params.alpha2)
+    pi_gamma = _gamma_momentum(psi, g, state.gamma_dot, params)
     return PhasePoint(psi=psi, pi=pi, gamma=g,
                       pi_gamma=hermitian_part(pi_gamma), t=state.t)
 
@@ -423,54 +419,29 @@ def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi) -> CanonicalFlo
     perturbations of psi, pi, gamma and pi_gamma are legitimate.
     """
     chi_m = resolve_chi(chi, p.t)
-    psi, pi = p.psi, p.pi
-    psibar, pibar = np.conj(psi), np.conj(pi)
+    args = {"psi": p.psi, "psibar": np.conj(p.psi), "pi": p.pi, "pibar": np.conj(p.pi),
+            "gamma": p.gamma, "pi_gamma": p.pi_gamma}
+
+    def partial(name: str, index) -> complex:
+        """dH/dx at the entry x = args[name][index], by a central difference."""
+        h = FD_STEP * max(1.0, abs(args[name][index]))
+        values = []
+        for step in (h, -h):
+            moved = args[name].copy()
+            moved[index] += step
+            values.append(_hamiltonian_ext(**{**args, name: moved}, params=params,
+                                           chi_matrix=chi_m, t=p.t)[0])
+        return (values[0] - values[1]) / (2.0 * h)
+
     n = p.n
-
-    def ham(psi_=None, psibar_=None, pi_=None, pibar_=None, g_=None, pg_=None):
-        return _hamiltonian_ext(
-            psi if psi_ is None else psi_,
-            psibar if psibar_ is None else psibar_,
-            pi if pi_ is None else pi_,
-            pibar if pibar_ is None else pibar_,
-            p.gamma if g_ is None else g_,
-            p.pi_gamma if pg_ is None else pg_,
-            params, chi_m, p.t)[0]
-
-    def diff(setter, base_abs: float) -> complex:
-        h = FD_STEP * max(1.0, base_abs)
-        return (ham(**setter(+h)) - ham(**setter(-h))) / (2.0 * h)
-
-    psi_dot = np.zeros(n, dtype=complex)
-    pi_dot = np.zeros(n, dtype=complex)
-    for a in range(n):
-        def set_pi(h, a=a):
-            v = pi.copy(); v[a] += h
-            return {"pi_": v}
-
-        def set_psi(h, a=a):
-            v = psi.copy(); v[a] += h
-            return {"psi_": v}
-
-        psi_dot[a] = diff(set_pi, abs(pi[a]))
-        pi_dot[a] = -diff(set_psi, abs(psi[a]))
-
+    psi_dot = np.array([partial("pi", a) for a in range(n)])
+    pi_dot = -np.array([partial("psi", a) for a in range(n)])
     gamma_dot = pi_gamma_dot = None
     if p.pi_gamma is not None:
-        gamma_dot = np.zeros((n, n), dtype=complex)
-        pi_gamma_dot = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                def set_pg(h, a=a, b=b):
-                    m = p.pi_gamma.copy(); m[b, a] += h
-                    return {"pg_": m}
-
-                def set_g(h, a=a, b=b):
-                    m = p.gamma.copy(); m[a, b] += h
-                    return {"g_": m}
-
-                gamma_dot[a, b] = diff(set_pg, abs(p.pi_gamma[b, a]))
-                pi_gamma_dot[b, a] = -diff(set_g, abs(p.gamma[a, b]))
+        gamma_dot = np.array([[partial("pi_gamma", (b, a)) for b in range(n)]
+                              for a in range(n)])
+        pi_gamma_dot = -np.array([[partial("gamma", (a, b)) for a in range(n)]
+                                  for b in range(n)])
     return CanonicalFlow(psi_dot=psi_dot, pi_dot=pi_dot,
                          gamma_dot=gamma_dot, pi_gamma_dot=pi_gamma_dot)
 
@@ -481,7 +452,8 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
 
     Velocities come from the inverse Legendre map, accelerations from the
     explicit equations of motion, and the momentum rates from
-    differentiating the forward map in time.  With a dynamical gamma every
+    differentiating the forward map in time: pi_dot by the product rule on
+    the bilinear momentum kernel.  With a dynamical gamma every
     step shares one raw inverse of gamma and its Hermitian part.
     """
     chi_m = resolve_chi(chi, p.t)
@@ -494,8 +466,8 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
             np.array((psi, psid), dtype=complex), np.array((g, gd), dtype=complex), p.t,
             ginv=raw_inv)
         gamma_ddot = hermitian_part(gamma_ddot)
-        pi_dot = params.alpha2 * (np.conj(psi_ddot).dot(g) + np.conj(psid).dot(gd)) \
-            + 1j * params.alpha1 * (np.conj(psid).dot(g) + np.conj(psi).dot(gd))
+        pi_dot = (_psi_momentum(psid, psi_ddot, g, params.alpha1, params.alpha2)
+                  + _psi_momentum(psi, psid, gd, params.alpha1, params.alpha2))
         pdot = _p_dot(psi, psid, ginv, gd, params.alpha9)
         pi_gamma_dot = params.alpha3 * pdot \
             + 2.0 * _apply_omega_dot(psi, psid, ginv, gd, params, gd) \
@@ -509,5 +481,5 @@ def lagrangian_flow_through_legendre(p: PhasePoint, params: ModelParams,
     psid = _psi_velocity(psi, p.pi, invert_form(g), params)
     state = FullState(psi=psi, psi_dot=psid, gamma=g, gamma_dot=np.zeros_like(g), t=p.t)
     psi_ddot = rhs_second_order(state, chi_m, params)
-    pi_dot = params.alpha2 * np.conj(psi_ddot).dot(g) + 1j * params.alpha1 * np.conj(psid).dot(g)
+    pi_dot = _psi_momentum(psid, psi_ddot, g, params.alpha1, params.alpha2)
     return CanonicalFlow(psi_dot=psid, pi_dot=pi_dot, gamma_dot=None, pi_gamma_dot=None)

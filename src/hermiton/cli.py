@@ -261,7 +261,7 @@ def _exact_solution(s: Scenario):
     n = s.n
     if s.model_tier == "gamma_geodesic":
         sol = oracles.GammaExponentialSolution(
-            G=s.gamma0, E=np.linalg.solve(s.gamma0, s.gamma_dot0), side="right")
+            G=s.gamma0, E=np.linalg.solve(s.gamma0, s.gamma_dot0))
         labels = [f"G_{a + 1}{b + 1}" for a in range(n) for b in range(n)]
         return labels, lambda state: state.gamma, lambda t: oracles.exact_gamma(sol, t)
     if s.model_tier == "schrodinger":

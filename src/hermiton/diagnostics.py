@@ -2,10 +2,13 @@
 
 The total Lagrangian with alpha5 == 0 and no forcing is invariant under the
 full linear group acting as psi -> L psi, gamma -> L^{-dag} gamma L^{-1}.
-One-parameter subgroups split, relative to a fixed reference product
-gamma0, into gamma0-Hermitian and gamma0-antihermitian generators; the
-corresponding conserved charges are Tr(V A~) and Tr(i W A~) with the two
-Hermitian tensors V and W assembled below from the canonical momenta.
+Its charges are the momentum map J = psi pi - pi_gamma gamma (Marsden &
+Ratiu, Introduction to Mechanics and Symmetry, 11.4), paired with a
+generator, with pi and pi_gamma the canonical momenta of ``models``' one
+momentum kernel.  One-parameter subgroups split, relative to a fixed
+reference product gamma0, into gamma0-Hermitian and gamma0-antihermitian
+generators; with X = J gamma0^{-1} the conserved charges are Tr(V A~) and
+Tr(i W A~) for the Hermitian tensors V = X + X^dag and W = -i (X - X^dag).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import SingularTransform, WrongSymmetryClass
 from .hermitian_algebra import _dagger, _frobenius, hermiticity_drift, invert_form
 from .integrate import STEPPED_BLOCKS
-from .models import FullState, ModelParams, apply_omega, energy, theta1
+from .models import FullState, ModelParams, _gamma_momentum, _psi_momentum, energy, theta1
 
 __all__ = [
     "ChargeReport",
@@ -38,9 +41,9 @@ GENERATOR_TOL = 1e-10
 class ChargeReport:
     """Per-sample conserved-quantity snapshot.  ``vw_defect`` is
     max(|V - V^dag|, |W - W^dag|) / max(|V|, |W|) in Frobenius norms, which
-    :func:`monitor` takes from stacked calls: relative to the larger tensor,
-    since V vanishes on a frozen gamma and its own relative drift would be a
-    ratio of round-off."""
+    :func:`monitor` takes from stacked calls.  V = X + X^dag and
+    W = -i (X - X^dag) are Hermitian in every bit, so it reads 0 by
+    construction."""
 
     t: float
     V: np.ndarray
@@ -55,39 +58,17 @@ class ChargeReport:
 def _noether_stack(states, params: ModelParams,
                    g0_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V and W of every state, stacked (S, n, n), from one set of stacked
-    numpy calls; ``g0_inv`` is ``invert_form(gamma0)``."""
+    numpy calls; ``g0_inv`` is ``invert_form(gamma0)``.  X = J gamma0^-1
+    with the momentum map J = psi pi - pi_gamma gamma, and V = X + X^dag,
+    W = -i (X - X^dag), each exactly Hermitian."""
     psi = np.stack([s.psi for s in states])
-    psid = np.stack([s.psi_dot for s in states])
     g = np.stack([s.gamma for s in states])
-    omega = apply_omega(psi, g, params, np.stack([s.gamma_dot for s in states]))
-    col, row = psi[:, :, None], np.conj(psi)[:, None, :]
-    c_minus = 1j * params.alpha1 - params.alpha3 * params.alpha9
-    c_plus = 1j * params.alpha1 + params.alpha3 * params.alpha9
-
-    # V and iW = i W accumulate the same products, each formed once, with
-    # the association and the term order of the per-state formulas
-    #   V  = a2 (M G G0^-1 + G0^-1 G M~) + c- P G G0^-1 - 2 a3 G0^-1
-    #        - c+ G0^-1 G P - 2 (G0^-1 G O + O G G0^-1)
-    #   iW = a2 (M G G0^-1 - G0^-1 G M~) + c- P G G0^-1 + c+ G0^-1 G P
-    #        + 2 (G0^-1 G O - O G G0^-1)
-    # with M = psi psid^, M~ = psid psi^, P = psi psi^ and O = Omega(gamma_dot)
-    g0_inv_g = g0_inv @ g
-    right = (col * np.conj(psid)[:, None, :]) @ g @ g0_inv
-    left = g0_inv_g @ (psid[:, :, None] * row)
-    v = params.alpha2 * (right + left)
-    iw = params.alpha2 * (right - left)
-    proj = col * row
-    term = c_minus * (proj @ g @ g0_inv)
-    v += term
-    iw += term
-    v -= 2.0 * params.alpha3 * g0_inv
-    term = c_plus * (g0_inv_g @ proj)
-    v -= term
-    iw += term
-    right, left = omega @ g @ g0_inv, g0_inv_g @ omega
-    v -= 2.0 * (left + right)
-    iw += 2.0 * (left - right)
-    return v, -1j * iw
+    pi = _psi_momentum(psi, np.stack([s.psi_dot for s in states]), g,
+                       params.alpha1, params.alpha2)
+    pi_gamma = _gamma_momentum(psi, g, np.stack([s.gamma_dot for s in states]), params)
+    x = (psi[:, :, None] * pi[:, None, :] - pi_gamma @ g) @ g0_inv
+    x_dag = _dagger(x)
+    return x + x_dag, -1j * (x - x_dag)
 
 
 def noether_tensors(state: FullState, params: ModelParams,
@@ -170,9 +151,9 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
     """Charge reports along a trajectory of FullStates.
 
     gamma0 defaults to the initial scalar product; ``generators`` is a list
-    of (label, matrix) pairs or bare matrices.  The samples are stacked on a
-    leading axis (S, n, n): gamma0 is inverted once, V and W of every sample
-    come from one set of stacked calls, and every charge from one product.
+    of (label, matrix) pairs.  The samples are stacked on a leading axis
+    (S, n, n): gamma0 is inverted once, V and W of every sample come from
+    one set of stacked calls, and every charge from one product.
     Each report's V and W have the bits of :func:`noether_tensors` on its
     sample, and its charges agree with :func:`noether_charge` to round-off
     (a product's bits depend on its shape through the BLAS kernel).
@@ -183,8 +164,7 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
     if gamma0 is None:
         gamma0 = states[0].gamma
     items = []
-    for idx, gen in enumerate(generators or []):
-        label, a = gen if isinstance(gen, tuple) else (f"gen{idx}", gen)
+    for label, a in generators or []:
         a = np.asarray(a, dtype=complex)
         hermitian = _is_hermitian(a, f"generator {label}")
         if hermitian is None:

@@ -495,10 +495,11 @@ def _implicit_midpoint_step(f, t, y, dt, k_guess=None, m_inv=None, eta=1.0, tol=
     M = I, the plain fixed-point iteration.
 
     The iteration starts from ``k_guess`` (explicit Euler, f(t, y), when it
-    is None).  Each sweep's correction moves y_next by res_j = dt max|dk|,
-    and ``scale`` is ``tol`` relative to max(|y|, |dt k_guess|), with no
-    absolute floor, so a run scaled by a power of two takes the same
-    iterates.  From the second sweep on, the contraction rate is estimated
+    is None), which it updates in place and returns as k, so a caller
+    passes an array that it does not keep.  Each sweep's correction moves
+    y_next by res_j = dt max|dk|, and ``scale`` is ``tol`` relative to
+    max(|y|, |dt k_guess|), with no absolute floor, so a run scaled by a
+    power of two takes the same iterates.  From the second sweep on, the contraction rate is estimated
     as theta = res_j / res_{j-1} and the stage error left after the
     correction as eta res_j, with eta = theta / (1 - theta) (Hairer &
     Wanner, Solving ODEs II, IV.8); the first sweep takes ``eta`` from the
@@ -514,7 +515,7 @@ def _implicit_midpoint_step(f, t, y, dt, k_guess=None, m_inv=None, eta=1.0, tol=
     last correction.  The returned ``eta`` is the one of the last sweep.
     """
     t_mid, half = t + dt / 2.0, dt / 2.0
-    k = f(t, y) if k_guess is None else k_guess.copy()     # updated in place
+    k = f(t, y) if k_guess is None else k_guess
     scale = tol * max(float(np.abs(y).max()), dt * float(np.abs(k).max()))
     bound, prev_res = _STAGE_KAPPA * scale, math.inf
     for _ in range(max_iter):

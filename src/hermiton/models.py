@@ -431,6 +431,36 @@ def apply_omega(psi, gamma, params: ModelParams, x, ginv=None) -> np.ndarray:
     return out
 
 
+def _psi_momentum(psi, psi_dot, form, alpha1, alpha2=0.0) -> np.ndarray:
+    """The row covector pi = (alpha2 psid^ + i alpha1 psi^) K conjugate to psi.
+
+    Bilinear in (psi, psid) and in the form K: K = gamma gives the momentum,
+    and its rate is pi(psid, psi_ddot; gamma) + pi(psi, psid; gamma_dot).
+    ``psi_dot`` None leaves i alpha1 psi^ K, the momentum of the
+    velocity-linear (alpha2 == 0) model.  psi (..., n) and K (..., n, n)
+    may carry leading stack axes, which broadcast; each member has the bits
+    of the one-state call.
+    """
+    form = np.asarray(form, dtype=complex)
+
+    def row(x):
+        return (np.conj(np.asarray(x, dtype=complex))[..., None, :] @ form)[..., 0, :]
+
+    pi = 1j * alpha1 * row(psi)
+    return pi if psi_dot is None else alpha2 * row(psi_dot) + pi
+
+
+def _gamma_momentum(psi, gamma, gamma_dot, params: ModelParams, ginv=None) -> np.ndarray:
+    """pi_gamma = alpha3 P + 2 Omega(gamma_dot), the contravariant momentum
+    conjugate to gamma, with P and Omega sharing one inverse of gamma
+    (``ginv`` = ``invert_form(gamma)`` when the caller has it).  Leading
+    stack axes broadcast as in :func:`apply_omega`."""
+    if ginv is None:
+        ginv = invert_form(gamma)
+    return (params.alpha3 * p_tensor(psi, gamma, params.alpha9, ginv)
+            + 2.0 * apply_omega(psi, gamma, params, gamma_dot, ginv))
+
+
 def _kinetic_denominator(a, b, label: str):
     """a + b, a denominator of the kinetic inverse, refused with
     DegenerateKinetic when the two terms cancel: |a + b| <= COND_TOL (|a| + |b|).

@@ -52,24 +52,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaExponentialSolution:
-    """Exponential solution family of the pure scalar-product geodesics.
-
-    side == "right": gamma(t) = G exp(E t), admissible when G @ E is
-    Hermitian; side == "left": gamma(t) = exp(E t) G, admissible when
-    E @ G is Hermitian.  Admissibility keeps gamma(t) Hermitian for all t.
+    """Exponential solution family of the pure scalar-product geodesics:
+    gamma(t) = G exp(E t), admissible when G @ E is Hermitian, which keeps
+    gamma(t) Hermitian for all t.
     """
 
     G: np.ndarray
     E: np.ndarray
-    side: str = "right"
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=complex)
         e = np.asarray(self.E, dtype=complex)
-        if self.side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
-        contracted = g @ e if self.side == "right" else e @ g
-        drift = hermiticity_drift(contracted)
+        drift = hermiticity_drift(g @ e)
         if drift > HERM_TOL_FACTOR:
             raise NotGHermitian(f"generator is not admissible: contracted-form drift {drift:.3e}")
         object.__setattr__(self, "G", g)
@@ -78,9 +72,7 @@ class GammaExponentialSolution:
 
 def exact_gamma(sol: GammaExponentialSolution, t: float) -> np.ndarray:
     """gamma(t) of the exponential geodesic family."""
-    if sol.side == "right":
-        return sol.G @ matrix_exp(sol.E, t)
-    return matrix_exp(sol.E, t) @ sol.G
+    return sol.G @ matrix_exp(sol.E, t)
 
 
 def exact_schrodinger(psi0, h, hbar: float, t: float) -> np.ndarray:

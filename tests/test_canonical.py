@@ -22,7 +22,7 @@ from hermiton.dynamics import (
     rhs_full,
     rhs_schrodinger,
 )
-from hermiton.hermitian_algebra import invert_form
+from hermiton.hermitian_algebra import hermitian_part, invert_form
 from hermiton.errors import NotPositiveDefinite, ZeroAlpha2
 from hermiton.models import (
     FullState,
@@ -415,6 +415,28 @@ class TestRegularSector:
         point = legendre_regular(state, params)
         assert np.allclose(point.pi, 1j * params.alpha1 * (np.conj(psi) @ gamma))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_keeps_the_bits_of_the_one_state_formula(self, rng, n):
+        # the momentum kernel takes stacks; on one state it has the bits of
+        # pi = alpha2 psid^ Gamma + i alpha1 psi^ Gamma in 1-D dot products
+        # and pi_gamma = alpha3 P + 2 Omega(gamma_dot), each with its own
+        # inverse of Gamma, as are the singular momenta it gives
+        params = full_params()
+        for _ in range(10):
+            state = random_state(rng, n)
+            psi, psid, g, gd = state.psi, state.psi_dot, state.gamma, state.gamma_dot
+            pi = params.alpha2 * np.conj(psid).dot(g) + 1j * params.alpha1 * np.conj(psi).dot(g)
+            pi_gamma = params.alpha3 * p_tensor(psi, g, params.alpha9) \
+                + 2.0 * apply_omega(psi, g, params, gd)
+            point = legendre_regular(state, params)
+            assert point.pi.tobytes() == pi.tobytes()
+            assert point.pi_gamma.tobytes() == hermitian_part(pi_gamma).tobytes()
+            singular = 1j * params.alpha1 * np.conj(psi).dot(g)
+            assert primary_constraints(point, params.alpha1).phi.tobytes() \
+                == (point.pi - singular).tobytes()
+            assert darboux_momentum(psi, g, params.alpha1).tobytes() \
+                == (2.0j * params.alpha1 * np.conj(psi).dot(g)).tobytes()
+
     def test_round_trip(self, rng):
         params = full_params()
         for _ in range(10):
@@ -541,7 +563,8 @@ class TestHamiltonFlow:
     def test_full_model_flow_inverts_gamma_once(self, rng, monkeypatch):
         # one raw inverse of gamma serves the Legendre inverse, the
         # accelerations, dP/dt and the kinetic tensor; the flow keeps the
-        # bits of composing those steps, each with its own inverse
+        # bits of composing those steps, each with its own inverse; pi_dot
+        # is the product rule on pi = (alpha2 psid^ + i alpha1 psi^) gamma
         params, chi = full_params(), rand_herm(rng, 3)
         point = legendre_regular(random_state(rng, 3), params)
         psid, gd = legendre_inverse(point, params)
@@ -550,8 +573,9 @@ class TestHamiltonFlow:
         ginv = invert_form(point.gamma)
         expected = {
             "psi_dot": psid, "gamma_dot": gd,
-            "pi_dot": params.alpha2 * (np.conj(psi_ddot) @ point.gamma + np.conj(psid) @ gd)
-            + 1j * params.alpha1 * (np.conj(psid) @ point.gamma + np.conj(point.psi) @ gd),
+            "pi_dot": (params.alpha2 * (np.conj(psi_ddot) @ point.gamma)
+                       + 1j * params.alpha1 * (np.conj(psid) @ point.gamma))
+            + (params.alpha2 * (np.conj(psid) @ gd) + 1j * params.alpha1 * (np.conj(point.psi) @ gd)),
             "pi_gamma_dot": params.alpha3 * _p_dot(point.psi, psid, ginv, gd, params.alpha9)
             + 2.0 * _apply_omega_dot(point.psi, psid, ginv, gd, params, gd)
             + 2.0 * apply_omega(point.psi, point.gamma, params, gamma_ddot)}

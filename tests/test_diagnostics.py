@@ -17,21 +17,42 @@ from hermiton.models import FullState, ModelParams, theta1
 from conftest import full_params, rand_herm, rand_pd, rand_vec
 
 
-def reference_noether_tensors(state, params, gamma0):
-    """Per-sample V and W from 2-D calls only, in the association order the
-    stacked kernel must reproduce bit for bit."""
-    psi, psid = state.psi, state.psi_dot
-    g, gd = state.gamma, state.gamma_dot
+def hermitian_inverse(form):
+    inv = np.linalg.inv(np.asarray(form, dtype=complex))
+    return (inv + inv.conj().T) / 2.0
 
-    def inverse(form):
-        inv = np.linalg.inv(form)
-        return (inv + inv.conj().T) / 2.0
 
-    g0_inv = inverse(np.asarray(gamma0, dtype=complex))
-    p = inverse(g) + params.alpha9 * np.outer(psi, np.conj(psi))
+def reference_gamma_pieces(state, params):
+    """P = Gamma^-1 + alpha9 psi psi^ and Omega(gamma_dot), from 2-D calls."""
+    psi, gd = state.psi, state.gamma_dot
+    p = hermitian_inverse(state.gamma) + params.alpha9 * np.outer(psi, np.conj(psi))
     omega = params.alpha6 * (p @ gd @ p)
     omega += params.alpha7 * np.trace(p @ gd) * p
     omega += params.alpha8 * (np.conj(psi) @ gd @ psi) * np.outer(psi, np.conj(psi))
+    return p, omega
+
+
+def reference_momentum_map(state, params, gamma0):
+    """Per-sample V and W from 2-D calls only, in the association order the
+    stacked kernel must reproduce bit for bit: the momentum map
+    J = psi pi - pi_gamma Gamma with pi = alpha2 psid^ Gamma + i alpha1 psi^ Gamma
+    and pi_gamma = alpha3 P + 2 Omega(gamma_dot), X = J gamma0^-1,
+    V = X + X^dag and W = -i (X - X^dag)."""
+    psi, psid, g = state.psi, state.psi_dot, state.gamma
+    p, omega = reference_gamma_pieces(state, params)
+    pi = params.alpha2 * (np.conj(psid) @ g) + 1j * params.alpha1 * (np.conj(psi) @ g)
+    x = (np.outer(psi, pi) - (params.alpha3 * p + 2.0 * omega) @ g) @ hermitian_inverse(gamma0)
+    return x + x.conj().T, -1j * (x - x.conj().T)
+
+
+def reference_noether_tensors(state, params, gamma0):
+    """Per-sample V and W by the expanded formula, term by term in the
+    couplings: an independent reference, which agrees with the momentum map
+    to round-off."""
+    psi, psid = state.psi, state.psi_dot
+    g = state.gamma
+    g0_inv = hermitian_inverse(gamma0)
+    _, omega = reference_gamma_pieces(state, params)
 
     proj = np.outer(psi, np.conj(psi))
     mixed = np.outer(psi, np.conj(psid))
@@ -304,7 +325,7 @@ class TestStackedMonitor:
                               generators=gens)
             assert len(reports) == len(traj.states) == 11
             for state, rep in zip(traj.states, reports):
-                v, w = reference_noether_tensors(state, params, gamma0)
+                v, w = reference_momentum_map(state, params, gamma0)
                 assert rep.V.tobytes() == v.tobytes()
                 assert rep.W.tobytes() == w.tobytes()
                 # the charges come from one product over samples and
@@ -352,6 +373,34 @@ class TestStackedMonitor:
             monkeypatch.setattr(np.linalg, "inv", inv)
             counts.append((len(traj.states), len(calls)))
         assert counts == [(6, 2), (21, 2)]     # gamma0 once, the stack once
+
+
+class TestMomentumMap:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_agrees_with_the_expanded_formula(self, rng, n):
+        # the expanded formula, term by term in the couplings, agrees with
+        # X + X^dag and -i (X - X^dag) to round-off relative to the larger
+        # tensor, with every alpha nonzero
+        norm = np.linalg.norm
+        for _ in range(20):
+            params = ModelParams(**{f"alpha{k}": rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)
+                                    for k in range(1, 10)})
+            state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
+                              gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n))
+            gamma0 = rand_pd(rng, n)
+            v, w = noether_tensors(state, params, gamma0)
+            ref_v, ref_w = reference_noether_tensors(state, params, gamma0)
+            assert max(norm(v - ref_v), norm(w - ref_w)) <= 1e-14 * max(norm(ref_v), norm(ref_w))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_v_and_w_exactly_hermitian_on_a_full_trajectory(self, rng, n):
+        params, traj = TestStackedMonitor.trajectory(rng, n)
+        reports = monitor(traj, params, np.zeros((n, n)), generators=[("H", np.eye(n))])
+        for rep in reports:
+            assert rep.vw_defect == 0.0
+            assert np.array_equal(rep.V, rep.V.conj().T)
+            assert np.array_equal(rep.W, rep.W.conj().T)
+        assert drift_summary(reports)["max_vw_defect"] == 0.0
 
 
 class TestConservedQuantities:

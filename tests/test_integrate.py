@@ -535,7 +535,7 @@ def test_midpoint_guess_is_exact_on_a_quintic_slope(monkeypatch):
     stage = integrate_module._implicit_midpoint_step
 
     def spied(f, t, y, dt, k_guess, *args):
-        guesses.append(k_guess)
+        guesses.append(k_guess.copy())     # the stage updates its guess in place
         return stage(f, t, y, dt, k_guess, *args)
 
     def f(t, y):

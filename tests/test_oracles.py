@@ -70,15 +70,6 @@ class TestExactGamma:
             defect = gamma_ddot - gamma_dot @ np.linalg.inv(gamma) @ gamma_dot
             assert np.max(np.abs(defect)) < 1e-10 * max(1.0, np.max(np.abs(gamma_ddot)))
 
-    def test_left_right_coincide(self, rng):
-        # gamma = G exp(E t) equals exp(F t) G for F = G E G^{-1}
-        g = rand_pd(rng, 2)
-        e = np.linalg.solve(g, rand_herm(rng, 2, 0.5))
-        f = g @ e @ np.linalg.inv(g)
-        right = GammaExponentialSolution(G=g, E=e, side="right")
-        left = GammaExponentialSolution(G=g, E=f, side="left")
-        for t in (0.3, 1.1):
-            assert np.allclose(exact_gamma(right, t), exact_gamma(left, t), atol=1e-11)
 
 
 class TestExactSchrodinger:
