@@ -132,7 +132,7 @@ def legendre_singular(psi, gamma, alpha: float) -> tuple[np.ndarray, np.ndarray]
 
 def primary_constraints(p: PhasePoint, alpha: float) -> ConstraintValue:
     """phi = pi - i*alpha * psi^ Gamma; zero exactly on the singular image."""
-    return ConstraintValue(phi=p.pi - legendre_singular(p.psi, p.gamma, alpha)[0])
+    return ConstraintValue(phi=p.pi - _psi_momentum(p.psi, None, p.gamma, alpha))
 
 
 def reduced_bracket_flow(psi, gamma, chi, alpha: float,
@@ -163,13 +163,13 @@ def dirac_flow(psi, pi, gamma, params: ModelParams, chi,
     s = _ResidualPieces(psi, gamma, None, params)
     r0 = s.psi_residual(resolve_chi(chi, t), t)
     lam = _first_order_rate(params, r0, _checked_inverse(s.g))
-    return lam, -np.conj(r0) - legendre_singular(lam, s.g, params.alpha1)[0]
+    return lam, -np.conj(r0) - _psi_momentum(lam, None, s.g, params.alpha1)
 
 
 def darboux_momentum(psi, gamma, alpha: float) -> np.ndarray:
     """Constraint-manifold Darboux momentum Pi = 2 i alpha psi^ Gamma,
     twice the singular Legendre momentum restricted to the manifold."""
-    return 2.0 * legendre_singular(psi, gamma, alpha)[0]
+    return 2.0 * _psi_momentum(psi, None, gamma, alpha)
 
 
 @dataclass(frozen=True)

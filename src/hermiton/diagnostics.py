@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTransform, WrongSymmetryClass
-from .hermitian_algebra import _dagger, _frobenius, hermiticity_drift, invert_form
+from .hermitian_algebra import _dagger, hermiticity_drift, invert_form
 from .integrate import STEPPED_BLOCKS
 from .models import FullState, ModelParams, _gamma_momentum, _psi_momentum, energy, theta1
 
@@ -40,10 +40,10 @@ GENERATOR_TOL = 1e-10
 @dataclass(frozen=True)
 class ChargeReport:
     """Per-sample conserved-quantity snapshot.  ``vw_defect`` is
-    max(|V - V^dag|, |W - W^dag|) / max(|V|, |W|) in Frobenius norms, which
-    :func:`monitor` takes from stacked calls.  V = X + X^dag and
-    W = -i (X - X^dag) are Hermitian in every bit, so it reads 0 by
-    construction."""
+    max(|V - V^dag|, |W - W^dag|) / max(|V|, |W|) in Frobenius norms.
+    V = X + X^dag and W = -i (X - X^dag) are Hermitian in every bit, so it
+    is 0 by construction and :func:`monitor` writes 0.0 without computing
+    it."""
 
     t: float
     V: np.ndarray
@@ -172,17 +172,15 @@ def monitor(trajectory, params: ModelParams, chi, gamma0=None,
         items.append((label, a, hermitian))
 
     v, w = _noether_stack(states, params, invert_form(gamma0))
-    vw_defect = (np.maximum(_frobenius(v - _dagger(v)), _frobenius(w - _dagger(w)))
-                 / np.maximum(np.maximum(_frobenius(v), _frobenius(w)), 1e-300)).tolist()
     labels = [label for label, _, _ in items]
     per_sample = _charges(v, w, [(a, hermitian) for _, a, hermitian in items]).tolist()
     return [ChargeReport(
         t=state.t, V=v_k, W=w_k, charges=list(zip(labels, values)),
         energy=diag["energy"] if "energy" in diag else energy(state, params, chi),
         theta1=diag["theta1"] if "theta1" in diag else theta1(state.psi, state.gamma),
-        hermiticity_drift=diag.get("herm_drift", 0.0), vw_defect=defect)
-        for state, diag, v_k, w_k, values, defect
-        in zip(states, trajectory.diagnostics, v, w, per_sample, vw_defect)]
+        hermiticity_drift=diag.get("herm_drift", 0.0), vw_defect=0.0)
+        for state, diag, v_k, w_k, values
+        in zip(states, trajectory.diagnostics, v, w, per_sample)]
 
 
 def rel_drift(series) -> float:
@@ -213,7 +211,6 @@ def drift_summary(reports: list[ChargeReport]) -> dict:
         "energy": rel_drift([r.energy for r in reports]),
         "theta1": rel_drift([r.theta1 for r in reports]),
         "max_herm_drift": float(max(r.hermiticity_drift for r in reports)),
-        # a zero tensor has defect 0.0
         "max_vw_defect": float(np.max([r.vw_defect for r in reports])),
         "charges": {},
     }

@@ -499,11 +499,11 @@ def _implicit_midpoint_step(f, t, y, dt, k_guess=None, m_inv=None, eta=1.0, tol=
     passes an array that it does not keep.  Each sweep's correction moves
     y_next by res_j = dt max|dk|, and ``scale`` is ``tol`` relative to
     max(|y|, |dt k_guess|), with no absolute floor, so a run scaled by a
-    power of two takes the same iterates.  From the second sweep on, the contraction rate is estimated
-    as theta = res_j / res_{j-1} and the stage error left after the
-    correction as eta res_j, with eta = theta / (1 - theta) (Hairer &
-    Wanner, Solving ODEs II, IV.8); the first sweep takes ``eta`` from the
-    caller, the previous step's estimate.  The iteration stops once
+    power of two takes the same iterates.  From the second sweep on, the
+    contraction rate is estimated as theta = res_j / res_{j-1} and the
+    stage error left after the correction as eta res_j, with
+    eta = theta / (1 - theta) (Hairer & Wanner, Solving ODEs II, IV.8); the
+    first sweep takes ``eta`` from the caller, the previous step's estimate.  The iteration stops once
     eta res_j <= ``_STAGE_KAPPA`` scale, or once res_j <= scale, the test
     that stands alone when no contraction is seen (theta >= 1).  On the
     Newton side theta is about (dt/2)|J(y) - J(y0)|, far below 1, so the

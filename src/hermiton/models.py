@@ -450,13 +450,11 @@ def _psi_momentum(psi, psi_dot, form, alpha1, alpha2=0.0) -> np.ndarray:
     return pi if psi_dot is None else alpha2 * row(psi_dot) + pi
 
 
-def _gamma_momentum(psi, gamma, gamma_dot, params: ModelParams, ginv=None) -> np.ndarray:
+def _gamma_momentum(psi, gamma, gamma_dot, params: ModelParams) -> np.ndarray:
     """pi_gamma = alpha3 P + 2 Omega(gamma_dot), the contravariant momentum
-    conjugate to gamma, with P and Omega sharing one inverse of gamma
-    (``ginv`` = ``invert_form(gamma)`` when the caller has it).  Leading
-    stack axes broadcast as in :func:`apply_omega`."""
-    if ginv is None:
-        ginv = invert_form(gamma)
+    conjugate to gamma, with P and Omega sharing one inverse of gamma.
+    Leading stack axes broadcast as in :func:`apply_omega`."""
+    ginv = invert_form(gamma)
     return (params.alpha3 * p_tensor(psi, gamma, params.alpha9, ginv)
             + 2.0 * apply_omega(psi, gamma, params, gamma_dot, ginv))
 
