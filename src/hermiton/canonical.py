@@ -11,7 +11,9 @@ its samples; the canonical flow there is the Lagrangian one pushed through
 the Legendre map.
 
 Conjugate variables are never stored: the conjugates of psi, pi and phi
-are taken where a formula needs them.
+are taken where a formula needs them.  Every matrix inverted here, gamma
+and the Darboux chart's Cholesky factor, takes the condition test of
+``invert_form``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .hermitian_algebra import (
     complex_vector,
     hermitian_form,
     hermitian_part,
-    hermiticity_drift,
     invert_form,
     real_decompose,
 )
@@ -188,8 +189,7 @@ class DarbouxChart:
     The real Legendre maps read u = legendre_ux x + legendre_uy y and
     v = legendre_vx x + legendre_vy y.  ``chart_matrix``, when present, is
     a basis change C with C^ Gamma C = I / (2 alpha), which brings the form
-    to dy ^ dx.  The generalized (g-metric) pieces are populated when a
-    real symmetric g with S = g / (2 alpha) is supplied.
+    to dy ^ dx.
     """
 
     alpha: float
@@ -209,10 +209,6 @@ class DarbouxChart:
     legendre_vy: np.ndarray
     canonical: bool
     chart_matrix: Optional[np.ndarray] = None
-    g: Optional[np.ndarray] = None
-    g_A_raised: Optional[np.ndarray] = None
-    ham_g_pp: Optional[np.ndarray] = None
-    ham_g_xp: Optional[np.ndarray] = None
 
     def form_value(self, ux, uy, vx, vy) -> float:
         """Evaluate the reduced two-form on two tangent vectors (ux, uy), (vx, vy)."""
@@ -225,7 +221,7 @@ class DarbouxChart:
         return float(x @ self.ham_xx @ x + y @ self.ham_yy @ y + x @ self.ham_xy @ y)
 
 
-def darboux_reduce(gamma, chi, params: ModelParams, g=None,
+def darboux_reduce(gamma, chi, params: ModelParams,
                    require_chart: bool = False) -> DarbouxChart:
     """Real Darboux reduction of the constrained velocity-linear model.
 
@@ -236,10 +232,10 @@ def darboux_reduce(gamma, chi, params: ModelParams, g=None,
     + alpha5 chi), in psi = (x + iy) / sqrt(2); a potential and a forcing
     enter only the flow.  A canonical chart (basis change making the form
     exactly dy ^ dx) is attempted via a Cholesky factor of sign(alpha)
-    gamma; if gamma / alpha is not positive definite the chart is refused
-    (silently unless ``require_chart``).  Each test at ``tol`` = 1e-10 is
-    relative: ``canonical`` to 1 / (2 |alpha|) entrywise, g's symmetry by its
-    hermiticity drift and S == g / (2 alpha) to ||S||; alpha == 0 is refused.
+    gamma, whose inverse takes the condition test of ``invert_form``; if
+    gamma / alpha is not positive definite the chart is refused (silently
+    unless ``require_chart``).  ``canonical`` is tested relative to
+    1 / (2 |alpha|) entrywise at ``tol`` = 1e-10; alpha == 0 is refused.
     """
     alpha = params.alpha1
     if alpha == 0.0:
@@ -271,24 +267,12 @@ def darboux_reduce(gamma, chi, params: ModelParams, g=None,
     chart = None
     try:
         low = np.linalg.cholesky(gamma if alpha > 0.0 else -gamma)
-        chart = np.linalg.inv(low.conj().T) / np.sqrt(2.0 * abs(alpha))
     except np.linalg.LinAlgError:
         if require_chart:
             raise NotPositiveDefinite(
                 "canonical chart requested, but Gamma / alpha1 is not positive definite")
-
-    g_arr = g_a_raised = ham_g_pp = ham_g_xp = None
-    if g is not None:
-        g_arr = np.asarray(g, dtype=float)
-        if hermiticity_drift(g_arr) > tol:
-            raise ValueError("g must be real symmetric")
-        if np.linalg.norm(s - g_arr / (2.0 * alpha)) > tol * np.linalg.norm(s):
-            raise ValueError("g is inconsistent with gamma: need S == g / (2 alpha)")
-        g_inv = np.linalg.inv(g_arr)
-        g_a_raised = g_inv.dot(a).dot(g_inv)
-        ham_g_pp = 0.5 * g_inv.dot(m.real).dot(g_inv)
-        g_m_lr = g_inv.dot(m.imag)              # (g Im M)^b_a with rows raised
-        ham_g_xp = 0.5 * (g_m_lr.T - m.imag.dot(g_inv))
+    else:
+        chart = _checked_inverse(low.conj().T) / np.sqrt(2.0 * abs(alpha))
 
     return DarbouxChart(
         alpha=alpha, S=s, A=a, sigma=sigma,
@@ -296,8 +280,7 @@ def darboux_reduce(gamma, chi, params: ModelParams, g=None,
         ham_xx=ham_xx, ham_yy=ham_yy, ham_xy=ham_xy,
         legendre_ux=legendre_ux, legendre_uy=legendre_uy,
         legendre_vx=legendre_vx, legendre_vy=legendre_vy,
-        canonical=canonical, chart_matrix=chart, g=g_arr,
-        g_A_raised=g_a_raised, ham_g_pp=ham_g_pp, ham_g_xp=ham_g_xp)
+        canonical=canonical, chart_matrix=chart)
 
 
 def legendre_regular(state: FullState, params: ModelParams) -> PhasePoint:
@@ -333,12 +316,13 @@ def legendre_inverse(p: PhasePoint, params: ModelParams,
 
 
 def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParams,
-                     chi_matrix, t: float):
+                     chi_matrix, t: float, ginv=None):
     """Hamiltonian on the analytic extension: psi/pi and their bars are
     treated as independent arguments and no entry of gamma or pi_gamma is
     conjugated, so the value is analytic in every variable separately.
     Restricted to the diagonal (bars equal to conjugates, Hermitian
-    matrices) it is real.
+    matrices) it is real.  ``ginv``, when given, is the caller's raw
+    inverse ``_checked_inverse(gamma)``.
 
     Returns the complex value and a lazy bound on the summed magnitudes of
     its terms, each evaluated on entrywise absolute values."""
@@ -346,7 +330,8 @@ def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParam
     if a2 == 0.0:
         raise ZeroAlpha2("the regular Hamiltonian needs alpha2 != 0")
     g = np.asarray(gamma, dtype=complex)
-    ginv = _checked_inverse(g)
+    if ginv is None:
+        ginv = _checked_inverse(g)
     theta1c = psibar.dot(g).dot(psi)
     c4 = params.alpha4 - a1 * a1 / a2
     potential = params.effective_potential.value(theta1c)
@@ -416,11 +401,14 @@ def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi) -> CanonicalFlo
 
     This is an oracle, not a production integrator: every partial
     derivative is taken on the analytic extension, where single-entry
-    perturbations of psi, pi, gamma and pi_gamma are legitimate.
+    perturbations of psi, pi, gamma and pi_gamma are legitimate.  One
+    inverse of gamma serves every evaluation that leaves gamma in place; a
+    moved gamma entry is inverted on its own.
     """
     chi_m = resolve_chi(chi, p.t)
     args = {"psi": p.psi, "psibar": np.conj(p.psi), "pi": p.pi, "pibar": np.conj(p.pi),
             "gamma": p.gamma, "pi_gamma": p.pi_gamma}
+    ginv = _checked_inverse(p.gamma)
 
     def partial(name: str, index) -> complex:
         """dH/dx at the entry x = args[name][index], by a central difference."""
@@ -430,7 +418,8 @@ def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi) -> CanonicalFlo
             moved = args[name].copy()
             moved[index] += step
             values.append(_hamiltonian_ext(**{**args, name: moved}, params=params,
-                                           chi_matrix=chi_m, t=p.t)[0])
+                                           chi_matrix=chi_m, t=p.t,
+                                           ginv=None if name == "gamma" else ginv)[0])
         return (values[0] - values[1]) / (2.0 * h)
 
     n = p.n

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularTransform, WrongSymmetryClass
-from .hermitian_algebra import _dagger, hermiticity_drift, invert_form
+from .errors import SingularForm, SingularTransform, WrongSymmetryClass
+from .hermitian_algebra import _checked_inverse, _dagger, hermiticity_drift, invert_form
 from .integrate import STEPPED_BLOCKS
 from .models import FullState, ModelParams, _gamma_momentum, _psi_momentum, energy, theta1
 
@@ -124,18 +124,18 @@ def noether_charge(state: FullState, params: ModelParams, gamma0,
 def gl_transform(state: FullState, l_matrix) -> FullState:
     """Apply psi -> L psi, gamma -> L^{-dag} gamma L^{-1} to a state.
 
-    theta1 is exactly invariant under this action.
+    theta1 is exactly invariant under this action.  L takes the condition
+    test of ``invert_form`` and a refused L raises SingularTransform, with
+    the same verdict for s * L at any scale s.
     """
     l = np.asarray(l_matrix, dtype=complex)
     n = state.n
     if l.shape != (n, n):
         raise SingularTransform(f"transform must be {n}x{n}")
     try:
-        l_inv = np.linalg.inv(l)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTransform("transform is not invertible") from exc
-    if not np.all(np.isfinite(l_inv)):
-        raise SingularTransform("transform inverse is not finite")
+        l_inv = _checked_inverse(l)
+    except SingularForm as exc:
+        raise SingularTransform(f"transform is not invertible: {exc}") from None
     sandwich = l_inv.conj().T
     return FullState(
         psi=l @ state.psi,

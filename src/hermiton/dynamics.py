@@ -108,11 +108,10 @@ def rhs_second_order(state: FullState, chi, params: ModelParams,
 
 def _p_dot(psi, psid, ginv, gamma_dot, alpha9: float) -> np.ndarray:
     """dP/dt = -gamma^{-1} gamma_dot gamma^{-1} + alpha9 (psid psi^ + psi psid^),
-    with ``ginv`` = ``invert_form(gamma)`` computed by the caller."""
-    out = -(ginv @ gamma_dot @ ginv)
-    if alpha9 != 0.0:
-        out = out + alpha9 * (np.outer(psid, np.conj(psi)) + np.outer(psi, np.conj(psid)))
-    return out
+    with ``ginv`` = gamma^{-1} computed by the caller; the alpha9 term is
+    one product of V^T with the reversed rows of conj(V), V = (psi, psid)."""
+    v = np.array((psi, psid), dtype=complex)
+    return alpha9 * v.T.dot(v.conj()[::-1]) - ginv.dot(gamma_dot).dot(ginv)
 
 
 def _apply_omega_dot(psi, psid, ginv, gamma_dot, params: ModelParams, x) -> np.ndarray:
@@ -242,8 +241,7 @@ class _ResidualPieces:
         v = np.array((psi, psid))
         vbar = v.conj()
 
-        # dP/dt = -gamma^{-1} gamma_dot gamma^{-1} + alpha9 (psid psi^ + psi psid^)
-        pdot = a9 * v.T.dot(vbar[::-1]) - self.ginv_gd.dot(ginv)
+        pdot = _p_dot(psi, psid, ginv, gd, a9)
         x = pdot.dot(gd).dot(p)
         r = (2.0 * a6) * (x + x.conj().T + self.ginv_gd.dot(self.pgd).dot(ginv))
         if a7 != 0.0:

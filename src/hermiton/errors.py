@@ -47,8 +47,9 @@ class NotGHermitian(HermitonError):
 
 
 class SingularOperator(HermitonError):
-    """The vectorized kinetic operator cannot be inverted numerically; raised
-    only by the oracle ``oracles.omega_inverse_numeric``."""
+    """The vectorized kinetic operator is singular or fails the condition
+    test of ``SingularForm``; raised only by the oracle
+    ``oracles.omega_inverse_numeric``."""
 
 
 class NotPositiveDefinite(HermitonError):
@@ -61,7 +62,8 @@ class WrongSymmetryClass(HermitonError):
 
 
 class SingularTransform(HermitonError):
-    """A basis transformation matrix is not invertible."""
+    """A basis transformation matrix is singular or fails the condition test
+    of ``SingularForm``."""
 
 
 class StepFailure(HermitonError):

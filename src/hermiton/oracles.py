@@ -23,9 +23,10 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NotGHermitian, SingularOperator
+from .errors import NotGHermitian, SingularForm, SingularOperator
 from .hermitian_algebra import (
     HERM_TOL_FACTOR,
+    _checked_inverse,
     hermitian_basis,
     hermitian_part,
     hermiticity_drift,
@@ -200,9 +201,10 @@ def action_gradient_fd(path: DiscretizedPath, params: ModelParams, chi,
 
 
 def omega_inverse_numeric(psi, gamma, params: ModelParams) -> np.ndarray:
-    """Rank-4 inverse of the kinetic operator by direct linear solve on the
-    real vectorization of Hermitian matrices (independent of the closed form
-    in ``models``)."""
+    """Rank-4 inverse of the kinetic operator by direct inversion of its
+    real vectorization on Hermitian matrices (independent of the closed form
+    in ``models``).  The (n^2, n^2) matrix takes the condition test of
+    ``invert_form``; a refused one raises SingularOperator."""
     psi = np.asarray(psi, dtype=complex)
     n = psi.size
     basis = hermitian_basis(n)
@@ -212,11 +214,9 @@ def omega_inverse_numeric(psi, gamma, params: ModelParams) -> np.ndarray:
         image = apply_omega(psi, gamma, params, b_l)
         for k, b_k in enumerate(basis):
             m[k, l] = float(np.trace(image @ b_k).real)
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
-        raise SingularOperator(
-            f"kinetic operator is numerically singular (sigma_min/sigma_max = "
-            f"{svals[-1] / max(svals[0], 1e-300):.3e})")
-    m_inv = np.linalg.inv(m)
+    try:
+        m_inv = _checked_inverse(m)
+    except SingularForm as exc:
+        raise SingularOperator(f"kinetic operator is numerically singular: {exc}") from None
     b_stack = np.stack(basis)
     return np.einsum("kl,kab,lcd->abcd", m_inv, b_stack, b_stack)

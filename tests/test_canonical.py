@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermiton import canonical
 from hermiton.canonical import (
     PhasePoint,
     darboux_momentum,
@@ -255,11 +256,10 @@ class TestDarboux:
     def test_chart_vector_field_is_the_flow(self, rng, alpha5, alpha4, n):
         # the chart's Hamiltonian vector field, W X = grad H read back as
         # psid = (X_x + i X_y) / sqrt(2), is the first-order flow of the same
-        # couplings, and the g-metric Hamiltonian is the chart's at y = g^-1 y_low
+        # couplings
         params = ModelParams(alpha1=0.6, alpha4=alpha4, alpha5=alpha5)
         gamma, chi, psi = rand_pd(rng, n), rand_herm(rng, n), rand_vec(rng, n)
-        g = 1.2 * gamma.real
-        chart = darboux_reduce(gamma, chi, params, g=g)
+        chart = darboux_reduce(gamma, chi, params)
         w = np.block([[chart.form_xx - chart.form_xx.T, chart.form_xy],
                       [-chart.form_xy.T, chart.form_yy - chart.form_yy.T]])
         x, y = np.sqrt(2.0) * psi.real, np.sqrt(2.0) * psi.imag
@@ -269,12 +269,6 @@ class TestDarboux:
         psid = (field[:n] + 1j * field[n:]) / np.sqrt(2.0)
         flow = rhs_direct_nonlinear_raw(psi, gamma, params, chi)
         assert np.linalg.norm(psid - flow) <= 1e-12 * np.linalg.norm(flow)
-
-        h = chart.hamiltonian_value(x, y)
-        y_low = g @ y
-        via_g = (x @ chart.ham_xx @ x + y_low @ chart.ham_g_pp @ y_low
-                 + x @ chart.ham_g_xp @ y_low)
-        assert via_g == pytest.approx(h, rel=1e-12)
 
     def test_real_legendre_maps(self, rng):
         # u = alpha(Ax + Sy), v = alpha(-Sx + Ay); canonical case halves y, -x
@@ -328,56 +322,15 @@ class TestDarboux:
         assert np.all(np.isfinite(c))
         assert np.max(np.abs(c.conj().T @ gamma @ c - np.eye(n) / (2 * alpha))) < 1e-14
 
-    def test_generalized_g(self, rng):
-        alpha = 0.5
-        params = ModelParams(alpha1=alpha, alpha5=-2.0)
-        g = np.array([[2.0, 0.3], [0.3, 4.0]])
-        gamma = (g / (2 * alpha) + 1j * np.array([[0.0, 0.2], [-0.2, 0.0]]))
-        chi = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 2.0]])
-        chart = darboux_reduce(gamma, chi, params, g=g)
-        g_inv = np.linalg.inv(g)
-        assert np.allclose(chart.ham_g_pp, g_inv @ chart.sigma @ g_inv)
-
-        # the lowered-momentum Hamiltonian coefficients agree with the plain
-        # chart evaluated at y = g^{-1} y_low
-        for _ in range(5):
-            x, y = rng.normal(size=2), rng.normal(size=2)
-            y_low = g @ y
-            via_g = float(x @ chart.ham_xx @ x + y_low @ chart.ham_g_pp @ y_low
-                          + x @ chart.ham_g_xp @ y_low)
-            assert via_g == pytest.approx(chart.hamiltonian_value(x, y), abs=1e-12)
-
-        # the lowered-momentum two-form (dy_a ^ dx^a plus the raised-index
-        # magnetic corrections) agrees with the plain coefficients
-        for _ in range(5):
-            ux, uy = rng.normal(size=2), rng.normal(size=2)
-            vx, vy = rng.normal(size=2), rng.normal(size=2)
-            uyl, vyl = g @ uy, g @ vy
-            via_g = float(uyl @ vx - vyl @ ux
-                          - alpha * (ux @ chart.A @ vx - vx @ chart.A @ ux)
-                          - alpha * (uyl @ chart.g_A_raised @ vyl
-                                     - vyl @ chart.g_A_raised @ uyl))
-            assert via_g == pytest.approx(chart.form_value(ux, uy, vx, vy), abs=1e-12)
-
-        with pytest.raises(ValueError):
-            darboux_reduce(np.eye(2), chi, params, g=g)
-
     @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
-    def test_g_verdicts_are_relative(self, scale):
-        # gamma = s (g / (2 alpha) + i A): a consistent s g is accepted at
-        # every scale; one with an entry 50 % asymmetric, or 50 % away from
-        # 2 alpha S, is refused at every scale
-        alpha = 0.5
-        params = ModelParams(alpha1=alpha, alpha5=-2.0)
-        g = np.array([[2.0, 0.3], [0.3, 4.0]])
-        gamma = scale * (g / (2 * alpha) + 1j * np.array([[0.0, 0.2], [-0.2, 0.0]]))
-        chart = darboux_reduce(gamma, np.eye(2), params, g=scale * g)
-        assert np.allclose(chart.S, scale * g / (2 * alpha), rtol=1e-15, atol=0)
-        with pytest.raises(ValueError, match="real symmetric"):
-            darboux_reduce(gamma, np.eye(2), params,
-                           g=scale * np.array([[2.0, 0.3], [0.45, 4.0]]))
-        with pytest.raises(ValueError, match="inconsistent"):
-            darboux_reduce(gamma, np.eye(2), params, g=1.5 * scale * g)
+    def test_chart_is_scale_free(self, rng, scale):
+        # the chart inverts its Cholesky factor under the scale-free condition
+        # test: s gamma with alpha1 = s / 2 gets the chart of gamma with
+        # alpha1 = 1/2 divided by s, to round-off
+        gamma = rand_pd(rng, 3)
+        charts = [s * darboux_reduce(s * gamma, np.eye(3), ModelParams(alpha1=0.5 * s, alpha5=-2.0),
+                                     require_chart=True).chart_matrix for s in (1.0, scale)]
+        assert np.allclose(charts[1], charts[0], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
     def test_canonical_flag_is_relative_to_the_canonical_form(self, scale):
@@ -592,6 +545,33 @@ class TestHamiltonFlow:
         assert len(calls) == 1
         for name, value in expected.items():
             assert getattr(flow, name).tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fd_flow_inverts_gamma_once_per_moved_gamma(rng, monkeypatch, n):
+    # one raw inverse of gamma serves every psi, pi and pi_gamma partial;
+    # each of the 2 n^2 evaluations with a moved gamma entry inverts its
+    # own gamma, and the flow keeps the bits of every evaluation inverting
+    params, chi = full_params(), rand_herm(rng, n)
+    point = legendre_regular(random_state(rng, n), params)
+    real = canonical._hamiltonian_ext
+    monkeypatch.setattr(canonical, "_hamiltonian_ext",
+                        lambda *args, ginv=None, **kwargs: real(*args, **kwargs))
+    reference = hamilton_flow_check(point, params, chi)
+    monkeypatch.setattr(canonical, "_hamiltonian_ext", real)
+
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    flow = hamilton_flow_check(point, params, chi)
+    assert len(calls) == 1 + 2 * n * n
+    for name in ("psi_dot", "pi_dot", "gamma_dot", "pi_gamma_dot"):
+        assert getattr(flow, name).tobytes() == getattr(reference, name).tobytes()
 
 
 def test_hamiltonian_conserved_along_fd_flow(rng):

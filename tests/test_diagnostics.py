@@ -195,6 +195,29 @@ class TestGlTransform:
         with pytest.raises(SingularTransform):
             gl_transform(state, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_ill_conditioned_transform_refused_at_every_scale(self, rng, scale):
+        # L = s diag(1, 1e-13) has the reciprocal condition estimate
+        # 1 / (2 * 1e13) = 5e-14 at every s: LAPACK inverts it, the
+        # condition test of invert_form refuses it
+        state = FullState(psi=rand_vec(rng, 2), psi_dot=rand_vec(rng, 2),
+                          gamma=rand_pd(rng, 2), gamma_dot=rand_herm(rng, 2))
+        with pytest.raises(SingularTransform, match="5.000e-14"):
+            gl_transform(state, scale * np.diag([1.0, 1e-13]))
+
+    def test_accepted_transform_keeps_the_plain_inverse_bits(self, rng):
+        n = 3
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n))
+        l_matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+        l_inv = np.linalg.inv(l_matrix)
+        expected = FullState(psi=l_matrix @ state.psi, psi_dot=l_matrix @ state.psi_dot,
+                             gamma=l_inv.conj().T @ state.gamma @ l_inv,
+                             gamma_dot=l_inv.conj().T @ state.gamma_dot @ l_inv)
+        out = gl_transform(state, l_matrix)
+        for name in ("psi", "psi_dot", "gamma", "gamma_dot"):
+            assert getattr(out, name).tobytes() == getattr(expected, name).tobytes()
+
 
 class TestMonitor:
     def test_frozen_schrodinger_drifts(self, rng):

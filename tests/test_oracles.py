@@ -321,6 +321,16 @@ class TestOmegaInverseNumeric:
         oi = omega_inverse_numeric(np.zeros(1), np.eye(1), params)
         assert oi.reshape(()) == pytest.approx(1.0 / 1.1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_condition_test_keeps_the_plain_inverse_bits(self, rng, monkeypatch, n):
+        # the checked inverse changes only the refusal rule: an accepted
+        # operator has the bits of a plain np.linalg.inv
+        params = full_params(**{f"alpha{k}": float(rng.uniform(0.1, 1.0)) for k in (6, 7, 8, 9)})
+        psi, gamma = rand_vec(rng, n), rand_pd(rng, n)
+        checked = omega_inverse_numeric(psi, gamma, params)
+        monkeypatch.setattr(oracles, "_checked_inverse", np.linalg.inv)
+        assert checked.tobytes() == omega_inverse_numeric(psi, gamma, params).tobytes()
+
     def test_engineered_degeneracy(self, rng):
         # alpha6 = -n alpha7 with psi = 0 puts gamma in the kernel
         with pytest.raises(SingularOperator):
