@@ -316,13 +316,14 @@ def legendre_inverse(p: PhasePoint, params: ModelParams,
 
 
 def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParams,
-                     chi_matrix, t: float, ginv=None):
+                     chi_matrix, t: float, ginv=None, ladder=None):
     """Hamiltonian on the analytic extension: psi/pi and their bars are
     treated as independent arguments and no entry of gamma or pi_gamma is
     conjugated, so the value is analytic in every variable separately.
     Restricted to the diagonal (bars equal to conjugates, Hermitian
     matrices) it is real.  ``ginv``, when given, is the caller's raw
-    inverse ``_checked_inverse(gamma)``.
+    inverse ``_checked_inverse(gamma)``, and ``ladder`` the caller's
+    ``_ladder_pieces`` of psi, psibar and gamma.
 
     Returns the complex value and a lazy bound on the summed magnitudes of
     its terms, each evaluated on entrywise absolute values."""
@@ -349,8 +350,9 @@ def _hamiltonian_ext(psi, psibar, pi, pibar, gamma, pi_gamma, params: ModelParam
     if pi_gamma is not None:
         p_full = ginv + params.alpha9 * np.outer(psi, psibar)
         y = np.asarray(pi_gamma, dtype=complex) - params.alpha3 * p_full
-        pieces = _ladder_pieces(psi, psibar, g, params, g.dot(psi), psibar.dot(g), theta1c)
-        x = _ladder_apply(pieces, y, psibar.dot(pieces[0]))
+        if ladder is None:
+            ladder = _ladder_pieces(psi, psibar, g, params, g.dot(psi), psibar.dot(g), theta1c)
+        x = _ladder_apply(ladder, y, psibar.dot(ladder[0]))
         val += 0.25 * np.trace(y.dot(x))
 
     def magnitude() -> float:
@@ -403,12 +405,16 @@ def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi) -> CanonicalFlo
     derivative is taken on the analytic extension, where single-entry
     perturbations of psi, pi, gamma and pi_gamma are legitimate.  One
     inverse of gamma serves every evaluation that leaves gamma in place; a
-    moved gamma entry is inverted on its own.
+    moved gamma entry is inverted on its own.  Likewise one ``_ladder_pieces``
+    serves the pi and pi_gamma partials, which leave psi and gamma in place.
     """
     chi_m = resolve_chi(chi, p.t)
-    args = {"psi": p.psi, "psibar": np.conj(p.psi), "pi": p.pi, "pibar": np.conj(p.pi),
+    g, psibar = np.asarray(p.gamma, dtype=complex), np.conj(p.psi)
+    args = {"psi": p.psi, "psibar": psibar, "pi": p.pi, "pibar": np.conj(p.pi),
             "gamma": p.gamma, "pi_gamma": p.pi_gamma}
     ginv = _checked_inverse(p.gamma)
+    ladder = None if p.pi_gamma is None else _ladder_pieces(
+        p.psi, psibar, g, params, g.dot(p.psi), psibar.dot(g), psibar.dot(g).dot(p.psi))
 
     def partial(name: str, index) -> complex:
         """dH/dx at the entry x = args[name][index], by a central difference."""
@@ -417,9 +423,10 @@ def hamilton_flow_check(p: PhasePoint, params: ModelParams, chi) -> CanonicalFlo
         for step in (h, -h):
             moved = args[name].copy()
             moved[index] += step
-            values.append(_hamiltonian_ext(**{**args, name: moved}, params=params,
-                                           chi_matrix=chi_m, t=p.t,
-                                           ginv=None if name == "gamma" else ginv)[0])
+            values.append(_hamiltonian_ext(
+                **{**args, name: moved}, params=params, chi_matrix=chi_m, t=p.t,
+                ginv=None if name == "gamma" else ginv,
+                ladder=ladder if name in ("pi", "pi_gamma") else None)[0])
         return (values[0] - values[1]) / (2.0 * h)
 
     n = p.n

@@ -58,22 +58,27 @@ def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
 
 def _trajectory_csv(traj: Trajectory, path: Path) -> None:
     # psi and G in their real view: Re and Im of each entry side by side
-    n = traj.states[0].n
+    n = traj.psi.shape[1]
     labels = ([f"psi_{a + 1}" for a in range(n)]
               + [f"G_{a + 1}{b + 1}" for a in range(n) for b in range(n)])
     cols = ["t", *(f"{part}({label})" for label in labels for part in ("Re", "Im")),
             "energy", "theta1", "herm_drift"]
-    entries = np.concatenate([np.array([s.psi for s in traj.states], dtype=complex),
-                              np.array([s.gamma for s in traj.states],
-                                       dtype=complex).reshape(-1, n * n)], axis=1)
-    diags = [[d["energy"], d["theta1"], d["herm_drift"]] for d in traj.diagnostics]
-    _write_csv(path, cols, np.column_stack([traj.times, entries.view(float), diags]))
+    entries = np.concatenate([traj.psi, traj.gamma.reshape(-1, n * n)], axis=1)
+    _write_csv(path, cols, np.column_stack([traj.times, entries.view(float), traj.energy,
+                                            traj.theta1, traj.herm_drift]))
+
+
+def _sample_columns(traj: Trajectory):
+    """(t, energy, theta1, herm_drift) of each sample, as Python floats."""
+    return zip(traj.times.tolist(), traj.energy.tolist(), traj.theta1.tolist(),
+               traj.herm_drift.tolist())
 
 
 def _diagnostics_jsonl(traj: Trajectory, path: Path) -> None:
     with path.open("w") as fh:
-        for diag in traj.diagnostics:
-            fh.write(json.dumps(diag, sort_keys=True) + "\n")
+        for t, e, th, d in _sample_columns(traj):
+            fh.write(json.dumps({"t": t, "energy": e, "theta1": th, "herm_drift": d},
+                                sort_keys=True) + "\n")
 
 
 def _generators(s: Scenario) -> list:
@@ -95,19 +100,16 @@ def _write_report(path: Path, report: dict) -> str:
 def _charges_jsonl(traj: Trajectory, s: Scenario, out_dir: Path) -> str:
     """Write ``<name>_charges.jsonl`` and ``<name>_charge_summary.json``;
     returns the summary's JSON text."""
-    reports = diagnostics.monitor(traj, s.params, s.chi, gamma0=s.gamma0,
-                                  generators=_generators(s))
+    generators = _generators(s)
+    labels = [label for label, _ in generators]
+    _, _, charges = diagnostics.monitor(traj, s.params, s.gamma0, generators)
     with (out_dir / f"{s.name}_charges.jsonl").open("w") as fh:
-        for rep in reports:
-            fh.write(json.dumps({
-                "t": rep.t,
-                "energy": rep.energy,
-                "theta1": rep.theta1,
-                "herm_drift": rep.hermiticity_drift,
-                "charges": {label: value for label, value in rep.charges},
-            }, sort_keys=True) + "\n")
+        for (t, e, th, d), values in zip(_sample_columns(traj), charges.tolist()):
+            fh.write(json.dumps({"t": t, "energy": e, "theta1": th, "herm_drift": d,
+                                 "charges": dict(zip(labels, values))},
+                                sort_keys=True) + "\n")
     return _write_report(out_dir / f"{s.name}_charge_summary.json",
-                         diagnostics.drift_summary(reports))
+                         diagnostics.drift_summary(traj, labels, charges))
 
 
 def cmd_simulate(s: Scenario, out_dir: Path) -> int:
@@ -133,15 +135,14 @@ def _check_verdicts(s: Scenario, rng: np.random.Generator) -> list[dict]:
     traj = _run_trajectory(s)
     conserved = diagnostics.conserved_quantities(s.model_tier, s.params, s.chi,
                                                  s.gamma_tilde)
-    add("energy_drift", diagnostics.rel_drift(traj.series("energy")), conserved.get("energy"))
-    add("theta1_drift", diagnostics.rel_drift(traj.series("theta1")), conserved.get("theta1"))
-    add("hermiticity_drift", float(max(d["herm_drift"] for d in traj.diagnostics)), 1e-8)
+    add("energy_drift", diagnostics.rel_drift(traj.energy), conserved.get("energy"))
+    add("theta1_drift", diagnostics.rel_drift(traj.theta1), conserved.get("theta1"))
+    add("hermiticity_drift", float(traj.herm_drift.max()), 1e-8)
 
     if "gamma" in STEPPED_BLOCKS[s.model_tier]:
-        summary = diagnostics.drift_summary(
-            diagnostics.monitor(traj, s.params, s.chi, s.gamma0, _generators(s)))
-        worst = max(summary["charges"].values()) if summary["charges"] else 0.0
-        add("charge_drift", worst, conserved.get("charges"))
+        _, _, charges = diagnostics.monitor(traj, s.params, s.gamma0, _generators(s))
+        add("charge_drift", max(map(diagnostics.rel_drift, charges.T), default=0.0),
+            conserved.get("charges"))
 
     if s.params.alpha2 != 0.0 and s.model_tier == "full":
         state = _initial_state(s)
@@ -257,18 +258,18 @@ def cmd_reduce(s: Scenario, out_dir: Path) -> int:
 
 
 def _exact_solution(s: Scenario):
-    """(labels, the compared block of a state, the exact block at elapsed
-    time t) of the scenario's exact solution; NoOracleForTier when it has
-    none.  The Schrodinger solution covers only the plain flow
-    2i alpha1 Gamma psid = -alpha5 chi psi: alpha1 and alpha5 nonzero, no
-    alpha4, potential or forcing."""
+    """(labels, the compared Trajectory block, "psi" or "gamma", the exact
+    block at elapsed time t) of the scenario's exact solution;
+    NoOracleForTier when it has none.  The Schrodinger solution covers only
+    the plain flow 2i alpha1 Gamma psid = -alpha5 chi psi: alpha1 and alpha5
+    nonzero, no alpha4, potential or forcing."""
     n = s.n
     # both solves take gamma0, which passed the condition test at load
     if s.model_tier == "gamma_geodesic":
         sol = oracles.GammaExponentialSolution(
             G=s.gamma0, E=np.linalg.solve(s.gamma0, s.gamma_dot0))
         labels = [f"G_{a + 1}{b + 1}" for a in range(n) for b in range(n)]
-        return labels, lambda state: state.gamma, lambda t: oracles.exact_gamma(sol, t)
+        return labels, "gamma", lambda t: oracles.exact_gamma(sol, t)
     if s.model_tier == "schrodinger":
         p = s.params
         uncovered = [name for name, present in (
@@ -282,19 +283,18 @@ def _exact_solution(s: Scenario):
                                   f"{', '.join(uncovered)}")
         h = np.linalg.solve(s.gamma0, np.asarray(s.chi, dtype=complex))
         hbar_eff = 2.0 * p.alpha1 / -p.alpha5
-        return ([f"abs_psi_{a + 1}" for a in range(n)], lambda state: state.psi,
+        return ([f"abs_psi_{a + 1}" for a in range(n)], "psi",
                 lambda t: oracles.exact_schrodinger(s.psi0, h, hbar_eff, t))
     raise NoOracleForTier(f"no exact solution for tier {s.model_tier!r}")
 
 
 def cmd_oracle(s: Scenario, out_dir: Path) -> int:
-    labels, numerical, exact_at = _exact_solution(s)
+    labels, block, exact_at = _exact_solution(s)
     traj = _run_trajectory(s)
     header = ["t", *(f"{kind}_{label}" for label in labels for kind in ("num", "exact")),
               "deviation"]
     rows = []
-    for t, state in zip(traj.times, traj.states):
-        num = numerical(state)
+    for t, num in zip(traj.times, getattr(traj, block)):
         exact = exact_at(float(t) - float(traj.times[0]))
         # abs of each scalar: np.abs of the array rounds some moduli apart
         rows.append([t, *(abs(z) for pair in zip(num.ravel(), exact.ravel()) for z in pair),

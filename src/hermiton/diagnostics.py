@@ -9,21 +9,32 @@ momentum kernel.  One-parameter subgroups split, relative to a fixed
 reference product gamma0, into gamma0-Hermitian and gamma0-antihermitian
 generators; with X = J gamma0^{-1} the conserved charges are Tr(V A~) and
 Tr(i W A~) for the Hermitian tensors V = X + X^dag and W = -i (X - X^dag).
+
+The monitor reads a ``Trajectory``'s stacks and returns stacks, V and W
+(S, n, n) and the charges (S, G) of G generators; the drift summary reads
+the trajectory's recorded energy, theta1 and hermiticity-drift columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularForm, SingularTransform, WrongSymmetryClass
-from .hermitian_algebra import _checked_inverse, _dagger, hermiticity_drift, invert_form
+from .hermitian_algebra import (
+    HERM_TOL_FACTOR,
+    _checked_inverse,
+    _dagger,
+    hermiticity_drift,
+    invert_form,
+)
 from .integrate import STEPPED_BLOCKS
-from .models import FullState, ModelParams, _gamma_momentum, _psi_momentum, energy, theta1
+from .models import FullState, ModelParams, _gamma_momentum, _psi_momentum
+# the monitor reads the recorded energy and theta1 columns and calls
+# neither; perfbench/tracing.py (its TARGETS) rebinds these names here to
+# count the calls that would
+from .models import energy, theta1  # noqa: F401
 
 __all__ = [
-    "ChargeReport",
     "noether_tensors",
     "noether_charge",
     "gl_transform",
@@ -33,40 +44,17 @@ __all__ = [
     "conserved_quantities",
 ]
 
-#: symmetry classification tolerance for charge generators
-GENERATOR_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class ChargeReport:
-    """Per-sample conserved-quantity snapshot.  ``vw_defect`` is
-    max(|V - V^dag|, |W - W^dag|) / max(|V|, |W|) in Frobenius norms.
-    V = X + X^dag and W = -i (X - X^dag) are Hermitian in every bit, so it
-    is 0 by construction and :func:`monitor` writes 0.0 without computing
-    it."""
-
-    t: float
-    V: np.ndarray
-    W: np.ndarray
-    charges: list
-    energy: float
-    theta1: float
-    hermiticity_drift: float
-    vw_defect: float
-
-
-def _noether_stack(states, params: ModelParams,
+def _noether_stack(psi, psi_dot, gamma, gamma_dot, params: ModelParams,
                    g0_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and W of every state, stacked (S, n, n), from one set of stacked
-    numpy calls; ``g0_inv`` is ``invert_form(gamma0)``.  X = J gamma0^-1
-    with the momentum map J = psi pi - pi_gamma gamma, and V = X + X^dag,
+    """V and W of the stacked states psi, psi_dot (S, n) and gamma,
+    gamma_dot (S, n, n), stacked (S, n, n), from one set of stacked numpy
+    calls; ``g0_inv`` is ``invert_form(gamma0)``.  X = J gamma0^-1 with the
+    momentum map J = psi pi - pi_gamma gamma, and V = X + X^dag,
     W = -i (X - X^dag), each exactly Hermitian."""
-    psi = np.stack([s.psi for s in states])
-    g = np.stack([s.gamma for s in states])
-    pi = _psi_momentum(psi, np.stack([s.psi_dot for s in states]), g,
-                       params.alpha1, params.alpha2)
-    pi_gamma = _gamma_momentum(psi, g, np.stack([s.gamma_dot for s in states]), params)
-    x = (psi[:, :, None] * pi[:, None, :] - pi_gamma @ g) @ g0_inv
+    pi = _psi_momentum(psi, psi_dot, gamma, params.alpha1, params.alpha2)
+    pi_gamma = _gamma_momentum(psi, gamma, gamma_dot, params)
+    x = (psi[:, :, None] * pi[:, None, :] - pi_gamma @ gamma) @ g0_inv
     x_dag = _dagger(x)
     return x + x_dag, -1j * (x - x_dag)
 
@@ -80,18 +68,23 @@ def noether_tensors(state: FullState, params: ModelParams,
     One state; :func:`monitor` evaluates the same kernel over a trajectory's
     leading sample axis, and each of its rows has the bits of this call.
     """
-    v, w = _noether_stack([state], params, invert_form(gamma0))
+    v, w = _noether_stack(state.psi[None], state.psi_dot[None], state.gamma[None],
+                          state.gamma_dot[None], params, invert_form(gamma0))
     return v[0], w[0]
 
 
 def _is_hermitian(a: np.ndarray, label: str = "generator") -> bool | None:
     """Symmetry class of a charge generator: True when Hermitian, False when
-    antihermitian, None when zero; WrongSymmetryClass when it is neither."""
+    antihermitian, None when zero; WrongSymmetryClass when it is neither.
+    The test is the one every form takes, ``HERM_TOL_FACTOR``.  The class
+    only picks the tensor a generator pairs with: ``_charges`` keeps the
+    real part of Tr(V A) or Tr(W iA), in which the other class's part of A
+    drops out exactly."""
     if not a.any():
         return None
-    if hermiticity_drift(a) <= GENERATOR_TOL:
+    if hermiticity_drift(a) <= HERM_TOL_FACTOR:
         return True
-    if hermiticity_drift(1j * a) <= GENERATOR_TOL:
+    if hermiticity_drift(1j * a) <= HERM_TOL_FACTOR:
         return False
     raise WrongSymmetryClass(f"{label} is neither Hermitian nor antihermitian")
 
@@ -117,8 +110,8 @@ def noether_charge(state: FullState, params: ModelParams, gamma0,
     hermitian = _is_hermitian(a)
     if hermitian is None:
         return 0.0
-    v, w = _noether_stack([state], params, invert_form(gamma0))
-    return float(_charges(v, w, [(a, hermitian)])[0, 0])
+    v, w = noether_tensors(state, params, gamma0)
+    return float(_charges(v[None], w[None], [(a, hermitian)])[0, 0])
 
 
 def gl_transform(state: FullState, l_matrix) -> FullState:
@@ -146,41 +139,34 @@ def gl_transform(state: FullState, l_matrix) -> FullState:
     )
 
 
-def monitor(trajectory, params: ModelParams, chi, gamma0=None,
-            generators=None) -> list[ChargeReport]:
-    """Charge reports along a trajectory of FullStates.
+def monitor(trajectory, params: ModelParams, gamma0=None,
+            generators=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, W, charges) along a Trajectory: the tensors stacked (S, n, n)
+    and the charges (S, G) of the G generators, in their order.
 
     gamma0 defaults to the initial scalar product; ``generators`` is a list
-    of (label, matrix) pairs.  The samples are stacked on a leading axis
-    (S, n, n): gamma0 is inverted once, V and W of every sample come from
-    one set of stacked calls, and every charge from one product.
-    Each report's V and W have the bits of :func:`noether_tensors` on its
-    sample, and its charges agree with :func:`noether_charge` to round-off
-    (a product's bits depend on its shape through the BLAS kernel).
+    of (label, matrix) pairs, each classified before any charge is taken.
+    gamma0 is inverted once, V and W of every sample come from one set of
+    stacked calls on the trajectory's stacks, and every charge from one
+    product.  Each row of V and W has the bits of :func:`noether_tensors`
+    on its sample, and the charges agree with :func:`noether_charge` to
+    round-off (a product's bits depend on its shape through the BLAS
+    kernel).
     """
-    states = trajectory.states
-    if not states:
+    if not trajectory.times.size:
         raise ValueError("trajectory is empty")
     if gamma0 is None:
-        gamma0 = states[0].gamma
+        gamma0 = trajectory.gamma[0]
     items = []
     for label, a in generators or []:
         a = np.asarray(a, dtype=complex)
         hermitian = _is_hermitian(a, f"generator {label}")
         if hermitian is None:
             raise WrongSymmetryClass(f"generator {label} is zero")
-        items.append((label, a, hermitian))
-
-    v, w = _noether_stack(states, params, invert_form(gamma0))
-    labels = [label for label, _, _ in items]
-    per_sample = _charges(v, w, [(a, hermitian) for _, a, hermitian in items]).tolist()
-    return [ChargeReport(
-        t=state.t, V=v_k, W=w_k, charges=list(zip(labels, values)),
-        energy=diag["energy"] if "energy" in diag else energy(state, params, chi),
-        theta1=diag["theta1"] if "theta1" in diag else theta1(state.psi, state.gamma),
-        hermiticity_drift=diag.get("herm_drift", 0.0), vw_defect=0.0)
-        for state, diag, v_k, w_k, values
-        in zip(states, trajectory.diagnostics, v, w, per_sample)]
+        items.append((a, hermitian))
+    v, w = _noether_stack(trajectory.psi, trajectory.psi_dot, trajectory.gamma,
+                          trajectory.gamma_dot, params, invert_form(gamma0))
+    return v, w, _charges(v, w, items)
 
 
 def rel_drift(series) -> float:
@@ -205,17 +191,15 @@ def conserved_quantities(tier: str, params: ModelParams, chi,
             if held and params.forcing is None}
 
 
-def drift_summary(reports: list[ChargeReport]) -> dict:
-    """Max :func:`rel_drift` per monitored quantity over a report sequence."""
-    summary = {
-        "energy": rel_drift([r.energy for r in reports]),
-        "theta1": rel_drift([r.theta1 for r in reports]),
-        "max_herm_drift": float(max(r.hermiticity_drift for r in reports)),
-        "max_vw_defect": float(np.max([r.vw_defect for r in reports])),
-        "charges": {},
+def drift_summary(trajectory, labels, charges) -> dict:
+    """Max :func:`rel_drift` per monitored quantity of a Trajectory, with
+    the (S, G) ``charges`` of :func:`monitor` under their G ``labels``.
+    ``max_vw_defect``, max(|V - V^dag|, |W - W^dag|) / max(|V|, |W|), is
+    0.0: V = X + X^dag and W = -i (X - X^dag) are Hermitian in every bit."""
+    return {
+        "energy": rel_drift(trajectory.energy),
+        "theta1": rel_drift(trajectory.theta1),
+        "max_herm_drift": float(trajectory.herm_drift.max()),
+        "max_vw_defect": 0.0,
+        "charges": {label: rel_drift(column) for label, column in zip(labels, charges.T)},
     }
-    if reports and reports[0].charges:
-        for idx, (label, _) in enumerate(reports[0].charges):
-            summary["charges"][label] = rel_drift(
-                [r.charges[idx][1] for r in reports])
-    return summary

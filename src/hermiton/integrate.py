@@ -28,12 +28,13 @@ run ends, the codec unpacks the (S, N) stack of samples, and one set of
 stacked calls runs the FullState checks on every sample (finite entries,
 hermiticity, one stacked checked inverse of gamma) and computes energy from
 that inverse, theta1 and the hermiticity drift, with the bits of the
-one-state calls.  A sample that needs f(t, y) (psi_dot of a first-order
-tier, or the raw acceleration of a resymmetrized gamma) gets it from one
-rate call in ``finish``, sample by sample in order, and the codec unpacks
-their (S, N) stack too: the recorder does not depend on the stepper's
-calls.  An invalid sample raises its own error, naming it, ahead of any
-later step failure.
+one-state calls, which the returned ``Trajectory`` holds as they are.  A
+sample that needs f(t, y) (psi_dot of a first-order tier, or the raw
+acceleration of a resymmetrized gamma) gets it from one rate call in
+``finish``, sample by sample in order, and the codec unpacks their (S, N)
+stack too: the recorder does not depend on the stepper's calls.  An
+invalid sample raises its own error, naming it, ahead of any later step
+failure.
 
 Stepping methods (``IntegratorConfig.method``):
 
@@ -71,6 +72,7 @@ reduce down the stack and the scaling and y + in place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,24 +161,34 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A recorded run as stacks over its S samples: ``times`` (S,), the
+    blocks ``psi``, ``psi_dot`` (S, n) and ``gamma``, ``gamma_dot``
+    (S, n, n), and the columns ``energy``, ``theta1`` and ``herm_drift``
+    (S,).  The recorder validates every sample before it builds one."""
+
     times: np.ndarray
-    states: list
-    diagnostics: list
+    psi: np.ndarray
+    psi_dot: np.ndarray
+    gamma: np.ndarray
+    gamma_dot: np.ndarray
+    energy: np.ndarray
+    theta1: np.ndarray
+    herm_drift: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if len(self.states) != times.size or len(self.diagnostics) != times.size:
-            raise ValueError("state/diagnostic count must match time count")
+        if any(len(getattr(self, name)) != times.size for name in
+               ("psi", "psi_dot", "gamma", "gamma_dot", "energy", "theta1", "herm_drift")):
+            raise ValueError("every stack and column must have one entry per time")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
 
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-    def series(self, key: str) -> np.ndarray:
-        return np.array([d[key] for d in self.diagnostics])
+    @functools.cached_property
+    def states(self) -> list:
+        """One FullState per sample, views of the stacks, built once."""
+        return [FullState._from_validated(*blocks, t) for *blocks, t
+                in zip(self.psi, self.psi_dot, self.gamma, self.gamma_dot, self.times.tolist())]
 
 
 class _Codec:
@@ -305,11 +317,11 @@ class _System:
     replaces f's gamma_dot block, stored last, with its Hermitian part, in
     place, the one place the key acts on stepping (``gamma_geodesic``'s rate
     is exactly Hermitian).  ``record`` only buffers a sample's (t, y);
-    ``finish`` turns the buffer into (times, states, diagnostics) with one
-    set of stacked calls and empties it.  A sample that needs f(t, y)
-    (psi_dot of a first-order tier; the raw acceleration, for the
-    pre-projection drift) gets it from one ``rates`` call in ``finish``, the
-    call a stage makes, read through the codec that reads y.
+    ``finish`` turns the buffer into a Trajectory with one set of stacked
+    calls and empties it.  A sample that needs f(t, y) (psi_dot of a
+    first-order tier; the raw acceleration, for the pre-projection drift)
+    gets it from one ``rates`` call in ``finish``, the call a stage makes,
+    read through the codec that reads y.
     """
 
     def __init__(self, initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -353,10 +365,10 @@ class _System:
         self.times.append(t)
         self.ys.append(y)
 
-    def finish(self) -> tuple:
-        """(times, states, diagnostics) of the buffered samples.  An error
-        names its sample, and comes after the samples before it are
-        recorded, as if each had been recorded when it was taken."""
+    def finish(self) -> Trajectory:
+        """The Trajectory of the buffered samples.  An error names its
+        sample, and comes after the samples before it are recorded, as if
+        each had been recorded when it was taken."""
         times, ys = self.times, self.ys
         self.times, self.ys = [], []
         rates, failure = [], None
@@ -368,19 +380,18 @@ class _System:
                 times, ys = times[:k], ys[:k]
                 break
         rates = self.codec.unpack(np.array(rates)) if rates else None
-        states, diags = self._states(times, np.array(ys), rates) if times else ([], [])
+        traj = self._trajectory(np.array(times), np.array(ys), rates) if times else None
         if failure is not None:
             raise failure
-        return times, states, diags
+        return traj
 
-    def _states(self, times, y, rates) -> tuple:
-        """Validated FullStates and diagnostics of samples y (S, N) with their rates."""
+    def _trajectory(self, times, y, rates) -> Trajectory:
+        """The validated stacks and columns of samples y (S, N) at ``times``."""
         b = self.blocks(y)
-        count = len(times)
         if self.first_order:
             b["psi_dot"] = rates["psi"]
         if "gamma" not in self.stepped:
-            drift = [0.0] * count
+            drift = np.zeros(times.size)
         elif self.resymmetrize:
             drift = hermiticity_drift(rates["gamma_dot"])
         else:
@@ -389,11 +400,11 @@ class _System:
         try:
             psi, psi_dot, gamma, gamma_dot, inv = _validated_blocks(b["psi"], b["psi_dot"],
                                                                     gamma, gamma_dot)
-            energies = energy(_Blocks(psi, psi_dot, gamma, gamma_dot, np.array(times)),
+            energies = energy(_Blocks(psi, psi_dot, gamma, gamma_dot, times),
                               self.params, self.chi, ginv=hermitian_part(inv))
         except (HermitonError, ValueError):
             # the first sample that fails, with the error its own state gives
-            for k, t in enumerate(times):
+            for k, t in enumerate(times.tolist()):
                 try:
                     energy(FullState(psi=b["psi"][k], psi_dot=b["psi_dot"][k],
                                      gamma=gamma[k], gamma_dot=gamma_dot[k], t=t),
@@ -401,14 +412,12 @@ class _System:
                 except (HermitonError, ValueError) as exc:
                     raise _sample_error(self.tier, k, t, exc) from exc
             raise
-        # theta1 stays the literal 0.0 without psi: theta1(0, gamma) may be -0.0
-        theta = theta1(b["psi"], gamma) if "psi" in self.stepped else [0.0] * count
-        states = [FullState._from_validated(*blocks, t) for *blocks, t
-                  in zip(psi, psi_dot, gamma, gamma_dot, times)]
-        diags = [{"t": t, "energy": e, "theta1": th, "herm_drift": d} for t, e, th, d
-                 in zip(times, np.asarray(energies).tolist(), np.asarray(theta).tolist(),
-                        np.asarray(drift).tolist())]
-        return states, diags
+        # theta1 stays 0.0 without psi: theta1(0, gamma) may be -0.0
+        theta = theta1(b["psi"], gamma) if "psi" in self.stepped else np.zeros(times.size)
+        # psi and psi_dot may be strided views of y or of the rates: copied,
+        # the Trajectory does not keep those (S, N) stacks alive
+        return Trajectory(times, np.ascontiguousarray(psi), np.ascontiguousarray(psi_dot),
+                          gamma, gamma_dot, np.asarray(energies), theta, drift)
 
 
 def _build_system(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
@@ -650,8 +659,7 @@ def integrate(initial, tier: str, cfg: IntegratorConfig, params: ModelParams,
     except Exception:
         system.finish()          # the samples taken before the failure come first
         raise
-    times, states, diags = system.finish()
-    return Trajectory(times=np.array(times), states=states, diagnostics=diags)
+    return system.finish()
 
 
 def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:

@@ -574,6 +574,34 @@ def test_fd_flow_inverts_gamma_once_per_moved_gamma(rng, monkeypatch, n):
         assert getattr(flow, name).tobytes() == getattr(reference, name).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fd_flow_builds_the_ladder_once_per_moved_point(rng, monkeypatch, n):
+    # one set of ladder pieces serves the 2 n pi and 2 n^2 pi_gamma
+    # evaluations; each of the 2 n psi and 2 n^2 gamma evaluations builds its
+    # own, and the flow keeps the bits of every evaluation building its own
+    params = full_params()
+    real_ext, real_pieces = canonical._hamiltonian_ext, canonical._ladder_pieces
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_pieces(*args, **kwargs)
+
+    for _ in range(20):
+        point, chi = legendre_regular(random_state(rng, n), params), rand_herm(rng, n)
+        monkeypatch.setattr(canonical, "_hamiltonian_ext",
+                            lambda *args, ladder=None, **kwargs: real_ext(*args, **kwargs))
+        reference = hamilton_flow_check(point, params, chi)
+        monkeypatch.setattr(canonical, "_hamiltonian_ext", real_ext)
+        monkeypatch.setattr(canonical, "_ladder_pieces", counted)
+        calls.clear()
+        flow = hamilton_flow_check(point, params, chi)
+        monkeypatch.setattr(canonical, "_ladder_pieces", real_pieces)
+        assert len(calls) == 1 + 2 * n + 2 * n * n
+        for name in ("psi_dot", "pi_dot", "gamma_dot", "pi_gamma_dot"):
+            assert getattr(flow, name).tobytes() == getattr(reference, name).tobytes()
+
+
 def test_hamiltonian_conserved_along_fd_flow(rng):
     # integrating the finite-difference canonical flow itself keeps the
     # Hamiltonian within 1e-5 relative over 1e3 small steps
@@ -618,7 +646,7 @@ def test_implicit_midpoint_symplectic_smoke():
     cfg = IntegratorConfig(dt=dt, t_end=n_steps * dt, method="implicit_midpoint",
                            sample_stride=500)
     traj = integrate(state, "second_order", cfg, params, chi)
-    energies = traj.series("energy")
+    energies = traj.energy
     drift = np.abs(energies - energies[0])
     # the Hamiltonian is a quadratic invariant, so the midpoint rule keeps it
     # to stage-solver accuracy over the whole run; a non-symplectic method of

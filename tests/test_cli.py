@@ -345,6 +345,29 @@ def test_bad_charge_generator_refused_before_anything_runs(tmp_path, capsys, com
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("drift, accepted", [(5e-10, True), (2e-9, False)])
+def test_generator_tolerance_is_the_one_of_every_form(tmp_path, capsys, drift, accepted):
+    # the loader classifies a generator against HERM_TOL_FACTOR = 1e-9: at
+    # drift 5e-10 it is Hermitian, at 2e-9 it is refused, exit 2
+    a = np.array([[1.0, drift / 2.0], [-drift / 2.0, 1.0]])
+    sc = {
+        "model_tier": "full",
+        "params": {"alpha1": 0.4, "alpha2": 0.3, "alpha6": 0.9, "alpha7": 0.25},
+        "initial": {"psi0": vec([0.5, 0.3j]), "psi_dot0": vec([0.1, 0.0]),
+                    "gamma0": mat(np.eye(2))},
+        "integrator": {"dt": 1e-3, "t_end": 0.01},
+        "outputs": ["charges"],
+        "generators": [{"label": "a", "matrix": mat(a)}],
+    }
+    path = write(tmp_path, "g", sc)
+    if accepted:
+        assert load_scenario(path).generators[0][0] == "a"
+        assert main(["charges", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    else:
+        assert main(["charges", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert "neither Hermitian nor antihermitian" in capsys.readouterr().err
+
+
 def _non_finite_field(field: str, value: float):
     """An edit putting ``value`` into one entry of the array literal ``field``."""
     bad_vec, bad_mat = vec([1.0, 0.0]), mat(np.eye(2))

@@ -11,7 +11,7 @@ from hermiton.diagnostics import (
 )
 from hermiton.errors import SingularTransform, WrongSymmetryClass
 from hermiton.hermitian_algebra import hermitian_basis, hermiticity_drift
-from hermiton.integrate import IntegratorConfig, integrate
+from hermiton.integrate import IntegratorConfig, Trajectory, integrate
 from hermiton.models import FullState, ModelParams, theta1
 
 from conftest import full_params, rand_herm, rand_pd, rand_vec
@@ -229,9 +229,8 @@ class TestMonitor:
                           gamma=gamma, gamma_dot=np.zeros((n, n)))
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=100)
         traj = integrate(state, "schrodinger", cfg, params, chi)
-        reports = monitor(traj, params, chi, gamma0=gamma,
-                          generators=[("N", gamma)])
-        summary = drift_summary(reports)
+        _, _, charges = monitor(traj, params, gamma0=gamma, generators=[("N", gamma)])
+        summary = drift_summary(traj, ["N"], charges)
         assert summary["energy"] < 1e-9
         assert summary["theta1"] < 1e-9
 
@@ -242,10 +241,11 @@ class TestMonitor:
                           gamma=rand_pd(rng, n), gamma_dot=np.zeros((n, n)))
         cfg = IntegratorConfig(dt=1e-2, t_end=0.2)
         traj = integrate(state, "full", cfg, params, np.zeros((n, n)))
-        reports = monitor(traj, params, np.zeros((n, n)),
-                          generators=[("H", np.eye(n)), ("A", 1j * np.eye(n))])
-        summary = drift_summary(reports)
+        _, _, charges = monitor(traj, params,
+                                generators=[("H", np.eye(n)), ("A", 1j * np.eye(n))])
+        summary = drift_summary(traj, ["H", "A"], charges)
         assert summary["energy"] == 0.0
+        assert list(summary["charges"]) == ["H", "A"]
         assert all(v == 0.0 for v in summary["charges"].values())
 
     def test_full_model_charge_conservation(self, rng):
@@ -257,11 +257,9 @@ class TestMonitor:
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=100)
         traj = integrate(state, "full", cfg, params, np.zeros((n, n)))
         gens = [("H1", rand_herm(rng, n)), ("A1", 1j * rand_herm(rng, n))]
-        reports = monitor(traj, params, np.zeros((n, n)), gamma0=state.gamma,
-                          generators=gens)
-        summary = drift_summary(reports)
+        _, _, charges = monitor(traj, params, gamma0=state.gamma, generators=gens)
+        summary = drift_summary(traj, ["H1", "A1"], charges)
         assert max(summary["charges"].values()) < 1e-8
-        assert summary["max_vw_defect"] < 1e-8
 
     def test_alpha5_commuting_generator_case(self, rng):
         # with alpha5 != 0 conservation holds for generators commuting with
@@ -276,8 +274,8 @@ class TestMonitor:
         traj = integrate(state, "schrodinger", cfg, params, chi)
         gens = [("D", np.diag([1.0, 0.0]).astype(complex)),
                 ("iD", 1j * np.diag([0.0, 1.0]).astype(complex))]
-        summary = drift_summary(monitor(traj, params, chi, generators=gens))
-        assert max(summary["charges"].values()) < 1e-9
+        _, _, charges = monitor(traj, params, generators=gens)
+        assert max(map(diagnostics.rel_drift, charges.T)) < 1e-9
 
     def test_generators_classified_once_and_checked_up_front(self, rng, monkeypatch):
         n = 2
@@ -288,24 +286,27 @@ class TestMonitor:
                          params, rand_herm(rng, n))
         for bad in (np.zeros((n, n)), np.array([[0.0, 1.0], [0.0, 0.0]])):
             with pytest.raises(WrongSymmetryClass):
-                monitor(traj, params, np.eye(n), generators=[("bad", bad)])
+                monitor(traj, params, generators=[("bad", bad)])
 
-        # recorded energy and theta1 are reused, never recomputed
+        # the summary reads the recorded energy and theta1 columns, never
+        # recomputes them
         def fail(*args):
             raise AssertionError("recomputed a recorded diagnostic")
 
         monkeypatch.setattr(diagnostics, "energy", fail)
         monkeypatch.setattr(diagnostics, "theta1", fail)
-        reports = monitor(traj, params, np.eye(n), generators=[("H", np.eye(n))])
-        assert [r.energy for r in reports] == list(traj.series("energy"))
+        _, _, charges = monitor(traj, params, generators=[("H", np.eye(n))])
+        summary = drift_summary(traj, ["H"], charges)
+        assert summary["energy"] == diagnostics.rel_drift(traj.energy)
+        assert summary["theta1"] == diagnostics.rel_drift(traj.theta1)
+        assert summary["max_herm_drift"] == traj.herm_drift.max()
 
     def test_empty_trajectory_rejected(self):
-        class Fake:
-            states = []
-            diagnostics = []
-
+        empty = Trajectory(times=np.zeros(0), psi=np.zeros((0, 1)), psi_dot=np.zeros((0, 1)),
+                           gamma=np.zeros((0, 1, 1)), gamma_dot=np.zeros((0, 1, 1)),
+                           energy=np.zeros(0), theta1=np.zeros(0), herm_drift=np.zeros(0))
         with pytest.raises(ValueError):
-            monitor(Fake(), ModelParams(), np.eye(1))
+            monitor(empty, ModelParams())
 
 
 def reference_vw_defect(v, w) -> float:
@@ -324,8 +325,8 @@ def test_frozen_tier_vw_defect_is_round_off(rng):
     chi = rand_herm(rng, n)
     traj = integrate(state, "schrodinger", IntegratorConfig(dt=1e-2, t_end=1.0,
                                                             sample_stride=10), params, chi)
-    summary = drift_summary(monitor(traj, params, chi, generators=[("H", np.eye(n))]))
-    assert summary["max_vw_defect"] <= 1e-12
+    v, w, _ = monitor(traj, params, generators=[("H", np.eye(n))])
+    assert max(reference_vw_defect(v_k, w_k) for v_k, w_k in zip(v, w)) <= 1e-12
 
 
 class TestStackedMonitor:
@@ -344,43 +345,27 @@ class TestStackedMonitor:
             gens = ([(f"H{k}", b) for k, b in enumerate(hermitian_basis(n))]
                     + [(f"A{k}", 1j * b) for k, b in enumerate(hermitian_basis(n))]
                     + [("R", rand_herm(rng, n)), ("iR", 1j * rand_herm(rng, n))])
-            reports = monitor(traj, params, np.zeros((n, n)), gamma0=gamma0,
-                              generators=gens)
-            assert len(reports) == len(traj.states) == 11
-            for state, rep in zip(traj.states, reports):
-                v, w = reference_momentum_map(state, params, gamma0)
-                assert rep.V.tobytes() == v.tobytes()
-                assert rep.W.tobytes() == w.tobytes()
+            v, w, charges = monitor(traj, params, gamma0=gamma0, generators=gens)
+            assert v.shape == w.shape == (11, n, n)
+            assert charges.shape == (11, len(gens))
+            for k, state in enumerate(traj.states):
+                ref_v, ref_w = reference_momentum_map(state, params, gamma0)
+                assert v[k].tobytes() == ref_v.tobytes()
+                assert w[k].tobytes() == ref_w.tobytes()
                 # the charges come from one product over samples and
                 # generators, whose bits depend on its shape: they agree with
                 # the per-sample traces to round-off of their terms
-                assert [label for label, _ in rep.charges] == [label for label, _ in gens]
-                for (label, got), (_, a) in zip(rep.charges, gens):
+                for got, (label, a) in zip(charges[k], gens):
                     hermitian = label.startswith(("H", "R"))
-                    terms = np.sum(np.abs(v if hermitian else w) * np.abs(a).T)
-                    assert abs(got - reference_charge(v, w, a, hermitian)) <= 1e-14 * terms
+                    terms = np.sum(np.abs(ref_v if hermitian else ref_w) * np.abs(a).T)
+                    assert abs(got - reference_charge(ref_v, ref_w, a, hermitian)) <= 1e-14 * terms
                     assert abs(got - noether_charge(state, params, gamma0, a)) <= 1e-14 * terms
                 one_v, one_w = noether_tensors(state, params, gamma0)
-                assert one_v.tobytes() == rep.V.tobytes()
-                assert one_w.tobytes() == rep.W.tobytes()
-            summary = drift_summary(reports)
+                assert one_v.tobytes() == v[k].tobytes()
+                assert one_w.tobytes() == w[k].tobytes()
+            summary = drift_summary(traj, [label for label, _ in gens], charges)
             assert summary["max_vw_defect"] == max(
-                reference_vw_defect(r.V, r.W) for r in reports)
-
-    def test_summary_takes_the_defects_the_monitor_computed(self, rng, monkeypatch):
-        params, traj = self.trajectory(rng, 3)
-        reports = monitor(traj, params, np.zeros((3, 3)), generators=[("H", np.eye(3))])
-        # the monitor writes 0.0 without computing it; the defect of the
-        # tensors it returns must be that value
-        for rep in reports:
-            assert rep.vw_defect == reference_vw_defect(rep.V, rep.W) == 0.0
-
-        def fail(*args, **kwargs):
-            raise AssertionError("drift_summary recomputed a V/W defect")
-
-        monkeypatch.setattr(np.linalg, "norm", fail)
-        summary = drift_summary(reports)
-        assert summary["max_vw_defect"] == max(rep.vw_defect for rep in reports)
+                reference_vw_defect(v_k, w_k) for v_k, w_k in zip(v, w))
 
     def test_inversions_independent_of_sample_count(self, rng, monkeypatch):
         counts = []
@@ -394,9 +379,9 @@ class TestStackedMonitor:
                 return inv(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, "inv", counted)
-            monitor(traj, params, np.zeros((3, 3)), generators=[("H", np.eye(3))])
+            monitor(traj, params, generators=[("H", np.eye(3))])
             monkeypatch.setattr(np.linalg, "inv", inv)
-            counts.append((len(traj.states), len(calls)))
+            counts.append((traj.times.size, len(calls)))
         assert counts == [(6, 2), (21, 2)]     # gamma0 once, the stack once
 
 
@@ -420,12 +405,10 @@ class TestMomentumMap:
     @pytest.mark.parametrize("n", [2, 5])
     def test_v_and_w_exactly_hermitian_on_a_full_trajectory(self, rng, n):
         params, traj = TestStackedMonitor.trajectory(rng, n)
-        reports = monitor(traj, params, np.zeros((n, n)), generators=[("H", np.eye(n))])
-        for rep in reports:
-            assert rep.vw_defect == 0.0
-            assert np.array_equal(rep.V, rep.V.conj().T)
-            assert np.array_equal(rep.W, rep.W.conj().T)
-        assert drift_summary(reports)["max_vw_defect"] == 0.0
+        v, w, charges = monitor(traj, params, generators=[("H", np.eye(n))])
+        assert np.array_equal(v, v.conj().transpose(0, 2, 1))
+        assert np.array_equal(w, w.conj().transpose(0, 2, 1))
+        assert drift_summary(traj, ["H"], charges)["max_vw_defect"] == 0.0
 
 
 class TestConservedQuantities:
@@ -477,3 +460,21 @@ class TestGeneratorClass:
         assert diagnostics._is_hermitian(np.zeros((3, 3))) is None
         with pytest.raises(WrongSymmetryClass):
             diagnostics._is_hermitian(scale * (h + 1e-6 * 1j * off))
+
+    @pytest.mark.parametrize("drift, hermitian", [(5e-10, True), (2e-9, False)])
+    def test_the_tolerance_of_every_form(self, rng, drift, hermitian):
+        # a generator is classified against HERM_TOL_FACTOR = 1e-9, the test
+        # every form takes: one at drift 5e-10 is Hermitian and gets its
+        # charge, one at 2e-9 is of neither class and is refused
+        n = 2
+        a = np.array([[1.0, drift / 2.0], [-drift / 2.0, 1.0]])
+        assert hermiticity_drift(a) == pytest.approx(drift, rel=1e-6)
+        params, traj = TestStackedMonitor.trajectory(rng, n)
+        if hermitian:
+            assert diagnostics._is_hermitian(a) is True
+            _, _, charges = monitor(traj, params, generators=[("a", a)])
+            _, _, exact = monitor(traj, params, generators=[("I", np.eye(n))])
+            assert np.max(np.abs(charges - exact)) <= 1e-9 * np.max(np.abs(exact))
+        else:
+            with pytest.raises(WrongSymmetryClass):
+                monitor(traj, params, generators=[("a", a)])

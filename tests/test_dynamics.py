@@ -369,7 +369,7 @@ def test_geodesic_hermiticity_over_long_run(rng):
                       gamma_dot=g @ e)
     cfg = IntegratorConfig(dt=1e-4, t_end=1.0, sample_stride=1000)
     traj = integrate(state, "gamma_geodesic", cfg, params)
-    assert float(traj.series("herm_drift").max()) < 1e-8
+    assert float(traj.herm_drift.max()) < 1e-8
 
 
 def test_direct_nonlinear_includes_potential(rng):

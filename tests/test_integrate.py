@@ -52,7 +52,7 @@ class TestFixedStep:
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=100)
         traj = integrate(state, "schrodinger", cfg, params, chi)
         exact = exact_schrodinger(psi0, np.linalg.solve(gamma, chi), 1.0, 1.0)
-        assert np.max(np.abs(traj.final_state.psi - exact)) < 1e-9
+        assert np.max(np.abs(traj.psi[-1] - exact)) < 1e-9
 
     def test_gamma_geodesic_matches_exponential(self, rng):
         n = 2
@@ -64,7 +64,7 @@ class TestFixedStep:
                           gamma=g, gamma_dot=g @ e)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=200)
         traj = integrate(state, "gamma_geodesic", cfg, params)
-        assert np.max(np.abs(traj.final_state.gamma - exact_gamma(sol, 1.0))) < 1e-7
+        assert np.max(np.abs(traj.gamma[-1] - exact_gamma(sol, 1.0))) < 1e-7
 
     def test_constant_trajectory(self, rng):
         n = 2
@@ -73,24 +73,57 @@ class TestFixedStep:
         params = ModelParams(alpha1=1.0, alpha2=0.5, alpha6=1.0, alpha7=0.1)
         cfg = IntegratorConfig(dt=1e-2, t_end=0.5)
         traj = integrate(state, "full", cfg, params, np.zeros((n, n)))
-        assert np.max(np.abs(traj.final_state.psi - state.psi)) < 1e-13
-        assert np.max(np.abs(traj.final_state.gamma - state.gamma)) < 1e-13
+        assert np.max(np.abs(traj.psi[-1] - state.psi)) < 1e-13
+        assert np.max(np.abs(traj.gamma[-1] - state.gamma)) < 1e-13
 
     def test_trajectory_invariants(self, rng):
         params, gamma, chi, psi0, state = schrodinger_setup(rng)
         cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_stride=5)
         traj = integrate(state, "schrodinger", cfg, params, chi)
         assert np.all(np.diff(traj.times) > 0)
-        assert len(traj.states) == traj.times.size == len(traj.diagnostics)
+        count, n = traj.times.size, psi0.size
+        assert traj.psi.shape == traj.psi_dot.shape == (count, n)
+        assert traj.gamma.shape == traj.gamma_dot.shape == (count, n, n)
         for key in ("energy", "theta1", "herm_drift"):
-            assert key in traj.diagnostics[0]
+            assert getattr(traj, key).shape == (count,)
+            assert getattr(traj, key).dtype == np.float64
 
     def test_trajectory_count_validation(self):
+        def stacks(count, times):
+            return dict(times=np.array(times), psi=np.zeros((count, 1)),
+                        psi_dot=np.zeros((count, 1)), gamma=np.ones((count, 1, 1)),
+                        gamma_dot=np.zeros((count, 1, 1)), energy=np.zeros(count),
+                        theta1=np.zeros(count), herm_drift=np.zeros(count))
+
+        assert Trajectory(**stacks(2, [0.0, 1.0])).times.size == 2
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0]), states=[None], diagnostics=[{}])
+            Trajectory(**stacks(1, [0.0, 1.0]))
+        for name in ("psi", "gamma_dot", "herm_drift"):
+            short = stacks(2, [0.0, 1.0])
+            short[name] = short[name][:1]
+            with pytest.raises(ValueError):
+                Trajectory(**short)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]), states=[None, None],
-                       diagnostics=[{}, {}])
+            Trajectory(**stacks(2, [0.0, 0.0]))
+
+    def test_states_are_views_with_the_bits_of_the_stacks(self, rng):
+        # built once, on first access: one FullState per sample whose blocks
+        # are rows of the stacks and whose t is the sample time
+        params = ModelParams(alpha1=0.4, alpha2=0.3, alpha6=0.9, alpha7=0.25)
+        n = 3
+        state = FullState(psi=rand_vec(rng, n), psi_dot=rand_vec(rng, n, 0.3),
+                          gamma=rand_pd(rng, n), gamma_dot=rand_herm(rng, n, 0.2))
+        traj = integrate(state, "full", IntegratorConfig(dt=1e-2, t_end=0.1, sample_stride=2),
+                         params, rand_herm(rng, n))
+        states = traj.states
+        assert traj.states is states and len(states) == traj.times.size == 6
+        for k, s in enumerate(states):
+            assert type(s) is FullState and type(s.t) is float
+            assert s.t == traj.times[k]
+            for block in ("psi", "psi_dot", "gamma", "gamma_dot"):
+                row = getattr(traj, block)[k]
+                assert getattr(s, block).tobytes() == row.tobytes()
+                assert np.shares_memory(getattr(s, block), getattr(traj, block))
 
 
 class TestAdaptive:
@@ -101,7 +134,7 @@ class TestAdaptive:
         traj = integrate(state, "schrodinger", cfg, params, chi)
         exact = exact_schrodinger(psi0, np.linalg.solve(gamma, chi), 1.0, 1.0)
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(traj.final_state.psi - exact)) < 1e-7
+        assert np.max(np.abs(traj.psi[-1] - exact)) < 1e-7
 
     def test_rk45_adapts_step(self, rng):
         params, gamma, chi, psi0, state = schrodinger_setup(rng)
@@ -126,7 +159,7 @@ class TestAdaptive:
                                sample_stride=stride)
         traj = integrate(state, "schrodinger", cfg, params, np.zeros((2, 2)))
         assert traj.times.tolist() == [0.0, dt]
-        assert np.array_equal(traj.final_state.psi, psi0)
+        assert np.array_equal(traj.psi[-1], psi0)
 
     def test_run_shorter_than_1e_14_steps_to_its_end(self, rng):
         # the end-of-run tolerance is relative to the run's span: a span of
@@ -137,7 +170,7 @@ class TestAdaptive:
         assert len(traj.times) > 1
         assert traj.times[-1] == pytest.approx(5e-15, rel=1e-13)
         exact = exact_schrodinger(psi0, np.linalg.solve(gamma, chi), 1.0, 5e-15)
-        assert np.max(np.abs(traj.final_state.psi - exact)) < 1e-15
+        assert np.max(np.abs(traj.psi[-1] - exact)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -179,8 +212,8 @@ class TestResymmetrize:
                 t_struct = integrate(state, tier,
                                      IntegratorConfig(**base, resymmetrize_gamma=True),
                                      params, chi)
-                gap = max(np.max(np.abs(t_full.final_state.gamma - t_struct.final_state.gamma)),
-                          np.max(np.abs(t_full.final_state.psi - t_struct.final_state.psi)))
+                gap = max(np.max(np.abs(t_full.gamma[-1] - t_struct.gamma[-1])),
+                          np.max(np.abs(t_full.psi[-1] - t_struct.psi[-1])))
                 assert gap < 1e-12, (tier, n, gap)
 
     def test_drift_recorded_both_modes(self, rng):
@@ -194,7 +227,7 @@ class TestResymmetrize:
             cfg = IntegratorConfig(dt=1e-2, t_end=0.2,
                                    resymmetrize_gamma=structural)
             traj = integrate(state, "gamma_geodesic", cfg, params)
-            drifts = traj.series("herm_drift")
+            drifts = traj.herm_drift
             assert np.all(drifts >= 0.0) and drifts.max() < 1e-9
 
 
@@ -237,7 +270,7 @@ class TestFailures:
         cfg = IntegratorConfig(dt=0.1, t_end=1.0, method="implicit_midpoint")
         with np.errstate(all="ignore"):
             traj = integrate(state, "second_order", cfg, params, np.diag([1e300, -1e300]))
-            assert np.max(np.abs(traj.final_state.psi)) <= 1.0 + 1e-12
+            assert np.max(np.abs(traj.psi[-1])) <= 1.0 + 1e-12
             with pytest.raises(StepFailure, match=r"^\[second_order\] step failed: implicit "
                                                   r"midpoint stage Jacobian is non-finite") as err:
                 integrate(state, "second_order", cfg, params, np.diag([1e308, -1e308]))
@@ -660,8 +693,7 @@ def convergence_order(initial, tier: str, cfg: IntegratorConfig,
 
 
 def _final_vector(traj: Trajectory) -> np.ndarray:
-    state = traj.final_state
-    return np.concatenate([state.psi, state.psi_dot, state.gamma, state.gamma_dot],
+    return np.concatenate([traj.psi[-1], traj.psi_dot[-1], traj.gamma[-1], traj.gamma_dot[-1]],
                           axis=None, dtype=complex)
 
 
@@ -716,7 +748,7 @@ def test_modified_first_order_tier_runs(rng):
     chi = rand_herm(rng, n)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.3, sample_stride=50)
     traj = integrate(state, "modified_first_order", cfg, params, chi)
-    energies = traj.series("energy")
+    energies = traj.energy
     assert (energies.max() - energies.min()) < 1e-8 * max(1.0, abs(energies[0]))
 
 
@@ -735,7 +767,7 @@ def test_gamma_tiers_step_at_n32(rng, tier, params):
     traj = integrate(state, tier, IntegratorConfig(dt=1e-3, t_end=3e-3), params,
                      rand_herm(rng, n))
     assert np.allclose(traj.times, [0.0, 1e-3, 2e-3, 3e-3], rtol=0, atol=1e-15)
-    assert np.all(np.isfinite(traj.final_state.gamma))
+    assert np.all(np.isfinite(traj.gamma[-1]))
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45_adaptive", "implicit_midpoint"])
@@ -754,10 +786,9 @@ def test_full_tier_invariant_under_coupling_scaling(rng, method, structural):
     ref = integrate(state, "full", cfg, params, chi)
     got = integrate(state, "full", cfg, scale_couplings(params, s), chi)
     assert np.array_equal(got.times, ref.times)
-    for a, b in zip(got.states, ref.states):
-        for block in ("psi", "psi_dot", "gamma", "gamma_dot"):
-            assert np.array_equal(getattr(a, block), getattr(b, block))
-    assert np.array_equal(got.series("energy"), s * ref.series("energy"))
+    for block in ("psi", "psi_dot", "gamma", "gamma_dot"):
+        assert np.array_equal(getattr(got, block), getattr(ref, block))
+    assert np.array_equal(got.energy, s * ref.energy)
 
 
 def test_second_order_tier_with_gamma_tilde(rng):
@@ -791,7 +822,7 @@ def test_time_dependent_chi_callback(rng):
                       gamma=gamma, gamma_dot=np.zeros((n, n)))
     cfg = IntegratorConfig(dt=1e-3, t_end=0.5, sample_stride=100)
     traj = integrate(state, "schrodinger", cfg, params, chi)
-    th = traj.series("theta1")
+    th = traj.theta1
     assert (th.max() - th.min()) < 1e-10  # hermitian generator keeps the norm
 
 
@@ -1076,7 +1107,7 @@ def reference_record(system, tier, cfg, params, chi, t, y):
     state = FullState(psi=b["psi"], psi_dot=b["psi_dot"], gamma=hermitian_part(b["gamma"]),
                       gamma_dot=hermitian_part(b["gamma_dot"]), t=t)
     theta = theta1(b["psi"], state.gamma) if "psi" in stepped else 0.0
-    return state, {"t": t, "energy": energy(state, params, chi), "theta1": theta,
+    return state, {"energy": energy(state, params, chi), "theta1": theta,
                    "herm_drift": drift}
 
 
@@ -1146,17 +1177,17 @@ def test_stacked_record_matches_per_sample_record_bitwise(rng, monkeypatch, tier
         del samples[:]
         traj = integrate(initial, tier, cfg, params, chi)
         assert traj.times.tobytes() == np.array([t for _, t, _ in samples]).tobytes()
-        assert len(traj.states) == len(samples) > 2
-        for state, diag, (system, t, y) in zip(traj.states, traj.diagnostics, samples):
+        assert len(samples) > 2
+        for key in ("energy", "theta1", "herm_drift"):
+            assert getattr(traj, key).shape == (len(samples),)
+            assert getattr(traj, key).dtype == np.float64
+        for k, (system, t, y) in enumerate(samples):
             ref_state, ref_diag = reference_record(system, tier, cfg, params, chi, t, y)
-            assert type(state) is FullState and state.t == ref_state.t
             for block in ("psi", "psi_dot", "gamma", "gamma_dot"):
-                got, want = getattr(state, block), getattr(ref_state, block)
+                got, want = getattr(traj, block)[k], getattr(ref_state, block)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert diag.keys() == ref_diag.keys()
-            for key, value in ref_diag.items():
-                assert type(diag[key]) is float
-                assert np.float64(diag[key]).tobytes() == np.float64(value).tobytes()
+            for key in ("energy", "theta1", "herm_drift"):
+                assert getattr(traj, key)[k].tobytes() == np.float64(ref_diag[key]).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
