@@ -10,6 +10,11 @@ debug).
 Exit codes: 0 success, 2 validation failure (bad scenario, non-Hermitian
 matrices, degenerate kinetic operators, missing oracle), 3 step failure
 mid-run, 1 for a completed check run with failing verdicts.
+
+Each tabular output (the trajectory and oracle CSVs, the diagnostics and
+charges JSONL files) is streamed row by row from one line template per
+file, one ``%`` per row.  A JSONL line is the bytes of
+``json.dumps(record, sort_keys=True)``: its keys are encoded once per file.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,12 +54,55 @@ def _run_trajectory(s: Scenario) -> Trajectory:
                      s.chi, gamma_tilde=s.gamma_tilde)
 
 
+def _write_rows(path: Path, template: str, rows, head: str = "") -> None:
+    """Stream ``head``, then the line ``template % row`` for each of the
+    ``rows``, one line at a time."""
+    line = template + "\n"
+    with path.open("w") as fh:
+        fh.write(head)
+        fh.writelines(line % tuple(row) for row in rows)
+
+
 def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
     """The header line, then one line per row of the (S, C) float table,
     every entry as %.17g."""
-    template = ", ".join([_FLOAT_FMT] * len(header))
-    path.write_text("\n".join([", ".join(header), *(template % tuple(row)
-                                                   for row in table.tolist())]) + "\n")
+    _write_rows(path, ", ".join([_FLOAT_FMT] * len(header)), table.tolist(),
+                head=", ".join(header) + "\n")
+
+
+def _json_template(fields: dict) -> tuple[str, list]:
+    """The line of ``json.dumps(record, sort_keys=True)`` as a template, for
+    records whose leaves are float columns: ``fields`` maps each key to a
+    column or to a dict of the same kind.  Returns the template, with each
+    key encoded once by ``json.dumps``, % escaped as %%, in sort_keys order,
+    and each leaf a ``%s`` (a finite float's str is its JSON text), and the
+    columns in the template's order."""
+    parts, columns = [], []
+    for key, value in sorted(fields.items()):
+        if isinstance(value, dict):
+            text, inner = _json_template(value)
+        else:
+            text, inner = "%s", [value]
+        parts.append(json.dumps(key).replace("%", "%%") + ": " + text)
+        columns += inner
+    return "{" + ", ".join(parts) + "}", columns
+
+
+def _json_row(row: tuple) -> tuple:
+    """A row as ``json.dumps`` spells its values: NaN and +-Infinity where
+    ``%s`` would write nan and inf."""
+    return row if all(map(math.isfinite, row)) else tuple(map(json.dumps, row))
+
+
+def _write_jsonl(path: Path, fields: dict) -> None:
+    """One line per sample, the bytes of ``json.dumps(record, sort_keys=True)``
+    for the record of ``fields`` (see :func:`_json_template`) at that sample."""
+    template, columns = _json_template(fields)
+    # rows zipped from the column lists: no stacked (S, C) copy is made
+    rows = zip(*[column.tolist() for column in columns])
+    if not all(np.isfinite(column).all() for column in columns):
+        rows = map(_json_row, rows)
+    _write_rows(path, template, rows)
 
 
 def _trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -68,17 +117,14 @@ def _trajectory_csv(traj: Trajectory, path: Path) -> None:
                                             traj.theta1, traj.herm_drift]))
 
 
-def _sample_columns(traj: Trajectory):
-    """(t, energy, theta1, herm_drift) of each sample, as Python floats."""
-    return zip(traj.times.tolist(), traj.energy.tolist(), traj.theta1.tolist(),
-               traj.herm_drift.tolist())
+def _diagnostic_fields(traj: Trajectory) -> dict:
+    """The diagnostics record's key of each per-sample column."""
+    return {"t": traj.times, "energy": traj.energy, "theta1": traj.theta1,
+            "herm_drift": traj.herm_drift}
 
 
 def _diagnostics_jsonl(traj: Trajectory, path: Path) -> None:
-    with path.open("w") as fh:
-        for t, e, th, d in _sample_columns(traj):
-            fh.write(json.dumps({"t": t, "energy": e, "theta1": th, "herm_drift": d},
-                                sort_keys=True) + "\n")
+    _write_jsonl(path, _diagnostic_fields(traj))
 
 
 def _generators(s: Scenario) -> list:
@@ -103,11 +149,8 @@ def _charges_jsonl(traj: Trajectory, s: Scenario, out_dir: Path) -> str:
     generators = _generators(s)
     labels = [label for label, _ in generators]
     _, _, charges = diagnostics.monitor(traj, s.params, s.gamma0, generators)
-    with (out_dir / f"{s.name}_charges.jsonl").open("w") as fh:
-        for (t, e, th, d), values in zip(_sample_columns(traj), charges.tolist()):
-            fh.write(json.dumps({"t": t, "energy": e, "theta1": th, "herm_drift": d,
-                                 "charges": dict(zip(labels, values))},
-                                sort_keys=True) + "\n")
+    _write_jsonl(out_dir / f"{s.name}_charges.jsonl",
+                 {**_diagnostic_fields(traj), "charges": dict(zip(labels, charges.T))})
     return _write_report(out_dir / f"{s.name}_charge_summary.json",
                          diagnostics.drift_summary(traj, labels, charges))
 

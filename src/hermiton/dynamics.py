@@ -122,13 +122,13 @@ def _apply_omega_dot(psi, psid, ginv, gamma_dot, params: ModelParams, x) -> np.n
     x = np.asarray(x, dtype=complex)
     p = p_tensor(psi, None, params.alpha9, ginv)
     pdot = _p_dot(psi, psid, ginv, gamma_dot, params.alpha9)
-    out = params.alpha6 * (pdot @ x @ p + p @ x @ pdot)
-    out += params.alpha7 * (np.trace(pdot @ x) * p + np.trace(p @ x) * pdot)
+    out = params.alpha6 * (pdot.dot(x).dot(p) + p.dot(x).dot(pdot))
+    out += params.alpha7 * (np.trace(pdot.dot(x)) * p + np.trace(p.dot(x)) * pdot)
     if params.alpha8 != 0.0:
         rank1 = np.outer(psi, np.conj(psi))
         rank1_dot = np.outer(psid, np.conj(psi)) + np.outer(psi, np.conj(psid))
-        quad = np.conj(psi) @ x @ psi
-        quad_dot = np.conj(psid) @ x @ psi + np.conj(psi) @ x @ psid
+        quad = np.conj(psi).dot(x).dot(psi)
+        quad_dot = np.conj(psid).dot(x).dot(psi) + np.conj(psi).dot(x).dot(psid)
         out += params.alpha8 * (quad_dot * rank1 + quad * rank1_dot)
     return out
 
@@ -220,8 +220,8 @@ class _ResidualPieces:
         prm = self.params
         heff = (self.fprime - prm.alpha4) * np.eye(self.psi.size, dtype=complex) \
             + self.c_gd * self.ginv_gd
-        heff -= prm.alpha5 * (self.ginv @ chi)
-        heff -= (2.0 * prm.alpha9 * prm.alpha6) * (self.ginv_gd @ self.pgd)
+        heff -= prm.alpha5 * self.ginv.dot(chi)
+        heff -= (2.0 * prm.alpha9 * prm.alpha6) * self.ginv_gd.dot(self.pgd)
         return heff
 
     def gamma_residual(self, gamma_ddot=None):

@@ -1,10 +1,12 @@
 import argparse
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from hermiton import cli, diagnostics
 from hermiton.cli import main
 from hermiton.dynamics import rhs_direct_nonlinear_raw
 from hermiton.integrate import STEPPED_BLOCKS
@@ -803,3 +805,113 @@ class TestCharges:
         assert lines and "charges" in json.loads(lines[0])
         summary = json.loads((tmp_path / "chg_charge_summary.json").read_text())
         assert "charges" in summary
+
+
+SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, -1e-300, 0.1]
+#: keys that json escapes (", \, non-ASCII), that % formatting reads (%),
+#: and whose sorted order is not their numeric one (A10 < A2)
+ODD_LABELS = ["A2", "A10", "50%", "%s", "%(x)s", 'q"uote', "back\\slash", "ψ̇_ℏ", "H0"]
+
+
+def _record(fields, row):
+    """The record of ``fields`` (key: column index, or a dict of the same
+    kind) at one row of a table."""
+    return {key: _record(value, row) if isinstance(value, dict) else row[value]
+            for key, value in fields.items()}
+
+
+class TestWriters:
+    """The row writer against per-line json.dumps and one joined CSV string."""
+
+    @pytest.mark.parametrize("non_finite", [False, True])
+    def test_jsonl_bytes_are_json_dumps(self, tmp_path, rng, non_finite):
+        fields = {"t": 0, "energy": 1, "theta1": 2, "herm_drift": 3,
+                  "charges": {label: 4 + j for j, label in enumerate(ODD_LABELS)}}
+        scale = 10.0 ** rng.integers(-300, 300, (12, 1))
+        table = rng.normal(size=(12, 4 + len(ODD_LABELS))) * scale
+        if non_finite:
+            # one special value per row, and a wholly finite row between them
+            for i, value in enumerate(SPECIAL):
+                table[i, i % table.shape[1]] = value
+            table[len(SPECIAL) + 1, 5] = -0.0
+        columns = [table[:, k] for k in range(table.shape[1])]
+        leaves = {key: columns[value] if isinstance(value, int)
+                  else {label: columns[k] for label, k in value.items()}
+                  for key, value in fields.items()}
+        path = tmp_path / "rows.jsonl"
+        cli._write_jsonl(path, leaves)
+        expected = "".join(json.dumps(_record(fields, row), sort_keys=True) + "\n"
+                           for row in table.tolist())
+        assert path.read_bytes() == expected.encode()
+
+    def test_csv_bytes_are_the_joined_lines(self, tmp_path, rng):
+        table = rng.normal(size=(9, 5)) * 10.0 ** rng.integers(-300, 300, (9, 1))
+        for i, value in enumerate(SPECIAL):
+            table[i, i % 5] = value
+        header = ["t", "Re(psi_1)", "50%", "energy", "herm_drift"]
+        template = ", ".join(["%.17g"] * 5)
+        joined = "\n".join([", ".join(header), *(template % tuple(row)
+                                                for row in table.tolist())]) + "\n"
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, header, table)
+        assert path.read_text() == joined
+
+    def _charges_run(self, tmp_path, t_end):
+        # n = 4: the default generators are H0 ... H15 and A0 ... A15, G = 32
+        sc = schrodinger_scenario(
+            chi="diag:[1, 2, 3, 4]", initial={"psi0": vec([1.0, 0.5, 0.0, 0.25])},
+            integrator={"method": "rk4", "dt": 1e-3, "t_end": t_end, "sample_stride": 1})
+        s = load_scenario(write(tmp_path, "chg", sc))
+        return s, cli._run_trajectory(s)
+
+    def test_charges_jsonl_encodes_each_key_once(self, tmp_path, monkeypatch):
+        dumps = json.dumps
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        counts = []
+        for t_end in (0.002, 0.05):
+            s, traj = self._charges_run(tmp_path, t_end)
+            calls.clear()
+            cli._charges_jsonl(traj, s, tmp_path)
+            counts.append(len(calls))
+        # t, energy, theta1, herm_drift, charges, the 32 labels, and the summary
+        assert counts == [5 + 32 + 1] * 2
+
+    def test_charges_jsonl_streams(self, tmp_path, monkeypatch):
+        """The writer's allocation peak at S = 101, G = 32 stays within 1.25
+        times that of a writer that formats each line with json.dumps and
+        holds one line at a time: the file is never built as one string."""
+        s, traj = self._charges_run(tmp_path, 0.1)
+        labels = [label for label, _ in cli._generators(s)]
+        monitored = diagnostics.monitor(traj, s.params, s.gamma0, cli._generators(s))
+        assert (traj.times.size, len(labels)) == (101, 32)
+        monkeypatch.setattr(diagnostics, "monitor", lambda *args: monitored)
+
+        def per_line(traj, s, out_dir):
+            charges = diagnostics.monitor()[2]
+            with (out_dir / f"{s.name}_charges.jsonl").open("w") as fh:
+                for t, e, th, d, values in zip(
+                        traj.times.tolist(), traj.energy.tolist(), traj.theta1.tolist(),
+                        traj.herm_drift.tolist(), charges.tolist()):
+                    fh.write(json.dumps({"t": t, "energy": e, "theta1": th, "herm_drift": d,
+                                         "charges": dict(zip(labels, values))},
+                                        sort_keys=True) + "\n")
+            return cli._write_report(out_dir / f"{s.name}_charge_summary.json",
+                                     diagnostics.drift_summary(traj, labels, charges))
+
+        peaks, outputs = [], []
+        for writer, out in ((per_line, tmp_path / "ref"), (cli._charges_jsonl, tmp_path / "new")):
+            out.mkdir()
+            writer(traj, s, out)          # warm: first-call allocations aside
+            tracemalloc.start()
+            writer(traj, s, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            outputs.append((out / "chg_charges.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert peaks[1] <= 1.25 * peaks[0], peaks

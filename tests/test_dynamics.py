@@ -767,6 +767,57 @@ class TestFactorizations:
         assert counts == {"inv": 1, "det": 0, "solve": 0}
 
 
+
+def _omega_dot_matmul(psi, psid, ginv, gamma_dot, params, x):
+    """``dynamics._apply_omega_dot`` as it was written with ``@``."""
+    p = models.p_tensor(psi, None, params.alpha9, ginv)
+    pdot = dynamics._p_dot(psi, psid, ginv, gamma_dot, params.alpha9)
+    out = params.alpha6 * (pdot @ x @ p + p @ x @ pdot)
+    out += params.alpha7 * (np.trace(pdot @ x) * p + np.trace(p @ x) * pdot)
+    rank1 = np.outer(psi, np.conj(psi))
+    rank1_dot = np.outer(psid, np.conj(psi)) + np.outer(psi, np.conj(psid))
+    quad = np.conj(psi) @ x @ psi
+    quad_dot = np.conj(psid) @ x @ psi + np.conj(psi) @ x @ psid
+    return out + params.alpha8 * (quad_dot * rank1 + quad * rank1_dot)
+
+
+def _effective_hamiltonian_matmul(pieces, chi):
+    """``_ResidualPieces.effective_hamiltonian`` as it was written with ``@``."""
+    prm = pieces.params
+    heff = (pieces.fprime - prm.alpha4) * np.eye(pieces.psi.size, dtype=complex) \
+        + pieces.c_gd * pieces.ginv_gd
+    heff -= prm.alpha5 * (pieces.ginv @ chi)
+    heff -= (2.0 * prm.alpha9 * prm.alpha6) * (pieces.ginv_gd @ pieces.pgd)
+    return heff
+
+
+class TestDotKeepsMatmulBits:
+    """The kernels that moved from ``@`` to ``ndarray.dot`` give the bits of
+    their ``@`` form, 1-D chains (psi^ x psi) included."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_apply_omega_dot(self, rng, n):
+        params = full_params()       # alpha8 != 0: the 1-D chains run
+        for _ in range(5):
+            psi, psid = rand_vec(rng, n), rand_vec(rng, n)
+            ginv = invert_form(rand_pd(rng, n))
+            gamma_dot, x = rand_herm(rng, n), rand_herm(rng, n)
+            got = dynamics._apply_omega_dot(psi, psid, ginv, gamma_dot, params, x)
+            ref = _omega_dot_matmul(psi, psid, ginv, gamma_dot, params, x)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_effective_hamiltonian(self, rng, n):
+        params = full_params(alpha2=0.0)
+        for _ in range(5):
+            gamma = rand_pd(rng, n)
+            pieces = dynamics._ResidualPieces(rand_vec(rng, n), gamma, rand_herm(rng, n),
+                                              params, invert_form(gamma))
+            chi = rand_herm(rng, n)
+            got = pieces.effective_hamiltonian(chi)
+            assert got.tobytes() == _effective_hamiltonian_matmul(pieces, chi).tobytes()
+
+
 SCALES = [pytest.param(2.0 ** e, id=f"s=2^{e}") for e in (-300, -40, 40, 300)]
 
 
