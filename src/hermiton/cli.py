@@ -32,7 +32,7 @@ import numpy as np
 
 from . import canonical, diagnostics, dynamics, oracles
 from .errors import HermitonError, NoOracleForTier, ScenarioError, StepFailure
-from .hermitian_algebra import hermitian_basis, hermiticity_drift
+from .hermitian_algebra import hermitian_basis, invert_form
 from .integrate import STEPPED_BLOCKS, Trajectory, integrate
 from .models import FullState
 from .scenario import Scenario, encode_pairs, load_scenario
@@ -228,7 +228,7 @@ def _smooth_path_near(s: Scenario, rng: np.random.Generator):
     amp = 0.05
     herm = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     herm = amp * (herm + herm.conj().T) / 2.0
-    psi0 = s.psi0 if np.linalg.norm(s.psi0) else np.ones(n, dtype=complex)
+    psi0 = s.psi0 if s.psi0.any() else np.ones(n, dtype=complex)
 
     def psi_fn(t):
         return psi0 * (1.0 + amp * np.sin(freq_psi * t))
@@ -301,34 +301,32 @@ def cmd_reduce(s: Scenario, out_dir: Path) -> int:
 
 
 def _exact_solution(s: Scenario):
-    """(labels, the compared Trajectory block, "psi" or "gamma", the exact
-    block at elapsed time t) of the scenario's exact solution;
-    NoOracleForTier when it has none.  The Schrodinger solution covers only
-    the plain flow 2i alpha1 Gamma psid = -alpha5 chi psi: alpha1 and alpha5
-    nonzero, no alpha4, potential or forcing."""
+    """(labels, the compared Trajectory block, the exact block at elapsed
+    time t): exp(tA) y0 with A the operator the run steps (see ``oracles``).
+    NoOracleForTier on the other Gamma-stepping tiers and for a potential or
+    a forcing, which make the psi flow non-linear or affine."""
     n = s.n
-    # both solves take gamma0, which passed the condition test at load
     if s.model_tier == "gamma_geodesic":
-        sol = oracles.GammaExponentialSolution(
-            G=s.gamma0, E=np.linalg.solve(s.gamma0, s.gamma_dot0))
-        labels = [f"G_{a + 1}{b + 1}" for a in range(n) for b in range(n)]
-        return labels, "gamma", lambda t: oracles.exact_gamma(sol, t)
-    if s.model_tier == "schrodinger":
-        p = s.params
-        uncovered = [name for name, present in (
-            ("alpha1 = 0", p.alpha1 == 0.0),
-            ("alpha5 = 0", p.alpha5 == 0.0),
-            ("alpha4 != 0", p.alpha4 != 0.0),
-            ("a potential", p.effective_potential.kind != "none"),
-            ("forcing", p.forcing is not None)) if present]
-        if uncovered:
-            raise NoOracleForTier("the exact Schrodinger solution does not cover "
-                                  f"{', '.join(uncovered)}")
-        h = np.linalg.solve(s.gamma0, np.asarray(s.chi, dtype=complex))
-        hbar_eff = 2.0 * p.alpha1 / -p.alpha5
-        return ([f"abs_psi_{a + 1}" for a in range(n)], "psi",
-                lambda t: oracles.exact_schrodinger(s.psi0, h, hbar_eff, t))
-    raise NoOracleForTier(f"no exact solution for tier {s.model_tier!r}")
+        # gamma0 exp(t gamma0^-1 gamma_dot0) = exp(t gamma_dot0 gamma0^-1) gamma0
+        gen = s.gamma_dot0 @ invert_form(s.gamma0)
+        return ([f"G_{a + 1}{b + 1}" for a in range(n) for b in range(n)], "gamma",
+                lambda t: oracles.exact_linear(gen, s.gamma0, t))
+    if "gamma" in STEPPED_BLOCKS[s.model_tier]:
+        raise NoOracleForTier(f"no exact solution for tier {s.model_tier!r}")
+    p = s.params
+    reasons = [reason for reason, present in (
+        ("a potential makes the psi flow non-linear", p.effective_potential.kind != "none"),
+        ("forcing makes the psi flow affine", p.forcing is not None)) if present]
+    if reasons:
+        raise NoOracleForTier(f"no exact solution: {'; '.join(reasons)}")
+    second_order = s.model_tier == "second_order"
+    gen = dynamics._PreparedPsiRate(s.gamma0, p, s.chi, second_order, s.gamma_tilde).op
+    y0 = s.psi0
+    if second_order:       # the companion [[0, I], [rate]] on (psi, psi_dot)
+        gen = np.vstack((np.eye(n, 2 * n, n), gen))
+        y0 = np.concatenate((s.psi0, s.psi_dot0))
+    return ([f"abs_psi_{a + 1}" for a in range(n)], "psi",
+            lambda t: oracles.exact_linear(gen, y0, t)[:n])
 
 
 def cmd_oracle(s: Scenario, out_dir: Path) -> int:

@@ -41,11 +41,6 @@ class ZeroAlpha2(HermitonError):
     full model then has the modified first-order system instead."""
 
 
-class NotGHermitian(HermitonError):
-    """Generator of an exponential scalar-product solution is not admissible
-    (the contracted form is not Hermitian)."""
-
-
 class SingularOperator(HermitonError):
     """The vectorized kinetic operator is singular or fails the condition
     test of ``SingularForm``; raised only by the oracle

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,10 @@ class IntegratorConfig:
             # below round-off, a step's error estimate is rounding noise
             raise ValueError(f"rel_tol must be at least the float64 epsilon {_EPS:.3e}, "
                              f"got {self.rel_tol:.3e}")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        for name in ("sample_stride", "max_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -701,7 +704,7 @@ def _advance(system: _System, tier: str, cfg: IntegratorConfig) -> None:
     t_last = cfg.t_end - max(1e-14 * (cfg.t_end - system.t0),
                              4.0 * np.spacing(max(abs(system.t0), abs(cfg.t_end))))
     while t < t_last:
-        if attempted == cfg.max_steps:
+        if attempted >= cfg.max_steps:
             raise StepFailure(f"[{tier}] exceeded max_steps: {attempted} steps attempted",
                               last_good_t=t)
         dt = min(dt, cfg.t_end - t)

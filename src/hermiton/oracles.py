@@ -1,12 +1,19 @@
 """Independent ground-truth generators.
 
-Exact solutions (matrix-exponential families for the scalar-product
-geodesics and for the frozen-product Schrodinger flow) and brute-force
-oracles (discretized-action gradients, vectorized inversion of the kinetic
-operator) used by the test suite and the ``oracle`` and ``check`` CLI
-commands.  These deliberately avoid the analytic shortcut being checked: the
-action gradient never calls the residual formulas, and the numeric kinetic
-inverse never uses the closed-form rank-2 solve.
+The exact flow of a linear tier (:func:`exact_linear`, exp(tA) y0) and
+brute-force oracles (discretized-action gradients, vectorized inversion of
+the kinetic operator) used by the test suite and the ``oracle`` and
+``check`` CLI commands.
+
+The ``oracle`` command takes A from the operator the run steps: the frozen
+tiers' prepared psi rate (its companion on ``second_order``), and
+gamma_dot0 gamma0^{-1} acting on gamma0 on ``gamma_geodesic``.  It holds
+the stepper and the recorder to the exact flow of that operator; the
+equation itself is held by ``check``'s action gradient and by Tier-1 tests,
+whose A is written out by hand.  The action gradient and the numeric
+kinetic inverse avoid the analytic shortcut being checked: the action
+gradient never calls the residual formulas, and the numeric kinetic inverse
+never uses the closed-form rank-2 solve.
 
 The action gradient evaluates the Lagrangian alone.  All its probes of one
 call are stacked: one set of FullState checks, one stacked inverse of gamma
@@ -23,15 +30,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NotGHermitian, SingularForm, SingularOperator
-from .hermitian_algebra import (
-    HERM_TOL_FACTOR,
-    _checked_inverse,
-    hermitian_basis,
-    hermitian_part,
-    hermiticity_drift,
-    matrix_exp,
-)
+from .errors import SingularForm, SingularOperator
+from .hermitian_algebra import _checked_inverse, hermitian_basis, hermitian_part, matrix_exp
 from .models import (
     ModelParams,
     _Blocks,
@@ -42,45 +42,16 @@ from .models import (
 )
 
 __all__ = [
-    "GammaExponentialSolution",
-    "exact_gamma",
-    "exact_schrodinger",
+    "exact_linear",
     "DiscretizedPath",
     "action_gradient_fd",
     "omega_inverse_numeric",
 ]
 
 
-@dataclass(frozen=True)
-class GammaExponentialSolution:
-    """Exponential solution family of the pure scalar-product geodesics:
-    gamma(t) = G exp(E t), admissible when G @ E is Hermitian, which keeps
-    gamma(t) Hermitian for all t.
-    """
-
-    G: np.ndarray
-    E: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.G, dtype=complex)
-        e = np.asarray(self.E, dtype=complex)
-        drift = hermiticity_drift(g @ e)
-        if drift > HERM_TOL_FACTOR:
-            raise NotGHermitian(f"generator is not admissible: contracted-form drift {drift:.3e}")
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "E", e)
-
-
-def exact_gamma(sol: GammaExponentialSolution, t: float) -> np.ndarray:
-    """gamma(t) of the exponential geodesic family."""
-    return sol.G @ matrix_exp(sol.E, t)
-
-
-def exact_schrodinger(psi0, h, hbar: float, t: float) -> np.ndarray:
-    """exp(-i H t / hbar) psi0 for a (constant) mixed Hamilton operator H."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    return matrix_exp(-1j * h / hbar, t) @ psi0
+def exact_linear(a, y0, t: float) -> np.ndarray:
+    """exp(t A) y0: the exact flow of y' = A y, for a vector or a matrix y0."""
+    return matrix_exp(a, t) @ y0
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
             for key, default in defaults.items()})
     except ValueError as exc:
         raise ScenarioError(f"bad integrator config: {exc}") from exc
+    if "resymmetrize_gamma" in integ and "gamma" not in blocks:
+        raise ScenarioError(f"integrator key 'resymmetrize_gamma' is read only by a tier that "
+                            f"steps gamma, not by {tier!r}")
 
     outputs = tuple(_typed(raw.get("outputs", ["trajectory", "diagnostics"]), list,
                            "scenario key 'outputs'"))

@@ -2,6 +2,7 @@ import argparse
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hermiton import cli, diagnostics
 from hermiton.cli import main
 from hermiton.dynamics import rhs_direct_nonlinear_raw
+from hermiton.hermitian_algebra import matrix_exp
 from hermiton.integrate import STEPPED_BLOCKS
 from hermiton.models import PotentialSpec
 from hermiton.scenario import (
@@ -207,6 +209,16 @@ def _with_forcing(kind, **extra):
         params={"preset": "schrodinger", "alpha2": 0.7 if tier == "full" else 0.0}))
       for tier in ("schrodinger", "direct_nonlinear", "gamma_geodesic", "full",
                    "modified_first_order")],
+    # resymmetrize_gamma is read only by a tier that steps gamma
+    *[_malformed(f"resymmetrize_gamma-{value}-on-{tier}",
+                 f"integrator key 'resymmetrize_gamma' is read only by a tier that steps "
+                 f"gamma, not by '{tier}'", lambda sc, tier=tier, value=value: (
+                     sc.update(model_tier=tier, params={
+                         "alpha1": 0.5, "alpha2": 1.0 if tier == "second_order" else 0.0,
+                         "alpha5": -1.0}),
+                     sc["integrator"].update(resymmetrize_gamma=value)))
+      for tier in ("schrodinger", "direct_nonlinear", "second_order")
+      for value in (False, True)],
     _malformed("generator-size", "generators[1]", lambda sc: sc.update(
         generators=[mat(np.eye(2)), mat(np.eye(3))])),
     # each charge is written under its label, so a label may appear once
@@ -753,6 +765,21 @@ class TestReduce:
         assert np.array_equal(decode_pairs(report["multipliers"], (2,), "multipliers"), flow)
 
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _oracle(tmp_path, capsys, name, sc):
+    """Run ``oracle`` on the scenario ``sc``: (exit code, stdout, stderr)."""
+    path = write(tmp_path, name, sc)
+    code = main(["oracle", "--scenario", str(path), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_FROZEN_G = np.array([[1.3, 0.2 + 0.1j], [0.2 - 0.1j, 1.1]])
+_ORACLE_COUPLINGS = {"alpha1": 0.5, "alpha2": 1.0, "alpha4": 0.3, "alpha5": -1.0}
+
+
 class TestOracle:
     def test_gamma_geodesic(self, tmp_path, capsys):
         path = write(tmp_path, "geo", geodesic_scenario())
@@ -767,33 +794,82 @@ class TestOracle:
         assert main(["oracle", "--scenario", str(path), "--out", str(tmp_path)]) == 0
         assert float(capsys.readouterr().out.strip().split()[-1]) < 1e-9
 
-    @pytest.mark.parametrize("params, named", [
-        ({"alpha1": 0.5}, "alpha5 = 0"),
-        ({"preset": "schrodinger", "alpha4": 0.3}, "alpha4"),
-        ({"preset": "schrodinger", "kappa": 0.5}, "a potential"),
-        ({"preset": "schrodinger",
-          "potential": {"kind": "quartic_shifted", "kappa": 0.1, "shift": 1.0}}, "a potential"),
-        ({"preset": "schrodinger",
-          "forcing": {"kind": "constant", "vector": vec([0.1, 0.0])}}, "forcing"),
+    # rho: a bound on the largest |eigenvalue| of the flow's generator A (for
+    # alpha5 = 0 it is the phase rate alpha4 / (2 alpha1) = 2 exactly)
+    @pytest.mark.parametrize("tier, params, rho, gamma_tilde", [
+        ("schrodinger", {"preset": "schrodinger", "alpha4": 0.3}, 1.7, None),
+        ("schrodinger", {"alpha1": 0.5, "alpha4": 2.0}, 2.0, None),
+        ("direct_nonlinear", {**_ORACLE_COUPLINGS, "alpha2": 0.0}, 1.7, None),
+        ("second_order", _ORACLE_COUPLINGS, 1.9, None),
+        ("second_order", _ORACLE_COUPLINGS, 2.4, np.diag([1.5, 0.8])),
+    ], ids=["schrodinger-alpha4", "schrodinger-alpha5-zero", "direct_nonlinear",
+            "second_order", "second_order-gamma_tilde"])
+    def test_linear_flow_is_matched_at_rk4_order(self, tmp_path, capsys, tier, params, rho,
+                                                 gamma_tilde):
+        # RK4's leading error on y' = A y over t_end is t_end rho^5 dt^4 / 120
+        # times max|y0| (= 1 here); the bound doubles it, and halving dt cuts
+        # the deviation at least 12x, near the 16x of order 4
+        initial = {"psi0": vec([1.0, 0.5j]), "gamma0": mat(_FROZEN_G)}
+        if tier == "second_order":
+            initial["psi_dot0"] = vec([0.2, -0.1j])
+        sc = {"model_tier": tier, "params": params, "chi": "diag:[1, 2]", "initial": initial}
+        if gamma_tilde is not None:
+            sc["gamma_tilde"] = mat(gamma_tilde)
+        deviations = []
+        for dt in (0.05, 0.025):
+            sc["integrator"] = {"method": "rk4", "dt": dt, "t_end": 1.0}
+            code, out, _ = _oracle(tmp_path, capsys, "lin", sc)
+            assert code == 0
+            deviations.append(float(out.split()[-1]))
+            assert deviations[-1] < 2.0 * 1.0 * rho ** 5 * dt ** 4 / 120.0
+        assert deviations[0] > 12.0 * deviations[1]
+
+    def test_schrodinger_exact_column_is_the_hamiltonian_exponential(self, tmp_path,
+                                                                     monkeypatch):
+        # the benchmark's oracle_schrodinger_n4 scenario: the CLI's exact
+        # column against exp(-i H t / hbar) psi0, H = gamma0^-1 chi and
+        # hbar = 2 alpha1 / -alpha5, written out here
+        monkeypatch.syspath_prepend(str(_REPO_ROOT))
+        from perfbench.scenarios import build_workload
+        cmd = build_workload("verify", 1, tmp_path / "scenarios")[3]
+        path = cmd.argv[cmd.argv.index("--scenario") + 1]
+        assert path.endswith("oracle_schrodinger_n4.json")
+        assert main(["oracle", "--scenario", path, "--out", str(tmp_path)]) == 0
+        s = load_scenario(path)
+        h = np.linalg.solve(s.gamma0, s.chi)
+        hbar = 2.0 * s.params.alpha1 / -s.params.alpha5
+        rows = np.loadtxt(tmp_path / "oracle_schrodinger_n4_oracle.csv", delimiter=",",
+                          skiprows=1)
+        exact = np.abs([matrix_exp(-1j * h / hbar, t - rows[0, 0]) @ s.psi0
+                        for t in rows[:, 0]])
+        assert np.max(np.abs(rows[:, 2:-1:2] - exact)) <= 1e-14
+
+    @pytest.mark.parametrize("tier, params, named", [
+        ("schrodinger", {"preset": "schrodinger", "kappa": 0.5}, "a potential"),
+        ("schrodinger", {"preset": "schrodinger", "potential": {
+            "kind": "quartic_shifted", "kappa": 0.1, "shift": 1.0}}, "a potential"),
+        ("direct_nonlinear", {"preset": "schrodinger", "kappa": 0.5}, "a potential"),
+        ("schrodinger", {"preset": "schrodinger", "forcing": {
+            "kind": "constant", "vector": vec([0.1, 0.0])}}, "forcing"),
+        ("second_order", {**_ORACLE_COUPLINGS, "forcing": {
+            "kind": "constant", "vector": vec([0.1, 0.0])}}, "forcing"),
+        ("full", {"alpha1": 0.4, "alpha2": 0.3, "alpha6": 0.9, "alpha7": 0.25}, "'full'"),
+        ("modified_first_order", {"alpha1": 0.4, "alpha6": 0.9, "alpha7": 0.25},
+         "'modified_first_order'"),
     ])
-    def test_schrodinger_solution_refuses_what_it_does_not_cover(self, tmp_path, capsys,
-                                                               params, named):
-        path = write(tmp_path, "sch", schrodinger_scenario(params=params))
-        assert main(["oracle", "--scenario", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
+    def test_refuses_a_flow_with_no_exact_solution(self, tmp_path, capsys, tier, params,
+                                                   named):
+        sc = schrodinger_scenario(model_tier=tier, params=params)
+        code, _, err = _oracle(tmp_path, capsys, "sch", sc)
+        assert code == 2
         assert err.startswith("NoOracleForTier: ") and named in err
         assert not (tmp_path / "sch_oracle.csv").exists()
 
-    def test_no_oracle_for_full_tier(self, tmp_path, capsys):
-        sc = {
-            "model_tier": "full",
-            "params": {"alpha1": 0.4, "alpha2": 0.3, "alpha6": 0.9, "alpha7": 0.25},
-            "initial": {"psi0": vec([0.5, 0.1]), "gamma0": mat(np.eye(2))},
-            "integrator": {"dt": 1e-2, "t_end": 0.1},
-        }
-        path = write(tmp_path, "full", sc)
-        assert main(["oracle", "--scenario", str(path), "--out", str(tmp_path)]) == 2
-        assert "NoOracleForTier" in capsys.readouterr().err
+    def test_alpha1_zero_is_refused_by_the_operator(self, tmp_path, capsys):
+        sc = schrodinger_scenario(params={"alpha1": 0.0, "alpha5": -1.0})
+        code, _, err = _oracle(tmp_path, capsys, "sch", sc)
+        assert code == 2 and err.startswith("DegenerateKinetic: ")
+        assert not (tmp_path / "sch_oracle.csv").exists()
 
 
 class TestCharges:

@@ -32,7 +32,6 @@ from hermiton.models import (
     resolve_chi,
     theta1,
 )
-from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
 from conftest import (
     count_numeric_inverse,
@@ -132,7 +131,7 @@ class TestElResidual:
         h = np.linalg.inv(gamma) @ chi
         psi0 = rand_vec(rng, n)
         for t in (0.0, 0.4, 1.1):
-            psi = exact_schrodinger(psi0, h, hbar, t)
+            psi = matrix_exp(-1j * h / hbar, t) @ psi0
             psi_dot = -1j / hbar * (h @ psi)
             state = FullState(psi=psi, psi_dot=psi_dot, gamma=gamma,
                               gamma_dot=np.zeros((n, n)), t=t)
@@ -147,10 +146,9 @@ class TestElResidual:
         params = ModelParams(alpha6=0.9, alpha7=0.25)
         g = rand_pd(rng, n)
         e = np.linalg.solve(g, rand_herm(rng, n, 0.6))
-        sol = GammaExponentialSolution(G=g, E=e)
         for t in (0.0, 0.7):
-            gamma = exact_gamma(sol, t)
             expt = matrix_exp(e, t)
+            gamma = g @ expt
             gamma_dot = g @ e @ expt
             gamma_ddot = g @ e @ e @ expt
             state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
@@ -288,10 +286,9 @@ class TestRhsGammaGeodesic:
         n = 3
         g = rand_pd(rng, n)
         e = np.linalg.solve(g, rand_herm(rng, n, 0.5))
-        sol = GammaExponentialSolution(G=g, E=e)
         for t in np.linspace(0.0, 2.0, 9):
-            gamma = exact_gamma(sol, t)
             expt = matrix_exp(e, t)
+            gamma = g @ expt
             gamma_dot = g @ e @ expt
             gamma_ddot = g @ e @ e @ expt
             back = rhs_gamma_geodesic(gamma, gamma_dot, 2.0, 0.3)

@@ -14,7 +14,7 @@ from hermiton.dynamics import (
     rhs_second_order,
 )
 from hermiton.errors import HermitonError, NonFinite, SingularForm, StepFailure
-from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift
+from hermiton.hermitian_algebra import hermitian_part, hermiticity_drift, matrix_exp
 from hermiton.integrate import IntegratorConfig, Trajectory, integrate
 from hermiton.models import (
     FullState,
@@ -25,7 +25,6 @@ from hermiton.models import (
     resolve_chi,
     theta1,
 )
-from hermiton.oracles import GammaExponentialSolution, exact_gamma, exact_schrodinger
 
 from conftest import (
     rand_herm,
@@ -51,20 +50,19 @@ class TestFixedStep:
         params, gamma, chi, psi0, state = schrodinger_setup(rng)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=100)
         traj = integrate(state, "schrodinger", cfg, params, chi)
-        exact = exact_schrodinger(psi0, np.linalg.solve(gamma, chi), 1.0, 1.0)
+        exact = matrix_exp(-1j * np.linalg.solve(gamma, chi) / 1.0, 1.0) @ psi0
         assert np.max(np.abs(traj.psi[-1] - exact)) < 1e-9
 
     def test_gamma_geodesic_matches_exponential(self, rng):
         n = 2
         g = rand_pd(rng, n)
         e = np.linalg.solve(g, rand_herm(rng, n, 0.5))
-        sol = GammaExponentialSolution(G=g, E=e)
         params = ModelParams(alpha6=1.0, alpha7=0.2)
         state = FullState(psi=np.zeros(n), psi_dot=np.zeros(n),
                           gamma=g, gamma_dot=g @ e)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=200)
         traj = integrate(state, "gamma_geodesic", cfg, params)
-        assert np.max(np.abs(traj.gamma[-1] - exact_gamma(sol, 1.0))) < 1e-7
+        assert np.max(np.abs(traj.gamma[-1] - g @ matrix_exp(e, 1.0))) < 1e-7
 
     def test_constant_trajectory(self, rng):
         n = 2
@@ -132,7 +130,7 @@ class TestAdaptive:
         cfg = IntegratorConfig(dt=1e-2, t_end=1.0, method="rk45_adaptive",
                                rel_tol=1e-10, abs_tol=1e-12)
         traj = integrate(state, "schrodinger", cfg, params, chi)
-        exact = exact_schrodinger(psi0, np.linalg.solve(gamma, chi), 1.0, 1.0)
+        exact = matrix_exp(-1j * np.linalg.solve(gamma, chi) / 1.0, 1.0) @ psi0
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(traj.psi[-1] - exact)) < 1e-7
 
@@ -169,7 +167,7 @@ class TestAdaptive:
         traj = integrate(state, "schrodinger", cfg, params, chi)
         assert len(traj.times) > 1
         assert traj.times[-1] == pytest.approx(5e-15, rel=1e-13)
-        exact = exact_schrodinger(psi0, np.linalg.solve(gamma, chi), 1.0, 5e-15)
+        exact = matrix_exp(-1j * np.linalg.solve(gamma, chi) / 1.0, 5e-15) @ psi0
         assert np.max(np.abs(traj.psi[-1] - exact)) < 1e-15
 
 
@@ -357,7 +355,15 @@ class TestStepLimits:
     ("t_end", 0.0, "t_end must exceed t_start"),
     ("rel_tol", float("nan"), "rel_tol must be finite"),
     ("abs_tol", 0.0, "tolerances must be positive"),
-    ("sample_stride", 0, "sample_stride must be >= 1"),
+    ("sample_stride", 0, "sample_stride must be an integer >= 1, got 0"),
+    # a fractional stride would record off the step grid, and a max_steps
+    # that is not a positive integer would never bound the adaptive loop
+    ("sample_stride", 1.5, "sample_stride must be an integer >= 1, got 1.5"),
+    ("sample_stride", True, "sample_stride must be an integer >= 1, got True"),
+    ("max_steps", 0, "max_steps must be an integer >= 1, got 0"),
+    ("max_steps", -1, "max_steps must be an integer >= 1, got -1"),
+    ("max_steps", 2.5, "max_steps must be an integer >= 1, got 2.5"),
+    ("max_steps", True, "max_steps must be an integer >= 1, got True"),
     # a tolerance below round-off: the error norm of every step would be
     # measured against rounding noise
     ("rel_tol", 1e-300, "rel_tol must be at least the float64 epsilon"),

@@ -14,7 +14,6 @@ SITES = {
     ("inv", "hermitian_algebra._checked_inverse"),   # the condition test itself
     ("inv", "integrate._stage_inverse"),             # the midpoint Newton matrix
     ("solve", "hermitian_algebra.matrix_exp"),       # the scaled Pade denominator
-    ("solve", "cli._exact_solution"),                # gamma0, tested at load
     ("cholesky", "canonical.darboux_reduce"),        # the chart's positivity test
 }
 

@@ -3,7 +3,7 @@ import pytest
 
 from hermiton import models, oracles
 from hermiton.dynamics import el_residual
-from hermiton.errors import NotGHermitian, NotHermitian, SingularForm, SingularOperator
+from hermiton.errors import NotHermitian, SingularForm, SingularOperator
 from hermiton.hermitian_algebra import hermiticity_drift, matrix_exp
 from hermiton.models import (
     FullState,
@@ -16,80 +16,72 @@ from hermiton.models import (
 )
 from hermiton.oracles import (
     DiscretizedPath,
-    GammaExponentialSolution,
     action_gradient_fd,
-    exact_gamma,
-    exact_schrodinger,
+    exact_linear,
     omega_inverse_numeric,
 )
 
 from conftest import full_params, rand_herm, rand_pd, rand_vec, smooth_path
 
 
-class TestExactGamma:
+class TestExactLinear:
     def test_zero_generator(self, rng):
         g = rand_pd(rng, 3)
-        sol = GammaExponentialSolution(G=g, E=np.zeros((3, 3)))
-        assert np.allclose(exact_gamma(sol, 2.0), g)
+        assert np.array_equal(exact_linear(np.zeros((3, 3)), g, 2.0), g)
 
     def test_scalar_exponential(self):
-        sol = GammaExponentialSolution(G=np.eye(1), E=np.array([[0.6]]))
-        assert exact_gamma(sol, 1.5)[0, 0] == pytest.approx(np.exp(0.9))
+        assert exact_linear(np.array([[0.6]]), np.eye(1), 1.5)[0, 0] == pytest.approx(np.exp(0.9))
 
     def test_spectral_growth(self, rng):
-        # G = I, E Hermitian: gamma(t) = exp(E t) has eigenvalues exp(lam t)
+        # A Hermitian on y0 = I: exp(A t) has eigenvalues exp(lam t)
         e = rand_herm(rng, 2)
         lam = np.linalg.eigvalsh(e)
-        sol = GammaExponentialSolution(G=np.eye(2), E=e)
-        got = np.sort(np.linalg.eigvalsh(exact_gamma(sol, 1.3)))
+        got = np.sort(np.linalg.eigvalsh(exact_linear(e, np.eye(2), 1.3)))
         assert np.allclose(got, np.exp(np.sort(lam) * 1.3), rtol=1e-10)
 
-    def test_stays_hermitian(self, rng):
-        g = rand_pd(rng, 3)
-        e = np.linalg.solve(g, rand_herm(rng, 3, 0.7))
-        sol = GammaExponentialSolution(G=g, E=e)
+    def test_geodesic_generator_on_either_side(self, rng):
+        # gamma0 exp(t gamma0^-1 gamma_dot0) = exp(t gamma_dot0 gamma0^-1) gamma0,
+        # the form of the geodesic that the oracle command evaluates
+        g, gd = rand_pd(rng, 3), rand_herm(rng, 3, 0.7)
         for t in np.linspace(-1.5, 1.5, 7):
-            assert hermiticity_drift(exact_gamma(sol, t)) < 1e-10
+            right = g @ matrix_exp(np.linalg.solve(g, gd), t)
+            assert np.allclose(exact_linear(gd @ np.linalg.inv(g), g, t), right,
+                               rtol=0, atol=1e-12 * np.max(np.abs(right)))
 
-    def test_inadmissible_generator_rejected(self, rng):
-        g = rand_pd(rng, 2)
-        bad = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        with pytest.raises(NotGHermitian):
-            GammaExponentialSolution(G=g, E=bad)
+    def test_geodesic_stays_hermitian(self, rng):
+        g = rand_pd(rng, 3)
+        a = rand_herm(rng, 3, 0.7) @ np.linalg.inv(g)
+        for t in np.linspace(-1.5, 1.5, 7):
+            assert hermiticity_drift(exact_linear(a, g, t)) < 1e-10
 
     def test_geodesic_equation_satisfied(self, rng):
         # gamma_ddot - gamma_dot gamma^{-1} gamma_dot == 0 at 20 sampled times
         g = rand_pd(rng, 2)
-        e = np.linalg.solve(g, rand_herm(rng, 2, 0.5))
-        sol = GammaExponentialSolution(G=g, E=e)
+        a = rand_herm(rng, 2, 0.5) @ np.linalg.inv(g)
         for t in np.linspace(0.0, 2.0, 20):
-            expt = matrix_exp(e, t)
-            gamma = g @ expt
-            gamma_dot = g @ e @ expt
-            gamma_ddot = g @ e @ e @ expt
+            gamma = exact_linear(a, g, t)
+            gamma_dot = a @ gamma
+            gamma_ddot = a @ a @ gamma
             defect = gamma_ddot - gamma_dot @ np.linalg.inv(gamma) @ gamma_dot
             assert np.max(np.abs(defect)) < 1e-10 * max(1.0, np.max(np.abs(gamma_ddot)))
 
-
-
-class TestExactSchrodinger:
-    def test_t_zero(self, rng):
+    def test_vector_t_zero(self, rng):
         psi0 = rand_vec(rng, 3)
-        assert np.allclose(exact_schrodinger(psi0, rand_herm(rng, 3), 1.0, 0.0), psi0)
+        assert np.array_equal(exact_linear(-1j * rand_herm(rng, 3), psi0, 0.0), psi0)
 
-    def test_diagonal_phases(self):
+    def test_vector_diagonal_phases(self):
         psi0 = np.array([1.0, 1.0], dtype=complex)
-        got = exact_schrodinger(psi0, np.diag([1.0, 2.0]), 1.0, 0.7)
+        got = exact_linear(-1j * np.diag([1.0, 2.0]), psi0, 0.7)
         assert np.allclose(got, [np.exp(-0.7j), np.exp(-1.4j)])
 
-    def test_gamma_norm_preserved(self, rng):
+    def test_vector_gamma_norm_preserved(self, rng):
         n = 3
         gamma = rand_pd(rng, n)
         h = np.linalg.solve(gamma, rand_herm(rng, n))   # gamma-Hermitian
         psi0 = rand_vec(rng, n)
         th0 = theta1(psi0, gamma)
         for t in (0.5, 2.0):
-            th = theta1(exact_schrodinger(psi0, h, 1.0, t), gamma)
+            th = theta1(exact_linear(-1j * h, psi0, t), gamma)
             assert abs(th - th0) < 1e-12 * max(1.0, abs(th0))
 
 
@@ -106,7 +98,7 @@ class TestActionGradient:
         psi0 = rand_vec(rng, n)
         dt = 1e-3
         times = dt * np.arange(41)
-        psis = np.stack([exact_schrodinger(psi0, h, hbar, t) for t in times])
+        psis = np.stack([matrix_exp(-1j * h / hbar, t) @ psi0 for t in times])
         gammas = np.stack([gamma for _ in times])
         path = DiscretizedPath(times=times, psis=psis, gammas=gammas)
         grad = action_gradient_fd(path, params, chi, "psi", 20, h=1e-5)
@@ -122,7 +114,7 @@ class TestActionGradient:
         psi0 = np.array([1.0 + 0.0j])
         dt = 1e-3
         times = dt * np.arange(41)
-        base = np.stack([exact_schrodinger(psi0, chi, 1.0, t) for t in times])
+        base = np.stack([matrix_exp(-1j * chi / 1.0, t) @ psi0 for t in times])
         gammas = np.stack([gamma for _ in times])
         responses = []
         for eps in (1e-3, 5e-4):
